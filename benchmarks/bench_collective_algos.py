@@ -1,7 +1,7 @@
 """Collective-algorithm benchmarks: ring vs tree, and gradient fusion.
 
 Two lanes, both landing in ``benchmarks/results/
-BENCH_collective_algos.json`` via ``record_collective_algos_bench`` so
+BENCH_collective_algos.json`` via ``record_bench`` so
 the algorithm-layer trajectory is tracked across PRs:
 
 * **ring-vs-tree crossover sweep** — the same allreduce at 8 Tegner
@@ -56,7 +56,7 @@ def _standalone_time(strategy, world, nbytes):
     return env.now
 
 
-def test_ring_vs_tree_crossover(record_table, record_collective_algos_bench):
+def test_ring_vs_tree_crossover(record_table, record_bench):
     times = {
         nbytes: {
             name: _standalone_time(strategy, WORLD, nbytes)
@@ -91,15 +91,15 @@ def test_ring_vs_tree_crossover(record_table, record_collective_algos_bench):
         tree_us = times[nbytes]["tree"] * 1e6
         auto = select_algorithm("CollectiveAllReduce", nbytes, WORLD)
         rows.append([nbytes, ring_us, tree_us, ring_us / tree_us, auto])
-        record_collective_algos_bench(
-            f"allreduce_w{WORLD}_{nbytes}B",
+        record_bench(
+            "collective_algos", f"allreduce_w{WORLD}_{nbytes}B",
             ring_us=round(ring_us, 3),
             tree_us=round(tree_us, 3),
             tree_speedup=round(ring_us / tree_us, 3),
             auto_choice=auto,
         )
-    record_collective_algos_bench(
-        "crossover",
+    record_bench(
+        "collective_algos", "crossover",
         world=WORLD,
         first_ring_win_bytes=crossover,
         ring_speedup_at_8MB=round(big_ratio, 3),
@@ -118,7 +118,7 @@ FUSION = dict(d=64, blocks=8, num_workers=4, rows_per_worker=8, steps=4)
 
 
 def test_gradient_bucket_fusion_ab(record_table,
-                                   record_collective_algos_bench):
+                                   record_bench):
     """Fused vs unfused SGD: schedule counters + byte identity asserted,
     host wall recorded min-of-5 interleaved. Both primary arms run the
     default pipeline (optimize on) so the delta isolates *fusion*; the
@@ -161,8 +161,8 @@ def test_gradient_bucket_fusion_ab(record_table,
         "the fusion pass must reduce the per-step collective count"
     )
 
-    record_collective_algos_bench(
-        "sgd_fusion_ab",
+    record_bench(
+        "collective_algos", "sgd_fusion_ab",
         collectives_before=detail["collectives_before"],
         collectives_after=detail["collectives_after"],
         buckets=detail["buckets"],

@@ -1,7 +1,7 @@
 """Graph-level collectives benchmark: the Horovod argument, quantified.
 
 Two lanes, both landing in ``benchmarks/results/BENCH_collectives.json``
-via ``record_collective_bench`` so the collectives trajectory is tracked
+via ``record_bench`` so the collectives trajectory is tracked
 across PRs:
 
 * **allreduce vs central reducer** — one 32 MB reduction across 8 Tegner
@@ -112,7 +112,7 @@ def _standalone_ring(world, nbytes):
 
 
 def test_graph_allreduce_vs_central_reducer(record_table,
-                                            record_collective_bench):
+                                            record_bench):
     world, nbytes = 8, 32 * MB
     ring = _ring_arm(world, nbytes)
     central = _central_arm(world, nbytes)
@@ -126,8 +126,8 @@ def test_graph_allreduce_vs_central_reducer(record_table,
         f"by 2x at {world} ranks"
     )
 
-    record_collective_bench(
-        "allreduce_graph_op_8x32MB",
+    record_bench(
+        "collectives", "allreduce_graph_op_8x32MB",
         ring_ms=round(ring * 1e3, 4),
         central_ms=round(central * 1e3, 4),
         standalone_ring_ms=round(standalone * 1e3, 4),
@@ -146,7 +146,7 @@ def test_graph_allreduce_vs_central_reducer(record_table,
 STENCIL = dict(n=512, iterations=10, check_every=1, shape_only=True)
 
 
-def test_stencil_sync_scaling(record_table, record_collective_bench):
+def test_stencil_sync_scaling(record_table, record_bench):
     rows = []
     fields = {}
     for workers in (2, 4, 8):
@@ -170,7 +170,7 @@ def test_stencil_sync_scaling(record_table, record_collective_bench):
     assert rows[2][5] > rows[1][5], "ring advantage should grow with W"
 
     for name, entry in fields.items():
-        record_collective_bench(name, **entry)
+        record_bench("collectives", name, **entry)
     record_table("bench_collectives_stencil.txt", format_table(
         ["workers", "ring [ms]", "central [ms]", "ring sync [ms]",
          "central sync [ms]", "sync speedup"],
@@ -180,7 +180,7 @@ def test_stencil_sync_scaling(record_table, record_collective_bench):
     ))
 
 
-def test_stencil_executor_fastpath_wall_clock(record_collective_bench):
+def test_stencil_executor_fastpath_wall_clock(record_bench):
     """Host-wall A/B of the new collective lane: optimizer + fast path
     vs the legacy one-process-per-item executor, min-of-5 interleaved."""
     config = dict(mode="collective", num_workers=4, n=256, iterations=10,
@@ -209,8 +209,8 @@ def test_stencil_executor_fastpath_wall_clock(record_collective_bench):
     # CI deliberately does not run).
     assert results[True].elapsed == pytest.approx(
         results[False].elapsed, rel=1e-9)
-    record_collective_bench(
-        "stencil_executor_fastpath",
+    record_bench(
+        "collectives", "stencil_executor_fastpath",
         wall_on_s=round(wall_on, 4),
         wall_off_s=round(wall_off, 4),
         wall_reduction_pct=round(100 * (wall_off - wall_on) / wall_off, 1),

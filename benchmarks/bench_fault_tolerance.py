@@ -4,7 +4,7 @@ The robustness lane the paper motivates ("checkpoint-restart capability
 in less than 300 lines"): inject deterministic worker crashes into
 data-parallel SGD and measure the cost of surviving them. Three sweeps,
 all landing in ``benchmarks/results/BENCH_fault_tolerance.json`` via
-``record_fault_bench`` so the robustness trajectory is tracked across
+``record_bench`` so the robustness trajectory is tracked across
 PRs:
 
 * **checkpoint-interval sweep** — one mid-run crash, snapshots every
@@ -58,7 +58,7 @@ def baseline(tmp_path_factory):
 
 def test_recovery_overhead_vs_checkpoint_interval(tmp_path, baseline,
                                                   record_table,
-                                                  record_fault_bench):
+                                                  record_bench):
     plan = FaultPlan.single_crash("worker", 1, at=CRASH_AT,
                                   restart_after=RESTART_AFTER)
     rows = []
@@ -88,11 +88,11 @@ def test_recovery_overhead_vs_checkpoint_interval(tmp_path, baseline,
                    f"{baseline.elapsed * 1e3:.2f} sim ms)"),
         ),
     )
-    record_fault_bench("sgd_recovery_vs_interval", **fields)
+    record_bench("fault_tolerance", "sgd_recovery_vs_interval", **fields)
 
 
 def test_recovery_overhead_vs_crash_rate(tmp_path, baseline, record_table,
-                                         record_fault_bench):
+                                         record_bench):
     rows = []
     fields = {"clean_elapsed": baseline.elapsed}
     elapsed_by_crashes = {}
@@ -127,17 +127,17 @@ def test_recovery_overhead_vs_crash_rate(tmp_path, baseline, record_table,
                    f"({STEPS} steps x {WORKERS} workers, ckpt every 4)"),
         ),
     )
-    record_fault_bench("sgd_recovery_vs_crash_rate", **fields)
+    record_bench("fault_tolerance", "sgd_recovery_vs_crash_rate", **fields)
 
 
 def test_transient_drops_cost_backoff_only(tmp_path, baseline,
-                                           record_fault_bench):
+                                           record_bench):
     res = _run(tmp_path, "drops", 4,
                FaultPlan(faults=(MessageDrop(count=4),), seed=3))
     assert res.injector_stats["drops"] == 4
     assert res.recoveries == 0  # absorbed by retries, no restore
-    record_fault_bench(
-        "sgd_transient_drops",
+    record_bench(
+        "fault_tolerance", "sgd_transient_drops",
         clean_elapsed=baseline.elapsed,
         drops=res.injector_stats["drops"],
         elapsed=res.elapsed,

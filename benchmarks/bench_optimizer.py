@@ -59,7 +59,7 @@ def test_optimizer_speedup_fig10_cg(record_table, record_bench):
     items_saved = res_off.plan_items - res_on.plan_items
 
     record_bench(
-        "fig10_cg_optimizer",
+        "optimizer", "fig10_cg_optimizer",
         items_before=res_off.plan_items,
         items_after=res_on.plan_items,
         wall_on_s=round(wall_on, 4),

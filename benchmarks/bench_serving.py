@@ -12,7 +12,7 @@ knobs that shape a serving deployment —
 * **offered load** — concurrent closed-loop clients.
 
 Every point lands in ``benchmarks/results/BENCH_serving.json`` via
-``record_serving_bench`` (requests/sec, p50/p99 latency, mean batch
+``record_bench`` (requests/sec, p50/p99 latency, mean batch
 occupancy) so the serving trajectory is tracked across PRs. The headline
 assertion is the subsystem's reason to exist: at the heaviest load,
 micro-batched throughput must beat the unbatched baseline, because one
@@ -47,7 +47,7 @@ def _measure(workers, batch, clients, requests):
 
 
 def test_throughput_sweep_batching_beats_unbatched(record_table,
-                                                   record_serving_bench):
+                                                   record_bench):
     rows = []
     fields = {}
     results = {}
@@ -97,10 +97,10 @@ def test_throughput_sweep_batching_beats_unbatched(record_table,
                    "shared plan-cached Session)"),
         ),
     )
-    record_serving_bench("serving_sweep", **fields)
+    record_bench("serving", "serving_sweep", **fields)
 
 
-def test_admission_backpressure_under_overload(record_serving_bench):
+def test_admission_backpressure_under_overload(record_bench):
     """A shallow queue sheds load instead of queueing without bound."""
     server = build_mlp_server(
         config=ServingConfig(max_batch_size=4, num_workers=1, max_queue=4)
@@ -116,8 +116,8 @@ def test_admission_backpressure_under_overload(record_serving_bench):
     assert res.completed + res.rejected == res.offered
     assert res.rejected > 0
     assert res.completed > 0
-    record_serving_bench(
-        "serving_backpressure",
+    record_bench(
+        "serving", "serving_backpressure",
         offered=res.offered,
         completed=res.completed,
         rejected=res.rejected,

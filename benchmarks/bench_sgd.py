@@ -2,7 +2,7 @@
 
 The Horovod use case, quantified on the backward path the autodiff of
 ``repro.core.gradients`` emits. Three lanes, all landing in
-``benchmarks/results/BENCH_sgd.json`` via ``record_sgd_bench`` so the
+``benchmarks/results/BENCH_sgd.json`` via ``record_bench`` so the
 training trajectory is tracked across PRs:
 
 * **ring vs central at 8 workers** — an 8 MB gradient summed across 8
@@ -47,7 +47,7 @@ def exchange_sweep():
 
 
 def test_grad_sync_ring_vs_central_8_workers(exchange_sweep, record_table,
-                                             record_sgd_bench):
+                                             record_bench):
     ring, central = exchange_sweep[8]
     speedup = central.elapsed / ring.elapsed
 
@@ -56,8 +56,8 @@ def test_grad_sync_ring_vs_central_8_workers(exchange_sweep, record_table,
         f"reducer at 8 workers, got {speedup:.2f}x"
     )
 
-    record_sgd_bench(
-        "sgd_grad_sync_8x8MB",
+    record_bench(
+        "sgd", "sgd_grad_sync_8x8MB",
         ring_ms=round(ring.elapsed * 1e3, 4),
         central_ms=round(central.elapsed * 1e3, 4),
         ring_ms_per_step=round(ring.seconds_per_step * 1e3, 4),
@@ -74,15 +74,15 @@ def test_grad_sync_ring_vs_central_8_workers(exchange_sweep, record_table,
     ]))
 
 
-def test_grad_sync_scaling(exchange_sweep, record_table, record_sgd_bench):
+def test_grad_sync_scaling(exchange_sweep, record_table, record_bench):
     rows = []
     speedups = {}
     for workers, (ring, central) in sorted(exchange_sweep.items()):
         speedups[workers] = central.elapsed / ring.elapsed
         rows.append([workers, ring.elapsed * 1e3, central.elapsed * 1e3,
                      speedups[workers]])
-        record_sgd_bench(
-            f"sgd_scaling_w{workers}",
+        record_bench(
+            "sgd", f"sgd_scaling_w{workers}",
             ring_ms=round(ring.elapsed * 1e3, 4),
             central_ms=round(central.elapsed * 1e3, 4),
             speedup=round(speedups[workers], 3),
@@ -98,7 +98,7 @@ def test_grad_sync_scaling(exchange_sweep, record_table, record_sgd_bench):
     ))
 
 
-def test_sgd_executor_fastpath_wall_clock(record_sgd_bench):
+def test_sgd_executor_fastpath_wall_clock(record_bench):
     """Host-wall A/B of the training step: optimizer + fast path vs the
     legacy one-process-per-item executor lane, min-of-5 interleaved."""
     config = dict(mode="collective", num_workers=4, d=4096,
@@ -129,8 +129,8 @@ def test_sgd_executor_fastpath_wall_clock(record_sgd_bench):
     # bench_optimizer.py).
     assert results[True].elapsed <= results[False].elapsed
     assert results[True].plan_items <= results[False].plan_items
-    record_sgd_bench(
-        "sgd_executor_fastpath",
+    record_bench(
+        "sgd", "sgd_executor_fastpath",
         wall_on_s=round(wall_on, 4),
         wall_off_s=round(wall_off, 4),
         wall_reduction_pct=round(100 * (wall_off - wall_on) / wall_off, 1),

@@ -28,14 +28,14 @@ def _timed(fn):
 def test_smoke_table1(record_bench):
     wall, rows = _timed(run_table1)
     assert rows, "table 1 produced no rows"
-    record_bench("smoke_table1", wall_s=round(wall, 4))
+    record_bench("optimizer", "smoke_table1", wall_s=round(wall, 4))
 
 
 def test_smoke_fig7_stream(record_bench):
     wall, res = _timed(lambda: run_stream(
         system="tegner-k420", size_mb=2, iterations=5, shape_only=True))
     assert res.seconds_per_transfer > 0
-    record_bench("smoke_fig7_stream", wall_s=round(wall, 4),
+    record_bench("optimizer", "smoke_fig7_stream", wall_s=round(wall, 4),
                  seconds_per_transfer=res.seconds_per_transfer)
 
 
@@ -44,7 +44,7 @@ def test_smoke_fig8_matmul(record_bench):
         system="tegner-k420", n=512, tile=128, num_gpus=2, shape_only=False,
         seed=1))
     assert res.validated
-    record_bench("smoke_fig8_matmul", wall_s=round(wall, 4),
+    record_bench("optimizer", "smoke_fig8_matmul", wall_s=round(wall, 4),
                  gflops=res.gflops)
 
 
@@ -53,7 +53,7 @@ def test_smoke_fig10_cg(record_bench):
         system="tegner-k80", n=128, num_gpus=2, iterations=60,
         shape_only=False, seed=7))
     assert res.residual < 1e-6
-    record_bench("smoke_fig10_cg", wall_s=round(wall, 4),
+    record_bench("optimizer", "smoke_fig10_cg", wall_s=round(wall, 4),
                  residual=res.residual, plan_items=res.plan_items)
 
 
@@ -85,7 +85,7 @@ def test_smoke_traced_frontend(record_bench):
     wall_fn = min(walls["function"])
     wall_gr = min(walls["graph"])
     record_bench(
-        "smoke_traced_frontend",
+        "optimizer", "smoke_traced_frontend",
         wall_s_function=round(wall_fn, 4),
         wall_s_graph=round(wall_gr, 4),
         frontend_overhead=round(wall_fn / wall_gr, 4) if wall_gr else 0.0,
@@ -101,5 +101,5 @@ def test_smoke_fig11_fft(record_bench):
         system="tegner-k420", n=1 << 12, num_tiles=8, num_gpus=2,
         shape_only=False, seed=3))
     assert res.validated
-    record_bench("smoke_fig11_fft", wall_s=round(wall, 4),
+    record_bench("optimizer", "smoke_fig11_fft", wall_s=round(wall, 4),
                  max_error=res.max_error)

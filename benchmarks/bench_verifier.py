@@ -21,7 +21,7 @@ verifying clean (the zero-false-positive burn-in). Three measurements:
   ``REPRO_VERIFY_PLANS=1``.
 
 Results land in ``benchmarks/results/BENCH_verifier.json`` via
-``record_verifier_bench``.
+``record_bench``.
 """
 
 import gc
@@ -129,7 +129,7 @@ def _overhead_pct(on: float, off: float) -> float:
     return 100.0 * (on - off) / off
 
 
-def test_plan_build_overhead(record_verifier_bench, record_table):
+def test_plan_build_overhead(record_bench, record_table):
     on, off, plan = _measure_build(identities=False)
     on_heavy, off_heavy, plan_heavy = _measure_build(identities=True)
     sess_on, sess_off = _measure_session()
@@ -138,24 +138,24 @@ def test_plan_build_overhead(record_verifier_bench, record_table):
     pct_heavy = _overhead_pct(on_heavy, off_heavy)
     pct_sess = _overhead_pct(sess_on, sess_off)
 
-    record_verifier_bench(
-        "layered_collective",
+    record_bench(
+        "verifier", "layered_collective",
         plan_items=len(plan.items),
         wall_off_ms=round(off * 1e3, 3),
         wall_on_ms=round(on * 1e3, 3),
         overhead_pct=round(pct, 1),
         diagnostics=len(plan.verifier_diagnostics),
     )
-    record_verifier_bench(
-        "identity_heavy",
+    record_bench(
+        "verifier", "identity_heavy",
         plan_items=len(plan_heavy.items),
         wall_off_ms=round(off_heavy * 1e3, 3),
         wall_on_ms=round(on_heavy * 1e3, 3),
         overhead_pct=round(pct_heavy, 1),
         diagnostics=len(plan_heavy.verifier_diagnostics),
     )
-    record_verifier_bench(
-        "session_amortized",
+    record_bench(
+        "verifier", "session_amortized",
         wall_off_s=round(sess_off, 4),
         wall_on_s=round(sess_on, 4),
         overhead_pct=round(pct_sess, 1),

@@ -5,11 +5,12 @@ simulator, asserts the paper's qualitative findings (orderings, scaling
 bands), and archives the rendered table plus the paper-vs-measured
 comparison under ``benchmarks/results/``.
 
-Perf-trajectory tracking: benchmarks that call the ``record_bench``
-fixture contribute entries (plan items before/after optimization, host
-wall-clock per arm, simulated time) to ``benchmarks/results/
-BENCH_optimizer.json``, written once per pytest session so the numbers
-can be compared across PRs.
+Perf-trajectory tracking: benchmarks call the ``record_bench`` fixture
+with a lane (``optimizer``, ``collectives``, ``sgd``,
+``collective_algos``, ``fault_tolerance``, ``serving``, ``verifier``)
+and an entry name; each lane's entries are written once per pytest
+session to ``benchmarks/results/BENCH_<lane>.json`` so the numbers can
+be compared across PRs.
 """
 
 import json
@@ -18,18 +19,6 @@ import os
 import pytest
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-BENCH_JSON = os.path.join(RESULTS_DIR, "BENCH_optimizer.json")
-BENCH_COLLECTIVES_JSON = os.path.join(RESULTS_DIR, "BENCH_collectives.json")
-BENCH_SGD_JSON = os.path.join(RESULTS_DIR, "BENCH_sgd.json")
-BENCH_COLLECTIVE_ALGOS_JSON = os.path.join(
-    RESULTS_DIR, "BENCH_collective_algos.json"
-)
-BENCH_FAULT_TOLERANCE_JSON = os.path.join(
-    RESULTS_DIR, "BENCH_fault_tolerance.json"
-)
-BENCH_SERVING_JSON = os.path.join(RESULTS_DIR, "BENCH_serving.json")
-BENCH_VERIFIER_JSON = os.path.join(RESULTS_DIR, "BENCH_verifier.json")
-BENCH_COMPILED_JSON = os.path.join(RESULTS_DIR, "BENCH_compiled.json")
 
 
 @pytest.fixture(scope="session")
@@ -40,8 +29,6 @@ def results_dir():
 
 def _flush_records(path: str, records: dict) -> None:
     """Merge ``records`` into the JSON at ``path`` (see _bench_records)."""
-    if not records:
-        return
     merged: dict = {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -69,164 +56,31 @@ def record_table(results_dir):
 
 @pytest.fixture(scope="session")
 def _bench_records(results_dir):
-    """Session-wide accumulator flushed to BENCH_optimizer.json at exit.
+    """Session-wide accumulator, lane -> {name: fields}, flushed to one
+    ``BENCH_<lane>.json`` per lane at exit.
 
     Merged into any existing file so partial runs (e.g. only the smoke
     sweep) update their own entries without dropping the others.
     """
     records: dict = {}
     yield records
-    _flush_records(BENCH_JSON, records)
+    for lane, entries in records.items():
+        _flush_records(
+            os.path.join(results_dir, f"BENCH_{lane}.json"), entries
+        )
 
 
 @pytest.fixture
 def record_bench(_bench_records):
     """Callable recording one benchmark's perf entry.
 
-    Usage: ``record_bench("fig10_cg", items_before=..., items_after=...,
-    wall_off=..., wall_on=..., sim_elapsed=...)`` — arbitrary numeric
-    fields are allowed; they land under the given name in the JSON.
+    Usage: ``record_bench("optimizer", "fig10_cg", items_before=...,
+    items_after=..., wall_off=..., wall_on=..., sim_elapsed=...)`` —
+    arbitrary numeric fields are allowed; they land under the given name
+    in the lane's JSON.
     """
 
-    def record(name: str, **fields) -> None:
-        _bench_records[name] = fields
-
-    return record
-
-
-@pytest.fixture(scope="session")
-def _collective_bench_records(results_dir):
-    """Accumulator for the collectives lane (BENCH_collectives.json)."""
-    records: dict = {}
-    yield records
-    _flush_records(BENCH_COLLECTIVES_JSON, records)
-
-
-@pytest.fixture
-def record_collective_bench(_collective_bench_records):
-    """Like ``record_bench``, flushed to ``BENCH_collectives.json`` —
-    the allreduce-vs-reducer and stencil trajectory tracked across PRs."""
-
-    def record(name: str, **fields) -> None:
-        _collective_bench_records[name] = fields
-
-    return record
-
-
-@pytest.fixture(scope="session")
-def _sgd_bench_records(results_dir):
-    """Accumulator for the training lane (BENCH_sgd.json)."""
-    records: dict = {}
-    yield records
-    _flush_records(BENCH_SGD_JSON, records)
-
-
-@pytest.fixture
-def record_sgd_bench(_sgd_bench_records):
-    """Like ``record_bench``, flushed to ``BENCH_sgd.json`` — the
-    gradient-exchange (ring vs central) trajectory tracked across PRs."""
-
-    def record(name: str, **fields) -> None:
-        _sgd_bench_records[name] = fields
-
-    return record
-
-
-@pytest.fixture(scope="session")
-def _collective_algos_records(results_dir):
-    """Accumulator for the algorithm lane (BENCH_collective_algos.json)."""
-    records: dict = {}
-    yield records
-    _flush_records(BENCH_COLLECTIVE_ALGOS_JSON, records)
-
-
-@pytest.fixture
-def record_collective_algos_bench(_collective_algos_records):
-    """Like ``record_bench``, flushed to ``BENCH_collective_algos.json``
-    — the ring-vs-tree crossover and gradient-bucket fusion trajectory
-    tracked across PRs."""
-
-    def record(name: str, **fields) -> None:
-        _collective_algos_records[name] = fields
-
-    return record
-
-
-@pytest.fixture(scope="session")
-def _fault_bench_records(results_dir):
-    """Accumulator for the robustness lane (BENCH_fault_tolerance.json)."""
-    records: dict = {}
-    yield records
-    _flush_records(BENCH_FAULT_TOLERANCE_JSON, records)
-
-
-@pytest.fixture
-def record_fault_bench(_fault_bench_records):
-    """Like ``record_bench``, flushed to ``BENCH_fault_tolerance.json``
-    — recovery overhead vs checkpoint interval and crash rate, tracked
-    across PRs."""
-
-    def record(name: str, **fields) -> None:
-        _fault_bench_records[name] = fields
-
-    return record
-
-
-@pytest.fixture(scope="session")
-def _serving_bench_records(results_dir):
-    """Accumulator for the serving lane (BENCH_serving.json)."""
-    records: dict = {}
-    yield records
-    _flush_records(BENCH_SERVING_JSON, records)
-
-
-@pytest.fixture
-def record_serving_bench(_serving_bench_records):
-    """Like ``record_bench``, flushed to ``BENCH_serving.json`` — the
-    multi-tenant front-door's throughput and tail-latency trajectory
-    (workers x batch size x offered load) tracked across PRs."""
-
-    def record(name: str, **fields) -> None:
-        _serving_bench_records[name] = fields
-
-    return record
-
-
-@pytest.fixture(scope="session")
-def _verifier_bench_records(results_dir):
-    """Accumulator for the static-analysis lane (BENCH_verifier.json)."""
-    records: dict = {}
-    yield records
-    _flush_records(BENCH_VERIFIER_JSON, records)
-
-
-@pytest.fixture
-def record_verifier_bench(_verifier_bench_records):
-    """Like ``record_bench``, flushed to ``BENCH_verifier.json`` — the
-    plan-build overhead of ``verify_plans=True`` per workload, tracked
-    across PRs."""
-
-    def record(name: str, **fields) -> None:
-        _verifier_bench_records[name] = fields
-
-    return record
-
-
-@pytest.fixture(scope="session")
-def _compiled_bench_records(results_dir):
-    """Accumulator for the compiled-lane A/B (BENCH_compiled.json)."""
-    records: dict = {}
-    yield records
-    _flush_records(BENCH_COMPILED_JSON, records)
-
-
-@pytest.fixture
-def record_compiled_bench(_compiled_bench_records):
-    """Like ``record_bench``, flushed to ``BENCH_compiled.json`` — the
-    kernel-fusion compiled-lane host-wall A/B (legacy / fast /
-    fast+fused) per workload, tracked across PRs."""
-
-    def record(name: str, **fields) -> None:
-        _compiled_bench_records[name] = fields
+    def record(lane: str, name: str, **fields) -> None:
+        _bench_records.setdefault(lane, {})[name] = fields
 
     return record

@@ -69,11 +69,6 @@ register_rule(
     "plan/collective-order", Severity.ERROR, "plan",
     "All ranks must issue their collectives in one consistent order",
 )
-register_rule(
-    "plan/fused-member", Severity.ERROR, "plan",
-    "A fused chain needs >= 2 same-device pure non-stateful op members "
-    "wired acyclically (each member reads only earlier members)",
-)
 
 _WRITER_OP_TYPES = frozenset({"Assign", "AssignAdd", "AssignSub"})
 _ACCUMULATING_OP_TYPES = frozenset({"AssignAdd", "AssignSub"})
@@ -88,7 +83,6 @@ def verify_plan(plan: Any, context: str = "") -> Report:
     adjacency, indegree = _check_membership(plan, by_uid, legs_by_op, report)
     _check_cycles(plan, legs_by_op, adjacency, indegree, report)
     _check_variable_races(plan, adjacency, report)
-    _check_fused_items(plan, report)
     return report
 
 
@@ -112,8 +106,6 @@ def _outputs_of(item: Any) -> int:
         return len(item.const_values or ())
     if item.kind == "send":
         return 0
-    if item.kind == "fused":
-        return item.compiled.n_outputs  # the chain tail's output slots
     return 1  # recv, collective: one output slot
 
 
@@ -431,70 +423,6 @@ def _check_variable_races(plan: Any, adjacency: dict,
                          "(tf.control_dependencies) or split them across "
                          "separate session.run calls",
                 )
-
-
-# ---------------------------------------------------------------------------
-# fused chains (plan-level kernel fusion)
-# ---------------------------------------------------------------------------
-
-def _check_fused_items(plan: Any, report: Report) -> None:
-    """Verify every compiled chain's member set and internal wiring.
-
-    The fusion pass promises: at least two members, all ``"op"`` items
-    with pure / non-stateful / non-graph-only kernels on the fused
-    item's own device, and member-to-member reads that reference only
-    *earlier* chain positions (member acyclicity by construction).
-    """
-    from repro.core.kernels import registry as kernel_registry
-
-    for item in plan.items:
-        if item.kind != "fused":
-            continue
-
-        def bad(msg: str, **extra) -> None:
-            report.emit(
-                "plan/fused-member", f"fused item #{item.uid}: {msg}",
-                item=item.uid, device=item.device,
-                hint="the kernel_fusion pass built an illegal chain; its "
-                     "legality rules and this check must agree",
-                **extra,
-            )
-
-        chain = item.compiled
-        if chain is None or not chain.steps:
-            bad("has no compiled chain attached")
-            continue
-        if len(chain.steps) < 2:
-            bad(f"chain has {len(chain.steps)} member(s); fusing a single "
-                f"op only adds indirection")
-        for pos, step in enumerate(chain.steps):
-            member = step.member
-            label = f"member {pos} ({member.op.type} {member.op.name!r})"
-            if member.kind != "op":
-                bad(f"{label} is a {member.kind!r} item, not an op",
-                    op=member.op.name)
-            op_type = member.op.type
-            if not kernel_registry.is_pure(op_type) or \
-                    kernel_registry.is_stateful(op_type):
-                bad(f"{label} is not a pure op", op=member.op.name)
-            if kernel_registry.is_graph_only(op_type):
-                bad(f"{label} has a blocking (graph-only) kernel",
-                    op=member.op.name)
-            if member.device != item.device:
-                bad(f"{label} sits on {member.device}, crossing the "
-                    f"chain's device boundary", op=member.op.name)
-            for token in step.spec:
-                if token[0] == "v" and token[1] >= pos:
-                    bad(f"{label} reads member {token[1]}, which does not "
-                        f"precede it in the chain", op=member.op.name)
-                elif token[0] == "x" and token[1] >= len(item.sources):
-                    bad(f"{label} reads external input {token[1]}, but the "
-                        f"fused item has {len(item.sources)} source(s)",
-                        op=member.op.name)
-        tail = chain.steps[-1].member
-        if tail.op is not None and chain.n_outputs != len(tail.op.outputs):
-            bad(f"declares {chain.n_outputs} output(s) but its tail "
-                f"{tail.op.name!r} produces {len(tail.op.outputs)}")
 
 
 def _pairwise_order(adjacency: dict, uids: list) -> set:

@@ -141,7 +141,6 @@ def run_cg(
     cluster: Optional[ClusterHandle] = None,
     problem=None,
     optimize: Optional[bool] = None,
-    kernel_fusion: Optional[bool] = None,
     fault_plan=None,
     start_step: int = 0,
     resume_step: Optional[int] = None,
@@ -163,8 +162,6 @@ def run_cg(
         optimize: force plan-time graph optimization and the executor fast
             path on/off for every session (``None`` keeps the defaults);
             used by ``benchmarks/bench_optimizer.py`` for A/B comparisons.
-        kernel_fusion: enable the opt-in compiled executor lane (pure-op
-            chain fusion; ``benchmarks/bench_compiled.py`` A/Bs it).
         fault_plan: a :class:`repro.simnet.faults.FaultPlan` to install
             on the cluster. A worker crash interrupts that worker's sim
             process; the run returns early with ``crashed=True`` instead
@@ -287,8 +284,7 @@ def run_cg(
                                  name="reduce_round", graph=g)
         rs_only_step = rs_red.reducer_step(name="rs_round")
 
-    shape_cfg = session_config(shape_only=shape_only, optimize=optimize,
-                               kernel_fusion=kernel_fusion)
+    shape_cfg = session_config(shape_only=shape_only, optimize=optimize)
     worker_sessions = [
         tf.Session(handle.server("worker", w), graph=g, config=shape_cfg)
         for w in range(num_gpus)

@@ -43,15 +43,12 @@ def task_device(job: str, index: int, device_type: str = "gpu",
 
 
 def session_config(shape_only: bool = False, optimize: Optional[bool] = None,
-                   fusion: Optional[bool] = None,
-                   kernel_fusion: Optional[bool] = None):
+                   fusion: Optional[bool] = None):
     """The apps' shared SessionConfig: shape-only switch plus the A/B
     knob forcing plan-time optimization and the executor fast path on or
     off together (``None`` keeps the defaults). ``fusion=True`` also
-    enables the opt-in collective gradient-bucket fusion pass, and
-    ``kernel_fusion=True`` the opt-in compiled executor lane
-    (plan-level pure-op chain fusion); both require graph optimization
-    to be on."""
+    enables the opt-in collective gradient-bucket fusion pass, which
+    requires graph optimization to be on."""
     from repro.core.session import SessionConfig
 
     config = SessionConfig(shape_only=shape_only)
@@ -61,10 +58,6 @@ def session_config(shape_only: bool = False, optimize: Optional[bool] = None,
     if fusion is not None:
         config.optimizer.collective_fusion = fusion
         if fusion:
-            config.graph_optimization = True
-    if kernel_fusion is not None:
-        config.optimizer.kernel_fusion = kernel_fusion
-        if kernel_fusion:
             config.graph_optimization = True
     return config
 

@@ -323,7 +323,6 @@ def run_sgd(
     momentum: float = 0.0,
     algorithm: str = "auto",
     fusion: Optional[bool] = None,
-    kernel_fusion: Optional[bool] = None,
 ) -> SGDResult:
     """Train the data-parallel linear regression.
 
@@ -355,9 +354,6 @@ def run_sgd(
             (``"auto"``/``"ring"``/``"tree"``; collective mode only).
         fusion: enable the opt-in gradient-bucket fusion pass (``None``
             keeps the session default, i.e. off).
-        kernel_fusion: enable the opt-in compiled executor lane
-            (plan-level pure-op chain fusion; ``None`` keeps the
-            session default, i.e. off).
 
     Weight trajectories are byte-identical across modes, frontends,
     algorithms and the fusion on/off axis; only the simulated clock
@@ -383,7 +379,7 @@ def run_sgd(
     data = (None if shape_only else
             make_regression_problem(d, rows_per_worker, num_workers, seed)[:2])
     config = session_config(shape_only=shape_only, optimize=optimize,
-                            fusion=fusion, kernel_fusion=kernel_fusion)
+                            fusion=fusion)
 
     loss_history: list = []
     trajectory: list = []

@@ -22,26 +22,13 @@ Dispatch has three lanes:
 * **driven-generator lane** — generator kernels (queues, datasets, tile
   I/O) and ``send`` items (multi-event transport modelling) are driven
   through event callbacks: identical events and timestamps to a simulator
-  process, minus the process object and its bookkeeping events;
-* **compiled lane** — ``fused`` items (plan-time kernel fusion,
-  :mod:`repro.core.optimizer.kernel_fusion`) carry a precompiled chain of
-  pure ops executed as ONE plan item. When the dispatcher can prove the
-  chain's whole span is uncontended — no fault injection, every other
-  item on the device already complete, no mid-chain external observers —
-  it runs every member kernel back to back (``CompiledChain.compute``)
-  and schedules ONE calendar event for the summed cost, landing on the
-  bit-identical end timestamp via ``Environment.timeout_at``. Otherwise a
-  :class:`_ChainCursor` steps the members through the ready deque one at
-  a time, replaying their unfused light/inline-lane events exactly —
-  including mid-chain FIFO waits, GIL holds, and notification of external
-  dependents at member completion. Either way, fetch values, simulated
-  time and device-pool behaviour are byte-identical to dispatching the
-  members individually.
+  process, minus the process object and its bookkeeping events.
 
-``executor_fast_path=False`` bypasses all three lanes and restores the
-legacy executor — one simulator :class:`Process` per plan item, each
+``executor_fast_path=False`` bypasses all three lanes and runs the
+reference executor — one simulator :class:`Process` per plan item, each
 waiting on an ``AllOf`` of its producers (``RunMetadata.process_items``
-counts those; fast-path runs report ``fast_path_items`` instead).
+counts those; fast-path runs report ``fast_path_items`` instead). The
+fuzz harness uses it as its value and simulated-time oracle.
 
 Device serialization happens through the device's
 :class:`~repro.simnet.resources.Resource`; cross-device movement goes
@@ -89,28 +76,6 @@ _NO_DEVICE_HOLD = {
     "QueueClose",
     "NoOp",
 }
-
-# Ops eligible for inline dispatch: plain-function kernels that never
-# yield, never touch the clock, and always resolve to a zero-duration
-# cost (kind "none"). They still respect the device FIFO — a free slot is
-# claimed and returned synchronously (no calendar events), a busy device
-# queues them like any other op — so simulated timestamps match the
-# legacy executor exactly. Eligibility is declared at kernel
-# registration (``register_kernel(..., inline=True)``); this live view
-# keeps the historic ``op.type in _INLINE_OPS`` spelling working while
-# the registry stays the single source of op metadata (the same pattern
-# as ``PURE_OPS`` in the optimizer pipeline).
-
-
-class _RegistryInlineOps:
-    def __contains__(self, op_type: object) -> bool:
-        return isinstance(op_type, str) and kernel_registry.is_inline(op_type)
-
-    def __iter__(self):
-        return iter(sorted(kernel_registry.inline_op_types()))
-
-
-_INLINE_OPS = _RegistryInlineOps()
 
 # Stateful ops whose outputs alias resource-manager storage: their output
 # memory is accounted once per variable, not per execution.
@@ -525,14 +490,6 @@ class _Dispatcher:
         self.done = self.env.event()
         self.finished = False
         self.faults = state.fault_injector
-        # Merged-path admission counters (one per mergeable fused chain),
-        # copied from the plan's static analysis: the number of
-        # same-device non-descendant items still incomplete. At zero,
-        # nothing can touch the chain's device mid-span.
-        self._blockers: Optional[dict] = (
-            dict(state.plan.chain_blockers)
-            if state.plan.chain_blockers else None
-        )
 
     def start(self) -> Event:
         if self.state.deadline_seconds is not None:
@@ -567,9 +524,6 @@ class _Dispatcher:
     # -- completion bookkeeping ------------------------------------------------
     def _completed(self, item: Item) -> list[Item]:
         self.remaining -= 1
-        if self._blockers is not None and item.unblocks is not None:
-            for uid in item.unblocks:
-                self._blockers[uid] -= 1
         ready = []
         for dependent in item.dependents:
             self.counts[dependent.uid] -= 1
@@ -597,12 +551,6 @@ class _Dispatcher:
                 return  # a failure was reported: stop feeding new work
             item = queue.popleft()
             try:
-                if item.kind == "chain":
-                    # A fused chain's cursor re-enqueued itself after a
-                    # member: run the next member (fault check inside,
-                    # against the member item, as unfused dispatch would).
-                    item.advance(queue)
-                    continue
                 if self.faults is not None and self.state.task_down(item.device):
                     # The item's task is crashed: park it (never completes).
                     # Peers' deadlines surface the loss as an error.
@@ -620,9 +568,6 @@ class _Dispatcher:
                     self._start_driven(
                         item, _run_collective(self.state, item)
                     )
-                elif item.kind == "fused":
-                    # Compiled lane (see kernel_fusion.CompiledChain).
-                    self._start_chain(item, queue)
                 else:  # "op"
                     if self._start_op(item):
                         queue.extend(self._completed(item))
@@ -735,10 +680,13 @@ class _Dispatcher:
         device = state.device_obj(item.device)
         request = device.resource.try_acquire()
         if request is not None:
-            if op.type in _INLINE_OPS:
-                # Zero-duration metadata op: the hold would last zero
-                # simulated seconds, so claim and return the slot now —
-                # FIFO grant order is unchanged, no events are scheduled.
+            if kernel_registry.is_inline(op.type):
+                # Inline-eligible (``register_kernel(..., inline=True)``):
+                # a plain-function kernel that never yields and always
+                # costs zero simulated seconds. The hold would last zero
+                # seconds, so claim and return the slot now — FIFO grant
+                # order is unchanged, no events are scheduled; on a busy
+                # device it queues like any other op.
                 device.resource.release(request)
                 return self._run_op_body(item, None, state.env.now)
             return self._run_op_body(item, request, state.env.now)
@@ -833,311 +781,6 @@ class _Dispatcher:
         _finalize_op(state, item, outputs, start)
         self._count_fast()
 
-    # -- compiled lane: fused chains ---------------------------------------------
-    def _start_chain(self, item: Item, queue) -> None:
-        """Dispatch a fused chain: merged single-event path when provably
-        uncontended, per-member cursor otherwise."""
-        if (
-            self.faults is None
-            and self._blockers is not None
-            and self._blockers.get(item.uid) == 0
-        ):
-            # Every same-device FIFO-capable non-descendant item already
-            # completed (build_plan admitted this chain as mergeable and
-            # counted its blockers): the device FIFO is provably
-            # uncontended for the chain's whole span.
-            if self._run_chain_merged(item, queue):
-                return
-        _ChainCursor(self, item).advance(queue)
-
-    def _run_chain_merged(self, item: Item, queue) -> bool:
-        """Run a whole chain as one kernel burst plus one calendar event.
-
-        Preconditions (checked by the caller): no fault injection, and
-        every same-device FIFO-capable item (device-holding op,
-        collective, other fused chain) that is not a descendant of the
-        chain has completed — descendants cannot become ready before the
-        tail completes, so nothing can contend the device FIFO or
-        observe a member mid-span (build_plan admits only chains with no
-        mid-chain external observers; see
-        ``ExecutionPlan.chain_blockers``). Holding the device once is
-        then event-identical to the members' individual hold/release
-        pairs (uncontended claims are synchronous). The device pool sees
-        the same allocate/free multiset, replayed at the chain's end; a
-        send/recv/const completing mid-span therefore interleaves with
-        the members' pool traffic differently than per-member dispatch
-        would, which can shift ``MemoryPool.peak`` and, at capacity
-        edges, which item exhausts memory first — values and simulated
-        time are unaffected.
-
-        Returns False to fall back to the per-member cursor: on device
-        contention, host-bound (GIL) costs whose lock is shared across
-        the task's devices, or any kernel error — members are pure, so
-        the cursor re-runs them and surfaces the error at the exact
-        simulated instant the unfused plan would.
-        """
-        state = self.state
-        chain = item.compiled
-        resource = state.device_obj(item.device).resource
-        request = resource.try_acquire()
-        if request is None:
-            return False
-        t0 = state.env.now
-        try:
-            ext = [state.resolve_source(s) for s in item.sources]
-            vals, secs, host = chain.compute(
-                ext, state.kernel_ctx(item.device), state.device_obj(item.device)
-            )
-        except BaseException:
-            resource.release(request)
-            return False
-        if host > 0:
-            resource.release(request)
-            return False
-        # Fold the end time exactly as the per-member timeouts would:
-        # each timed member advances the clock by one float addition.
-        end = t0
-        for s in secs:
-            if s > 0.0:
-                end = end + s
-        if end <= t0:
-            resource.release(request)
-            self._finish_chain_merged(item, vals, secs, t0)
-            queue.extend(self._completed(item))
-            return True
-        event = state.env.timeout_at(end)
-
-        def on_elapsed(_ev):
-            def work():
-                resource.release(request)
-                self._finish_chain_merged(item, vals, secs, t0)
-                self._item_done(item)
-
-            self._guard(work)
-
-        event.callbacks.append(on_elapsed)
-        return True
-
-    def _finish_chain_merged(self, item: Item, vals, secs, t0: float) -> None:
-        """Completion bookkeeping for a merged chain, member by member,
-        with each member's trace timestamps reconstructed from the fold."""
-        state = self.state
-        steps = item.compiled.steps
-        trace = state.trace and state.metadata is not None
-        last = len(steps) - 1
-        t = t0
-        for pos, step in enumerate(steps):
-            start = t
-            if secs[pos] > 0.0:
-                t = t + secs[pos]
-            outputs = vals[pos]
-            if pos == last:
-                item.out_values = outputs
-                state.register_outputs(item, outputs)
-            else:
-                step.member.out_values = outputs
-                state.register_outputs(step.member, outputs)
-            for ref in step.consumes:
-                state.consume(ref[0], ref[1])
-            if trace:
-                _record_member(state, step.member, start, t, outputs)
-            self._count_fast()
-        # Deferred mid-member notifications: admission guarantees every
-        # such dependent is a descendant of the fused item, so none can
-        # reach zero before the caller's _completed(fused) decrement —
-        # final counter values match the unfused plan exactly.
-        counts = self.counts
-        for step in steps[:-1]:
-            for dep in step.member.dependents:
-                counts[dep.uid] -= 1
-        if state.metadata is not None:
-            state.metadata.merged_chains += 1
-
-
-class _ChainCursor:
-    """Per-member fast-path runner for one fused chain.
-
-    A ``kind="chain"`` ready-queue entry: executes chain members one at a
-    time through the dispatcher's deque, replaying the exact event
-    sequence the members' unfused light/inline-lane dispatches would
-    produce — per-member device FIFO claim (inline members return a free
-    slot synchronously), kernel call, cost timeout, GIL hold for
-    host-bound costs, then allocation/refcount bookkeeping at the
-    member's completion instant. A mid-chain member with external
-    observers publishes its outputs under the member item and notifies
-    the dependents at completion; the cursor re-enqueues itself among the
-    newly-ready dependents at the slot the next member's pre-fusion plan
-    order dictates, so the ready list is ordered exactly as unfused.
-    """
-
-    __slots__ = ("d", "item", "steps", "ext", "vals", "pos")
-
-    kind = "chain"
-
-    def __init__(self, d: "_Dispatcher", item: Item):
-        self.d = d
-        self.item = item
-        self.steps = item.compiled.steps
-        # Every external producer is an ancestor of the chain head, so
-        # all inputs are resolvable (and refcount-pinned) at chain start.
-        self.ext = [d.state.resolve_source(s) for s in item.sources]
-        self.vals: list = [None] * len(self.steps)
-        self.pos = 0
-
-    def advance(self, queue) -> None:
-        """Dispatch the current member. ``queue`` is the live ready deque
-        when called synchronously from ``_dispatch``, else None (async
-        completions cascade through a fresh dispatch)."""
-        d = self.d
-        state = d.state
-        step = self.steps[self.pos]
-        if d.faults is not None and state.task_down(self.item.device):
-            # The task died between members: park the member item, as its
-            # unfused dispatch would. The chain never completes.
-            state.park_stalled(step.member)
-            return
-        start = state.env.now
-        resource = state.device_obj(self.item.device).resource
-        request = resource.try_acquire()
-        if request is not None:
-            if step.inline:
-                # Zero-duration member on a free device (inline-lane rule).
-                resource.release(request)
-                request = None
-            self._run_member(queue, request, start)
-        else:
-            request = resource.request()
-            request.callbacks.append(
-                lambda _ev: d._guard(
-                    lambda: self._run_member(None, request, start)
-                )
-            )
-
-    def _run_member(self, queue, request, start: float) -> None:
-        d = self.d
-        state = d.state
-        step = self.steps[self.pos]
-        try:
-            inputs = [
-                self.ext[t[1]] if t[0] == "x" else self.vals[t[1]][t[2]]
-                for t in step.spec
-            ]
-            outputs, cost = step.kernel(
-                step.op, inputs, state.kernel_ctx(self.item.device)
-            )
-            seconds = _cost_seconds(state, step.member, cost)
-        except BaseException:
-            if request is not None:
-                state.device_obj(self.item.device).resource.release(request)
-            raise
-        if seconds <= 0:
-            self._member_done(queue, request, outputs, start)
-            return
-        if cost.host_bytes > 0:
-            task = state.task_runtime(self.item.device)
-            gil_req = task.gil.try_acquire()
-
-            def with_gil(_ev=None):
-                def work():
-                    timeout = state.env.timeout(seconds)
-                    timeout.callbacks.append(
-                        lambda _t: d._guard(release_and_finish)
-                    )
-
-                d._guard(work)
-
-            def release_and_finish():
-                task.gil.release(gil_req)
-                self._member_done(None, request, outputs, start)
-
-            if gil_req is not None:
-                with_gil()
-            else:
-                gil_req = task.gil.request()
-                gil_req.callbacks.append(with_gil)
-        else:
-            timeout = state.env.timeout(seconds)
-            timeout.callbacks.append(
-                lambda _ev: d._guard(
-                    lambda: self._member_done(None, request, outputs, start)
-                )
-            )
-
-    def _member_done(self, queue, request, outputs, start: float) -> None:
-        d = self.d
-        state = d.state
-        pos = self.pos
-        step = self.steps[pos]
-        member = step.member
-        if request is not None:
-            state.device_obj(self.item.device).resource.release(request)
-        self.vals[pos] = outputs
-        last = pos == len(self.steps) - 1
-        if last:
-            self.item.out_values = outputs
-            state.register_outputs(self.item, outputs)
-        else:
-            member.out_values = outputs
-            state.register_outputs(member, outputs)
-        for ref in step.consumes:
-            state.consume(ref[0], ref[1])
-        if state.trace and state.metadata is not None:
-            _record_member(state, member, start, state.env.now, outputs)
-        d._count_fast()
-        if last:
-            if queue is not None:
-                queue.extend(d._completed(self.item))
-            else:
-                d._item_done(self.item)
-            return
-        self.pos = pos + 1
-        deps = member.dependents
-        if not deps:
-            if queue is not None:
-                queue.append(self)
-            else:
-                d._dispatch((self,))
-            return
-        # External observers: decrement their counters (the member is a
-        # counted producer of each) and slot the chain's continuation
-        # among the newly-ready ones by pre-fusion plan order — the exact
-        # ready list the unfused member's completion would have produced
-        # (dependents lists are built in plan order, so one pass places
-        # the cursor where the next member's order falls).
-        nxt = step.next_order
-        counts = d.counts
-        entries: list = []
-        placed = False
-        for dep in deps:
-            counts[dep.uid] -= 1
-            if counts[dep.uid] == 0:
-                if not placed and dep.order > nxt:
-                    entries.append(self)
-                    placed = True
-                entries.append(dep)
-        if not placed:
-            entries.append(self)
-        if queue is not None:
-            queue.extend(entries)
-        else:
-            d._dispatch(entries)
-
-
-def _record_member(state: ExecutionState, member: Item, start: float,
-                   end: float, outputs) -> None:
-    """Tracing: one NodeStats per chain member, as the unfused lanes emit."""
-    state.metadata.step_stats.append(
-        NodeStats(
-            device=member.device,
-            op_name=member.op.name,
-            op_type=member.op.type,
-            start=start,
-            end=end,
-            out_bytes=sum(value_nbytes(v) for v in outputs or []),
-        )
-    )
-
-
 def _cost_seconds(state: ExecutionState, item: Item, cost) -> float:
     """Simulated seconds the executing device charges for ``cost``."""
     if cost.kind not in ("compute", "memcpy", "io"):
@@ -1218,8 +861,6 @@ def _item_proc(state: ExecutionState, item: Item):
         # inside a simulator process.
         _finish_const(state, item)
         return
-    elif item.kind == "fused":
-        yield from item.compiled.run(state, item)
     else:
         yield from _run_op(state, item)
 
@@ -1357,8 +998,15 @@ def _run_op(state: ExecutionState, item: Item):
     start = env.now
     try:
         if hold_device:
-            request = device.resource.request()
-            yield request
+            # A free slot is claimed synchronously, as the dispatcher
+            # does: a grant event costs one URGENT calendar hop that const
+            # items do not pay, and same-instant device-FIFO order would
+            # then depend on whether the optimizer turned a producer into
+            # a const item (fuzz seed 331).
+            request = device.resource.try_acquire()
+            if request is None:
+                request = device.resource.request()
+                yield request
         result = kernel(op, inputs, ctx)
         if inspect.isgenerator(result):
             result = yield from result

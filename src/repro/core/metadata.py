@@ -101,16 +101,6 @@ class RunMetadata:
     # Rank legs of lowered collective ops executed during the run (one
     # CollectiveAllReduce over W workers contributes W).
     collective_items: int = 0
-    # Kernel-fusion accounting (OptimizerOptions.kernel_fusion): number
-    # of compiled "fused" items in the plan, and how many original op
-    # items those chains absorbed. plan_items counts fused chains as one.
-    compiled_items: int = 0
-    fused_op_count: int = 0
-    # How many fused chains executed on the merged single-event path
-    # this run (admission: chain statically mergeable AND every
-    # same-device FIFO-capable non-descendant already complete). The
-    # remainder ran member-by-member through the chain cursor.
-    merged_chains: int = 0
     # Collective op name -> the communication schedule the lowering chose
     # ("ring"/"tree"/...), with the builders' algorithm="auto" resolved
     # per payload and world size at plan-build time.

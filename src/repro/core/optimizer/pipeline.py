@@ -76,18 +76,6 @@ class OptimizerOptions:
     # Folding materializes values at plan time: cap the total static output
     # bytes of any folded op so huge Fill/MatMul results never materialize.
     max_folded_bytes: int = 1 << 20
-    # Plan-level kernel fusion: compile maximal same-device chains of pure
-    # ops into single "fused" plan items executed as one dispatch (closure
-    # composition over the registry kernels). Byte-identical values and
-    # byte-identical simulated time — the fused runner replays each
-    # member's device hold, GIL hold and cost timeout exactly — so the
-    # only effect is host-wall dispatch overhead. Opt-in while the lane
-    # burns in; plan-cache-safe (the compiled chain is plan state).
-    kernel_fusion: bool = False
-    # Compile chains to generated straight-line source (exec'd once at
-    # plan build) instead of the interpreted step loop. Same kernels, same
-    # events — the generated code only unrolls the per-member dispatch.
-    kernel_fusion_codegen: bool = False
 
 
 @dataclass
@@ -148,10 +136,6 @@ class OptimizationResult:
     folded: dict  # op name -> list of evaluated output values
     stats: list[PassStats]
     transfer_coalescing: bool = True
-    # Plan-level kernel-fusion switches, threaded through to build_plan
-    # (the pass runs over lowered items, after coalescing).
-    kernel_fusion: bool = False
-    kernel_fusion_codegen: bool = False
 
 
 def _sweep_unreachable(sg: Subgraph) -> PassStats:
@@ -321,6 +305,4 @@ def run_pipeline(
         folded=dict(sg.folded),
         stats=stats,
         transfer_coalescing=options.transfer_coalescing,
-        kernel_fusion=options.kernel_fusion,
-        kernel_fusion_codegen=options.kernel_fusion_codegen,
     )

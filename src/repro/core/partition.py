@@ -45,7 +45,7 @@ class Item:
     """One schedulable unit on one device."""
 
     uid: int
-    kind: str  # "op" | "send" | "recv" | "const" | "collective" | "fused"
+    kind: str  # "op" | "send" | "recv" | "const" | "collective"
     device: str
     op: Optional[Operation] = None
     # Value inputs: (producer Item, output index) or (FEED, tensor name).
@@ -74,20 +74,6 @@ class Item:
     # distinct producer items, and the items waiting on this one.
     num_deps: int = 0
     dependents: list = field(default_factory=list)
-    # Pre-fusion plan-order position, set by the kernel-fusion pass (a
-    # fused item inherits its head's). The executor's chain runner uses
-    # it to dispatch a member's external dependents in the exact order
-    # the unfused ready list would have produced.
-    order: int = 0
-    # Fused-item uids whose merged-path blocker counters this item's
-    # completion decrements (see ``ExecutionPlan.chain_blockers``).
-    unblocks: Any = None
-    # The compiled chain ("fused" items only): a
-    # :class:`~repro.core.optimizer.kernel_fusion.CompiledChain` executing
-    # every member op as one dispatch. Built once at plan time and kept
-    # across cached runs (the session's cache-hit reset clears only
-    # ``process``/``out_values`` — on the fused item and its members).
-    compiled: Any = None
     # Runtime state, owned by the executor.
     process: Any = None
     out_values: Optional[list] = None
@@ -118,16 +104,9 @@ class ExecutionPlan:
     verifier_diagnostics: list = field(default_factory=list)
     # True when this plan passed static verification at build time.
     verified: bool = False
-    # Kernel-fusion accounting: number of "fused" items in the plan, and
-    # how many original op items they absorbed (copied into RunMetadata).
+    # Always 0; kept only because benchmarks/e2e/trace.py reads them.
     compiled_items: int = 0
     fused_op_count: int = 0
-    # Merged-path admission (kernel fusion): fused-item uid -> number of
-    # same-device items that are NOT descendants of the chain. The
-    # dispatcher copies the counts per run and decrements them through
-    # ``Item.unblocks``; at zero, nothing can touch the chain's device
-    # mid-span, so the whole chain may run as one calendar event.
-    chain_blockers: dict = field(default_factory=dict)
 
     @property
     def tasks(self) -> list:
@@ -161,7 +140,6 @@ def build_plan(
     optimizer_options=None,
     symbolic: bool = False,
     verify: bool = False,
-    fast_path: bool = True,
 ) -> ExecutionPlan:
     """Construct the execution plan for one session run.
 
@@ -177,10 +155,6 @@ def build_plan(
             plan before it is returned (and therefore before the session
             caches it). Raises :class:`~repro.errors.VerificationError`
             on any error-severity finding.
-        fast_path: which executor lane will run the plan. Kernel fusion
-            fuses multi-consumer chains only for the fast path (its chain
-            runner can publish mid-chain outputs to external dependents);
-            legacy-lane plans restrict fusion to sole-consumer runs.
     """
     # ---- 1. prune ---------------------------------------------------------
     needed: dict[str, Operation] = {}
@@ -496,30 +470,12 @@ def build_plan(
         )
         pass_stats.append(coalesce_stats)
 
-    # ---- 7. kernel fusion ----------------------------------------------------
-    compiled_items = 0
-    fused_op_count = 0
-    if opt is not None and opt.kernel_fusion:
-        from repro.core.optimizer.kernel_fusion import fuse_kernel_chains
-
-        items, fetch_sources, fusion_stats = fuse_kernel_chains(
-            items, fetch_sources, codegen=opt.kernel_fusion_codegen,
-            multi_consumer=fast_path,
-        )
-        pass_stats.append(fusion_stats)
-        compiled_items = fusion_stats.detail["chains"]
-        fused_op_count = fusion_stats.detail["fused_ops"]
-
     # ---- consumer counts (memory refcounting) -------------------------------
-    # Fused chains precompute their mid-members' counts; the loop below
-    # covers surviving items only (a fused item's outputs are its tail's).
     for item in items:
         if item.kind == "op":
             n_out = len(item.op.outputs)
         elif item.kind == "const":
             n_out = len(item.const_values)
-        elif item.kind == "fused":
-            n_out = item.compiled.n_outputs
         else:
             n_out = 1
         item.consumer_counts = [0] * n_out
@@ -550,77 +506,6 @@ def build_plan(
                 dep.dependents.append(item)
         item.num_deps = len(seen)
 
-    # ---- merged-path admission (kernel fusion) -------------------------------
-    # A chain may run as ONE calendar event (executor merged path) when
-    # nothing can observe or perturb its device mid-span. Statically that
-    # requires every external dependent of a mid-chain member to be a
-    # *descendant* of the fused item — such a dependent cannot become
-    # ready before the chain's tail completes, so notifying it at the
-    # chain's end instead of at the member's completion is unobservable.
-    # For each admissible chain, count the same-device items that are NOT
-    # descendants and that can contend the device FIFO (ops holding the
-    # device, collectives, other fused chains): once all of them have
-    # completed, every member's device acquire is uncontended and the
-    # merged span's timing is bit-identical to per-member dispatch.
-    # Sends, recvs and consts never acquire the device resource, so they
-    # are not counted — a transport completing mid-span interleaves its
-    # pool traffic differently than per-member dispatch would (the
-    # members' allocations are replayed at span end), which can shift
-    # ``MemoryPool.peak`` and, at capacity edges, which item hits OOM
-    # first; timing and values are unaffected.
-    chain_blockers: dict = {}
-    if compiled_items:
-        from repro.core.optimizer.kernel_fusion import _NO_DEVICE_HOLD
-
-        def fifo_capable(other: Item) -> bool:
-            if other.kind in ("fused", "collective"):
-                return True
-            return other.kind == "op" and other.op.type not in _NO_DEVICE_HOLD
-
-        def descendants_of(fused: Item) -> set:
-            # Reachability over dependents edges; entering another fused
-            # item also exposes its members' external dependents (they
-            # run no earlier than that chain's start, which is already
-            # after ``fused`` completed).
-            seen_uids: set[int] = {fused.uid}
-            frontier = [fused]
-            while frontier:
-                node = frontier.pop()
-                edges = list(node.dependents)
-                if node.kind == "fused" and node is not fused:
-                    for step in node.compiled.steps[:-1]:
-                        edges.extend(step.member.dependents)
-                for dep in edges:
-                    if dep.uid not in seen_uids:
-                        seen_uids.add(dep.uid)
-                        frontier.append(dep)
-            return seen_uids
-
-        for fused in items:
-            if fused.kind != "fused":
-                continue
-            chain = fused.compiled
-            descendants = descendants_of(fused)
-            chain.mergeable = all(
-                dep.uid in descendants
-                for step in chain.steps[:-1]
-                for dep in step.member.dependents
-            )
-            if not chain.mergeable:
-                continue
-            blockers = 0
-            for other in items:
-                if (
-                    other.device == fused.device
-                    and other.uid not in descendants
-                    and fifo_capable(other)
-                ):
-                    blockers += 1
-                    if other.unblocks is None:
-                        other.unblocks = []
-                    other.unblocks.append(fused.uid)
-            chain_blockers[fused.uid] = blockers
-
     # ---- group by device -----------------------------------------------------
     per_device: dict[str, list[Item]] = {}
     devices_by_task: dict[tuple[str, int], set] = {}
@@ -637,9 +522,6 @@ def build_plan(
         placements=placements,
         pass_stats=pass_stats,
         collective_algorithms=collective_algorithms,
-        compiled_items=compiled_items,
-        fused_op_count=fused_op_count,
-        chain_blockers=chain_blockers,
     )
     if verify:
         _verify_built_plan(plan)

@@ -384,12 +384,6 @@ class Session:
                 for item in plan.items:
                     item.process = None
                     item.out_values = None
-                    if item.kind == "fused":
-                        # Chain members publish outputs under their own
-                        # items; clear those too. The compiled closures
-                        # themselves persist across cached runs.
-                        for step in item.compiled.steps:
-                            step.member.out_values = None
             else:
                 self._plan_cache_misses += 1
                 plan = None
@@ -410,7 +404,6 @@ class Session:
                 ),
                 symbolic=self.config.shape_only,
                 verify=self.config.verify_plans,
-                fast_path=self.config.executor_fast_path,
             )
             with self._cache_lock:
                 self._plan_cache[cache_key] = plan
@@ -457,8 +450,6 @@ class Session:
         metadata.pass_stats = list(plan.pass_stats)
         metadata.plan_items = len(plan.items)
         metadata.collective_algorithms = dict(plan.collective_algorithms)
-        metadata.compiled_items = plan.compiled_items
-        metadata.fused_op_count = plan.fused_op_count
         metadata.plan_cache_hit = plan_cache_hit
         metadata.plan_cache_hits = prepared.cache_hits
         metadata.plan_cache_misses = prepared.cache_misses

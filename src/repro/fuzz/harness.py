@@ -12,19 +12,16 @@ allowed to change numerics, only scheduling and lowering.
 
 On top of byte identity the harness checks two sim-time invariants:
 
-* the fast-path and legacy executors are alternative drivers of the
-  *same* plan, so identical configs across that axis must report the
-  identical simulated completion time;
+* the fast-path and reference (``executor_fast_path=False``) executors
+  are alternative drivers of the *same* plan, so identical configs across
+  that axis must report the *identical* simulated completion time
+  (``==``, no tolerance);
 * plan-time optimization may only help: optimized sim time must not
   exceed unoptimized sim time (within float slack).
 
 Algorithm/fusion cells are excluded from time comparison — changing the
 collective schedule legitimately changes the timeline — and the eager
-interpreter has no clock at all. Kernel-fusion cells (the compiled
-executor lane) are held to a *stricter* bar than the optimize-only-helps
-inequality: the lane promises bit-identical scheduling, so each
-``kernel_fusion`` cell's sim time must equal its unfused twin's exactly
-(within float slack).
+interpreter has no clock at all.
 """
 
 from __future__ import annotations
@@ -52,6 +49,9 @@ __all__ = [
     "run_script_body",
 ]
 
+# Slack on "optimized is no slower than unoptimized" only (seed 403 at
+# --ops 24 --max-world 8 reads 0.5 ns slower optimized, in both lanes;
+# cause unverified). Lane equality takes none.
 _SIM_SLACK = 1e-9
 
 
@@ -64,7 +64,6 @@ class Cell:
     optimize: bool = True
     algorithm: Optional[str] = None  # allreduce override; None = as built
     fusion: bool = False
-    kernel_fusion: bool = False  # compiled executor lane (pure-op chains)
     verify: bool = False  # verify_plans=True differential check
 
     def label(self) -> str:
@@ -79,8 +78,6 @@ class Cell:
             parts.append(self.algorithm)
         if self.fusion:
             parts.append("fused")
-        if self.kernel_fusion:
-            parts.append("kfused")
         if self.verify:
             parts.append("verify")
         return "/".join(parts)
@@ -94,7 +91,6 @@ class Cell:
                 f"optimize={self.optimize!r}",
                 f"algorithm={self.algorithm!r}",
                 f"fusion={self.fusion!r}",
-                f"kernel_fusion={self.kernel_fusion!r}",
                 f"verify={self.verify!r}",
             ]
         return ", ".join(fields)
@@ -106,7 +102,6 @@ class Cell:
             self.frontend == "session"
             and self.algorithm is None
             and not self.fusion
-            and not self.kernel_fusion  # held to the stricter equality
             and not self.verify
         )
 
@@ -198,15 +193,6 @@ def matrix_cells(program: Program, subset: Optional[list[str]] = None
         # Tracing frontend over both lanes.
         Cell(frontend="function", fast_path=True, optimize=True),
         Cell(frontend="function", fast_path=False, optimize=True),
-        # Compiled executor lane: chains of pure ops fused into single
-        # plan items. Byte identity AND exact sim-time equality against
-        # the unfused twins (see _time_invariants).
-        Cell(frontend="session", fast_path=True, optimize=True,
-             kernel_fusion=True),
-        Cell(frontend="session", fast_path=False, optimize=True,
-             kernel_fusion=True),
-        Cell(frontend="function", fast_path=True, optimize=True,
-             kernel_fusion=True),
         # Direct interpreter: no simulator, no planner, no placement.
         Cell(frontend="eager"),
     ]
@@ -253,7 +239,6 @@ def _session_config(program: Program, cell: Cell) -> "repro.SessionConfig":
         verify_plans=cell.verify,
         optimizer=repro.OptimizerOptions(
             collective_fusion=cell.fusion,
-            kernel_fusion=cell.kernel_fusion,
         ),
     )
 
@@ -410,7 +395,7 @@ def _time_invariants(runs: dict[str, CellRun]) -> list[Divergence]:
         twin = timed.get(replace(cell, fast_path=True))
         if twin is None:
             continue
-        if abs(run.sim_time - twin.sim_time) > _SIM_SLACK:
+        if run.sim_time != twin.sim_time:
             diffs.append(Divergence(
                 kind="sim_time", cell=twin.cell,
                 detail=(
@@ -430,25 +415,6 @@ def _time_invariants(runs: dict[str, CellRun]) -> list[Divergence]:
                 detail=(
                     f"optimized t={run.sim_time!r} slower than "
                     f"unoptimized t={unopt.sim_time!r}"
-                ),
-            ))
-    # Kernel fusion promises bit-identical scheduling, not merely "no
-    # slower": each session kernel_fusion cell must report *exactly* the
-    # sim time of its unfused twin.
-    for run in runs.values():
-        cell = run.cell
-        if not (run.ok and cell.kernel_fusion and cell.frontend == "session"
-                and run.sim_time is not None):
-            continue
-        twin = runs.get(replace(cell, kernel_fusion=False).label())
-        if twin is None or not twin.ok or twin.sim_time is None:
-            continue
-        if abs(run.sim_time - twin.sim_time) > _SIM_SLACK:
-            diffs.append(Divergence(
-                kind="sim_time", cell=cell,
-                detail=(
-                    f"kernel fusion t={run.sim_time!r} != unfused "
-                    f"t={twin.sim_time!r} for the same program"
                 ),
             ))
     return diffs
@@ -533,7 +499,6 @@ def run_script_body(body, feeds, gpus, cell: Cell) -> None:
                     verify_plans=target_cell.verify,
                     optimizer=repro.OptimizerOptions(
                         collective_fusion=target_cell.fusion,
-                        kernel_fusion=target_cell.kernel_fusion,
                     ),
                 ),
             )
@@ -558,7 +523,6 @@ def run_script_body(body, feeds, gpus, cell: Cell) -> None:
             verify_plans=target_cell.verify,
             optimizer=repro.OptimizerOptions(
                 collective_fusion=target_cell.fusion,
-                kernel_fusion=target_cell.kernel_fusion,
             ),
         )
         with repro.Session(graph=graph, config=config) as sess:

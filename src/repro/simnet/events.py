@@ -324,25 +324,6 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
 
-    def timeout_at(self, time: float, value: Any = None) -> Event:
-        """An event that fires at absolute simulated ``time`` (>= now).
-
-        Like :meth:`timeout`, but the fire time is given exactly instead
-        of as ``now + delay``: a caller replaying a chain of float
-        additions (the compiled executor lane collapsing per-op timeouts
-        into one event) lands on the bit-identical timestamp the
-        individual timeouts would have reached, which ``now + (time -
-        now)`` does not guarantee.
-        """
-        if time < self._now:
-            raise ValueError(f"timeout_at into the past: {time} < {self._now}")
-        event = Event(self)
-        event._ok = True
-        event._value = value
-        self._seq += 1
-        heapq.heappush(self._queue, (time, NORMAL, self._seq, event))
-        return event
-
     def process(self, generator: Generator, name: str | None = None) -> Process:
         return Process(self, generator, name=name)
 

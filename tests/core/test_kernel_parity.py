@@ -9,11 +9,14 @@ metadata), or in the stateful set covered by dedicated tests — so a new
 kernel cannot land without declaring its parity story.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
 import repro as tf
 from repro import eager
+from repro.core.kernels import registry
 from repro.core.kernels.registry import is_graph_only, registered_op_types
 from repro.errors import UnimplementedError
 
@@ -153,6 +156,36 @@ def test_registry_fully_covered():
     assert not uncovered, (
         f"Ops without a parity case or skip-list entry: {sorted(uncovered)}"
     )
+
+
+class TestInlineOpsRegistryView:
+    """The executor's inline dispatch asks ``registry.is_inline`` directly."""
+
+    def test_view_agrees_with_registry_for_every_op(self):
+        inline = registry.inline_op_types()
+        assert inline <= set(registered_op_types())
+        for op_type in registered_op_types():
+            assert registry.is_inline(op_type) == (op_type in inline), op_type
+
+    def test_historic_inline_set_unchanged(self):
+        # The registry flags must reproduce the executor's original
+        # hard-coded zero-duration set exactly — growing it silently
+        # would change device FIFO behaviour for the new op.
+        assert registry.inline_op_types() == frozenset({
+            "Const", "ExpandDims", "Identity", "NoOp", "Placeholder",
+            "Reshape", "Squeeze", "VariableV2",
+        })
+
+    def test_non_strings_never_match(self):
+        assert not registry.is_inline(None)
+        assert not registry.is_inline(42)
+
+    def test_inline_ops_have_plain_zero_cost_kernels(self):
+        for op_type in registry.inline_op_types():
+            assert registry.has_kernel(op_type), op_type
+            assert not registry.is_graph_only(op_type), op_type
+            kernel = registry.get_kernel(op_type)
+            assert not inspect.isgeneratorfunction(kernel), op_type
 
 
 def test_stateful_variable_parity():

@@ -333,3 +333,60 @@ class TestShapeOnlyMode:
         result = run_op(build, shape_only=True)
         assert isinstance(result, SymbolicValue)
         assert result.shape == (64,)
+
+
+class TestLaneParity:
+    """The dispatcher (fast lane) and the reference executor
+    (``executor_fast_path=False``) drive the same plan: same bytes, same
+    simulated clock, same error."""
+
+    @staticmethod
+    def _run_lanes(graph, fetch, feed, optimize):
+        out = {}
+        for fast in (True, False):
+            config = tf.SessionConfig(graph_optimization=optimize,
+                                      executor_fast_path=fast)
+            with tf.Session(graph=graph, config=config) as sess:
+                value = sess.run(fetch, feed_dict=feed)
+                out[fast] = (value.tobytes(), sess.env.now)
+        return out
+
+    @pytest.mark.parametrize("optimize", [True, False])
+    def test_feeds_into_chain_identical(self, optimize):
+        g = tf.Graph()
+        with g.as_default():
+            x = tf.placeholder(tf.float32, (4, 4), name="x")
+            c = tf.sqrt(tf.exp(tf.matmul(x, x)))
+        feed = {x: np.linspace(0.5, 2.0, 16, dtype=np.float32).reshape(4, 4)}
+        out = self._run_lanes(g, c, feed, optimize)
+        assert out[True] == out[False]
+
+    @pytest.mark.parametrize("optimize", [True, False])
+    def test_control_dep_consumer_identical(self, optimize):
+        g = tf.Graph()
+        with g.as_default():
+            x = tf.placeholder(tf.float32, (8,), name="x")
+            b = tf.sqrt(tf.exp(x))
+            with g.control_dependencies([b.op]):
+                gated = tf.constant(np.float32(7.0))
+            out_t = tf.add(b, gated)
+        out = self._run_lanes(g, out_t, {x: np.ones(8, np.float32)}, optimize)
+        assert out[True] == out[False]
+
+    def test_kernel_error_surfaces_identically(self):
+        # Shapes left open so the bad matmul is only discovered by the
+        # kernel at execution time.
+        g = tf.Graph()
+        with g.as_default():
+            x = tf.placeholder(tf.float32, None, name="x")
+            b = tf.exp(tf.matmul(x, x))
+        feed = {x: np.ones((2, 3), np.float32)}  # 2x3 @ 2x3: invalid
+        errors = {}
+        for fast in (True, False):
+            config = tf.SessionConfig(executor_fast_path=fast)
+            with tf.Session(graph=g, config=config) as sess:
+                with pytest.raises(Exception) as info:
+                    sess.run(b, feed_dict=feed)
+                errors[fast] = (type(info.value), str(info.value),
+                                sess.env.now)
+        assert errors[True] == errors[False]

@@ -16,15 +16,12 @@ hit/miss counters exactly partition the runs, the cache never exceeds
 capacity, and no plan is left registered as in-flight afterwards.
 """
 
-import gc
 import threading
-import weakref
 
 import numpy as np
 
 import repro as tf
-from repro.core.metadata import RunMetadata
-from repro.core.session import _PLAN_CACHE_CAPACITY, SessionConfig
+from repro.core.session import _PLAN_CACHE_CAPACITY
 
 
 def _run_threads(workers):
@@ -191,151 +188,4 @@ class TestCacheChurn:
         assert info["hits"] + info["misses"] == rounds * num_signatures
         assert info["plans"] <= _PLAN_CACHE_CAPACITY
         assert info["evictions"] > 0
-        assert sess._plans_in_flight == set()
-
-
-def _fusion_session(graph):
-    """A session whose plans run pure-op chains through the compiled lane."""
-    config = SessionConfig()
-    config.graph_optimization = True
-    config.optimizer.kernel_fusion = True
-    return tf.Session(graph=graph, config=config)
-
-
-def _chain_graph():
-    """A fed pure chain that the fusion pass compiles into one item."""
-    g = tf.Graph()
-    with g.as_default():
-        x = tf.placeholder(tf.float32, (4, 4), name="x")
-        a = tf.matmul(x, x, name="mm")
-        b = tf.multiply(a, a, name="mul")
-        y = tf.exp(tf.add(b, b, name="add"), name="exp")
-    return g, x, y
-
-
-_CHAIN_PAYLOAD = np.linspace(0.05, 0.8, 16, dtype=np.float32).reshape(4, 4)
-
-
-class TestCompiledPlanCache:
-    """Plan cache × compiled chains: closures are cached plan state."""
-
-    def test_compiled_closures_survive_cache_hits(self):
-        """A cache hit reuses the plan's CompiledChain objects as-is."""
-        g, x, y = _chain_graph()
-        sess = _fusion_session(g)
-
-        first = RunMetadata()
-        out_first = sess.run(y, feed_dict={x: _CHAIN_PAYLOAD},
-                             run_metadata=first)
-        assert not first.plan_cache_hit
-        assert first.compiled_items >= 1
-
-        (plan,) = sess._plan_cache.values()
-        chains_before = [
-            id(item.compiled) for item in plan.items if item.kind == "fused"
-        ]
-        assert chains_before
-
-        second = RunMetadata()
-        out_second = sess.run(y, feed_dict={x: _CHAIN_PAYLOAD},
-                              run_metadata=second)
-        assert second.plan_cache_hit
-        assert second.compiled_items == first.compiled_items
-        assert second.fused_op_count == first.fused_op_count
-        assert out_second.tobytes() == out_first.tobytes()
-
-        (plan_after,) = sess._plan_cache.values()
-        chains_after = [
-            id(item.compiled)
-            for item in plan_after.items if item.kind == "fused"
-        ]
-        # Same plan object, same compiled closures — the hit-path reset
-        # clears per-run state but never rebuilds or recompiles chains.
-        assert plan_after is plan
-        assert chains_after == chains_before
-
-    def test_fusion_leaves_cache_counters_unchanged(self):
-        """Fused and unfused sessions count hits/misses identically."""
-        runs = 5
-        results = {}
-        for fused in (False, True):
-            g, x, y = _chain_graph()
-            sess = _fusion_session(g) if fused else tf.Session(graph=g)
-            outs = [
-                sess.run(y, feed_dict={x: _CHAIN_PAYLOAD})
-                for _ in range(runs)
-            ]
-            info = sess.plan_cache_info()
-            assert info["misses"] == 1
-            assert info["hits"] == runs - 1
-            assert info["plans"] == 1
-            assert info["evictions"] == 0
-            assert sess._plans_in_flight == set()
-            results[fused] = outs
-        for got, want in zip(results[True], results[False]):
-            assert got.tobytes() == want.tobytes()
-
-    def test_eviction_releases_compiled_closures(self):
-        """Evicting a fused plan frees its chain closures (no leaks)."""
-        g = tf.Graph()
-        with g.as_default():
-            x = tf.placeholder(tf.float32, (4, 4), name="x")
-            mm = tf.matmul(x, x, name="mm")
-            mul = tf.multiply(mm, mm, name="mul")
-            # Distinct fetch names -> distinct cache signatures, each
-            # plan carrying a compiled [mm, mul] chain.
-            fetches = [
-                tf.add(mul, tf.constant(float(i)), name=f"shift{i}")
-                for i in range(_PLAN_CACHE_CAPACITY + 8)
-            ]
-        sess = _fusion_session(g)
-
-        sess.run(fetches[0], feed_dict={x: _CHAIN_PAYLOAD})
-        (plan,) = sess._plan_cache.values()
-        fused = [item for item in plan.items if item.kind == "fused"]
-        assert fused
-        ref = weakref.ref(fused[0].compiled)
-        del plan, fused
-
-        for fetch in fetches[1:]:
-            sess.run(fetch, feed_dict={x: _CHAIN_PAYLOAD})
-
-        info = sess.plan_cache_info()
-        assert info["evictions"] >= 8
-        gc.collect()
-        # The evicted plan was the only owner of the compiled closure.
-        assert ref() is None
-
-    def test_concurrent_fused_runs_match_unfused_serial_bytes(self):
-        """Thread contention over cached compiled plans stays exact."""
-        g, x, y = _chain_graph()
-        rng = np.random.default_rng(7)
-        payloads = [
-            (0.1 + 0.7 * rng.random((4, 4))).astype(np.float32)
-            for _ in range(24)
-        ]
-
-        baseline_sess = tf.Session(graph=g)
-        baseline = [
-            baseline_sess.run(y, feed_dict={x: p}) for p in payloads
-        ]
-
-        sess = _fusion_session(g)
-        results = [None] * len(payloads)
-        metadata = [RunMetadata() for _ in payloads]
-
-        def worker(index):
-            def body():
-                results[index] = sess.run(
-                    y, feed_dict={x: payloads[index]},
-                    run_metadata=metadata[index],
-                )
-
-            return body
-
-        _run_threads([worker(i) for i in range(len(payloads))])
-        for got, want in zip(results, baseline):
-            assert got.tobytes() == want.tobytes()
-        # Every concurrent run went through the compiled lane.
-        assert all(md.compiled_items >= 1 for md in metadata)
         assert sess._plans_in_flight == set()

@@ -30,9 +30,8 @@ def test_matrix_without_collectives_skips_algorithm_and_fusion_cells():
     assert "eager" in labels
     assert any(label.startswith("function/") for label in labels)
     # Collective-only cells (algorithm overrides, collective fusion) are
-    # skipped; kernel-fusion cells apply to every program.
+    # skipped.
     assert not any("tree" in label or "/fused" in label for label in labels)
-    assert any("kfused" in label for label in labels)
 
 
 def test_matrix_with_allreduce_gains_algorithm_and_fusion_cells():
