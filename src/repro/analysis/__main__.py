@@ -1,5 +1,5 @@
 """``python -m repro.analysis`` — verify every example graph and a
-seeded random-graph corpus.
+seeded corpus of fuzz-generator programs.
 
 The CLI is the CI verifier lane's entry point and a local burn-in tool:
 
@@ -10,9 +10,12 @@ The CLI is the CI verifier lane's entry point and a local burn-in tool:
   ``REPRO_VERIFY_REPORT`` collects one JSON line per verified plan, so
   the summary can say how many plans were actually proven, not just
   that scripts exited zero;
-* ``--corpus N`` additionally generates N seeded random graphs
-  (:mod:`repro.analysis.corpus`), verifying each and differential-testing
-  optimized against legacy execution;
+* ``--corpus N`` additionally draws N programs from the fuzz generator
+  (:func:`repro.fuzz.generate`, seeds ``--seed`` onward) and runs each
+  through the fuzz harness's Session cells: optimized with
+  ``verify_plans=True`` — any diagnostic on a generated program is, by
+  construction, a verifier false positive — against the unoptimized,
+  unverified baseline, byte for byte;
 * ``--json PATH`` writes the machine-readable report CI uploads as an
   artifact, and ``--rules`` prints the registered rule catalog.
 
@@ -88,6 +91,38 @@ def _verify_example(script: Path, timeout: float) -> dict:
     return result
 
 
+def run_corpus(count: int, seed: int) -> dict:
+    """Verify and differential-test ``count`` generated programs.
+
+    Returns the ``corpus`` section of the JSON report.
+    """
+    from repro.fuzz.generator import GeneratorOptions, generate
+    from repro.fuzz.harness import BASELINE, Cell, compare_runs, run_cell
+
+    verified = Cell(frontend="session", optimize=True, verify=True)
+    options = GeneratorOptions(max_ops=24, max_world=4)
+    result: dict = {
+        "graphs": 0, "ops": 0, "plans_verified": 0,
+        "false_positives": [], "mismatches": [], "seed": seed,
+    }
+    for program_seed in range(seed, seed + count):
+        program = generate(program_seed, options)
+        result["graphs"] += 1
+        result["ops"] += program.op_count()
+        run = run_cell(program, verified)
+        if run.verifier_rejected:
+            result["false_positives"].append(
+                f"seed {program_seed}: {run.error}"
+            )
+            continue
+        result["plans_verified"] += 1
+        result["mismatches"].extend(
+            f"seed {program_seed}: {divergence.describe()}"
+            for divergence in compare_runs(run_cell(program, BASELINE), run)
+        )
+    return result
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
@@ -99,14 +134,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--skip-examples", action="store_true",
-        help="only run the random-graph corpus",
+        help="only run the generated-program corpus",
     )
     parser.add_argument(
         "--corpus", type=int, default=0, metavar="N",
-        help="also verify N seeded random graphs (differential-tested)",
+        help="also verify N generated programs (differential-tested)",
     )
     parser.add_argument("--seed", type=int, default=20190520,
-                        help="corpus RNG seed")
+                        help="first generator seed of the corpus")
     parser.add_argument(
         "--timeout", type=float, default=300.0,
         help="per-example subprocess timeout in seconds",
@@ -154,25 +189,24 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"     {outcome['stderr']}")
 
     if args.corpus > 0:
-        from repro.analysis.corpus import verify_corpus
-
         started = time.perf_counter()
-        corpus = verify_corpus(args.corpus, seed=args.seed)
+        corpus = run_corpus(args.corpus, args.seed)
         elapsed = time.perf_counter() - started
-        report["corpus"] = corpus.to_dict()
-        report["corpus"]["seed"] = args.seed
-        status = "ok" if corpus.ok else "FAIL"
+        report["corpus"] = corpus
+        problems = [
+            *(f"false positive: {d}" for d in corpus["false_positives"]),
+            *corpus["mismatches"],
+        ]
         print(
-            f"{status:4s} corpus: {corpus.graphs} graph(s), {corpus.ops} "
-            f"op(s), {corpus.plans_verified} plan(s) verified, "
-            f"{len(corpus.mismatches)} mismatch(es)  [{elapsed:.1f}s]"
+            f"{'FAIL' if problems else 'ok':4s} corpus: {corpus['graphs']} "
+            f"graph(s), {corpus['ops']} op(s), {corpus['plans_verified']} "
+            f"plan(s) verified, {len(corpus['mismatches'])} mismatch(es)  "
+            f"[{elapsed:.1f}s]"
         )
-        if not corpus.ok:
+        if problems:
             failures += 1
-            for diag in corpus.diagnostics:
-                print(f"     false positive: {diag.format()}")
-            for mismatch in corpus.mismatches:
-                print(f"     {mismatch}")
+            for problem in problems:
+                print(f"     {problem}")
 
     if args.json is not None:
         report["ok"] = failures == 0

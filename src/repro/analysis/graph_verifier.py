@@ -13,8 +13,9 @@
 * variables can be initialized before they are read (whole-graph checks
   only: a pruned fetch closure legitimately omits the initializer that
   ran in an earlier ``session.run``);
-* recorded output specs agree with shape/dtype re-inference
-  (:mod:`repro.analysis.shapes`), and — for optimizer working sets —
+* recorded output specs agree with shape/dtype re-inference — the op
+  type's own registered shape function, run again on the op's current
+  inputs and attrs — and, for optimizer working sets,
   every value substitution and folded constant preserves the dtype and a
   compatible shape of the tensor it replaces.
 
@@ -27,8 +28,8 @@ import weakref
 from typing import Any, Callable, Iterable, Optional, Union
 
 from repro.analysis.diagnostics import Report, Severity, register_rule
-from repro.analysis.shapes import infer_output_specs
 from repro.core.graph import Graph, Operation
+from repro.core.kernels.registry import op_def
 from repro.core.placement import DeviceSpec, Placer
 from repro.core.tensor import TensorShape
 from repro.errors import ReproError
@@ -238,7 +239,10 @@ def _check_device(op: Operation, placer: Optional[Placer],
 
 def _check_specs(op: Operation, report: Report) -> None:
     try:
-        inferred = infer_output_specs(op)
+        shape_fn = op_def(op.type).shape_fn
+        if shape_fn is None:
+            return  # the op's recorded specs are the authority
+        inferred = shape_fn(op.inputs, op.attrs)
     except ReproError as exc:
         report.emit(
             "graph/shape-dtype",
@@ -247,8 +251,6 @@ def _check_specs(op: Operation, report: Report) -> None:
             hint="the op's inputs/attrs no longer describe a valid "
                  "application of this op type",
         )
-        return
-    if inferred is None:
         return
     if len(inferred) != len(op.outputs):
         report.emit(
@@ -259,14 +261,14 @@ def _check_specs(op: Operation, report: Report) -> None:
         )
         return
     for idx, ((dtype, shape), tensor) in enumerate(zip(inferred, op.outputs)):
-        if dtype is not None and tensor.dtype != dtype:
+        if tensor.dtype != dtype:
             report.emit(
                 "graph/shape-dtype",
                 f"output {idx} of {op.name!r} records dtype "
                 f"{tensor.dtype.name}; inference derives {dtype.name}",
                 op=op.name,
             )
-        if shape is not None and not tensor.shape.is_compatible_with(shape):
+        if not tensor.shape.is_compatible_with(shape):
             report.emit(
                 "graph/shape-dtype",
                 f"output {idx} of {op.name!r} records shape {tensor.shape}; "

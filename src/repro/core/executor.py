@@ -43,8 +43,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.core.kernels import registry as kernel_registry
-from repro.core.kernels.registry import KernelContext, get_kernel
+from repro.core.kernels.registry import KernelContext, get_kernel, op_def
 from repro.core.metadata import NodeStats, RunMetadata, TransferStats
 from repro.core.partition import FEED, ExecutionPlan, Item, _job_task_of
 from repro.core.tensor import value_nbytes
@@ -673,14 +672,16 @@ class _Dispatcher:
         """
         state = self.state
         op = item.op
+        definition = op_def(op.type)
+        kernel = definition.kernel
         if op.type in _NO_DEVICE_HOLD:
             # Queue ops have generator kernels and fall back inside
             # _run_op_body; other no-hold ops complete inline.
-            return self._run_op_body(item, None, state.env.now)
+            return self._run_op_body(item, kernel, None, state.env.now)
         device = state.device_obj(item.device)
         request = device.resource.try_acquire()
         if request is not None:
-            if kernel_registry.is_inline(op.type):
+            if definition.inline:
                 # Inline-eligible (``register_kernel(..., inline=True)``):
                 # a plain-function kernel that never yields and always
                 # costs zero simulated seconds. The hold would last zero
@@ -688,23 +689,23 @@ class _Dispatcher:
                 # order is unchanged, no events are scheduled; on a busy
                 # device it queues like any other op.
                 device.resource.release(request)
-                return self._run_op_body(item, None, state.env.now)
-            return self._run_op_body(item, request, state.env.now)
+                return self._run_op_body(item, kernel, None, state.env.now)
+            return self._run_op_body(item, kernel, request, state.env.now)
         start = state.env.now
         request = device.resource.request()
         request.callbacks.append(
             lambda _ev: self._guard(
-                lambda: self._run_op_granted(item, request, start)
+                lambda: self._run_op_granted(item, kernel, request, start)
             )
         )
         return False
 
-    def _run_op_granted(self, item: Item, request, start: float) -> None:
+    def _run_op_granted(self, item: Item, kernel, request, start: float) -> None:
         """Continuation once a queued device request is finally granted."""
-        if self._run_op_body(item, request, start):
+        if self._run_op_body(item, kernel, request, start):
             self._item_done(item)
 
-    def _run_op_body(self, item: Item, request, start: float) -> bool:
+    def _run_op_body(self, item: Item, kernel, request, start: float) -> bool:
         """Kernel execution once the device slot (if any) is held.
 
         ``start`` is the dispatch time (before any device-queue wait), so
@@ -716,7 +717,6 @@ class _Dispatcher:
         state = self.state
         op = item.op
         try:
-            kernel = get_kernel(op.type)
             inputs = [state.resolve_source(s) for s in item.sources]
             ctx = state.kernel_ctx(item.device)
             result = kernel(op, inputs, ctx)

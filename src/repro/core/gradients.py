@@ -48,6 +48,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.core.graph import Graph, Operation
+from repro.core.kernels.registry import op_def, registered_op_types
 from repro.core.ops import array_ops, control_flow, math_ops, state_ops
 from repro.core.tensor import Tensor
 
@@ -56,17 +57,14 @@ from repro.errors import InvalidArgumentError
 __all__ = [
     "RegisterGradient",
     "apply_gradients",
-    "get_gradient_function",
     "gradients",
     "minimize",
 ]
 
-# op type -> grad_fn(op, grad) -> list of per-input gradient tensors
-_GRADIENTS: dict[str, Callable] = {}
-
 
 class RegisterGradient:
-    """Decorator registering the gradient function for one op type.
+    """Decorator registering the gradient function for one op type
+    (stored as the ``gradient`` field of the op's registry record).
 
     The decorated function receives ``(op, grad)`` — the forward
     :class:`~repro.core.graph.Operation` and the gradient flowing into
@@ -87,25 +85,22 @@ class RegisterGradient:
             raise InvalidArgumentError(
                 f"RegisterGradient needs an op type string, got {op_type!r}"
             )
-        if op_type in _GRADIENTS:
+        if op_def(op_type).gradient is not None:
             raise InvalidArgumentError(
                 f"Gradient for op type {op_type!r} is already registered"
             )
         self._op_type = op_type
 
     def __call__(self, fn: Callable) -> Callable:
-        _GRADIENTS[self._op_type] = fn
+        op_def(self._op_type).gradient = fn
         return fn
-
-
-def get_gradient_function(op_type: str) -> Optional[Callable]:
-    """The registered gradient function for ``op_type`` (or ``None``)."""
-    return _GRADIENTS.get(op_type)
 
 
 def registered_gradient_op_types() -> tuple[str, ...]:
     """Every op type with a gradient, sorted (drives coverage sweeps)."""
-    return tuple(sorted(_GRADIENTS))
+    return tuple(
+        t for t in registered_op_types() if op_def(t).gradient is not None
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +270,7 @@ def gradients(
                 continue  # y-independent op inside the between set
             if not op.inputs:
                 continue  # leaf (Placeholder/Variable/Const): stop here
-            grad_fn = _GRADIENTS.get(op.type)
+            grad_fn = op_def(op.type).gradient
             if grad_fn is None:
                 raise InvalidArgumentError(
                     f"Operation {op.name!r} of type {op.type!r} is not "

@@ -15,6 +15,7 @@ from typing import Any, Iterable, Optional, Sequence
 import numpy as np
 
 from repro import dtypes
+from repro.core.kernels.registry import op_def
 from repro.core.tensor import Tensor, TensorShape, as_shape
 from repro.errors import FailedPreconditionError, InvalidArgumentError, NotFoundError
 
@@ -203,12 +204,19 @@ class Graph:
         self,
         op_type: str,
         inputs: Sequence[Tensor],
-        output_specs: Sequence[tuple[dtypes.DType, Any]],
+        output_specs: Optional[Sequence[tuple[dtypes.DType, Any]]] = None,
         attrs: Optional[dict[str, Any]] = None,
         name: Optional[str] = None,
         device: Optional[str] = None,
     ) -> Operation:
-        """Add an operation to the graph and return it."""
+        """Add an operation to the graph and return it.
+
+        Without ``output_specs`` the op type's registered shape function
+        derives them from ``inputs`` and ``attrs`` (and rejects an invalid
+        application with :class:`InvalidArgumentError`). Op types that
+        have none — placeholders, variables, queues, datasets, tile I/O —
+        are their own spec authority and must pass ``output_specs``.
+        """
         if self._finalized:
             raise FailedPreconditionError(
                 "Graph is finalized and cannot be modified"
@@ -223,6 +231,14 @@ class Graph:
                 raise InvalidArgumentError(
                     f"Input {tensor.name} belongs to a different graph"
                 )
+        attrs = attrs or {}
+        if output_specs is None:
+            shape_fn = op_def(op_type).shape_fn
+            if shape_fn is None:
+                raise InvalidArgumentError(
+                    f"{op_type} has no shape function; pass output_specs"
+                )
+            output_specs = shape_fn(inputs, attrs)
         op_name = self.unique_name(name or op_type)
         if device is None:
             device = self.current_device
@@ -233,7 +249,7 @@ class Graph:
                 if id(dep) not in seen:
                     seen.add(id(dep))
                     control_inputs.append(dep)
-        specs = [(dtypes.as_dtype(dt), as_shape(shape)) for dt, shape in (output_specs or [])]
+        specs = [(dtypes.as_dtype(dt), as_shape(shape)) for dt, shape in output_specs]
         op = Operation(
             graph=self,
             name=op_name,
@@ -241,7 +257,7 @@ class Graph:
             inputs=inputs,
             control_inputs=control_inputs,
             device=device,
-            attrs=attrs or {},
+            attrs=attrs,
             output_specs=specs,
             node_id=self._next_id,
         )

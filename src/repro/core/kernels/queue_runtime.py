@@ -13,7 +13,7 @@ from typing import Any, Sequence
 
 
 from repro.errors import CancelledError, OutOfRangeError
-from repro.simnet.events import Environment
+from repro.simnet.events import Environment, Event
 from repro.simnet.resources import Store
 
 __all__ = ["SimQueue"]
@@ -54,7 +54,7 @@ class SimQueue:
         return len(self._store)
 
     # -- operations --------------------------------------------------------
-    def enqueue(self, components: Sequence[Any]):
+    def enqueue(self, components: Sequence[Any]) -> Event:
         """Event that succeeds once the element is accepted."""
         if self._closed:
             event = self.env.event()
@@ -82,7 +82,7 @@ class SimQueue:
             return False
         return self._store.try_put(tuple(components))
 
-    def dequeue(self):
+    def dequeue(self) -> Event:
         """Event that succeeds with a components tuple."""
         if self._closed and len(self._store) == 0 and self._store.put_queue_length == 0:
             event = self.env.event()
@@ -92,7 +92,7 @@ class SimQueue:
             return event
         return self._store.get()
 
-    def try_dequeue(self):
+    def try_dequeue(self) -> tuple[bool, Any]:
         """``(True, components)`` when an element is ready synchronously;
         ``(False, None)`` falls back to the event-based :meth:`dequeue`."""
         return self._store.try_get()

@@ -1,6 +1,8 @@
-"""Kernel registry, cost accounting, and per-task runtime state.
+"""Op registry, cost accounting, and per-task runtime state.
 
-A *kernel* implements one op type. Its signature is::
+One :class:`OpDef` per op type — kernel, device support, flags, shape
+function, generation contract, gradient — in one table. A *kernel*
+implements one op type. Its signature is::
 
     kernel(op, inputs, ctx) -> (outputs, Cost)
 
@@ -19,30 +21,32 @@ from __future__ import annotations
 import contextlib
 import inspect
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Optional, Sequence
 
 from repro.errors import NotFoundError, UnimplementedError
+
+if TYPE_CHECKING:
+    from repro.core.tensor import Tensor, TensorShape
+    from repro.dtypes import DType
 
 __all__ = [
     "Cost",
     "KernelContext",
-    "OpConstraint",
+    "OpDef",
     "ResourceManager",
+    "ShapeFn",
     "register_kernel",
+    "op_def",
     "get_kernel",
-    "has_kernel",
-    "supported_device_types",
     "registered_op_types",
     "is_pure",
-    "is_stateful",
-    "is_graph_only",
-    "is_inline",
-    "pure_op_types",
-    "inline_op_types",
-    "declare_op_constraint",
-    "op_constraint",
-    "declared_constraints",
     "override_kernel",
+]
+
+# (dtype, shape) per output, from the op's inputs and static attributes.
+ShapeFn = Callable[
+    [Sequence["Tensor"], Mapping[str, Any]],
+    "list[tuple[DType, TensorShape]]",
 ]
 
 
@@ -116,38 +120,96 @@ class KernelContext:
     run_id: int = 0
     graph_seed: Optional[int] = None
 
-    def filesystem(self):
+    def filesystem(self) -> Any:
         """The simulated parallel filesystem, if a machine is attached."""
         if self.worker is not None and getattr(self.worker, "node", None) is not None:
             return self.worker.node.machine.filesystem
         return None
 
 
-_KERNELS: dict[str, Callable] = {}
-_DEVICE_SUPPORT: dict[str, tuple[str, ...]] = {}
-_PURE: set[str] = set()
-_STATEFUL: set[str] = set()
-_GRAPH_ONLY: set[str] = set()
-_INLINE: set[str] = set()
+@dataclass
+class OpDef:
+    """Everything the system knows about one op type, registered once.
+
+    Filled by :func:`register_kernel` next to the kernel; every other
+    layer — ``Graph.create_op``, the graph verifier, placement, the
+    optimizer, the executor, the tracing frontend, autodiff and the fuzz
+    catalog — queries this record instead of keeping a table of its own.
+
+    Attributes:
+        op_type: the graph op type the record describes.
+        kernel: the implementation (swapped by :func:`override_kernel`).
+        devices: device types with an implementation.
+        pure, stateful, graph_only, inline: see :func:`register_kernel`.
+        shape_fn: ``shape_fn(inputs, attrs)`` returns one
+            ``(dtype, shape)`` pair per output, or raises
+            :class:`~repro.errors.InvalidArgumentError` when inputs and
+            attrs do not describe a valid application of the op. The
+            builders (through ``Graph.create_op``) and the verifier run
+            this same function. ``None`` for ops whose caller *is* the
+            spec authority (``Placeholder``, ``VariableV2``, queues,
+            datasets, tile I/O): they pass ``output_specs=`` explicitly.
+        builder: name of the flat-namespace builder
+            (``repro.core.ops.__all__``) that constructs the op.
+        arity: ``(min, max)`` count of *tensor* inputs the builder
+            accepts; ``max`` is a practical cap for generation, not a
+            builder limit (``add_n`` takes any number).
+        dtypes: input element-type names the kernel supports bit-exactly
+            (subset of ``{"float32", "float64", "int32", "bool",
+            "complex128"}``).
+        shape_rule: how output shapes relate to input shapes — the
+            dispatch key a generator uses to sample valid input shapes
+            and static attributes (``"source"``, ``"unary_same"``,
+            ``"elementwise_broadcast"``, ``"same_shape_n"``,
+            ``"matmul"``, ``"dot"``, ``"reduce"``, ``"cast"``,
+            ``"reshape"``, ``"transpose"``, ``"concat"``, ``"split"``,
+            ``"stack"``, ``"squeeze"``, ``"expand_dims"``, ``"slice"``,
+            ``"variable_update"``, ``"collective"``). ``None`` (with
+            ``arity``/``dtypes``) for ops nothing generates.
+        gradient: ``grad_fn(op, grad)`` written by
+            :class:`repro.RegisterGradient`, or ``None``.
+    """
+
+    op_type: str
+    kernel: Callable
+    devices: tuple[str, ...]
+    pure: bool
+    stateful: bool
+    graph_only: bool
+    inline: bool
+    shape_fn: Optional[ShapeFn]
+    builder: str
+    arity: Optional[tuple[int, int]]
+    dtypes: Optional[tuple[str, ...]]
+    shape_rule: Optional[str]
+    gradient: Optional[Callable] = None
+
+
+_OPS: dict[str, OpDef] = {}
 
 
 def register_kernel(
     op_type: str,
     devices: tuple[str, ...] = ("cpu", "gpu"),
     *,
+    builder: str,
     pure: bool = False,
     stateful: bool = False,
     graph_only: bool = False,
     inline: bool = False,
-):
-    """Class/function decorator registering a kernel for ``op_type``.
+    shape_fn: Optional[ShapeFn] = None,
+    arity: Optional[tuple[int, int]] = None,
+    dtypes: Optional[tuple[str, ...]] = None,
+    shape_rule: Optional[str] = None,
+) -> Callable[[Callable], Callable]:
+    """Class/function decorator registering ``op_type``'s :class:`OpDef`.
 
     ``devices`` lists device types with an implementation; placement uses
     it for soft-placement decisions (ops with CPU-only kernels fall back to
     the host, mirroring TF soft device placement).
 
-    The remaining flags make the registry the single source of op
-    metadata, consumed across layers instead of per-module allowlists:
+    The flags make the registry the single source of op metadata,
+    consumed across layers instead of per-module allowlists:
 
     * ``pure`` — the kernel is a pure function of its inputs and static
       attributes (no resources, RNG lanes, queues, I/O, or sim-time side
@@ -166,156 +228,60 @@ def register_kernel(
       variable reads. The executor dispatches these synchronously off its
       ready list (no calendar events) while still honouring device-FIFO
       order, so the flag is a promise about *cost*, not just purity.
+
+    ``shape_fn``, ``builder`` and the generation fields (``arity``,
+    ``dtypes``, ``shape_rule``) are described on :class:`OpDef`.
     """
 
     def wrap(fn: Callable) -> Callable:
-        if op_type in _KERNELS:
+        if op_type in _OPS:
             raise UnimplementedError(f"Duplicate kernel registration: {op_type}")
-        if inline and (graph_only or inspect.isgeneratorfunction(fn)):
+        is_generator = inspect.isgeneratorfunction(fn)
+        if inline and (graph_only or is_generator):
             raise UnimplementedError(
                 f"{op_type}: inline=True needs a non-blocking plain-function "
                 f"kernel (generator/graph_only kernels advance the clock)"
             )
-        _KERNELS[op_type] = fn
-        _DEVICE_SUPPORT[op_type] = tuple(devices)
-        if pure:
-            _PURE.add(op_type)
-        if stateful:
-            _STATEFUL.add(op_type)
-        if graph_only or inspect.isgeneratorfunction(fn):
-            _GRAPH_ONLY.add(op_type)
-        if inline:
-            _INLINE.add(op_type)
+        _OPS[op_type] = OpDef(
+            op_type=op_type,
+            kernel=fn,
+            devices=tuple(devices),
+            pure=pure,
+            stateful=stateful,
+            graph_only=graph_only or is_generator,
+            inline=inline,
+            shape_fn=shape_fn,
+            builder=builder,
+            arity=arity,
+            dtypes=dtypes,
+            shape_rule=shape_rule,
+        )
         return fn
 
     return wrap
 
 
-def get_kernel(op_type: str) -> Callable:
+def op_def(op_type: str) -> OpDef:
+    """The one record describing ``op_type``."""
     try:
-        return _KERNELS[op_type]
+        return _OPS[op_type]
     except KeyError:
         raise NotFoundError(f"No kernel registered for op type {op_type!r}") from None
 
 
-def has_kernel(op_type: str) -> bool:
-    return op_type in _KERNELS
-
-
-def supported_device_types(op_type: str) -> tuple[str, ...]:
-    return _DEVICE_SUPPORT.get(op_type, ("cpu", "gpu"))
+def get_kernel(op_type: str) -> Callable:
+    return op_def(op_type).kernel
 
 
 def registered_op_types() -> tuple[str, ...]:
-    """Every op type with a kernel, sorted (drives coverage sweeps)."""
-    return tuple(sorted(_KERNELS))
+    """Every registered op type, sorted (drives coverage sweeps)."""
+    return tuple(sorted(_OPS))
 
 
 def is_pure(op_type: str) -> bool:
     """Whether the op is a pure function of inputs + static attributes."""
-    return op_type in _PURE
-
-
-def is_stateful(op_type: str) -> bool:
-    """Whether executing the op mutates task-owned runtime state."""
-    return op_type in _STATEFUL
-
-
-def is_graph_only(op_type: str) -> bool:
-    """Whether the op requires a Session (blocks on the simulated runtime)."""
-    return op_type in _GRAPH_ONLY
-
-
-def is_inline(op_type: str) -> bool:
-    """Whether the op's kernel is zero-duration and inline-dispatchable."""
-    return op_type in _INLINE
-
-
-def pure_op_types() -> frozenset[str]:
-    return frozenset(_PURE)
-
-
-def inline_op_types() -> frozenset[str]:
-    return frozenset(_INLINE)
-
-
-# ---------------------------------------------------------------------------
-# declarative op constraints
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OpConstraint:
-    """Machine-readable generation contract for one op type.
-
-    Declared next to the op's builder (the single place that knows the
-    call convention) and consumed by machinery that must *construct*
-    valid calls without hand-maintained per-op knowledge — today the
-    differential graph fuzzer (:mod:`repro.fuzz`), whose catalog crosses
-    these constraints with the registry's pure/stateful/graph-only flags
-    and the gradient registry.
-
-    Attributes:
-        op_type: the graph op type the builder creates.
-        builder: name of the flat-namespace builder
-            (``repro.core.ops.__all__``) that constructs the op.
-        arity: ``(min, max)`` count of *tensor* inputs the builder
-            accepts; ``max`` is a practical cap for generation, not a
-            builder limit (``add_n`` takes any number).
-        dtypes: input element-type names the kernel supports bit-exactly
-            (subset of ``{"float32", "float64", "int32", "bool",
-            "complex128"}``).
-        shape_rule: how output shapes relate to input shapes — the
-            dispatch key a generator uses to sample valid input shapes
-            and static attributes. One of: ``"source"`` (no tensor
-            inputs), ``"unary_same"``, ``"elementwise_broadcast"``,
-            ``"same_shape_n"``, ``"matmul"``, ``"dot"``, ``"reduce"``,
-            ``"cast"``, ``"reshape"``, ``"transpose"``, ``"concat"``,
-            ``"split"``, ``"stack"``, ``"squeeze"``, ``"expand_dims"``,
-            ``"slice"``, ``"variable_update"``, ``"collective"``.
-    """
-
-    op_type: str
-    builder: str
-    arity: tuple[int, int]
-    dtypes: tuple[str, ...]
-    shape_rule: str
-
-
-_CONSTRAINTS: dict[str, OpConstraint] = {}
-
-
-def declare_op_constraint(
-    op_type: str,
-    *,
-    builder: str,
-    arity: tuple[int, int],
-    dtypes: tuple[str, ...] = ("float32", "float64", "int32"),
-    shape_rule: str,
-) -> OpConstraint:
-    """Record the generation contract for ``op_type`` (idempotent per type)."""
-    if op_type in _CONSTRAINTS:
-        raise UnimplementedError(
-            f"Duplicate op-constraint declaration: {op_type}"
-        )
-    constraint = OpConstraint(
-        op_type=op_type,
-        builder=builder,
-        arity=(int(arity[0]), int(arity[1])),
-        dtypes=tuple(dtypes),
-        shape_rule=shape_rule,
-    )
-    _CONSTRAINTS[op_type] = constraint
-    return constraint
-
-
-def op_constraint(op_type: str) -> Optional[OpConstraint]:
-    """The declared constraint for ``op_type``, or None if undeclared."""
-    return _CONSTRAINTS.get(op_type)
-
-
-def declared_constraints() -> dict[str, OpConstraint]:
-    """Every declared constraint, keyed by op type (a copy)."""
-    return dict(_CONSTRAINTS)
+    definition = _OPS.get(op_type)
+    return definition is not None and definition.pure
 
 
 @contextlib.contextmanager
@@ -324,8 +290,8 @@ def override_kernel(op_type: str, fn: Callable) -> Iterator[Callable]:
 
     Test-only: the fuzz harness's planted-defect tests register a
     deliberately wrong kernel, prove the differential matrix catches it
-    and the shrinker minimizes it, then restore the real kernel. The
-    device-support table and purity flags are left untouched — a planted
+    and the shrinker minimizes it, then restore the real kernel. Every
+    other field of the :class:`OpDef` is left untouched — a planted
     bug must look exactly like the op it impersonates.
 
     Caveat: plan-time constant folding memoizes folded values on the
@@ -333,14 +299,10 @@ def override_kernel(op_type: str, fn: Callable) -> Iterator[Callable]:
     stale results under it. Build a fresh graph inside the override
     scope (the fuzz harness materializes one per cell run).
     """
-    try:
-        original = _KERNELS[op_type]
-    except KeyError:
-        raise NotFoundError(
-            f"No kernel registered for op type {op_type!r}"
-        ) from None
-    _KERNELS[op_type] = fn
+    definition = op_def(op_type)
+    original = definition.kernel
+    definition.kernel = fn
     try:
         yield original
     finally:
-        _KERNELS[op_type] = original
+        definition.kernel = original

@@ -2,19 +2,26 @@
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from repro import dtypes
 from repro.core.graph import Graph
-from repro.core.kernels.registry import Cost, declare_op_constraint, register_kernel
+from repro.core.kernels.registry import Cost, register_kernel
 from repro.core.ops.common import (
+    NUMERIC,
+    OutputSpecs,
     any_symbolic,
+    declared_in_attrs,
     graph_of,
     make_symbolic,
+    merged_shape,
+    normalize_axis,
     runtime_spec,
+    same_as_input,
     to_tensor,
+    uniform_dtype,
 )
 from repro.core.tensor import SymbolicValue, Tensor, TensorShape, as_shape
 from repro.errors import InvalidArgumentError
@@ -40,7 +47,8 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# builders
+# builders: coerce arguments, then create_op (the shape function registered
+# for the op type derives and validates the output specs)
 # ---------------------------------------------------------------------------
 
 def constant(value: Any, dtype=None, shape=None, name: str = "Const",
@@ -60,13 +68,7 @@ def constant(value: Any, dtype=None, shape=None, name: str = "Const",
     if shape is not None:
         arr = np.broadcast_to(arr, as_shape(shape).as_tuple()).copy()
     arr.setflags(write=False)
-    op = g.create_op(
-        "Const",
-        inputs=[],
-        output_specs=[(dtypes.as_dtype(arr.dtype), TensorShape(arr.shape))],
-        attrs={"value": arr},
-        name=name,
-    )
+    op = g.create_op("Const", inputs=[], attrs={"value": arr}, name=name)
     return op.outputs[0]
 
 
@@ -86,82 +88,36 @@ def placeholder(dtype, shape=None, name: str = "Placeholder",
 def identity(value, name: str = "Identity") -> Tensor:
     """Pass-through; useful to pin a copy of a tensor onto a device."""
     x = to_tensor(value)
-    op = x.graph.create_op(
-        "Identity",
-        inputs=[x],
-        output_specs=[(x.dtype, x.shape)],
-        name=name,
-    )
-    return op.outputs[0]
+    return x.graph.create_op("Identity", inputs=[x], name=name).outputs[0]
 
 
 def cast(value, dtype, name: str = "Cast") -> Tensor:
     x = to_tensor(value)
     target = dtypes.as_dtype(dtype)
     op = x.graph.create_op(
-        "Cast",
-        inputs=[x],
-        output_specs=[(target, x.shape)],
-        attrs={"dst_dtype": target.name},
-        name=name,
+        "Cast", inputs=[x], attrs={"dst_dtype": target.name}, name=name
     )
     return op.outputs[0]
 
 
 def reshape(value, shape: Sequence[int], name: str = "Reshape") -> Tensor:
     x = to_tensor(value)
-    new_shape = [int(d) for d in shape]
-    if new_shape.count(-1) > 1:
-        raise InvalidArgumentError("reshape allows at most one -1 dimension")
-    static: list[Optional[int]] = []
-    known = 1
-    for d in new_shape:
-        if d == -1:
-            static.append(None)
-        else:
-            static.append(d)
-            known *= d
-    if -1 in new_shape and x.shape.is_fully_defined:
-        total = x.shape.num_elements()
-        if total % known != 0:
-            raise InvalidArgumentError(
-                f"Cannot reshape {x.shape} ({total} elements) into {new_shape}"
-            )
-        static[new_shape.index(-1)] = total // known
-    elif x.shape.is_fully_defined and x.shape.num_elements() != known:
-        raise InvalidArgumentError(
-            f"Cannot reshape {x.shape} into {new_shape}: element count differs"
-        )
+    new_shape = tuple(int(d) for d in shape)
     op = x.graph.create_op(
-        "Reshape",
-        inputs=[x],
-        output_specs=[(x.dtype, TensorShape(static))],
-        attrs={"shape": tuple(new_shape)},
-        name=name,
+        "Reshape", inputs=[x], attrs={"shape": new_shape}, name=name
     )
     return op.outputs[0]
 
 
 def transpose(value, perm: Optional[Sequence[int]] = None, name: str = "Transpose") -> Tensor:
     x = to_tensor(value)
-    rank = x.shape.rank
     if perm is None:
-        if rank is None:
+        if x.shape.rank is None:
             raise InvalidArgumentError("transpose of unknown-rank tensor needs perm")
-        perm = tuple(reversed(range(rank)))
+        perm = tuple(reversed(range(x.shape.rank)))
     perm = tuple(int(p) for p in perm)
-    if rank is not None:
-        if sorted(perm) != list(range(rank)):
-            raise InvalidArgumentError(f"Bad permutation {perm} for rank {rank}")
-        out_shape = TensorShape([x.shape[p] for p in perm])
-    else:
-        out_shape = TensorShape(None)
     op = x.graph.create_op(
-        "Transpose",
-        inputs=[x],
-        output_specs=[(x.dtype, out_shape)],
-        attrs={"perm": perm},
-        name=name,
+        "Transpose", inputs=[x], attrs={"perm": perm}, name=name
     )
     return op.outputs[0]
 
@@ -170,65 +126,17 @@ def concat(values: Sequence[Any], axis: int, name: str = "Concat") -> Tensor:
     tensors = [to_tensor(v) for v in values]
     if not tensors:
         raise InvalidArgumentError("concat of an empty list")
-    g = tensors[0].graph
-    dtype = tensors[0].dtype
-    for t in tensors[1:]:
-        if t.dtype != dtype:
-            raise InvalidArgumentError(
-                f"concat dtype mismatch: {dtype.name} vs {t.dtype.name}"
-            )
-    rank = next((t.shape.rank for t in tensors if t.shape.rank is not None), None)
-    if rank is None:
-        out_shape = TensorShape(None)
-    else:
-        ax = axis % rank
-        dims: list[Optional[int]] = list(tensors[0].shape.with_rank(rank).dims)
-        total: Optional[int] = 0
-        for t in tensors:
-            s = t.shape.with_rank(rank)
-            for i in range(rank):
-                if i == ax:
-                    continue
-                if dims[i] is None:
-                    dims[i] = s[i]
-                elif s[i] is not None and s[i] != dims[i]:
-                    raise InvalidArgumentError(
-                        f"concat shapes disagree on dim {i}: {dims[i]} vs {s[i]}"
-                    )
-            if total is not None:
-                total = None if s[ax] is None else total + s[ax]
-        dims[ax] = total
-        out_shape = TensorShape(dims)
-    op = g.create_op(
-        "Concat",
-        inputs=tensors,
-        output_specs=[(dtype, out_shape)],
-        attrs={"axis": axis},
-        name=name,
+    op = tensors[0].graph.create_op(
+        "Concat", inputs=tensors, attrs={"axis": axis}, name=name
     )
     return op.outputs[0]
 
 
 def split(value, num_splits: int, axis: int = 0, name: str = "Split") -> list[Tensor]:
     x = to_tensor(value)
-    rank = x.shape.rank
-    if rank is None:
-        out_shape = TensorShape(None)
-        out_shapes = [out_shape] * num_splits
-    else:
-        ax = axis % rank
-        dims = list(x.shape.dims)
-        if dims[ax] is not None:
-            if dims[ax] % num_splits != 0:
-                raise InvalidArgumentError(
-                    f"Dimension {dims[ax]} not divisible into {num_splits} splits"
-                )
-            dims[ax] = dims[ax] // num_splits
-        out_shapes = [TensorShape(dims)] * num_splits
     op = x.graph.create_op(
         "Split",
         inputs=[x],
-        output_specs=[(x.dtype, s) for s in out_shapes],
         attrs={"axis": axis, "num_splits": num_splits},
         name=name,
     )
@@ -239,67 +147,24 @@ def stack(values: Sequence[Any], axis: int = 0, name: str = "Stack") -> Tensor:
     tensors = [to_tensor(v) for v in values]
     if not tensors:
         raise InvalidArgumentError("stack of an empty list")
-    base = tensors[0].shape
-    for t in tensors[1:]:
-        base = base.merge_with(t.shape)
-    if base.dims is None:
-        out_shape = TensorShape(None)
-    else:
-        dims = list(base.dims)
-        ax = axis % (len(dims) + 1)
-        dims.insert(ax, len(tensors))
-        out_shape = TensorShape(dims)
     op = tensors[0].graph.create_op(
-        "Stack",
-        inputs=tensors,
-        output_specs=[(tensors[0].dtype, out_shape)],
-        attrs={"axis": axis},
-        name=name,
+        "Stack", inputs=tensors, attrs={"axis": axis}, name=name
     )
     return op.outputs[0]
 
 
 def squeeze(value, axis: Optional[int] = None, name: str = "Squeeze") -> Tensor:
     x = to_tensor(value)
-    if x.shape.dims is None:
-        out_shape = TensorShape(None)
-    else:
-        dims = list(x.shape.dims)
-        if axis is None:
-            dims = [d for d in dims if d != 1]
-        else:
-            ax = axis % len(dims)
-            if dims[ax] not in (1, None):
-                raise InvalidArgumentError(
-                    f"Cannot squeeze dim {ax} of size {dims[ax]}"
-                )
-            dims.pop(ax)
-        out_shape = TensorShape(dims)
     op = x.graph.create_op(
-        "Squeeze",
-        inputs=[x],
-        output_specs=[(x.dtype, out_shape)],
-        attrs={"axis": axis},
-        name=name,
+        "Squeeze", inputs=[x], attrs={"axis": axis}, name=name
     )
     return op.outputs[0]
 
 
 def expand_dims(value, axis: int, name: str = "ExpandDims") -> Tensor:
     x = to_tensor(value)
-    if x.shape.dims is None:
-        out_shape = TensorShape(None)
-    else:
-        dims = list(x.shape.dims)
-        ax = axis % (len(dims) + 1)
-        dims.insert(ax, 1)
-        out_shape = TensorShape(dims)
     op = x.graph.create_op(
-        "ExpandDims",
-        inputs=[x],
-        output_specs=[(x.dtype, out_shape)],
-        attrs={"axis": axis},
-        name=name,
+        "ExpandDims", inputs=[x], attrs={"axis": axis}, name=name
     )
     return op.outputs[0]
 
@@ -307,13 +172,14 @@ def expand_dims(value, axis: int, name: str = "ExpandDims") -> Tensor:
 def fill(shape: Sequence[int], value: Union[int, float], dtype=dtypes.float32,
          name: str = "Fill", graph: Optional[Graph] = None) -> Tensor:
     g = graph_of(graph=graph)
-    target = dtypes.as_dtype(dtype)
-    static = as_shape(list(shape))
     op = g.create_op(
         "Fill",
         inputs=[],
-        output_specs=[(target, static)],
-        attrs={"shape": static.as_tuple(), "fill_value": value},
+        attrs={
+            "shape": as_shape(list(shape)).as_tuple(),
+            "fill_value": value,
+            "dtype": dtypes.as_dtype(dtype).name,
+        },
         name=name,
     )
     return op.outputs[0]
@@ -331,39 +197,180 @@ def ones(shape, dtype=dtypes.float32, name: str = "ones",
 
 def zeros_like(value, name: str = "zeros_like") -> Tensor:
     x = to_tensor(value)
-    op = x.graph.create_op(
-        "ZerosLike",
-        inputs=[x],
-        output_specs=[(x.dtype, x.shape)],
-        name=name,
-    )
-    return op.outputs[0]
+    return x.graph.create_op("ZerosLike", inputs=[x], name=name).outputs[0]
 
 
 def slice_(value, begin: Sequence[int], size: Sequence[int], name: str = "Slice") -> Tensor:
     """Extract ``value[begin : begin + size]`` along each dimension."""
     x = to_tensor(value)
-    begin = tuple(int(b) for b in begin)
-    size = tuple(int(s) for s in size)
-    if len(begin) != len(size):
-        raise InvalidArgumentError("slice begin/size rank mismatch")
-    if x.shape.rank is not None and x.shape.rank != len(begin):
-        raise InvalidArgumentError(
-            f"slice begin/size rank {len(begin)} != tensor rank {x.shape.rank}"
-        )
-    out_shape = TensorShape(size)
     op = x.graph.create_op(
         "Slice",
         inputs=[x],
-        output_specs=[(x.dtype, out_shape)],
-        attrs={"begin": begin, "size": size},
+        attrs={
+            "begin": tuple(int(b) for b in begin),
+            "size": tuple(int(s) for s in size),
+        },
         name=name,
     )
     return op.outputs[0]
 
 
 # ---------------------------------------------------------------------------
-# kernels
+# shape functions: (inputs, attrs) -> one (dtype, shape) per output. Run by
+# create_op when the op is built and re-run by the graph verifier.
+# ---------------------------------------------------------------------------
+
+def _const_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
+    arr = attrs["value"]
+    return [(dtypes.as_dtype(arr.dtype), TensorShape(arr.shape))]
+
+
+def _cast_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
+    return [(dtypes.as_dtype(attrs["dst_dtype"]), inputs[0].shape)]
+
+
+def _reshape_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
+    x = inputs[0]
+    new_shape = list(attrs["shape"])
+    if new_shape.count(-1) > 1:
+        raise InvalidArgumentError("reshape allows at most one -1 dimension")
+    static: list[Optional[int]] = []
+    known = 1
+    for d in new_shape:
+        if d == -1:
+            static.append(None)
+        else:
+            static.append(d)
+            known *= d
+    total = x.shape.num_elements()
+    if -1 in new_shape and total is not None:
+        if total % known != 0:
+            raise InvalidArgumentError(
+                f"Cannot reshape {x.shape} ({total} elements) into {new_shape}"
+            )
+        static[new_shape.index(-1)] = total // known
+    elif total is not None and total != known:
+        raise InvalidArgumentError(
+            f"Cannot reshape {x.shape} into {new_shape}: element count differs"
+        )
+    return [(x.dtype, TensorShape(static))]
+
+
+def _transpose_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
+    x = inputs[0]
+    perm = tuple(attrs["perm"])
+    rank = x.shape.rank
+    if rank is None:
+        return [(x.dtype, TensorShape(None))]
+    if sorted(perm) != list(range(rank)):
+        raise InvalidArgumentError(f"Bad permutation {perm} for rank {rank}")
+    return [(x.dtype, TensorShape([x.shape[p] for p in perm]))]
+
+
+def _concat_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
+    dtype = uniform_dtype(inputs, "concat")
+    rank = next((t.shape.rank for t in inputs if t.shape.rank is not None), None)
+    if rank is None:
+        return [(dtype, TensorShape(None))]
+    ax = normalize_axis(attrs["axis"], rank, "concat")
+    dims: list[Optional[int]] = list(inputs[0].shape.with_rank(rank).dims or ())
+    total: Optional[int] = 0
+    for t in inputs:
+        s = t.shape.with_rank(rank)
+        for i in range(rank):
+            if i == ax:
+                continue
+            if dims[i] is None:
+                dims[i] = s[i]
+            elif s[i] is not None and s[i] != dims[i]:
+                raise InvalidArgumentError(
+                    f"concat shapes disagree on dim {i}: {dims[i]} vs {s[i]}"
+                )
+        if total is not None:
+            total = None if s[ax] is None else total + s[ax]
+    dims[ax] = total
+    return [(dtype, TensorShape(dims))]
+
+
+def _split_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
+    x = inputs[0]
+    num_splits = attrs["num_splits"]
+    if x.shape.dims is None:
+        return [(x.dtype, TensorShape(None))] * num_splits
+    dims = list(x.shape.dims)
+    ax = normalize_axis(attrs["axis"], len(dims), "split")
+    dim = dims[ax]
+    if dim is not None:
+        if dim % num_splits != 0:
+            raise InvalidArgumentError(
+                f"Dimension {dim} not divisible into {num_splits} splits"
+            )
+        dims[ax] = dim // num_splits
+    return [(x.dtype, TensorShape(dims))] * num_splits
+
+
+def _stack_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
+    dtype = inputs[0].dtype
+    base = merged_shape(inputs)
+    if base.dims is None:
+        return [(dtype, TensorShape(None))]
+    dims = list(base.dims)
+    ax = normalize_axis(attrs["axis"], len(dims) + 1, "stack")
+    dims.insert(ax, len(inputs))
+    return [(dtype, TensorShape(dims))]
+
+
+def _squeeze_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
+    x = inputs[0]
+    axis = attrs["axis"]
+    if x.shape.dims is None:
+        return [(x.dtype, TensorShape(None))]
+    dims = list(x.shape.dims)
+    if axis is None:
+        dims = [d for d in dims if d != 1]
+    else:
+        ax = normalize_axis(axis, len(dims), "squeeze")
+        if dims[ax] not in (1, None):
+            raise InvalidArgumentError(
+                f"Cannot squeeze dim {ax} of size {dims[ax]}"
+            )
+        dims.pop(ax)
+    return [(x.dtype, TensorShape(dims))]
+
+
+def _expand_dims_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
+    x = inputs[0]
+    if x.shape.dims is None:
+        return [(x.dtype, TensorShape(None))]
+    dims = list(x.shape.dims)
+    ax = normalize_axis(attrs["axis"], len(dims) + 1, "expand_dims")
+    dims.insert(ax, 1)
+    return [(x.dtype, TensorShape(dims))]
+
+
+def _slice_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
+    x = inputs[0]
+    begin = tuple(attrs["begin"])
+    size = tuple(attrs["size"])
+    if len(begin) != len(size):
+        raise InvalidArgumentError("slice begin/size rank mismatch")
+    if x.shape.rank is not None and x.shape.rank != len(begin):
+        raise InvalidArgumentError(
+            f"slice begin/size rank {len(begin)} != tensor rank {x.shape.rank}"
+        )
+    dims = x.shape.dims or (None,) * len(begin)
+    for i, (b, s, d) in enumerate(zip(begin, size, dims)):
+        if b < 0 or (d is not None and b + s > d):
+            raise InvalidArgumentError(
+                f"slice [{b}, {b + s}) is out of bounds for dim {i} of "
+                f"size {d}"
+            )
+    return [(x.dtype, TensorShape(size))]
+
+
+# ---------------------------------------------------------------------------
+# kernels, each registered with its OpDef (flags, shape function, and the
+# generation contract the repro.fuzz catalog draws from)
 # ---------------------------------------------------------------------------
 
 def _memcpy_cost(*values) -> Cost:
@@ -371,13 +378,16 @@ def _memcpy_cost(*values) -> Cost:
     return Cost(mem_bytes=nbytes, kind="memcpy")
 
 
-@register_kernel("Const", pure=True, inline=True)
+@register_kernel("Const", pure=True, inline=True, shape_fn=_const_shape,
+                 builder="constant", arity=(0, 0), dtypes=NUMERIC,
+                 shape_rule="source")
 def _const_kernel(op, inputs, ctx):
     value = op.get_attr("value")
     return [value], Cost.none()
 
 
-@register_kernel("Placeholder", inline=True)
+@register_kernel("Placeholder", inline=True, builder="placeholder",
+                 arity=(0, 0), dtypes=NUMERIC, shape_rule="source")
 def _placeholder_kernel(op, inputs, ctx):
     name = op.outputs[0].name
     if name not in ctx.feeds:
@@ -396,12 +406,15 @@ def _placeholder_kernel(op, inputs, ctx):
     return [value], Cost.none()
 
 
-@register_kernel("Identity", pure=True, inline=True)
+@register_kernel("Identity", pure=True, inline=True, shape_fn=same_as_input,
+                 builder="identity", arity=(1, 1),
+                 dtypes=NUMERIC + ("bool",), shape_rule="unary_same")
 def _identity_kernel(op, inputs, ctx):
     return [inputs[0]], Cost.none()
 
 
-@register_kernel("Cast", pure=True)
+@register_kernel("Cast", pure=True, shape_fn=_cast_shape, builder="cast",
+                 arity=(1, 1), dtypes=NUMERIC + ("bool",), shape_rule="cast")
 def _cast_kernel(op, inputs, ctx):
     target = dtypes.as_dtype(op.get_attr("dst_dtype"))
     (x,) = inputs
@@ -412,7 +425,9 @@ def _cast_kernel(op, inputs, ctx):
     return [out], _memcpy_cost(x, out)
 
 
-@register_kernel("Reshape", pure=True, inline=True)
+@register_kernel("Reshape", pure=True, inline=True, shape_fn=_reshape_shape,
+                 builder="reshape", arity=(1, 1), dtypes=NUMERIC,
+                 shape_rule="reshape")
 def _reshape_kernel(op, inputs, ctx):
     (x,) = inputs
     new_shape = op.get_attr("shape")
@@ -427,7 +442,9 @@ def _reshape_kernel(op, inputs, ctx):
     return [np.reshape(x, new_shape)], Cost.none()
 
 
-@register_kernel("Transpose", pure=True)
+@register_kernel("Transpose", pure=True, shape_fn=_transpose_shape,
+                 builder="transpose", arity=(1, 1), dtypes=NUMERIC,
+                 shape_rule="transpose")
 def _transpose_kernel(op, inputs, ctx):
     (x,) = inputs
     perm = op.get_attr("perm")
@@ -438,7 +455,9 @@ def _transpose_kernel(op, inputs, ctx):
     return [out], _memcpy_cost(x, out)
 
 
-@register_kernel("Concat", pure=True)
+@register_kernel("Concat", pure=True, shape_fn=_concat_shape,
+                 builder="concat", arity=(2, 4), dtypes=NUMERIC,
+                 shape_rule="concat")
 def _concat_kernel(op, inputs, ctx):
     axis = op.get_attr("axis")
     if any_symbolic(inputs):
@@ -453,7 +472,8 @@ def _concat_kernel(op, inputs, ctx):
     return [out], _memcpy_cost(*inputs)
 
 
-@register_kernel("Split", pure=True)
+@register_kernel("Split", pure=True, shape_fn=_split_shape, builder="split",
+                 arity=(1, 1), dtypes=NUMERIC, shape_rule="split")
 def _split_kernel(op, inputs, ctx):
     (x,) = inputs
     axis = op.get_attr("axis")
@@ -468,7 +488,8 @@ def _split_kernel(op, inputs, ctx):
     return outs, _memcpy_cost(x)
 
 
-@register_kernel("Stack", pure=True)
+@register_kernel("Stack", pure=True, shape_fn=_stack_shape, builder="stack",
+                 arity=(2, 4), dtypes=NUMERIC, shape_rule="stack")
 def _stack_kernel(op, inputs, ctx):
     axis = op.get_attr("axis")
     if any_symbolic(inputs):
@@ -482,7 +503,9 @@ def _stack_kernel(op, inputs, ctx):
     return [out], _memcpy_cost(*inputs)
 
 
-@register_kernel("Squeeze", pure=True, inline=True)
+@register_kernel("Squeeze", pure=True, inline=True, shape_fn=_squeeze_shape,
+                 builder="squeeze", arity=(1, 1), dtypes=NUMERIC,
+                 shape_rule="squeeze")
 def _squeeze_kernel(op, inputs, ctx):
     (x,) = inputs
     axis = op.get_attr("axis")
@@ -498,7 +521,9 @@ def _squeeze_kernel(op, inputs, ctx):
     return [out], Cost.none()
 
 
-@register_kernel("ExpandDims", pure=True, inline=True)
+@register_kernel("ExpandDims", pure=True, inline=True,
+                 shape_fn=_expand_dims_shape, builder="expand_dims",
+                 arity=(1, 1), dtypes=NUMERIC, shape_rule="expand_dims")
 def _expand_dims_kernel(op, inputs, ctx):
     (x,) = inputs
     axis = op.get_attr("axis")
@@ -512,7 +537,8 @@ def _expand_dims_kernel(op, inputs, ctx):
     return [out], Cost.none()
 
 
-@register_kernel("Fill", pure=True)
+@register_kernel("Fill", pure=True, shape_fn=declared_in_attrs, builder="fill",
+                 arity=(0, 0), dtypes=NUMERIC, shape_rule="source")
 def _fill_kernel(op, inputs, ctx):
     shape = op.get_attr("shape")
     value = op.get_attr("fill_value")
@@ -524,7 +550,9 @@ def _fill_kernel(op, inputs, ctx):
     return [out], Cost(mem_bytes=runtime_spec(out).nbytes, kind="memcpy")
 
 
-@register_kernel("ZerosLike", pure=True)
+@register_kernel("ZerosLike", pure=True, shape_fn=same_as_input,
+                 builder="zeros_like", arity=(1, 1), dtypes=NUMERIC,
+                 shape_rule="unary_same")
 def _zeros_like_kernel(op, inputs, ctx):
     (x,) = inputs
     if isinstance(x, SymbolicValue):
@@ -534,7 +562,8 @@ def _zeros_like_kernel(op, inputs, ctx):
     return [out], Cost(mem_bytes=runtime_spec(out).nbytes, kind="memcpy")
 
 
-@register_kernel("Slice", pure=True)
+@register_kernel("Slice", pure=True, shape_fn=_slice_shape, builder="slice_",
+                 arity=(1, 1), dtypes=NUMERIC, shape_rule="slice")
 def _slice_kernel(op, inputs, ctx):
     (x,) = inputs
     begin = op.get_attr("begin")
@@ -545,40 +574,3 @@ def _slice_kernel(op, inputs, ctx):
         index = tuple(slice(b, b + s) for b, s in zip(begin, size))
         out = np.ascontiguousarray(np.asarray(x)[index])
     return [out], Cost(mem_bytes=2 * runtime_spec(out).nbytes, kind="memcpy")
-
-
-# ---------------------------------------------------------------------------
-# generation contracts (consumed by the repro.fuzz operator catalog)
-# ---------------------------------------------------------------------------
-
-_NUMERIC = ("float32", "float64", "int32")
-_FLOATS = ("float32", "float64")
-
-declare_op_constraint("Const", builder="constant", arity=(0, 0),
-                      dtypes=_NUMERIC, shape_rule="source")
-declare_op_constraint("Placeholder", builder="placeholder", arity=(0, 0),
-                      dtypes=_NUMERIC, shape_rule="source")
-declare_op_constraint("Identity", builder="identity", arity=(1, 1),
-                      dtypes=_NUMERIC + ("bool",), shape_rule="unary_same")
-declare_op_constraint("Cast", builder="cast", arity=(1, 1),
-                      dtypes=_NUMERIC + ("bool",), shape_rule="cast")
-declare_op_constraint("Reshape", builder="reshape", arity=(1, 1),
-                      dtypes=_NUMERIC, shape_rule="reshape")
-declare_op_constraint("Transpose", builder="transpose", arity=(1, 1),
-                      dtypes=_NUMERIC, shape_rule="transpose")
-declare_op_constraint("Concat", builder="concat", arity=(2, 4),
-                      dtypes=_NUMERIC, shape_rule="concat")
-declare_op_constraint("Split", builder="split", arity=(1, 1),
-                      dtypes=_NUMERIC, shape_rule="split")
-declare_op_constraint("Stack", builder="stack", arity=(2, 4),
-                      dtypes=_NUMERIC, shape_rule="stack")
-declare_op_constraint("Squeeze", builder="squeeze", arity=(1, 1),
-                      dtypes=_NUMERIC, shape_rule="squeeze")
-declare_op_constraint("ExpandDims", builder="expand_dims", arity=(1, 1),
-                      dtypes=_NUMERIC, shape_rule="expand_dims")
-declare_op_constraint("Fill", builder="fill", arity=(0, 0),
-                      dtypes=_NUMERIC, shape_rule="source")
-declare_op_constraint("ZerosLike", builder="zeros_like", arity=(1, 1),
-                      dtypes=_NUMERIC, shape_rule="unary_same")
-declare_op_constraint("Slice", builder="slice_", arity=(1, 1),
-                      dtypes=_NUMERIC, shape_rule="slice")

@@ -33,12 +33,21 @@ ignores it entirely (there is no simulated network to schedule on).
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.core.kernels.registry import Cost, declare_op_constraint, register_kernel
-from repro.core.ops.common import any_symbolic, make_symbolic, runtime_spec, to_tensor
+from repro.core.kernels.registry import Cost, register_kernel
+from repro.core.ops.common import (
+    NUMERIC,
+    OutputSpecs,
+    any_symbolic,
+    make_symbolic,
+    merged_shape,
+    runtime_spec,
+    to_tensor,
+    uniform_dtype,
+)
 from repro.core.tensor import Tensor, TensorShape
 from repro.errors import InvalidArgumentError
 from repro.runtime.collective import registered_algorithms
@@ -96,11 +105,6 @@ def _rank_tensors(values: Sequence[Any], what: str) -> list[Tensor]:
             raise InvalidArgumentError(
                 f"{what} ranks span different graphs"
             )
-        if t.dtype != tensors[0].dtype:
-            raise InvalidArgumentError(
-                f"{what} dtype mismatch: {tensors[0].dtype.name} vs "
-                f"{t.dtype.name}"
-            )
     return tensors
 
 
@@ -140,13 +144,9 @@ def all_reduce(
     Horovod pattern; see ``repro.apps.sgd``).
     """
     tensors = _rank_tensors(values, "all_reduce")
-    shape = tensors[0].shape
-    for t in tensors[1:]:
-        shape = shape.merge_with(t.shape)
     op = tensors[0].graph.create_op(
         "CollectiveAllReduce",
         inputs=tensors,
-        output_specs=[(tensors[0].dtype, shape)] * len(tensors),
         attrs=_common_attrs(len(tensors), devices, protocol, algorithm,
                             "CollectiveAllReduce"),
         name=name,
@@ -184,31 +184,10 @@ def reduce_scatter(
         :func:`all_reduce`, not differentiable.
     """
     tensors = _rank_tensors(values, "reduce_scatter")
-    world = len(tensors)
-    shape = tensors[0].shape
-    for t in tensors[1:]:
-        shape = shape.merge_with(t.shape)
-    if shape.rank == 0:
-        raise InvalidArgumentError(
-            "reduce_scatter needs tensors of rank >= 1 (got a scalar)"
-        )
-    if shape.rank is None:
-        out_shape = TensorShape(None)
-    else:
-        lead = shape[0]
-        if lead is not None and lead % world != 0:
-            raise InvalidArgumentError(
-                f"reduce_scatter needs a leading dimension divisible by "
-                f"the world size: {lead} rows across {world} ranks"
-            )
-        out_shape = TensorShape(
-            [None if lead is None else lead // world, *shape.dims[1:]]
-        )
     op = tensors[0].graph.create_op(
         "CollectiveReduceScatter",
         inputs=tensors,
-        output_specs=[(tensors[0].dtype, out_shape)] * world,
-        attrs=_common_attrs(world, devices, protocol, algorithm,
+        attrs=_common_attrs(len(tensors), devices, protocol, algorithm,
                             "CollectiveReduceScatter"),
         name=name,
     )
@@ -240,29 +219,9 @@ def all_gather(
         differentiable — gather forward values, not gradients.
     """
     tensors = _rank_tensors(values, "all_gather")
-    lead: Optional[int] = 0
-    trailing: Optional[TensorShape] = None
-    for t in tensors:
-        rank = t.shape.rank
-        if rank == 0:
-            raise InvalidArgumentError(
-                "all_gather needs tensors of rank >= 1 (got a scalar)"
-            )
-        if rank is None:
-            lead, trailing = None, None
-            break
-        tail = t.shape[1:]
-        trailing = tail if trailing is None else trailing.merge_with(tail)
-        head = t.shape[0]
-        lead = None if (lead is None or head is None) else lead + head
-    if trailing is None:
-        out_shape = TensorShape(None)
-    else:
-        out_shape = TensorShape([lead]).concatenate(trailing)
     op = tensors[0].graph.create_op(
         "CollectiveAllGather",
         inputs=tensors,
-        output_specs=[(tensors[0].dtype, out_shape)] * len(tensors),
         attrs=_common_attrs(len(tensors), devices, protocol, algorithm,
                             "CollectiveAllGather"),
         name=name,
@@ -310,12 +269,71 @@ def broadcast(
     op = tensor.graph.create_op(
         "CollectiveBroadcast",
         inputs=[tensor],
-        output_specs=[(tensor.dtype, tensor.shape)] * world,
         attrs=_common_attrs(world, devices, protocol, algorithm,
                             "CollectiveBroadcast"),
         name=name,
     )
     return list(op.outputs)
+
+
+# ---------------------------------------------------------------------------
+# shape functions: (inputs, attrs) -> one (dtype, shape) per output. Run by
+# create_op when the op is built and re-run by the graph verifier.
+# ---------------------------------------------------------------------------
+
+def _all_reduce_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
+    dtype = uniform_dtype(inputs, "all_reduce")
+    return [(dtype, merged_shape(inputs))] * len(inputs)
+
+
+def _reduce_scatter_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
+    dtype = uniform_dtype(inputs, "reduce_scatter")
+    world = len(inputs)
+    dims = merged_shape(inputs).dims
+    if dims is None:
+        return [(dtype, TensorShape(None))] * world
+    if not dims:
+        raise InvalidArgumentError(
+            "reduce_scatter needs tensors of rank >= 1 (got a scalar)"
+        )
+    lead = dims[0]
+    if lead is not None and lead % world != 0:
+        raise InvalidArgumentError(
+            f"reduce_scatter needs a leading dimension divisible by "
+            f"the world size: {lead} rows across {world} ranks"
+        )
+    out_shape = TensorShape(
+        [None if lead is None else lead // world, *dims[1:]]
+    )
+    return [(dtype, out_shape)] * world
+
+
+def _all_gather_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
+    dtype = uniform_dtype(inputs, "all_gather")
+    lead: Optional[int] = 0
+    trailing: Optional[TensorShape] = None
+    for t in inputs:
+        rank = t.shape.rank
+        if rank == 0:
+            raise InvalidArgumentError(
+                "all_gather needs tensors of rank >= 1 (got a scalar)"
+            )
+        if rank is None:
+            lead, trailing = None, None
+            break
+        tail = t.shape[1:]
+        trailing = tail if trailing is None else trailing.merge_with(tail)
+        head = t.shape[0]
+        lead = None if (lead is None or head is None) else lead + head
+    if trailing is None:
+        out_shape = TensorShape(None)
+    else:
+        out_shape = TensorShape([lead]).concatenate(trailing)
+    return [(dtype, out_shape)] * len(inputs)
+
+
+def _broadcast_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
+    return [(inputs[0].dtype, inputs[0].shape)] * attrs["world"]
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +355,9 @@ def _validate_allreduce_inputs(specs) -> None:
             )
 
 
-@register_kernel("CollectiveAllReduce")
+@register_kernel("CollectiveAllReduce", shape_fn=_all_reduce_shape,
+                 builder="all_reduce", arity=(2, 8), dtypes=NUMERIC,
+                 shape_rule="collective")
 def _all_reduce_kernel(op, inputs, ctx):
     specs = [runtime_spec(v) for v in inputs]
     _validate_allreduce_inputs(specs)
@@ -360,7 +380,9 @@ def _all_reduce_kernel(op, inputs, ctx):
     return [total.copy() for _ in inputs], cost
 
 
-@register_kernel("CollectiveReduceScatter")
+@register_kernel("CollectiveReduceScatter", shape_fn=_reduce_scatter_shape,
+                 builder="reduce_scatter", arity=(2, 8), dtypes=NUMERIC,
+                 shape_rule="collective")
 def _reduce_scatter_kernel(op, inputs, ctx):
     specs = [runtime_spec(v) for v in inputs]
     _validate_allreduce_inputs(specs)
@@ -398,7 +420,9 @@ def _reduce_scatter_kernel(op, inputs, ctx):
     ], cost
 
 
-@register_kernel("CollectiveAllGather")
+@register_kernel("CollectiveAllGather", shape_fn=_all_gather_shape,
+                 builder="all_gather", arity=(2, 8), dtypes=NUMERIC,
+                 shape_rule="collective")
 def _all_gather_kernel(op, inputs, ctx):
     specs = [runtime_spec(v) for v in inputs]
     for spec in specs[1:]:
@@ -424,7 +448,9 @@ def _all_gather_kernel(op, inputs, ctx):
     return [full.copy() for _ in inputs], cost
 
 
-@register_kernel("CollectiveBroadcast")
+@register_kernel("CollectiveBroadcast", shape_fn=_broadcast_shape,
+                 builder="broadcast", arity=(1, 1), dtypes=NUMERIC,
+                 shape_rule="collective")
 def _broadcast_kernel(op, inputs, ctx):
     (value,) = inputs
     world = op.get_attr("world")
@@ -434,19 +460,3 @@ def _broadcast_kernel(op, inputs, ctx):
         return [make_symbolic(spec.shape, spec.dtype) for _ in range(world)], cost
     arr = np.asarray(value)
     return [arr.copy() for _ in range(world)], cost
-
-
-# ---------------------------------------------------------------------------
-# generation contracts (consumed by the repro.fuzz operator catalog)
-# ---------------------------------------------------------------------------
-
-_NUMERIC = ("float32", "float64", "int32")
-
-declare_op_constraint("CollectiveAllReduce", builder="all_reduce",
-                      arity=(2, 8), dtypes=_NUMERIC, shape_rule="collective")
-declare_op_constraint("CollectiveReduceScatter", builder="reduce_scatter",
-                      arity=(2, 8), dtypes=_NUMERIC, shape_rule="collective")
-declare_op_constraint("CollectiveAllGather", builder="all_gather",
-                      arity=(2, 8), dtypes=_NUMERIC, shape_rule="collective")
-declare_op_constraint("CollectiveBroadcast", builder="broadcast",
-                      arity=(1, 1), dtypes=_NUMERIC, shape_rule="collective")

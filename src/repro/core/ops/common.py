@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -12,8 +12,16 @@ from repro.core.tensor import SymbolicValue, Tensor, TensorShape
 from repro.errors import InvalidArgumentError
 
 __all__ = [
+    "NUMERIC",
+    "FLOATS",
+    "OutputSpecs",
     "to_tensor",
     "broadcast_static_shapes",
+    "merged_shape",
+    "normalize_axis",
+    "same_as_input",
+    "declared_in_attrs",
+    "uniform_dtype",
     "any_symbolic",
     "runtime_shape",
     "runtime_spec",
@@ -67,6 +75,59 @@ def broadcast_static_shapes(a: TensorShape, b: TensorShape) -> TensorShape:
                 f"Shapes {a} and {b} are not broadcast-compatible"
             )
     return TensorShape(out)
+
+
+# -- registration helpers: dtype palettes of the generation contracts ------------
+
+NUMERIC = ("float32", "float64", "int32")
+# Float-only: kernels that route through float intermediates whose cast
+# back to int is either lossy in surprising ways (Mean) or undefined for
+# inf/NaN (Div by zero, Sqrt of negatives).
+FLOATS = ("float32", "float64")
+
+
+# -- shape-function helpers ----------------------------------------------------
+
+# What a shape function returns: one (dtype, shape) pair per output.
+OutputSpecs = list[tuple[dtypes.DType, TensorShape]]
+
+
+def same_as_input(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
+    """Shape function: one output with the first input's dtype and shape."""
+    return [(inputs[0].dtype, inputs[0].shape)]
+
+
+def declared_in_attrs(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
+    """Shape function of sources whose ``dtype``/``shape`` attrs say it all."""
+    return [(dtypes.as_dtype(attrs["dtype"]), TensorShape(attrs["shape"]))]
+
+
+def uniform_dtype(inputs: Sequence[Tensor], what: str) -> dtypes.DType:
+    """The dtype every input shares, or raise naming ``what``."""
+    dtype = inputs[0].dtype
+    for t in inputs[1:]:
+        if t.dtype != dtype:
+            raise InvalidArgumentError(
+                f"{what} dtype mismatch: {dtype.name} vs {t.dtype.name}"
+            )
+    return dtype
+
+
+def merged_shape(inputs: Sequence[Tensor]) -> TensorShape:
+    """The most specific shape compatible with every input, or raise."""
+    shape = inputs[0].shape
+    for t in inputs[1:]:
+        shape = shape.merge_with(t.shape)
+    return shape
+
+
+def normalize_axis(axis: int, rank: int, what: str) -> int:
+    """``axis`` as an index into ``rank`` dims; negatives count from the end."""
+    if not -rank <= axis < rank:
+        raise InvalidArgumentError(
+            f"{what} axis {axis} is out of range for rank {rank}"
+        )
+    return axis % rank
 
 
 # -- runtime-value helpers (used by kernels) ---------------------------------

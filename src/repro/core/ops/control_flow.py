@@ -31,6 +31,6 @@ def group(*inputs, name: str = "group", graph: Optional[Graph] = None) -> Operat
         return g.create_op("NoOp", inputs=[], output_specs=[], name=name)
 
 
-@register_kernel("NoOp", inline=True)
+@register_kernel("NoOp", inline=True, builder="no_op")
 def _no_op_kernel(op, inputs, ctx):
     return [], Cost.none()

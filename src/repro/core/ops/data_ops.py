@@ -198,12 +198,13 @@ class DatasetIterator:
         return list(op.outputs)
 
 
-@register_kernel("IteratorV2", devices=("cpu",), graph_only=True)
+@register_kernel("IteratorV2", devices=("cpu",), builder="Dataset", graph_only=True)
 def _iterator_kernel(op, inputs, ctx):
     return [], Cost.none()
 
 
-@register_kernel("IteratorGetNext", devices=("cpu",), stateful=True, graph_only=True)
+@register_kernel("IteratorGetNext", devices=("cpu",),
+                 builder="Dataset", stateful=True, graph_only=True)
 def _get_next_kernel(op, inputs, ctx):
     key = op.get_attr("iterator")
     iterators = ctx.resources.iterators

@@ -71,7 +71,7 @@ def _format_path(pattern: str, index_values) -> str:
         ) from exc
 
 
-@register_kernel("ReadTile", devices=("cpu",))
+@register_kernel("ReadTile", devices=("cpu",), builder="read_tile")
 def _read_tile_kernel(op, inputs, ctx):
     fs = ctx.filesystem()
     if fs is None:
@@ -85,7 +85,8 @@ def _read_tile_kernel(op, inputs, ctx):
     return [value], Cost(io_bytes=nbytes, kind="io")
 
 
-@register_kernel("WriteTile", devices=("cpu",), stateful=True)
+@register_kernel("WriteTile", devices=("cpu",), stateful=True,
+                 builder="write_tile")
 def _write_tile_kernel(op, inputs, ctx):
     fs = ctx.filesystem()
     if fs is None:

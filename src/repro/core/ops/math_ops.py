@@ -2,21 +2,27 @@
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
-
+from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro import dtypes
-from repro.core.kernels.registry import Cost, declare_op_constraint, register_kernel
+from repro.core.kernels.registry import Cost, ShapeFn, register_kernel
 from repro.core.ops.common import (
+    FLOATS,
+    NUMERIC,
+    OutputSpecs,
     any_symbolic,
     broadcast_static_shapes,
     elementwise_spec,
     make_symbolic,
+    merged_shape,
+    normalize_axis,
     runtime_shape,
     runtime_spec,
+    same_as_input,
     to_tensor,
+    uniform_dtype,
 )
 from repro.core.tensor import SymbolicValue, Tensor, TensorShape
 from repro.errors import InvalidArgumentError
@@ -48,7 +54,8 @@ from repro.core.ops.array_ops import cast  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
-# builders
+# builders: coerce arguments, then create_op (the shape function registered
+# for the op type derives and validates the output specs)
 # ---------------------------------------------------------------------------
 
 def _binary(op_type: str, x, y, name: str) -> Tensor:
@@ -62,14 +69,7 @@ def _binary(op_type: str, x, y, name: str) -> Tensor:
             xt = cast(xt, target)
         if yt.dtype != target:
             yt = cast(yt, target)
-    shape = broadcast_static_shapes(xt.shape, yt.shape)
-    op = xt.graph.create_op(
-        op_type,
-        inputs=[xt, yt],
-        output_specs=[(xt.dtype, shape)],
-        name=name,
-    )
-    return op.outputs[0]
+    return xt.graph.create_op(op_type, inputs=[xt, yt], name=name).outputs[0]
 
 
 def add(x, y, name: str = "Add") -> Tensor:
@@ -98,33 +98,12 @@ def minimum(x, y, name: str = "Minimum") -> Tensor:
 
 def greater_equal(x, y, name: str = "GreaterEqual") -> Tensor:
     """Elementwise ``x >= y`` as a bool tensor (NumPy broadcasting)."""
-    xt = to_tensor(x)
-    yt = to_tensor(y, graph=xt.graph)
-    if xt.dtype != yt.dtype:
-        target = dtypes.result_dtype(xt.dtype, yt.dtype)
-        if xt.dtype != target:
-            xt = cast(xt, target)
-        if yt.dtype != target:
-            yt = cast(yt, target)
-    shape = broadcast_static_shapes(xt.shape, yt.shape)
-    op = xt.graph.create_op(
-        "GreaterEqual",
-        inputs=[xt, yt],
-        output_specs=[(dtypes.bool_, shape)],
-        name=name,
-    )
-    return op.outputs[0]
+    return _binary("GreaterEqual", x, y, name)
 
 
-def _unary(op_type: str, x, name: str, dtype=None) -> Tensor:
+def _unary(op_type: str, x, name: str) -> Tensor:
     xt = to_tensor(x)
-    op = xt.graph.create_op(
-        op_type,
-        inputs=[xt],
-        output_specs=[(dtype or xt.dtype, xt.shape)],
-        name=name,
-    )
-    return op.outputs[0]
+    return xt.graph.create_op(op_type, inputs=[xt], name=name).outputs[0]
 
 
 def negative(x, name: str = "Neg") -> Tensor:
@@ -153,10 +132,78 @@ def matmul(a, b, transpose_a: bool = False, transpose_b: bool = False,
     """Matrix product of rank-2 tensors (or matrix×vector for rank-1 b)."""
     at = to_tensor(a)
     bt = to_tensor(b, graph=at.graph)
-    if at.dtype != bt.dtype:
-        raise InvalidArgumentError(
-            f"matmul dtype mismatch: {at.dtype.name} vs {bt.dtype.name}"
-        )
+    op = at.graph.create_op(
+        "MatMul",
+        inputs=[at, bt],
+        attrs={"transpose_a": transpose_a, "transpose_b": transpose_b},
+        name=name,
+    )
+    return op.outputs[0]
+
+
+def dot(x, y, name: str = "Dot") -> Tensor:
+    """Inner product of two rank-1 tensors, returning a scalar."""
+    xt = to_tensor(x)
+    yt = to_tensor(y, graph=xt.graph)
+    return xt.graph.create_op("Dot", inputs=[xt, yt], name=name).outputs[0]
+
+
+def add_n(values: Sequence[Any], name: str = "AddN") -> Tensor:
+    tensors = [to_tensor(v) for v in values]
+    if not tensors:
+        raise InvalidArgumentError("add_n of an empty list")
+    op = tensors[0].graph.create_op("AddN", inputs=tensors, name=name)
+    return op.outputs[0]
+
+
+def _reduce(op_type: str, x, axis, keepdims: bool, name: str) -> Tensor:
+    xt = to_tensor(x)
+    if axis is None:
+        axes: Optional[tuple[int, ...]] = None
+    else:
+        if isinstance(axis, int):
+            axis = (axis,)
+        axes = tuple(int(a) for a in axis)
+    op = xt.graph.create_op(
+        op_type,
+        inputs=[xt],
+        attrs={"axis": axes, "keepdims": keepdims},
+        name=name,
+    )
+    return op.outputs[0]
+
+
+def reduce_sum(x, axis=None, keepdims: bool = False, name: str = "Sum") -> Tensor:
+    return _reduce("Sum", x, axis, keepdims, name)
+
+
+def reduce_mean(x, axis=None, keepdims: bool = False, name: str = "Mean") -> Tensor:
+    return _reduce("Mean", x, axis, keepdims, name)
+
+
+def reduce_max(x, axis=None, keepdims: bool = False, name: str = "Max") -> Tensor:
+    return _reduce("Max", x, axis, keepdims, name)
+
+
+# ---------------------------------------------------------------------------
+# shape functions: (inputs, attrs) -> one (dtype, shape) per output. Run by
+# create_op when the op is built and re-run by the graph verifier.
+# ---------------------------------------------------------------------------
+
+def _binary_shape(op_type: str, out_dtype: Optional[dtypes.DType] = None) -> ShapeFn:
+    def shape_fn(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
+        dtype = uniform_dtype(inputs, op_type)
+        shape = broadcast_static_shapes(inputs[0].shape, inputs[1].shape)
+        return [(out_dtype or dtype, shape)]
+
+    return shape_fn
+
+
+def _matmul_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
+    at, bt = inputs
+    dtype = uniform_dtype(inputs, "matmul")
+    transpose_a = attrs.get("transpose_a", False)
+    transpose_b = attrs.get("transpose_b", False)
     sa = at.shape
     sb = bt.shape
     rank_b = sb.rank
@@ -179,102 +226,51 @@ def matmul(a, b, transpose_a: bool = False, transpose_b: bool = False,
         raise InvalidArgumentError(
             f"matmul inner dimensions disagree: {ka} vs {kb}"
         )
-    op = at.graph.create_op(
-        "MatMul",
-        inputs=[at, bt],
-        output_specs=[(at.dtype, out_shape)],
-        attrs={"transpose_a": transpose_a, "transpose_b": transpose_b},
-        name=name,
-    )
-    return op.outputs[0]
+    return [(dtype, out_shape)]
 
 
-def dot(x, y, name: str = "Dot") -> Tensor:
-    """Inner product of two rank-1 tensors, returning a scalar."""
-    xt = to_tensor(x)
-    yt = to_tensor(y, graph=xt.graph)
-    if xt.dtype != yt.dtype:
-        raise InvalidArgumentError(
-            f"dot dtype mismatch: {xt.dtype.name} vs {yt.dtype.name}"
-        )
-    for t in (xt, yt):
+def _dot_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
+    dtype = uniform_dtype(inputs, "dot")
+    for t in inputs:
         if t.shape.rank not in (None, 1):
             raise InvalidArgumentError(f"dot expects vectors, got {t.shape}")
-    op = xt.graph.create_op(
-        "Dot",
-        inputs=[xt, yt],
-        output_specs=[(xt.dtype, TensorShape([]))],
-        name=name,
-    )
-    return op.outputs[0]
+    return [(dtype, TensorShape([]))]
 
 
-def add_n(values: Sequence[Any], name: str = "AddN") -> Tensor:
-    tensors = [to_tensor(v) for v in values]
-    if not tensors:
-        raise InvalidArgumentError("add_n of an empty list")
-    shape = tensors[0].shape
-    for t in tensors[1:]:
-        shape = shape.merge_with(t.shape)
-        if t.dtype != tensors[0].dtype:
+def _add_n_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
+    shape = merged_shape(inputs)
+    for t in inputs[1:]:
+        if t.dtype != inputs[0].dtype:
             raise InvalidArgumentError("add_n requires uniform dtypes")
-    op = tensors[0].graph.create_op(
-        "AddN",
-        inputs=tensors,
-        output_specs=[(tensors[0].dtype, shape)],
-        name=name,
-    )
-    return op.outputs[0]
+    return [(inputs[0].dtype, shape)]
 
 
-def _reduce(op_type: str, x, axis, keepdims: bool, name: str,
-            dtype=None) -> Tensor:
-    xt = to_tensor(x)
-    rank = xt.shape.rank
-    if axis is None:
-        axes: Optional[tuple[int, ...]] = None
-        out_shape = TensorShape([] if not keepdims else [1] * (rank or 0))
-        if rank is None and keepdims:
+def _reduce_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
+    x = inputs[0]
+    axes = attrs["axis"]
+    keepdims = attrs.get("keepdims", False)
+    dims = x.shape.dims
+    if axes is None:
+        out_shape = TensorShape([] if not keepdims else [1] * len(dims or ()))
+        if dims is None and keepdims:
             out_shape = TensorShape(None)
+    elif dims is None:
+        out_shape = TensorShape(None)
     else:
-        if isinstance(axis, int):
-            axis = (axis,)
-        axes = tuple(int(a) for a in axis)
-        if rank is None:
-            out_shape = TensorShape(None)
-        else:
-            norm = {a % rank for a in axes}
-            dims = [
-                (1 if keepdims else None) if i in norm else d
-                for i, d in enumerate(xt.shape.dims)
-            ]
-            if not keepdims:
-                dims = [d for i, d in enumerate(dims) if i not in norm]
-            out_shape = TensorShape(dims)
-    op = xt.graph.create_op(
-        op_type,
-        inputs=[xt],
-        output_specs=[(dtype or xt.dtype, out_shape)],
-        attrs={"axis": axes, "keepdims": keepdims},
-        name=name,
-    )
-    return op.outputs[0]
-
-
-def reduce_sum(x, axis=None, keepdims: bool = False, name: str = "Sum") -> Tensor:
-    return _reduce("Sum", x, axis, keepdims, name)
-
-
-def reduce_mean(x, axis=None, keepdims: bool = False, name: str = "Mean") -> Tensor:
-    return _reduce("Mean", x, axis, keepdims, name)
-
-
-def reduce_max(x, axis=None, keepdims: bool = False, name: str = "Max") -> Tensor:
-    return _reduce("Max", x, axis, keepdims, name)
+        norm = {normalize_axis(a, len(dims), "reduce") for a in axes}
+        kept = [
+            (1 if keepdims else None) if i in norm else d
+            for i, d in enumerate(dims)
+        ]
+        if not keepdims:
+            kept = [d for i, d in enumerate(kept) if i not in norm]
+        out_shape = TensorShape(kept)
+    return [(x.dtype, out_shape)]
 
 
 # ---------------------------------------------------------------------------
-# kernels
+# kernels, each registered with its OpDef (flags, shape function, and the
+# generation contract the repro.fuzz catalog draws from)
 # ---------------------------------------------------------------------------
 
 def _elementwise_cost(values, out_spec: SymbolicValue, flops_per_element: float = 1.0) -> Cost:
@@ -296,12 +292,18 @@ def _binary_kernel(np_fn, flops_per_element: float = 1.0):
     return kernel
 
 
-register_kernel("Add", pure=True)(_binary_kernel(np.add))
-register_kernel("Sub", pure=True)(_binary_kernel(np.subtract))
-register_kernel("Mul", pure=True)(_binary_kernel(np.multiply))
-register_kernel("Div", pure=True)(_binary_kernel(np.divide))
-register_kernel("Maximum", pure=True)(_binary_kernel(np.maximum))
-register_kernel("Minimum", pure=True)(_binary_kernel(np.minimum))
+for _op, _builder, _np_fn, _dtypes in (
+    ("Add", "add", np.add, NUMERIC),
+    ("Sub", "subtract", np.subtract, NUMERIC),
+    ("Mul", "multiply", np.multiply, NUMERIC),
+    ("Div", "divide", np.divide, FLOATS),
+    ("Maximum", "maximum", np.maximum, NUMERIC),
+    ("Minimum", "minimum", np.minimum, NUMERIC),
+):
+    register_kernel(
+        _op, pure=True, shape_fn=_binary_shape(_op), builder=_builder,
+        arity=(2, 2), dtypes=_dtypes, shape_rule="elementwise_broadcast",
+    )(_binary_kernel(_np_fn))
 
 
 def _unary_kernel(np_fn, flops_per_element: float = 1.0):
@@ -321,16 +323,23 @@ def _sigmoid_np(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-register_kernel("Neg", pure=True)(_unary_kernel(np.negative))
-register_kernel("Square", pure=True)(_unary_kernel(np.square))
-register_kernel("Sqrt", pure=True)(_unary_kernel(np.sqrt, flops_per_element=4.0))
-register_kernel("Exp", pure=True)(_unary_kernel(np.exp, flops_per_element=8.0))
-register_kernel("Sigmoid", pure=True)(
-    _unary_kernel(_sigmoid_np, flops_per_element=10.0)
-)
+for _op, _builder, _np_fn, _flops, _dtypes in (
+    ("Neg", "negative", np.negative, 1.0, NUMERIC),
+    ("Square", "square", np.square, 1.0, NUMERIC),
+    ("Sqrt", "sqrt", np.sqrt, 4.0, FLOATS),
+    ("Exp", "exp", np.exp, 8.0, FLOATS),
+    ("Sigmoid", "sigmoid", _sigmoid_np, 10.0, FLOATS),
+):
+    register_kernel(
+        _op, pure=True, shape_fn=same_as_input, builder=_builder,
+        arity=(1, 1), dtypes=_dtypes, shape_rule="unary_same",
+    )(_unary_kernel(_np_fn, flops_per_element=_flops))
 
 
-@register_kernel("GreaterEqual", pure=True)
+@register_kernel("GreaterEqual", pure=True,
+                 shape_fn=_binary_shape("GreaterEqual", dtypes.bool_),
+                 builder="greater_equal", arity=(2, 2), dtypes=NUMERIC,
+                 shape_rule="elementwise_broadcast")
 def _greater_equal_kernel(op, inputs, ctx):
     out_spec = elementwise_spec(inputs, dtype=op.outputs[0].dtype)
     cost = _elementwise_cost(inputs, out_spec)
@@ -340,7 +349,9 @@ def _greater_equal_kernel(op, inputs, ctx):
     return [np.greater_equal(a, b)], cost
 
 
-@register_kernel("MatMul", pure=True)
+@register_kernel("MatMul", pure=True, shape_fn=_matmul_shape,
+                 builder="matmul", arity=(2, 2), dtypes=FLOATS,
+                 shape_rule="matmul")
 def _matmul_kernel(op, inputs, ctx):
     a, b = inputs
     ta = op.get_attr("transpose_a", False)
@@ -367,7 +378,8 @@ def _matmul_kernel(op, inputs, ctx):
     return [am @ bm], cost
 
 
-@register_kernel("Dot", pure=True)
+@register_kernel("Dot", pure=True, shape_fn=_dot_shape, builder="dot",
+                 arity=(2, 2), dtypes=FLOATS, shape_rule="dot")
 def _dot_kernel(op, inputs, ctx):
     a, b = inputs
     n = runtime_spec(a).size
@@ -383,7 +395,8 @@ def _dot_kernel(op, inputs, ctx):
     return [np.asarray(np.dot(np.asarray(a), np.asarray(b)))], cost
 
 
-@register_kernel("AddN", pure=True)
+@register_kernel("AddN", pure=True, shape_fn=_add_n_shape, builder="add_n",
+                 arity=(2, 4), dtypes=NUMERIC, shape_rule="same_shape_n")
 def _add_n_kernel(op, inputs, ctx):
     out_spec = elementwise_spec(inputs, dtype=op.outputs[0].dtype)
     cost = Cost(
@@ -424,49 +437,12 @@ def _reduce_kernel(np_fn, extra_flops: float = 1.0):
     return kernel
 
 
-register_kernel("Sum", pure=True)(_reduce_kernel(np.sum))
-register_kernel("Mean", pure=True)(_reduce_kernel(np.mean, extra_flops=1.0))
-register_kernel("Max", pure=True)(_reduce_kernel(np.max))
-
-
-# ---------------------------------------------------------------------------
-# generation contracts (consumed by the repro.fuzz operator catalog)
-# ---------------------------------------------------------------------------
-
-_NUMERIC = ("float32", "float64", "int32")
-# Float-only: their kernels route through float intermediates whose cast
-# back to int is either lossy in surprising ways (Mean) or undefined for
-# inf/NaN (Div by zero, Sqrt of negatives).
-_FLOATS = ("float32", "float64")
-
-for _op, _builder in (("Add", "add"), ("Sub", "subtract"),
-                      ("Mul", "multiply"), ("Maximum", "maximum"),
-                      ("Minimum", "minimum")):
-    declare_op_constraint(_op, builder=_builder, arity=(2, 2),
-                          dtypes=_NUMERIC, shape_rule="elementwise_broadcast")
-declare_op_constraint("Div", builder="divide", arity=(2, 2),
-                      dtypes=_FLOATS, shape_rule="elementwise_broadcast")
-declare_op_constraint("GreaterEqual", builder="greater_equal", arity=(2, 2),
-                      dtypes=_NUMERIC, shape_rule="elementwise_broadcast")
-declare_op_constraint("Neg", builder="negative", arity=(1, 1),
-                      dtypes=_NUMERIC, shape_rule="unary_same")
-declare_op_constraint("Square", builder="square", arity=(1, 1),
-                      dtypes=_NUMERIC, shape_rule="unary_same")
-declare_op_constraint("Sqrt", builder="sqrt", arity=(1, 1),
-                      dtypes=_FLOATS, shape_rule="unary_same")
-declare_op_constraint("Exp", builder="exp", arity=(1, 1),
-                      dtypes=_FLOATS, shape_rule="unary_same")
-declare_op_constraint("Sigmoid", builder="sigmoid", arity=(1, 1),
-                      dtypes=_FLOATS, shape_rule="unary_same")
-declare_op_constraint("MatMul", builder="matmul", arity=(2, 2),
-                      dtypes=_FLOATS, shape_rule="matmul")
-declare_op_constraint("Dot", builder="dot", arity=(2, 2),
-                      dtypes=_FLOATS, shape_rule="dot")
-declare_op_constraint("AddN", builder="add_n", arity=(2, 4),
-                      dtypes=_NUMERIC, shape_rule="same_shape_n")
-declare_op_constraint("Sum", builder="reduce_sum", arity=(1, 1),
-                      dtypes=_NUMERIC, shape_rule="reduce")
-declare_op_constraint("Mean", builder="reduce_mean", arity=(1, 1),
-                      dtypes=_FLOATS, shape_rule="reduce")
-declare_op_constraint("Max", builder="reduce_max", arity=(1, 1),
-                      dtypes=_NUMERIC, shape_rule="reduce")
+for _op, _builder, _np_fn, _dtypes in (
+    ("Sum", "reduce_sum", np.sum, NUMERIC),
+    ("Mean", "reduce_mean", np.mean, FLOATS),
+    ("Max", "reduce_max", np.max, NUMERIC),
+):
+    register_kernel(
+        _op, pure=True, shape_fn=_reduce_shape, builder=_builder,
+        arity=(1, 1), dtypes=_dtypes, shape_rule="reduce",
+    )(_reduce_kernel(_np_fn))

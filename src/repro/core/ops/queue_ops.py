@@ -165,7 +165,7 @@ def _get_queue(op, ctx) -> SimQueue:
     return queues[key]
 
 
-@register_kernel("FIFOQueue", devices=("cpu",), graph_only=True)
+@register_kernel("FIFOQueue", devices=("cpu",), builder="FIFOQueue", graph_only=True)
 def _queue_create_kernel(op, inputs, ctx):
     # Creation is lazy in _get_queue; the handle op itself is a no-op so
     # that running it (e.g. through an init fetch) is harmless.
@@ -195,7 +195,7 @@ def _queue_op_host_work(ctx):
         gil.release(request)
 
 
-@register_kernel("QueueEnqueue", devices=("cpu",), stateful=True)
+@register_kernel("QueueEnqueue", devices=("cpu",), builder="FIFOQueue", stateful=True)
 def _enqueue_kernel(op, inputs, ctx):
     queue = _get_queue(op, ctx)
     yield from _queue_op_host_work(ctx)
@@ -205,7 +205,7 @@ def _enqueue_kernel(op, inputs, ctx):
     return [], Cost(mem_bytes=nbytes, kind="sync")
 
 
-@register_kernel("QueueDequeue", devices=("cpu",), stateful=True)
+@register_kernel("QueueDequeue", devices=("cpu",), builder="FIFOQueue", stateful=True)
 def _dequeue_kernel(op, inputs, ctx):
     queue = _get_queue(op, ctx)
     yield from _queue_op_host_work(ctx)
@@ -216,7 +216,7 @@ def _dequeue_kernel(op, inputs, ctx):
     return list(components), Cost(mem_bytes=nbytes, kind="sync")
 
 
-@register_kernel("QueueSize", devices=("cpu",), graph_only=True)
+@register_kernel("QueueSize", devices=("cpu",), builder="FIFOQueue", graph_only=True)
 def _queue_size_kernel(op, inputs, ctx):
     import numpy as np
 
@@ -224,7 +224,8 @@ def _queue_size_kernel(op, inputs, ctx):
     return [np.asarray(queue.size(), dtype=np.int32)], Cost.none()
 
 
-@register_kernel("QueueClose", devices=("cpu",), stateful=True, graph_only=True)
+@register_kernel("QueueClose", devices=("cpu",),
+                 builder="FIFOQueue", stateful=True, graph_only=True)
 def _queue_close_kernel(op, inputs, ctx):
     queue = _get_queue(op, ctx)
     queue.close(cancel_pending_enqueues=op.get_attr("cancel_pending_enqueues", False))

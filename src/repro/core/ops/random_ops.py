@@ -15,7 +15,7 @@ import numpy as np
 from repro import dtypes
 from repro.core.graph import Graph
 from repro.core.kernels.registry import Cost, register_kernel
-from repro.core.ops.common import graph_of, make_symbolic
+from repro.core.ops.common import declared_in_attrs, graph_of, make_symbolic
 from repro.core.tensor import Tensor, as_shape
 from repro.errors import InvalidArgumentError
 
@@ -30,12 +30,15 @@ def _random_op(op_type: str, shape: Sequence[int], dtype, seed: Optional[int],
         raise InvalidArgumentError(
             f"{op_type} supports floating dtypes, got {target.name}"
         )
-    static = as_shape(list(shape))
     op = g.create_op(
         op_type,
         inputs=[],
-        output_specs=[(target, static)],
-        attrs={"shape": static.as_tuple(), "seed": seed, **attrs},
+        attrs={
+            "shape": as_shape(list(shape)).as_tuple(),
+            "dtype": target.name,
+            "seed": seed,
+            **attrs,
+        },
         name=name,
     )
     return op.outputs[0]
@@ -86,7 +89,8 @@ def _random_cost(op) -> Cost:
     return Cost(flops=10.0 * n, mem_bytes=n * esize, kind="compute")
 
 
-@register_kernel("RandomUniform", stateful=True)
+@register_kernel("RandomUniform", stateful=True, shape_fn=declared_in_attrs,
+                 builder="random_uniform")
 def _random_uniform_kernel(op, inputs, ctx):
     cost = _random_cost(op)
     shape = op.get_attr("shape")
@@ -100,7 +104,8 @@ def _random_uniform_kernel(op, inputs, ctx):
     return [out.astype(dtype.np_dtype)], cost
 
 
-@register_kernel("RandomNormal", stateful=True)
+@register_kernel("RandomNormal", stateful=True, shape_fn=declared_in_attrs,
+                 builder="random_normal")
 def _random_normal_kernel(op, inputs, ctx):
     cost = _random_cost(op)
     shape = op.get_attr("shape")

@@ -7,11 +7,12 @@ complex transform (the standard Cooley–Tukey operation count).
 from __future__ import annotations
 
 import math
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.kernels.registry import Cost, register_kernel
-from repro.core.ops.common import runtime_spec, to_tensor
+from repro.core.kernels.registry import Cost, ShapeFn, register_kernel
+from repro.core.ops.common import OutputSpecs, runtime_spec, to_tensor
 
 from repro.core.tensor import SymbolicValue, Tensor
 from repro.errors import InvalidArgumentError
@@ -21,19 +22,21 @@ __all__ = ["fft", "ifft"]
 
 def _fft_like(op_type: str, x, name: str) -> Tensor:
     xt = to_tensor(x)
-    if not xt.dtype.is_complex:
-        raise InvalidArgumentError(
-            f"{op_type} requires a complex input, got {xt.dtype.name}; cast first"
-        )
-    if xt.shape.rank not in (None, 1):
-        raise InvalidArgumentError(f"{op_type} implements 1-D transforms, got {xt.shape}")
-    op = xt.graph.create_op(
-        op_type,
-        inputs=[xt],
-        output_specs=[(xt.dtype, xt.shape)],
-        name=name,
-    )
-    return op.outputs[0]
+    return xt.graph.create_op(op_type, inputs=[xt], name=name).outputs[0]
+
+
+def _fft_shape(op_type: str) -> ShapeFn:
+    def shape_fn(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
+        xt = inputs[0]
+        if not xt.dtype.is_complex:
+            raise InvalidArgumentError(
+                f"{op_type} requires a complex input, got {xt.dtype.name}; cast first"
+            )
+        if xt.shape.rank not in (None, 1):
+            raise InvalidArgumentError(f"{op_type} implements 1-D transforms, got {xt.shape}")
+        return [(xt.dtype, xt.shape)]
+
+    return shape_fn
 
 
 def fft(x, name: str = "FFT") -> Tensor:
@@ -52,7 +55,7 @@ def _fft_cost(spec: SymbolicValue) -> Cost:
     return Cost(flops=flops, mem_bytes=2 * spec.nbytes, kind="compute")
 
 
-@register_kernel("FFT", pure=True)
+@register_kernel("FFT", pure=True, shape_fn=_fft_shape("FFT"), builder="fft")
 def _fft_kernel(op, inputs, ctx):
     (x,) = inputs
     spec = runtime_spec(x)
@@ -63,7 +66,7 @@ def _fft_kernel(op, inputs, ctx):
     return [out], cost
 
 
-@register_kernel("IFFT", pure=True)
+@register_kernel("IFFT", pure=True, shape_fn=_fft_shape("IFFT"), builder="ifft")
 def _ifft_kernel(op, inputs, ctx):
     (x,) = inputs
     spec = runtime_spec(x)

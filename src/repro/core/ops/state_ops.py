@@ -11,17 +11,23 @@ the 2 GB GraphDef workaround) are built on.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro import dtypes
 from repro.core.graph import Graph, GraphKeys, get_default_graph
-from repro.core.kernels.registry import Cost, declare_op_constraint, register_kernel
-from repro.core.ops.common import graph_of, runtime_spec, to_tensor
+from repro.core.kernels.registry import Cost, register_kernel
+from repro.core.ops.common import (
+    NUMERIC,
+    OutputSpecs,
+    graph_of,
+    runtime_spec,
+    to_tensor,
+)
 
 from repro.core.tensor import SymbolicValue, Tensor, TensorShape, as_shape
-from repro.errors import FailedPreconditionError, InvalidArgumentError
+from repro.errors import FailedPreconditionError, InvalidArgumentError, NotFoundError
 
 __all__ = [
     "Variable",
@@ -138,11 +144,9 @@ def _var_op_of(ref) -> "Operation":
 
 
 def _make_assign(var_op, value: Tensor, name: str, op_type: str = "Assign") -> Tensor:
-    shape = var_op.outputs[0].shape.merge_with(value.shape)
     op = var_op.graph.create_op(
         op_type,
         inputs=[value],
-        output_specs=[(var_op.outputs[0].dtype, shape)],
         attrs={"var_name": var_op.name},
         name=name,
         # Assign ops are colocated with the variable, as in TF.
@@ -180,10 +184,30 @@ def global_variables_initializer(graph: Optional[Graph] = None, name: str = "ini
 
 
 # ---------------------------------------------------------------------------
-# kernels
+# shape function (run by create_op and re-run by the graph verifier)
 # ---------------------------------------------------------------------------
 
-@register_kernel("VariableV2", inline=True)
+def _assign_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
+    """The variable's dtype; its static shape merged with the value's."""
+    var_name = attrs.get("var_name")
+    if var_name is None:
+        raise InvalidArgumentError("assign op lacks the var_name attr")
+    try:
+        var_op = inputs[0].graph.get_operation_by_name(var_name)
+    except NotFoundError:
+        raise InvalidArgumentError(
+            f"assign op targets unknown variable {var_name!r}"
+        ) from None
+    var = var_op.outputs[0]
+    return [(var.dtype, var.shape.merge_with(inputs[0].shape))]
+
+
+# ---------------------------------------------------------------------------
+# kernels, each registered with its OpDef
+# ---------------------------------------------------------------------------
+
+@register_kernel("VariableV2", inline=True, builder="Variable", arity=(1, 1),
+                 dtypes=NUMERIC, shape_rule="variable_update")
 def _variable_kernel(op, inputs, ctx):
     store = ctx.resources.variables
     if op.name not in store:
@@ -197,7 +221,9 @@ def _variable_kernel(op, inputs, ctx):
     return [value], Cost.none()
 
 
-@register_kernel("Assign", stateful=True)
+@register_kernel("Assign", stateful=True, shape_fn=_assign_shape,
+                 builder="assign", arity=(1, 1), dtypes=NUMERIC,
+                 shape_rule="variable_update")
 def _assign_kernel(op, inputs, ctx):
     (value,) = inputs
     var_name = op.get_attr("var_name")
@@ -233,21 +259,11 @@ def _accumulate_kernel(np_op):
     return kernel
 
 
-register_kernel("AssignAdd", stateful=True)(_accumulate_kernel(np.add))
-register_kernel("AssignSub", stateful=True)(_accumulate_kernel(np.subtract))
-
-
-# ---------------------------------------------------------------------------
-# generation contracts (consumed by the repro.fuzz operator catalog)
-# ---------------------------------------------------------------------------
-
-_NUMERIC = ("float32", "float64", "int32")
-
-declare_op_constraint("VariableV2", builder="Variable", arity=(1, 1),
-                      dtypes=_NUMERIC, shape_rule="variable_update")
-declare_op_constraint("Assign", builder="assign", arity=(1, 1),
-                      dtypes=_NUMERIC, shape_rule="variable_update")
-declare_op_constraint("AssignAdd", builder="assign_add", arity=(1, 1),
-                      dtypes=_NUMERIC, shape_rule="variable_update")
-declare_op_constraint("AssignSub", builder="assign_sub", arity=(1, 1),
-                      dtypes=_NUMERIC, shape_rule="variable_update")
+for _op, _builder, _np_op in (
+    ("AssignAdd", "assign_add", np.add),
+    ("AssignSub", "assign_sub", np.subtract),
+):
+    register_kernel(
+        _op, stateful=True, shape_fn=_assign_shape, builder=_builder,
+        arity=(1, 1), dtypes=NUMERIC, shape_rule="variable_update",
+    )(_accumulate_kernel(_np_op))

@@ -23,7 +23,6 @@ savings are reported in ``RunMetadata.pass_stats``.
 """
 
 from repro.core.optimizer.pipeline import (
-    PURE_OPS,
     OptimizationResult,
     OptimizerOptions,
     Subgraph,
@@ -31,7 +30,6 @@ from repro.core.optimizer.pipeline import (
 )
 
 __all__ = [
-    "PURE_OPS",
     "OptimizationResult",
     "OptimizerOptions",
     "Subgraph",

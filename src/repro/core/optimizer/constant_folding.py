@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.kernels.registry import KernelContext, get_kernel, has_kernel
+from repro.core.kernels.registry import KernelContext, get_kernel, is_pure
 from repro.core.metadata import PassStats
-from repro.core.optimizer.pipeline import PURE_OPS, Subgraph
+from repro.core.optimizer.pipeline import Subgraph
 
 __all__ = ["fold_constants"]
 
@@ -57,8 +57,7 @@ def fold_constants(sg: Subgraph, max_folded_bytes: int) -> PassStats:
     for op in sg.ops:
         if (
             op.type == "Const"
-            or op.type not in PURE_OPS
-            or not has_kernel(op.type)
+            or not is_pure(op.type)
             or op.name in sg.fetch_op_names
             or sg.effective_control_deps(op)
         ):

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.kernels.registry import is_pure
 from repro.core.metadata import PassStats
-from repro.core.optimizer.pipeline import PURE_OPS, Subgraph
+from repro.core.optimizer.pipeline import Subgraph
 
 __all__ = ["merge_common_subexpressions"]
 
@@ -43,7 +44,7 @@ def merge_common_subexpressions(sg: Subgraph) -> PassStats:
     merged = 0
     for op in sg.ops:  # topo order: the first structural twin is canonical
         if (
-            op.type not in PURE_OPS
+            not is_pure(op.type)
             or op.name in sg.fetch_op_names
             or sg.effective_control_deps(op)
         ):

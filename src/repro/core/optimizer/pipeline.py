@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.core.graph import Graph, Operation
-from repro.core.kernels import registry as kernel_registry
 from repro.core.metadata import PassStats
 from repro.core.tensor import Tensor
 
@@ -27,31 +26,8 @@ __all__ = [
     "OptimizerOptions",
     "OptimizationResult",
     "Subgraph",
-    "PURE_OPS",
     "run_pipeline",
 ]
-
-
-class _RegistryPureOps:
-    """Live view of the kernel registry's ``pure`` flag.
-
-    Op types whose kernels are pure functions of their inputs and static
-    attributes — no resource-manager state, no RNG lanes, no queues, no
-    I/O, no simulation-time side effects — may be folded or merged. The
-    set is declared at kernel registration (``register_kernel(...,
-    pure=True)``) so the registry stays the single source of op metadata;
-    this view keeps the historic ``op.type in PURE_OPS`` spelling working
-    while resolving lazily (op modules register after this module loads).
-    """
-
-    def __contains__(self, op_type: object) -> bool:
-        return isinstance(op_type, str) and kernel_registry.is_pure(op_type)
-
-    def __iter__(self):
-        return iter(sorted(kernel_registry.pure_op_types()))
-
-
-PURE_OPS = _RegistryPureOps()
 
 
 @dataclass

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.kernels.registry import supported_device_types
+from repro.core.kernels.registry import op_def
 from repro.errors import InvalidArgumentError, NotFoundError
 
 __all__ = ["DeviceSpec", "Placer", "canonical_device"]
@@ -156,7 +156,7 @@ class Placer:
                 f"Op {name!r} requests unknown task /job:{spec.job}/task:{spec.task}"
             )
         available = self.task_devices[key]
-        supported = supported_device_types(op_type)
+        supported = op_def(op_type).devices
 
         if spec.device_type is None:
             # Simple placement: prefer the first GPU when the kernel

@@ -23,7 +23,6 @@ manages Session-owned resources). There is no hand-maintained whitelist.
 
 from __future__ import annotations
 
-import inspect
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -33,8 +32,7 @@ from repro.core.graph import Graph, Operation
 from repro.core.kernels.registry import (
     KernelContext,
     ResourceManager,
-    get_kernel,
-    is_graph_only,
+    op_def,
 )
 from repro.core.tensor import Tensor
 from repro.errors import InvalidArgumentError, UnimplementedError
@@ -77,15 +75,15 @@ def evaluate(fetches: Sequence[Any], feeds: dict, ctx: KernelContext) -> list:
                 if tensor.op not in values:
                     stack.append((tensor.op, False))
             continue
-        kernel = get_kernel(op.type)
-        if is_graph_only(op.type) or inspect.isgeneratorfunction(kernel):
+        definition = op_def(op.type)
+        if definition.graph_only:
             raise UnimplementedError(
                 f"{op.type} requires graph mode (its kernel depends on the "
                 f"simulated runtime — queues, datasets and tile I/O run "
                 f"under a Session)"
             )
         inputs = [values[t.op][t.value_index] for t in op.inputs]
-        result = kernel(op, inputs, ctx)
+        result = definition.kernel(op, inputs, ctx)
         if not isinstance(result, tuple):
             raise UnimplementedError(
                 f"{op.type} kernel did not return eagerly; graph mode only"
@@ -205,7 +203,7 @@ class EagerContext:
         builder. The node is created in a throwaway graph exactly as a
         tracer would record it, then evaluated through the registry.
         """
-        if is_graph_only(op_type):
+        if op_def(op_type).graph_only:
             raise UnimplementedError(
                 f"{op_type} requires graph mode (queues, datasets and tile "
                 f"I/O depend on the simulated runtime)"

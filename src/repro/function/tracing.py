@@ -30,7 +30,7 @@ import numpy as np
 
 from repro import dtypes
 from repro.core.graph import Graph, GraphKeys, Operation
-from repro.core.kernels.registry import is_stateful
+from repro.core.kernels.registry import op_def
 from repro.core.ops import array_ops
 from repro.core.ops.state_ops import Variable
 from repro.core.tensor import Tensor, TensorShape, as_shape
@@ -262,7 +262,7 @@ def collect_side_effects(
     covered = _ancestors([t.op for t in output_tensors])
     kept: list[Operation] = []
     for op in reversed(list(new_ops)):  # later ops depend on earlier ones
-        if op in covered or not is_stateful(op.type):
+        if op in covered or not op_def(op.type).stateful:
             continue
         kept.append(op)
         covered |= _ancestors([op])

@@ -9,8 +9,8 @@ self-contained repro scripts.
 
 Layers (each importable on its own):
 
-* :mod:`repro.fuzz.catalog` — which ops are fuzzable, from the kernel
-  registry + declared op constraints + gradient registry;
+* :mod:`repro.fuzz.catalog` — which ops are fuzzable, a query over the
+  op registry;
 * :mod:`repro.fuzz.generator` — seeded program generation, the
   frontend-neutral :class:`~repro.fuzz.generator.Program` IR, and repro
   script codegen;
@@ -20,13 +20,7 @@ Layers (each importable on its own):
   programs.
 """
 
-from repro.fuzz.catalog import (
-    EXCLUDED_OPS,
-    CatalogEntry,
-    catalog,
-    catalog_entry,
-    uncovered_op_types,
-)
+from repro.fuzz.catalog import EXCLUDED_OPS, catalog
 from repro.fuzz.generator import (
     GeneratorOptions,
     Instr,
@@ -47,7 +41,6 @@ from repro.fuzz.shrinker import ShrinkResult, shrink
 
 __all__ = [
     "BASELINE",
-    "CatalogEntry",
     "Cell",
     "CellRun",
     "Divergence",
@@ -58,11 +51,9 @@ __all__ = [
     "ProgramReport",
     "ShrinkResult",
     "catalog",
-    "catalog_entry",
     "generate",
     "matrix_cells",
     "run_cell",
     "run_program",
     "shrink",
-    "uncovered_op_types",
 ]

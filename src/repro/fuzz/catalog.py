@@ -1,43 +1,23 @@
 """Operator catalog: which ops the fuzzer may draw, and under what contract.
 
-One :class:`CatalogEntry` per fuzzable op type, assembled by crossing
-three existing sources of truth — never duplicating them:
+The catalog is a query over the op registry
+(:mod:`repro.core.kernels.registry`): one :class:`OpDef` per fuzzable op
+type — the generation contract registered next to the kernel (builder,
+arity, input dtypes, the shape rule the generator dispatches on), the
+pure / stateful / graph-only flags, and the gradient function whose
+presence decides if the op's outputs may sit on a ``tf.gradients`` tail.
 
-* the *generation contracts* declared next to each builder
-  (:func:`repro.core.kernels.registry.declare_op_constraint`): arity,
-  input dtypes, and the shape rule the generator dispatches on;
-* the *kernel registry* flags: pure / stateful / graph-only;
-* the *gradient registry*: whether the op is differentiable, which
-  decides if its outputs may sit on a ``tf.gradients`` tail.
-
-Every pure op type with a kernel must either appear here or carry an
-entry in :data:`EXCLUDED_OPS` with a human-readable reason — the
-coverage test in ``tests/fuzz/test_catalog.py`` enforces it, so a newly
-registered op cannot silently dodge fuzzing.
+Every pure op type must either appear here or carry an entry in
+:data:`EXCLUDED_OPS` with a human-readable reason — the registry sweep
+in ``tests/core/test_op_registry.py`` enforces it, so a newly registered
+op cannot silently dodge fuzzing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro.core.kernels.registry import OpDef, op_def, registered_op_types
 
-from repro.core.gradients import registered_gradient_op_types
-from repro.core.kernels.registry import (
-    OpConstraint,
-    declared_constraints,
-    is_graph_only,
-    is_pure,
-    is_stateful,
-    registered_op_types,
-)
-from repro.core.ops.collective_ops import COLLECTIVE_OP_TYPES
-
-__all__ = [
-    "CatalogEntry",
-    "EXCLUDED_OPS",
-    "catalog",
-    "catalog_entry",
-    "uncovered_op_types",
-]
+__all__ = ["EXCLUDED_OPS", "catalog"]
 
 
 # Pure-or-registered op types deliberately NOT fuzzed, with the reason.
@@ -74,70 +54,20 @@ EXCLUDED_OPS: dict[str, str] = {
 }
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    """Everything the generator needs to draw one op type."""
-
-    op_type: str
-    builder: str
-    arity: tuple[int, int]
-    dtypes: tuple[str, ...]
-    shape_rule: str
-    differentiable: bool
-    pure: bool
-    stateful: bool
-    collective: bool
-
-
-def _entry(constraint: OpConstraint) -> CatalogEntry:
-    return CatalogEntry(
-        op_type=constraint.op_type,
-        builder=constraint.builder,
-        arity=constraint.arity,
-        dtypes=constraint.dtypes,
-        shape_rule=constraint.shape_rule,
-        differentiable=(
-            constraint.op_type in registered_gradient_op_types()
-        ),
-        pure=is_pure(constraint.op_type),
-        stateful=is_stateful(constraint.op_type),
-        collective=constraint.op_type in COLLECTIVE_OP_TYPES,
-    )
-
-
-def catalog() -> dict[str, CatalogEntry]:
+def catalog() -> dict[str, OpDef]:
     """The full fuzz catalog, keyed by op type.
 
-    Derived fresh on each call so kernels/constraints registered later
-    (e.g. a planted-defect test op) are picked up.
+    Derived fresh on each call so kernels registered later (e.g. a
+    planted-defect test op) are picked up.
     """
-    entries: dict[str, CatalogEntry] = {}
-    for op_type, constraint in declared_constraints().items():
-        if op_type in EXCLUDED_OPS:
+    entries: dict[str, OpDef] = {}
+    for op_type in registered_op_types():
+        definition = op_def(op_type)
+        if definition.shape_rule is None or op_type in EXCLUDED_OPS:
             continue
-        if is_graph_only(op_type):
+        if definition.graph_only:
             # Graph-only kernels cannot run under the eager frontend, so
             # they cannot participate in the differential matrix.
             continue
-        entries[op_type] = _entry(constraint)
+        entries[op_type] = definition
     return entries
-
-
-def catalog_entry(op_type: str) -> CatalogEntry:
-    entry = catalog().get(op_type)
-    if entry is None:
-        raise KeyError(f"{op_type!r} is not in the fuzz catalog")
-    return entry
-
-
-def uncovered_op_types() -> tuple[str, ...]:
-    """Registered op types neither fuzzed nor on the exclusion list.
-
-    Non-empty output fails the coverage test: every new op must either
-    declare a generation contract (and thereby join the catalog) or be
-    excluded with a reason.
-    """
-    covered = set(catalog()) | set(EXCLUDED_OPS)
-    return tuple(
-        op_type for op_type in registered_op_types() if op_type not in covered
-    )

@@ -32,8 +32,10 @@ import numpy as np
 
 import repro
 from repro.core.graph import get_default_graph
+from repro.core.kernels.registry import OpDef
+from repro.core.ops.collective_ops import COLLECTIVE_OP_TYPES
 from repro.errors import InvalidArgumentError
-from repro.fuzz.catalog import CatalogEntry, catalog
+from repro.fuzz.catalog import catalog
 
 __all__ = [
     "GeneratorOptions",
@@ -434,9 +436,7 @@ def _emit_instr(index: int, ins: Instr) -> list[str]:
         expr = f"tf.gradients({loss}, [{', '.join(xs)}])"
         return _wrap_scopes(ins, [f"t{index} = {expr}"])
     else:
-        from repro.fuzz.catalog import catalog as _cat
-
-        expr = f"tf.{_cat()[op_type].builder}({', '.join(args)})"
+        expr = f"tf.{catalog()[op_type].builder}({', '.join(args)})"
     return _wrap_scopes(ins, [f"t{index} = [{expr}]"])
 
 
@@ -595,14 +595,14 @@ class _GenState:
             return None
         return self.rng.choice(candidates)
 
-    def combined(self, refs: list[Ref], entry: CatalogEntry,
+    def combined(self, refs: list[Ref], entry: OpDef,
                  dtype: str, shape: tuple[int, ...]) -> _RefMeta:
         metas = [self.meta[r] for r in refs]
         ancestry = frozenset().union(*(m.ph_ancestry for m in metas)) \
             if metas else frozenset()
         diff_ok = (
             not ancestry
-            or (entry.differentiable and all(
+            or (entry.gradient is not None and all(
                 m.diff_ok or not m.ph_ancestry for m in metas
             ))
         )
@@ -668,7 +668,7 @@ def generate(seed: int, options: Optional[GeneratorOptions] = None
     for _ in range(budget):
         for _attempt in range(6):
             entry = rng.choice(drawable)
-            if entry.collective and (
+            if entry.op_type in COLLECTIVE_OP_TYPES and (
                 not options.collectives or state.world < 2
             ):
                 continue
@@ -704,7 +704,7 @@ def _sample_const(state: _GenState, dtype: Optional[str] = None,
     return True
 
 
-def _sample_source(state: _GenState, entry: CatalogEntry) -> bool:
+def _sample_source(state: _GenState, entry: OpDef) -> bool:
     if entry.op_type == "Fill":
         rng = state.rng
         dtype = rng.choice(entry.dtypes)
@@ -719,7 +719,7 @@ def _sample_source(state: _GenState, entry: CatalogEntry) -> bool:
     return _sample_const(state)
 
 
-def _sample_unary(state: _GenState, entry: CatalogEntry) -> bool:
+def _sample_unary(state: _GenState, entry: OpDef) -> bool:
     dtype = state.rng.choice(entry.dtypes)
     ref = state.pick(dtype=dtype)
     if ref is None:
@@ -730,7 +730,7 @@ def _sample_unary(state: _GenState, entry: CatalogEntry) -> bool:
     return True
 
 
-def _sample_binary(state: _GenState, entry: CatalogEntry) -> bool:
+def _sample_binary(state: _GenState, entry: OpDef) -> bool:
     rng = state.rng
     dtype = rng.choice(entry.dtypes)
     a = state.pick(dtype=dtype)
@@ -757,7 +757,7 @@ def _sample_binary(state: _GenState, entry: CatalogEntry) -> bool:
     return True
 
 
-def _sample_same_shape_n(state: _GenState, entry: CatalogEntry) -> bool:
+def _sample_same_shape_n(state: _GenState, entry: OpDef) -> bool:
     rng = state.rng
     dtype = rng.choice(entry.dtypes)
     first = state.pick(dtype=dtype)
@@ -776,7 +776,7 @@ def _sample_same_shape_n(state: _GenState, entry: CatalogEntry) -> bool:
     return True
 
 
-def _sample_matmul(state: _GenState, entry: CatalogEntry) -> bool:
+def _sample_matmul(state: _GenState, entry: OpDef) -> bool:
     rng = state.rng
     dtype = rng.choice(entry.dtypes)
     a = state.pick(dtype=dtype, pred=lambda m: len(m.shape) == 2)
@@ -813,7 +813,7 @@ def _sample_matmul(state: _GenState, entry: CatalogEntry) -> bool:
     return True
 
 
-def _sample_dot(state: _GenState, entry: CatalogEntry) -> bool:
+def _sample_dot(state: _GenState, entry: OpDef) -> bool:
     dtype = state.rng.choice(entry.dtypes)
     a = state.pick(dtype=dtype, pred=lambda m: len(m.shape) == 1)
     if a is None:
@@ -826,7 +826,7 @@ def _sample_dot(state: _GenState, entry: CatalogEntry) -> bool:
     return True
 
 
-def _sample_reduce(state: _GenState, entry: CatalogEntry) -> bool:
+def _sample_reduce(state: _GenState, entry: OpDef) -> bool:
     rng = state.rng
     dtype = rng.choice(entry.dtypes)
     ref = state.pick(dtype=dtype, pred=lambda m: len(m.shape) >= 1)
@@ -855,7 +855,7 @@ def _sample_reduce(state: _GenState, entry: CatalogEntry) -> bool:
     return True
 
 
-def _sample_cast(state: _GenState, entry: CatalogEntry) -> bool:
+def _sample_cast(state: _GenState, entry: OpDef) -> bool:
     rng = state.rng
     ref = state.pick(pred=lambda m: m.dtype in entry.dtypes)
     if ref is None:
@@ -877,7 +877,7 @@ def _sample_cast(state: _GenState, entry: CatalogEntry) -> bool:
     return True
 
 
-def _sample_reshape(state: _GenState, entry: CatalogEntry) -> bool:
+def _sample_reshape(state: _GenState, entry: OpDef) -> bool:
     rng = state.rng
     ref = state.pick(pred=lambda m: m.dtype in entry.dtypes
                      and len(m.shape) >= 1)
@@ -899,7 +899,7 @@ def _sample_reshape(state: _GenState, entry: CatalogEntry) -> bool:
     return True
 
 
-def _sample_transpose(state: _GenState, entry: CatalogEntry) -> bool:
+def _sample_transpose(state: _GenState, entry: OpDef) -> bool:
     rng = state.rng
     ref = state.pick(pred=lambda m: m.dtype in entry.dtypes
                      and len(m.shape) >= 2)
@@ -918,7 +918,7 @@ def _sample_transpose(state: _GenState, entry: CatalogEntry) -> bool:
     return True
 
 
-def _sample_concat(state: _GenState, entry: CatalogEntry) -> bool:
+def _sample_concat(state: _GenState, entry: OpDef) -> bool:
     rng = state.rng
     dtype = rng.choice(entry.dtypes)
     first = state.pick(dtype=dtype, pred=lambda m: len(m.shape) >= 1)
@@ -945,7 +945,7 @@ def _sample_concat(state: _GenState, entry: CatalogEntry) -> bool:
     return True
 
 
-def _sample_split(state: _GenState, entry: CatalogEntry) -> bool:
+def _sample_split(state: _GenState, entry: OpDef) -> bool:
     rng = state.rng
     candidates = []
     for (dtype, shape), refs in state.pool.items():
@@ -973,7 +973,7 @@ def _sample_split(state: _GenState, entry: CatalogEntry) -> bool:
     return True
 
 
-def _sample_stack(state: _GenState, entry: CatalogEntry) -> bool:
+def _sample_stack(state: _GenState, entry: OpDef) -> bool:
     rng = state.rng
     dtype = rng.choice(entry.dtypes)
     first = state.pick(dtype=dtype)
@@ -1000,7 +1000,7 @@ def _sample_stack(state: _GenState, entry: CatalogEntry) -> bool:
     return True
 
 
-def _sample_squeeze(state: _GenState, entry: CatalogEntry) -> bool:
+def _sample_squeeze(state: _GenState, entry: OpDef) -> bool:
     rng = state.rng
     ref = state.pick(pred=lambda m: m.dtype in entry.dtypes
                      and 1 in m.shape)
@@ -1019,7 +1019,7 @@ def _sample_squeeze(state: _GenState, entry: CatalogEntry) -> bool:
     return True
 
 
-def _sample_expand_dims(state: _GenState, entry: CatalogEntry) -> bool:
+def _sample_expand_dims(state: _GenState, entry: OpDef) -> bool:
     rng = state.rng
     ref = state.pick(pred=lambda m: m.dtype in entry.dtypes)
     if ref is None:
@@ -1036,7 +1036,7 @@ def _sample_expand_dims(state: _GenState, entry: CatalogEntry) -> bool:
     return True
 
 
-def _sample_slice(state: _GenState, entry: CatalogEntry) -> bool:
+def _sample_slice(state: _GenState, entry: OpDef) -> bool:
     rng = state.rng
     ref = state.pick(pred=lambda m: m.dtype in entry.dtypes
                      and len(m.shape) >= 1 and min(m.shape) >= 1)
@@ -1058,7 +1058,7 @@ def _sample_slice(state: _GenState, entry: CatalogEntry) -> bool:
     return True
 
 
-def _sample_collective(state: _GenState, entry: CatalogEntry) -> bool:
+def _sample_collective(state: _GenState, entry: OpDef) -> bool:
     rng = state.rng
     world = state.world
     if world < 2:
@@ -1235,7 +1235,7 @@ def _choose_fetches(state: _GenState) -> list[Ref]:
     return fetches
 
 
-_SAMPLERS: dict[str, Callable[[_GenState, CatalogEntry], bool]] = {
+_SAMPLERS: dict[str, Callable[[_GenState, OpDef], bool]] = {
     "source": _sample_source,
     "unary_same": _sample_unary,
     "elementwise_broadcast": _sample_binary,

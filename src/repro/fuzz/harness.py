@@ -22,6 +22,10 @@ On top of byte identity the harness checks two sim-time invariants:
 Algorithm/fusion cells are excluded from time comparison — changing the
 collective schedule legitimately changes the timeline — and the eager
 interpreter has no clock at all.
+
+Independently of the baseline, every fetched value's dtype and shape must
+be compatible with the static spec its op's shape function produced when
+the graph was built (NumPy, through the kernels, is the reference).
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import numpy as np
 
 import repro
 from repro.core.kernels.registry import KernelContext, ResourceManager
+from repro.core.tensor import Tensor, TensorShape
 from repro.errors import ReproError, VerificationError
 from repro.eager import evaluate
 from repro.fuzz.generator import Program
@@ -118,6 +123,8 @@ class CellRun:
     sim_time: Optional[float] = None
     error: Optional[str] = None  # repr of the raised error, if any
     verifier_rejected: bool = False
+    # (fetch index, detail) per value contradicting its static spec
+    spec_errors: list[tuple[int, str]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -128,7 +135,9 @@ class CellRun:
 class Divergence:
     """One detected disagreement between a cell and its reference."""
 
-    kind: str  # "value" | "dtype" | "shape" | "error" | "verifier" | "sim_time"
+    # "value" | "dtype" | "shape" | "error" | "verifier" | "sim_time" |
+    # "static_spec"
+    kind: str
     cell: Cell
     fetch: Optional[int] = None  # index into program.fetches, if per-fetch
     detail: str = ""
@@ -268,6 +277,23 @@ def _run_cell_quiet(program: Program, cell: Cell) -> CellRun:
         return CellRun(cell=cell, error=repr(exc))
 
 
+def _finished(cell: Cell, fetch_tensors: list[Tensor], values: Any,
+              sim_time: Optional[float] = None) -> CellRun:
+    """A successful run, with each value checked against its static spec."""
+    if not isinstance(values, list):
+        values = [values]
+    arrays = [np.asarray(v) for v in values]
+    spec_errors = [
+        (index, f"{t.name} is statically {t.dtype.name} {t.shape}, the "
+                f"value is {a.dtype} {a.shape}")
+        for index, (t, a) in enumerate(zip(fetch_tensors, arrays))
+        if a.dtype != t.dtype.np_dtype
+        or not t.shape.is_compatible_with(TensorShape(a.shape))
+    ]
+    return CellRun(cell=cell, values=arrays, sim_time=sim_time,
+                   spec_errors=spec_errors)
+
+
 def _run_eager(program: Program, cell: Cell) -> CellRun:
     graph = repro.Graph()
     with graph.as_default():
@@ -277,7 +303,7 @@ def _run_eager(program: Program, cell: Cell) -> CellRun:
             resources=ResourceManager("eager"),
         )
         values = evaluate(built.fetch_tensors, built.feeds, ctx)
-    return CellRun(cell=cell, values=[np.asarray(v) for v in values])
+    return _finished(cell, built.fetch_tensors, values)
 
 
 def _run_session(program: Program, cell: Cell) -> CellRun:
@@ -288,18 +314,13 @@ def _run_session(program: Program, cell: Cell) -> CellRun:
     with repro.Session(graph=graph, config=config) as sess:
         values = sess.run(built.fetch_tensors, feed_dict=dict(built.feeds))
         sim_time = float(sess.env.now)
-    if not isinstance(values, list):
-        values = [values]
-    return CellRun(
-        cell=cell,
-        values=[np.asarray(v) for v in values],
-        sim_time=sim_time,
-    )
+    return _finished(cell, built.fetch_tensors, values, sim_time)
 
 
 def _run_function(program: Program, cell: Cell) -> CellRun:
     ph_indices = program.placeholder_indices
     feed_arrays = [program.instrs[i].value for i in ph_indices]
+    fetch_tensors: list[Tensor] = []
 
     def traced(*args):
         by_index = dict(zip(ph_indices, args))
@@ -307,6 +328,7 @@ def _run_function(program: Program, cell: Cell) -> CellRun:
             algorithm=cell.algorithm,
             placeholder_lookup=lambda index: by_index[index],
         )
+        fetch_tensors[:] = built.fetch_tensors
         return built.fetch_tensors
 
     fn = repro.function(
@@ -315,16 +337,10 @@ def _run_function(program: Program, cell: Cell) -> CellRun:
         config=_session_config(program, cell),
     )
     values = fn(*feed_arrays)
-    if not isinstance(values, list):
-        values = [values]
     sim_time = (
         float(fn.session.env.now) if fn.session is not None else None
     )
-    return CellRun(
-        cell=cell,
-        values=[np.asarray(v) for v in values],
-        sim_time=sim_time,
-    )
+    return _finished(cell, fetch_tensors, values, sim_time)
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +381,17 @@ def _compare_values(reference: CellRun, run: CellRun) -> list[Divergence]:
     return diffs
 
 
+def _spec_divergences(run: CellRun) -> list[Divergence]:
+    return [
+        Divergence(kind="static_spec", cell=run.cell, fetch=index,
+                   detail=detail)
+        for index, detail in run.spec_errors
+    ]
+
+
 def compare_runs(reference: CellRun, run: CellRun) -> list[Divergence]:
-    """Divergences of ``run`` against the byte-identity ``reference``."""
+    """Divergences of ``run`` against the byte-identity ``reference``
+    (plus ``run``'s own values against their static specs)."""
     if reference.error is not None:
         # A broken baseline is reported once by the caller, not per cell.
         return []
@@ -380,7 +405,7 @@ def compare_runs(reference: CellRun, run: CellRun) -> list[Divergence]:
             kind="error", cell=run.cell,
             detail=f"baseline succeeded, cell raised {run.error}",
         )]
-    return _compare_values(reference, run)
+    return _compare_values(reference, run) + _spec_divergences(run)
 
 
 def _time_invariants(runs: dict[str, CellRun]) -> list[Divergence]:
@@ -438,6 +463,7 @@ def run_program(program: Program,
             detail=f"baseline failed: {baseline.error}",
         ))
         return report
+    report.divergences.extend(_spec_divergences(baseline))
     for cell in (cells if cells is not None else matrix_cells(program)):
         run = run_cell(program, cell)
         report.runs[cell.label()] = run

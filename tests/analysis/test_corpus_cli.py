@@ -1,57 +1,36 @@
-"""The random-graph corpus and the ``python -m repro.analysis`` CLI."""
+"""The generated-program corpus and the ``python -m repro.analysis`` CLI."""
 
 import json
-import random
 import subprocess
 import sys
 from pathlib import Path
 
-from repro.analysis.corpus import random_graph, verify_corpus
+from repro.analysis.__main__ import run_corpus
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestRandomGraph:
     def test_deterministic_for_a_seed(self):
-        g1, fetches1, _ = random_graph(random.Random(123))
-        g2, fetches2, _ = random_graph(random.Random(123))
-        assert [op.name for op in g1.operations] == [
-            op.name for op in g2.operations
-        ]
-        assert [t.name for t in fetches1] == [t.name for t in fetches2]
-
-    def test_seeds_differ(self):
-        g1, _, _ = random_graph(random.Random(1))
-        g2, _, _ = random_graph(random.Random(2))
-        assert [op.type for op in g1.operations] != [
-            op.type for op in g2.operations
-        ]
-
-    def test_generated_graphs_are_bounded(self):
-        for seed in range(5):
-            g, fetches, init_ops = random_graph(
-                random.Random(seed), max_ops=16
-            )
-            # max_ops step budget + palette seeds + variable chain +
-            # collective legs: comfortably bounded.
-            assert len(g.operations) < 4 * 16
-            assert fetches and init_ops
+        # The corpus is the fuzz generator's programs, seeds S, S+1, ...:
+        # the same --seed must verify the same graphs.
+        assert run_corpus(3, seed=123) == run_corpus(3, seed=123)
+        assert run_corpus(3, seed=123)["ops"] != run_corpus(3, seed=124)["ops"]
 
 
 class TestVerifyCorpus:
     def test_small_sweep_is_clean(self):
-        result = verify_corpus(4, seed=99)
-        assert result.ok, result.to_dict()
-        assert result.graphs == 4
-        assert result.plans_verified >= 4
-        assert result.mismatches == []
+        result = run_corpus(4, seed=99)
+        assert result["graphs"] == 4
+        assert result["plans_verified"] == 4
+        assert result["false_positives"] == []
+        assert result["mismatches"] == []
 
     def test_result_serializes(self):
-        result = verify_corpus(1, seed=5)
-        d = result.to_dict()
-        assert set(d) >= {"graphs", "ops", "plans_verified",
-                          "false_positives", "mismatches"}
-        json.dumps(d)  # must be JSON-serializable for the CI artifact
+        result = run_corpus(1, seed=5)
+        assert set(result) == {"graphs", "ops", "plans_verified",
+                               "false_positives", "mismatches", "seed"}
+        json.dumps(result)  # must be JSON-serializable for the CI artifact
 
 
 class TestCli:

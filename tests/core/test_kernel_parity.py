@@ -2,11 +2,12 @@
 
 Both execution modes dispatch the same registered kernels, so for every
 op type both modes support, eager execution and ``Session.run`` must
-produce *identical* values. The sweep is registry-driven: every
-registered op type must either appear in a parity case, in the
-graph-only skip-list (validated against the registry's ``graph_only``
-metadata), or in the stateful set covered by dedicated tests — so a new
-kernel cannot land without declaring its parity story.
+produce *identical* values — and every concrete value must fit the
+static spec the op's shape function produced (NumPy is the reference).
+
+``test_op_registration`` is the one sweep over the op table
+(``repro.core.kernels.registry``): it tells a new op what it forgot —
+shape function, builder, parity case, fuzz contract or exclusion.
 """
 
 import inspect
@@ -16,9 +17,16 @@ import pytest
 
 import repro as tf
 from repro import eager
-from repro.core.kernels import registry
-from repro.core.kernels.registry import is_graph_only, registered_op_types
+from repro.core import ops
+from repro.core.kernels.registry import (
+    op_def,
+    register_kernel,
+    registered_op_types,
+)
+from repro.core.tensor import TensorShape
 from repro.errors import UnimplementedError
+from repro.fuzz.catalog import EXCLUDED_OPS, catalog
+from repro.fuzz.generator import _SAMPLERS
 
 SEED = 11
 
@@ -79,8 +87,8 @@ CASES = [
 ]
 
 # Ops that only make sense under a Session: the simulated runtime owns
-# queues, datasets and the parallel filesystem. Validated against the
-# registry's graph_only metadata below.
+# queues, datasets and the parallel filesystem. The sweep holds the
+# registry's graph_only flag to this list.
 GRAPH_ONLY = {
     "FIFOQueue", "QueueEnqueue", "QueueDequeue", "QueueSize", "QueueClose",
     "IteratorV2", "IteratorGetNext", "ReadTile", "WriteTile",
@@ -93,6 +101,10 @@ GRAPH_ONLY = {
 COVERED_ELSEWHERE = {
     "VariableV2", "Assign", "AssignAdd", "AssignSub", "Placeholder",
 }
+
+# Ops with no shape function: their builder's caller declares the output
+# specs (graph inputs, variables, runtime resources) or there are none.
+SPEC_AUTHORITY = {"Placeholder", "VariableV2", "NoOp"} | GRAPH_ONLY
 
 
 def _wrap_graph_arg(value, graph):
@@ -111,7 +123,18 @@ def _graph_eval(builder_name, args, kwargs):
         )
     fetch = list(built) if isinstance(built, (list, tuple)) else built
     with tf.Session(graph=g) as sess:
-        return sess.run(fetch)
+        values = sess.run(fetch)
+    # NumPy (through the kernels) is the reference the static specs —
+    # what each op's shape function derived at build time — must fit.
+    fetched = zip(fetch, values) if isinstance(fetch, list) else [(fetch, values)]
+    for tensor, value in fetched:
+        if isinstance(tensor, tf.Tensor):
+            value = np.asarray(value)
+            assert value.dtype == tensor.dtype.np_dtype, tensor.name
+            assert tensor.shape.is_compatible_with(TensorShape(value.shape)), (
+                f"{tensor.name}: static {tensor.shape}, value {value.shape}"
+            )
+    return values
 
 
 @pytest.mark.parametrize(
@@ -134,12 +157,6 @@ def test_eager_matches_graph(builder_name, args, kwargs):
         np.testing.assert_array_equal(np.asarray(eager_out), np.asarray(graph_out))
 
 
-def test_skip_list_matches_registry_metadata():
-    assert GRAPH_ONLY == {
-        op for op in registered_op_types() if is_graph_only(op)
-    }
-
-
 def test_graph_only_ops_rejected_eagerly():
     ctx = eager.EagerContext()
     for op_type in sorted(GRAPH_ONLY):
@@ -147,45 +164,52 @@ def test_graph_only_ops_rejected_eagerly():
             ctx.execute(op_type)
 
 
-def test_registry_fully_covered():
-    """Every registered kernel has a declared parity story."""
-    covered = set()
-    for op_types, _, _, _ in CASES:
-        covered.update(op_types)
-    uncovered = set(registered_op_types()) - covered - GRAPH_ONLY - COVERED_ELSEWHERE
-    assert not uncovered, (
-        f"Ops without a parity case or skip-list entry: {sorted(uncovered)}"
+@pytest.mark.parametrize("op_type", registered_op_types())
+def test_op_registration(op_type):
+    """One record per op type, and nothing about the op left unsaid."""
+    definition = op_def(op_type)
+    assert definition.op_type == op_type
+    assert callable(definition.kernel)
+    assert (definition.shape_fn is None) == (op_type in SPEC_AUTHORITY), (
+        "register a shape_fn, or list the op as its own spec authority"
     )
+    assert definition.builder in ops.__all__
+    assert definition.graph_only == (op_type in GRAPH_ONLY)
+    assert (
+        op_type in GRAPH_ONLY
+        or op_type in COVERED_ELSEWHERE
+        or any(op_type in case[0] for case in CASES)
+    ), "add a parity case, or a skip-list entry saying what covers it"
+    drawable = op_type in catalog()
+    assert drawable or len(EXCLUDED_OPS.get(op_type, "")) > 10, (
+        "register arity/dtypes/shape_rule so the fuzzer can draw the op, or "
+        "add it to repro.fuzz.catalog.EXCLUDED_OPS with a reason"
+    )
+    if drawable:
+        # Graph-only kernels cannot run eagerly, so cannot be compared.
+        assert not definition.graph_only
+        lo, hi = definition.arity
+        assert 0 <= lo <= hi
+        assert definition.dtypes
+        assert (definition.shape_rule in _SAMPLERS
+                or definition.shape_rule == "variable_update")
+    if definition.inline:
+        assert not definition.graph_only
+        assert not inspect.isgeneratorfunction(definition.kernel)
 
 
-class TestInlineOpsRegistryView:
-    """The executor's inline dispatch asks ``registry.is_inline`` directly."""
+def test_inline_set_unchanged():
+    # The executor dispatches these without holding the device: growing
+    # the set silently would change device FIFO behaviour for the new op.
+    assert {t for t in registered_op_types() if op_def(t).inline} == {
+        "Const", "ExpandDims", "Identity", "NoOp", "Placeholder",
+        "Reshape", "Squeeze", "VariableV2",
+    }
 
-    def test_view_agrees_with_registry_for_every_op(self):
-        inline = registry.inline_op_types()
-        assert inline <= set(registered_op_types())
-        for op_type in registered_op_types():
-            assert registry.is_inline(op_type) == (op_type in inline), op_type
 
-    def test_historic_inline_set_unchanged(self):
-        # The registry flags must reproduce the executor's original
-        # hard-coded zero-duration set exactly — growing it silently
-        # would change device FIFO behaviour for the new op.
-        assert registry.inline_op_types() == frozenset({
-            "Const", "ExpandDims", "Identity", "NoOp", "Placeholder",
-            "Reshape", "Squeeze", "VariableV2",
-        })
-
-    def test_non_strings_never_match(self):
-        assert not registry.is_inline(None)
-        assert not registry.is_inline(42)
-
-    def test_inline_ops_have_plain_zero_cost_kernels(self):
-        for op_type in registry.inline_op_types():
-            assert registry.has_kernel(op_type), op_type
-            assert not registry.is_graph_only(op_type), op_type
-            kernel = registry.get_kernel(op_type)
-            assert not inspect.isgeneratorfunction(kernel), op_type
+def test_duplicate_registration_rejected():
+    with pytest.raises(UnimplementedError):
+        register_kernel("Add", builder="add")(lambda op, inputs, ctx: None)
 
 
 def test_stateful_variable_parity():

@@ -1,50 +1,14 @@
-"""Registry-level op-constraint metadata and kernel override hooks."""
+"""The registry's kernel override hook (planted-defect tests build on it).
+
+The per-op registration sweep lives in ``test_kernel_parity.py``.
+"""
 
 import numpy as np
 import pytest
 
 import repro as tf
-from repro.core.kernels.registry import (
-    declare_op_constraint,
-    declared_constraints,
-    get_kernel,
-    op_constraint,
-    override_kernel,
-    registered_op_types,
-)
-from repro.errors import NotFoundError, UnimplementedError
-
-
-def test_constraints_reference_real_builders_and_ops():
-    constraints = declared_constraints()
-    assert constraints, "no op constraints declared"
-    registered = set(registered_op_types())
-    for op_type, constraint in constraints.items():
-        assert constraint.op_type == op_type
-        assert op_type in registered, (
-            f"{op_type} declares a constraint but has no kernel"
-        )
-        assert hasattr(tf, constraint.builder), (
-            f"{op_type}: repro.{constraint.builder} is not a builder"
-        )
-        lo, hi = constraint.arity
-        assert 0 <= lo <= hi
-
-
-def test_op_constraint_lookup():
-    add = op_constraint("Add")
-    assert add is not None
-    assert add.builder == "add"
-    assert add.shape_rule == "elementwise_broadcast"
-    assert op_constraint("NoSuchOp") is None
-
-
-def test_duplicate_constraint_declaration_rejected():
-    with pytest.raises(UnimplementedError):
-        declare_op_constraint(
-            "Add", builder="add", arity=(2, 2),
-            shape_rule="elementwise_broadcast",
-        )
+from repro.core.kernels.registry import get_kernel, override_kernel
+from repro.errors import NotFoundError
 
 
 def test_override_kernel_swaps_and_restores():

@@ -1,89 +1,11 @@
-"""Catalog coverage: no registered op silently dodges fuzzing.
+"""The fuzz catalog is a query over the op registry.
 
-Mirrors the gradient-registry coverage idiom in
-``tests/core/test_gradients.py``: the source of truth is the kernel
-registry, and the assertion is exhaustive — every op type must either
-be drawable by the fuzzer or carry a documented exclusion.
+Coverage (every registered op drawable or excluded with a reason) and
+consistency with the registry are asserted per op type by the
+registration sweep in ``tests/core/test_kernel_parity.py``.
 """
 
-import repro  # noqa: F401 — registers every kernel/constraint
-from repro.core.gradients import registered_gradient_op_types
-from repro.core.kernels.registry import (
-    is_graph_only,
-    is_pure,
-    op_constraint,
-    registered_op_types,
-)
-from repro.core.ops.collective_ops import COLLECTIVE_OP_TYPES
-from repro.fuzz.catalog import (
-    EXCLUDED_OPS,
-    catalog,
-    catalog_entry,
-    uncovered_op_types,
-)
-
-import pytest
-
-
-def test_every_registered_op_is_covered_or_excluded():
-    assert uncovered_op_types() == (), (
-        "op types with kernels but neither a fuzz catalog entry nor a "
-        f"documented exclusion: {uncovered_op_types()} — declare an "
-        "op constraint next to the builder or add the op to "
-        "repro.fuzz.catalog.EXCLUDED_OPS with a reason"
-    )
-
-
-def test_every_pure_op_is_covered_or_excluded():
-    # The ISSUE-level contract, stated directly: *pure* ops are exactly
-    # the ones whose results the matrix can compare bit-for-bit.
-    entries = catalog()
-    for op_type in registered_op_types():
-        if not is_pure(op_type):
-            continue
-        assert op_type in entries or op_type in EXCLUDED_OPS, op_type
-
-
-def test_exclusions_carry_reasons_and_do_not_overlap_catalog():
-    entries = catalog()
-    for op_type, reason in EXCLUDED_OPS.items():
-        assert isinstance(reason, str) and len(reason) > 10, op_type
-        assert op_type not in entries, (
-            f"{op_type} is both excluded and in the catalog"
-        )
-
-
-def test_graph_only_ops_never_enter_the_catalog():
-    for op_type in catalog():
-        assert not is_graph_only(op_type), (
-            f"{op_type} is graph-only and cannot run under the eager "
-            "frontend, so it cannot be differentially compared"
-        )
-
-
-def test_entries_are_consistent_with_their_sources():
-    gradient_ops = set(registered_gradient_op_types())
-    for op_type, entry in catalog().items():
-        constraint = op_constraint(op_type)
-        assert constraint is not None, op_type
-        # The flat-namespace builder the generator will call must exist.
-        assert hasattr(repro, entry.builder), (
-            f"{op_type}: builder repro.{entry.builder} does not exist"
-        )
-        assert entry.differentiable == (op_type in gradient_ops), op_type
-        assert entry.collective == (op_type in COLLECTIVE_OP_TYPES), op_type
-        lo, hi = entry.arity
-        assert 0 <= lo <= hi, op_type
-        assert entry.dtypes, op_type
-
-
-def test_catalog_entry_lookup():
-    assert catalog_entry("Add").builder == "add"
-    with pytest.raises(KeyError):
-        catalog_entry("NoSuchOp")
-    with pytest.raises(KeyError):
-        # Excluded ops are not drawable either.
-        catalog_entry("RandomUniform")
+from repro.fuzz.catalog import catalog
 
 
 def test_variables_and_collectives_are_drawable():
@@ -91,6 +13,5 @@ def test_variables_and_collectives_are_drawable():
     assert "VariableV2" in entries
     assert {"Assign", "AssignAdd", "AssignSub"} <= set(entries)
     assert "CollectiveAllReduce" in entries
-    assert entries["CollectiveAllReduce"].collective
     assert entries["Assign"].stateful
     assert entries["Add"].pure and not entries["Add"].stateful

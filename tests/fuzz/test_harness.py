@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.core.kernels.registry import override_kernel
-from repro.fuzz.generator import GeneratorOptions, generate
+from repro.fuzz.generator import GeneratorOptions, Program, generate
 from repro.fuzz.harness import (
     BASELINE,
     Cell,
@@ -156,6 +156,32 @@ def test_planted_eager_bug_is_caught_by_the_matrix():
         )
     # Kernel restored: the same program is healthy again.
     assert run_program(program).ok
+
+
+def test_value_contradicting_its_static_spec_is_a_divergence():
+    # A kernel wrong in *every* cell (so byte comparison sees nothing):
+    # Mul returns float64 whatever its shape function promised.
+    program = _mul_seed()
+    from repro.core.kernels.registry import get_kernel
+
+    original = get_kernel("Mul")
+
+    def widened(op, inputs, ctx):
+        outputs, cost = original(op, inputs, ctx)
+        if not ctx.symbolic:
+            outputs = [np.asarray(outputs[0], dtype=np.float64)]
+        return outputs, cost
+
+    fetched_mul = Program(
+        instrs=program.instrs, world=program.world, seed=program.seed,
+        fetches=[(i, 0) for i, ins in enumerate(program.instrs)
+                 if ins.op_type == "Mul" and ins.out_dtypes[0] != "float64"],
+    )
+    assert fetched_mul.fetches and run_program(fetched_mul).ok
+    with override_kernel("Mul", widened):
+        report = run_program(fetched_mul)
+    assert {d.kind for d in report.divergences} == {"static_spec"}
+    assert BASELINE in {d.cell for d in report.divergences}
 
 
 def test_run_cell_captures_errors_instead_of_raising():
