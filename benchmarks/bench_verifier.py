@@ -31,7 +31,6 @@ import numpy as np
 
 import repro as tf
 from repro.core.ops import collective_ops
-from repro.core.optimizer import OptimizerOptions
 from repro.core.partition import build_plan
 from repro.core.placement import Placer
 
@@ -87,7 +86,7 @@ def _measure_build(identities: bool):
             g, [], fetches, feed_map, placer,
             client_device="/job:localhost/task:0/device:cpu:0",
             run_id=1,
-            optimizer_options=OptimizerOptions(),
+            optimize=True,
             verify=verify,
         )
 

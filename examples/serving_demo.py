@@ -41,8 +41,7 @@ def byte_identity():
                               tf.constant(1.0)), name="y")
     server = ModelServer(
         graph=g,
-        config=ServingConfig(max_batch_size=8, num_workers=1,
-                             batch_window_ms=10.0),
+        config=ServingConfig(max_batch_size=8, batch_window_ms=10.0),
     )
     server.register_signature("rowwise", {"x": x}, y)
     rng = np.random.default_rng(0)
@@ -71,8 +70,7 @@ def batching_throughput():
     print("== 2. coalescing amortizes per-run overhead ==")
     for batch in (1, 16):
         server = build_mlp_server(
-            config=ServingConfig(max_batch_size=batch, num_workers=1,
-                                 max_queue=256)
+            config=ServingConfig(max_batch_size=batch, max_queue=256)
         )
         result = run_serving_load(server, clients=8, requests_per_client=15)
         server.stop()
@@ -86,8 +84,8 @@ def batching_throughput():
 def admission_control():
     print("== 3. admission sheds load with typed rejections ==")
     server = build_mlp_server(
-        config=ServingConfig(max_batch_size=4, num_workers=1,
-                             max_queue=2, per_tenant_quota=2)
+        config=ServingConfig(max_batch_size=4, max_queue=2,
+                             per_tenant_quota=2)
     )
     payload = {"x": np.zeros((1, 16), np.float32)}
     # Fill the queue before starting workers, then overflow it.

@@ -54,7 +54,6 @@ from repro.core.checkpoint import (
     latest_checkpoint,
     read_checkpoint,
 )
-from repro.core.optimizer import OptimizerOptions
 from repro.core.session import Session, SessionConfig
 from repro.core.tensor import SymbolicValue, Tensor, TensorShape
 from repro.dtypes import (
@@ -104,7 +103,6 @@ __all__ = [
     "SymbolicValue",
     "Session",
     "SessionConfig",
-    "OptimizerOptions",
     "RunOptions",
     "RunMetadata",
     "ClusterSpec",

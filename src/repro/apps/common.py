@@ -42,23 +42,16 @@ def task_device(job: str, index: int, device_type: str = "gpu",
     return f"/job:{job}/task:{index}/device:{device_type}:{device_index}"
 
 
-def session_config(shape_only: bool = False, optimize: Optional[bool] = None,
-                   fusion: Optional[bool] = None):
+def session_config(shape_only: bool = False, optimize: Optional[bool] = None):
     """The apps' shared SessionConfig: shape-only switch plus the A/B
     knob forcing plan-time optimization and the executor fast path on or
-    off together (``None`` keeps the defaults). ``fusion=True`` also
-    enables the opt-in collective gradient-bucket fusion pass, which
-    requires graph optimization to be on."""
+    off together (``None`` keeps the defaults)."""
     from repro.core.session import SessionConfig
 
     config = SessionConfig(shape_only=shape_only)
     if optimize is not None:
         config.graph_optimization = optimize
         config.executor_fast_path = optimize
-    if fusion is not None:
-        config.optimizer.collective_fusion = fusion
-        if fusion:
-            config.graph_optimization = True
     return config
 
 # system name -> (machine factory kwargs builder, node_type)

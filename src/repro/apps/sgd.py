@@ -28,13 +28,10 @@ shard — which exercises exactly the gradient registry the autodiff
 ships with (MatMul, Sub, Square, Sum). With ``blocks > 1`` the feature
 dimension splits into per-layer weight blocks plus a scalar bias, so
 one step emits ``blocks + 1`` *small* gradients and their allreduces —
-the many-small-tensors regime Horovod's tensor fusion exists for; the
-opt-in ``fusion=`` knob turns on the plan-time gradient-bucket fusion
-pass (``repro.core.optimizer.collective_fusion``), and ``algorithm=``
-selects the collective schedule (``"auto"``/``"ring"``/``"tree"``).
+the many-small-tensors regime. ``algorithm=`` selects the collective
+schedule (``"auto"``/``"ring"``/``"tree"``); it preserves
+byte-identical weight trajectories and only moves the simulated clock.
 ``momentum=`` applies classic momentum through per-variable slot state.
-All knobs preserve byte-identical weight trajectories; they only move
-the simulated clock.
 
 Both frontends run the same step builder: ``frontend="session"``
 hand-builds the graph and drives ``Session.run``;
@@ -92,7 +89,6 @@ class SGDResult:
     blocks: int = 1
     momentum: float = 0.0
     algorithm: str = "auto"
-    fused: bool = False  # collective fusion pass enabled
     loss_history: list = field(default_factory=list)
     # Concatenated parameter vector (all weight blocks, then the bias
     # when blocks > 1) after each step.
@@ -204,8 +200,7 @@ def _build_step(num_workers, d, rows, data, learning_rate, mode, devs,
     With ``blocks == 1`` the model is the single weight vector; with
     ``blocks > 1`` each worker holds ``blocks`` per-layer weight blocks
     plus a scalar bias, and each parameter gets its own gradient
-    exchange — the many-small-collectives workload the fusion pass
-    buckets.
+    exchange — the many-small-collectives workload.
     """
     g = tf.get_default_graph()
     if blocks < 1 or d % blocks != 0:
@@ -322,7 +317,6 @@ def run_sgd(
     blocks: int = 1,
     momentum: float = 0.0,
     algorithm: str = "auto",
-    fusion: Optional[bool] = None,
 ) -> SGDResult:
     """Train the data-parallel linear regression.
 
@@ -347,17 +341,14 @@ def run_sgd(
         blocks: per-layer weight blocks (must divide ``d``); with more
             than one, a scalar bias joins too and every parameter gets
             its own gradient collective — the many-small-gradients
-            workload the fusion pass buckets.
+            workload.
         momentum: classic momentum coefficient (0 = plain SGD), applied
             through per-variable slot state on the weights' devices.
         algorithm: collective schedule for the gradient/loss exchanges
             (``"auto"``/``"ring"``/``"tree"``; collective mode only).
-        fusion: enable the opt-in gradient-bucket fusion pass (``None``
-            keeps the session default, i.e. off).
 
-    Weight trajectories are byte-identical across modes, frontends,
-    algorithms and the fusion on/off axis; only the simulated clock
-    moves.
+    Weight trajectories are byte-identical across modes, frontends and
+    algorithms; only the simulated clock moves.
     """
     if mode not in ("collective", "reducer"):
         raise InvalidArgumentError(
@@ -378,8 +369,7 @@ def run_sgd(
     chief_device = task_device("chief", 0, "cpu", 0)
     data = (None if shape_only else
             make_regression_problem(d, rows_per_worker, num_workers, seed)[:2])
-    config = session_config(shape_only=shape_only, optimize=optimize,
-                            fusion=fusion)
+    config = session_config(shape_only=shape_only, optimize=optimize)
 
     loss_history: list = []
     trajectory: list = []
@@ -465,7 +455,6 @@ def run_sgd(
         blocks=blocks,
         momentum=momentum,
         algorithm=algorithm,
-        fused=bool(fusion),
         loss_history=loss_history,
         trajectory=trajectory,
         weights=weights,

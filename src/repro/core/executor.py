@@ -355,10 +355,10 @@ def launch_plan(state: ExecutionState) -> Optional[Event]:
     """Dispatch the plan; returns an event firing when every item is done.
 
     With the fast path enabled (default) the dependency-counting
-    dispatcher runs; ``executor_fast_path=False`` falls back to the legacy
+    dispatcher runs; ``executor_fast_path=False`` runs the reference
     executor — one simulator process per plan item, each waiting on an
-    ``AllOf`` of its producers' processes — kept both as an opt-out and as
-    the baseline ``benchmarks/bench_optimizer.py`` measures against.
+    ``AllOf`` of its producers' processes — the fuzz harness's value and
+    simulated-time oracle.
 
     Returns ``None`` for empty plans (everything fetched was fed).
     """

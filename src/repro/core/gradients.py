@@ -19,9 +19,8 @@ Gradient functions are registered per op *type* with
 ``Dot``, ``Add``/``Sub``/``Mul``/``Div``/``Maximum`` (with NumPy-style
 broadcast reduction), ``Neg``, ``Square``, ``Sqrt``, ``Exp``,
 ``Sigmoid``, ``AddN``, ``Sum``/``Mean`` reductions, ``Identity``,
-``Reshape``, ``Concat``/``Slice`` (layout ops — what the collective
-fusion pass's bucketing emits) — enough for linear/logistic-style
-regression losses. ``Placeholder``, ``Variable`` reads, ``Const`` and
+``Reshape``, ``Concat``/``Slice`` (layout ops) — enough for
+linear/logistic-style regression losses. ``Placeholder``, ``Variable`` reads, ``Const`` and
 ``Fill`` are *leaves*: they have no inputs, so differentiation stops
 there and the accumulated gradient is simply returned for any of them
 listed in ``xs``.

@@ -9,29 +9,23 @@ Sessions run this pipeline over each pruned fetch closure before placement
   structural hashing;
 * :mod:`~repro.core.optimizer.constant_folding` — const-only subtrees are
   evaluated once through the kernel registry and memoized on the graph;
-* :mod:`~repro.core.optimizer.collective_fusion` — opt-in Horovod-style
-  gradient-bucket fusion: small same-group allreduces merge into one
-  collective over a concatenated buffer (byte-identical values, fewer
-  latency steps);
 * :mod:`~repro.core.optimizer.coalescing` — post-placement merging of
   duplicate constants and ``_Send``/``_Recv`` pairs.
 
-Every pass can be disabled individually through
-``SessionConfig.optimizer`` (:class:`OptimizerOptions`), and the whole
-pipeline through ``SessionConfig.graph_optimization``. Per-pass node
-savings are reported in ``RunMetadata.pass_stats``.
+The pass sequence is fixed; ``SessionConfig.graph_optimization`` is the
+one switch and turns the whole pipeline (coalescing included) on or off.
+No pass touches the user's graph, so plan building is read-only on it.
+Per-pass node savings are reported in ``RunMetadata.pass_stats``.
 """
 
 from repro.core.optimizer.pipeline import (
     OptimizationResult,
-    OptimizerOptions,
     Subgraph,
     run_pipeline,
 )
 
 __all__ = [
     "OptimizationResult",
-    "OptimizerOptions",
     "Subgraph",
     "run_pipeline",
 ]

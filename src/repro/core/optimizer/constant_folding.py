@@ -28,6 +28,9 @@ from repro.core.optimizer.pipeline import Subgraph
 __all__ = ["fold_constants"]
 
 _MEMO_ATTR = "_constant_fold_memo"
+# Folding materializes values at plan time: cap the total static output
+# bytes of any folded op so huge Fill/MatMul results never materialize.
+MAX_FOLDED_BYTES = 1 << 20
 _FAILED = object()  # memoized "kernel raised / not evaluable" marker
 
 
@@ -49,7 +52,7 @@ def _static_nbytes(op) -> int:
     return total
 
 
-def fold_constants(sg: Subgraph, max_folded_bytes: int) -> PassStats:
+def fold_constants(sg: Subgraph) -> PassStats:
     foldable: dict[str, list] = {}  # op name -> evaluated outputs
     memo = _memo(sg.graph, sg.symbolic)
     ctx = KernelContext(symbolic=sg.symbolic)
@@ -63,7 +66,7 @@ def fold_constants(sg: Subgraph, max_folded_bytes: int) -> PassStats:
         ):
             continue
         nbytes = _static_nbytes(op)
-        if nbytes < 0 or nbytes > max_folded_bytes:
+        if nbytes < 0 or nbytes > MAX_FOLDED_BYTES:
             continue
         inputs = []
         for tensor in op.inputs:

@@ -23,35 +23,10 @@ from repro.core.metadata import PassStats
 from repro.core.tensor import Tensor
 
 __all__ = [
-    "OptimizerOptions",
     "OptimizationResult",
     "Subgraph",
     "run_pipeline",
 ]
-
-
-@dataclass
-class OptimizerOptions:
-    """Per-pass switches (threaded through ``SessionConfig.optimizer``)."""
-
-    dead_code: bool = True  # identity collapse + NoOp splicing + sweep
-    common_subexpression: bool = True
-    constant_folding: bool = True
-    dependency_pruning: bool = True  # drop control edges implied by data paths
-    transfer_coalescing: bool = True  # plan-level send/recv dedup
-    # Horovod-style gradient-bucket fusion: merge small same-group
-    # CollectiveAllReduce ops into one schedule over a concatenated
-    # buffer (byte-identical results, fewer latency steps). Opt-in: it
-    # deliberately changes the communication schedule — and therefore
-    # the simulated clock — which the default configuration never does.
-    collective_fusion: bool = False
-    # Per-op eligibility and bucket cap for the fusion pass: only
-    # allreduces at or below this payload fuse, and a bucket's total
-    # concatenated payload never exceeds it.
-    collective_fusion_bytes: int = 1 << 20
-    # Folding materializes values at plan time: cap the total static output
-    # bytes of any folded op so huge Fill/MatMul results never materialize.
-    max_folded_bytes: int = 1 << 20
 
 
 @dataclass
@@ -111,7 +86,6 @@ class OptimizationResult:
     control_deps: dict  # op name -> tuple of effective control-dep Operations
     folded: dict  # op name -> list of evaluated output values
     stats: list[PassStats]
-    transfer_coalescing: bool = True
 
 
 def _sweep_unreachable(sg: Subgraph) -> PassStats:
@@ -202,11 +176,14 @@ def run_pipeline(
     fetch_ops: Sequence[Operation],
     fetch_tensors: Sequence[Tensor],
     feeds: dict,
-    options: OptimizerOptions,
     symbolic: bool = False,
     verify: bool = False,
 ) -> OptimizationResult:
-    """Run all enabled passes over the pruned op set ``ordered``.
+    """Run the fixed pass sequence over the pruned op set ``ordered``.
+
+    The sequence has no switches (``SessionConfig.graph_optimization``
+    decides whether the pipeline runs at all) and never touches ``graph``:
+    every pass edits only the :class:`Subgraph` working set.
 
     With ``verify=True`` (``SessionConfig.verify_plans``), the working
     set is statically re-verified after every pass and a
@@ -245,25 +222,15 @@ def run_pipeline(
                 fingerprint = after
                 _verify_last_pass(sg, stats, verifier)
 
-    if options.dead_code:
-        ran(dead_code.collapse_identities(sg))
-        ran(dead_code.splice_noops(sg))
-    if options.common_subexpression:
-        ran(cse.merge_common_subexpressions(sg))
-    if options.constant_folding:
-        ran(constant_folding.fold_constants(sg, options.max_folded_bytes))
-    if options.collective_fusion:
-        from repro.core.optimizer import collective_fusion
-
-        ran(
-            collective_fusion.fuse_collectives(
-                sg, options.collective_fusion_bytes
-            )
-        )
-    if options.dependency_pruning:
-        ran(dead_code.prune_redundant_control_deps(sg))
-    if options.dead_code:
-        ran(_sweep_unreachable(sg))
+    for optimizer_pass in (
+        dead_code.collapse_identities,
+        dead_code.splice_noops,
+        cse.merge_common_subexpressions,
+        constant_folding.fold_constants,
+        dead_code.prune_redundant_control_deps,
+        _sweep_unreachable,
+    ):
+        ran(optimizer_pass(sg))
 
     # Flatten substitution chains so the partitioner does one lookup.
     flat_subs = {
@@ -280,5 +247,4 @@ def run_pipeline(
         control_deps=control_deps,
         folded=dict(sg.folded),
         stats=stats,
-        transfer_coalescing=options.transfer_coalescing,
     )

@@ -137,16 +137,16 @@ def build_plan(
     placer: Placer,
     client_device: str,
     run_id: int,
-    optimizer_options=None,
+    optimize: bool = False,
     symbolic: bool = False,
     verify: bool = False,
 ) -> ExecutionPlan:
     """Construct the execution plan for one session run.
 
     Args:
-        optimizer_options: an :class:`~repro.core.optimizer.OptimizerOptions`
-            enabling the Grappler-style pass pipeline; ``None`` (the
-            default) builds the plan with no rewriting.
+        optimize: run the Grappler-style pass pipeline over the pruned
+            set and coalesce duplicate constants/transfers afterwards;
+            ``False`` (the default) builds the plan with no rewriting.
         symbolic: whether the session executes shape-only (constant folding
             evaluates with the same flag so folded values match execution).
         verify: run the static analysis layer (:mod:`repro.analysis`):
@@ -194,12 +194,12 @@ def build_plan(
     # ---- 2. optimize -------------------------------------------------------
     opt = None
     pass_stats: list = []
-    if optimizer_options is not None:
+    if optimize:
         from repro.core.optimizer import run_pipeline
 
         opt = run_pipeline(
             graph, ordered, fetch_ops, fetch_tensors, feeds,
-            optimizer_options, symbolic=symbolic, verify=verify,
+            symbolic=symbolic, verify=verify,
         )
         ordered = opt.ops
         pass_stats = list(opt.stats)
@@ -462,7 +462,7 @@ def build_plan(
         fetch_sources.append(route_value(tensor, client_device))
 
     # ---- 6. transfer coalescing ---------------------------------------------
-    if opt is not None and opt.transfer_coalescing:
+    if opt is not None:
         from repro.core.optimizer.coalescing import coalesce_transfers
 
         items, fetch_sources, coalesce_stats = coalesce_transfers(

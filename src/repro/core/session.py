@@ -31,7 +31,6 @@ import numpy as np
 from repro.core.executor import ExecutionState, launch_plan
 from repro.core.graph import Graph, Operation, get_default_graph
 from repro.core.metadata import RunMetadata, RunOptions
-from repro.core.optimizer import OptimizerOptions
 from repro.core.partition import FEED, _normalize_feeds, build_plan
 from repro.core.placement import Placer, canonical_device
 from repro.core.tensor import Tensor
@@ -80,11 +79,10 @@ class SessionConfig:
     # Local-session hardware (ignored when a target is given).
     num_gpus: int = 1
     gpu_model: GPUModel = GENERIC_GPU
-    # Plan-time graph optimization (Grappler-style pass pipeline). The
-    # master switch disables every pass; individual passes toggle through
-    # ``optimizer`` (see :class:`repro.core.optimizer.OptimizerOptions`).
+    # Plan-time graph optimization (Grappler-style pass pipeline): the
+    # one switch — the pass sequence itself is fixed
+    # (:func:`repro.core.optimizer.run_pipeline`).
     graph_optimization: bool = True
-    optimizer: OptimizerOptions = field(default_factory=OptimizerOptions)
     # Dependency-counting executor: dispatch zero-cost, non-blocking items
     # inline instead of spawning a simulator process per plan item.
     executor_fast_path: bool = True
@@ -397,11 +395,7 @@ class Session:
                 placer,
                 client_device,
                 run_id,
-                optimizer_options=(
-                    self.config.optimizer
-                    if self.config.graph_optimization
-                    else None
-                ),
+                optimize=self.config.graph_optimization,
                 symbolic=self.config.shape_only,
                 verify=self.config.verify_plans,
             )

@@ -2,8 +2,8 @@
 
 ``python -m repro.fuzz`` draws seeded random graphs from the operator
 catalog and executes each one through every cell of the frontend ×
-executor-lane × collective-algorithm × fusion matrix, asserting that
-all cells reproduce the baseline's fetch bytes and that sim-time
+executor-lane × optimizer × collective-algorithm matrix, asserting
+that all cells reproduce the baseline's fetch bytes and that sim-time
 invariants hold. Failures are delta-debugged down to minimal
 self-contained repro scripts.
 

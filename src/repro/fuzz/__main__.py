@@ -2,7 +2,7 @@
 
 For each seed in the range the CLI generates one random program from
 the operator catalog and runs it through every cell of the frontend ×
-executor-lane × collective-algorithm × fusion matrix
+executor-lane × optimizer × collective-algorithm matrix
 (:mod:`repro.fuzz.harness`), comparing fetch bytes and sim-time
 invariants against the baseline cell. Any divergence is delta-debugged
 (:mod:`repro.fuzz.shrinker`) and the minimal repro is written out as a
@@ -18,7 +18,7 @@ Typical invocations::
         --json fuzz-report.json --out fuzz-repros
 
     # chase one seed through a subset of the matrix
-    python -m repro.fuzz --seeds 1337 --matrix tree,fused
+    python -m repro.fuzz --seeds 1337 --matrix tree,verify
 
 Exit status is non-zero when any seed diverges — the lane is red
 precisely when two cells of the matrix disagree about the same graph.
@@ -98,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--matrix", default=None, metavar="TOKENS",
         help="comma-separated label substrings selecting matrix cells "
-             "(e.g. 'tree,fused'); default: the full matrix",
+             "(e.g. 'tree,verify'); default: the full matrix",
     )
     parser.add_argument(
         "--max-world", type=int, default=4, metavar="N",

@@ -3,12 +3,12 @@
 A *cell* is one configuration of the execution matrix — frontend (eager
 interpreter / Session / ``@repro.function`` trace) × executor lane
 (fast-path / legacy) × optimizer (on / off, plus ``verify_plans``) ×
-collective algorithm (ring / tree) × collective fusion. The baseline
-cell is the most literal interpretation of the graph: Session, legacy
-lane, optimizer off, ring collectives, no fusion. Every other cell must
-reproduce the baseline's fetches **byte for byte** — same dtype, same
-shape, same bits, NaNs included — because nothing in the matrix is
-allowed to change numerics, only scheduling and lowering.
+collective algorithm (ring / tree). The baseline cell is the most
+literal interpretation of the graph: Session, legacy lane, optimizer
+off, ring collectives. Every other cell must reproduce the baseline's
+fetches **byte for byte** — same dtype, same shape, same bits, NaNs
+included — because nothing in the matrix is allowed to change numerics,
+only scheduling and lowering.
 
 On top of byte identity the harness checks two sim-time invariants:
 
@@ -19,7 +19,7 @@ On top of byte identity the harness checks two sim-time invariants:
 * plan-time optimization may only help: optimized sim time must not
   exceed unoptimized sim time (within float slack).
 
-Algorithm/fusion cells are excluded from time comparison — changing the
+Algorithm cells are excluded from time comparison — changing the
 collective schedule legitimately changes the timeline — and the eager
 interpreter has no clock at all.
 
@@ -68,7 +68,6 @@ class Cell:
     fast_path: bool = True
     optimize: bool = True
     algorithm: Optional[str] = None  # allreduce override; None = as built
-    fusion: bool = False
     verify: bool = False  # verify_plans=True differential check
 
     def label(self) -> str:
@@ -81,8 +80,6 @@ class Cell:
         ]
         if self.algorithm:
             parts.append(self.algorithm)
-        if self.fusion:
-            parts.append("fused")
         if self.verify:
             parts.append("verify")
         return "/".join(parts)
@@ -95,7 +92,6 @@ class Cell:
                 f"fast_path={self.fast_path!r}",
                 f"optimize={self.optimize!r}",
                 f"algorithm={self.algorithm!r}",
-                f"fusion={self.fusion!r}",
                 f"verify={self.verify!r}",
             ]
         return ", ".join(fields)
@@ -106,7 +102,6 @@ class Cell:
         return (
             self.frontend == "session"
             and self.algorithm is None
-            and not self.fusion
             and not self.verify
         )
 
@@ -214,20 +209,6 @@ def matrix_cells(program: Program, subset: Optional[list[str]] = None
             Cell(frontend="function", fast_path=True, optimize=True,
                  algorithm="tree"),
         ]
-    if program.has_collective:
-        cells += [
-            Cell(frontend="session", fast_path=True, optimize=True,
-                 fusion=True),
-            Cell(frontend="session", fast_path=False, optimize=True,
-                 fusion=True),
-            Cell(frontend="function", fast_path=True, optimize=True,
-                 fusion=True),
-        ]
-    if program.has_allreduce:
-        cells.append(
-            Cell(frontend="session", fast_path=True, optimize=True,
-                 algorithm="tree", fusion=True)
-        )
     if subset:
         cells = [
             c for c in cells
@@ -240,15 +221,12 @@ def matrix_cells(program: Program, subset: Optional[list[str]] = None
 # running one cell
 # ---------------------------------------------------------------------------
 
-def _session_config(program: Program, cell: Cell) -> "repro.SessionConfig":
+def _session_config(gpus: int, cell: Cell) -> "repro.SessionConfig":
     return repro.SessionConfig(
-        num_gpus=program.gpus,
+        num_gpus=gpus,
         graph_optimization=cell.optimize,
         executor_fast_path=cell.fast_path,
         verify_plans=cell.verify,
-        optimizer=repro.OptimizerOptions(
-            collective_fusion=cell.fusion,
-        ),
     )
 
 
@@ -310,7 +288,7 @@ def _run_session(program: Program, cell: Cell) -> CellRun:
     graph = repro.Graph()
     with graph.as_default():
         built = program.materialize(algorithm=cell.algorithm)
-    config = _session_config(program, cell)
+    config = _session_config(program.gpus, cell)
     with repro.Session(graph=graph, config=config) as sess:
         values = sess.run(built.fetch_tensors, feed_dict=dict(built.feeds))
         sim_time = float(sess.env.now)
@@ -334,7 +312,7 @@ def _run_function(program: Program, cell: Cell) -> CellRun:
     fn = repro.function(
         traced,
         name=f"fuzz_seed_{program.seed}",
-        config=_session_config(program, cell),
+        config=_session_config(program.gpus, cell),
     )
     values = fn(*feed_arrays)
     sim_time = (
@@ -518,15 +496,7 @@ def run_script_body(body, feeds, gpus, cell: Cell) -> None:
         if target_cell.frontend == "function":
             fn = repro.function(
                 lambda *args: body(*args, algorithm=algorithm),
-                config=repro.SessionConfig(
-                    num_gpus=gpus,
-                    graph_optimization=target_cell.optimize,
-                    executor_fast_path=target_cell.fast_path,
-                    verify_plans=target_cell.verify,
-                    optimizer=repro.OptimizerOptions(
-                        collective_fusion=target_cell.fusion,
-                    ),
-                ),
+                config=_session_config(gpus, target_cell),
             )
             values = fn(*feeds)
             return [np.asarray(v)
@@ -542,15 +512,7 @@ def run_script_body(body, feeds, gpus, cell: Cell) -> None:
                 for pos, value in enumerate(feeds)
             ]
             fetches = body(*phs, algorithm=algorithm)
-        config = repro.SessionConfig(
-            num_gpus=gpus,
-            graph_optimization=target_cell.optimize,
-            executor_fast_path=target_cell.fast_path,
-            verify_plans=target_cell.verify,
-            optimizer=repro.OptimizerOptions(
-                collective_fusion=target_cell.fusion,
-            ),
-        )
+        config = _session_config(gpus, target_cell)
         with repro.Session(graph=graph, config=config) as sess:
             values = sess.run(
                 fetches, feed_dict=dict(zip(phs, feeds))

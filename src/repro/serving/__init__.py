@@ -8,8 +8,11 @@ plan-cached executions, and per-tenant accounting.
 
 Pipeline::
 
-    clients --submit--> AdmissionController --batches--> workers
+    clients --submit--> AdmissionController --batches--> worker
         --one Session.run per micro-batch--> scatter --> futures
+
+One worker thread per server — one DES driver per Session; scale out
+with more servers, not more workers.
 
 * :class:`~repro.serving.server.ModelServer` — the front-door.
 * :class:`~repro.serving.admission.AdmissionController` — bounded queue,

@@ -3,16 +3,19 @@
 ``ModelServer`` is the multi-tenant entry point the ROADMAP's
 "millions of users" direction calls for: client threads submit fetch
 requests against registered signatures; an admission controller applies
-back-pressure, quotas, and deadline-aware rejection; worker threads
-coalesce compatible requests into micro-batches and execute each batch
-as *one* plan-cached ``Session.run``; results scatter back row-for-row,
-and every run's ``RunMetadata`` is attributed to the tenants that rode
-it.
+back-pressure, quotas, and deadline-aware rejection; one worker thread
+coalesces compatible requests into micro-batches and executes each
+batch as *one* plan-cached ``Session.run``; results scatter back
+row-for-row, and every run's ``RunMetadata`` is attributed to the
+tenants that rode it.
 
-The Session itself is thread-safe (plan preparation overlaps across
-workers; only the discrete-event simulator drive serializes), so worker
-threads simply call ``session.run`` — the whole TF-style stack below
-(plan cache, optimizer, executor lanes, simnet) is reused unchanged.
+One DES driver per Session: the discrete-event simulator drive
+serializes on the Session, so a second worker thread on the same
+Session only adds lock hand-offs (it was slower in every cell of the
+``BENCH_serving.json`` sweep). Scale out with more servers, not more
+workers. The Session itself stays thread-safe — client threads may
+share it with the server — and the whole TF-style stack below (plan
+cache, optimizer, executor lanes, simnet) is reused unchanged.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from repro.errors import (
     CancelledError,
     DeadlineExceededError,
     FailedPreconditionError,
+    InvalidArgumentError,
     NotFoundError,
     ReproError,
 )
@@ -47,7 +51,7 @@ __all__ = ["ModelServer", "ServingConfig"]
 
 @dataclass
 class ServingConfig:
-    """Front-door knobs (admission + batching + worker pool)."""
+    """Front-door knobs (admission + batching)."""
 
     # Admission (see AdmissionPolicy).
     max_queue: int = 256
@@ -56,8 +60,6 @@ class ServingConfig:
     # partially filled batch lingers for same-signature stragglers.
     max_batch_size: int = 8
     batch_window_ms: float = 0.0
-    # Dispatcher threads pulling batches into the shared Session.
-    num_workers: int = 1
     # Deadline applied to requests that do not carry their own (None =
     # requests without an explicit deadline never expire).
     default_deadline_ms: Optional[float] = None
@@ -79,6 +81,13 @@ class ModelServer:
                 "a private one, not both"
             )
         self.config = config or ServingConfig()
+        if self.config.max_batch_size < 1:
+            # A worker asked for a batch of zero requests gets none and
+            # asks again forever while the request stays queued.
+            raise InvalidArgumentError(
+                f"ServingConfig.max_batch_size must be >= 1, got "
+                f"{self.config.max_batch_size}"
+            )
         self.session = session or Session(
             graph=graph, config=session_config
         )
@@ -90,7 +99,7 @@ class ModelServer:
             )
         )
         self._accountant = TenantAccountant()
-        self._workers: list[threading.Thread] = []
+        self._worker: Optional[threading.Thread] = None
         self._started = False
         self._stopped = False
         self._batch_runs = 0
@@ -147,22 +156,18 @@ class ModelServer:
                     "register at least one signature before start()"
                 )
             self._started = True
-            for index in range(max(1, self.config.num_workers)):
-                worker = threading.Thread(
-                    target=self._serve_loop,
-                    name=f"serving-worker-{index}",
-                    daemon=True,
-                )
-                worker.start()
-                self._workers.append(worker)
+            self._worker = threading.Thread(
+                target=self._serve_loop, name="serving-worker", daemon=True
+            )
+            self._worker.start()
         return self
 
     def stop(self, drain: bool = True) -> None:
         """Shut the front-door.
 
-        ``drain=True`` serves everything already admitted before workers
-        exit; ``drain=False`` cancels queued requests (their futures fail
-        with :class:`~repro.errors.CancelledError`).
+        ``drain=True`` serves everything already admitted before the
+        worker exits; ``drain=False`` cancels queued requests (their
+        futures fail with :class:`~repro.errors.CancelledError`).
         """
         with self._state_lock:
             if self._stopped:
@@ -177,8 +182,8 @@ class ModelServer:
                     f"{pending.tenant!r} was dispatched"
                 )
             )
-        for worker in self._workers:
-            worker.join()
+        if self._worker is not None:
+            self._worker.join()
 
     def __enter__(self) -> "ModelServer":
         return self.start()

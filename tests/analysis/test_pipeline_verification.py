@@ -11,7 +11,7 @@ import pytest
 
 import repro as tf
 from repro.core.metadata import PassStats
-from repro.core.optimizer import OptimizerOptions, run_pipeline
+from repro.core.optimizer import run_pipeline
 from repro.errors import VerificationError
 
 
@@ -24,14 +24,13 @@ def simple_graph():
     return g, c
 
 
-def pipeline(g, fetches, verify=True, options=None):
+def pipeline(g, fetches, verify=True):
     return run_pipeline(
         g,
         g.operations,
         [],
         list(fetches),
         {},
-        options or OptimizerOptions(),
         verify=verify,
     )
 
@@ -75,7 +74,7 @@ class TestPerPassVerification:
 
         from repro.core.optimizer import constant_folding
 
-        def bad_fold(sg, max_bytes):
+        def bad_fold(sg):
             root = next(op for op in sg.ops if op.name == "c")
             # Wrong shape: folding must preserve the recorded specs.
             sg.folded[root.name] = [np.zeros((9, 9), np.float32)]

@@ -6,7 +6,6 @@ import numpy as np
 import repro as tf
 from repro.analysis import Severity, verify_plan
 from repro.core.ops import collective_ops
-from repro.core.optimizer import OptimizerOptions
 from repro.core.partition import build_plan
 from repro.core.placement import Placer
 
@@ -32,7 +31,7 @@ def plan_for(graph, fetch_tensors=(), fetch_ops=(), optimize=False, gpus=2):
         make_placer(gpus),
         client_device=CLIENT,
         run_id=1,
-        optimizer_options=OptimizerOptions() if optimize else None,
+        optimize=optimize,
     )
 
 
@@ -297,7 +296,7 @@ class TestVerifiedPlanMetadata:
         plan = build_plan(
             g, [], [b], {}, make_placer(),
             client_device=CLIENT, run_id=1,
-            optimizer_options=OptimizerOptions(), verify=True,
+            optimize=True, verify=True,
         )
         assert plan.verified
         assert plan.verifier_diagnostics == []

@@ -1,4 +1,4 @@
-"""The pluggable collective-algorithm layer and the fusion pass.
+"""The pluggable collective-algorithm layer.
 
 Contracts under test:
 
@@ -11,10 +11,7 @@ Contracts under test:
   (tree for latency-bound small buffers, ring at bandwidth scale) and
   the decision lands in ``RunMetadata.collective_algorithms``;
 * ``CollectiveReduceScatter`` lowers, times like its standalone
-  generator, and agrees with eager execution;
-* the gradient-bucket fusion pass merges small same-group allreduces
-  without changing a byte, reports its effect in ``pass_stats``, and
-  keeps the graph (and therefore the plan cache) stable across rebuilds.
+  generator, and agrees with eager execution.
 """
 
 import numpy as np
@@ -22,7 +19,7 @@ import pytest
 
 import repro as tf
 from repro import eager
-from repro.apps.common import build_cluster, session_config, task_device
+from repro.apps.common import build_cluster, task_device
 from repro.apps.sgd import run_sgd
 from repro.apps.stencil import run_stencil
 from repro.core.metadata import RunMetadata
@@ -324,117 +321,3 @@ class TestAlgorithmByteIdentity:
         assert tree.elapsed < ring.elapsed
         assert [w.tobytes() for w in tree.trajectory] == \
             [w.tobytes() for w in ring.trajectory]
-
-
-class TestCollectiveFusion:
-    FUSED = dict(d=16, blocks=4, num_workers=3, rows_per_worker=6, steps=3)
-
-    def test_fused_trajectories_byte_identical(self):
-        fused = run_sgd(fusion=True, **self.FUSED)
-        plain = run_sgd(fusion=False, **self.FUSED)
-        assert fused.validated and plain.validated
-        assert fused.loss_history == plain.loss_history
-        for a, b in zip(fused.trajectory, plain.trajectory):
-            assert a.tobytes() == b.tobytes()
-
-    def test_fusion_reduces_collective_count_in_pass_stats(self):
-        fused = run_sgd(fusion=True, **self.FUSED)
-        stats = {p.name: p for p in fused.pass_stats}
-        detail = stats["collective_fusion"].detail
-        # blocks weights + bias + loss partial = 6 allreduces -> 1 bucket
-        assert detail["collectives_before"] == self.FUSED["blocks"] + 2
-        assert detail["collectives_after"] == 1
-        assert detail["ops_fused"] == self.FUSED["blocks"] + 2
-        assert detail["buckets"] == 1
-
-    def test_fusion_cuts_collective_legs(self):
-        fused = run_sgd(fusion=True, **self.FUSED)
-        plain = run_sgd(fusion=False, **self.FUSED)
-        # Leg count per step: one per rank per surviving collective.
-        assert fused.collective_algorithms.keys() == {
-            "collective_fusion/fused_allreduce"
-        }
-        assert len(plain.collective_algorithms) == self.FUSED["blocks"] + 2
-
-    def test_fusion_on_legacy_lane_and_function_frontend(self):
-        baseline = run_sgd(fusion=False, **self.FUSED)
-        for frontend in ("session", "function"):
-            fused = run_sgd(fusion=True, frontend=frontend, **self.FUSED)
-            assert fused.validated
-            for a, b in zip(fused.trajectory, baseline.trajectory):
-                assert a.tobytes() == b.tobytes()
-
-    def test_graph_stops_growing_after_first_fused_build(self):
-        world = 2
-        _, servers = make_cluster(world)
-        g = tf.Graph()
-        with g.as_default():
-            per_op = []
-            for p in range(3):
-                ranks = []
-                for w in range(world):
-                    with g.device(worker_device(w)):
-                        ranks.append(
-                            tf.constant(np.full(4, w + p + 1.0),
-                                        name=f"x{p}_{w}"))
-                per_op.append(tf.all_reduce(ranks, name=f"ar{p}"))
-            fetches = [outs[0] for outs in per_op]
-        sess = tf.Session(servers[0], graph=g, config=session_config(
-            fusion=True))
-        sizes, hits = [], []
-        for _ in range(4):
-            metadata = RunMetadata()
-            values = sess.run(fetches, run_metadata=metadata)
-            sizes.append(len(g.operations))
-            hits.append(metadata.plan_cache_hit)
-        # One growth step (the fused subgraph), then memoized stability;
-        # the plan cache converges to hits once the version settles.
-        assert sizes[0] == sizes[1] == sizes[2] == sizes[3]
-        assert hits[2] and hits[3]
-        for p, value in enumerate(values):
-            expected = np.zeros(4)
-            for w in range(world):
-                expected = expected + np.full(4, w + p + 1.0)
-            np.testing.assert_array_equal(value, expected)
-
-    def test_groups_with_different_devices_do_not_merge(self):
-        """Allreduces over different rank device sets keep their own
-        schedules (fusing them would silently move traffic)."""
-        _, servers = make_cluster(3)
-        g = tf.Graph()
-        with g.as_default():
-            pair_a, pair_b = [], []
-            for w in (0, 1):
-                with g.device(worker_device(w)):
-                    pair_a.append(tf.constant(np.ones(4), name=f"a{w}"))
-            for w in (0, 2):
-                with g.device(worker_device(w)):
-                    pair_b.append(tf.constant(np.ones(4), name=f"b{w}"))
-            outs_a = tf.all_reduce(pair_a, name="ar_a")
-            outs_b = tf.all_reduce(pair_b, name="ar_b")
-        sess = tf.Session(servers[0], graph=g, config=session_config(
-            fusion=True))
-        metadata = RunMetadata()
-        sess.run([outs_a[0], outs_b[0]], run_metadata=metadata)
-        assert set(metadata.collective_algorithms) == {"ar_a", "ar_b"}
-
-    def test_oversized_payloads_stay_unfused(self):
-        world = 2
-        _, servers = make_cluster(world)
-        big = 1 << 18  # 2 MB float64 > the 1 MB default cap
-        g = tf.Graph()
-        with g.as_default():
-            xs, ys = [], []
-            for w in range(world):
-                with g.device(worker_device(w)):
-                    xs.append(tf.zeros([big], dtype=tf.float64, graph=g,
-                                       name=f"x{w}"))
-                    ys.append(tf.zeros([big], dtype=tf.float64, graph=g,
-                                       name=f"y{w}"))
-            outs_x = tf.all_reduce(xs, name="ar_x")
-            outs_y = tf.all_reduce(ys, name="ar_y")
-        sess = tf.Session(servers[0], graph=g, config=session_config(
-            shape_only=True, fusion=True))
-        metadata = RunMetadata()
-        sess.run([outs_x[0].op, outs_y[0].op], run_metadata=metadata)
-        assert set(metadata.collective_algorithms) == {"ar_x", "ar_y"}

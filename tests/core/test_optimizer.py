@@ -7,7 +7,7 @@ import pytest
 
 import repro as tf
 from repro.core.metadata import RunMetadata, RunOptions
-from repro.core.optimizer import OptimizerOptions
+from repro.core.optimizer.constant_folding import MAX_FOLDED_BYTES
 from repro.core.partition import build_plan
 
 from repro.core.placement import Placer
@@ -23,7 +23,7 @@ def make_placer(gpus: int = 1):
 
 
 def opt_plan(graph, fetch_tensors=(), fetch_ops=(), feeds=None, gpus=1,
-             options=None, symbolic=False):
+             symbolic=False):
     return build_plan(
         graph,
         list(fetch_ops),
@@ -32,7 +32,7 @@ def opt_plan(graph, fetch_tensors=(), fetch_ops=(), feeds=None, gpus=1,
         make_placer(gpus),
         client_device="/job:localhost/task:0/device:cpu:0",
         run_id=1,
-        optimizer_options=options or OptimizerOptions(),
+        optimize=True,
         symbolic=symbolic,
     )
 
@@ -205,11 +205,14 @@ class TestConstantFolding:
     def test_size_cap_blocks_folding(self):
         g = tf.Graph()
         with g.as_default():
-            big = tf.fill([64], 1.0, name="big")
+            # One element over the cap; the plan is only built, so the
+            # array never materializes.
+            big = tf.fill([MAX_FOLDED_BYTES // tf.float32.size + 1], 1.0,
+                          name="big")
             out = tf.add(big, big, name="out")
-        small_cap = OptimizerOptions(max_folded_bytes=16)
-        plan = opt_plan(g, fetch_tensors=[out], options=small_cap)
+        plan = opt_plan(g, fetch_tensors=[out])
         kinds = {i.op.name: i.kind for i in plan.items if i.op is not None}
+        assert kinds["big"] == "op"
         assert kinds["out"] == "op"
 
     def test_symbolic_folding_matches_shape_only_execution(self):
@@ -326,18 +329,6 @@ class TestConfigSwitches:
             meta = RunMetadata()
             sess.run(out, run_metadata=meta)
         assert meta.pass_stats == []
-
-    def test_each_pass_disables_individually(self):
-        g, out = self._graph()
-        options = OptimizerOptions(
-            dead_code=False, common_subexpression=False,
-            constant_folding=False, dependency_pruning=False,
-            transfer_coalescing=False,
-        )
-        plan = opt_plan(g, fetch_tensors=[out], options=options)
-        assert plan.pass_stats == []
-        names = op_names(plan)
-        assert {"a", "b", "out"} <= names
 
     def test_pass_stats_reported_in_metadata(self):
         g, out = self._graph()

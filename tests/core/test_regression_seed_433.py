@@ -1,15 +1,12 @@
 """Regression for fuzz seed 433 (campaign at --ops 24 --max-world 8).
 
-Three chained allreduces: the third is small and same-configuration as
-the first, so the fusion pass bucketed them together — but the third
-*transitively* depends on the first (through plain math fed by the
-second collective), so the fused op consumed a slice of itself and
-``_restore_topological_order`` spun forever on the cycle. The pass now
-excludes any collective downstream of another collective, and the
-topological sort raises InternalError on a cycle instead of hanging.
+Three chained allreduces, the third transitively depending on the first
+through plain math fed by the second. Found as a hang in the
+gradient-bucket pass PR 15 removed (it bucketed the third with the
+first, so the merged op consumed a slice of itself); kept as the
+chained-collectives-with-math-between program: the fuzz seed must replay
+clean and the hand-built graph must equal a NumPy sum byte for byte.
 """
-
-import signal
 
 import numpy as np
 import pytest
@@ -26,47 +23,34 @@ def _chained_allreduce_graph(world):
     first = tf.all_reduce(
         [tf.constant(v) for v in values], devices=devices, algorithm="ring"
     )
-    # Plain math between the collectives — the one-hop producer check
-    # used to miss this dependency.
+    # Plain math between the collectives.
     sums = [tf.reduce_sum(t, keepdims=True) for t in first]
     second = tf.all_reduce(sums, devices=devices, algorithm="ring")
     third = tf.all_reduce(
         [tf.reduce_sum(t, keepdims=True) for t in second],
         devices=devices, algorithm="ring",
     )
-    return first + second + third
+    return first + second + third, values
 
 
-def _run(world, fusion):
+def test_chained_allreduces_match_numpy_sum():
+    world = 3
     g = tf.Graph()
     with g.as_default():
-        fetches = _chained_allreduce_graph(world)
-    config = tf.SessionConfig(
-        num_gpus=world,
-        optimizer=tf.OptimizerOptions(collective_fusion=fusion),
-    )
-    with tf.Session(graph=g, config=config) as sess:
-        return sess.run(fetches)
-
-
-def test_fusing_chained_allreduces_terminates_and_matches():
-    world = 3
-    # Guard the regression itself: the pre-fix failure mode was an
-    # infinite loop in plan building, not a wrong answer.
-    def _timed_out(signum, frame):
-        raise TimeoutError("plan build did not terminate (seed 433)")
-
-    previous = signal.signal(signal.SIGALRM, _timed_out)
-    signal.alarm(60)
-    try:
-        fused = _run(world, fusion=True)
-        plain = _run(world, fusion=False)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert len(fused) == 3 * world
-    for a, b in zip(fused, plain):
-        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        fetches, values = _chained_allreduce_graph(world)
+    with tf.Session(graph=g, config=tf.SessionConfig(num_gpus=world)) as sess:
+        got = sess.run(fetches)
+    # Allreduce sums in rank order starting from zeros.
+    first = np.zeros(3, dtype=np.float32)
+    for value in values:
+        first = first + value
+    second = np.sum(first, keepdims=True) * np.float32(world)
+    third = np.sum(second, keepdims=True) * np.float32(world)
+    want = [first] * world + [second] * world + [third] * world
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.asarray(a).dtype == b.dtype
+        assert np.asarray(a).tobytes() == b.tobytes()
 
 
 def test_fuzz_seed_433_runs_clean():

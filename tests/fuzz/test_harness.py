@@ -24,21 +24,19 @@ def _collective_seed():
     raise AssertionError("no allreduce program in 200 seeds")
 
 
-def test_matrix_without_collectives_skips_algorithm_and_fusion_cells():
+def test_matrix_without_collectives_skips_algorithm_cells():
     program = generate(0, GeneratorOptions(collectives=False))
     labels = [cell.label() for cell in matrix_cells(program)]
     assert "eager" in labels
     assert any(label.startswith("function/") for label in labels)
-    # Collective-only cells (algorithm overrides, collective fusion) are
-    # skipped.
-    assert not any("tree" in label or "/fused" in label for label in labels)
+    # Collective-only cells (algorithm overrides) are skipped.
+    assert not any("tree" in label for label in labels)
 
 
-def test_matrix_with_allreduce_gains_algorithm_and_fusion_cells():
+def test_matrix_with_allreduce_gains_algorithm_cells():
     _, program = _collective_seed()
     labels = [cell.label() for cell in matrix_cells(program)]
     assert any("tree" in label for label in labels)
-    assert any("fused" in label for label in labels)
 
 
 def test_matrix_subset_filter():

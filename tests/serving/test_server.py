@@ -10,6 +10,7 @@ from repro.errors import (
     AlreadyExistsError,
     CancelledError,
     DeadlineExceededError,
+    InvalidArgumentError,
     NotFoundError,
     ResourceExhaustedError,
 )
@@ -51,8 +52,7 @@ class TestByteIdentity:
         server = ModelServer(
             graph=g,
             config=ServingConfig(
-                max_batch_size=len(payloads), num_workers=1,
-                batch_window_ms=20.0,
+                max_batch_size=len(payloads), batch_window_ms=20.0,
             ),
         )
         server.register_signature("affine", {"x": x}, y)
@@ -73,7 +73,7 @@ class TestByteIdentity:
     def test_batched_execution_reuses_one_cached_plan(self):
         g, x, y = _affine_graph()
         server = ModelServer(
-            graph=g, config=ServingConfig(max_batch_size=4, num_workers=1)
+            graph=g, config=ServingConfig(max_batch_size=4)
         )
         server.register_signature("affine", {"x": x}, y)
         rng = np.random.default_rng(0)
@@ -92,7 +92,7 @@ class TestAdmissionIntegration:
     def test_deadline_expired_in_queue_rejected_at_dispatch(self):
         g, x, y = _affine_graph()
         server = ModelServer(
-            graph=g, config=ServingConfig(max_batch_size=4, num_workers=1)
+            graph=g, config=ServingConfig(max_batch_size=4)
         )
         server.register_signature("affine", {"x": x}, y)
         payload = {"x": np.zeros((1, 6), np.float32)}
@@ -174,6 +174,14 @@ class TestLifecycleAndErrors:
         with pytest.raises(FailedPreconditionError, match="signature"):
             ModelServer(graph=g).start()
 
+    def test_max_batch_size_below_one_rejected(self):
+        # A worker asked for zero requests per batch leaves every request
+        # queued and spins; the config is refused before a server exists.
+        g, _, _ = _affine_graph()
+        for size in (0, -1):
+            with pytest.raises(InvalidArgumentError, match="max_batch_size"):
+                ModelServer(graph=g, config=ServingConfig(max_batch_size=size))
+
     def test_stop_without_drain_cancels_queued_requests(self):
         g, x, y = _affine_graph()
         server = ModelServer(graph=g)
@@ -192,7 +200,7 @@ class TestLifecycleAndErrors:
     def test_stop_with_drain_serves_queued_requests(self):
         g, x, y = _affine_graph()
         server = ModelServer(
-            graph=g, config=ServingConfig(max_batch_size=4, num_workers=2)
+            graph=g, config=ServingConfig(max_batch_size=4)
         )
         server.register_signature("affine", {"x": x}, y)
         futures = [
@@ -221,7 +229,7 @@ class TestMultiSignature:
         server = ModelServer(
             graph=g,
             config=ServingConfig(
-                max_batch_size=8, num_workers=2, batch_window_ms=5.0
+                max_batch_size=8, batch_window_ms=5.0
             ),
         )
         server.register_signature("double", {"x": x}, double)
@@ -252,7 +260,7 @@ class TestAccounting:
         server = ModelServer(
             graph=g,
             config=ServingConfig(
-                max_batch_size=4, num_workers=1, batch_window_ms=10.0
+                max_batch_size=4, batch_window_ms=10.0
             ),
         )
         server.register_signature("affine", {"x": x}, y)
@@ -300,9 +308,7 @@ class TestAccounting:
 class TestLoadDriver:
     def test_closed_loop_load_completes_and_validates(self):
         server = build_mlp_server(
-            config=ServingConfig(
-                max_batch_size=8, num_workers=2, batch_window_ms=1.0
-            )
+            config=ServingConfig(max_batch_size=8, batch_window_ms=1.0)
         )
         result = run_serving_load(server, clients=6, requests_per_client=10)
         server.stop()
@@ -314,9 +320,7 @@ class TestLoadDriver:
         assert result.plan_cache["plans"] == 1
 
     def test_load_results_match_numpy_reference(self):
-        server = build_mlp_server(
-            config=ServingConfig(max_batch_size=4, num_workers=1)
-        )
+        server = build_mlp_server(config=ServingConfig(max_batch_size=4))
         reference = mlp_reference()
         rng = np.random.default_rng(2)
         x = rng.random((3, 16), dtype=np.float32)
