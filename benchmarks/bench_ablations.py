@@ -143,7 +143,7 @@ class TestAllreduceAblation:
         dedicated-server bottleneck. Compare one 32 MB reduction across 8
         ranks through the queue reducer's central node vs a ring."""
         from repro.core.tensor import SymbolicValue
-        from repro.runtime.collective import ring_allreduce
+        from repro.runtime.collective import run_collective
         from repro.simnet import transports
         from repro.simnet.events import AllOf, Environment
         from repro.simnet.machines import tegner
@@ -159,10 +159,8 @@ class TestAllreduceAblation:
             values = [SymbolicValue((nbytes // 8,), "float64")
                       for _ in range(world)]
 
-            def ring():
-                yield from ring_allreduce(devices, values, "rdma")
-
-            env.run(until=env.process(ring()))
+            env.run(until=env.process(run_collective(
+                "CollectiveAllReduce", devices, values, "rdma")))
             ring_time = env.now
 
             # Central reducer: gather to rank 0, broadcast back.

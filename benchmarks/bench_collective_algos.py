@@ -17,9 +17,8 @@ it measured; its last numbers are in ``docs/ARCHITECTURE.md`` §3.
 from repro.core.tensor import SymbolicValue
 from repro.perf.reporting import format_table
 from repro.runtime.collective import (
-    ring_allreduce,
+    run_collective,
     select_algorithm,
-    tree_allreduce,
 )
 from repro.simnet.events import Environment
 from repro.simnet.machines import tegner
@@ -31,23 +30,24 @@ WORLD = 8
 # One scalar up to the paper-scale gradient: spans both regimes.
 PAYLOADS = [8, 1 * KB, 8 * KB, 64 * KB, 512 * KB, 1 * MB, 8 * MB]
 
-STRATEGIES = {"ring": ring_allreduce, "tree": tree_allreduce}
+ALGORITHMS = ("ring", "tree")
 
 
-def _standalone_time(strategy, world, nbytes):
+def _standalone_time(algorithm, world, nbytes):
     env = Environment()
     machine = tegner(env, k420_nodes=world)
     devices = [machine.node(n).cpu for n in sorted(machine.nodes)]
     values = [SymbolicValue((nbytes // 8,), "float64") for _ in range(world)]
-    env.run(until=env.process(strategy(devices, values)))
+    env.run(until=env.process(run_collective(
+        "CollectiveAllReduce", devices, values, algorithm=algorithm)))
     return env.now
 
 
 def test_ring_vs_tree_crossover(record_table, record_bench):
     times = {
         nbytes: {
-            name: _standalone_time(strategy, WORLD, nbytes)
-            for name, strategy in STRATEGIES.items()
+            algorithm: _standalone_time(algorithm, WORLD, nbytes)
+            for algorithm in ALGORITHMS
         }
         for nbytes in PAYLOADS
     }

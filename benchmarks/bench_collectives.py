@@ -26,7 +26,7 @@ from repro.apps.stencil import run_stencil
 from repro.core.session import admin_rpc_time
 from repro.core.tensor import SymbolicValue
 from repro.perf.reporting import format_table
-from repro.runtime.collective import ring_allreduce
+from repro.runtime.collective import run_collective
 from repro.simnet.events import Environment
 from repro.simnet.machines import tegner
 
@@ -107,7 +107,8 @@ def _standalone_ring(world, nbytes):
     machine = tegner(env, k420_nodes=world)
     devices = [machine.node(n).cpu for n in sorted(machine.nodes)]
     values = [SymbolicValue((nbytes // 8,), "float64") for _ in range(world)]
-    env.run(until=env.process(ring_allreduce(devices, values)))
+    env.run(until=env.process(
+        run_collective("CollectiveAllReduce", devices, values)))
     return env.now
 
 

@@ -48,9 +48,10 @@ from repro.core.metadata import NodeStats, RunMetadata, TransferStats
 from repro.core.partition import FEED, ExecutionPlan, Item, _job_task_of
 from repro.core.tensor import value_nbytes
 from repro.errors import DeadlineExceededError, InternalError
+from repro.runtime.collective import run_collective
 from repro.runtime.retry import retry_gen
 from repro.simnet import transports
-from repro.simnet.events import AllOf, Environment, Event
+from repro.simnet.events import AllOf, Environment, Event, arm_deadline
 
 __all__ = [
     "ExecutionState",
@@ -93,21 +94,22 @@ class _CollectiveGroup:
     """Per-run rendezvous of one lowered collective op's rank legs.
 
     Every leg deposits its device and (for data-carrying ranks) its input
-    value; the last leg to arrive drives the shared ring schedule over
-    the simulated transports and publishes the per-rank results through
-    ``done``. Legs block on ``done`` without holding a device slot, so a
-    straggling producer on a peer rank can never deadlock the ring.
+    value; the last leg to arrive drives ``run_collective`` — the op
+    type's value function, then the chosen schedule over the simulated
+    transports — and publishes the per-rank results through ``done``.
+    Legs block on ``done`` without holding a device slot, so a straggling
+    producer on a peer rank can never deadlock the schedule.
     """
 
-    __slots__ = ("op_name", "world", "devices", "values", "arrived",
-                 "arrived_ranks", "done", "results")
+    __slots__ = ("op", "world", "devices", "values", "arrived_ranks",
+                 "done", "results")
 
-    def __init__(self, env: Environment, world: int, op_name: str = ""):
-        self.op_name = op_name
-        self.world = world
-        self.devices: list = [None] * world
-        self.values: list = [None] * world
-        self.arrived = 0
+    def __init__(self, env: Environment, op):
+        self.op = op
+        self.world = op.get_attr("world")
+        self.devices: list = [None] * self.world
+        # One slot per data-carrying rank (a broadcast has one: the root).
+        self.values: list = [None] * len(op.inputs)
         self.arrived_ranks: list[int] = []
         self.done = env.event()
         self.results: Optional[list] = None
@@ -245,9 +247,7 @@ class ExecutionState:
         """
         group = self._collective_groups.get(item.op.name)
         if group is None:
-            group = _CollectiveGroup(
-                self.env, item.op.get_attr("world"), item.op.name
-            )
+            group = _CollectiveGroup(self.env, item.op)
             self._collective_groups[item.op.name] = group
             self._arm_group_watchdog(group)
         return group
@@ -258,11 +258,8 @@ class ExecutionState:
             if self.deadline_seconds is not None
             else DEFAULT_COLLECTIVE_JOIN_TIMEOUT
         )
-        watchdog = self.env.timeout(timeout_s)
 
-        def expire(_ev):
-            if group.done.triggered:
-                return
+        def expire():
             missing = group.missing_ranks()
             if not missing:
                 # Every rank joined; the schedule itself is still in
@@ -279,13 +276,15 @@ class ExecutionState:
             # Defuse: with no leg waiting yet, an undefused failure would
             # abort the simulation loop instead of surfacing per-run.
             group.done.fail(DeadlineExceededError(
-                f"Collective {group.op_name!r} join deadline of "
+                f"Collective {group.op.name!r} join deadline of "
                 f"{timeout_s:g} sim-seconds exceeded: rank(s) {missing} of "
                 f"world {group.world} never arrived "
                 f"(arrived: {sorted(group.arrived_ranks)}){detail}"
             )).defused()
 
-        watchdog.callbacks.append(expire)
+        # Detached the moment ``done`` fires: one armed far-future timer
+        # per collective per run must not pin the group's tensors.
+        arm_deadline(self.env, timeout_s, group.done, expire)
 
     # -- memory refcounting -------------------------------------------------------
     def register_outputs(self, item: Item, outputs: list) -> int:
@@ -430,8 +429,8 @@ def _legacy_launch(state: ExecutionState) -> Event:
         else:
             done.fail(ev._value)
 
-    def expire(_ev):
-        if done.triggered or inner.triggered:
+    def expire():
+        if inner.triggered:
             return
         state.count_deadline()
         remaining = sum(1 for p in processes if p.is_alive)
@@ -440,7 +439,7 @@ def _legacy_launch(state: ExecutionState) -> Event:
         ))
 
     inner.callbacks.append(forward)
-    env.timeout(timeout_s).callbacks.append(expire)
+    arm_deadline(env, timeout_s, done, expire)
     return done
 
 
@@ -508,17 +507,14 @@ class _Dispatcher:
         """
         state = self.state
         timeout_s = state.deadline_seconds * 2.0
-        watchdog = self.env.timeout(timeout_s)
 
-        def expire(_ev):
-            if self.finished:
-                return
+        def expire():
             state.count_deadline()
             self._fail(DeadlineExceededError(_run_deadline_message(
                 state, timeout_s, self.remaining
             )))
 
-        watchdog.callbacks.append(expire)
+        arm_deadline(self.env, timeout_s, self.done, expire)
 
     # -- completion bookkeeping ------------------------------------------------
     def _completed(self, item: Item) -> list[Item]:
@@ -921,37 +917,18 @@ def _run_recv(state: ExecutionState, item: Item):
         state.register_outputs(item, [value])
 
 
-def _collective_schedule(state: ExecutionState, item: Item,
-                         group: _CollectiveGroup):
-    """The schedule generator for one collective op over its rank devices.
-
-    Resolved through the strategy registry of
-    :mod:`repro.runtime.collective` with the algorithm the lowering chose
-    (``Item.collective_algorithm``) — the rendezvous below drives
-    whatever schedule is registered, so new algorithms never touch the
-    executor, in either dispatch lane.
-    """
-    from repro.runtime import collective as collective_runtime
-
-    op = item.op
-    protocol = op.get_attr("protocol") or state.protocol
-    strategy = collective_runtime.get_strategy(
-        op.type, item.collective_algorithm or "ring"
-    )
-    return strategy(group.devices, group.values, protocol)
-
-
 def _run_collective(state: ExecutionState, item: Item):
     """One rank leg of a lowered collective op.
 
     The leg publishes its device and rank input into the run's group
-    rendezvous; the last leg to arrive drives the registered strategy's
-    schedule (so the op's simulated time is exactly the standalone
-    generator's), and every leg completes at the schedule's finish time
-    holding its own rank's result. Legs never occupy a device slot while
-    blocked — the schedule's wire time is charged on the transports, and
-    the per-step host math inside the generator accounts the device-side
-    adds.
+    rendezvous; the last leg to arrive drives ``run_collective`` with the
+    algorithm the lowering chose (``Item.collective_algorithm``) — so the
+    op's values are the op type's one value function's and its simulated
+    time exactly the standalone schedule's, in either dispatch lane — and
+    every leg completes at the schedule's finish time holding its own
+    rank's result. Legs never occupy a device slot while blocked — the
+    schedule's wire time is charged on the transports, and the per-step
+    host math inside the schedule accounts the device-side adds.
     """
     rank = item.collective_rank
     group = state.collective_group(item)
@@ -959,20 +936,24 @@ def _run_collective(state: ExecutionState, item: Item):
     group.devices[rank] = state.device_obj(item.device)
     if item.sources:
         group.values[rank] = state.resolve_source(item.sources[0])
-    group.arrived += 1
     group.arrived_ranks.append(rank)
     if state.metadata is not None:
         state.metadata.collective_items += 1
-    if group.arrived == group.world:
+    if len(group.arrived_ranks) == group.world:
+        op = group.op
         try:
-            results = yield from _collective_schedule(state, item, group)
+            group.results = yield from run_collective(
+                op.type, group.devices, group.values,
+                op.get_attr("protocol") or state.protocol,
+                item.collective_algorithm or "ring", op.name,
+            )
         except BaseException as exc:
             # Wake the peer legs so their cleanup runs; the failure still
             # surfaces through this leg (and the run's done event).
             if group.world > 1 and not group.done.triggered:
                 group.done.fail(exc)
             raise
-        group.results = results
+        group.values = []  # the results stand alone; drop the inputs
         group.done.succeed()
     else:
         yield group.done

@@ -2,25 +2,30 @@
 
 The paper's discussion section argues for "an MPI communication backend
 for functions such as allreduce without needing the use of dedicated
-servers" (Horovod, the Cray ML plugin). These builders promote the ring
+servers" (Horovod, the Cray ML plugin). These builders promote the
 collectives of :mod:`repro.runtime.collective` into the graph: one
 ``CollectiveAllReduce`` op has ``W`` inputs (one per rank, each typically
 living on a different worker's device) and ``W`` outputs (one reduced
 copy per rank, colocated with that rank's input).
 
+What each op type *computes* — input validation and the per-rank results
+in canonical rank order, symbolic or concrete — is defined once, by
+:func:`repro.runtime.collective.collective_values`; nothing in this file
+or in the executor repeats it.
+
 Under a Session the partitioner *lowers* the op into ``W`` per-rank plan
 items (see ``build_plan``): each leg sits on its rank's device, receives
 its rank's input through the ordinary ``route_value`` send/recv
-machinery, and the executor drives the shared ring schedule over the
-simulated transports — so placement, the plan-time optimizer, the plan
-cache, the dependency-counting dispatcher and ``RunMetadata`` all apply,
-and the op's simulated time is the standalone ring generator's time by
-construction.
+machinery, and the last leg to arrive drives
+:func:`repro.runtime.collective.run_collective` — the value function,
+then the chosen clock-only schedule over the simulated transports — so
+placement, the plan-time optimizer, the plan cache, the
+dependency-counting dispatcher and ``RunMetadata`` all apply, and the
+op's simulated time is the standalone schedule's time by construction.
 
-Eagerly (and under ``run_functions_eagerly``) the kernels below execute
-the same canonical arithmetic directly — concrete sums accumulate in
-rank order starting from zeros, exactly as the ring's concrete path
-does, so the three frontends produce byte-identical values.
+Eagerly (and under ``run_functions_eagerly``) the kernels below call the
+same value function directly, so the three frontends produce
+byte-identical values and raise byte-identical errors.
 
 Every builder takes an ``algorithm=`` attr selecting the communication
 schedule (``"auto"`` — resolved per payload/world size at lowering time
@@ -35,22 +40,22 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Optional, Sequence
 
-import numpy as np
-
 from repro.core.kernels.registry import Cost, register_kernel
 from repro.core.ops.common import (
     NUMERIC,
     OutputSpecs,
-    any_symbolic,
-    make_symbolic,
     merged_shape,
     runtime_spec,
     to_tensor,
     uniform_dtype,
 )
-from repro.core.tensor import Tensor, TensorShape
+from repro.core.tensor import Tensor, TensorShape, value_nbytes
 from repro.errors import InvalidArgumentError
-from repro.runtime.collective import registered_algorithms
+from repro.runtime.collective import (
+    collective_values,
+    registered_algorithms,
+    scatter_rows,
+)
 
 __all__ = [
     "COLLECTIVE_OP_TYPES",
@@ -171,7 +176,7 @@ def reduce_scatter(
 
     Args:
         values: per-rank addends of equal shape and dtype, rank >= 1,
-            leading dimension divisible by the number of ranks.
+            leading dimension a multiple of the number of ranks.
         devices: optional explicit per-rank device strings; by default
             each rank's leg colocates with its input's producer.
         protocol: bulk transport override for the collective traffic.
@@ -297,14 +302,8 @@ def _reduce_scatter_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) ->
             "reduce_scatter needs tensors of rank >= 1 (got a scalar)"
         )
     lead = dims[0]
-    if lead is not None and lead % world != 0:
-        raise InvalidArgumentError(
-            f"reduce_scatter needs a leading dimension divisible by "
-            f"the world size: {lead} rows across {world} ranks"
-        )
-    out_shape = TensorShape(
-        [None if lead is None else lead // world, *dims[1:]]
-    )
+    rows = None if lead is None else scatter_rows(lead, world, "reduce_scatter")
+    out_shape = TensorShape([rows, *dims[1:]])
     return [(dtype, out_shape)] * world
 
 
@@ -341,122 +340,57 @@ def _broadcast_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> Outp
 # ---------------------------------------------------------------------------
 #
 # Under a Session these ops never reach kernel dispatch — the partitioner
-# lowers them into per-rank ring legs — so the kernels only implement the
-# immediate-execution semantics. They are deliberately *not* ``pure``
-# (CSE/folding must not merge or pre-evaluate communication) and not
-# ``graph_only`` (the arithmetic is well-defined without a simulator).
-
-
-def _validate_allreduce_inputs(specs) -> None:
-    for spec in specs[1:]:
-        if spec.shape != specs[0].shape or spec.dtype != specs[0].dtype:
-            raise InvalidArgumentError(
-                f"allreduce buffers disagree: {specs[0]} vs {spec}"
-            )
+# lowers them into per-rank schedule legs — so the kernels only implement
+# the immediate-execution semantics: the op type's value function plus a
+# nominal Cost. They are deliberately *not* ``pure`` (CSE/folding must not
+# merge or pre-evaluate communication) and not ``graph_only`` (the
+# arithmetic is well-defined without a simulator).
 
 
 @register_kernel("CollectiveAllReduce", shape_fn=_all_reduce_shape,
                  builder="all_reduce", arity=(2, 8), dtypes=NUMERIC,
                  shape_rule="collective")
 def _all_reduce_kernel(op, inputs, ctx):
-    specs = [runtime_spec(v) for v in inputs]
-    _validate_allreduce_inputs(specs)
     world = len(inputs)
-    nbytes = sum(s.nbytes for s in specs)
-    cost = Cost(
-        flops=(world - 1) * specs[0].size,
-        mem_bytes=nbytes + world * specs[0].nbytes,
+    outputs = collective_values(op.type, inputs, world, op.name)
+    spec = runtime_spec(inputs[0])
+    return outputs, Cost(
+        flops=(world - 1) * spec.size,
+        mem_bytes=2 * world * spec.nbytes,
         kind="compute",
     )
-    if any_symbolic(inputs):
-        return [
-            make_symbolic(specs[0].shape, specs[0].dtype) for _ in inputs
-        ], cost
-    # Canonical accumulation order (zeros, then rank 0, 1, ...): matches
-    # the ring generator's concrete path byte for byte.
-    total = np.zeros(specs[0].shape, dtype=specs[0].dtype.np_dtype)
-    for value in inputs:
-        total = total + np.asarray(value)
-    return [total.copy() for _ in inputs], cost
 
 
 @register_kernel("CollectiveReduceScatter", shape_fn=_reduce_scatter_shape,
                  builder="reduce_scatter", arity=(2, 8), dtypes=NUMERIC,
                  shape_rule="collective")
 def _reduce_scatter_kernel(op, inputs, ctx):
-    specs = [runtime_spec(v) for v in inputs]
-    _validate_allreduce_inputs(specs)
     world = len(inputs)
-    if specs[0].ndim == 0:
-        raise InvalidArgumentError(
-            "reduce_scatter needs tensors of rank >= 1 (got a scalar)"
-        )
-    if specs[0].shape[0] % world != 0:
-        raise InvalidArgumentError(
-            f"reduce_scatter needs a leading dimension divisible by the "
-            f"world size: {specs[0].shape[0]} rows across {world} ranks"
-        )
-    rows = specs[0].shape[0] // world
-    block_shape = (rows, *specs[0].shape[1:])
-    nbytes = sum(s.nbytes for s in specs)
-    cost = Cost(
-        flops=(world - 1) * specs[0].size,
-        mem_bytes=nbytes + specs[0].nbytes,
+    outputs = collective_values(op.type, inputs, world, op.name)
+    spec = runtime_spec(inputs[0])
+    return outputs, Cost(
+        flops=(world - 1) * spec.size,
+        mem_bytes=(world + 1) * spec.nbytes,
         kind="compute",
     )
-    if any_symbolic(inputs):
-        return [
-            make_symbolic(block_shape, specs[0].dtype) for _ in inputs
-        ], cost
-    # Canonical accumulation order (zeros, then rank 0, 1, ...): the sum
-    # matches the ring generator and the allreduce byte for byte; rank r
-    # keeps block r.
-    total = np.zeros(specs[0].shape, dtype=specs[0].dtype.np_dtype)
-    for value in inputs:
-        total = total + np.asarray(value)
-    return [
-        np.ascontiguousarray(total[rank * rows:(rank + 1) * rows])
-        for rank in range(world)
-    ], cost
 
 
 @register_kernel("CollectiveAllGather", shape_fn=_all_gather_shape,
                  builder="all_gather", arity=(2, 8), dtypes=NUMERIC,
                  shape_rule="collective")
 def _all_gather_kernel(op, inputs, ctx):
-    specs = [runtime_spec(v) for v in inputs]
-    for spec in specs[1:]:
-        if (
-            spec.ndim != specs[0].ndim
-            or spec.ndim == 0
-            or spec.shape[1:] != specs[0].shape[1:]
-            or spec.dtype != specs[0].dtype
-        ):
-            raise InvalidArgumentError(
-                f"allgather buffers disagree beyond axis 0: "
-                f"{specs[0]} vs {spec}"
-            )
     world = len(inputs)
-    nbytes = sum(s.nbytes for s in specs)
-    cost = Cost(mem_bytes=(1 + world) * nbytes, kind="memcpy")
-    if any_symbolic(inputs):
-        out_shape = (sum(s.shape[0] for s in specs), *specs[0].shape[1:])
-        return [
-            make_symbolic(out_shape, specs[0].dtype) for _ in inputs
-        ], cost
-    full = np.concatenate([np.asarray(v) for v in inputs], axis=0)
-    return [full.copy() for _ in inputs], cost
+    outputs = collective_values(op.type, inputs, world, op.name)
+    nbytes = sum(value_nbytes(v) for v in inputs)
+    return outputs, Cost(mem_bytes=(1 + world) * nbytes, kind="memcpy")
 
 
 @register_kernel("CollectiveBroadcast", shape_fn=_broadcast_shape,
                  builder="broadcast", arity=(1, 1), dtypes=NUMERIC,
                  shape_rule="collective")
 def _broadcast_kernel(op, inputs, ctx):
-    (value,) = inputs
     world = op.get_attr("world")
-    spec = runtime_spec(value)
-    cost = Cost(mem_bytes=world * spec.nbytes, kind="memcpy")
-    if any_symbolic(inputs):
-        return [make_symbolic(spec.shape, spec.dtype) for _ in range(world)], cost
-    arr = np.asarray(value)
-    return [arr.copy() for _ in range(world)], cost
+    outputs = collective_values(op.type, inputs, world, op.name)
+    return outputs, Cost(
+        mem_bytes=world * value_nbytes(inputs[0]), kind="memcpy"
+    )

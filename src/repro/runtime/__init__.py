@@ -7,9 +7,9 @@ tasks over the simulated network, and provides the coordination helpers
 """
 
 from repro.runtime.clusterspec import ClusterSpec
-from repro.runtime.collective import ring_allreduce
+from repro.runtime.collective import run_collective
 from repro.runtime.rendezvous import Rendezvous
 from repro.runtime.server import Server, TaskRuntime
 
 __all__ = ["ClusterSpec", "Server", "TaskRuntime", "Rendezvous",
-           "ring_allreduce"]
+           "run_collective"]

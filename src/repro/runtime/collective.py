@@ -1,21 +1,31 @@
-"""Collective algorithms — the MPI-style primitives the paper points to.
+"""Collectives — the MPI-style primitives the paper points to.
 
 The discussion section names Uber's Horovod and Cray's ML plugin as the
 way past the parameter-server/reducer model: "an MPI communication
 backend for functions such as allreduce without needing the use of
-dedicated servers". This module implements the classic collective
-schedules over the simulated transports so the designs can be compared
-head-to-head (see ``benchmarks/bench_collective_algos.py``), and it is
-the lowering target of the graph-level collective ops
-(:mod:`repro.core.ops.collective_ops`): a lowered collective item group
-drives exactly these generators, so the op's simulated time is the
-standalone schedule's time by construction.
+dedicated servers". This module defines the four collectives in two
+halves that never meet:
 
-The *algorithm* is a pluggable strategy: schedules register under
-``(op type, algorithm)`` via :func:`register_strategy`, and the
-partitioner resolves an op's ``algorithm="auto"`` attr per payload and
-world size through :func:`select_algorithm` at lowering time. Two
-allreduce schedules ship:
+* **What a collective computes** — one *value function* per op type
+  (:func:`collective_values`): validate the per-rank inputs and produce
+  the per-rank results, symbolic or concrete. Concrete sums accumulate in
+  rank order starting from zeros, so every caller — the eager kernels of
+  :mod:`repro.core.ops.collective_ops`, both executor lanes, the
+  benchmarks — gets the same bytes and the same typed error.
+* **What a collective costs** — *clock-only strategies* registered under
+  ``(op type, algorithm)``: generators ``schedule(devices,
+  nbytes_per_rank, protocol)`` that yield the DES events of their
+  communication rounds over the simulated transports and return
+  nothing. A strategy never sees a value, so algorithm choice can only
+  ever move the simulated clock, never the bytes — by construction.
+
+:func:`run_collective` is the one entry point joining the two: the
+lowered graph op's rank rendezvous (``core/executor.py``), the tests and
+``benchmarks/bench_{collectives,collective_algos,ablations}.py`` all
+drive it, so a graph op's simulated time is the standalone schedule's
+time. The partitioner resolves an op's ``algorithm="auto"`` attr per
+payload and world size through :func:`select_algorithm` at lowering time.
+Two allreduce schedules ship:
 
 * **ring** (bandwidth-optimal): the buffer is cut into ``W`` chunks;
   ``W - 1`` reduce-scatter steps followed by ``W - 1`` allgather steps
@@ -29,28 +39,34 @@ allreduce schedules ship:
   instead of the ring's ``2 (W - 1)``, at ``log2(W)``× the wire bytes —
   the right trade for scalars and small tensors.
 
-Every concrete schedule accumulates sums in rank order starting from
-zeros, so results are **byte-identical across algorithms**; only the
-simulated clock differs.
+Adding a schedule is ~15 lines of clock code::
+
+    @register_strategy("CollectiveAllReduce", "my-algo")
+    def _my_allreduce(devices, nbytes_per_rank, protocol):
+        env = devices[0].env
+        for sends in my_rounds(len(devices), nbytes_per_rank[0]):
+            yield _round(devices, sends, protocol, "my-algo")
+            yield env.timeout(local_math_seconds)
+
+It must yield nothing for a one-rank world; the builders' ``algorithm=``
+attr, the fuzz matrix and the benchmarks pick it up from the registry.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NoReturn, Optional, Sequence
 
 import numpy as np
 
-from repro.core.tensor import SymbolicValue
+from repro.core.tensor import SymbolicValue, value_nbytes
 from repro.errors import InvalidArgumentError
 from repro.simnet import transports
-from repro.simnet.events import AllOf, Environment
+from repro.simnet.events import AllOf, Event
 
 __all__ = [
-    "ring_allreduce",
-    "ring_allgather",
-    "ring_broadcast",
-    "ring_reduce_scatter",
-    "tree_allreduce",
+    "run_collective",
+    "collective_values",
+    "scatter_rows",
     "allreduce_time_lower_bound",
     "register_strategy",
     "get_strategy",
@@ -59,25 +75,163 @@ __all__ = [
 ]
 
 # ---------------------------------------------------------------------------
-# strategy registry
+# what a collective computes: one value function per op type
 # ---------------------------------------------------------------------------
 
-# (op type, algorithm) -> schedule generator with the uniform signature
-# ``strategy(devices, values, protocol)``; one value per rank, in ring
-# order (a broadcast strategy reads its payload from ``values[0]``, the
-# root).
+
+def _fail(name: str, rank: int, problem: str) -> NoReturn:
+    raise InvalidArgumentError(f"{name}: rank {rank} {problem}")
+
+
+def _rank_specs(name: str, values: Sequence, world: int) -> list[SymbolicValue]:
+    if len(values) != world:
+        raise InvalidArgumentError(
+            f"{name}: {world} ranks but {len(values)} values"
+        )
+    return [SymbolicValue.of(v) for v in values]
+
+
+def _reduce_specs(name: str, values: Sequence, world: int) -> SymbolicValue:
+    """The one buffer spec every rank of a reduction must contribute."""
+    specs = _rank_specs(name, values, world)
+    for rank, spec in enumerate(specs):
+        if spec != specs[0]:
+            _fail(name, rank, f"buffers disagree with rank 0: "
+                              f"{spec} vs {specs[0]}")
+    return specs[0]
+
+
+def _symbolic(values: Sequence) -> bool:
+    return any(isinstance(v, SymbolicValue) for v in values)
+
+
+def _fresh(shape: Sequence[int], dtype, world: int) -> list[SymbolicValue]:
+    # One *distinct* spec per rank: a result is a fresh buffer on every
+    # rank, never an alias of some rank's input.
+    return [SymbolicValue(shape, dtype) for _ in range(world)]
+
+
+def _rank_order_sum(values: Sequence, spec: SymbolicValue) -> np.ndarray:
+    """The canonical sum: zeros, then rank 0, 1, ... — the accumulation
+    order that makes every frontend, lane and algorithm byte-identical."""
+    total = np.zeros(spec.shape, dtype=spec.dtype.np_dtype)
+    for value in values:
+        total = total + np.asarray(value)
+    return total
+
+
+def scatter_rows(lead: int, world: int, who: str) -> int:
+    """Rows each rank keeps when ``lead`` leading rows scatter over
+    ``world`` ranks (shared by the builder's shape function)."""
+    if lead % world != 0:
+        raise InvalidArgumentError(
+            f"{who}: reduce_scatter needs a leading dimension divisible by "
+            f"the world size: {lead} rows across {world} ranks"
+        )
+    return lead // world
+
+
+def _allreduce_values(name: str, values: Sequence, world: int) -> list:
+    spec = _reduce_specs(name, values, world)
+    if _symbolic(values):
+        return _fresh(spec.shape, spec.dtype, world)
+    total = _rank_order_sum(values, spec)
+    return [total.copy() for _ in range(world)]
+
+
+def _reduce_scatter_values(name: str, values: Sequence, world: int) -> list:
+    spec = _reduce_specs(name, values, world)
+    if spec.ndim == 0:
+        _fail(name, 0, "is a scalar: reduce_scatter needs tensors of "
+                       "rank >= 1")
+    rows = scatter_rows(spec.shape[0], world, f"{name}: rank 0")
+    if _symbolic(values):
+        return _fresh((rows, *spec.shape[1:]), spec.dtype, world)
+    total = _rank_order_sum(values, spec)
+    return [
+        np.ascontiguousarray(total[rank * rows:(rank + 1) * rows])
+        for rank in range(world)
+    ]
+
+
+def _allgather_values(name: str, values: Sequence, world: int) -> list:
+    specs = _rank_specs(name, values, world)
+    first = specs[0]
+    for rank, spec in enumerate(specs):
+        if spec.ndim == 0:
+            _fail(name, rank, "is a scalar: allgather needs tensors of "
+                              "rank >= 1")
+        if spec.shape[1:] != first.shape[1:] or spec.dtype != first.dtype:
+            _fail(name, rank, f"disagrees with rank 0 beyond axis 0: "
+                              f"{spec} vs {first}")
+    if _symbolic(values):
+        rows = sum(spec.shape[0] for spec in specs)
+        return _fresh((rows, *first.shape[1:]), first.dtype, world)
+    full = np.concatenate([np.asarray(v) for v in values], axis=0)
+    return [full.copy() for _ in range(world)]
+
+
+def _broadcast_values(name: str, values: Sequence, world: int) -> list:
+    if len(values) != 1:
+        raise InvalidArgumentError(
+            f"{name}: a broadcast takes one value, the root's (rank 0) "
+            f"payload, not {len(values)}"
+        )
+    value = values[0]
+    if isinstance(value, SymbolicValue):
+        return _fresh(value.shape, value.dtype, world)
+    arr = np.asarray(value)
+    return [arr.copy() for _ in range(world)]
+
+
+_VALUE_FUNCTIONS: dict[str, Callable[[str, Sequence, int], list]] = {
+    "CollectiveAllReduce": _allreduce_values,
+    "CollectiveReduceScatter": _reduce_scatter_values,
+    "CollectiveAllGather": _allgather_values,
+    "CollectiveBroadcast": _broadcast_values,
+}
+
+
+def collective_values(op_type: str, values: Sequence, world: int,
+                      name: Optional[str] = None) -> list:
+    """What ``op_type`` computes: one result per rank, in rank order.
+
+    Args:
+        op_type: one of the four ``Collective*`` op types.
+        values: one ndarray or :class:`SymbolicValue` per rank (a
+            broadcast has a single value, the root's payload).
+        world: number of ranks.
+        name: the op's name for error messages (default: the op type).
+
+    Any symbolic input makes every result symbolic (one distinct spec per
+    rank); concrete results are independent copies. A validation failure
+    is an :class:`InvalidArgumentError` naming the op and the first
+    offending rank — the same text from every caller.
+    """
+    if world < 1:
+        raise InvalidArgumentError("a collective needs at least one rank")
+    return _VALUE_FUNCTIONS[op_type](name or op_type, values, world)
+
+
+# ---------------------------------------------------------------------------
+# what a collective costs: the strategy registry
+# ---------------------------------------------------------------------------
+
+# (op type, algorithm) -> clock-only schedule generator with the uniform
+# signature ``schedule(devices, nbytes_per_rank, protocol)``.
 _STRATEGIES: dict[tuple[str, str], Callable] = {}
 
 
 def register_strategy(op_type: str, algorithm: str):
     """Decorator registering a schedule for ``(op_type, algorithm)``.
 
-    The decorated generator takes ``(devices, values, protocol)`` — one
-    simulated device and one per-rank value, ring order — yields DES
-    events for its communication steps, and returns the per-rank result
-    list. The executor's ``_CollectiveGroup`` rendezvous drives whatever
-    schedule is registered; adding an algorithm never touches the
-    executor.
+    The decorated generator takes ``(devices, nbytes_per_rank, protocol)``
+    — one simulated device per rank in ring order, the wire size of each
+    rank's input (a broadcast has one entry, the root's payload) and the
+    bulk transport — yields DES events for its communication steps, and
+    returns nothing. It yields nothing at all for a one-rank world.
+    :func:`run_collective` drives whatever schedule is registered; adding
+    an algorithm never touches the executor.
     """
 
     def wrap(fn: Callable) -> Callable:
@@ -106,6 +260,38 @@ def get_strategy(op_type: str, algorithm: str) -> Callable:
 def registered_algorithms(op_type: str) -> tuple[str, ...]:
     """Algorithms registered for ``op_type``, sorted (drives sweeps)."""
     return tuple(sorted(a for (t, a) in _STRATEGIES if t == op_type))
+
+
+def run_collective(
+    op_type: str,
+    devices: Sequence,
+    values: Sequence,
+    protocol: str = "rdma",
+    algorithm: str = "ring",
+    name: Optional[str] = None,
+) -> Iterator:
+    """Generator: run one collective across ``devices``.
+
+    Computes the per-rank results with :func:`collective_values`, then
+    spends the simulated time of the ``(op_type, algorithm)`` schedule.
+
+    Args:
+        op_type: one of the four ``Collective*`` op types.
+        devices: one simulated device per rank (the ring order; a
+            broadcast's root is ``devices[0]`` — rotate the list to move
+            it).
+        values: one ndarray or :class:`SymbolicValue` per rank, or the
+            single root payload for a broadcast.
+        protocol: bulk transport for the collective traffic.
+        algorithm: a registered algorithm for ``op_type``.
+        name: the op's name for error messages.
+
+    Returns (via generator return value): the list of per-rank results.
+    """
+    schedule = get_strategy(op_type, algorithm)
+    results = collective_values(op_type, values, len(devices), name)
+    yield from schedule(devices, [value_nbytes(v) for v in values], protocol)
+    return results
 
 
 # Nominal per-step fixed cost of the simulated fabrics, expressed as the
@@ -161,14 +347,9 @@ def allreduce_time_lower_bound(nbytes: int, num_ranks: int, link_rate: float) ->
     return 2.0 * (num_ranks - 1) / num_ranks * nbytes / link_rate
 
 
-def _validate_ring(devices: Sequence, values: Sequence) -> list[SymbolicValue]:
-    if len(devices) != len(values):
-        raise InvalidArgumentError(
-            f"{len(devices)} devices but {len(values)} values"
-        )
-    if not devices:
-        raise InvalidArgumentError("a collective needs at least one rank")
-    return [SymbolicValue.of(v) for v in values]
+# ---------------------------------------------------------------------------
+# the schedules
+# ---------------------------------------------------------------------------
 
 
 def _slowest_numpy_rate(devices: Sequence) -> float:
@@ -181,388 +362,153 @@ def _slowest_numpy_rate(devices: Sequence) -> float:
     return min(d.node.cpu.model.numpy_bytes_rate for d in devices)
 
 
-@register_strategy("CollectiveAllReduce", "ring")
-def ring_allreduce(
-    devices: Sequence,
-    values: Sequence,
-    protocol: str = "rdma",
-) -> Iterator:
-    """Generator: sum-allreduce ``values`` across ``devices``.
+def _round(devices: Sequence, sends: Sequence[tuple[int, int, int]],
+           protocol: str, label: str) -> Event:
+    """One communication round: every ``(src rank, dst rank, nbytes)``
+    send runs concurrently; the event fires when the last one lands."""
+    env = devices[0].env
+    return AllOf(env, [
+        env.process(
+            transports.transfer(devices[src], devices[dst], nbytes, protocol),
+            name=f"{label}:{src}->{dst}",
+        )
+        for src, dst, nbytes in sends
+    ])
 
-    Args:
-        devices: one simulated device per rank (the ring order).
-        values: one ndarray or :class:`SymbolicValue` per rank, equal
-            shapes; each rank contributes one addend.
-        protocol: bulk transport for the ring traffic.
 
-    Returns (via generator return value): the list of per-rank reduced
-    values — every rank holds the full sum, as after ``MPI_Allreduce``.
-    Concrete sums are accumulated in rank order starting from zeros, so
-    every rank's copy is byte-identical to a central reduction of the
-    same addends.
-    """
-    specs = _validate_ring(devices, values)
+def _ring_round(devices: Sequence, chunks: Sequence[int], protocol: str,
+                label: str) -> Event:
+    """Every rank sends ``chunks[rank]`` bytes to its ring neighbour."""
     world = len(devices)
-    for spec in specs[1:]:
-        if spec.shape != specs[0].shape or spec.dtype != specs[0].dtype:
-            raise InvalidArgumentError(
-                f"allreduce buffers disagree: {specs[0]} vs {spec}"
-            )
-    symbolic = any(isinstance(v, SymbolicValue) for v in values)
-    if symbolic:
-        # One *distinct* spec per rank: the reduced value has the input's
-        # shape/dtype but is a fresh buffer on every rank — aliasing one
-        # spec object across ranks (the old behaviour) made every rank's
-        # "result" literally rank 0's input.
-        result_per_rank = [
-            SymbolicValue(specs[0].shape, specs[0].dtype) for _ in range(world)
-        ]
-    else:
-        total = np.zeros(specs[0].shape, dtype=specs[0].dtype.np_dtype)
-        for value in values:
-            total = total + np.asarray(value)
-        result_per_rank = [total.copy() for _ in range(world)]
-    if world == 1:
-        return result_per_rank
+    return _round(
+        devices,
+        [(rank, (rank + 1) % world, chunks[rank]) for rank in range(world)],
+        protocol, label,
+    )
 
-    env: Environment = devices[0].env
-    nbytes = specs[0].nbytes
+
+@register_strategy("CollectiveAllReduce", "ring")
+def _ring_allreduce(devices: Sequence, nbytes_per_rank: Sequence[int],
+                    protocol: str) -> Iterator:
+    """``W - 1`` reduce-scatter steps, then ``W - 1`` allgather steps."""
+    world = len(devices)
+    env = devices[0].env
     # Chunks are ceil-divided; the last partial chunk costs like a full one
     # only in its final step, which the ceil approximates conservatively.
-    chunk = -(-nbytes // world)
+    chunk = -(-nbytes_per_rank[0] // world)
     add_seconds = chunk / _slowest_numpy_rate(devices)
-    steps = 2 * (world - 1)
-    for _step in range(steps):
-        moves = []
-        for rank in range(world):
-            dst = (rank + 1) % world
-            moves.append(
-                env.process(
-                    transports.transfer(
-                        devices[rank], devices[dst], chunk, protocol
-                    ),
-                    name=f"ring:{rank}->{dst}",
-                )
-            )
-        yield AllOf(env, moves)
+    for step in range(2 * (world - 1)):
+        yield _ring_round(devices, [chunk] * world, protocol, "ring")
         # Reduction math on each rank: one chunk-sized vector add per
         # reduce-scatter step. All ranks add concurrently, so the step
         # costs the slowest rank's add (negligible next to the wire time,
         # but accounted).
-        if _step < world - 1:
+        if step < world - 1:
             yield env.timeout(add_seconds)
-    return result_per_rank
-
-
-def _allreduce_setup(devices: Sequence, values: Sequence):
-    """Shared validation + canonical result for every allreduce schedule.
-
-    Every algorithm returns the *same* per-rank values — concrete sums
-    accumulate in rank order starting from zeros — so algorithm choice
-    can only ever move the simulated clock, never the bytes.
-    """
-    specs = _validate_ring(devices, values)
-    world = len(devices)
-    for spec in specs[1:]:
-        if spec.shape != specs[0].shape or spec.dtype != specs[0].dtype:
-            raise InvalidArgumentError(
-                f"allreduce buffers disagree: {specs[0]} vs {spec}"
-            )
-    if any(isinstance(v, SymbolicValue) for v in values):
-        result_per_rank = [
-            SymbolicValue(specs[0].shape, specs[0].dtype) for _ in range(world)
-        ]
-    else:
-        total = np.zeros(specs[0].shape, dtype=specs[0].dtype.np_dtype)
-        for value in values:
-            total = total + np.asarray(value)
-        result_per_rank = [total.copy() for _ in range(world)]
-    return specs, result_per_rank
 
 
 @register_strategy("CollectiveAllReduce", "tree")
-def tree_allreduce(
-    devices: Sequence,
-    values: Sequence,
-    protocol: str = "rdma",
-) -> Iterator:
-    """Generator: latency-optimal allreduce by recursive halving/doubling.
+def _tree_allreduce(devices: Sequence, nbytes_per_rank: Sequence[int],
+                    protocol: str) -> Iterator:
+    """Latency-optimal allreduce by recursive halving/doubling.
 
     With ``W = 2^k`` ranks: ``k`` rounds; in round ``j`` every rank
     exchanges its **full** buffer with the partner at distance ``2^j``
-    and adds, all pairs concurrent. Non-power-of-two worlds fold the
-    ``r = W - 2^k`` extra ranks into their partners first (one round)
-    and fan the result back out last (one round). ``O(log W)`` latency
-    steps instead of the ring's ``2 (W - 1)``, at ``log2(W)`` x the wire
-    bytes — the winning trade for scalars and small tensors, losing at
-    bandwidth scale (``benchmarks/bench_collective_algos.py`` maps the
-    crossover).
-
-    Returns the per-rank reduced values, byte-identical to
-    :func:`ring_allreduce`'s (same canonical rank-order accumulation).
+    and adds, all pairs concurrent over duplex links. Non-power-of-two
+    worlds fold the ``r = W - 2^k`` extra ranks into their partners first
+    (one round) and fan the result back out last (one round). ``O(log W)``
+    latency steps instead of the ring's ``2 (W - 1)``, at ``log2(W)`` x
+    the wire bytes — the winning trade for scalars and small tensors,
+    losing at bandwidth scale (``benchmarks/bench_collective_algos.py``
+    maps the crossover).
     """
-    specs, result_per_rank = _allreduce_setup(devices, values)
     world = len(devices)
-    if world == 1:
-        return result_per_rank
-
-    env: Environment = devices[0].env
-    nbytes = specs[0].nbytes
+    env = devices[0].env
+    nbytes = nbytes_per_rank[0]
     add_seconds = nbytes / _slowest_numpy_rate(devices)
     power = 1 << (world.bit_length() - 1)
-    extras = world - power
-
-    def exchange(pairs):
-        """One round: every (a, b) trades full buffers, duplex links."""
-        moves = []
-        for a, b in pairs:
-            moves.append(env.process(
-                transports.transfer(devices[a], devices[b], nbytes, protocol),
-                name=f"tree:{a}->{b}",
-            ))
-            moves.append(env.process(
-                transports.transfer(devices[b], devices[a], nbytes, protocol),
-                name=f"tree:{b}->{a}",
-            ))
-        return AllOf(env, moves)
-
+    extras = range(world - power)
     if extras:
         # Fold-in: extra rank (power + i) sends its addend to partner i.
-        moves = [
-            env.process(
-                transports.transfer(
-                    devices[power + i], devices[i], nbytes, protocol
-                ),
-                name=f"tree:fold{power + i}->{i}",
-            )
-            for i in range(extras)
-        ]
-        yield AllOf(env, moves)
+        yield _round(devices, [(power + i, i, nbytes) for i in extras],
+                     protocol, "tree")
         yield env.timeout(add_seconds)
     distance = 1
     while distance < power:
-        pairs = [
-            (rank, rank + distance)
-            for rank in range(power)
-            if rank & distance == 0
-        ]
-        yield exchange(pairs)
+        sends = []
+        for rank in range(power):
+            if rank & distance == 0:
+                sends.append((rank, rank + distance, nbytes))
+                sends.append((rank + distance, rank, nbytes))
+        yield _round(devices, sends, protocol, "tree")
         yield env.timeout(add_seconds)
         distance <<= 1
     if extras:
         # Fold-out: partners return the finished sum to the extra ranks.
-        moves = [
-            env.process(
-                transports.transfer(
-                    devices[i], devices[power + i], nbytes, protocol
-                ),
-                name=f"tree:unfold{i}->{power + i}",
-            )
-            for i in range(extras)
-        ]
-        yield AllOf(env, moves)
-    return result_per_rank
+        yield _round(devices, [(i, power + i, nbytes) for i in extras],
+                     protocol, "tree")
 
 
 @register_strategy("CollectiveReduceScatter", "ring")
-def ring_reduce_scatter(
-    devices: Sequence,
-    values: Sequence,
-    protocol: str = "rdma",
-) -> Iterator:
-    """Generator: sum-reduce ``values``, leaving block ``r`` on rank ``r``.
+def _ring_reduce_scatter(devices: Sequence, nbytes_per_rank: Sequence[int],
+                         protocol: str) -> Iterator:
+    """The ring allreduce's first half standalone.
 
-    The ring allreduce's first half standalone: ``W - 1`` steps each move
-    one axis-0 block to the ring neighbour (all links concurrent) and
-    reduce on arrival — every rank ends holding only its ``1/W`` share of
-    the sum, having moved ``(W-1)/W`` of the buffer. The primitive for
-    sharded-state updates that never need the full result per rank.
-
-    Requires equal rank >= 1 buffers whose leading dimension divides by
-    the world size. Returns one axis-0 block per rank (rank ``r`` gets
-    block ``r`` of the canonical rank-order sum).
+    ``W - 1`` steps each move one axis-0 block to the ring neighbour (all
+    links concurrent) and reduce on arrival — every rank ends holding only
+    its ``1/W`` share of the sum, having moved ``(W-1)/W`` of the buffer.
     """
-    specs = _validate_ring(devices, values)
     world = len(devices)
-    for spec in specs[1:]:
-        if spec.shape != specs[0].shape or spec.dtype != specs[0].dtype:
-            raise InvalidArgumentError(
-                f"reduce_scatter buffers disagree: {specs[0]} vs {spec}"
-            )
-    if specs[0].ndim == 0:
-        raise InvalidArgumentError(
-            "reduce_scatter needs tensors of rank >= 1 (got a scalar)"
-        )
-    if specs[0].shape[0] % world != 0:
-        raise InvalidArgumentError(
-            f"reduce_scatter needs a leading dimension divisible by the "
-            f"world size: {specs[0].shape[0]} rows across {world} ranks"
-        )
-    rows = specs[0].shape[0] // world
-    block_shape = (rows, *specs[0].shape[1:])
-    if any(isinstance(v, SymbolicValue) for v in values):
-        result_per_rank = [
-            SymbolicValue(block_shape, specs[0].dtype) for _ in range(world)
-        ]
-    else:
-        total = np.zeros(specs[0].shape, dtype=specs[0].dtype.np_dtype)
-        for value in values:
-            total = total + np.asarray(value)
-        result_per_rank = [
-            np.ascontiguousarray(total[rank * rows:(rank + 1) * rows])
-            for rank in range(world)
-        ]
-    if world == 1:
-        return result_per_rank
-
-    env: Environment = devices[0].env
-    chunk = specs[0].nbytes // world
+    env = devices[0].env
+    chunk = nbytes_per_rank[0] // world
     add_seconds = chunk / _slowest_numpy_rate(devices)
     for _step in range(world - 1):
-        moves = []
-        for rank in range(world):
-            dst = (rank + 1) % world
-            moves.append(
-                env.process(
-                    transports.transfer(
-                        devices[rank], devices[dst], chunk, protocol
-                    ),
-                    name=f"reduce_scatter:{rank}->{dst}",
-                )
-            )
-        yield AllOf(env, moves)
+        yield _ring_round(devices, [chunk] * world, protocol, "reduce_scatter")
         # Every step reduces the arriving block into the local partial.
         yield env.timeout(add_seconds)
-    return result_per_rank
 
 
 @register_strategy("CollectiveAllGather", "ring")
-def ring_allgather(
-    devices: Sequence,
-    values: Sequence,
-    protocol: str = "rdma",
-) -> Iterator:
-    """Generator: allgather ``values`` across ``devices`` (concat axis 0).
-
-    ``W - 1`` steps; in step ``s`` every rank forwards the chunk it
+def _ring_allgather(devices: Sequence, nbytes_per_rank: Sequence[int],
+                    protocol: str) -> Iterator:
+    """``W - 1`` steps; in step ``s`` every rank forwards the chunk it
     received in step ``s - 1`` (its own buffer initially) to the next
-    rank, all links active concurrently. Every rank ends holding the
-    rank-order concatenation — total traffic per link is
-    ``(W-1)/W * total_bytes``, the bandwidth-optimal allgather.
-
-    Returns the per-rank list of assembled values (one independent copy
-    per rank).
-    """
-    specs = _validate_ring(devices, values)
+    rank, all links active concurrently. Total traffic per link is
+    ``(W-1)/W * total_bytes``, the bandwidth-optimal allgather."""
     world = len(devices)
-    for spec in specs[1:]:
-        if spec.ndim != specs[0].ndim or spec.ndim == 0:
-            raise InvalidArgumentError(
-                f"allgather buffers must share a rank >= 1: "
-                f"{specs[0]} vs {spec}"
-            )
-        if spec.shape[1:] != specs[0].shape[1:] or spec.dtype != specs[0].dtype:
-            raise InvalidArgumentError(
-                f"allgather buffers disagree beyond axis 0: "
-                f"{specs[0]} vs {spec}"
-            )
-    symbolic = any(isinstance(v, SymbolicValue) for v in values)
-    out_shape = (
-        sum(spec.shape[0] for spec in specs),
-        *specs[0].shape[1:],
-    )
-    if symbolic:
-        result_per_rank = [
-            SymbolicValue(out_shape, specs[0].dtype) for _ in range(world)
-        ]
-    else:
-        full = np.concatenate([np.asarray(v) for v in values], axis=0)
-        result_per_rank = [full.copy() for _ in range(world)]
-    if world == 1:
-        return result_per_rank
-
-    env: Environment = devices[0].env
+    if world < 2:
+        return
     for step in range(world - 1):
-        moves = []
-        for rank in range(world):
-            # Rank r forwards the chunk that originated at rank (r - step).
-            origin = (rank - step) % world
-            dst = (rank + 1) % world
-            moves.append(
-                env.process(
-                    transports.transfer(
-                        devices[rank], devices[dst],
-                        specs[origin].nbytes, protocol,
-                    ),
-                    name=f"allgather:{rank}->{dst}",
-                )
-            )
-        yield AllOf(env, moves)
+        # Rank r forwards the chunk that originated at rank (r - step).
+        yield _ring_round(
+            devices,
+            [nbytes_per_rank[(rank - step) % world] for rank in range(world)],
+            protocol, "allgather",
+        )
     # Local assembly: every rank copies the W chunks into one contiguous
     # buffer; the slowest host gates the (concurrent) copies.
-    total_nbytes = sum(spec.nbytes for spec in specs)
-    yield env.timeout(total_nbytes / _slowest_numpy_rate(devices))
-    return result_per_rank
-
-
-def ring_broadcast(
-    devices: Sequence,
-    value,
-    protocol: str = "rdma",
-    root: int = 0,
-) -> Iterator:
-    """Generator: broadcast ``value`` from rank ``root`` to every rank.
-
-    Pipelined ring: the buffer is cut into ``W`` chunks which stream
-    around the ring; link ``j`` (hops from the root) is busy during steps
-    ``j .. j + W - 1``, so the whole broadcast takes ``2W - 2`` chunk
-    steps — for large buffers the time approaches one buffer traversal
-    regardless of ``W``, instead of the root serializing ``W - 1`` full
-    sends.
-
-    Returns the per-rank list of value copies (root's own entry is an
-    independent copy too).
-    """
-    world = len(devices)
-    if world == 0:
-        raise InvalidArgumentError("a collective needs at least one rank")
-    if not 0 <= root < world:
-        raise InvalidArgumentError(f"broadcast root {root} not in [0, {world})")
-    spec = SymbolicValue.of(value)
-    if isinstance(value, SymbolicValue):
-        result_per_rank = [
-            SymbolicValue(spec.shape, spec.dtype) for _ in range(world)
-        ]
-    else:
-        arr = np.asarray(value)
-        result_per_rank = [arr.copy() for _ in range(world)]
-    if world == 1:
-        return result_per_rank
-
-    env: Environment = devices[0].env
-    chunks = world
-    chunk = -(-spec.nbytes // chunks)
-    for step in range(chunks + world - 2):
-        moves = []
-        for hop in range(world - 1):
-            if hop <= step <= hop + chunks - 1:
-                src = devices[(root + hop) % world]
-                dst = devices[(root + hop + 1) % world]
-                moves.append(
-                    env.process(
-                        transports.transfer(src, dst, chunk, protocol),
-                        name=f"bcast:{hop}",
-                    )
-                )
-        yield AllOf(env, moves)
-    return result_per_rank
+    yield devices[0].env.timeout(
+        sum(nbytes_per_rank) / _slowest_numpy_rate(devices)
+    )
 
 
 @register_strategy("CollectiveBroadcast", "ring")
-def _broadcast_strategy(
-    devices: Sequence,
-    values: Sequence,
-    protocol: str = "rdma",
-) -> Iterator:
-    """Uniform-signature adapter: the root's payload is ``values[0]``."""
-    return ring_broadcast(devices, values[0], protocol, root=0)
+def _ring_broadcast(devices: Sequence, nbytes_per_rank: Sequence[int],
+                    protocol: str) -> Iterator:
+    """Pipelined ring broadcast from ``devices[0]``.
+
+    The buffer is cut into ``W`` chunks which stream around the ring; link
+    ``j`` (hops from the root) is busy during steps ``j .. j + W - 1``, so
+    the whole broadcast takes ``2W - 2`` chunk steps — for large buffers
+    the time approaches one buffer traversal regardless of ``W``, instead
+    of the root serializing ``W - 1`` full sends.
+    """
+    world = len(devices)
+    chunk = -(-nbytes_per_rank[0] // world)
+    for step in range(2 * world - 2):
+        yield _round(
+            devices,
+            [(hop, hop + 1, chunk) for hop in range(world - 1)
+             if hop <= step <= hop + world - 1],
+            protocol, "bcast",
+        )

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.errors import DeadlineExceededError, InternalError
-from repro.simnet.events import Environment, Event
+from repro.simnet.events import Environment, Event, arm_deadline
 
 __all__ = ["Rendezvous", "make_key"]
 
@@ -56,11 +56,7 @@ class Rendezvous:
             return event
         self._waiters.setdefault(key, []).append(event)
         if deadline is not None:
-            timeout = self.env.timeout(deadline)
-
-            def expire(_ev):
-                if event.triggered:
-                    return
+            def expire():
                 waiters = self._waiters.get(key)
                 if waiters and event in waiters:
                     waiters.remove(event)
@@ -73,7 +69,7 @@ class Rendezvous:
                     f"(worker lost or stalled)"
                 ))
 
-            timeout.callbacks.append(expire)
+            arm_deadline(self.env, deadline, event, expire)
         return event
 
     def recv_nowait(self, key: str) -> tuple[bool, Any]:

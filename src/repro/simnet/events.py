@@ -23,6 +23,7 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Interrupt",
+    "arm_deadline",
     "URGENT",
     "NORMAL",
 ]
@@ -297,6 +298,29 @@ class AnyOf(Condition):
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env, events, need_all=False)
+
+
+def arm_deadline(env: "Environment", delay: float, watched: Event,
+                 expire: Callable[[], None]) -> None:
+    """Call ``expire()`` in ``delay`` seconds unless ``watched`` triggers first.
+
+    There is no calendar cancellation (the timer's entry stays, so step
+    counts are exact); instead the callback is detached as soon as
+    ``watched`` is processed, so a far-future timer never pins what
+    ``expire`` closes over — a finished run's tensors, plan and state.
+    """
+    timer = env.timeout(delay)
+
+    def fire(_ev: Event) -> None:
+        if not watched.triggered:
+            expire()
+
+    def detach(_ev: Event) -> None:
+        if timer.callbacks is not None:
+            timer.callbacks.remove(fire)
+
+    timer.callbacks.append(fire)
+    watched.callbacks.append(detach)
 
 
 class Environment:

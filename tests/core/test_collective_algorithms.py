@@ -6,7 +6,8 @@ Contracts under test:
   builders reject unknown algorithms at construction time;
 * every registered allreduce schedule produces byte-identical values on
   both executor lanes and both frontends — algorithm choice only ever
-  moves the simulated clock;
+  moves the simulated clock (the standalone half of that contract is
+  ``tests/runtime/test_collective.py::test_entry_point_matches_kernel``);
 * ``algorithm="auto"`` resolves per payload/world size at lowering time
   (tree for latency-bound small buffers, ring at bandwidth scale) and
   the decision lands in ``RunMetadata.collective_algorithms``;
@@ -30,10 +31,8 @@ from repro.runtime.collective import (
     allreduce_time_lower_bound,
     get_strategy,
     registered_algorithms,
-    ring_allreduce,
-    ring_reduce_scatter,
+    run_collective,
     select_algorithm,
-    tree_allreduce,
 )
 from repro.simnet.events import Environment
 from repro.simnet.machines import tegner
@@ -52,13 +51,22 @@ def worker_device(w):
     return task_device("worker", w, "cpu", 0)
 
 
-def standalone_time(strategy, world, nbytes):
+def standalone_time(op_type, algorithm, world, nbytes):
     env = Environment()
     machine = tegner(env, k420_nodes=world)
     devices = [machine.node(n).cpu for n in sorted(machine.nodes)]
     values = [SymbolicValue((nbytes // 8,), "float64") for _ in range(world)]
-    env.run(until=env.process(strategy(devices, values)))
+    env.run(until=env.process(run_collective(
+        op_type, devices, values, algorithm=algorithm)))
     return env.now
+
+
+def ring_time(world, nbytes):
+    return standalone_time("CollectiveAllReduce", "ring", world, nbytes)
+
+
+def tree_time(world, nbytes):
+    return standalone_time("CollectiveAllReduce", "tree", world, nbytes)
 
 
 class TestStrategyRegistry:
@@ -127,13 +135,13 @@ class TestTreeTiming:
         """The ROADMAP claim: the ring's 2(W-1) latency steps lose on
         scalars; the tree's ~log2(W) rounds win from 4 ranks up."""
         for world in (4, 8):
-            ring = standalone_time(ring_allreduce, world, 8)
-            tree = standalone_time(tree_allreduce, world, 8)
+            ring = ring_time(world, 8)
+            tree = tree_time(world, 8)
             assert tree < ring, (world, tree, ring)
 
     def test_ring_beats_tree_at_bandwidth_scale(self):
-        ring = standalone_time(ring_allreduce, 8, 8 * MB)
-        tree = standalone_time(tree_allreduce, 8, 8 * MB)
+        ring = ring_time(8, 8 * MB)
+        tree = tree_time(8, 8 * MB)
         assert ring < tree
 
     def test_tree_respects_lower_bound(self):
@@ -142,30 +150,17 @@ class TestTreeTiming:
             machine = tegner(env, k420_nodes=world)
             bound = allreduce_time_lower_bound(
                 nbytes, world, machine.fabric.effective_rate)
-            assert standalone_time(tree_allreduce, world, nbytes) >= bound
+            assert tree_time(world, nbytes) >= bound
 
     def test_non_power_of_two_worlds_complete(self):
         for world in (2, 3, 5, 6):
-            assert standalone_time(tree_allreduce, world, 1024) > 0
-
-    def test_tree_concrete_values_match_ring(self):
-        world = 5  # non-power-of-two: fold-in/fold-out path too
-        env = Environment()
-        machine = tegner(env, k420_nodes=world)
-        devices = [machine.node(n).cpu for n in sorted(machine.nodes)]
-        addends = [_RNG.standard_normal(16) for _ in range(world)]
-        ring_out = env.run(
-            until=env.process(ring_allreduce(devices, list(addends))))
-        tree_out = env.run(
-            until=env.process(tree_allreduce(devices, list(addends))))
-        for a, b in zip(ring_out, tree_out):
-            assert a.tobytes() == b.tobytes()
+            assert tree_time(world, 1024) > 0
 
     def test_graph_op_matches_standalone_tree_both_lanes(self):
         """The promotion contract extends to every algorithm: a lowered
         tree allreduce charges the standalone tree generator's time."""
         world, nbytes = 4, 64 * 1024
-        expected = standalone_time(tree_allreduce, world, nbytes)
+        expected = tree_time(world, nbytes)
         for fast_path in (True, False):
             env, servers = make_cluster(world)
             g = tf.Graph()
@@ -222,8 +217,9 @@ class TestReduceScatter:
 
     def test_graph_op_matches_standalone_generator(self):
         world, nbytes = 4, 16 * MB
-        expected = standalone_time(ring_reduce_scatter, world, nbytes)
-        allreduce = standalone_time(ring_allreduce, world, nbytes)
+        expected = standalone_time(
+            "CollectiveReduceScatter", "ring", world, nbytes)
+        allreduce = ring_time(world, nbytes)
         assert expected < allreduce  # half the ring's traffic
         env, servers = make_cluster(world)
         g = tf.Graph()

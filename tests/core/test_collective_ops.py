@@ -12,13 +12,14 @@ import pytest
 import repro as tf
 from repro import eager
 from repro.apps.common import build_cluster, task_device
+from repro.core.kernels.registry import KernelContext, ResourceManager
 from repro.core.metadata import RunMetadata
 from repro.core.session import admin_rpc_time
 from repro.core.tensor import SymbolicValue
 from repro.errors import InvalidArgumentError
 from repro.runtime.collective import (
     allreduce_time_lower_bound,
-    ring_allreduce,
+    run_collective,
 )
 from repro.simnet.events import Environment
 from repro.simnet.machines import tegner
@@ -128,7 +129,8 @@ class TestRingTiming:
         devices = [machine.node(n).cpu for n in sorted(machine.nodes)]
         values = [SymbolicValue((nbytes // 8,), "float64")
                   for _ in range(world)]
-        env.run(until=env.process(ring_allreduce(devices, values)))
+        env.run(until=env.process(
+            run_collective("CollectiveAllReduce", devices, values)))
         return env.now
 
     def _graph_op_time(self, world, nbytes, fast_path=True):
@@ -308,3 +310,84 @@ class TestGraphSemantics:
             b = tf.constant(np.ones(2))
             with pytest.raises(InvalidArgumentError):
                 tf.all_reduce([a, b], devices=["/job:worker/task:0"])
+
+
+# (builder, per-rank feeds, expected message) — placeholders carry no
+# static shape, so every check below really happens at run time, in the
+# op type's one value function.
+_S = "SymbolicValue(shape={}, dtype=float64)"
+_RUNTIME_ERRORS = {
+    "all_reduce-shape": (
+        "all_reduce", [np.ones(4), np.ones(4), np.ones(5)],
+        "coll: rank 2 buffers disagree with rank 0: "
+        + _S.format("(5,)") + " vs " + _S.format("(4,)")),
+    "reduce_scatter-shape": (
+        "reduce_scatter", [np.ones((3, 2)), np.ones((3, 1)), np.ones((3, 2))],
+        "coll: rank 1 buffers disagree with rank 0: "
+        + _S.format("(3, 1)") + " vs " + _S.format("(3, 2)")),
+    "reduce_scatter-scalar": (
+        "reduce_scatter", [np.float64(1.0)] * 3,
+        "coll: rank 0 is a scalar: reduce_scatter needs tensors of "
+        "rank >= 1"),
+    "reduce_scatter-indivisible": (
+        "reduce_scatter", [np.ones(5)] * 3,
+        "coll: rank 0: reduce_scatter needs a leading dimension divisible "
+        "by the world size: 5 rows across 3 ranks"),
+    "all_gather-rank": (
+        "all_gather", [np.ones((2, 2)), np.ones((1, 2)), np.ones(2)],
+        "coll: rank 2 disagrees with rank 0 beyond axis 0: "
+        + _S.format("(2,)") + " vs " + _S.format("(2, 2)")),
+    "all_gather-scalar": (
+        "all_gather", [np.ones(2), np.float64(1.0), np.ones(2)],
+        "coll: rank 1 is a scalar: allgather needs tensors of rank >= 1"),
+}
+
+_LANES = ("eager", "dispatcher", "reference")
+
+
+def _run_on_lane(lane, build, feeds_by_name):
+    """Build with unknown-static-shape placeholders, run on one lane."""
+    g = tf.Graph()
+    with g.as_default():
+        phs = [tf.placeholder(tf.float64, shape=None, name=name)
+               for name in feeds_by_name]
+        outs = build(phs)
+    if lane == "eager":
+        feeds = {ph.name: v for ph, v in zip(phs, feeds_by_name.values())}
+        ctx = KernelContext(symbolic=False, feeds=feeds,
+                            resources=ResourceManager(name="eager"))
+        fetched = eager.evaluate(
+            outs if isinstance(outs, list) else [outs], feeds, ctx)
+        return fetched if isinstance(outs, list) else fetched[0]
+    config = tf.SessionConfig(executor_fast_path=(lane == "dispatcher"))
+    with tf.Session(graph=g, config=config) as sess:
+        return sess.run(outs, feed_dict=dict(zip(phs, feeds_by_name.values())))
+
+
+class TestRuntimeErrorsNameOpAndRank:
+    """One value function per op type: a run-time validation failure is an
+    InvalidArgumentError naming the op and the first offending rank, the
+    same class and text from the eager kernel, the dispatcher and the
+    reference executor."""
+
+    @pytest.mark.parametrize("lane", _LANES)
+    @pytest.mark.parametrize("case", sorted(_RUNTIME_ERRORS))
+    def test_same_error_on_every_lane(self, case, lane):
+        builder, values, message = _RUNTIME_ERRORS[case]
+        feeds = {f"x{r}": v for r, v in enumerate(values)}
+        with pytest.raises(InvalidArgumentError) as excinfo:
+            _run_on_lane(
+                lane, lambda phs: getattr(tf, builder)(phs, name="coll"),
+                feeds)
+        assert type(excinfo.value) is InvalidArgumentError
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("lane", _LANES)
+    def test_broadcast_has_nothing_to_reject(self, lane):
+        """A broadcast has one input — no rank can disagree at run time —
+        so its row of the op x lane matrix is the success case."""
+        payload = np.arange(6.0).reshape(2, 3)
+        out = _run_on_lane(
+            lane, lambda phs: tf.broadcast(phs[0], world=1, name="coll")[0],
+            {"root": payload})
+        assert np.asarray(out).tobytes() == payload.tobytes()

@@ -6,7 +6,9 @@ transient message loss is absorbed by the session's retry policy, and a
 crash mid-checkpoint can never destroy the previous good snapshot.
 """
 
+import gc
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -19,7 +21,11 @@ from repro.core.checkpoint import (
     latest_checkpoint,
     read_checkpoint,
 )
-from repro.core.executor import DEFAULT_COLLECTIVE_JOIN_TIMEOUT
+from repro.core.executor import (
+    DEFAULT_COLLECTIVE_JOIN_TIMEOUT,
+    ExecutionState,
+    _CollectiveGroup,
+)
 from repro.errors import (
     DataLossError,
     DeadlineExceededError,
@@ -106,6 +112,56 @@ class TestCollectiveJoinDeadline:
                           config=lane_config(True))
         with pytest.raises(DeadlineExceededError, match=r"300 sim-seconds"):
             sess.run(outs)
+
+
+def _live(cls):
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if type(obj) is cls)
+
+
+class TestDeadlineTimersReleaseFinishedRuns:
+    """Regression: every deadline timer (collective join, recv, run
+    watchdog) stayed in the calendar with a closure over its run until
+    the *simulated* clock passed it — 300 sim-seconds for the join
+    watchdog, ~600 000 runs away — pinning each finished run's
+    collective group (per-rank inputs and results) and, with
+    ``operation_timeout_ms`` set, its whole ExecutionState."""
+
+    @pytest.mark.parametrize("timeout_ms", [None, 60_000.0],
+                             ids=["default-join-timeout", "operation-timeout"])
+    @pytest.mark.parametrize("fast", [True, False],
+                             ids=["fast-path", "legacy"])
+    def test_finished_runs_are_not_pinned(self, fast, timeout_ms):
+        handle = build_cluster("tegner-k420", {"worker": 2})
+        g = tf.Graph()
+        with g.as_default():
+            phs = []
+            for w in range(2):
+                with g.device(task_device("worker", w, "cpu", 0)):
+                    phs.append(tf.placeholder(tf.float64, shape=[1024],
+                                              name=f"x{w}"))
+            outs = tf.all_reduce(phs)
+            with g.device(task_device("worker", 0, "cpu", 0)):
+                # A cross-worker edge: rank 1's copy is recv'd on worker 0.
+                total = tf.add(outs[0], outs[1])
+        sess = tf.Session(handle.server("worker", 0), graph=g,
+                          config=lane_config(
+                              fast, operation_timeout_ms=timeout_ms))
+        feeds = {ph: np.full(1024, w + 1.0) for w, ph in enumerate(phs)}
+        groups, states = _live(_CollectiveGroup), _live(ExecutionState)
+
+        # Same fetches every run: the cached plan holds only the *latest*
+        # run's values, so nothing legitimate keeps the first run's.
+        first = sess.run(outs + [total], feed_dict=feeds)
+        np.testing.assert_array_equal(first[2], np.full(1024, 6.0))
+        first_result = weakref.ref(first[0])
+        del first
+        for _ in range(25):
+            sess.run(outs + [total], feed_dict=feeds)
+
+        assert first_result() is None
+        assert _live(_CollectiveGroup) - groups <= 1
+        assert _live(ExecutionState) - states <= 1
 
 
 class TestRecvDeadline:

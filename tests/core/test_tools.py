@@ -1,4 +1,4 @@
-"""Checkpointing, timeline, and debugger tooling."""
+"""Checkpointing and timeline tooling."""
 
 import json
 
@@ -7,7 +7,6 @@ import pytest
 
 import repro as tf
 from repro.core.checkpoint import Saver, latest_checkpoint, read_checkpoint
-from repro.core.debugger import DebugSession, has_inf_or_nan
 from repro.core.metadata import RunMetadata, RunOptions
 from repro.core.timeline import Timeline
 from repro.errors import NotFoundError
@@ -129,49 +128,3 @@ class TestTimeline:
         path = tmp_path / "trace.json"
         Timeline(self._traced_metadata()).save(str(path))
         assert json.loads(path.read_text())["traceEvents"]
-
-
-class TestDebugger:
-    def test_watches_matching_tensors(self):
-        g = tf.Graph()
-        with g.as_default():
-            a = tf.constant(2.0, name="watched/a")
-            b = tf.constant(3.0, name="other")
-            c = tf.multiply(a, b, name="watched/prod")
-        sess = DebugSession(tf.Session(graph=g), watch_patterns=["watched/*"])
-        result = sess.run(c)
-        assert result == pytest.approx(6.0)
-        names = {entry.tensor_name for entry in sess.dump.entries}
-        assert "watched/a:0" in names
-        assert "watched/prod:0" in names
-        assert "other:0" not in names
-
-    def test_has_inf_or_nan_filter(self):
-        g = tf.Graph()
-        with g.as_default():
-            zero = tf.constant(0.0, name="zero")
-            bad = tf.divide(tf.constant(1.0), zero, name="bad")
-        sess = DebugSession(
-            tf.Session(graph=g),
-            watch_patterns=["*"],
-            tensor_filters={"has_inf_or_nan": has_inf_or_nan},
-        )
-        with np.errstate(divide="ignore"):
-            sess.run(bad)
-        flagged = sess.dump.find_triggered("has_inf_or_nan")
-        assert any(e.tensor_name == "bad:0" for e in flagged)
-
-    def test_filter_helper_edge_cases(self):
-        assert not has_inf_or_nan("x", np.array([1, 2], dtype=np.int64))
-        assert has_inf_or_nan("x", np.array([np.nan]))
-        assert has_inf_or_nan("x", np.array([np.inf]))
-        assert not has_inf_or_nan("x", np.array([1.0]))
-
-    def test_dump_pattern_query(self):
-        g = tf.Graph()
-        with g.as_default():
-            c = tf.constant(1.0, name="q/c")
-        sess = DebugSession(tf.Session(graph=g), watch_patterns=["q/*"])
-        sess.run(c)
-        assert len(sess.dump.tensors("q/*")) == 1
-        assert len(sess.dump.tensors("nope/*")) == 0

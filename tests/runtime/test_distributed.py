@@ -1,11 +1,10 @@
-"""Distributed execution: servers, rendezvous, reducers, queue runners."""
+"""Distributed execution: servers, rendezvous, reducers, token barriers."""
 
 import numpy as np
 import pytest
 
 import repro as tf
-from repro.errors import InternalError, InvalidArgumentError, OutOfRangeError
-from repro.runtime.coordinator import Coordinator, QueueRunner
+from repro.errors import InternalError, InvalidArgumentError
 from repro.runtime.rendezvous import Rendezvous, make_key
 from repro.runtime.server import ServerConfig
 from repro.runtime.sync import QueueReducer, TokenBarrier
@@ -234,61 +233,3 @@ class TestTokenBarrier:
         env.run()
         assert done_at[0][0] >= 0.5 and done_at[1][0] >= 0.5
         assert done_at[0][1] == 1 and done_at[1][1] == 1
-
-
-class TestCoordinatorAndQueueRunner:
-    def test_queue_runner_drains_dataset_and_closes(self):
-        from repro.core.ops.data_ops import Dataset
-
-        g = tf.Graph()
-        with g.as_default():
-            ds = Dataset.range(5)
-            nxt = ds.make_one_shot_iterator().get_next()
-            q = tf.FIFOQueue(8, [tf.int64], shapes=[[]])
-            enq = q.enqueue(nxt)
-            deq = q.dequeue()
-        sess = tf.Session(graph=g)
-        env = sess.env
-        coord = Coordinator(env)
-        runner = QueueRunner(q, [enq])
-        runner.create_processes(sess, coord)
-        received = []
-
-        def consumer():
-            try:
-                while True:
-                    value = yield from sess.run_gen(deq)
-                    received.append(int(value))
-            except OutOfRangeError:
-                pass
-
-        consumer_proc = env.process(consumer())
-        coord.register(consumer_proc)
-        env.process(coord.join())
-        env.run()
-        assert received == [0, 1, 2, 3, 4]
-        assert coord.should_stop()
-
-    def test_coordinator_propagates_real_errors(self):
-        env = Environment()
-        coord = Coordinator(env)
-
-        def failing():
-            yield env.timeout(0.1)
-            raise tf.errors.InternalError("worker died")
-
-        coord.register(env.process(failing()))
-
-        def absorb(exc):
-            coord.stop_on_exception(exc)
-
-        def supervisor():
-            try:
-                yield from coord.join()
-            except tf.errors.InternalError as exc:
-                absorb(exc)
-                raise
-
-        proc = env.process(supervisor())
-        with pytest.raises(tf.errors.InternalError):
-            env.run(until=proc)
