@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import inspect
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.core.kernels.registry import KernelContext, get_kernel, op_def
@@ -82,12 +81,14 @@ _NO_DEVICE_HOLD = {
 _VARIABLE_OPS = {"VariableV2", "Assign", "AssignAdd", "AssignSub"}
 
 
-@dataclass
 class _Allocation:
-    pool: Any
-    nbytes: int
-    remaining_consumers: int
-    freed: bool = False
+    __slots__ = ("pool", "nbytes", "remaining_consumers", "freed")
+
+    def __init__(self, pool, nbytes: int, remaining_consumers: int):
+        self.pool = pool
+        self.nbytes = nbytes
+        self.remaining_consumers = remaining_consumers
+        self.freed = False
 
 
 class _CollectiveGroup:
@@ -161,42 +162,46 @@ class ExecutionState:
         self.fault_injector = fault_injector
         # Items parked because their task is down (diagnostics).
         self.stalled_items: list[Item] = []
-        self._jobtask_cache: dict[str, tuple[str, int]] = {}
         self._allocations: dict[tuple[int, int], _Allocation] = {}
         self._var_memory: dict[str, tuple[Any, int]] = {}
         # Collective op name -> this run's rank-leg rendezvous.
         self._collective_groups: dict[str, _CollectiveGroup] = {}
-        # Per-run memoization: device-string lookups and kernel contexts
-        # are hot (once per item execution) and constant within a run.
-        self._task_cache: dict[str, Any] = {}
-        self._device_cache: dict[str, Any] = {}
+        # Device strings are resolved once per plan, not per run (see
+        # _resolve). The memo lives on the plan and is good for one
+        # cluster only — the session's task-runtime map, held by identity.
+        resolved = plan.resolved_devices
+        if resolved is None or resolved[0] is not task_runtimes:
+            resolved = plan.resolved_devices = (task_runtimes, {})
+        self._devices: dict[str, tuple] = resolved[1]
+        # Kernel contexts carry the run's feeds and id: per run.
         self._ctx_cache: dict[str, KernelContext] = {}
 
     # -- resolution ------------------------------------------------------------
+    def _resolve(self, device: str) -> tuple:
+        """``(task runtime, device object, memory pool, (job, task))``."""
+        entry = self._devices.get(device)
+        if entry is None:
+            job, task = jobtask = _job_task_of(device)
+            try:
+                runtime = self.task_runtimes[jobtask]
+            except KeyError:
+                raise InternalError(
+                    f"No runtime for task /job:{job}/task:{task}"
+                ) from None
+            entry = self._devices[device] = (
+                runtime, runtime.device(device),
+                runtime.memory_pools[device], jobtask,
+            )
+        return entry
+
     def task_runtime(self, device: str):
-        cached = self._task_cache.get(device)
-        if cached is not None:
-            return cached
-        job, task = _job_task_of(device)
-        try:
-            runtime = self.task_runtimes[(job, task)]
-        except KeyError:
-            raise InternalError(
-                f"No runtime for task /job:{job}/task:{task}"
-            ) from None
-        self._task_cache[device] = runtime
-        return runtime
+        return self._resolve(device)[0]
 
     def device_obj(self, device: str):
-        cached = self._device_cache.get(device)
-        if cached is None:
-            cached = self._device_cache[device] = self.task_runtime(
-                device
-            ).device(device)
-        return cached
+        return self._resolve(device)[1]
 
     def memory_pool(self, device: str):
-        return self.task_runtime(device).memory_pools[device]
+        return self._resolve(device)[2]
 
     def kernel_ctx(self, device: str) -> KernelContext:
         """The (immutable-per-run) kernel context for ``device``."""
@@ -220,10 +225,7 @@ class ExecutionState:
         """True when ``device``'s task is currently crashed."""
         if self.fault_injector is None:
             return False
-        jobtask = self._jobtask_cache.get(device)
-        if jobtask is None:
-            jobtask = self._jobtask_cache[device] = _job_task_of(device)
-        return self.fault_injector.is_down(*jobtask)
+        return self.fault_injector.is_down(*self._resolve(device)[3])
 
     def park_stalled(self, item: Item) -> None:
         """Record an item stalled on a down task; a peer's deadline or
@@ -727,7 +729,7 @@ class _Dispatcher:
             seconds = _cost_seconds(state, item, cost)
         except BaseException:
             if request is not None:
-                state.device_obj(item.device).resource.release(request)
+                request.resource.release(request)
             raise
         if seconds <= 0:
             self._finish_op(item, request, outputs, start)
@@ -773,7 +775,7 @@ class _Dispatcher:
     def _finish_op(self, item: Item, request, outputs, start: float) -> None:
         state = self.state
         if request is not None:
-            state.device_obj(item.device).resource.release(request)
+            request.resource.release(request)
         _finalize_op(state, item, outputs, start)
         self._count_fast()
 
@@ -821,7 +823,7 @@ def _finish_generator(state: ExecutionState, item: Item, gen, request,
                 yield env.timeout(seconds)
     finally:
         if request is not None:
-            state.device_obj(item.device).resource.release(request)
+            request.resource.release(request)
     _finalize_op(state, item, outputs, start)
 
 
@@ -871,20 +873,23 @@ def _run_send(state: ExecutionState, item: Item):
     src_dev = state.device_obj(item.device)
     dst_dev = state.device_obj(item.dst_device)
     start = env.now
-
-    def count_retry(_exc, _delay):
-        if state.metadata is not None:
-            state.metadata.retries += 1
-
     # Transient transport faults (injected message drops) surface as
     # UnavailableError; with a retry policy configured the send backs
     # off and re-sends, otherwise the first failure propagates.
-    yield from retry_gen(
-        env,
-        lambda: transports.transfer(src_dev, dst_dev, nbytes, state.protocol),
-        state.retry_policy,
-        on_retry=count_retry,
-    )
+    if state.retry_policy is None:
+        yield from transports.transfer(src_dev, dst_dev, nbytes, state.protocol)
+    else:
+        def count_retry(_exc, _delay):
+            if state.metadata is not None:
+                state.metadata.retries += 1
+
+        yield from retry_gen(
+            env,
+            lambda: transports.transfer(src_dev, dst_dev, nbytes,
+                                        state.protocol),
+            state.retry_policy,
+            on_retry=count_retry,
+        )
     state.rendezvous.send(item.key, value)
     if item.sources:
         producer, idx = item.sources[0]

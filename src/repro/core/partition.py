@@ -104,6 +104,9 @@ class ExecutionPlan:
     verifier_diagnostics: list = field(default_factory=list)
     # True when this plan passed static verification at build time.
     verified: bool = False
+    # Executor-owned memo across runs of this plan: ``(task-runtime map,
+    # {device string: resolved device})`` — see ``ExecutionState``.
+    resolved_devices: Optional[tuple] = None
     # Always 0; kept only because benchmarks/e2e/trace.py reads them.
     compiled_items: int = 0
     fused_op_count: int = 0

@@ -31,9 +31,10 @@ import numpy as np
 from repro.core.executor import ExecutionState, launch_plan
 from repro.core.graph import Graph, Operation, get_default_graph
 from repro.core.metadata import RunMetadata, RunOptions
+from repro.core.ops.state_ops import Variable
 from repro.core.partition import FEED, _normalize_feeds, build_plan
 from repro.core.placement import Placer, canonical_device
-from repro.core.tensor import Tensor
+from repro.core.tensor import SymbolicValue, Tensor, TensorShape
 from repro.errors import InvalidArgumentError
 
 from repro.runtime.clusterspec import ClusterSpec
@@ -184,6 +185,8 @@ class Session:
                     node_name="localhost",
                 )
         self.env: Environment = self.machine.env
+        # (job, task) -> TaskRuntime, filled by _task_runtimes().
+        self._runtimes: Optional[dict] = None
         # Plan cache: repeated runs of the same fetches/feeds on an
         # unchanged graph reuse the pruned/optimized/partitioned plan (TF
         # caches the same way: graphs are registered with workers once).
@@ -225,13 +228,25 @@ class Session:
         return self._master
 
     def _task_runtimes(self) -> dict:
-        runtimes = {}
-        spec = self._master.cluster_spec
-        for job in spec.jobs:
-            for index in spec.task_indices(job):
-                address = spec.task_address(job, index)
-                server = self.machine.resolve(address)
-                runtimes[(job, index)] = server.runtime
+        """``(job, task) -> TaskRuntime`` for the whole cluster.
+
+        Walked once per session: the cluster spec is fixed and
+        ``Machine.register_server`` never rebinds an address, so the map
+        cannot go stale. It is kept only once *every* task has resolved
+        — a session opened before its peers are up raises ``NotFoundError``
+        run after run, until they are.
+        """
+        runtimes = self._runtimes
+        if runtimes is None:
+            spec = self._master.cluster_spec
+            runtimes = {
+                (job, index): self.machine.resolve(
+                    spec.task_address(job, index)
+                ).runtime
+                for job in spec.jobs
+                for index in spec.task_indices(job)
+            }
+            self._runtimes = runtimes
         return runtimes
 
     def _placer(self, task_runtimes: dict) -> Placer:
@@ -260,8 +275,6 @@ class Session:
         slots: list = []  # per leaf: ("op",) or ("tensor", index)
 
         def add_leaf(item):
-            from repro.core.ops.state_ops import Variable
-
             if isinstance(item, Variable):
                 item = item.value()
             if isinstance(item, str):
@@ -357,10 +370,6 @@ class Session:
         structure, fetch_ops, fetch_tensors, slots = self._parse_fetches(fetches)
         feeds = self._validate_feeds(_normalize_feeds(feed_dict))
         task_runtimes = self._task_runtimes()
-        placer = self._placer(task_runtimes)
-        client_device = canonical_device(
-            self._master.job_name, self._master.task_index, "cpu", 0
-        )
         cache_key = (
             tuple(op.name for op in fetch_ops),
             tuple(t.name for t in fetch_tensors),
@@ -387,13 +396,16 @@ class Session:
                 plan = None
             hits, misses = self._plan_cache_hits, self._plan_cache_misses
         if plan is None:
+            # Placement inputs are a miss's business: a hit builds neither.
             plan = build_plan(
                 self.graph,
                 fetch_ops,
                 fetch_tensors,
                 feeds,
-                placer,
-                client_device,
+                self._placer(task_runtimes),
+                canonical_device(
+                    self._master.job_name, self._master.task_index, "cpu", 0
+                ),
                 run_id,
                 optimize=self.config.graph_optimization,
                 symbolic=self.config.shape_only,
@@ -508,8 +520,6 @@ class Session:
     def _validate_feeds(self, feeds: dict) -> dict:
         """Check every feed against the fed tensor's dtype and shape, and
         coerce concrete values to the right NumPy dtype."""
-        from repro.core.tensor import SymbolicValue, TensorShape
-
         validated = {}
         for name, value in feeds.items():
             tensor = self.graph.get_tensor_by_name(name)

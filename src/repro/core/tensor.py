@@ -276,11 +276,14 @@ class SymbolicValue:
     attribute at all).
     """
 
-    __slots__ = ("shape", "dtype")
+    __slots__ = ("shape", "dtype", "nbytes")
 
     def __init__(self, shape: Sequence[int], dtype: dtypes.DType):
         self.shape = tuple(int(d) for d in shape)
         self.dtype = dtypes.as_dtype(dtype)
+        # Wire size, read by every allocation, transfer and cost that
+        # touches the value: computed once here, not per read.
+        self.nbytes: int = self.size * self.dtype.size
 
     @property
     def ndim(self) -> int:
@@ -292,10 +295,6 @@ class SymbolicValue:
         for d in self.shape:
             n *= d
         return n
-
-    @property
-    def nbytes(self) -> int:
-        return self.size * self.dtype.size
 
     @classmethod
     def of(cls, value: "RuntimeValue") -> "SymbolicValue":

@@ -12,7 +12,7 @@ events, process events, ``AllOf``/``AnyOf`` conditions and interrupts.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -85,16 +85,19 @@ class Event:
     # -- triggering -----------------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise RuntimeError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        self.env._schedule(self, URGENT)
+        # env._schedule(self, URGENT), pushed in place (see _schedule).
+        env = self.env
+        env._seq = seq = env._seq + 1
+        heappush(env._queue, (env._now, URGENT, seq, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event with an exception."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise RuntimeError(f"{self!r} has already been triggered")
         if not isinstance(exception, BaseException):
             raise TypeError(f"{exception!r} is not an exception")
@@ -121,13 +124,19 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"Negative delay: {delay}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+        if not delay >= 0:  # also rejects NaN, which `delay < 0` lets through
+            raise ValueError(f"delay must be >= 0, got {delay}")
+        # Event.__init__ and env._schedule(self, NORMAL, delay), flattened:
+        # a timeout is born triggered, so it is built and pushed in one step.
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env._schedule(self, NORMAL, delay)
+        self._ok = True
+        self._defused = False
+        self._processed = False
+        self.delay = delay
+        env._seq = seq = env._seq + 1
+        heappush(env._queue, (env._now + delay, NORMAL, seq, self))
 
 
 class Initialize(Event):
@@ -272,7 +281,7 @@ class Condition(Event):
             # triggered (e.g. a cascade of dependent process failures) must
             # not crash the simulation loop.
             event._defused = True
-        if self.triggered:
+        if self._value is not _PENDING:
             return
         if not event._ok:
             self.fail(event._value)
@@ -359,26 +368,34 @@ class Environment:
 
     # -- scheduling -----------------------------------------------------------
     def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:
+        """Enter ``event`` into the calendar: the one general entry point.
+
+        The two hottest callers, ``Timeout.__init__`` and ``Event.succeed``,
+        push their entry themselves to save this call per event. They
+        build the identical key — the next ``_seq``, and ``now + 0.0 ==
+        now`` for an undelayed event — so the pop order cannot tell them
+        from a call to this method.
+        """
         self._seq += 1
-        heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
+        heappush(self._queue, (self._now + delay, priority, self._seq, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event (``inf`` when drained)."""
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
-        """Process the single next event."""
-        if not self._queue:
-            raise RuntimeError("No scheduled events")
-        self._now, _, _, event = heapq.heappop(self._queue)
+        """Process the single next event (the calendar's only pop site)."""
+        try:
+            self._now, _, _, event = heappop(self._queue)
+        except IndexError:
+            raise RuntimeError("No scheduled events") from None
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
             callback(event)
         event._processed = True
         if not event._ok and not event._defused:
             # Nobody handled the failure: surface it to the caller of run().
-            exc = event._value
-            raise exc
+            raise event._value
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
@@ -388,25 +405,27 @@ class Environment:
                 clock reaches that time; an :class:`Event` runs until the
                 event is processed and returns its value.
         """
+        # Every event goes through self.step (looked up once per call, so
+        # a subclass or a counting wrapper on the class still sees each).
+        step, queue = self.step, self._queue
         if until is None:
-            while self._queue:
-                self.step()
+            while queue:
+                step()
             return None
         if isinstance(until, Event):
-            sentinel = until
-            while not sentinel.processed:
-                if not self._queue:
+            while not until._processed:
+                if not queue:
                     raise RuntimeError(
-                        f"Simulation drained before {sentinel!r} triggered (deadlock?)"
+                        f"Simulation drained before {until!r} triggered (deadlock?)"
                     )
-                self.step()
-            if not sentinel._ok:
-                raise sentinel._value
-            return sentinel._value
+                step()
+            if not until._ok:
+                raise until._value
+            return until._value
         horizon = float(until)
-        if horizon < self._now:
+        if not horizon >= self._now:  # NaN compares false: reject it too
             raise ValueError(f"until={horizon} lies in the past (now={self._now})")
-        while self._queue and self._queue[0][0] <= horizon:
-            self.step()
+        while queue and queue[0][0] <= horizon:
+            step()
         self._now = horizon
         return None

@@ -231,22 +231,23 @@ class BandwidthLink:
 
     With ``k`` active transfers each progresses at ``rate / k`` bytes/s.
     Whenever the active set changes, all flows' progress is brought up to
-    date and the next completion is (re)scheduled. Stale wake-ups are
-    filtered through a generation token.
+    date and the next completion is (re)scheduled. There is no calendar
+    cancellation: a superseded wake-up still fires, and is recognised as
+    stale because it is not the timer the link armed last.
 
     Bytes are conserved exactly: the integral of per-flow rate over time
     equals the flow's size at completion.
     """
 
     def __init__(self, env: Environment, rate: float, name: str = "link"):
-        if rate <= 0:
+        if not rate > 0:  # also rejects NaN, which `rate <= 0` lets through
             raise ValueError(f"rate must be positive, got {rate}")
         self.env = env
         self.rate = float(rate)
         self.name = name
         self._flows: list[_Flow] = []
         self._last_update = env.now
-        self._generation = 0
+        self._wake: Optional[Event] = None  # the timer armed last
         self.bytes_moved = 0.0  # lifetime accounting, for utilisation reports
 
     @property
@@ -263,7 +264,7 @@ class BandwidthLink:
         to now, then continue at the new rate; completions are
         rescheduled accordingly.
         """
-        if rate <= 0:
+        if not rate > 0:
             raise ValueError(f"rate must be positive, got {rate}")
         self._advance()
         self.rate = float(rate)
@@ -271,8 +272,8 @@ class BandwidthLink:
 
     def transfer(self, nbytes: float) -> Event:
         """Start a transfer; the event succeeds when the last byte arrives."""
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size: {nbytes}")
+        if not nbytes >= 0:  # also rejects NaN
+            raise ValueError(f"transfer size must be >= 0, got {nbytes}")
         event = Event(self.env)
         if nbytes == 0:
             event.succeed(0.0)
@@ -298,29 +299,35 @@ class BandwidthLink:
 
     def _reschedule(self) -> None:
         """Schedule a wake-up at the earliest projected completion."""
-        self._generation += 1
-        if not self._flows:
+        flows = self._flows
+        if not flows:
+            self._wake = None
             return
-        per_flow = self.rate / len(self._flows)
-        min_remaining = min(f.remaining for f in self._flows)
-        delay = max(min_remaining, 0.0) / per_flow
-        token = self._generation
-        timeout = self.env.timeout(delay)
-        timeout.callbacks.append(lambda _ev, tok=token: self._on_wake(tok))
+        if len(flows) == 1:  # the common case: nothing to scan or share
+            per_flow, min_remaining = self.rate, flows[0].remaining
+        else:
+            per_flow = self.rate / len(flows)
+            min_remaining = min(f.remaining for f in flows)
+        self._wake = timer = self.env.timeout(max(min_remaining, 0.0) / per_flow)
+        timer.callbacks.append(self._on_wake)
 
-    def _on_wake(self, token: int) -> None:
-        if token != self._generation:
+    def _on_wake(self, timer: Event) -> None:
+        if timer is not self._wake:
             return  # superseded by a newer schedule
         self._advance()
-        # This wake targets the projected completion of the flow that had
-        # the least remaining bytes; floating-point drift can leave a sub-
-        # byte residue (and a naive epsilon test would then re-schedule a
-        # zero-length timeout forever). Completing every flow within a
-        # sub-byte band of the minimum guarantees progress each wake.
-        min_remaining = min(f.remaining for f in self._flows)
-        threshold = min_remaining + 1e-6
-        finished = [f for f in self._flows if f.remaining <= threshold]
-        self._flows = [f for f in self._flows if f.remaining > threshold]
+        flows = self._flows
+        if len(flows) == 1:
+            finished, self._flows = flows, []
+        else:
+            # This wake targets the projected completion of the flow that
+            # had the least remaining bytes; floating-point drift can leave
+            # a sub-byte residue (and a naive epsilon test would then
+            # re-schedule a zero-length timeout forever). Completing every
+            # flow within a sub-byte band of the minimum guarantees
+            # progress each wake.
+            threshold = min(f.remaining for f in flows) + 1e-6
+            finished = [f for f in flows if f.remaining <= threshold]
+            self._flows = [f for f in flows if f.remaining > threshold]
         for flow in finished:
             # Absorb accumulated floating error into the accounting.
             self.bytes_moved -= flow.remaining

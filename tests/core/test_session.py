@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 import repro as tf
+import repro.core.session as session_module
 from repro.core.metadata import RunMetadata, RunOptions
 from repro.core.placement import DeviceSpec
 from repro.errors import InvalidArgumentError, NotFoundError
+from repro.simnet.events import Environment
+from repro.simnet.machines import Machine, tegner
 
 
 class TestFetches:
@@ -291,3 +294,90 @@ class TestMemoryAccounting:
             ][0]
             assert gpu_pool.in_use == 0
             assert gpu_pool.peak > 0
+
+
+class TestWarmRuns:
+    """What a plan-cache hit may skip, and what the memos may not outlive."""
+
+    @pytest.fixture()
+    def counters(self, monkeypatch):
+        counts = {"placers": 0, "resolves": 0}
+        placer, resolve = session_module.Placer, Machine.resolve
+
+        def counting_placer(*args, **kwargs):
+            counts["placers"] += 1
+            return placer(*args, **kwargs)
+
+        def counting_resolve(self, address):
+            counts["resolves"] += 1
+            return resolve(self, address)
+
+        monkeypatch.setattr(session_module, "Placer", counting_placer)
+        monkeypatch.setattr(Machine, "resolve", counting_resolve)
+        return counts
+
+    def test_warm_run_builds_no_placer_and_walks_no_cluster(self, counters):
+        g = tf.Graph()
+        with g.as_default():
+            x = tf.placeholder(tf.float32, shape=[2], name="x")
+            y = x * 2.0
+            z = y + 1.0
+        with tf.Session(graph=g) as sess:
+            sess.run(y, feed_dict={x: [1.0, 2.0]})
+            assert counters["placers"] == 1
+            counters.update(placers=0, resolves=0)
+            out = sess.run(y, feed_dict={x: [3.0, 4.0]})
+            assert out == pytest.approx([6.0, 8.0])
+            assert counters == {"placers": 0, "resolves": 0}
+            # A new fetch set is a miss: it places again (but the cluster
+            # was resolved once for the session).
+            sess.run([y, z], feed_dict={x: [3.0, 4.0]})
+            assert counters == {"placers": 1, "resolves": 0}
+            # So is the same fetch on a changed graph.
+            with g.as_default():
+                tf.constant(0.0, name="bump_version")
+            sess.run(y, feed_dict={x: [3.0, 4.0]})
+            assert counters == {"placers": 2, "resolves": 0}
+
+    def test_cluster_is_memoised_only_once_every_task_resolves(self):
+        env = Environment()
+        machine = tegner(env, k420_nodes=2)
+        cluster = tf.ClusterSpec({
+            "ps": ["t01n01:8888"],
+            "worker": ["t01n02:8888"],
+        })
+        ps = tf.Server(cluster, "ps", 0, machine=machine)
+        g = tf.Graph()
+        with g.as_default():
+            with g.device("/job:ps/task:0"):
+                a = tf.constant(2.0)
+            with g.device("/job:worker/task:0"):
+                b = a * 3.0
+        sess = tf.Session(ps, graph=g)
+        for _ in range(2):  # the failed walk left nothing behind
+            with pytest.raises(NotFoundError, match="t01n02:8888"):
+                sess.run(a)
+        tf.Server(cluster, "worker", 0, machine=machine)
+        assert sess.run(b) == pytest.approx(6.0)
+        assert any("worker" in d for d in sess.list_devices())
+
+    def test_sessions_on_different_machines_share_no_resolved_devices(self):
+        g = tf.Graph()
+        with g.as_default():
+            c = tf.random_uniform([64]) * 2.0
+        first, second = tf.Session(graph=g), tf.Session(graph=g)
+        assert first.machine is not second.machine
+
+        def allocations(sess):
+            pools = sess.master.runtime.memory_pools.values()
+            return sum(pool.alloc_count for pool in pools)
+
+        for _ in range(2):  # a cold run, then a warm one
+            before = allocations(first), allocations(second)
+            clock = second.env.now
+            first.run(c)
+            assert allocations(first) > before[0]
+            assert allocations(second) == before[1]
+            assert second.env.now == clock
+            second.run(c)
+            assert allocations(second) > before[1]

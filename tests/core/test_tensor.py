@@ -152,3 +152,30 @@ class TestSymbolicValue:
     def test_value_nbytes(self):
         assert value_nbytes(np.zeros(10, dtype=np.float32)) == 40
         assert value_nbytes(SymbolicValue((10,), dtypes.float32)) == 40
+
+    @pytest.mark.parametrize("shape, dtype, size, nbytes", [
+        ((), dtypes.float64, 1, 8),                       # rank 0
+        ((0,), dtypes.float32, 0, 0),                     # zero-sized
+        ((3, 0, 5), dtypes.complex128, 0, 0),
+        ((7,), dtypes.int32, 7, 28),
+        ((65536, 65536), dtypes.float64, 2 ** 32, 2 ** 35),  # paper scale
+        ((2 ** 40, 2 ** 30), dtypes.float32, 2 ** 70, 2 ** 72),  # > int64
+    ])
+    def test_size_and_nbytes(self, shape, dtype, size, nbytes):
+        v = SymbolicValue(shape, dtype)
+        assert (v.size, v.nbytes, v.ndim) == (size, nbytes, len(shape))
+        assert type(v.nbytes) is int
+        assert value_nbytes(v) == nbytes
+
+    def test_equality_and_hash_are_by_shape_and_dtype(self):
+        v = SymbolicValue([np.int64(2), 3], "float32")  # coerced dims/dtype
+        same = SymbolicValue((2, 3), dtypes.float32)
+        assert v == same and hash(v) == hash(same)
+        assert v.shape == (2, 3) and all(type(d) is int for d in v.shape)
+        assert hash(v) == hash(((2, 3), dtypes.float32))
+        assert v != SymbolicValue((3, 2), dtypes.float32)
+        assert v != SymbolicValue((2, 3), dtypes.float64)
+        assert SymbolicValue((4,), dtypes.float32) != SymbolicValue(
+            (2,), dtypes.float64)  # equal nbytes, different spec
+        assert v != (2, 3)
+        assert len({v, same, SymbolicValue((), dtypes.float32)}) == 2

@@ -2,8 +2,14 @@
 
 import pytest
 
-from repro.simnet.events import AllOf, AnyOf, Environment, Interrupt
-
+from repro.simnet.events import (
+    AllOf,
+    AnyOf,
+    Environment,
+    Interrupt,
+    Timeout,
+    arm_deadline,
+)
 
 
 @pytest.fixture()
@@ -40,6 +46,17 @@ class TestClock:
     def test_negative_delay_rejected(self, env):
         with pytest.raises(ValueError):
             env.timeout(-1.0)
+
+    def test_nan_never_reaches_the_calendar(self, env):
+        # Every comparison with NaN is false, so a `< 0` guard lets it
+        # through; once in the heap it breaks the ordering invariant and
+        # env.now is NaN for the rest of the session.
+        with pytest.raises(ValueError, match="nan"):
+            Timeout(env, float("nan"))
+        env.timeout(1.0)
+        with pytest.raises(ValueError, match="nan"):
+            env.run(until=float("nan"))
+        assert env.now == 0.0 and env.peek() == 1.0
 
 
 class TestProcesses:
@@ -242,3 +259,128 @@ class TestInterrupts:
         env.run()
         with pytest.raises(RuntimeError, match="terminated"):
             p.interrupt()
+
+
+class _RecordingEnvironment(Environment):
+    """Logs every calendar entry ``step`` pops, as the heap keyed it."""
+
+    def __init__(self):
+        super().__init__()
+        self.pops = []
+
+    def step(self):
+        when, priority, seq, event = self._queue[0]
+        self.pops.append((when.hex(), priority, seq, type(event).__name__))
+        super().step()
+
+
+class TestCalendarOrder:
+    """The calendar's order, pinned where it is rewritten.
+
+    Constructors may push their own heap entry instead of going through
+    ``Environment._schedule``; this scenario (recorded on the commit
+    before they did) holds the key ``(time, priority, seq)`` of every
+    entry, the pop order and the step count to what ``_schedule`` gives.
+    """
+
+    POPS = [
+        ("0x0.0p+0", 0, 5, "Initialize"),
+        ("0x0.0p+0", 0, 6, "Initialize"),
+        ("0x0.0p+0", 1, 4, "Timeout"),
+        ("0x1.999999999999ap-4", 1, 2, "Timeout"),
+        ("0x1.999999999999ap-4", 0, 10, "Event"),
+        ("0x1.999999999999ap-4", 1, 3, "Timeout"),
+        ("0x1.999999999999ap-4", 0, 11, "AllOf"),
+        ("0x1.999999999999ap-3", 1, 7, "Timeout"),
+        ("0x1.0000000000000p-2", 1, 8, "Timeout"),
+        ("0x1.3333333333333p-2", 1, 1, "Timeout"),
+        ("0x1.3333333333333p-2", 0, 13, "AnyOf"),
+        ("0x1.ccccccccccccdp-2", 1, 9, "Timeout"),
+        ("0x1.ccccccccccccdp-2", 0, 15, "Event"),
+        ("0x1.ccccccccccccdp-2", 0, 16, "Process"),
+        ("0x1.ccccccccccccdp-2", 0, 17, "Process"),
+        ("0x1.9999999999999p-1", 1, 12, "Timeout"),
+        ("0x1.9133333333333p+6", 1, 14, "Timeout"),
+    ]
+    LOG = [
+        ("zero", "0x0.0p+0"),
+        ("chained", "0x1.999999999999ap-4", "a"),
+        ("b", "0x1.999999999999ap-4"),
+        ("all", "0x1.999999999999ap-4", ["a", "a", "b"]),
+        ("expired", "0x1.999999999999ap-3"),
+        ("late", "0x1.3333333333333p-2"),
+        ("any", "0x1.3333333333333p-2", ["late"]),
+        ("interrupted", "0x1.ccccccccccccdp-2", "stop"),
+        ("returned", "0x1.ccccccccccccdp-2", 15),
+        ("drained", "0x1.9133333333333p+6", 17),
+    ]
+
+    def test_scripted_scenario_pops_in_the_recorded_order(self):
+        env = _RecordingEnvironment()
+        log = []
+        # Same-instant timeouts, created out of delay order.
+        late = env.timeout(0.3, "late")
+        tie_a = env.timeout(0.1, "a")
+        tie_b = env.timeout(0.1, "b")
+        zero = env.timeout(0.0, "zero")
+        # succeed() from inside a callback: an URGENT entry at the popped
+        # instant, ahead of the NORMAL tie that was scheduled before it.
+        chained = env.event()
+        tie_a.callbacks.append(lambda ev: chained.succeed(ev.value))
+        chained.callbacks.append(
+            lambda ev: log.append(("chained", env.now.hex(), ev.value)))
+        for timer in (late, tie_b, zero):
+            timer.callbacks.append(
+                lambda ev: log.append((ev.value, env.now.hex())))
+
+        def waiter():
+            got = yield AllOf(env, [tie_a, tie_b, chained])
+            log.append(("all", env.now.hex(), sorted(got.values())))
+            got = yield AnyOf(env, [late, env.timeout(0.7, "slow")])
+            log.append(("any", env.now.hex(), list(got.values())))
+            try:
+                yield env.timeout(100.0)
+            except Interrupt as intr:
+                log.append(("interrupted", env.now.hex(), intr.cause))
+            return "done"
+
+        def attacker(victim):
+            yield env.timeout(0.45)
+            victim.interrupt("stop")
+
+        proc = env.process(waiter())
+        env.process(attacker(proc))
+        # One deadline that fires (nothing ever triggers `never`) ...
+        never = env.event()
+        arm_deadline(env, 0.2, never,
+                     lambda: log.append(("expired", env.now.hex())))
+        # ... and one detached because the watched event fires first.
+        arm_deadline(env, 0.25, tie_b,
+                     lambda: log.append(("detached deadline fired",)))
+
+        assert env.run(until=proc) == "done"
+        log.append(("returned", env.now.hex(), len(env.pops)))
+        env.run()
+        log.append(("drained", env.now.hex(), len(env.pops)))
+        assert env.pops == self.POPS
+        assert log == self.LOG
+
+    def test_run_reaches_every_event_through_step(self):
+        """``run`` may not pop the heap itself: the e2e harness counts
+        ``simnet.events.steps`` by wrapping ``Environment.step``."""
+        env = _RecordingEnvironment()
+
+        def ticker(ticks):
+            for _ in range(ticks):
+                yield env.timeout(1.0)
+
+        stop = env.process(ticker(5))
+        env.process(ticker(9))
+        env.timeout(20.0)
+        env.run(until=stop)   # until an event ...
+        assert len(env.pops) == 12
+        env.run(until=7.5)    # ... until a time ...
+        assert len(env.pops) == 15
+        env.run()             # ... until drained
+        # Every scheduled entry was popped exactly once, all via step().
+        assert len(env.pops) == env._seq == 19

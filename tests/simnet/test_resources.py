@@ -256,6 +256,18 @@ class TestBandwidthLink:
         with pytest.raises(ValueError):
             link.set_rate(0.0)
 
+    def test_nan_size_and_rate_rejected(self, env):
+        # NaN passes `< 0` / `<= 0` guards (every comparison is false) and
+        # would then schedule a NaN wake-up into the calendar.
+        link = BandwidthLink(env, rate=100.0)
+        with pytest.raises(ValueError, match="nan"):
+            link.transfer(float("nan"))
+        with pytest.raises(ValueError, match="nan"):
+            link.set_rate(float("nan"))
+        with pytest.raises(ValueError, match="nan"):
+            BandwidthLink(env, rate=float("nan"))
+        assert link.rate == 100.0 and env.peek() == float("inf")
+
     def test_two_equal_transfers_share_fairly(self, env):
         link = BandwidthLink(env, rate=100.0)
         done = []
@@ -325,3 +337,62 @@ class TestBandwidthLink:
         # Full utilisation bound: total bytes <= rate * (makespan - first start).
         makespan = max(finish.values()) - min(offsets[:n])
         assert sum(sizes[:n]) <= rate * makespan + 1e-6
+
+
+# (rate, flows as (start, nbytes), rate changes as (time, rate)) ->
+# (completion time per flow, link.bytes_moved, calendar entries scheduled),
+# floats as float.hex. Recorded on the commit whose link told live wake-ups
+# from superseded ones by a generation counter and always scanned the flow
+# list: wake-ups recognised by timer identity and the one-flow shortcut must
+# reproduce every bit, and schedule exactly as many (superseded) timers.
+_LINK_GOLDEN = {
+    "one_flow": (
+        (1.3e9, [(0.0, 7e6 / 3)], ()),
+        (["0x1.d683cea3509b8p-10"], "0x1.1cd4aaaaaaaabp+21", 5),
+    ),
+    "three_staggered": (
+        (1.3e9, [(0.0, 5e6), (1e-3, 3e6 / 7), (2.5e-3, 1e7 / 3)], ()),
+        (["0x1.7f7e5e4c4b2b1p-8", "0x1.b2fc77758bd3ap-10",
+          "0x1.b9b534ece8682p-8"], "0x1.0b64618618618p+23", 17),
+    ),
+    "join_mid_transfer": (
+        (6.1e9, [(0.0, 9e6), (0.7e-3, 9e6), (0.7e-3, 1e3 / 3)], ()),
+        (["0x1.2706cf28468a0p-9", "0x1.82c6e95f29752p-9",
+          "0x1.6f16699a021d2p-11"], "0x1.12a9cd5555556p+24", 17),
+    ),
+    "set_rate_mid_transfer": (
+        (1.3e9, [(0.0, 5e6), (1e-4, 2e6 / 3)],
+         ((1.1e-3, 0.37e9), (2.9e-3, 1.3e9))),
+        (["0x1.720f58aa2cd66p-8", "0x1.37f998109ec32p-10"],
+         "0x1.59ddaaaaaaaaap+22", 19),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LINK_GOLDEN))
+def test_bandwidth_link_golden_completion_times(case):
+    (rate, flows, rate_changes), expected = _LINK_GOLDEN[case]
+    env = Environment()
+    link = BandwidthLink(env, rate=rate)
+    finish = {}
+
+    def flow(i, start, nbytes):
+        yield env.timeout(start)
+        yield link.transfer(nbytes)
+        finish[i] = env.now
+
+    def change(at, new_rate):
+        yield env.timeout(at)
+        link.set_rate(new_rate)
+
+    for i, (start, nbytes) in enumerate(flows):
+        env.process(flow(i, start, nbytes))
+    for at, new_rate in rate_changes:
+        env.process(change(at, new_rate))
+    env.run()
+    assert ([finish[i].hex() for i in range(len(flows))],
+            link.bytes_moved.hex(), env._seq) == expected
+    # Byte conservation: what the link accounts is what the flows carried.
+    assert link.bytes_moved == pytest.approx(sum(n for _, n in flows),
+                                             rel=1e-12)
+    assert link.active_transfers == 0
