@@ -163,7 +163,7 @@ class ExecutionState:
         # Items parked because their task is down (diagnostics).
         self.stalled_items: list[Item] = []
         self._allocations: dict[tuple[int, int], _Allocation] = {}
-        self._var_memory: dict[str, tuple[Any, int]] = {}
+        self._released = False  # set by release_all: the run is over
         # Collective op name -> this run's rank-leg rendezvous.
         self._collective_groups: dict[str, _CollectiveGroup] = {}
         # Device strings are resolved once per plan, not per run (see
@@ -310,6 +310,11 @@ class ExecutionState:
                 pool.allocate(nbytes)
                 task.resources.variables["__mem__" + var_name] = (pool, nbytes)
             return nbytes
+        if self._released:
+            # An item of a failed run completing inside a later one (its
+            # timeout was already armed): the run's memory went back in
+            # release_all, and nothing would ever free a new allocation.
+            return 0
         for idx, value in enumerate(outputs):
             nbytes = value_nbytes(value)
             total += nbytes
@@ -341,6 +346,7 @@ class ExecutionState:
                 alloc.freed = True
                 alloc.pool.free(alloc.nbytes)
         self._allocations.clear()
+        self._released = True
 
     # -- value plumbing -----------------------------------------------------------
     def resolve_source(self, source) -> Any:
@@ -477,6 +483,89 @@ def _legacy_item_proc(state: ExecutionState, item: Item):
     yield from _item_proc(state, item)
 
 
+class _Driven:
+    """A plan item's generator, driven through event callbacks.
+
+    Semantically identical to spawning the generator as a simulator
+    process — same events, same timestamps — but skips the process
+    object, its Initialize event and its completion event. Failures of
+    yielded events are thrown into the generator (so its cleanup runs)
+    and then surface through the run's done event.
+
+    The event being waited on holds the bound ``resume``; this object
+    holds its dispatcher, item and generator and nothing that refers back
+    to it, so it dies by reference count when the generator finishes.
+    """
+
+    __slots__ = ("dispatcher", "item", "gen")
+
+    def __init__(self, dispatcher: "_Dispatcher", item: Item, gen):
+        self.dispatcher = dispatcher
+        self.item = item
+        self.gen = gen
+
+    def advance(self, send_value, throw_exc) -> None:
+        gen = self.gen
+        while True:
+            try:
+                if throw_exc is not None:
+                    target = gen.throw(throw_exc)
+                else:
+                    target = gen.send(send_value)
+            except StopIteration:
+                self.dispatcher._count_fast()
+                self.dispatcher._item_done(self.item)
+                return
+            except BaseException as exc:
+                self.dispatcher._fail(exc)
+                return
+            if target.callbacks is None:  # already processed
+                if target._ok:
+                    send_value, throw_exc = target._value, None
+                else:
+                    target._defused = True
+                    send_value, throw_exc = None, target._value
+                continue
+            target.callbacks.append(self.resume)
+            return
+
+    def resume(self, event: Event) -> None:
+        if event._ok:
+            self.advance(event._value, None)
+        else:
+            event._defused = True
+            self.advance(None, event._value)
+
+
+class _OpElapsed:
+    """What a light-lane op's cost timeout calls: release, finalize, cascade.
+
+    Same rule as :class:`_Driven` — the timeout holds this object, which
+    holds the dispatcher and the op's results and nothing that refers
+    back; an error fails the run, not the simulator.
+    """
+
+    __slots__ = ("dispatcher", "item", "request", "outputs", "start")
+
+    def __init__(self, dispatcher: "_Dispatcher", item: Item, request,
+                 outputs, start: float):
+        self.dispatcher = dispatcher
+        self.item = item
+        self.request = request
+        self.outputs = outputs
+        self.start = start
+
+    def __call__(self, _event: Event) -> None:
+        dispatcher = self.dispatcher
+        try:
+            dispatcher._finish_op(
+                self.item, self.request, self.outputs, self.start
+            )
+            dispatcher._item_done(self.item)
+        except BaseException as exc:
+            dispatcher._fail(exc)
+
+
 class _Dispatcher:
     """Ready-list scheduler with per-item dependency counters."""
 
@@ -585,72 +674,34 @@ class _Dispatcher:
 
     # -- light lane: driven generators -------------------------------------------
     def _start_driven(self, item: Item, gen) -> None:
-        """Drive a generator through event callbacks, without a Process.
-
-        Semantically identical to spawning the generator as a simulator
-        process — same events, same timestamps — but skips the process
-        object, its Initialize event and its completion event. Failures of
-        yielded events are thrown into the generator (so its cleanup runs)
-        and then surface through the run's done event.
-        """
-
-        def advance(send_value, throw_exc):
-            while True:
-                try:
-                    if throw_exc is not None:
-                        target = gen.throw(throw_exc)
-                    else:
-                        target = gen.send(send_value)
-                except StopIteration:
-                    self._count_fast()
-                    self._item_done(item)
-                    return
-                except BaseException as exc:
-                    self._fail(exc)
-                    return
-                if target.callbacks is None:  # already processed
-                    if target._ok:
-                        send_value, throw_exc = target._value, None
-                    else:
-                        target._defused = True
-                        send_value, throw_exc = None, target._value
-                    continue
-                target.callbacks.append(resume)
-                return
-
-        def resume(event):
-            if event._ok:
-                advance(event._value, None)
-            else:
-                event._defused = True
-                advance(None, event._value)
-
-        advance(None, None)
+        _Driven(self, item, gen).advance(None, None)
 
     # -- light lane: recv --------------------------------------------------------
     def _start_recv(self, item: Item) -> None:
-        state = self.state
-
-        def deliver(value):
-            item.out_values = [value]
-            if value is not None:
-                state.register_outputs(item, [value])
-            self._count_fast()
-            self._item_done(item)
-
         # The matching send usually completed already (it is a registered
         # dependency of this recv): take the value without event traffic.
-        present, value = state.rendezvous.recv_nowait(item.key)
+        present, value = self.state.rendezvous.recv_nowait(item.key)
         if present:
-            deliver(value)
-            return
+            self._deliver(item, value)
+        else:
+            self._await_recv(item)
+
+    def _deliver(self, item: Item, value) -> None:
+        item.out_values = [value]
+        if value is not None:
+            self.state.register_outputs(item, [value])
+        self._count_fast()
+        self._item_done(item)
+
+    def _await_recv(self, item: Item) -> None:
+        state = self.state
         event = state.rendezvous.recv(
             item.key, deadline=state.deadline_seconds
         )
 
         def on_event(_ev):
             if event._ok:
-                self._guard(lambda: deliver(event._value))
+                self._guard(lambda: self._deliver(item, event._value))
             else:
                 # Failed recv (deadline, dead producer): surface the
                 # exception instead of delivering it as a tensor value.
@@ -689,14 +740,18 @@ class _Dispatcher:
                 device.resource.release(request)
                 return self._run_op_body(item, kernel, None, state.env.now)
             return self._run_op_body(item, kernel, request, state.env.now)
-        start = state.env.now
-        request = device.resource.request()
+        self._queue_op(item, kernel, device.resource)
+        return False
+
+    def _queue_op(self, item: Item, kernel, resource) -> None:
+        """Wait in the device FIFO; run the body once the slot is granted."""
+        start = self.env.now
+        request = resource.request()
         request.callbacks.append(
             lambda _ev: self._guard(
                 lambda: self._run_op_granted(item, kernel, request, start)
             )
         )
-        return False
 
     def _run_op_granted(self, item: Item, kernel, request, start: float) -> None:
         """Continuation once a queued device request is finally granted."""
@@ -736,41 +791,38 @@ class _Dispatcher:
             return True
 
         if cost.host_bytes > 0:
-            # Host-side Python work serializes on the task's GIL.
-            task = state.task_runtime(item.device)
-            gil_req = task.gil.try_acquire()
-
-            def with_gil(_ev=None):
-                def work():
-                    timeout = state.env.timeout(seconds)
-                    timeout.callbacks.append(
-                        lambda _t: self._guard(release_and_finish)
-                    )
-
-                self._guard(work)
-
-            def release_and_finish():
-                task.gil.release(gil_req)
-                self._finish_op(item, request, outputs, start)
-                self._item_done(item)
-
-            if gil_req is not None:
-                with_gil()
-            else:
-                gil_req = task.gil.request()
-                gil_req.callbacks.append(with_gil)
+            self._run_op_on_gil(item, request, outputs, start, seconds)
         else:
-            timeout = state.env.timeout(seconds)
-
-            def on_elapsed(_ev):
-                def work():
-                    self._finish_op(item, request, outputs, start)
-                    self._item_done(item)
-
-                self._guard(work)
-
-            timeout.callbacks.append(on_elapsed)
+            state.env.timeout(seconds).callbacks.append(
+                _OpElapsed(self, item, request, outputs, start)
+            )
         return False
+
+    def _run_op_on_gil(self, item: Item, request, outputs, start: float,
+                       seconds: float) -> None:
+        """Host-side Python work serializes on the task's GIL."""
+        gil = self.state.task_runtime(item.device).gil
+        gil_req = gil.try_acquire()
+
+        def with_gil(_ev=None):
+            def work():
+                timeout = self.env.timeout(seconds)
+                timeout.callbacks.append(
+                    lambda _t: self._guard(release_and_finish)
+                )
+
+            self._guard(work)
+
+        def release_and_finish():
+            gil.release(gil_req)
+            self._finish_op(item, request, outputs, start)
+            self._item_done(item)
+
+        if gil_req is not None:
+            with_gil()
+        else:
+            gil_req = gil.request()
+            gil_req.callbacks.append(with_gil)
 
     def _finish_op(self, item: Item, request, outputs, start: float) -> None:
         state = self.state

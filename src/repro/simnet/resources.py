@@ -23,7 +23,12 @@ __all__ = ["Resource", "Store", "BandwidthLink", "Request"]
 
 
 class Request(Event):
-    """A pending claim on a :class:`Resource` slot."""
+    """A pending claim on a :class:`Resource` slot.
+
+    The request is its own handle — what :meth:`Resource.release` takes —
+    never its own value: a grant carries ``None``, so a finished claim
+    refers to nothing that refers back to it and dies by reference count.
+    """
 
     __slots__ = ("resource",)
 
@@ -58,7 +63,7 @@ class Resource:
         req = Request(self)
         if len(self._users) < self.capacity:
             self._users.add(req)
-            req.succeed(req)
+            req.succeed()
         else:
             self._waiters.append(req)
         return req
@@ -75,7 +80,7 @@ class Resource:
             return None
         req = Request(self)
         req._ok = True
-        req._value = req
+        req._value = None
         req._processed = True
         req.callbacks = None  # processed: nothing can wait on it
         self._users.add(req)
@@ -94,7 +99,7 @@ class Resource:
         while self._waiters and len(self._users) < self.capacity:
             nxt = self._waiters.popleft()
             self._users.add(nxt)
-            nxt.succeed(nxt)
+            nxt.succeed()
 
     def use(self, duration: float):
         """Convenience process body: hold one slot for ``duration`` seconds."""

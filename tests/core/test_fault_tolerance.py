@@ -164,6 +164,57 @@ class TestDeadlineTimersReleaseFinishedRuns:
         assert _live(ExecutionState) - states <= 1
 
 
+class TestFailedRunReturnsItsMemory:
+    """Regression: ``_fail`` stops dispatch, but a timeout the failed run
+    had armed stays in the calendar and fires inside the *next* run; its
+    continuation registered outputs on the dead run's state, whose
+    ``release_all`` had already run, so the allocation was never freed —
+    1 MiB of simulated device memory per failed run here (gpu:0 on the
+    dispatcher, cpu:0 on the reference lane, whose zombie processes run
+    the whole chain). The clock is not part of the fix: the instants
+    below were recorded on the parent commit, identical on both lanes."""
+
+    GOOD_RUN_CLOCKS = [
+        "0x1.5c5ece83947f9p-10", "0x1.1501a30959ee6p-9",
+        "0x1.7bd3ded0e99d1p-9", "0x1.e2a61a98794bcp-9",
+        "0x1.24bc2b30047d3p-8",
+    ]
+
+    @pytest.mark.parametrize("fast", [True, False],
+                             ids=["fast-path", "legacy"])
+    def test_failed_then_good_runs_return_to_baseline(self, fast):
+        g = tf.Graph()
+        with g.as_default():
+            x = tf.placeholder(tf.float32, (512, 512), name="x")
+            # Shapes left open: the bad matmul is the kernel's discovery,
+            # made while gpu:0's first matmul is still in flight.
+            p = tf.placeholder(tf.float32, [None, None], name="p")
+            q = tf.placeholder(tf.float32, [None, None], name="q")
+            with g.device("/gpu:0"):
+                chain = tf.matmul(tf.matmul(x, x), x)
+            with g.device("/gpu:1"):
+                other = tf.matmul(p, q)
+        sess = tf.Session(graph=g, config=tf.SessionConfig(
+            num_gpus=2, executor_fast_path=fast))
+        pools = sess.master.runtime.memory_pools
+        feed = {x: np.ones((512, 512), np.float32),
+                p: np.ones((2, 3), np.float32)}
+        good = {**feed, q: np.ones((3, 2), np.float32)}
+        bad = {**feed, q: np.ones((2, 3), np.float32)}
+
+        expected = sess.run([chain, other], feed_dict=good)
+        assert sess.env.now.hex() == "0x1.1d74ade8ea44cp-11"
+        baseline = {name: pool.in_use for name, pool in pools.items()}
+        for clock in self.GOOD_RUN_CLOCKS:
+            with pytest.raises(ValueError):
+                sess.run([chain, other], feed_dict=bad)
+            values = sess.run([chain, other], feed_dict=good)
+            for value, want in zip(values, expected):
+                np.testing.assert_array_equal(value, want)
+            assert sess.env.now.hex() == clock
+            assert {n: pool.in_use for n, pool in pools.items()} == baseline
+
+
 class TestRecvDeadline:
     def test_rendezvous_recv_deadline_names_key(self):
         env = Environment()

@@ -11,13 +11,23 @@ reads 0 here before it zeroes the harness counter.
 
 The values were recorded on the commit before the host path was first
 optimised (PR 17's parent); they change only with the simulated schedule.
+
+``TestNoCyclicGarbage`` pins the other host-path invariant: a warm run
+allocates nothing that only the cyclic collector can free.
 """
 
+import gc
+
+import numpy as np
 import pytest
 
+import repro as tf
 import repro.core.session as session_module
 from repro.apps.cg import run_cg
+from repro.apps.common import build_cluster, task_device
 from repro.apps.sgd import run_sgd
+from repro.core.ops.data_ops import Dataset
+from repro.core.tensor import SymbolicValue
 from repro.figures.fig7_stream import run_fig7
 from repro.simnet.events import Environment
 
@@ -79,3 +89,141 @@ def test_host_path_keeps_steps_clock_and_items(name, monkeypatch):
     assert [env.now.hex() for env in envs] == clocks
     assert sum(m.fast_path_items for m in metadata) == fast_path_items
     assert len(metadata) == runs
+
+
+def _two_gpu_program(fast):
+    """placeholder -> matmul@gpu:0 -> send/recv -> matmul + two reduce_sums
+    on gpu:1 (both ready when the recv lands, so one queues for the
+    device)."""
+    g = tf.Graph()
+    with g.as_default():
+        x = tf.placeholder(tf.float32, (64, 64), name="x")
+        with g.device("/gpu:0"):
+            a = tf.matmul(x, x)
+        with g.device("/gpu:1"):
+            sums = [tf.reduce_sum(tf.matmul(a, a)), tf.reduce_sum(a)]
+    sess = tf.Session(graph=g, config=tf.SessionConfig(
+        num_gpus=2, executor_fast_path=fast))
+    feed = {x: np.ones((64, 64), np.float32)}
+    return sess, lambda: sess.run(sums, feed_dict=feed)
+
+
+def _allreduce_program(fast):
+    """One two-rank CollectiveAllReduce step with an op on either side."""
+    handle = build_cluster("tegner-k420", {"worker": 2})
+    g = tf.Graph()
+    with g.as_default():
+        phs, grads = [], []
+        for w in range(2):
+            with g.device(task_device("worker", w, "cpu", 0)):
+                phs.append(tf.placeholder(tf.float64, [256], name=f"x{w}"))
+                grads.append(phs[w] * 2.0)
+        outs = tf.all_reduce(grads)
+        with g.device(task_device("worker", 0, "cpu", 0)):
+            total = tf.add(outs[0], outs[1])
+    sess = tf.Session(handle.server("worker", 0), graph=g,
+                      config=tf.SessionConfig(executor_fast_path=fast))
+    feeds = {ph: np.full(256, w + 1.0) for w, ph in enumerate(phs)}
+    return sess, lambda: sess.run(total, feed_dict=feeds)
+
+
+def _queue_program(fast):
+    """FIFOQueue enqueue then dequeue: generator kernels, driven through
+    ``_finish_generator`` on the dispatcher."""
+    g = tf.Graph()
+    with g.as_default():
+        x = tf.placeholder(tf.float32, (16,), name="x")
+        queue = tf.FIFOQueue(4, [tf.float32], shapes=[(16,)])
+        enqueue, dequeued = queue.enqueue(x), queue.dequeue()
+    sess = tf.Session(graph=g,
+                      config=tf.SessionConfig(executor_fast_path=fast))
+    feed = {x: np.ones(16, np.float32)}
+
+    def run():
+        sess.run(enqueue, feed_dict=feed)
+        return sess.run(dequeued)
+
+    return sess, run
+
+
+def _shape_only_program(fast):
+    """Paper-scale matmuls on two GPUs, no values: every run is dispatch."""
+    g = tf.Graph()
+    with g.as_default():
+        x = tf.placeholder(tf.float32, (4096, 4096), name="x")
+        with g.device("/gpu:0"):
+            a = tf.matmul(x, x)
+        with g.device("/gpu:1"):
+            b = tf.reduce_sum(tf.matmul(a, a))
+    sess = tf.Session(graph=g, config=tf.SessionConfig(
+        num_gpus=2, shape_only=True, executor_fast_path=fast))
+    feed = {x: SymbolicValue((4096, 4096), tf.float32)}
+    return sess, lambda: sess.run(b, feed_dict=feed)
+
+
+def _dataset_program(fast):
+    """Two ``get_next`` ops ready at once: host-side work serialized on
+    the task's GIL, one claim granted at once and one queued."""
+    g = tf.Graph()
+    with g.as_default():
+        rows = np.arange(4096, dtype=np.float32).reshape(64, 64)
+        iterator = Dataset.from_tensor_slices(rows).repeat() \
+            .make_one_shot_iterator()
+        first, second = iterator.get_next(), iterator.get_next(name="second")
+        total = tf.reduce_sum(first) + tf.reduce_sum(second)
+    sess = tf.Session(graph=g,
+                      config=tf.SessionConfig(executor_fast_path=fast))
+    return sess, lambda: sess.run(total)
+
+
+class TestNoCyclicGarbage:
+    """A warm run leaves nothing for the cyclic collector.
+
+    Everything a warm ``Session.run`` allocates — events, device claims,
+    continuations, the run's ``ExecutionState`` / ``Rendezvous`` /
+    ``RunMetadata`` / kernel contexts — dies by reference count at
+    ``return``: with the collector off, N warm runs leave **0** objects
+    for ``gc.collect()`` to find, for any N. On this PR's parent the same
+    programs left, per warm run (dispatcher / reference executor):
+
+    ============  ==========  =========
+    program       dispatcher  reference
+    ============  ==========  =========
+    two_gpu       47          4
+    allreduce     53          3
+    queue         45          2
+    shape_only    41 (≈)      3
+    dataset       50          7
+    ============  ==========  =========
+
+    — a ``Request`` whose value was itself (one cycle per device claim)
+    and ``_start_driven``'s ``advance``/``resume`` closures naming each
+    other (one per driven item) — which made CPython's collector 10 % of
+    ``paper_figures``' host time. 0 is asserted, never "small": one new
+    cycle per run is exactly the regression this pins.
+    """
+
+    PROGRAMS = {
+        "two_gpu": _two_gpu_program,
+        "allreduce": _allreduce_program,
+        "queue": _queue_program,
+        "shape_only": _shape_only_program,
+        "dataset": _dataset_program,
+    }
+
+    @pytest.mark.parametrize("fast", [True, False],
+                             ids=["fast-path", "reference"])
+    @pytest.mark.parametrize("program", sorted(PROGRAMS))
+    def test_warm_runs_leave_nothing_unreachable(self, program, fast):
+        session, run = self.PROGRAMS[program](fast)  # session stays alive
+        run()
+        run()  # the plan is cached and every per-session memo is filled
+        for runs in (10, 60):
+            gc.collect()
+            gc.disable()
+            try:
+                for _ in range(runs):
+                    run()
+                assert gc.collect() == 0
+            finally:
+                gc.enable()

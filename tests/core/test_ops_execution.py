@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import repro as tf
+from repro.core.kernels.registry import Cost, override_kernel
 from repro.core.tensor import SymbolicValue
 from repro.errors import FailedPreconditionError, InvalidArgumentError
+from repro.simnet.gpu import GPUModel
 
 
 def run_op(build, shape_only=False, seed=7):
@@ -390,3 +392,111 @@ class TestLaneParity:
                 errors[fast] = (type(info.value), str(info.value),
                                 sess.env.now)
         assert errors[True] == errors[False]
+
+
+class TestDispatcherContinuations:
+    """The dispatcher's continuation objects (``_Driven`` for generators,
+    ``_OpElapsed`` for a cost timeout) keep the contracts of the closures
+    they replaced; the reference executor is the parity oracle."""
+
+    GPU = "/job:localhost/task:0/device:gpu:0"
+
+    @staticmethod
+    def _run_with_exp_kernel(kernel, fast):
+        """Run ``exp(x)`` on gpu:0 with ``kernel`` standing in for Exp;
+        returns (value or raised error, sim clock, gpu slots still held)."""
+        with override_kernel("Exp", kernel):
+            g = tf.Graph()
+            with g.as_default():
+                x = tf.placeholder(tf.float32, (4,), name="x")
+                with g.device("/gpu:0"):
+                    y = tf.exp(x)
+            sess = tf.Session(graph=g, config=tf.SessionConfig(
+                executor_fast_path=fast))
+            try:
+                outcome = sess.run(y, feed_dict={x: np.ones(4, np.float32)})
+            except Exception as exc:
+                outcome = (type(exc), str(exc))
+        gpu = sess.master.runtime.device(TestDispatcherContinuations.GPU)
+        return outcome, sess.env.now, gpu.resource.count
+
+    @pytest.mark.parametrize("processed", [False, True],
+                             ids=["pending", "already-processed"])
+    def test_failed_event_is_thrown_into_the_generator(self, processed):
+        def make_kernel(cleanups):
+            def kernel(op, inputs, ctx):
+                env = ctx.env
+                failing = env.event()
+                try:
+                    if processed:
+                        failing.fail(RuntimeError("boom")).defused()
+                        yield env.timeout(0.0)  # the failure is processed
+                    else:
+                        env.timeout(1e-3).callbacks.append(
+                            lambda _t: failing.fail(RuntimeError("boom")))
+                    yield failing
+                finally:
+                    cleanups.append(env.now)
+                return [inputs[0]], Cost.none()
+
+            return kernel
+
+        results = {}
+        for fast in (True, False):
+            cleanups = []
+            results[fast] = self._run_with_exp_kernel(
+                make_kernel(cleanups), fast)
+            assert len(cleanups) == 1  # the generator's finally ran, once
+        outcome, _, held = results[True]
+        assert outcome == (RuntimeError, "boom")
+        assert held == 0  # _finish_generator's finally released the slot
+        assert results[True] == results[False]
+
+    def test_processed_targets_advance_in_a_loop(self):
+        """5 000 already-processed events in a row: no recursion."""
+
+        def kernel(op, inputs, ctx):
+            ready = ctx.env.event().succeed(7)
+            yield ctx.env.timeout(0.0)  # ``ready`` is processed first
+            for _ in range(5000):
+                assert (yield ready) == 7
+            return [inputs[0] * 2], Cost.none()
+
+        fast, reference = (self._run_with_exp_kernel(kernel, lane)
+                           for lane in (True, False))
+        np.testing.assert_array_equal(fast[0], np.full(4, 2.0, np.float32))
+        assert fast[1:] == reference[1:] and fast[2] == 0
+
+    @pytest.mark.parametrize("fast", [True, False],
+                             ids=["fast-path", "reference"])
+    def test_error_after_the_cost_timeout_fails_the_run_only(self, fast):
+        """Output registration runs out of memory inside the timeout's
+        continuation: the error is that run's (thrown where its caller
+        waits), never raised out of ``Environment.step``; the slot and
+        the memory come back and the session stays usable."""
+        tiny = GPUModel(
+            name="tiny", peak_sp_flops=1e12, peak_dp_flops=5e11,
+            mem_bandwidth=1e11, mem_capacity=1024, pcie_rate=1e9,
+            launch_overhead=1e-6,
+        )
+        g = tf.Graph()
+        with g.as_default():
+            with g.device("/gpu:0"):
+                big = tf.random_uniform([1024])  # 4 KB > 1 KB capacity
+                small = tf.random_uniform([8])
+        sess = tf.Session(graph=g, config=tf.SessionConfig(
+            gpu_model=tiny, executor_fast_path=fast))
+        env, caught = sess.env, []
+
+        def caller():
+            try:
+                yield env.process(sess.run_gen(big))
+            except tf.errors.ResourceExhaustedError as exc:
+                caught.append(exc)
+            return (yield env.process(sess.run_gen(small)))
+
+        value = env.run(until=env.process(caller()))
+        assert len(caught) == 1 and value.shape == (8,)
+        runtime = sess.master.runtime
+        assert runtime.device(self.GPU).resource.count == 0
+        assert runtime.memory_pools[self.GPU].in_use == 0

@@ -92,6 +92,29 @@ class TestResource:
         res.release(reqs[0])
         assert res.count == 2
 
+    def test_a_grant_carries_no_value(self, env):
+        """A request is its own handle, never its own value (a value of
+        ``req`` was a one-object reference cycle per device claim)."""
+        res = Resource(env, capacity=1)
+        resumed = []
+
+        def user():
+            req = res.request()
+            resumed.append((yield req))
+            yield env.timeout(1.0)
+            res.release(req)
+
+        env.process(user())  # granted at once
+        env.process(user())  # handed the slot by the first one's release
+        env.run()
+        assert resumed == [None, None]
+        held = res.try_acquire()
+        assert held.value is None
+        waiter = res.request()
+        assert not waiter.triggered
+        res.release(held)  # the hand-over decides the waiter's value
+        assert waiter.value is None
+
 
 class TestStore:
     def test_put_then_get(self, env):
