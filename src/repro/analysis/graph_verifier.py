@@ -554,267 +554,3 @@ def _check_resolved_cycles(sg: Any, indegree: dict, dependents: dict,
         op=stuck[0] if stuck else None,
         hint="a substitution or control merge made an op depend on itself",
     )
-
-
-# ---------------------------------------------------------------------------
-# incremental (per-pass) working-set verification
-# ---------------------------------------------------------------------------
-
-# graph -> (version, value-consumer index, control-consumer index,
-# edges-respect-node_id-order flag). Consumers never change for existing
-# ops (graphs are append-only), so the index is shared across plan builds
-# over the same graph and invalidated by create_op bumping the version.
-_CONSUMER_INDEX_CACHE: "weakref.WeakKeyDictionary" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-class SubgraphDeltaVerifier:
-    """Per-pass verification proportional to what the pass rewrote.
-
-    :func:`verify_graph` over a whole ``Subgraph`` re-scans every
-    surviving op; running that after *each* optimizer pass makes plan
-    building O(passes × ops) and blows the verification overhead budget.
-    This verifier instead captures the working set's state between
-    passes and checks only the delta — passes keep the same contract
-    ``_rewrite_fingerprint`` relies on (they only *add* substitutions,
-    drops and folds, and only *remove* ops), so the delta is exactly the
-    tail of each map plus the vanished op names:
-
-    * every new value substitution must terminate and preserve dtype and
-      a compatible shape;
-    * ops consuming a removed op or a rewritten control dep are
-      re-checked against the surviving set (a consumer index — cached
-      per graph version — finds them; substitutions extend it so
-      transitively rerouted consumers stay indexed);
-    * new folded entries must match the folded op's recorded specs, and
-      fetches must keep resolving into the surviving set.
-
-    Acyclicity needs no per-pass Kahn: in an API-built graph every edge
-    points from a lower ``node_id`` to a higher one (ops can only
-    reference already-created ops), so if every *new* resolved edge also
-    points backward in ``node_id`` order the whole relation embeds in
-    that total order and stays acyclic. Any forward-pointing new edge —
-    which no shipped pass produces — falls back to the full
-    :func:`verify_graph` scan for that pass, as does a graph whose edges
-    were mutated out of creation order (detected while indexing).
-    """
-
-    def __init__(self, sg: Any) -> None:
-        self._op_names = {op.name for op in sg.ops}
-        self._n_subs = len(sg.value_subs)
-        self._n_csubs = len(sg.control_subs)
-        self._n_folded = len(sg.folded)
-        self._base_vc: Optional[dict] = None  # op name -> value consumers
-        self._base_cc: Optional[dict] = None  # op name -> control consumers
-        self._extra_vc: dict = {}  # overlay: consumers gained via rewrites
-        self._extra_cc: dict = {}
-        self._ordered_edges = True
-
-    def _ensure_index(self, graph: Graph) -> None:
-        if self._base_vc is not None:
-            return
-        cached = _CONSUMER_INDEX_CACHE.get(graph)
-        if cached is not None and cached[0] == graph.version:
-            _, self._base_vc, self._base_cc, self._ordered_edges = cached
-            return
-        vc: dict = {}
-        cc: dict = {}
-        ordered = True
-        for op in graph.operations:
-            nid = op.node_id
-            for tensor in op.inputs:
-                vc.setdefault(tensor.op.name, []).append(op)
-                if tensor.op.node_id >= nid:
-                    ordered = False
-            for dep in op.control_inputs:
-                cc.setdefault(dep.name, []).append(op)
-                if dep.node_id >= nid:
-                    ordered = False
-        self._base_vc, self._base_cc = vc, cc
-        self._ordered_edges = ordered
-        _CONSUMER_INDEX_CACHE[graph] = (graph.version, vc, cc, ordered)
-
-    def _control_consumers(self, name: str) -> list:
-        extra = self._extra_cc.get(name)
-        base = self._base_cc.get(name, [])
-        return base + extra if extra else base
-
-    def verify_pass(self, sg: Any, pass_name: str) -> Report:
-        from itertools import islice
-
-        report = Report(context=f"after optimizer pass {pass_name!r}")
-        graph = sg.graph
-        current = {op.name for op in sg.ops}
-        new_subs = list(islice(sg.value_subs, self._n_subs, None))
-        new_csubs = list(islice(sg.control_subs, self._n_csubs, None))
-        new_folded = list(islice(sg.folded, self._n_folded, None))
-        removed = self._op_names - current
-        self._op_names = current
-        self._n_subs = len(sg.value_subs)
-        self._n_csubs = len(sg.control_subs)
-        self._n_folded = len(sg.folded)
-
-        if new_subs or new_csubs or removed:
-            self._ensure_index(graph)
-        fallback = not self._ordered_edges
-        affected: dict = {}  # op name -> op, needing an edge re-check
-
-        # New value substitutions: chains terminate, dtype/shape hold,
-        # and every implied edge keeps pointing backward in node_id
-        # order. Consumers of the substituted producer re-route, so they
-        # both join the re-check set and extend the consumer overlay.
-        for key in new_subs:
-            try:
-                original = graph.get_tensor_by_name(key)
-            except ReproError:
-                report.emit(
-                    "graph/dangling-ref",
-                    f"value substitution keyed on unknown tensor {key!r}",
-                )
-                continue
-            seen = {key}
-            tensor = sg.value_subs[key]
-            looped = False
-            while tensor.name in sg.value_subs:
-                if tensor.name in seen:
-                    report.emit(
-                        "graph/substitution-cycle",
-                        f"value substitution chain starting at {key!r} "
-                        f"loops through {tensor.name!r}",
-                        op=tensor.op.name,
-                        hint="a rewrite substituted a tensor for "
-                             "(transitively) itself",
-                    )
-                    looped = True
-                    break
-                seen.add(tensor.name)
-                tensor = sg.value_subs[tensor.name]
-            if looped:
-                report.attribute(pass_name)
-                return report  # resolution unsafe: stop here
-            replacement = tensor
-            if replacement.dtype != original.dtype:
-                report.emit(
-                    "graph/substitution-type",
-                    f"substituting {replacement.name!r} for {key!r} changes "
-                    f"dtype {original.dtype.name} -> "
-                    f"{replacement.dtype.name}",
-                    op=replacement.op.name,
-                    hint="rewrites may only replace a tensor with an "
-                         "equal-dtype equivalent",
-                )
-            elif original.shape.dims != replacement.shape.dims and \
-                    not original.shape.is_compatible_with(replacement.shape):
-                report.emit(
-                    "graph/substitution-type",
-                    f"substituting {replacement.name!r} for {key!r} changes "
-                    f"shape {original.shape} -> incompatible "
-                    f"{replacement.shape}",
-                    op=replacement.op.name,
-                )
-            if replacement.op.node_id >= original.op.node_id:
-                fallback = True
-            producer_name = original.op.name
-            target_name = replacement.op.name
-            for index in (self._base_vc, self._extra_vc):
-                moved = index.get(producer_name)
-                if not moved:
-                    continue
-                self._extra_vc.setdefault(target_name, []).extend(moved)
-                for consumer in moved:
-                    if consumer.name in current:
-                        affected[consumer.name] = consumer
-
-        # New control substitutions: the replacement deps take over the
-        # key's consumers (overlay), which get their effective deps
-        # re-checked below.
-        for key in new_csubs:
-            consumers = self._control_consumers(key)
-            replacements = sg.control_subs[key]
-            if consumers:
-                min_id = min(c.node_id for c in consumers)
-                for rep in replacements:
-                    if rep.node_id >= min_id:
-                        fallback = True
-                    self._extra_cc.setdefault(
-                        rep.name, []
-                    ).extend(consumers)
-                for consumer in consumers:
-                    if consumer.name in current:
-                        affected[consumer.name] = consumer
-
-        # Removed ops: every surviving consumer must still resolve its
-        # edges into the surviving set.
-        for name in removed:
-            for index in (self._base_vc, self._extra_vc,
-                          self._base_cc, self._extra_cc):
-                for consumer in index.get(name, ()):
-                    if consumer.name in current:
-                        affected[consumer.name] = consumer
-
-        resolve = _flat_resolver(sg)
-        feeds = sg.feeds
-        for op in affected.values():
-            inputs = () if op.name in sg.folded else op.inputs
-            for tensor in inputs:
-                if tensor.name in feeds:
-                    continue
-                resolved = resolve(tensor)
-                if resolved.name in feeds:
-                    continue
-                if resolved.op.name not in current:
-                    report.emit(
-                        "graph/dangling-ref",
-                        f"input {tensor.name!r} of surviving op {op.name!r} "
-                        f"resolves to {resolved.name!r}, whose producer the "
-                        f"pipeline dropped",
-                        op=op.name,
-                        hint="the pass removed an op that still has "
-                             "consumers",
-                    )
-            if not op.control_inputs:
-                continue  # effective deps derive only from control inputs
-            for dep in sg.effective_control_deps(op):
-                if dep.name not in current:
-                    report.emit(
-                        "graph/dangling-ref",
-                        f"control dep {dep.name!r} of surviving op "
-                        f"{op.name!r} was dropped by the pipeline",
-                        op=op.name,
-                    )
-
-        for name in new_folded:
-            _check_folded_entry(graph, name, sg.folded[name], report)
-
-        for tensor in sg.fetch_tensors:
-            if tensor.name in feeds:
-                continue
-            resolved = resolve(tensor)
-            if resolved.name not in feeds and resolved.op.name not in current:
-                report.emit(
-                    "graph/fetch-dropped",
-                    f"fetched tensor {tensor.name!r} resolves to "
-                    f"{resolved.name!r}, which no surviving op produces",
-                    op=resolved.op.name,
-                    hint="a pass eliminated a fetched value; fetches are "
-                         "roots and must survive every rewrite",
-                )
-        for name in sg.fetch_op_names:
-            if name not in current:
-                report.emit(
-                    "graph/fetch-dropped",
-                    f"fetched operation {name!r} was dropped by the "
-                    f"pipeline",
-                    op=name,
-                )
-
-        if fallback:
-            # A new edge points forward in node_id order (or the graph's
-            # edges were mutated out of it): the cheap acyclicity
-            # argument no longer applies, so run the full scan.
-            report = verify_graph(
-                sg, context=f"after optimizer pass {pass_name!r}"
-            )
-        report.attribute(pass_name)
-        return report

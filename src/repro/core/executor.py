@@ -592,9 +592,10 @@ class _Dispatcher:
         """Fail the run if any item is still incomplete at the deadline.
 
         The run-level backstop fires at twice the operation deadline:
-        the per-op watchdogs (collective join, recv) run at 1x and carry
-        the sharper diagnostics (which ranks/keys stalled), so they get
-        first claim on failing the run.
+        the collective join watchdog runs at 1x and carries the sharper
+        diagnostic (which ranks stalled), so it gets first claim on
+        failing the run. (A recv needs none here: it is dispatched only
+        after its send completed.)
         """
         state = self.state
         timeout_s = state.deadline_seconds * 2.0
@@ -678,13 +679,17 @@ class _Dispatcher:
 
     # -- light lane: recv --------------------------------------------------------
     def _start_recv(self, item: Item) -> None:
-        # The matching send usually completed already (it is a registered
-        # dependency of this recv): take the value without event traffic.
+        # The matching send is a registered dependency of this recv, so
+        # by dependency counting its value is already deposited: take it
+        # without event traffic.
         present, value = self.state.rendezvous.recv_nowait(item.key)
-        if present:
-            self._deliver(item, value)
-        else:
-            self._await_recv(item)
+        if not present:
+            raise InternalError(
+                f"{_item_desc(item)}: recv dispatched before its send "
+                f"completed — the plan's send→recv dependency edge is "
+                f"missing"
+            )
+        self._deliver(item, value)
 
     def _deliver(self, item: Item, value) -> None:
         item.out_values = [value]
@@ -692,25 +697,6 @@ class _Dispatcher:
             self.state.register_outputs(item, [value])
         self._count_fast()
         self._item_done(item)
-
-    def _await_recv(self, item: Item) -> None:
-        state = self.state
-        event = state.rendezvous.recv(
-            item.key, deadline=state.deadline_seconds
-        )
-
-        def on_event(_ev):
-            if event._ok:
-                self._guard(lambda: self._deliver(item, event._value))
-            else:
-                # Failed recv (deadline, dead producer): surface the
-                # exception instead of delivering it as a tensor value.
-                event._defused = True
-                if isinstance(event._value, DeadlineExceededError):
-                    state.count_deadline()
-                self._fail(event._value)
-
-        event.callbacks.append(on_event)
 
     # -- light lane: op ----------------------------------------------------------
     def _start_op(self, item: Item) -> bool:

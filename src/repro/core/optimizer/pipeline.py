@@ -148,20 +148,23 @@ def _rewrite_fingerprint(sg: Subgraph) -> tuple:
     )
 
 
-def _verify_last_pass(sg: Subgraph, stats: list[PassStats],
-                      verifier) -> None:
+def _verify_last_pass(sg: Subgraph, stats: list[PassStats]) -> None:
     """Re-verify the working set after the pass that produced ``stats[-1]``.
 
     Violations are attributed to that pass: the finding's ``opt_pass``
     field and the pass's ``detail["diagnostics"]`` both name it, so a
     buggy rewrite is caught at the exact pipeline stage that broke the
-    graph rather than at plan-build (or worse, execution) time. The
-    verifier is incremental (checks cost is proportional to what the
-    pass rewrote, not to the working set); see
-    :class:`repro.analysis.graph_verifier.SubgraphDeltaVerifier`.
+    graph rather than at plan-build (or worse, execution) time. This is
+    :func:`repro.analysis.verify_graph` over the whole working set — the
+    same rules, in the same code, that the verifier's own tests drive.
     """
+    from repro.analysis import verify_graph
+
     pass_name = stats[-1].name
-    report = verifier.verify_pass(sg, pass_name)
+    report = verify_graph(
+        sg, opt_pass=pass_name,
+        context=f"after optimizer pass {pass_name!r}",
+    )
     stats[-1].detail["verified"] = report.ok
     if report.diagnostics:
         stats[-1].detail["diagnostics"] = [
@@ -201,13 +204,7 @@ def run_pipeline(
         symbolic=symbolic,
     )
     stats: list[PassStats] = []
-    fingerprint = None
-    verifier = None
-    if verify:
-        from repro.analysis.graph_verifier import SubgraphDeltaVerifier
-
-        fingerprint = _rewrite_fingerprint(sg)
-        verifier = SubgraphDeltaVerifier(sg)
+    fingerprint = _rewrite_fingerprint(sg) if verify else None
 
     def ran(pass_stats: PassStats) -> None:
         nonlocal fingerprint
@@ -220,7 +217,7 @@ def run_pipeline(
                 stats[-1].detail["verified"] = True
             else:
                 fingerprint = after
-                _verify_last_pass(sg, stats, verifier)
+                _verify_last_pass(sg, stats)
 
     for optimizer_pass in (
         dead_code.collapse_identities,

@@ -275,10 +275,10 @@ def build_plan(
                 device=dst_device,
                 key=key,
                 tensor_name=tensor.name,
-                # The rendezvous would match them anyway, but registering
-                # the send as an ordering edge keeps the dependency graph
-                # complete for the counting dispatcher and for deadlock
-                # diagnostics.
+                # This ordering edge is what makes the recv wait for its
+                # value: the counting dispatcher takes it from the
+                # rendezvous without waiting, and the plan verifier's
+                # happens-before relation reads the same edge.
                 extra_deps=[send],
             )
             recv_cache[cache_key] = recv

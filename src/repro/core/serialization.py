@@ -1,41 +1,30 @@
-"""Wire serialization: a ProtoBuf-like TLV format for tensors and graphs.
+"""Wire serialization: a ProtoBuf-like TLV format for tensors.
 
-TensorFlow serializes graphs and tensors as protocol buffers; messages are
-capped at **2 GB**, a limit the paper hits when unrolling loops into one
-graph ("computation graphs, which are represented as ProtoBuf, cannot
-exceed two gigabyte in size"). This module reproduces the format family
-(varints + length-delimited fields) and enforces the same limit in
-:func:`serialize_graph`.
+TensorFlow serializes tensors (and graphs) as protocol buffers; this
+module reproduces the format family — varints + length-delimited fields —
+for the tensor half, which is what :mod:`repro.core.checkpoint` writes to
+disk. Graphs are never shipped anywhere in this model, so there is no
+graph codec: the 2 GB GraphDef ceiling the paper runs into when unrolling
+loops is discussed in ``docs/ARCHITECTURE.md``, not modelled.
 """
 
 from __future__ import annotations
 
 import io
-import struct
-from typing import Any, BinaryIO
-
+from typing import BinaryIO
 
 import numpy as np
 
 from repro import dtypes
-from repro.core.graph import Graph
-
 from repro.core.tensor import SymbolicValue
-from repro.errors import DataLossError, InvalidArgumentError, ResourceExhaustedError, UnimplementedError
+from repro.errors import DataLossError, InvalidArgumentError
 
 __all__ = [
-    "GRAPHDEF_LIMIT_BYTES",
     "encode_varint",
     "decode_varint",
     "serialize_tensor",
     "deserialize_tensor",
-    "serialize_graph",
-    "deserialize_graph",
-    "graphdef_size",
 ]
-
-# The ProtoBuf message size ceiling (2 GB).
-GRAPHDEF_LIMIT_BYTES = 2**31
 
 
 # ---------------------------------------------------------------------------
@@ -143,186 +132,3 @@ def deserialize_tensor(data: bytes):
         )
     return np.frombuffer(raw, dtype=dtype.np_dtype).reshape(shape).copy()
 
-
-# ---------------------------------------------------------------------------
-# attribute values
-# ---------------------------------------------------------------------------
-
-_ATTR_NONE = 0
-_ATTR_INT = 1
-_ATTR_FLOAT = 2
-_ATTR_STR = 3
-_ATTR_BOOL = 4
-_ATTR_TUPLE = 5
-_ATTR_TENSOR = 6
-
-
-def _write_attr(stream: BinaryIO, value: Any) -> None:
-    if value is None:
-        stream.write(encode_varint(_ATTR_NONE))
-    elif isinstance(value, bool):  # before int: bool is an int subtype
-        stream.write(encode_varint(_ATTR_BOOL))
-        stream.write(encode_varint(1 if value else 0))
-    elif isinstance(value, (int, np.integer)):
-        stream.write(encode_varint(_ATTR_INT))
-        # zigzag for signed values
-        zigzag = (int(value) << 1) ^ (int(value) >> 63)
-        stream.write(encode_varint(zigzag & (2**64 - 1)))
-    elif isinstance(value, (float, np.floating)):
-        stream.write(encode_varint(_ATTR_FLOAT))
-        stream.write(struct.pack("<d", float(value)))
-    elif isinstance(value, str):
-        stream.write(encode_varint(_ATTR_STR))
-        _write_str(stream, value)
-    elif isinstance(value, (tuple, list)):
-        stream.write(encode_varint(_ATTR_TUPLE))
-        stream.write(encode_varint(len(value)))
-        for item in value:
-            _write_attr(stream, item)
-    elif isinstance(value, (np.ndarray, SymbolicValue)):
-        stream.write(encode_varint(_ATTR_TENSOR))
-        _write_bytes(stream, serialize_tensor(value))
-    else:
-        raise UnimplementedError(
-            f"Attribute of type {type(value).__name__} is not serializable "
-            f"(datasets and other python objects cannot cross the wire)"
-        )
-
-
-def _read_attr(stream: BinaryIO) -> Any:
-    tag = decode_varint(stream)
-    if tag == _ATTR_NONE:
-        return None
-    if tag == _ATTR_BOOL:
-        return bool(decode_varint(stream))
-    if tag == _ATTR_INT:
-        zigzag = decode_varint(stream)
-        return (zigzag >> 1) ^ -(zigzag & 1)
-    if tag == _ATTR_FLOAT:
-        return struct.unpack("<d", stream.read(8))[0]
-    if tag == _ATTR_STR:
-        return _read_str(stream)
-    if tag == _ATTR_TUPLE:
-        length = decode_varint(stream)
-        return tuple(_read_attr(stream) for _ in range(length))
-    if tag == _ATTR_TENSOR:
-        return deserialize_tensor(_read_bytes(stream))
-    raise DataLossError(f"Unknown attribute tag {tag}")
-
-
-# ---------------------------------------------------------------------------
-# graphs
-# ---------------------------------------------------------------------------
-
-_MAGIC = b"RPGD"  # "repro graph def"
-_VERSION = 1
-
-
-def serialize_graph(graph: Graph, limit: int = GRAPHDEF_LIMIT_BYTES) -> bytes:
-    """Encode a graph; raises :class:`ResourceExhaustedError` past 2 GB."""
-    stream = io.BytesIO()
-    stream.write(_MAGIC)
-    stream.write(encode_varint(_VERSION))
-    stream.write(encode_varint(graph.seed if graph.seed is not None else 0))
-    stream.write(encode_varint(1 if graph.seed is not None else 0))
-    ops = graph.operations
-    stream.write(encode_varint(len(ops)))
-    for op in ops:
-        _write_str(stream, op.name)
-        _write_str(stream, op.type)
-        _write_str(stream, op.device)
-        stream.write(encode_varint(len(op.inputs)))
-        for tensor in op.inputs:
-            _write_str(stream, tensor.name)
-        stream.write(encode_varint(len(op.control_inputs)))
-        for dep in op.control_inputs:
-            _write_str(stream, dep.name)
-        stream.write(encode_varint(len(op.outputs)))
-        for tensor in op.outputs:
-            stream.write(encode_varint(tensor.dtype.enum))
-            dims = tensor.shape.dims
-            if dims is None:
-                stream.write(encode_varint(0))
-            else:
-                stream.write(encode_varint(1))
-                stream.write(encode_varint(len(dims)))
-                for dim in dims:
-                    stream.write(encode_varint(0 if dim is None else dim + 1))
-        attrs = dict(op.attrs)
-        stream.write(encode_varint(len(attrs)))
-        for key in sorted(attrs):
-            _write_str(stream, key)
-            _write_attr(stream, attrs[key])
-        if stream.tell() > limit:
-            raise ResourceExhaustedError(
-                f"GraphDef exceeds the {limit}-byte ProtoBuf limit "
-                f"({stream.tell()} bytes and counting); split the graph or "
-                f"keep state in variables instead of unrolling"
-            )
-    data = stream.getvalue()
-    if len(data) > limit:
-        raise ResourceExhaustedError(
-            f"GraphDef is {len(data)} bytes, over the {limit}-byte limit"
-        )
-    return data
-
-
-def graphdef_size(graph: Graph) -> int:
-    """Size in bytes of the serialized graph (no limit enforcement)."""
-    return len(serialize_graph(graph, limit=2**62))
-
-
-def deserialize_graph(data: bytes) -> Graph:
-    """Reconstruct a graph serialized by :func:`serialize_graph`."""
-    stream = io.BytesIO(data)
-    magic = stream.read(4)
-    if magic != _MAGIC:
-        raise DataLossError(f"Bad graph magic {magic!r}")
-    version = decode_varint(stream)
-    if version != _VERSION:
-        raise DataLossError(f"Unsupported graph version {version}")
-    seed_value = decode_varint(stream)
-    has_seed = decode_varint(stream)
-    graph = Graph(seed=seed_value if has_seed else None)
-    num_ops = decode_varint(stream)
-    for _ in range(num_ops):
-        name = _read_str(stream)
-        op_type = _read_str(stream)
-        device = _read_str(stream)
-        inputs = []
-        for _ in range(decode_varint(stream)):
-            inputs.append(graph.get_tensor_by_name(_read_str(stream)))
-        control = []
-        for _ in range(decode_varint(stream)):
-            control.append(graph.get_operation_by_name(_read_str(stream)))
-        output_specs = []
-        for _ in range(decode_varint(stream)):
-            dtype = dtypes.from_enum(decode_varint(stream))
-            if decode_varint(stream) == 0:
-                shape = None
-            else:
-                rank = decode_varint(stream)
-                dims = []
-                for _ in range(rank):
-                    encoded = decode_varint(stream)
-                    dims.append(None if encoded == 0 else encoded - 1)
-                shape = dims
-            output_specs.append((dtype, shape))
-        attrs = {}
-        for _ in range(decode_varint(stream)):
-            key = _read_str(stream)
-            attrs[key] = _read_attr(stream)
-        with graph.control_dependencies(control):
-            op = graph.create_op(
-                op_type,
-                inputs=inputs,
-                output_specs=output_specs,
-                attrs=attrs,
-                name=name,
-                device=device,
-            )
-        if op.name != name:
-            raise DataLossError(
-                f"Name collision while rebuilding graph: {name!r} became {op.name!r}"
-            )
-    return graph

@@ -24,15 +24,92 @@ def simple_graph():
     return g, c
 
 
-def pipeline(g, fetches, verify=True):
+def pipeline(g, fetches, verify=True, fetch_ops=()):
     return run_pipeline(
         g,
         g.operations,
-        [],
+        list(fetch_ops),
         list(fetches),
         {},
         verify=verify,
     )
+
+
+def defect_graph():
+    """One graph every planted working-set defect below is cut from.
+
+    ``wide``, ``loose`` and ``ints`` are created *before* ``a`` so the
+    planted substitutions onto them point backward in ``node_id`` order —
+    nothing but the rule under test distinguishes them from a rewrite a
+    real pass could make. ``b`` carries a control dependency on ``gate``;
+    ``c`` is the fetched tensor and ``done`` the fetched operation.
+    """
+    g = tf.Graph()
+    with g.as_default():
+        tf.constant([1.0, 2.0, 3.0, 4.0], name="wide")  # float32 [4]
+        tf.placeholder(tf.float32, [None], name="loose")  # float32 [None]
+        tf.constant([1, 2, 3], name="ints")  # int32 [3]
+        a = tf.constant([1.0, 2.0, 3.0], name="a")  # float32 [3]
+        gate = tf.constant(0.0, name="gate")
+        with g.control_dependencies([gate.op]):
+            b = tf.negative(a, name="b")
+        c = tf.negative(b, name="c")
+        done = tf.constant(1.0, name="done")
+    return g, c, done.op
+
+
+def substitute(key, replacement):
+    def edit(sg):
+        sg.value_subs[key] = sg.graph.get_tensor_by_name(replacement)
+    return edit
+
+
+def drop(name):
+    def edit(sg):
+        sg.ops = [op for op in sg.ops if op.name != name]
+    return edit
+
+
+CSE, FOLD = "common_subexpression", "constant_folding"
+
+# id -> (edit planted as CSE, edit planted as folding or None,
+#        pass that must be blamed, rule, fragment of the message)
+PLANTED_DEFECTS = {
+    # Shape compatibility is not transitive: each link is fine on its
+    # own ([3] ~ [None], [None] ~ [4]); the chain it closes is not.
+    "chained-substitution": (
+        substitute("a:0", "loose:0"), substitute("loose:0", "wide:0"),
+        FOLD, "graph/substitution-type",
+        "substituting 'wide:0' for 'a:0' changes shape (3) -> "
+        "incompatible (4)",
+    ),
+    "substitution-cycle": (
+        substitute("a:0", "loose:0"), substitute("loose:0", "a:0"),
+        FOLD, "graph/substitution-cycle", "loops through",
+    ),
+    "dtype-changing-substitution": (
+        substitute("a:0", "ints:0"), None,
+        CSE, "graph/substitution-type", "changes dtype float32 -> int32",
+    ),
+    "dropped-control-dep": (
+        drop("gate"), None,
+        CSE, "graph/dangling-ref",
+        "control dep 'gate' of surviving op 'b' was dropped",
+    ),
+    "dropped-fetched-tensor": (
+        drop("c"), None,
+        CSE, "graph/fetch-dropped", "fetched tensor 'c:0'",
+    ),
+    "dropped-fetched-op": (
+        drop("done"), None,
+        CSE, "graph/fetch-dropped", "fetched operation 'done' was dropped",
+    ),
+    # a:0 -> c:0 points forward in node_id order: b reads a:0, c reads b.
+    "forward-substitution-closes-cycle": (
+        substitute("a:0", "c:0"), None,
+        CSE, "graph/cycle", "created a cycle through b, c",
+    ),
+}
 
 
 class TestPerPassVerification:
@@ -87,6 +164,47 @@ class TestPerPassVerification:
         assert any(
             d.rule == "graph/folded-spec" for d in excinfo.value.diagnostics
         )
+
+    @pytest.mark.parametrize("case", sorted(PLANTED_DEFECTS))
+    def test_working_set_rule_fires_through_the_hook(self, monkeypatch, case):
+        from repro.core.optimizer import constant_folding, cse, dead_code
+
+        cse_edit, fold_edit, blamed, rule, fragment = PLANTED_DEFECTS[case]
+        later_passes = []
+
+        def planted(name, edit):
+            def bad_pass(sg):
+                if edit is not None:
+                    edit(sg)
+                return PassStats(name=name)
+            return bad_pass
+
+        def tripwire(sg):
+            later_passes.append("dependency_pruning")
+            return PassStats(name="dependency_pruning")
+
+        monkeypatch.setattr(
+            cse, "merge_common_subexpressions", planted(CSE, cse_edit)
+        )
+        monkeypatch.setattr(
+            constant_folding, "fold_constants", planted(FOLD, fold_edit)
+        )
+        monkeypatch.setattr(
+            dead_code, "prune_redundant_control_deps", tripwire
+        )
+        g, c, done = defect_graph()
+        with pytest.raises(VerificationError) as excinfo:
+            pipeline(g, [c], fetch_ops=[done])
+        err = excinfo.value
+        assert [(d.rule, d.opt_pass) for d in err.diagnostics] == [
+            (rule, blamed)
+        ]
+        assert fragment in err.diagnostics[0].message
+        assert blamed in str(err)
+        # The pipeline stops at the pass that broke the working set: a
+        # later pass calling ``sg.resolve`` on a substitution cycle would
+        # never return.
+        assert later_passes == []
 
     def test_verify_off_lets_buggy_pass_through(self, monkeypatch):
         from repro.core.optimizer import cse

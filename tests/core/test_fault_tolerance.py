@@ -241,9 +241,9 @@ class TestRecvDeadline:
     @pytest.mark.parametrize("fast", [True, False],
                              ids=["fast-path", "legacy"])
     def test_cross_worker_edge_to_dead_producer(self, fast):
-        """A plain send/recv edge whose producer died: the consumer's
-        recv deadline fires (naming the stalled exchange) instead of
-        waiting forever."""
+        """A plain send/recv edge whose producer died: the recv is never
+        dispatched (its send is parked), so the run watchdog fires
+        (listing the stalled items) instead of the run waiting forever."""
         handle = build_cluster("tegner-k420", {"worker": 2})
         g = tf.Graph()
         with g.as_default():

@@ -126,6 +126,41 @@ class TestSendRecvInsertion:
         assert len(ctrl_sends) == 1
         assert ctrl_sends[0].sources == []  # no payload
 
+    def test_recv_without_its_send_edge_fails_the_run(self, monkeypatch):
+        """The send→recv ``extra_deps`` edge is the only thing that orders
+        a recv after its value: the dispatcher never waits on the
+        rendezvous, so a plan that lost the edge is an internal error at
+        dispatch, not a recv parked until some deadline."""
+        from repro.core import session as session_module
+        from repro.errors import InternalError
+
+        launch = session_module.launch_plan
+
+        def launch_without_send_recv_edges(state):
+            for item in state.plan.items:
+                if item.kind == "recv":  # its send is its only dependency
+                    for send in item.extra_deps:
+                        send.dependents.remove(item)
+                    item.extra_deps, item.num_deps = [], 0
+            return launch(state)
+
+        monkeypatch.setattr(
+            session_module, "launch_plan", launch_without_send_recv_edges
+        )
+        g = tf.Graph()
+        with g.as_default():
+            with g.device("/cpu:0"):
+                a = tf.constant(np.ones(4, np.float32), name="a")
+            with g.device("/gpu:0"):
+                b = tf.identity(a, name="b")
+        config = tf.SessionConfig(graph_optimization=False)
+        with tf.Session(graph=g, config=config) as sess:
+            with pytest.raises(
+                InternalError,
+                match=r"recv:.*a:0.*dispatched before its send completed",
+            ):
+                sess.run(b)
+
     def test_consumer_counts_for_memory(self):
         g = tf.Graph()
         with g.as_default():

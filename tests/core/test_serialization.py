@@ -1,4 +1,4 @@
-"""Wire-format tests: varints, tensors, graphs, and the 2 GB limit."""
+"""Wire-format tests: varints and tensors."""
 
 import io
 
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import repro as tf
 from repro.core import serialization as ser
 from repro.core.tensor import SymbolicValue
-from repro.errors import DataLossError, ResourceExhaustedError, UnimplementedError
+from repro.errors import DataLossError
 
 
 class TestVarints:
@@ -65,76 +65,3 @@ class TestTensorSerialization:
         arr = np.array(values, dtype=np.float64)
         restored = ser.deserialize_tensor(ser.serialize_tensor(arr))
         np.testing.assert_array_equal(restored, arr)
-
-
-class TestGraphSerialization:
-    def _sample_graph(self):
-        g = tf.Graph(seed=9)
-        with g.as_default():
-            with g.device("/job:worker/task:0/device:gpu:0"):
-                a = tf.random_uniform([4, 4], seed=1, name="a")
-            b = tf.constant(np.eye(4, dtype=np.float32), name="b")
-            c = tf.matmul(a, b, name="c")
-            with g.control_dependencies([c.op]):
-                tf.no_op(name="done")
-        return g
-
-    def test_roundtrip_preserves_structure(self):
-        g = self._sample_graph()
-        restored = ser.deserialize_graph(ser.serialize_graph(g))
-        assert [op.name for op in restored.operations] == [
-            op.name for op in g.operations
-        ]
-        c = restored.get_operation_by_name("c")
-        assert c.type == "MatMul"
-        assert [t.name for t in c.inputs] == ["a:0", "b:0"]
-        done = restored.get_operation_by_name("done")
-        assert [d.name for d in done.control_inputs] == ["c"]
-        assert restored.seed == 9
-
-    def test_roundtrip_preserves_devices_and_attrs(self):
-        g = self._sample_graph()
-        restored = ser.deserialize_graph(ser.serialize_graph(g))
-        a = restored.get_operation_by_name("a")
-        assert a.device == "/job:worker/task:0/device:gpu:0"
-        assert a.get_attr("seed") == 1
-        b = restored.get_operation_by_name("b")
-        np.testing.assert_array_equal(b.get_attr("value"), np.eye(4))
-
-    def test_restored_graph_executes(self):
-        g = self._sample_graph()
-        restored = ser.deserialize_graph(ser.serialize_graph(g))
-        # Strip distributed placement for a local run.
-        c_local = restored.get_tensor_by_name("b:0")
-        with tf.Session(graph=restored) as sess:
-            result = sess.run(c_local)
-        np.testing.assert_array_equal(result, np.eye(4))
-
-    def test_two_gb_limit_enforced(self):
-        g = tf.Graph()
-        with g.as_default():
-            tf.constant(np.zeros(1024, np.float64), name="payload")
-        with pytest.raises(ResourceExhaustedError, match="limit"):
-            ser.serialize_graph(g, limit=1024)
-
-    def test_graphdef_size_counts_constants(self):
-        g1 = tf.Graph()
-        with g1.as_default():
-            tf.constant(np.zeros(10, np.float64))
-        g2 = tf.Graph()
-        with g2.as_default():
-            tf.constant(np.zeros(10000, np.float64))
-        assert ser.graphdef_size(g2) > ser.graphdef_size(g1) + 70000
-
-    def test_dataset_attr_not_serializable(self):
-        from repro.core.ops.data_ops import Dataset
-
-        g = tf.Graph()
-        with g.as_default():
-            Dataset.range(3).make_one_shot_iterator().get_next()
-        with pytest.raises(UnimplementedError):
-            ser.serialize_graph(g)
-
-    def test_bad_magic(self):
-        with pytest.raises(DataLossError):
-            ser.deserialize_graph(b"XXXX" + b"\x00" * 10)
