@@ -89,7 +89,6 @@ def _measure_build(identities: bool):
         return build_plan(
             g, [], fetches, feed_map, placer,
             client_device="/job:localhost/task:0/device:cpu:0",
-            run_id=1,
             optimize=True,
             verify=verify,
         )

@@ -38,6 +38,10 @@ from repro.analysis.diagnostics import Report, Severity, register_rule
 __all__ = ["verify_plan"]
 
 register_rule(
+    "plan/uid-index", Severity.ERROR, "plan",
+    "Item uids must be the items' positions: plan.items[i].uid == i",
+)
+register_rule(
     "plan/dangling-item", Severity.ERROR, "plan",
     "Item sources and ordering deps must reference live items of this plan",
 )
@@ -77,13 +81,46 @@ _ACCUMULATING_OP_TYPES = frozenset({"AssignAdd", "AssignSub"})
 def verify_plan(plan: Any, context: str = "") -> Report:
     """Statically verify one lowered execution plan."""
     report = Report(context=context or "plan verification")
-    by_uid = {item.uid: item for item in plan.items}
+    if not _check_uid_index(plan, report):
+        return report  # every later check addresses items by uid
     _check_send_recv(plan, report)
     legs_by_op = _check_collective_worlds(plan, report)
-    adjacency, indegree = _check_membership(plan, by_uid, legs_by_op, report)
+    adjacency, indegree = _check_membership(plan, legs_by_op, report)
     _check_cycles(plan, legs_by_op, adjacency, indegree, report)
     _check_variable_races(plan, adjacency, report)
     return report
+
+
+# ---------------------------------------------------------------------------
+# uid == index
+# ---------------------------------------------------------------------------
+#
+# A run keeps one value slot and one dependency counter per item, indexed
+# by uid: an item numbered past the end is an IndexError mid-run, and two
+# items sharing a number silently share a slot.
+
+def _check_uid_index(plan: Any, report: Report) -> bool:
+    ok = True
+    for index, item in enumerate(plan.items):
+        if item.uid != index:
+            ok = False
+            report.emit(
+                "plan/uid-index",
+                f"{item!r} sits at plan.items[{index}] but is numbered "
+                f"#{item.uid}: the executor would index its value slot and "
+                f"dependency counter with the wrong number",
+                item=item.uid,
+                op=item.op.name if item.op is not None else None,
+                device=item.device,
+                hint="renumber after any rewrite that drops or adds items "
+                     "(build_plan does, after transfer coalescing)",
+            )
+    return ok
+
+
+def _is_live(plan: Any, item: Any) -> bool:
+    """Whether ``item`` is this plan's item (not a dropped or foreign one)."""
+    return 0 <= item.uid < len(plan.items) and plan.items[item.uid] is item
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +146,7 @@ def _outputs_of(item: Any) -> int:
     return 1  # recv, collective: one output slot
 
 
-def _check_membership(plan: Any, by_uid: dict, legs_by_op: dict,
+def _check_membership(plan: Any, legs_by_op: dict,
                       report: Report) -> tuple[dict, dict]:
     from repro.core.partition import FEED
 
@@ -124,7 +161,7 @@ def _check_membership(plan: Any, by_uid: dict, legs_by_op: dict,
             barrier_of[leg.uid] = barrier
 
     def bad_ref(item: Any, producer: Any, out_idx: Optional[int]) -> bool:
-        if by_uid.get(producer.uid) is not producer:
+        if not _is_live(plan, producer):
             report.emit(
                 "plan/dangling-item",
                 f"item #{item.uid} ({item.kind}) references item "
@@ -158,28 +195,19 @@ def _check_membership(plan: Any, by_uid: dict, legs_by_op: dict,
             indegree[uid] += 1
         for source in item.sources:
             producer = source[0]
-            if producer is FEED:
-                continue
-            if by_uid.get(producer.uid) is producer:
-                out_idx = source[1]
-                if out_idx is not None and out_idx >= _outputs_of(producer):
-                    bad_ref(item, producer, out_idx)
+            if producer is not FEED and not bad_ref(item, producer, source[1]):
                 adjacency[producer.uid].append(dst)
                 indegree[dst] += 1
-            else:
-                bad_ref(item, producer, None)
         for dep in item.extra_deps:
-            if by_uid.get(dep.uid) is dep:
+            if not bad_ref(item, dep, None):
                 adjacency[dep.uid].append(dst)
                 indegree[dst] += 1
-            else:
-                bad_ref(item, dep, None)
 
     for source in plan.fetch_sources:
         if source[0] is FEED:
             continue
         producer, out_idx = source
-        if by_uid.get(producer.uid) is not producer:
+        if not _is_live(plan, producer):
             report.emit(
                 "plan/dangling-item",
                 f"a fetch reads item #{producer.uid}, which this plan does "
@@ -306,7 +334,6 @@ def _check_cycles(plan: Any, legs_by_op: dict, adjacency: dict,
     stuck_barriers = sorted(
         node[len("barrier:"):] for node in stuck if isinstance(node, str)
     )
-    by_uid = {item.uid: item for item in plan.items}
     if len(stuck_barriers) >= 2:
         involved = []
         for name in stuck_barriers:
@@ -335,10 +362,10 @@ def _check_cycles(plan: Any, legs_by_op: dict, adjacency: dict,
     stuck_items = sorted(node for node in stuck if not isinstance(node, str))
     labels = []
     for uid in stuck_items[:8]:
-        item = by_uid[uid]
+        item = plan.items[uid]
         label = item.op.name if item.op is not None else (item.key or item.kind)
         labels.append(f"#{uid}({label})")
-    first_item = by_uid[stuck_items[0]] if stuck_items else None
+    first_item = plan.items[stuck_items[0]] if stuck_items else None
     report.emit(
         "plan/cycle",
         f"{len(stuck_items)} plan item(s) form a dependency cycle: "

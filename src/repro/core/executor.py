@@ -1,10 +1,11 @@
 """Dependency-counting plan execution on the discrete-event simulator.
 
 The executor dispatches items off a ready list, mirroring TensorFlow's
-executor rather than spawning one thread per node: every item carries a
-static dependency count (precomputed by ``build_plan``); when an item
-completes, its dependents' counters drop, and freshly-ready items are
-dispatched.
+executor rather than spawning one thread per node: the plan carries a
+static dependency count per item (``ExecutionPlan.dep_counts``); a run
+copies it, and when an item completes its dependents' counters drop and
+freshly-ready items are dispatched. The plan itself is never written:
+everything a run produces lives in its :class:`ExecutionState`.
 
 Dispatch has three lanes:
 
@@ -121,7 +122,13 @@ class _CollectiveGroup:
 
 
 class ExecutionState:
-    """Shared state of one session run."""
+    """Everything one session run writes; the plan it executes is read-only.
+
+    ``values[item.uid]`` holds the item's output list once it completed
+    (``None`` before). The slots die with this object at run end, so any
+    number of runs — concurrent ``run_gen`` coroutines, serving threads,
+    a failed run's late completions — can share one cached plan.
+    """
 
     def __init__(
         self,
@@ -129,10 +136,10 @@ class ExecutionState:
         plan: ExecutionPlan,
         rendezvous,
         task_runtimes: dict,
+        devices: dict[str, tuple],
         protocol: str,
         feeds: dict[str, Any],
         symbolic: bool,
-        run_id: int,
         graph_seed: Optional[int],
         metadata: Optional[RunMetadata] = None,
         trace: bool = False,
@@ -145,10 +152,10 @@ class ExecutionState:
         self.plan = plan
         self.rendezvous = rendezvous
         self.task_runtimes = task_runtimes
+        self.values: list[Any] = [None] * len(plan.items)
         self.protocol = protocol
         self.feeds = feeds
         self.symbolic = symbolic
-        self.run_id = run_id
         self.graph_seed = graph_seed
         self.metadata = metadata
         self.trace = trace
@@ -166,14 +173,10 @@ class ExecutionState:
         self._released = False  # set by release_all: the run is over
         # Collective op name -> this run's rank-leg rendezvous.
         self._collective_groups: dict[str, _CollectiveGroup] = {}
-        # Device strings are resolved once per plan, not per run (see
-        # _resolve). The memo lives on the plan and is good for one
-        # cluster only — the session's task-runtime map, held by identity.
-        resolved = plan.resolved_devices
-        if resolved is None or resolved[0] is not task_runtimes:
-            resolved = plan.resolved_devices = (task_runtimes, {})
-        self._devices: dict[str, tuple] = resolved[1]
-        # Kernel contexts carry the run's feeds and id: per run.
+        # Device strings are resolved once per session, not per run (see
+        # _resolve): the memo is the session's, a fact about its cluster.
+        self._devices = devices
+        # Kernel contexts carry the run's feeds: per run.
         self._ctx_cache: dict[str, KernelContext] = {}
 
     # -- resolution ------------------------------------------------------------
@@ -215,7 +218,6 @@ class ExecutionState:
                 env=self.env,
                 device=self.device_obj(device),
                 worker=task,
-                run_id=self.run_id,
                 graph_seed=self.graph_seed,
             )
             self._ctx_cache[device] = ctx
@@ -353,9 +355,10 @@ class ExecutionState:
         head, idx = source
         if head is FEED:
             return self.feeds[idx]
-        if head.out_values is None:
+        values = self.values[head.uid]
+        if values is None:
             raise InternalError(f"Source {head!r} has not produced values")
-        return head.out_values[idx]
+        return values[idx]
 
 
 def launch_plan(state: ExecutionState) -> Optional[Event]:
@@ -408,13 +411,13 @@ def _run_deadline_message(state: ExecutionState, timeout_s: float,
 def _legacy_launch(state: ExecutionState) -> Event:
     """Spawn every item as a process up front (the pre-optimizer design)."""
     env = state.env
-    processes = []
+    # This run's process per item, by uid; each item's generator reads its
+    # producers' entries on its first step, after every one was spawned.
+    processes: list = []
     for item in state.plan.items:
-        proc = env.process(
-            _legacy_item_proc(state, item), name=f"item:{item.uid}"
-        )
-        item.process = proc
-        processes.append(proc)
+        processes.append(env.process(
+            _legacy_item_proc(state, item, processes), name=f"item:{item.uid}"
+        ))
     if state.metadata is not None:
         state.metadata.process_items += len(processes)
     inner = AllOf(env, processes)
@@ -451,7 +454,7 @@ def _legacy_launch(state: ExecutionState) -> Event:
     return done
 
 
-def _legacy_dependencies(item: Item) -> list:
+def _legacy_dependencies(item: Item, processes: list) -> list:
     deps = []
     seen = set()
     for source in item.sources:
@@ -459,21 +462,21 @@ def _legacy_dependencies(item: Item) -> list:
             producer = source[0]
             if producer.uid not in seen:
                 seen.add(producer.uid)
-                deps.append(producer.process)
+                deps.append(processes[producer.uid])
     for dep in item.extra_deps:
         if dep.uid not in seen:
             seen.add(dep.uid)
-            deps.append(dep.process)
+            deps.append(processes[dep.uid])
     return deps
 
 
-def _legacy_item_proc(state: ExecutionState, item: Item):
+def _legacy_item_proc(state: ExecutionState, item: Item, processes: list):
     if state.task_down(item.device):
         # The task died: park forever on a fresh event. Peers' deadlines
         # (collective join, recv, run watchdog) report the loss.
         state.park_stalled(item)
         yield state.env.event()
-    deps = _legacy_dependencies(item)
+    deps = _legacy_dependencies(item, processes)
     if deps:
         yield AllOf(state.env, deps)
     if state.task_down(item.device):
@@ -572,9 +575,7 @@ class _Dispatcher:
     def __init__(self, state: ExecutionState):
         self.state = state
         self.env = state.env
-        self.counts = {
-            item.uid: item.num_deps for item in state.plan.items
-        }
+        self.counts = state.plan.dep_counts.copy()
         self.remaining = len(state.plan.items)
         self.done = self.env.event()
         self.finished = False
@@ -583,8 +584,9 @@ class _Dispatcher:
     def start(self) -> Event:
         if self.state.deadline_seconds is not None:
             self._arm_run_watchdog()
+        plan = self.state.plan
         self._dispatch(
-            item for item in self.state.plan.items if item.num_deps == 0
+            item for item, deps in zip(plan.items, plan.dep_counts) if not deps
         )
         return self.done
 
@@ -692,7 +694,7 @@ class _Dispatcher:
         self._deliver(item, value)
 
     def _deliver(self, item: Item, value) -> None:
-        item.out_values = [value]
+        self.state.values[item.uid] = [value]
         if value is not None:
             self.state.register_outputs(item, [value])
         self._count_fast()
@@ -832,7 +834,7 @@ def _finalize_op(state: ExecutionState, item: Item, outputs, start: float) -> No
     Outputs are live before inputs can be released: the kernel's working
     set holds both (this is what makes big tiles tight on a 1 GB K420).
     """
-    item.out_values = outputs
+    state.values[item.uid] = outputs
     state.register_outputs(item, outputs)
     for source in item.sources:
         if source[0] is not FEED:
@@ -874,14 +876,16 @@ def _record_node_stats(state: ExecutionState, item: Item, start: float) -> None:
                 op_type=item.op.type,
                 start=start,
                 end=state.env.now,
-                out_bytes=sum(value_nbytes(v) for v in item.out_values or []),
+                out_bytes=sum(
+                    value_nbytes(v) for v in state.values[item.uid] or []
+                ),
             )
         )
 
 
 def _finish_const(state: ExecutionState, item: Item) -> None:
-    item.out_values = list(item.const_values)
-    state.register_outputs(item, item.out_values)
+    outputs = state.values[item.uid] = list(item.const_values)
+    state.register_outputs(item, outputs)
     _record_node_stats(state, item, state.env.now)
 
 
@@ -944,7 +948,7 @@ def _run_send(state: ExecutionState, item: Item):
                 protocol=state.protocol,
             )
         )
-    item.out_values = []
+    state.values[item.uid] = []
 
 
 def _run_recv(state: ExecutionState, item: Item):
@@ -955,7 +959,7 @@ def _run_recv(state: ExecutionState, item: Item):
     except DeadlineExceededError:
         state.count_deadline()
         raise
-    item.out_values = [value]
+    state.values[item.uid] = [value]
     if value is not None:
         state.register_outputs(item, [value])
 
@@ -1001,7 +1005,7 @@ def _run_collective(state: ExecutionState, item: Item):
     else:
         yield group.done
     result = group.results[rank]
-    item.out_values = [result]
+    state.values[item.uid] = [result]
     state.register_outputs(item, [result])
     if item.sources and item.sources[0][0] is not FEED:
         producer, idx = item.sources[0]

@@ -117,7 +117,6 @@ class KernelContext:
     env: Any = None  # simnet Environment, None in pure-eager unit tests
     device: Any = None  # simulated device executing the op
     worker: Any = None  # TaskRuntime: node/machine access for io kernels
-    run_id: int = 0
     graph_seed: Optional[int] = None
 
     def filesystem(self) -> Any:

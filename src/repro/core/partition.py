@@ -40,10 +40,16 @@ __all__ = ["Item", "ExecutionPlan", "build_plan", "FEED"]
 FEED = "__feed__"
 
 
-@dataclass
+@dataclass(slots=True)
 class Item:
-    """One schedulable unit on one device."""
+    """One schedulable unit on one device.
 
+    Static once ``build_plan`` returns (``slots=True``: a stray
+    ``item.anything = …`` raises): what a run computes lives in its
+    ``ExecutionState``, indexed by ``uid``.
+    """
+
+    # Index of this item in ``plan.items`` — the executor's slot number.
     uid: int
     kind: str  # "op" | "send" | "recv" | "const" | "collective"
     device: str
@@ -70,13 +76,9 @@ class Item:
     collective_algorithm: Optional[str] = None
     # Per-output consumer counts (memory refcounting), filled by build_plan.
     consumer_counts: list = field(default_factory=list)
-    # Dependency graph (static per plan), filled by build_plan: number of
-    # distinct producer items, and the items waiting on this one.
-    num_deps: int = 0
+    # Dependency graph (static per plan), filled by build_plan: the items
+    # waiting on this one (how many it waits on: ``plan.dep_counts``).
     dependents: list = field(default_factory=list)
-    # Runtime state, owned by the executor.
-    process: Any = None
-    out_values: Optional[list] = None
 
     def __repr__(self) -> str:
         label = self.op.name if self.op is not None else self.key
@@ -87,7 +89,10 @@ class Item:
 class ExecutionPlan:
     """Everything a run needs: items, per-device lists, fetch routing."""
 
-    items: list[Item]
+    items: list[Item]  # items[i].uid == i
+    # Per item, the number of distinct producer items it waits on: a
+    # run's dispatcher copies the list and counts it down.
+    dep_counts: list[int]
     per_device: dict[str, list[Item]]
     # For each fetch tensor: local (Item, out_idx) on the client device.
     fetch_sources: list
@@ -104,9 +109,6 @@ class ExecutionPlan:
     verifier_diagnostics: list = field(default_factory=list)
     # True when this plan passed static verification at build time.
     verified: bool = False
-    # Executor-owned memo across runs of this plan: ``(task-runtime map,
-    # {device string: resolved device})`` — see ``ExecutionState``.
-    resolved_devices: Optional[tuple] = None
     # Always 0; kept only because benchmarks/e2e/trace.py reads them.
     compiled_items: int = 0
     fused_op_count: int = 0
@@ -139,7 +141,6 @@ def build_plan(
     feeds: dict[str, Any],
     placer: Placer,
     client_device: str,
-    run_id: int,
     optimize: bool = False,
     symbolic: bool = False,
     verify: bool = False,
@@ -261,7 +262,7 @@ def build_plan(
             return (producer, out_index)
         cache_key = (tensor.name, dst_device)
         if cache_key not in recv_cache:
-            key = make_key(producer.device, dst_device, tensor.name, run_id)
+            key = make_key(producer.device, dst_device, tensor.name)
             send = new_item(
                 kind="send",
                 device=producer.device,
@@ -290,7 +291,7 @@ def build_plan(
             return producer
         cache_key = (label, dst_device)
         if cache_key not in ctrl_cache:
-            key = make_key(producer.device, dst_device, f"^{label}", run_id)
+            key = make_key(producer.device, dst_device, f"^{label}")
             send = new_item(
                 kind="send",
                 device=producer.device,
@@ -472,6 +473,9 @@ def build_plan(
             items, fetch_sources
         )
         pass_stats.append(coalesce_stats)
+        # Dense again after the merge: a run indexes its slots by uid.
+        for uid, item in enumerate(items):
+            item.uid = uid
 
     # ---- consumer counts (memory refcounting) -------------------------------
     for item in items:
@@ -495,6 +499,7 @@ def build_plan(
     # ---- dependency graph (static per plan) ---------------------------------
     # The executor's dependency-counting dispatcher needs, per item, the
     # number of distinct producers and the forward dependents list.
+    dep_counts: list[int] = []
     for item in items:
         seen: set[int] = set()
         for source in item.sources:
@@ -507,7 +512,7 @@ def build_plan(
             if dep.uid not in seen:
                 seen.add(dep.uid)
                 dep.dependents.append(item)
-        item.num_deps = len(seen)
+        dep_counts.append(len(seen))
 
     # ---- group by device -----------------------------------------------------
     per_device: dict[str, list[Item]] = {}
@@ -519,6 +524,7 @@ def build_plan(
 
     plan = ExecutionPlan(
         items=items,
+        dep_counts=dep_counts,
         per_device=per_device,
         fetch_sources=fetch_sources,
         devices_by_task=devices_by_task,

@@ -9,16 +9,18 @@ Mirrors TF 1.x usage::
     with Session(server.target, machine=m) as sess:   # distributed
         sess.run(init)
 
-A session prunes and partitions the graph per run, schedules the plan on
-the discrete-event simulator, and returns concrete NumPy values (or
-:class:`~repro.core.tensor.SymbolicValue` specs in shape-only mode).
-``run_gen`` is the coroutine flavour used when many tasks run
-concurrently inside one simulation (the paper's worker/reducer pattern).
+A session prunes, optimizes and partitions the graph once per (fetches,
+feeds, graph version) into an immutable, cached plan; each run schedules
+that plan on the discrete-event simulator with its own
+:class:`~repro.core.executor.ExecutionState` and returns concrete NumPy
+values (or :class:`~repro.core.tensor.SymbolicValue` specs in shape-only
+mode). ``run_gen`` is the coroutine flavour used when many tasks run
+concurrently inside one simulation (the paper's worker/reducer pattern);
+any number of them, and of OS threads, may be running one plan at once.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 import threading
 from collections import OrderedDict
@@ -47,8 +49,6 @@ from repro.simnet.machines import Machine, localhost
 from repro.simnet.transports import protocol_latency
 
 __all__ = ["Session", "SessionConfig", "admin_rpc_time"]
-
-_RUN_IDS = itertools.count(1)
 
 # Bound on cached (fetches, feeds, graph-version) plans per session: long-
 # lived sessions issuing many distinct fetch combinations evict LRU-first
@@ -116,10 +116,7 @@ class _PreparedRun:
     """One run's plan plus everything needed to execute and reassemble it.
 
     Produced by :meth:`Session._prepare_run` (thread-safe, simulator not
-    involved); consumed by :meth:`Session._execute_gen`. ``released``
-    tracks whether the plan's in-flight registration has been dropped,
-    so release is idempotent between the coroutine's own ``finally`` and
-    the :meth:`Session.run` backstop.
+    involved); consumed by :meth:`Session._execute_gen`.
     """
 
     plan: Any
@@ -128,11 +125,9 @@ class _PreparedRun:
     slots: list
     fetch_tensors: list
     task_runtimes: dict
-    run_id: int
     plan_cache_hit: bool
     cache_hits: int
     cache_misses: int
-    released: bool = False
 
 
 class Session:
@@ -187,23 +182,24 @@ class Session:
         self.env: Environment = self.machine.env
         # (job, task) -> TaskRuntime, filled by _task_runtimes().
         self._runtimes: Optional[dict] = None
+        # Device string -> (runtime, device, memory pool, (job, task)),
+        # filled by the runs' ExecutionStates as they first meet a device.
+        self._devices: dict[str, tuple] = {}
         # Plan cache: repeated runs of the same fetches/feeds on an
         # unchanged graph reuse the pruned/optimized/partitioned plan (TF
         # caches the same way: graphs are registered with workers once).
         # LRU-bounded to _PLAN_CACHE_CAPACITY entries.
         self._plan_cache: OrderedDict = OrderedDict()
-        self._plans_in_flight: set[int] = set()
         self._plan_cache_hits = 0
         self._plan_cache_misses = 0
         self._plan_cache_evictions = 0
         # Concurrency: many OS threads may call run() on one shared
         # Session (the serving front-door does exactly this). Two locks
         # with distinct jobs:
-        #   _cache_lock guards every _plan_cache / counter /
-        #     _plans_in_flight access, and makes lookup + in-flight
-        #     registration one atomic step — without it two threads can
-        #     grab the *same* plan object and race on its items' runtime
-        #     state, or interleave OrderedDict mutations mid-eviction.
+        #   _cache_lock guards every _plan_cache / counter access —
+        #     without it two threads interleave OrderedDict mutations
+        #     mid-eviction. The plans themselves need no guarding: they
+        #     are immutable, and any number of runs may share one.
         #   _run_lock serializes driving the discrete-event simulator
         #     (env.process + env.run); the DES calendar is a plain heap
         #     with no internal synchronization. Plan preparation (fetch
@@ -333,25 +329,20 @@ class Session:
         """
         self._check_open()
         prepared = self._prepare_run(fetches, feed_dict)
-        try:
-            with self._run_lock:
-                proc = self.env.process(
-                    self._execute_gen(prepared, options, run_metadata),
-                    name="session.run",
-                )
-                return self.env.run(until=proc)
-        finally:
-            # Normally the coroutine's own finally releases; this backstop
-            # covers a drive aborted before the coroutine ever started.
-            self._release_prepared(prepared)
+        with self._run_lock:
+            proc = self.env.process(
+                self._execute_gen(prepared, options, run_metadata),
+                name="session.run",
+            )
+            return self.env.run(until=proc)
 
     def run_gen(self, fetches, feed_dict=None, options: Optional[RunOptions] = None,
                 run_metadata: Optional[RunMetadata] = None):
         """Coroutine version of :meth:`run` for concurrent sim processes."""
         # Non-generator wrapper so misuse (closed session) raises at the
         # call site rather than when the simulator first advances the
-        # returned coroutine. The plan is prepared (and registered in
-        # flight) eagerly, for the same reason.
+        # returned coroutine. The plan is prepared eagerly, for the same
+        # reason.
         self._check_open()
         prepared = self._prepare_run(fetches, feed_dict)
         return self._execute_gen(prepared, options, run_metadata)
@@ -359,14 +350,12 @@ class Session:
     def _prepare_run(self, fetches, feed_dict) -> "_PreparedRun":
         """Everything before the simulator: parse, validate, get a plan.
 
-        Cache lookup and in-flight registration are a single atomic step
-        under ``_cache_lock``: a concurrent same-key caller either finds
-        the plan already in flight (and builds its own duplicate, exactly
-        as the DES-level concurrency path always has) or takes ownership
-        itself — two callers can never share one plan's item state.
-        ``build_plan`` for a miss runs outside the lock.
+        A cached plan is a hit however many runs are executing it: plans
+        are immutable and a run's values live in its ``ExecutionState``.
+        ``build_plan`` for a miss runs outside ``_cache_lock``, so callers
+        that race the first build of one key each build (and count) their
+        own miss; the last one's plan stays cached.
         """
-        run_id = next(_RUN_IDS)
         structure, fetch_ops, fetch_tensors, slots = self._parse_fetches(fetches)
         feeds = self._validate_feeds(_normalize_feeds(feed_dict))
         task_runtimes = self._task_runtimes()
@@ -378,22 +367,12 @@ class Session:
         )
         with self._cache_lock:
             plan = self._plan_cache.get(cache_key)
-            if plan is not None:
-                self._plan_cache.move_to_end(cache_key)
-            plan_cache_hit = (
-                plan is not None and id(plan) not in self._plans_in_flight
-            )
+            plan_cache_hit = plan is not None
             if plan_cache_hit:
+                self._plan_cache.move_to_end(cache_key)
                 self._plan_cache_hits += 1
-                self._plans_in_flight.add(id(plan))
-                # Reset per-run state; rendezvous keys may repeat because
-                # every run gets a fresh Rendezvous instance.
-                for item in plan.items:
-                    item.process = None
-                    item.out_values = None
             else:
                 self._plan_cache_misses += 1
-                plan = None
             hits, misses = self._plan_cache_hits, self._plan_cache_misses
         if plan is None:
             # Placement inputs are a miss's business: a hit builds neither.
@@ -406,7 +385,6 @@ class Session:
                 canonical_device(
                     self._master.job_name, self._master.task_index, "cpu", 0
                 ),
-                run_id,
                 optimize=self.config.graph_optimization,
                 symbolic=self.config.shape_only,
                 verify=self.config.verify_plans,
@@ -414,7 +392,6 @@ class Session:
             with self._cache_lock:
                 self._plan_cache[cache_key] = plan
                 self._plan_cache.move_to_end(cache_key)
-                self._plans_in_flight.add(id(plan))
                 self._evict_plans()
         return _PreparedRun(
             plan=plan,
@@ -423,24 +400,15 @@ class Session:
             slots=slots,
             fetch_tensors=fetch_tensors,
             task_runtimes=task_runtimes,
-            run_id=run_id,
             plan_cache_hit=plan_cache_hit,
             cache_hits=hits,
             cache_misses=misses,
         )
 
-    def _release_prepared(self, prepared: "_PreparedRun") -> None:
-        """Drop a prepared run's in-flight registration (idempotent)."""
-        with self._cache_lock:
-            if not prepared.released:
-                prepared.released = True
-                self._plans_in_flight.discard(id(prepared.plan))
-
     def _execute_gen(self, prepared: "_PreparedRun", options, run_metadata):
         env = self.env
         plan = prepared.plan
         feeds = prepared.feeds
-        run_id = prepared.run_id
         structure = prepared.structure
         fetch_tensors = prepared.fetch_tensors
         slots = prepared.slots
@@ -475,10 +443,10 @@ class Session:
             plan=plan,
             rendezvous=rendezvous,
             task_runtimes=task_runtimes,
+            devices=self._devices,
             protocol=self._master.data_protocol,
             feeds=feeds,
             symbolic=self.config.shape_only,
-            run_id=run_id,
             graph_seed=self.graph.seed,
             metadata=metadata,
             trace=trace,
@@ -501,10 +469,9 @@ class Session:
                     values.append(np.asarray(feeds[source[1]]))
                 else:
                     item, idx = source
-                    values.append(item.out_values[idx])
+                    values.append(state.values[item.uid][idx])
         finally:
             state.release_all()
-            self._release_prepared(prepared)
         metadata.end_time = env.now
 
         if structure[0] == "single":
@@ -542,26 +509,13 @@ class Session:
         return validated
 
     def _evict_plans(self) -> None:
-        """Bound the plan cache, never dropping a plan a run still holds.
+        """Bound the plan cache, LRU-first. Caller must hold ``_cache_lock``.
 
-        Caller must hold ``_cache_lock``. Eviction is LRU-first but skips
-        plans registered in ``_plans_in_flight``: a concurrent ``run_gen``
-        holds item-level runtime state on the plan's items, and dropping
-        its cache entry mid-run would let a same-key rerun rebuild (and
-        re-cache) a duplicate plan while the first still executes. If
-        every cached plan is mid-run the cache temporarily overflows
-        instead.
+        A run that is executing an evicted plan keeps it alive and is
+        unaffected; a same-key rerun rebuilds.
         """
-        if len(self._plan_cache) <= _PLAN_CACHE_CAPACITY:
-            return
-        evictable = [
-            key
-            for key, plan in self._plan_cache.items()
-            if id(plan) not in self._plans_in_flight
-        ]
-        excess = len(self._plan_cache) - _PLAN_CACHE_CAPACITY
-        for key in evictable[:excess]:
-            del self._plan_cache[key]
+        while len(self._plan_cache) > _PLAN_CACHE_CAPACITY:
+            self._plan_cache.popitem(last=False)
             self._plan_cache_evictions += 1
 
     def plan_cache_info(self) -> dict:

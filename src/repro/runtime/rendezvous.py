@@ -2,8 +2,8 @@
 
 TF moves tensors between devices through a rendezvous table: the producer
 ``_Send``\\ s under a key, the consumer ``_Recv``\\ s under the same key, and
-whichever side arrives first waits. Keys are unique per (edge, run), so
-values match exactly once.
+whichever side arrives first waits. Keys are unique per edge and every
+run gets its own :class:`Rendezvous`, so values match exactly once.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from repro.simnet.events import Environment, Event, arm_deadline
 __all__ = ["Rendezvous", "make_key"]
 
 
-def make_key(src_device: str, dst_device: str, tensor_name: str, run_id: int) -> str:
-    return f"{src_device};{dst_device};{tensor_name};run{run_id}"
+def make_key(src_device: str, dst_device: str, tensor_name: str) -> str:
+    return f"{src_device};{dst_device};{tensor_name}"
 
 
 class Rendezvous:

@@ -2,12 +2,14 @@
 collective deadlocks, each seeded into a real lowered plan."""
 
 import numpy as np
+import pytest
 
 import repro as tf
 from repro.analysis import Severity, verify_plan
 from repro.core.ops import collective_ops
 from repro.core.partition import build_plan
 from repro.core.placement import Placer
+from repro.errors import VerificationError
 
 CLIENT = "/job:localhost/task:0/device:cpu:0"
 GPUS = ["/job:localhost/task:0/device:gpu:0",
@@ -30,13 +32,20 @@ def plan_for(graph, fetch_tensors=(), fetch_ops=(), optimize=False, gpus=2):
         {},
         make_placer(gpus),
         client_device=CLIENT,
-        run_id=1,
         optimize=optimize,
     )
 
 
 def rules_of(report):
     return [d.rule for d in report]
+
+
+def drop_item(plan, victim):
+    """What a plan rewrite that forgot to rewire leaves behind: the item
+    gone, the survivors renumbered to their positions."""
+    plan.items.remove(victim)
+    for uid, item in enumerate(plan.items):
+        item.uid = uid
 
 
 class TestCleanPlans:
@@ -163,7 +172,7 @@ class TestSendRecvPairing:
         plan = self._transfer_plan()
         sends = [i for i in plan.items if i.kind == "send"]
         assert sends
-        plan.items.remove(sends[0])
+        drop_item(plan, sends[0])
         report = verify_plan(plan)
         assert "plan/orphan-recv" in rules_of(report)
         orphan = next(d for d in report if d.rule == "plan/orphan-recv")
@@ -194,7 +203,7 @@ class TestSendRecvPairing:
         plan.fetch_sources = [
             s for s in plan.fetch_sources if s[0] is not recv
         ]
-        plan.items.remove(recv)
+        drop_item(plan, recv)
         report = verify_plan(plan)
         assert "plan/unpaired-send" in rules_of(report)
         assert not report.errors  # dead traffic is a warning, not an error
@@ -234,7 +243,7 @@ class TestCollectives:
         leg = next(i for i in plan.items
                    if i.kind == "collective" and i.op.name == "ar2"
                    and i.collective_rank == 1)
-        plan.items.remove(leg)
+        drop_item(plan, leg)
         report = verify_plan(plan)
         assert "plan/collective-world" in rules_of(report)
         diag = next(d for d in report if d.rule == "plan/collective-world")
@@ -251,6 +260,58 @@ class TestCollectives:
         assert "duplicate rank(s) [0]" in diag.message
 
 
+class TestUidIndex:
+    """``plan.items[i].uid == i``: a run indexes its value slots and
+    dependency counters by uid."""
+
+    def _plan(self):
+        g = tf.Graph()
+        with g.as_default():
+            a = tf.constant([1.0], name="a")
+            with g.device("/device:gpu:1"):
+                b = tf.add(a, a, name="b")
+        return plan_for(g, fetch_tensors=[b])
+
+    def test_built_plans_are_dense_with_and_without_coalescing(self):
+        g = tf.Graph()
+        with g.as_default():
+            with g.device("/device:gpu:0"):
+                one = tf.constant([1.0, 2.0], name="one")
+            with g.device("/device:gpu:0"):
+                same = tf.constant([1.0, 2.0], name="same")
+            with g.device("/device:gpu:1"):
+                out = tf.add(one, same, name="out")
+        for optimize in (False, True):
+            plan = plan_for(g, fetch_tensors=[out], optimize=optimize)
+            assert [i.uid for i in plan.items] == list(range(len(plan.items)))
+            assert len(plan.dep_counts) == len(plan.items)
+            assert verify_plan(plan).ok
+
+    def test_foreign_uid_is_a_verification_error_naming_the_item(self):
+        plan = self._plan()
+        victim = plan.items[-1]
+        position, victim.uid = victim.uid, 999
+        report = verify_plan(plan)
+        assert rules_of(report) == ["plan/uid-index"]
+        diag = report.errors[0]
+        assert diag.item == 999 and diag.device == victim.device
+        assert f"plan.items[{position}]" in diag.message
+        with pytest.raises(VerificationError, match="#999"):
+            report.raise_if_errors()
+
+    def test_duplicate_uid_is_reported_not_a_shared_slot(self):
+        plan = self._plan()
+        plan.items[2].uid = plan.items[1].uid
+        report = verify_plan(plan)
+        assert rules_of(report) == ["plan/uid-index"]
+        assert repr(plan.items[2]) in report.errors[0].message
+
+    def test_unrenumbered_drop_is_reported_before_anything_else(self):
+        plan = self._plan()
+        plan.items.remove(next(i for i in plan.items if i.kind == "send"))
+        assert set(rules_of(verify_plan(plan))) == {"plan/uid-index"}
+
+
 class TestMembershipAndCycles:
     def test_dangling_source_detected(self):
         g = tf.Graph()
@@ -260,7 +321,7 @@ class TestMembershipAndCycles:
         plan = plan_for(g, fetch_tensors=[b])
         victim = next(i for i in plan.items
                       if i.kind == "op" and i.op.name == "a")
-        plan.items.remove(victim)
+        drop_item(plan, victim)
         report = verify_plan(plan)
         assert "plan/dangling-item" in rules_of(report)
 
@@ -295,7 +356,7 @@ class TestVerifiedPlanMetadata:
             b = tf.identity(a, name="b")
         plan = build_plan(
             g, [], [b], {}, make_placer(),
-            client_device=CLIENT, run_id=1,
+            client_device=CLIENT,
             optimize=True, verify=True,
         )
         assert plan.verified
@@ -309,7 +370,7 @@ class TestVerifiedPlanMetadata:
             b = tf.assign_sub(v, tf.constant([3.0]), name="w2")
         plan = build_plan(
             g, [a.op, b.op], [], {}, make_placer(),
-            client_device=CLIENT, run_id=1, verify=True,
+            client_device=CLIENT, verify=True,
         )
         assert plan.verified  # warnings do not fail the build
         assert [d.rule for d in plan.verifier_diagnostics] == [
@@ -327,7 +388,7 @@ class TestVerifiedPlanMetadata:
             a = tf.constant([1.0], name="a")
         build_plan(
             g, [], [a], {}, make_placer(),
-            client_device=CLIENT, run_id=1, verify=True,
+            client_device=CLIENT, verify=True,
         )
         records = [json.loads(line)
                    for line in report_file.read_text().splitlines()]

@@ -150,8 +150,8 @@ class TestDeadlineTimersReleaseFinishedRuns:
         feeds = {ph: np.full(1024, w + 1.0) for w, ph in enumerate(phs)}
         groups, states = _live(_CollectiveGroup), _live(ExecutionState)
 
-        # Same fetches every run: the cached plan holds only the *latest*
-        # run's values, so nothing legitimate keeps the first run's.
+        # Same fetches every run: the cached plan holds no run's values,
+        # so nothing legitimate keeps any finished run's.
         first = sess.run(outs + [total], feed_dict=feeds)
         np.testing.assert_array_equal(first[2], np.full(1024, 6.0))
         first_result = weakref.ref(first[0])
@@ -160,8 +160,8 @@ class TestDeadlineTimersReleaseFinishedRuns:
             sess.run(outs + [total], feed_dict=feeds)
 
         assert first_result() is None
-        assert _live(_CollectiveGroup) - groups <= 1
-        assert _live(ExecutionState) - states <= 1
+        assert _live(_CollectiveGroup) == groups
+        assert _live(ExecutionState) == states
 
 
 class TestFailedRunReturnsItsMemory:
@@ -215,16 +215,75 @@ class TestFailedRunReturnsItsMemory:
             assert {n: pool.in_use for n, pool in pools.items()} == baseline
 
 
+class TestLateCompletionLandsInTheDeadRun:
+    """A run failed by its deadline leaves an op's cost timeout armed; it
+    fires inside the next run of the same cached plan. The completion
+    writes the *dead* run's slots — until PR 21 it wrote the plan item
+    the live run had already filled, and the live run fetched the dead
+    run's value."""
+
+    @pytest.mark.parametrize("fast", [True, False],
+                             ids=["fast-path", "legacy"])
+    def test_next_run_of_the_plan_fetches_its_own_values(
+            self, fast, monkeypatch):
+        from repro.core import session as session_module
+
+        g = tf.Graph()
+        with g.as_default():
+            # cpu:0 has a slot per core, so the live run's `first` does
+            # not queue behind the dead run's: it finishes (small feed)
+            # while the dead one (big feed) is still being charged.
+            with g.device("/cpu:0"):
+                x = tf.placeholder(tf.float32, [None, None], name="x")
+                w = tf.placeholder(tf.float32, [None, None], name="w")
+                first = tf.matmul(x, x, name="first")
+                with g.control_dependencies([first.op]):
+                    # Outlasts the dead run's `first`: the live run is
+                    # still in flight when the late completion lands.
+                    second = tf.matmul(w, w, name="second")
+        big = np.full((256, 256), 0.5, np.float32)
+        small = np.arange(16, dtype=np.float32).reshape(4, 4)
+
+        states = []
+        launch = session_module.launch_plan
+
+        def recording_launch(state):
+            states.append(state)
+            return launch(state)
+
+        monkeypatch.setattr(session_module, "launch_plan", recording_launch)
+        sess = tf.Session(graph=g, config=tf.SessionConfig(
+            executor_fast_path=fast, operation_timeout_ms=1e-3))
+        with pytest.raises(DeadlineExceededError):
+            sess.run([first, second], feed_dict={x: big, w: big})
+        sess.config.operation_timeout_ms = None
+        got = sess.run([first, second], feed_dict={x: small, w: big})
+
+        with tf.Session(graph=g, config=tf.SessionConfig(
+                executor_fast_path=fast)) as fresh:
+            want = fresh.run([first, second], feed_dict={x: small, w: big})
+        for value, expected in zip(got, want):
+            assert value.tobytes() == expected.tobytes()
+
+        dead, live = states[:2]
+        assert dead.plan is live.plan  # one cached plan, a hit
+        (uid,) = (i.uid for i in live.plan.items
+                  if i.op is not None and i.op.name == "first")
+        assert live.values[uid][0].tobytes() == (small @ small).tobytes()
+        # ... and the late completion did happen, in the dead run's slot.
+        assert dead.values[uid][0].tobytes() == (big @ big).tobytes()
+
+
 class TestRecvDeadline:
     def test_rendezvous_recv_deadline_names_key(self):
         env = Environment()
         rdv = Rendezvous(env)
-        event = rdv.recv("a;b;t:0;run1", deadline=2.0)
+        event = rdv.recv("a;b;t:0", deadline=2.0)
         # Unconsumed failures surface out of env.run — the kernel's
         # nobody-handled-it contract (the executor lanes consume and
         # defuse this event instead).
         with pytest.raises(DeadlineExceededError,
-                           match=r"a;b;t:0;run1.*producer never sent"):
+                           match=r"a;b;t:0.*producer never sent"):
             env.run(until=env.timeout(5.0))
         assert event.triggered and not event._ok
         assert rdv.deadline_failures == 1

@@ -31,7 +31,6 @@ def opt_plan(graph, fetch_tensors=(), fetch_ops=(), feeds=None, gpus=1,
         feeds or {},
         make_placer(gpus),
         client_device="/job:localhost/task:0/device:cpu:0",
-        run_id=1,
         optimize=True,
         symbolic=symbolic,
     )
@@ -305,7 +304,7 @@ class TestTransferCoalescing:
                 b = tf.identity(a, name="b")
         plan = build_plan(
             g, [b.op], [], {}, make_placer(),
-            client_device="/job:localhost/task:0/device:cpu:0", run_id=1,
+            client_device="/job:localhost/task:0/device:cpu:0",
         )
         sends = [i for i in plan.items if i.kind == "send"]
         recvs = [i for i in plan.items if i.kind == "recv"]

@@ -25,7 +25,6 @@ def plan_for(graph, fetch_tensors=(), fetch_ops=(), feeds=None, gpus=1):
         feeds or {},
         make_placer(gpus),
         client_device="/job:localhost/task:0/device:cpu:0",
-        run_id=1,
     )
 
 
@@ -141,7 +140,8 @@ class TestSendRecvInsertion:
                 if item.kind == "recv":  # its send is its only dependency
                     for send in item.extra_deps:
                         send.dependents.remove(item)
-                    item.extra_deps, item.num_deps = [], 0
+                    item.extra_deps = []
+                    state.plan.dep_counts[item.uid] = 0
             return launch(state)
 
         monkeypatch.setattr(

@@ -79,20 +79,47 @@ class TestConcurrentSessions:
             x, y = sess.run([c, c])
         assert x == y == pytest.approx(5.0)
 
-    def test_eviction_skips_in_flight_plans(self):
-        """LRU eviction must never drop a plan a concurrent run holds.
+    def test_two_coroutines_share_one_plan_in_flight(self):
+        """Two ``run_gen`` coroutines of one fetch, blocked together in
+        the executor, run one plan: a miss and a hit, each with its own
+        values (under the in-flight guard the second was a second miss
+        and a second ``build_plan``)."""
+        g = tf.Graph()
+        with g.as_default():
+            q = tf.FIFOQueue(2, [tf.float32], shapes=[[]], name="q")
+            item = q.dequeue(name="item")
+            value = tf.placeholder(tf.float32, [], name="value")
+            put = q.enqueue(value, name="put")
+        sess = tf.Session(graph=g)
+        env = sess.env
+        got = {}
 
-        A run blocked on an empty queue keeps its plan in flight while
-        enough distinct fetches pour in to overflow the cache; the
-        in-flight plan's entry has to survive (evicting it would let a
-        same-key rerun rebuild and re-cache a duplicate plan while the
-        first still executes on the original's items).
-        """
+        def runner(index):
+            got[index] = yield from sess.run_gen(item)
+
+        procs = [env.process(runner(index)) for index in range(2)]
+        env.run(until=env.now + 0.001)  # past the admin RPC: both blocked
+        assert all(proc.is_alive for proc in procs)
+        info = sess.plan_cache_info()
+        assert (info["misses"], info["hits"], info["plans"]) == (1, 1, 1)
+
+        sess.run(put, feed_dict={value: 3.0})
+        sess.run(put, feed_dict={value: 4.0})
+        for proc in procs:
+            env.run(until=proc)
+        assert got == {0: pytest.approx(3.0), 1: pytest.approx(4.0)}
+        info = sess.plan_cache_info()
+        assert (info["misses"], info["hits"]) == (2, 2)  # item, put; +1 each
+
+    def test_plan_evicted_while_its_run_is_blocked_still_completes(self):
+        """Plain LRU: a blocked run's plan is evicted like any other, the
+        run keeps the plan alive and finishes with the right value, and a
+        same-key rerun rebuilds."""
         from repro.core.session import _PLAN_CACHE_CAPACITY
 
         g = tf.Graph()
         with g.as_default():
-            q = tf.FIFOQueue(1, [tf.float32], shapes=[[]], name="q")
+            q = tf.FIFOQueue(2, [tf.float32], shapes=[[]], name="q")
             blocked = q.dequeue(name="blocked")
             unblock = q.enqueue(tf.constant(7.0), name="unblock")
             extras = [
@@ -109,22 +136,29 @@ class TestConcurrentSessions:
 
         proc = env.process(runner())
         # Advance past the admin RPC: the run is now blocked inside the
-        # executor with its plan registered in flight.
+        # executor, holding the only plan the cache has.
         env.run(until=env.now + 0.001)
-        assert len(sess._plans_in_flight) == 1
-        blocked_plan_ids = set(sess._plans_in_flight)
+        (blocked_plan,) = sess._plan_cache.values()
 
         for tensor in extras:  # overflow the cache while the run blocks
             sess.run(tensor)
-        assert len(sess._plan_cache) <= _PLAN_CACHE_CAPACITY
-        cached_ids = {id(plan) for plan in sess._plan_cache.values()}
-        assert blocked_plan_ids <= cached_ids  # survived eviction
+        info = sess.plan_cache_info()
+        assert info["plans"] == _PLAN_CACHE_CAPACITY  # never overflows
+        assert info["evictions"] == len(extras) + 1 - _PLAN_CACHE_CAPACITY
+        assert all(plan is not blocked_plan
+                   for plan in sess._plan_cache.values())  # LRU: it went
 
         sess.run(unblock)
         env.run(until=proc)
         assert got["value"] == pytest.approx(7.0)
-        # Finished runs become evictable again.
-        assert not sess._plans_in_flight
+
+        # The same key again: a miss that rebuilds, and still computes.
+        misses = sess.plan_cache_info()["misses"]
+        sess.run(unblock)
+        assert sess.run(blocked) == pytest.approx(7.0)
+        assert sess.plan_cache_info()["misses"] == misses + 1
+        assert all(plan is not blocked_plan
+                   for plan in sess._plan_cache.values())
 
 
 class TestDeterminism:

@@ -56,9 +56,15 @@ class TestRendezvous:
         assert e1.value == 7 and e2.value == 7
 
     def test_make_key_uniqueness(self):
-        k1 = make_key("/a", "/b", "t:0", 1)
-        k2 = make_key("/a", "/b", "t:0", 2)
-        assert k1 != k2
+        # One key per edge; no run component — every run has its own
+        # Rendezvous, so a cached plan's keys are right for all its runs.
+        keys = {
+            make_key("/a", "/b", "t:0"), make_key("/b", "/a", "t:0"),
+            make_key("/a", "/c", "t:0"), make_key("/a", "/b", "t:1"),
+            make_key("/a", "/b", "^t"),
+        }
+        assert len(keys) == 5
+        assert make_key("/a", "/b", "t:0") == "/a;/b;t:0"
 
 
 class TestServers:
