@@ -23,7 +23,14 @@ from repro.core.ops.common import (
     to_tensor,
     uniform_dtype,
 )
-from repro.core.tensor import SymbolicValue, Tensor, TensorShape, as_shape
+from repro.core.tensor import (
+    NP_DESCRIBED,
+    SymbolicValue,
+    Tensor,
+    TensorShape,
+    as_shape,
+    value_nbytes,
+)
 from repro.errors import InvalidArgumentError
 
 __all__ = [
@@ -51,20 +58,24 @@ __all__ = [
 # for the op type derives and validates the output specs)
 # ---------------------------------------------------------------------------
 
+_LITERAL_DTYPES = {np.dtype(np.float64): np.float32, np.dtype(np.int64): np.int32}
+
+
 def constant(value: Any, dtype=None, shape=None, name: str = "Const",
              graph: Optional[Graph] = None) -> Tensor:
     """An immutable tensor holding ``value``."""
     g = graph_of(graph=graph)
     arr = np.asarray(value)
-    if dtype is not None:
-        arr = arr.astype(dtypes.as_dtype(dtype).np_dtype)
-    elif not isinstance(value, (np.ndarray, np.generic)):
-        # Python literals default to float32/int32, as in TF. NumPy arrays
-        # and scalars keep their explicit dtype.
-        if arr.dtype == np.float64:
-            arr = arr.astype(np.float32)
-        elif arr.dtype == np.int64:
-            arr = arr.astype(np.int32)
+    if dtype is None:
+        dtype = arr.dtype
+        if not isinstance(value, NP_DESCRIBED):
+            # Python literals default to float32/int32, as in TF. NumPy
+            # arrays and scalars keep their explicit dtype.
+            dtype = _LITERAL_DTYPES.get(dtype, dtype)
+    # A constant owns a private array of its declared dtype: freezing it
+    # leaves the caller's array writeable, and what a run delivers is what
+    # the tensor declares (float16 / uint8 / ... map to a supported width).
+    arr = np.array(arr, dtype=dtypes.as_dtype(dtype).np_dtype)
     if shape is not None:
         arr = np.broadcast_to(arr, as_shape(shape).as_tuple()).copy()
     arr.setflags(write=False)
@@ -374,7 +385,7 @@ def _slice_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSp
 # ---------------------------------------------------------------------------
 
 def _memcpy_cost(*values) -> Cost:
-    nbytes = sum(runtime_spec(v).nbytes for v in values)
+    nbytes = sum(value_nbytes(v) for v in values)
     return Cost(mem_bytes=nbytes, kind="memcpy")
 
 
@@ -547,7 +558,7 @@ def _fill_kernel(op, inputs, ctx):
         out = make_symbolic(shape, dtype)
     else:
         out = np.full(shape, value, dtype=dtype.np_dtype)
-    return [out], Cost(mem_bytes=runtime_spec(out).nbytes, kind="memcpy")
+    return [out], Cost(mem_bytes=value_nbytes(out), kind="memcpy")
 
 
 @register_kernel("ZerosLike", pure=True, shape_fn=same_as_input,
@@ -559,7 +570,7 @@ def _zeros_like_kernel(op, inputs, ctx):
         out = make_symbolic(x.shape, x.dtype)
     else:
         out = np.zeros_like(x)
-    return [out], Cost(mem_bytes=runtime_spec(out).nbytes, kind="memcpy")
+    return [out], Cost(mem_bytes=value_nbytes(out), kind="memcpy")
 
 
 @register_kernel("Slice", pure=True, shape_fn=_slice_shape, builder="slice_",
@@ -573,4 +584,4 @@ def _slice_kernel(op, inputs, ctx):
     else:
         index = tuple(slice(b, b + s) for b, s in zip(begin, size))
         out = np.ascontiguousarray(np.asarray(x)[index])
-    return [out], Cost(mem_bytes=2 * runtime_spec(out).nbytes, kind="memcpy")
+    return [out], Cost(mem_bytes=2 * value_nbytes(out), kind="memcpy")

@@ -8,7 +8,7 @@ import numpy as np
 
 from repro import dtypes
 from repro.core.graph import Graph, get_default_graph
-from repro.core.tensor import SymbolicValue, Tensor, TensorShape
+from repro.core.tensor import NP_DESCRIBED, SymbolicValue, Tensor, TensorShape
 from repro.errors import InvalidArgumentError
 
 __all__ = [
@@ -139,7 +139,9 @@ def any_symbolic(values: Sequence[Any]) -> bool:
 def runtime_shape(value: Any) -> tuple[int, ...]:
     if isinstance(value, SymbolicValue):
         return value.shape
-    return tuple(np.asarray(value).shape)
+    if not isinstance(value, NP_DESCRIBED):
+        value = np.asarray(value)
+    return value.shape
 
 
 def runtime_spec(value: Any) -> SymbolicValue:
@@ -150,13 +152,18 @@ def make_symbolic(shape: Sequence[int], dtype) -> SymbolicValue:
     return SymbolicValue(shape, dtypes.as_dtype(dtype))
 
 
-def elementwise_spec(values: Sequence[Any], dtype=None) -> SymbolicValue:
-    """Broadcasted result spec of an elementwise op over runtime values."""
+def elementwise_spec(op, values: Sequence[Any]) -> SymbolicValue:
+    """Broadcasted result spec of elementwise ``op`` over runtime values."""
     shape = runtime_shape(values[0])
     for v in values[1:]:
-        shape = np.broadcast_shapes(shape, runtime_shape(v))
-    if dtype is None:
-        dtype = dtypes.result_dtype(
-            *[runtime_spec(v).dtype for v in values]
-        )
-    return SymbolicValue(shape, dtype)
+        other = runtime_shape(v)
+        if other != shape:
+            try:
+                shape = np.broadcast_shapes(shape, other)
+            except ValueError:
+                raise InvalidArgumentError(
+                    f"{op.type} operand shapes "
+                    f"{[runtime_shape(x) for x in values]} are not "
+                    f"broadcast-compatible", node_def=op.name,
+                ) from None
+    return SymbolicValue(shape, op.outputs[0].dtype)

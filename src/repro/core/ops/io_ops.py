@@ -15,8 +15,8 @@ import numpy as np
 from repro import dtypes
 from repro.core.graph import Graph, Operation, get_default_graph
 from repro.core.kernels.registry import Cost, register_kernel
-from repro.core.ops.common import runtime_spec, to_tensor
-from repro.core.tensor import Tensor, as_shape
+from repro.core.ops.common import to_tensor
+from repro.core.tensor import Tensor, as_shape, value_nbytes
 
 
 from repro.errors import InvalidArgumentError, UnavailableError
@@ -81,7 +81,7 @@ def _read_tile_kernel(op, inputs, ctx):
     path = _format_path(op.get_attr("pattern"), inputs)
     node = ctx.worker.node
     value = yield from fs.read(path, node, symbolic=ctx.symbolic)
-    nbytes = runtime_spec(value).nbytes
+    nbytes = value_nbytes(value)
     return [value], Cost(io_bytes=nbytes, kind="io")
 
 
@@ -97,5 +97,5 @@ def _write_tile_kernel(op, inputs, ctx):
     path = _format_path(op.get_attr("pattern"), index_values)
     node = ctx.worker.node
     yield from fs.write(path, value, node)
-    nbytes = runtime_spec(value).nbytes
+    nbytes = value_nbytes(value)
     return [], Cost(io_bytes=nbytes, kind="io")

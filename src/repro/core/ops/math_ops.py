@@ -24,7 +24,7 @@ from repro.core.ops.common import (
     to_tensor,
     uniform_dtype,
 )
-from repro.core.tensor import SymbolicValue, Tensor, TensorShape
+from repro.core.tensor import SymbolicValue, Tensor, TensorShape, value_nbytes
 from repro.errors import InvalidArgumentError
 
 __all__ = [
@@ -275,13 +275,13 @@ def _reduce_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputS
 
 def _elementwise_cost(values, out_spec: SymbolicValue, flops_per_element: float = 1.0) -> Cost:
     n = out_spec.size
-    nbytes = sum(runtime_spec(v).nbytes for v in values) + out_spec.nbytes
+    nbytes = sum(value_nbytes(v) for v in values) + out_spec.nbytes
     return Cost(flops=flops_per_element * n, mem_bytes=nbytes, kind="compute")
 
 
 def _binary_kernel(np_fn, flops_per_element: float = 1.0):
     def kernel(op, inputs, ctx):
-        out_spec = elementwise_spec(inputs, dtype=op.outputs[0].dtype)
+        out_spec = elementwise_spec(op, inputs)
         cost = _elementwise_cost(inputs, out_spec, flops_per_element)
         if any_symbolic(inputs):
             return [out_spec], cost
@@ -309,7 +309,7 @@ for _op, _builder, _np_fn, _dtypes in (
 def _unary_kernel(np_fn, flops_per_element: float = 1.0):
     def kernel(op, inputs, ctx):
         (x,) = inputs
-        out_spec = elementwise_spec(inputs, dtype=op.outputs[0].dtype)
+        out_spec = elementwise_spec(op, inputs)
         cost = _elementwise_cost(inputs, out_spec, flops_per_element)
         if isinstance(x, SymbolicValue):
             return [out_spec], cost
@@ -341,7 +341,7 @@ for _op, _builder, _np_fn, _flops, _dtypes in (
                  builder="greater_equal", arity=(2, 2), dtypes=NUMERIC,
                  shape_rule="elementwise_broadcast")
 def _greater_equal_kernel(op, inputs, ctx):
-    out_spec = elementwise_spec(inputs, dtype=op.outputs[0].dtype)
+    out_spec = elementwise_spec(op, inputs)
     cost = _elementwise_cost(inputs, out_spec)
     if any_symbolic(inputs):
         return [out_spec], cost
@@ -360,11 +360,18 @@ def _matmul_kernel(op, inputs, ctx):
     sb = runtime_shape(b)
     m, k = (sa[1], sa[0]) if ta else (sa[0], sa[1])
     if len(sb) == 1:
-        n = 1
+        kb, n = sb[0], 1
         out_shape: tuple[int, ...] = (m,)
     else:
         kb, n = (sb[1], sb[0]) if tb else (sb[0], sb[1])
         out_shape = (m, n)
+    if k != kb:
+        # Checked on the spec, so shape-only and concrete runs agree.
+        raise InvalidArgumentError(
+            f"MatMul operand shapes {sa} and {sb} (transpose_a={ta}, "
+            f"transpose_b={tb}) disagree on the inner dimension: {k} vs {kb}",
+            node_def=op.name,
+        )
     dtype = runtime_spec(a).dtype
     # Complex multiply-add counts 4x real flops; the figures only use real.
     factor = 4.0 if dtype.is_complex else 1.0
@@ -398,10 +405,10 @@ def _dot_kernel(op, inputs, ctx):
 @register_kernel("AddN", pure=True, shape_fn=_add_n_shape, builder="add_n",
                  arity=(2, 4), dtypes=NUMERIC, shape_rule="same_shape_n")
 def _add_n_kernel(op, inputs, ctx):
-    out_spec = elementwise_spec(inputs, dtype=op.outputs[0].dtype)
+    out_spec = elementwise_spec(op, inputs)
     cost = Cost(
         flops=(len(inputs) - 1) * out_spec.size,
-        mem_bytes=sum(runtime_spec(v).nbytes for v in inputs) + out_spec.nbytes,
+        mem_bytes=sum(value_nbytes(v) for v in inputs) + out_spec.nbytes,
         kind="compute",
     )
     if any_symbolic(inputs):

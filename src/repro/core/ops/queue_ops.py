@@ -15,8 +15,8 @@ from repro import dtypes
 from repro.core.graph import Graph, Operation, get_default_graph
 from repro.core.kernels.queue_runtime import SimQueue
 from repro.core.kernels.registry import Cost, register_kernel
-from repro.core.ops.common import runtime_spec, to_tensor
-from repro.core.tensor import Tensor, TensorShape, as_shape
+from repro.core.ops.common import to_tensor
+from repro.core.tensor import Tensor, TensorShape, as_shape, value_nbytes
 from repro.errors import InvalidArgumentError
 
 __all__ = ["FIFOQueue"]
@@ -201,7 +201,7 @@ def _enqueue_kernel(op, inputs, ctx):
     yield from _queue_op_host_work(ctx)
     if not queue.try_enqueue(list(inputs)):
         yield queue.enqueue(list(inputs))
-    nbytes = sum(runtime_spec(v).nbytes for v in inputs)
+    nbytes = sum(value_nbytes(v) for v in inputs)
     return [], Cost(mem_bytes=nbytes, kind="sync")
 
 
@@ -212,7 +212,7 @@ def _dequeue_kernel(op, inputs, ctx):
     ready, components = queue.try_dequeue()
     if not ready:
         components = yield queue.dequeue()
-    nbytes = sum(runtime_spec(v).nbytes for v in components)
+    nbytes = sum(value_nbytes(v) for v in components)
     return list(components), Cost(mem_bytes=nbytes, kind="sync")
 
 

@@ -26,7 +26,7 @@ from repro.core.ops.common import (
     to_tensor,
 )
 
-from repro.core.tensor import SymbolicValue, Tensor, TensorShape, as_shape
+from repro.core.tensor import SymbolicValue, Tensor, TensorShape, as_shape, value_nbytes
 from repro.errors import FailedPreconditionError, InvalidArgumentError, NotFoundError
 
 __all__ = [
@@ -230,7 +230,7 @@ def _assign_kernel(op, inputs, ctx):
     if isinstance(value, np.ndarray):
         value = value.copy()
     ctx.resources.variables[var_name] = value
-    nbytes = runtime_spec(value).nbytes
+    nbytes = value_nbytes(value)
     return [value], Cost(mem_bytes=2 * nbytes, kind="memcpy")
 
 

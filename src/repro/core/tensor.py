@@ -267,6 +267,11 @@ class Tensor:
         )
 
 
+# What NumPy already describes: ``shape``, ``dtype``, ``size`` and ``nbytes``
+# are attributes, so nothing needs ``np.asarray`` to answer for them.
+NP_DESCRIBED = (np.ndarray, np.generic)
+
+
 class SymbolicValue:
     """Runtime stand-in for a tensor whose data is not materialized.
 
@@ -301,8 +306,15 @@ class SymbolicValue:
         """The spec of any runtime value (idempotent on SymbolicValue)."""
         if isinstance(value, SymbolicValue):
             return value
-        arr = np.asarray(value)
-        return cls(arr.shape, dtypes.as_dtype(arr.dtype))
+        # An array already carries its spec: ``shape`` is a tuple of ints
+        # and every lane value has one of the seven dtypes, so reading it
+        # is one lookup (other widths map through ``as_dtype``).
+        arr = value if isinstance(value, NP_DESCRIBED) else np.asarray(value)
+        spec = cls.__new__(cls)
+        spec.shape = arr.shape
+        spec.dtype = dtypes._BY_NP.get(arr.dtype) or dtypes.as_dtype(arr.dtype)
+        spec.nbytes = arr.size * spec.dtype.size
+        return spec
 
     def __repr__(self) -> str:
         return f"SymbolicValue(shape={self.shape}, dtype={self.dtype.name})"
@@ -324,4 +336,6 @@ def value_nbytes(value: RuntimeValue) -> int:
     """Wire size in bytes of a runtime value."""
     if isinstance(value, SymbolicValue):
         return value.nbytes
-    return int(np.asarray(value).nbytes)
+    if not isinstance(value, NP_DESCRIBED):
+        value = np.asarray(value)
+    return value.nbytes

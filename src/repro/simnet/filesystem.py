@@ -45,7 +45,9 @@ class SimFileSystem:
         """Place a concrete array into the filesystem (pre-processing step)."""
         if not overwrite and path in self._files:
             raise AlreadyExistsError(f"File {path!r} already exists")
-        arr = np.asarray(array)
+        # The file owns its array, in the dtype ``stat`` declares: the
+        # caller's stays writeable and a read charges the bytes it returns.
+        arr = np.array(array, dtype=SymbolicValue.of(array).dtype.np_dtype)
         arr.setflags(write=False)
         self._files[path] = arr
 

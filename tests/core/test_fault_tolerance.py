@@ -206,7 +206,9 @@ class TestFailedRunReturnsItsMemory:
         assert sess.env.now.hex() == "0x1.1d74ade8ea44cp-11"
         baseline = {name: pool.in_use for name, pool in pools.items()}
         for clock in self.GOOD_RUN_CLOCKS:
-            with pytest.raises(ValueError):
+            with pytest.raises(InvalidArgumentError,
+                               match=r"MatMul operand shapes \(2, 3\) and "
+                                     r"\(2, 3\).*\[op: MatMul_2\]"):
                 sess.run([chain, other], feed_dict=bad)
             values = sess.run([chain, other], feed_dict=good)
             for value, want in zip(values, expected):

@@ -23,6 +23,7 @@ import pytest
 
 import repro as tf
 import repro.core.session as session_module
+from repro import dtypes
 from repro.apps.cg import run_cg
 from repro.apps.common import build_cluster, task_device
 from repro.apps.sgd import run_sgd
@@ -227,3 +228,66 @@ class TestNoCyclicGarbage:
                 assert gc.collect() == 0
             finally:
                 gc.enable()
+
+
+class TestValueLaneCounts:
+    """A concrete value's spec is read off the array, not re-derived.
+
+    Ten chained ``add`` ops over 8×8 float64, optimizer off so all ten
+    run; one cold run, then one warm run with the four things a kernel
+    used to pay per op counted by rebinding the attribute. On this PR's
+    parent the warm run made **74 / 10 / 30 / 50** calls to
+    ``np.asarray`` / ``np.broadcast_shapes`` / ``SymbolicValue.__init__``
+    / ``dtypes.as_dtype``, on both executors. What is left: the kernel's
+    own ``np.asarray`` of its two operands and one per feed (20 + 2), and
+    one ``SymbolicValue(shape, dtype)`` — hence one ``as_dtype`` — per
+    op for the result spec."""
+
+    @staticmethod
+    def _counted(monkeypatch, fast, second_shape):
+        g = tf.Graph()
+        with g.as_default():
+            x = tf.placeholder(tf.float64, [8, 8], name="x")
+            y = tf.placeholder(tf.float64, second_shape, name="y")
+            out = x
+            for i in range(10):
+                out = tf.add(out, y, name=f"add_{i}")
+        sess = tf.Session(graph=g, config=tf.SessionConfig(
+            graph_optimization=False, executor_fast_path=fast))
+        feed = {x: np.arange(64.0).reshape(8, 8),
+                y: np.arange(float(np.prod(second_shape))).reshape(second_shape)}
+        sess.run(out, feed_dict=feed)  # cold: plans, places, fills memos
+
+        counts = {}
+
+        def count(owner, name):
+            original = getattr(owner, name)
+            counts[name] = 0
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        count(np, "asarray")
+        count(np, "broadcast_shapes")
+        count(SymbolicValue, "__init__")
+        count(dtypes, "as_dtype")
+        value = sess.run(out, feed_dict=feed)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(value, feed[x] + 10 * feed[y])
+        return counts
+
+    @pytest.mark.parametrize("fast", [True, False],
+                             ids=["fast-path", "reference"])
+    def test_equal_shapes_pay_nothing_per_operand(self, fast, monkeypatch):
+        assert self._counted(monkeypatch, fast, (8, 8)) == {
+            "asarray": 22, "broadcast_shapes": 0, "__init__": 10,
+            "as_dtype": 10}
+
+    @pytest.mark.parametrize("fast", [True, False],
+                             ids=["fast-path", "reference"])
+    def test_different_shapes_still_broadcast(self, fast, monkeypatch):
+        counts = self._counted(monkeypatch, fast, (8,))
+        assert counts["broadcast_shapes"] == 10

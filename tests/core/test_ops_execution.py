@@ -1,5 +1,7 @@
 """Execution tests for the op library: every op checked against NumPy."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,8 @@ from hypothesis.extra import numpy as hnp
 
 import repro as tf
 from repro.core.kernels.registry import Cost, override_kernel
-from repro.core.tensor import SymbolicValue
+from repro.core.tensor import SymbolicValue, value_nbytes
+from repro.eager import EagerContext
 from repro.errors import FailedPreconditionError, InvalidArgumentError
 from repro.simnet.gpu import GPUModel
 
@@ -500,3 +503,91 @@ class TestDispatcherContinuations:
         runtime = sess.master.runtime
         assert runtime.device(self.GPU).resource.count == 0
         assert runtime.memory_pools[self.GPU].in_use == 0
+
+
+class TestConstantOwnsItsArray:
+    """``tf.constant`` copies: the caller's array is neither frozen nor
+    aliased, and the stored value has the dtype the tensor declares."""
+
+    def test_callers_array_stays_writeable_and_unaliased(self):
+        x = np.ones(4)
+        g = tf.Graph()
+        with g.as_default():
+            c = tf.constant(x)
+        x[0] = 2.0  # raised "assignment destination is read-only" before
+        assert x.flags.writeable
+        with tf.Session(graph=g) as sess:
+            np.testing.assert_array_equal(sess.run(c), np.ones(4))
+
+    @pytest.mark.parametrize("optimize", [True, False])
+    @pytest.mark.parametrize("np_dtype", [np.float16, np.uint8, np.int16])
+    def test_delivers_its_declared_dtype(self, np_dtype, optimize):
+        g = tf.Graph()
+        with g.as_default():
+            c = tf.constant(np.arange(4).astype(np_dtype))
+            doubled = tf.add(c, c)
+        config = tf.SessionConfig(graph_optimization=optimize)
+        with tf.Session(graph=g, config=config) as sess:
+            for tensor, value in zip((c, doubled), sess.run([c, doubled])):
+                assert value.dtype == tensor.dtype.np_dtype
+                assert SymbolicValue.of(value).nbytes == value_nbytes(value)
+            np.testing.assert_array_equal(sess.run(doubled), [0, 2, 4, 6])
+
+
+def _open_add():
+    a = tf.placeholder(tf.float32, [None], name="a")
+    b = tf.placeholder(tf.float32, [None], name="b")
+    return (a, b), tf.add(a, b, name="bad_add")
+
+
+def _open_matmul():
+    a = tf.placeholder(tf.float32, [None, None], name="a")
+    b = tf.placeholder(tf.float32, None, name="b")
+    return (a, b), tf.matmul(a, b, name="bad_matmul")
+
+
+class TestRuntimeShapeErrors:
+    """Shapes unknown at build time: the kernel's discovery is a typed
+    error naming the op and the operand shapes, raised from the spec — so
+    the shape-only lane rejects exactly what the concrete lane rejects."""
+
+    @staticmethod
+    def _error(build, feeds, symbolic, fast):
+        g = tf.Graph()
+        with g.as_default():
+            placeholders, fetch = build()
+        config = tf.SessionConfig(shape_only=symbolic, executor_fast_path=fast)
+        feed = {
+            p: SymbolicValue(shape, p.dtype) if symbolic
+            else np.ones(shape, p.dtype.np_dtype)
+            for p, shape in zip(placeholders, feeds)
+        }
+        with tf.Session(graph=g, config=config) as sess:
+            with pytest.raises(InvalidArgumentError) as info:
+                sess.run(fetch, feed_dict=feed)
+            return str(info.value), sess.env.now
+
+    @pytest.mark.parametrize("build, feeds, message", [
+        (_open_add, [(3,), (4,)],
+         r"Add operand shapes \[\(3,\), \(4,\)\].*\[op: bad_add\]"),
+        (_open_matmul, [(2, 3), (2, 3)],
+         r"MatMul operand shapes \(2, 3\) and \(2, 3\).*3 vs 2.*"
+         r"\[op: bad_matmul\]"),
+        (_open_matmul, [(2, 3), (5,)],
+         r"MatMul operand shapes \(2, 3\) and \(5,\).*3 vs 5.*"
+         r"\[op: bad_matmul\]"),
+    ], ids=["add", "matmul", "matvec"])
+    def test_same_typed_error_in_every_mode(self, build, feeds, message):
+        seen = {
+            self._error(build, feeds, symbolic, fast)
+            for symbolic in (False, True) for fast in (True, False)
+        }
+        assert len(seen) == 1  # one message, one clock
+        assert re.search(message, seen.pop()[0])
+
+    def test_eager_rejects_with_the_same_class(self):
+        ctx = EagerContext()
+        with pytest.raises(InvalidArgumentError):
+            ctx.add(np.ones(3), np.ones(4))
+        with pytest.raises(InvalidArgumentError):
+            ctx.matmul(np.ones((2, 3)), np.ones((2, 3)))

@@ -179,3 +179,65 @@ class TestSymbolicValue:
             (2,), dtypes.float64)  # equal nbytes, different spec
         assert v != (2, 3)
         assert len({v, same, SymbolicValue((), dtypes.float32)}) == 2
+
+
+class _Tagged(np.ndarray):
+    """A trivial ndarray subclass."""
+
+
+def _read_only(arr):
+    arr.setflags(write=False)
+    return arr
+
+
+# Everything that can reach "what is this value's spec": arrays in every
+# layout NumPy hands out, NumPy scalars, Python literals, and the widths
+# ``as_dtype`` maps onto a supported one.
+SPEC_VALUES = {
+    "c_order": np.arange(6.0).reshape(2, 3),
+    "f_order": np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+    "non_contiguous_view": np.arange(24, dtype=np.int32).reshape(4, 6)[::2, 1::2],
+    "rank_0": np.array(2.5, dtype=np.float32),
+    "zero_sized": np.zeros((3, 0, 5), dtype=np.complex128),
+    "read_only": _read_only(np.ones((2, 2), dtype=np.int64)),
+    "subclass": np.ones((3, 2), dtype=np.float32).view(_Tagged),
+    "np_float64": np.float64(3),
+    "np_bool": np.bool_(True),
+    "py_float": 3.0,
+    "py_bool": True,
+    "py_list": [1, 2, 3],
+    "float16": np.ones((4,), dtype=np.float16),
+    "uint8": np.ones((2, 5), dtype=np.uint8),
+    "int16": np.ones((3,), dtype=np.int16),
+}
+
+
+class TestSpecIsReadOffTheValue:
+    """``SymbolicValue.of`` / ``value_nbytes`` / ``runtime_shape`` answer from
+    what NumPy already describes; the answers are the ones the slow route —
+    ``np.asarray``, then a spec rebuilt through ``SymbolicValue.__init__``
+    and ``as_dtype`` — gives."""
+
+    @pytest.mark.parametrize("name", sorted(SPEC_VALUES))
+    def test_matches_the_rebuilt_spec(self, name):
+        from repro.core.ops.common import runtime_shape
+
+        value = SPEC_VALUES[name]
+        arr = np.asarray(value)
+        rebuilt = SymbolicValue(arr.shape, dtypes.as_dtype(arr.dtype))
+        spec = SymbolicValue.of(value)
+        assert spec.shape == rebuilt.shape
+        assert type(spec.shape) is tuple
+        assert all(type(d) is int for d in spec.shape)
+        assert spec.dtype is rebuilt.dtype
+        assert (spec.nbytes, spec.size) == (rebuilt.nbytes, rebuilt.size)
+        assert type(spec.nbytes) is int
+        assert spec == rebuilt and hash(spec) == hash(rebuilt)
+        assert value_nbytes(value) == int(arr.nbytes)
+        assert type(value_nbytes(value)) is int
+        assert runtime_shape(value) == tuple(arr.shape)
+        assert type(runtime_shape(value)) is tuple
+
+    def test_unsupported_dtype_is_still_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            SymbolicValue.of(np.array(["a", "b"]))

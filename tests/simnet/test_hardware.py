@@ -160,6 +160,17 @@ class TestSimFileSystem:
         assert spec.shape == (4, 4)
         assert spec.nbytes == 64
 
+    def test_stored_file_is_a_private_copy_in_its_declared_dtype(self):
+        fs = localhost(Environment()).filesystem
+        data = np.ones(4, dtype=np.float16)
+        fs.store_array("x.npy", data)
+        data[0] = 2.0  # the caller's array was frozen before
+        stored = fs.get_array("x.npy")
+        np.testing.assert_array_equal(stored, np.ones(4))
+        assert not stored.flags.writeable
+        assert stored.dtype == fs.stat("x.npy").dtype.np_dtype == np.float32
+        assert stored.nbytes == fs.stat("x.npy").nbytes
+
     def test_declared_file_is_metadata_only(self):
         env = Environment()
         machine = localhost(env)
