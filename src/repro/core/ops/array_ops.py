@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Any, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -18,6 +19,7 @@ from repro.core.ops.common import (
     make_symbolic,
     merged_shape,
     normalize_axis,
+    runtime_shape,
     runtime_spec,
     same_as_input,
     to_tensor,
@@ -442,15 +444,19 @@ def _cast_kernel(op, inputs, ctx):
 def _reshape_kernel(op, inputs, ctx):
     (x,) = inputs
     new_shape = op.get_attr("shape")
+    shape = runtime_shape(x)
+    total = math.prod(shape)
+    known = math.prod(d for d in new_shape if d != -1)
+    resolved = tuple(total // (known or 1) if d == -1 else d for d in new_shape)
+    if math.prod(resolved) != total:
+        # Checked on the spec, so shape-only and concrete runs agree.
+        raise InvalidArgumentError(
+            f"Reshape operand shape {shape} ({total} elements) does not "
+            f"fit {new_shape}", node_def=op.name,
+        )
     if isinstance(x, SymbolicValue):
-        total = x.size
-        known = 1
-        for d in new_shape:
-            if d != -1:
-                known *= d
-        resolved = tuple(total // known if d == -1 else d for d in new_shape)
         return [make_symbolic(resolved, x.dtype)], Cost.none()
-    return [np.reshape(x, new_shape)], Cost.none()
+    return [np.reshape(x, resolved)], Cost.none()
 
 
 @register_kernel("Transpose", pure=True, shape_fn=_transpose_shape,

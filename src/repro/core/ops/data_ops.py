@@ -24,6 +24,13 @@ from repro.errors import InvalidArgumentError, OutOfRangeError
 __all__ = ["Dataset", "DatasetIterator"]
 
 
+def _lane_array(data) -> np.ndarray:
+    """``data`` as an array of the dtype its tensor declares (float16 /
+    uint8 / ... map to a supported width), converted once, not per element."""
+    arr = np.asarray(data)
+    return arr.astype(dtypes.as_dtype(arr.dtype).np_dtype, copy=False)
+
+
 class Dataset:
     """An immutable, re-iterable sequence of (tuples of) small tensors."""
 
@@ -45,7 +52,7 @@ class Dataset:
         (multi-component elements).
         """
         if isinstance(data, tuple):
-            arrays = [np.asarray(a) for a in data]
+            arrays = [_lane_array(a) for a in data]
             lengths = {len(a) for a in arrays}
             if len(lengths) != 1:
                 raise InvalidArgumentError(
@@ -58,7 +65,7 @@ class Dataset:
                     yield tuple(np.asarray(x) for x in row)
 
             return Dataset(factory, spec)
-        arr = np.asarray(data)
+        arr = _lane_array(data)
         if arr.ndim == 0:
             raise InvalidArgumentError("from_tensor_slices needs at least rank 1")
         spec = [(dtypes.as_dtype(arr.dtype), TensorShape(arr.shape[1:]))]

@@ -389,7 +389,14 @@ def _matmul_kernel(op, inputs, ctx):
                  arity=(2, 2), dtypes=FLOATS, shape_rule="dot")
 def _dot_kernel(op, inputs, ctx):
     a, b = inputs
-    n = runtime_spec(a).size
+    sa, sb = runtime_shape(a), runtime_shape(b)
+    if len(sa) != 1 or sa != sb:
+        # Checked on the spec, so shape-only and concrete runs agree.
+        raise InvalidArgumentError(
+            f"Dot operand shapes {sa} and {sb} are not two vectors of one "
+            f"length", node_def=op.name,
+        )
+    n = sa[0]
     dtype = runtime_spec(a).dtype
     factor = 4.0 if dtype.is_complex else 1.0
     cost = Cost(

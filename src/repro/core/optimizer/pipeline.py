@@ -59,6 +59,8 @@ class Subgraph:
 
     def effective_control_deps(self, op: Operation) -> list[Operation]:
         """Control inputs after splices, merges and redundancy drops."""
+        if not op.control_inputs:
+            return []
         dropped = self.control_drops.get(op.name, frozenset())
         out: list[Operation] = []
         seen: set[str] = set()

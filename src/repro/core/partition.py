@@ -519,8 +519,8 @@ def build_plan(
     devices_by_task: dict[tuple[str, int], set] = {}
     for item in items:
         per_device.setdefault(item.device, []).append(item)
-        job, task = _job_task_of(item.device)
-        devices_by_task.setdefault((job, task), set()).add(item.device)
+    for device in per_device:
+        devices_by_task.setdefault(_job_task_of(device), set()).add(device)
 
     plan = ExecutionPlan(
         items=items,

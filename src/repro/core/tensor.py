@@ -175,17 +175,17 @@ def as_shape(value) -> TensorShape:
 class Tensor:
     """Symbolic handle to one output of an operation."""
 
-    __slots__ = ("op", "value_index", "dtype", "_shape")
+    __slots__ = ("op", "value_index", "name", "dtype", "_shape")
 
     def __init__(self, op, value_index: int, dtype: dtypes.DType, shape: TensorShape):
         self.op = op
         self.value_index = value_index
-        self.dtype = dtypes.as_dtype(dtype)
-        self._shape = as_shape(shape)
-
-    @property
-    def name(self) -> str:
-        return f"{self.op.name}:{self.value_index}"
+        # An op is named once, before its outputs exist: stored, not
+        # formatted on each of the optimizer's and partitioner's reads.
+        self.name: str = f"{op.name}:{value_index}"
+        # ``create_op`` converted both one line before constructing the op.
+        self.dtype = dtype
+        self._shape = shape
 
     @property
     def shape(self) -> TensorShape:

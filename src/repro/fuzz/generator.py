@@ -32,7 +32,7 @@ import numpy as np
 
 import repro
 from repro.core.graph import get_default_graph
-from repro.core.kernels.registry import OpDef
+from repro.core.kernels.registry import OpDef, op_def
 from repro.core.ops.collective_ops import COLLECTIVE_OP_TYPES
 from repro.errors import InvalidArgumentError
 from repro.fuzz.catalog import catalog
@@ -297,7 +297,7 @@ class Program:
         else:
             # Plain unary/binary elementwise builders share a calling
             # convention: positional tensor inputs only.
-            builder = getattr(tf, catalog()[op_type].builder)
+            builder = getattr(tf, op_def(op_type).builder)
             out = builder(*inputs)
         if isinstance(out, (list, tuple)):
             tensors = list(out)
@@ -436,7 +436,7 @@ def _emit_instr(index: int, ins: Instr) -> list[str]:
         expr = f"tf.gradients({loss}, [{', '.join(xs)}])"
         return _wrap_scopes(ins, [f"t{index} = {expr}"])
     else:
-        expr = f"tf.{catalog()[op_type].builder}({', '.join(args)})"
+        expr = f"tf.{op_def(op_type).builder}({', '.join(args)})"
     return _wrap_scopes(ins, [f"t{index} = [{expr}]"])
 
 

@@ -14,6 +14,8 @@ optimised (PR 17's parent); they change only with the simulated schedule.
 
 ``TestNoCyclicGarbage`` pins the other host-path invariant: a warm run
 allocates nothing that only the cyclic collector can free.
+``TestPlanMissCounts`` pins what a plan-cache *miss* may not pay again:
+a device string parsed per item, a control walk on a control-free op.
 """
 
 import gc
@@ -22,12 +24,14 @@ import numpy as np
 import pytest
 
 import repro as tf
+import repro.core.partition as partition_module
 import repro.core.session as session_module
 from repro import dtypes
 from repro.apps.cg import run_cg
 from repro.apps.common import build_cluster, task_device
 from repro.apps.sgd import run_sgd
 from repro.core.ops.data_ops import Dataset
+from repro.core.optimizer.pipeline import Subgraph
 from repro.core.tensor import SymbolicValue
 from repro.figures.fig7_stream import run_fig7
 from repro.simnet.events import Environment
@@ -291,3 +295,100 @@ class TestValueLaneCounts:
     def test_different_shapes_still_broadcast(self, fast, monkeypatch):
         counts = self._counted(monkeypatch, fast, (8,))
         assert counts["broadcast_shapes"] == 10
+
+
+class _CountedReads(dict):
+    reads = 0
+
+    def get(self, *args):
+        self.reads += 1
+        return super().get(*args)
+
+
+class TestPlanMissCounts:
+    """Graph facts that never change are derived once per distinct value.
+
+    One ``build_plan`` of a 20-op program — two eight-``matmul`` chains,
+    one per worker GPU (worker 1's built first), joined on worker 0 behind
+    one ``control_dependencies`` edge — lowers to 25 items on 3 devices.
+    On this PR's parent ``build_plan`` parsed a device string **25** times
+    (once per item); now once per device. ``effective_control_deps`` read
+    ``control_drops`` once per call on every op; now it reads neither
+    rewrite map for an op that has no control input."""
+
+    @staticmethod
+    def _program():
+        handle = build_cluster("tegner-k420", {"worker": 2})
+        g = tf.Graph()
+        with g.as_default():
+            x = tf.placeholder(tf.float32, (16, 16), name="x")
+            chains = []
+            for w in (1, 0):
+                with g.device(task_device("worker", w, "gpu", 0)):
+                    a = x
+                    for i in range(8):
+                        a = tf.matmul(a, x, name=f"w{w}_{i}")
+                    chains.append(a)
+            with g.device(task_device("worker", 0, "gpu", 0)):
+                with g.control_dependencies([chains[0].op]):
+                    out = tf.reduce_sum(chains[1], name="out")
+                total = tf.add(out, tf.reduce_sum(chains[0]), name="total")
+        sess = tf.Session(handle.server("worker", 0), graph=g,
+                          config=tf.SessionConfig(verify_plans=False))
+        return g, sess, total, {x: np.ones((16, 16), np.float32)}
+
+    def test_a_device_string_is_parsed_once_per_device(self, monkeypatch):
+        g, sess, total, feed = self._program()
+        parsed = []
+        original = partition_module._job_task_of
+
+        def counted(device):
+            parsed.append(device)
+            return original(device)
+
+        monkeypatch.setattr(partition_module, "_job_task_of", counted)
+        plan = sess._prepare_run(total, feed).plan
+        monkeypatch.undo()
+        assert len(g.operations) == 20 and len(plan.items) == 25
+        assert parsed == list(plan.per_device) and len(parsed) == 3
+        gpu0, gpu1, cpu0 = (task_device("worker", 0, "gpu", 0),
+                            task_device("worker", 1, "gpu", 0),
+                            task_device("worker", 0, "cpu", 0))
+        # The parent's value, key order included (first item of each task).
+        assert list(plan.devices_by_task.items()) == [
+            (("worker", 1), {gpu1}), (("worker", 0), {gpu0, cpu0})]
+        sess.close()
+
+    def test_a_control_free_op_reads_no_rewrite_map(self):
+        g, sess, _, _ = self._program()
+        sess.close()
+        sg = Subgraph(graph=g, ops=g.operations, feeds=frozenset(),
+                      fetch_op_names=frozenset(), symbolic=False,
+                      control_subs=_CountedReads(),
+                      control_drops=_CountedReads())
+        gated = g.get_operation_by_name("out")
+        for op in g.operations:
+            if op is not gated:
+                assert not op.control_inputs
+                assert sg.effective_control_deps(op) == []
+        assert sg.control_drops.reads == sg.control_subs.reads == 0
+        assert [d.name for d in sg.effective_control_deps(gated)] == ["w1_7"]
+        assert sg.control_drops.reads == sg.control_subs.reads == 1
+
+    def test_spliced_and_merged_deps_still_resolve(self):
+        g = tf.Graph()
+        with g.as_default():
+            x = tf.placeholder(tf.float32, [4], name="x")
+            kept = tf.square(x, name="kept")
+            merged = tf.square(x, name="merged")  # CSE folds it into kept
+            barrier = tf.group(merged, name="barrier")  # spliced away
+            with g.control_dependencies([barrier]):
+                out = tf.negative(x, name="out")
+        with tf.Session(graph=g) as sess:
+            plan = sess._prepare_run(
+                [out, kept], {x: np.ones(4, np.float32)}).plan
+        names = {i.op.name for i in plan.items if i.kind == "op"}
+        assert names == {"kept", "out"}
+        item = next(i for i in plan.items if i.kind == "op"
+                    and i.op.name == "out")
+        assert {d.op.name for d in item.extra_deps} == {"kept"}

@@ -546,6 +546,19 @@ def _open_matmul():
     return (a, b), tf.matmul(a, b, name="bad_matmul")
 
 
+def _open_dot():
+    a = tf.placeholder(tf.float32, [None], name="a")
+    b = tf.placeholder(tf.float32, [None], name="b")
+    return (a, b), tf.dot(a, b, name="bad_dot")
+
+
+def _open_reshape(target):
+    def build():
+        a = tf.placeholder(tf.float32, [None], name="a")
+        return (a,), tf.reshape(a, target, name="bad_reshape")
+    return build
+
+
 class TestRuntimeShapeErrors:
     """Shapes unknown at build time: the kernel's discovery is a typed
     error naming the op and the operand shapes, raised from the spec — so
@@ -576,7 +589,15 @@ class TestRuntimeShapeErrors:
         (_open_matmul, [(2, 3), (5,)],
          r"MatMul operand shapes \(2, 3\) and \(5,\).*3 vs 5.*"
          r"\[op: bad_matmul\]"),
-    ], ids=["add", "matmul", "matvec"])
+        (_open_dot, [(3,), (4,)],
+         r"Dot operand shapes \(3,\) and \(4,\).*\[op: bad_dot\]"),
+        (_open_reshape([5]), [(3,)],
+         r"Reshape operand shape \(3,\) \(3 elements\) does not fit "
+         r"\(5,\).*\[op: bad_reshape\]"),
+        (_open_reshape([2, -1]), [(3,)],
+         r"Reshape operand shape \(3,\) \(3 elements\) does not fit "
+         r"\(2, -1\).*\[op: bad_reshape\]"),
+    ], ids=["add", "matmul", "matvec", "dot", "reshape", "reshape-infer"])
     def test_same_typed_error_in_every_mode(self, build, feeds, message):
         seen = {
             self._error(build, feeds, symbolic, fast)
@@ -591,3 +612,5 @@ class TestRuntimeShapeErrors:
             ctx.add(np.ones(3), np.ones(4))
         with pytest.raises(InvalidArgumentError):
             ctx.matmul(np.ones((2, 3)), np.ones((2, 3)))
+        with pytest.raises(InvalidArgumentError):
+            ctx.dot(np.ones(3), np.ones(4))

@@ -5,6 +5,7 @@ import pytest
 
 import repro as tf
 from repro.core.ops.data_ops import Dataset
+from repro.core.tensor import SymbolicValue, value_nbytes
 from repro.errors import InvalidArgumentError, OutOfRangeError
 
 
@@ -207,3 +208,29 @@ class TestDataset:
         with tf.Session(graph=g) as sess:
             i, v = sess.run([idx, val])
         assert int(i) == 0 and float(v) == 10.0
+
+    @pytest.mark.parametrize("pipeline", [
+        lambda ds: ds,
+        lambda ds: ds.shard(2, 1).repeat(2).batch(2),
+    ], ids=["plain", "shard-repeat-batch"])
+    @pytest.mark.parametrize("np_dtype", [np.float16, np.uint8, np.int16])
+    def test_an_element_is_delivered_in_its_declared_dtype(self, np_dtype,
+                                                           pipeline):
+        single = np.arange(12).reshape(6, 2).astype(np_dtype)
+        other = np.arange(6).astype(np_dtype)
+        before = single.copy()
+        g = tf.Graph()
+        with g.as_default():
+            one = pipeline(Dataset.from_tensor_slices(single))
+            two = pipeline(Dataset.from_tensor_slices((single, other)))
+            tensors = [one.make_one_shot_iterator().get_next(),
+                       *two.make_one_shot_iterator().get_next()]
+        with tf.Session(graph=g) as sess:
+            values = sess.run(tensors)
+        for tensor, value in zip(tensors, values):
+            assert tensor.dtype.np_dtype != np_dtype  # mapped to a lane width
+            assert value.dtype == tensor.dtype.np_dtype
+            assert SymbolicValue.of(value).nbytes == value_nbytes(value)
+        np.testing.assert_array_equal(values[0], values[1])
+        assert single.dtype == np_dtype
+        np.testing.assert_array_equal(single, before)

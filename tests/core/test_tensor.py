@@ -89,6 +89,25 @@ class TestTensorHandle:
         assert c.shape == TensorShape([1, 2])
         assert c.graph is g
 
+    def test_name_is_stored_once_and_resolves_back(self):
+        g = tf.Graph()
+        with g.as_default():
+            with g.name_scope("outer"):
+                with g.name_scope("inner"):
+                    scoped = tf.constant(1.0, name="c")
+            first = tf.constant(2.0, name="dup")
+            second = tf.constant(3.0, name="dup")
+            parts = tf.split(tf.constant(np.arange(6.0)), 3, name="parts")
+        assert scoped.name == "outer/inner/c:0"
+        assert (first.name, second.name) == ("dup:0", "dup_1:0")
+        assert [p.name for p in parts] == ["parts:0", "parts:1", "parts:2"]
+        for op in g.operations:
+            for t in op.outputs:
+                assert t.name == f"{t.op.name}:{t.value_index}"
+                assert t.name is t.name  # a stored string, not a format per read
+                assert g.get_tensor_by_name(t.name) is t
+                assert not hasattr(t, "__dict__")
+
     def test_operator_overloads_build_ops(self):
         g = tf.Graph()
         with g.as_default():

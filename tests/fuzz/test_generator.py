@@ -1,9 +1,12 @@
 """Generator: determinism, validity, feature coverage, and codegen."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 import repro as tf
+import repro.fuzz.generator as generator_module
 from repro.fuzz.generator import (
     GeneratorOptions,
     Instr,
@@ -129,6 +132,31 @@ def test_materialize_under_explicit_graph():
     for (src, out), tensor in zip(program.fetches, built.fetch_tensors):
         expected_dtype = program.instrs[src].out_dtypes[out]
         assert tensor.dtype.name == expected_dtype
+
+
+def test_building_a_program_asks_the_op_table_not_the_catalog(monkeypatch):
+    # catalog() filters the whole op table on each call; a program that is
+    # already generated needs one field of one record per instruction.
+    programs = [generate(seed) for seed in SEEDS]
+
+    def rederived():
+        raise AssertionError("catalog() derived while building a program")
+
+    monkeypatch.setattr(generator_module, "catalog", rederived)
+    for program in programs:
+        with tf.Graph().as_default():
+            built = program.materialize()
+        assert len(built.fetch_tensors) == len(program.fetches)
+        assert "def body(" in program.to_python()
+
+
+def test_emitted_source_is_the_parents_byte_for_byte():
+    # Seeds 0..50 through to_python(), digest recorded at PR 23's parent.
+    digest = hashlib.sha256()
+    for seed in range(51):
+        digest.update(generate(seed).to_python().encode())
+    assert digest.hexdigest() == (
+        "7c4ffac4c42d71d015c70cf8920afb21e6b176a14aec9d54a0c6891606353099")
 
 
 def test_clone_is_deep_enough_for_editing():
