@@ -7,7 +7,7 @@ The package provides:
 * ``repro.simnet`` — simulated heterogeneous supercomputers (GPUs, NUMA
   nodes, InfiniBand fabrics, Lustre, gRPC/MPI/RDMA transports);
 * ``repro.runtime`` — the distributed runtime (cluster specs, servers,
-  rendezvous, queue runners, reducers);
+  collectives, queue runners, reducers);
 * ``repro.slurm`` — a simulated Slurm workload manager and the paper's
   cluster resolver;
 * ``repro.apps`` — the paper's four HPC applications (STREAM, tiled

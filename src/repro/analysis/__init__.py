@@ -11,7 +11,7 @@ Entry points:
   invariants (acyclicity, no dangling value/control references, valid
   device strings, variables initialized before reads).
 * :func:`verify_plan` — variable-race detection over happens-before
-  reachability, send/recv rendezvous pairing, and collective
+  reachability, send/recv pairing, and collective
   world-membership / issue-order deadlock proofs.
 * ``python -m repro.analysis`` — CLI that builds and verifies every
   example graph plus a seeded random-graph corpus (see ``__main__``).

@@ -13,9 +13,9 @@ schedules — and proves three families of properties *before* anything runs:
   accumulations (``AssignAdd``/``AssignSub``) demote to a warning: the
   final value is order-independent up to floating-point rounding.
 
-* **Send/recv pairing.** Every rendezvous key must match exactly one send
-  to its recvs — an orphan recv blocks until the run deadline, and a
-  double-send races on a single rendezvous slot.
+* **Send/recv pairing.** Every recv's one source must be a send bound
+  for the recv's device — an orphan recv has no value to read — and a
+  send no recv reads is dead traffic.
 
 * **Collective schedules.** Each collective op must lower to exactly one
   leg per rank with full world membership, and the happens-before
@@ -23,7 +23,7 @@ schedules — and proves three families of properties *before* anything runs:
   collective: a dependency cycle through the group barriers (rank 0
   issues A before B while rank 1 issues B before A) is the classic MPI
   deadlock, surfaced here statically instead of as a 300-second
-  rendezvous hang.
+  join-deadline hang.
 
 The analysis is pure reading: it never mutates plan items.
 """
@@ -51,15 +51,11 @@ register_rule(
 )
 register_rule(
     "plan/orphan-recv", Severity.ERROR, "plan",
-    "Every recv's rendezvous key needs a matching send",
-)
-register_rule(
-    "plan/double-send", Severity.ERROR, "plan",
-    "At most one send may produce a rendezvous key",
+    "Every recv's one source must be a send bound for the recv's device",
 )
 register_rule(
     "plan/unpaired-send", Severity.WARNING, "plan",
-    "A send whose key no recv consumes is dead traffic",
+    "A send that no recv reads is dead traffic",
 )
 register_rule(
     "plan/variable-race", Severity.ERROR, "plan",
@@ -141,9 +137,7 @@ def _outputs_of(item: Any) -> int:
         return len(item.op.outputs)
     if item.kind == "const":
         return len(item.const_values or ())
-    if item.kind == "send":
-        return 0
-    return 1  # recv, collective: one output slot
+    return 1  # send, recv, collective: one output slot
 
 
 def _check_membership(plan: Any, legs_by_op: dict,
@@ -230,45 +224,37 @@ def _check_membership(plan: Any, legs_by_op: dict,
 # ---------------------------------------------------------------------------
 
 def _check_send_recv(plan: Any, report: Report) -> None:
-    sends: dict[str, list] = {}
-    recvs: dict[str, list] = {}
-    for item in plan.items:
-        if item.kind == "send":
-            sends.setdefault(item.key, []).append(item)
-        elif item.kind == "recv":
-            recvs.setdefault(item.key, []).append(item)
-    for key, senders in sends.items():
-        if len(senders) > 1:
-            uids = ", ".join(f"#{s.uid}" for s in senders)
-            report.emit(
-                "plan/double-send",
-                f"{len(senders)} sends ({uids}) target rendezvous key "
-                f"{key!r}: one slot, one producer",
-                item=senders[0].uid,
-                device=senders[0].device,
-                hint="transfer dedup must collapse same-key sends into one",
-            )
-        if key not in recvs:
+    read: set[int] = set()  # uids of the sends some recv reads
+    for recv in plan.items:
+        if recv.kind != "recv":
+            continue
+        send = recv.sources[0][0] if len(recv.sources) == 1 else None
+        if (
+            getattr(send, "kind", None) == "send"
+            and _is_live(plan, send)
+            and send.dst_device == recv.device
+        ):
+            read.add(send.uid)
+            continue
+        report.emit(
+            "plan/orphan-recv",
+            f"recv #{recv.uid} of {recv.tensor_name!r} on {recv.device} "
+            f"has {len(recv.sources)} source(s) and none is a live send "
+            f"bound for its device: it has no value to read",
+            item=recv.uid,
+            device=recv.device,
+            hint="restore the matching send, or drop the recv with "
+                 "its consumers",
+        )
+    for send in plan.items:
+        if send.kind == "send" and send.uid not in read:
             report.emit(
                 "plan/unpaired-send",
-                f"send #{senders[0].uid} of {senders[0].tensor_name!r} "
-                f"from {senders[0].device} has no receiving item",
-                item=senders[0].uid,
-                device=senders[0].device,
+                f"send #{send.uid} of {send.tensor_name!r} from "
+                f"{send.device} has no receiving item",
+                item=send.uid,
+                device=send.device,
             )
-    for key, receivers in recvs.items():
-        if key not in sends:
-            for recv in receivers:
-                report.emit(
-                    "plan/orphan-recv",
-                    f"recv #{recv.uid} of {recv.tensor_name!r} on "
-                    f"{recv.device} waits on key {key!r}, which no send "
-                    f"produces: the run can only end by deadline",
-                    item=recv.uid,
-                    device=recv.device,
-                    hint="restore the matching send, or drop the recv with "
-                         "its consumers",
-                )
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +349,8 @@ def _check_cycles(plan: Any, legs_by_op: dict, adjacency: dict,
     labels = []
     for uid in stuck_items[:8]:
         item = plan.items[uid]
-        label = item.op.name if item.op is not None else (item.key or item.kind)
+        label = (item.op.name if item.op is not None
+                 else (item.tensor_name or item.kind))
         labels.append(f"#{uid}({label})")
     first_item = plan.items[stuck_items[0]] if stuck_items else None
     report.emit(

@@ -9,7 +9,8 @@ everything a run produces lives in its :class:`ExecutionState`.
 
 Dispatch has three lanes:
 
-* **inline fast path** — ``const`` items and ops whose kernels are plain
+* **inline fast path** — ``const`` items, ``recv`` items (a recv reads
+  its send's output slot) and ops whose kernels are plain
   functions with zero-duration costs (``Const``, ``Identity``, variable
   reads, ``Reshape``-style metadata ops, ``NoOp``) run synchronously in
   the dispatcher, with no simulator :class:`Process`, no calendar events,
@@ -18,8 +19,7 @@ Dispatch has three lanes:
   must wait for a device slot) run through a hand-rolled callback chain:
   device request, one timeout for the kernel's cost, release. Same
   simulated timestamps as a process, but no generator machinery and
-  roughly half the calendar events. ``recv`` items complete off the
-  rendezvous value the same way;
+  roughly half the calendar events;
 * **driven-generator lane** — generator kernels (queues, datasets, tile
   I/O) and ``send`` items (multi-event transport modelling) are driven
   through event callbacks: identical events and timestamps to a simulator
@@ -32,9 +32,9 @@ counts those; fast-path runs report ``fast_path_items`` instead). The
 fuzz harness uses it as its value and simulated-time oracle.
 
 Device serialization happens through the device's
-:class:`~repro.simnet.resources.Resource`; cross-device movement goes
-through the run's :class:`~repro.runtime.rendezvous.Rendezvous` with
-transport costs charged by :mod:`repro.simnet.transports`.
+:class:`~repro.simnet.resources.Resource`; cross-device movement is a
+``send`` item charging :mod:`repro.simnet.transports` for the wire time
+and leaving the value in its own slot, which its ``recv`` reads.
 """
 
 from __future__ import annotations
@@ -134,7 +134,6 @@ class ExecutionState:
         self,
         env: Environment,
         plan: ExecutionPlan,
-        rendezvous,
         task_runtimes: dict,
         devices: dict[str, tuple],
         protocol: str,
@@ -150,7 +149,6 @@ class ExecutionState:
     ):
         self.env = env
         self.plan = plan
-        self.rendezvous = rendezvous
         self.task_runtimes = task_runtimes
         self.values: list[Any] = [None] * len(plan.items)
         self.protocol = protocol
@@ -382,8 +380,10 @@ def launch_plan(state: ExecutionState) -> Optional[Event]:
 def _item_desc(item: Item) -> str:
     if item.op is not None:
         return f"{item.kind}:{item.op.name}@{item.device}"
-    if item.kind in ("send", "recv"):
-        return f"{item.kind}:{item.key}"
+    if item.kind == "send":
+        return f"send:{item.tensor_name}@{item.device} -> {item.dst_device}"
+    if item.kind == "recv":
+        return f"recv:{item.tensor_name}@{item.device}"
     return f"{item.kind}:{item.uid}@{item.device}"
 
 
@@ -402,10 +402,23 @@ def _run_deadline_message(state: ExecutionState, timeout_s: float,
         down = state.fault_injector.down_tasks()
         if down:
             parts.append(f"tasks down: {down}")
-    pending = state.rendezvous.pending_keys()
-    if pending:
-        parts.append(f"rendezvous keys still waiting: {pending[:4]}")
+    in_flight = [
+        _item_desc(it) for it in state.plan.items
+        if it.kind == "send" and _send_in_flight(state, it)
+    ]
+    if in_flight:
+        parts.append(f"sends still in flight: {in_flight[:4]}")
     return "; ".join(parts)
+
+
+def _send_in_flight(state: ExecutionState, send: Item) -> bool:
+    """Started (its one producer completed) but not yet delivered."""
+    producer = send.sources[0][0] if send.sources else send.extra_deps[0]
+    return (
+        state.values[send.uid] is None
+        and state.values[producer.uid] is not None
+        and send not in state.stalled_items
+    )
 
 
 def _legacy_launch(state: ExecutionState) -> Event:
@@ -650,7 +663,9 @@ class _Dispatcher:
                     self._count_fast()
                     queue.extend(self._completed(item))
                 elif item.kind == "recv":
-                    self._start_recv(item)
+                    _run_recv(self.state, item)
+                    self._count_fast()
+                    self._item_done(item)
                 elif item.kind == "send":
                     self._start_driven(item, _run_send(self.state, item))
                 elif item.kind == "collective":
@@ -678,27 +693,6 @@ class _Dispatcher:
     # -- light lane: driven generators -------------------------------------------
     def _start_driven(self, item: Item, gen) -> None:
         _Driven(self, item, gen).advance(None, None)
-
-    # -- light lane: recv --------------------------------------------------------
-    def _start_recv(self, item: Item) -> None:
-        # The matching send is a registered dependency of this recv, so
-        # by dependency counting its value is already deposited: take it
-        # without event traffic.
-        present, value = self.state.rendezvous.recv_nowait(item.key)
-        if not present:
-            raise InternalError(
-                f"{_item_desc(item)}: recv dispatched before its send "
-                f"completed — the plan's send→recv dependency edge is "
-                f"missing"
-            )
-        self._deliver(item, value)
-
-    def _deliver(self, item: Item, value) -> None:
-        self.state.values[item.uid] = [value]
-        if value is not None:
-            self.state.register_outputs(item, [value])
-        self._count_fast()
-        self._item_done(item)
 
     # -- light lane: op ----------------------------------------------------------
     def _start_op(self, item: Item) -> bool:
@@ -893,7 +887,7 @@ def _item_proc(state: ExecutionState, item: Item):
     if item.kind == "send":
         yield from _run_send(state, item)
     elif item.kind == "recv":
-        yield from _run_recv(state, item)
+        _run_recv(state, item)
     elif item.kind == "collective":
         yield from _run_collective(state, item)
     elif item.kind == "const":
@@ -932,14 +926,13 @@ def _run_send(state: ExecutionState, item: Item):
             state.retry_policy,
             on_retry=count_retry,
         )
-    state.rendezvous.send(item.key, value)
     if item.sources:
         producer, idx = item.sources[0]
         state.consume(producer, idx)
     if state.trace and state.metadata is not None:
         state.metadata.transfers.append(
             TransferStats(
-                key=item.key,
+                tensor_name=item.tensor_name,
                 src_device=item.device,
                 dst_device=item.dst_device,
                 nbytes=nbytes,
@@ -948,17 +941,19 @@ def _run_send(state: ExecutionState, item: Item):
                 protocol=state.protocol,
             )
         )
-    state.values[item.uid] = []
+    state.values[item.uid] = [value]  # what the recv reads
 
 
-def _run_recv(state: ExecutionState, item: Item):
-    try:
-        value = yield state.rendezvous.recv(
-            item.key, deadline=state.deadline_seconds
+def _run_recv(state: ExecutionState, item: Item) -> None:
+    """Take the moved value out of the send's slot: synchronous, no event."""
+    send = item.sources[0][0] if item.sources else None
+    if send is None or state.values[send.uid] is None:
+        raise InternalError(
+            f"{_item_desc(item)} (item #{item.uid}): recv dispatched "
+            f"before its send completed — the plan's send→recv source "
+            f"edge is missing"
         )
-    except DeadlineExceededError:
-        state.count_deadline()
-        raise
+    value = state.values[send.uid][0]
     state.values[item.uid] = [value]
     if value is not None:
         state.register_outputs(item, [value])

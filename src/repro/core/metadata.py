@@ -42,7 +42,7 @@ class NodeStats:
 class TransferStats:
     """One cross-device tensor movement."""
 
-    key: str
+    tensor_name: str
     src_device: str
     dst_device: str
     nbytes: int

@@ -465,8 +465,14 @@ def _reshape_kernel(op, inputs, ctx):
 def _transpose_kernel(op, inputs, ctx):
     (x,) = inputs
     perm = op.get_attr("perm")
+    shape = runtime_shape(x)
+    if sorted(perm) != list(range(len(shape))):
+        raise InvalidArgumentError(
+            f"Transpose perm {tuple(perm)} does not permute the axes of "
+            f"operand shape {shape}", node_def=op.name,
+        )
     if isinstance(x, SymbolicValue):
-        out = make_symbolic(tuple(x.shape[p] for p in perm), x.dtype)
+        out = make_symbolic(tuple(shape[p] for p in perm), x.dtype)
     else:
         out = np.transpose(x, perm)
     return [out], _memcpy_cost(x, out)
@@ -477,13 +483,21 @@ def _transpose_kernel(op, inputs, ctx):
                  shape_rule="concat")
 def _concat_kernel(op, inputs, ctx):
     axis = op.get_attr("axis")
+    shapes = [runtime_shape(v) for v in inputs]
+    first = shapes[0]
+    ax = normalize_axis(axis, len(first), "Concat")
+    if any(
+        len(s) != len(first) or s[:ax] != first[:ax]
+        or s[ax + 1:] != first[ax + 1:] for s in shapes
+    ):
+        raise InvalidArgumentError(
+            f"Concat operand shapes {shapes} disagree off axis {axis}",
+            node_def=op.name,
+        )
     if any_symbolic(inputs):
-        specs = [runtime_spec(v) for v in inputs]
-        rank = len(specs[0].shape)
-        ax = axis % rank
-        dims = list(specs[0].shape)
-        dims[ax] = sum(s.shape[ax] for s in specs)
-        out = make_symbolic(dims, specs[0].dtype)
+        dims = list(first)
+        dims[ax] = sum(s[ax] for s in shapes)
+        out = make_symbolic(dims, runtime_spec(inputs[0]).dtype)
     else:
         out = np.concatenate([np.asarray(v) for v in inputs], axis=axis)
     return [out], _memcpy_cost(*inputs)
@@ -495,9 +509,14 @@ def _split_kernel(op, inputs, ctx):
     (x,) = inputs
     axis = op.get_attr("axis")
     n = op.get_attr("num_splits")
+    dims = list(runtime_shape(x))
+    ax = normalize_axis(axis, len(dims), "Split")
+    if dims[ax] % n:
+        raise InvalidArgumentError(
+            f"Split operand shape {tuple(dims)} does not divide into {n} "
+            f"along axis {axis}", node_def=op.name,
+        )
     if isinstance(x, SymbolicValue):
-        ax = axis % len(x.shape)
-        dims = list(x.shape)
         dims[ax] //= n
         outs = [make_symbolic(dims, x.dtype) for _ in range(n)]
     else:
@@ -509,12 +528,16 @@ def _split_kernel(op, inputs, ctx):
                  arity=(2, 4), dtypes=NUMERIC, shape_rule="stack")
 def _stack_kernel(op, inputs, ctx):
     axis = op.get_attr("axis")
+    shapes = [runtime_shape(v) for v in inputs]
+    if any(s != shapes[0] for s in shapes):
+        raise InvalidArgumentError(
+            f"Stack operand shapes {shapes} are not all equal",
+            node_def=op.name,
+        )
     if any_symbolic(inputs):
-        spec = runtime_spec(inputs[0])
-        dims = list(spec.shape)
-        ax = axis % (len(dims) + 1)
-        dims.insert(ax, len(inputs))
-        out = make_symbolic(dims, spec.dtype)
+        dims = list(shapes[0])
+        dims.insert(normalize_axis(axis, len(dims) + 1, "Stack"), len(inputs))
+        out = make_symbolic(dims, runtime_spec(inputs[0]).dtype)
     else:
         out = np.stack([np.asarray(v) for v in inputs], axis=axis)
     return [out], _memcpy_cost(*inputs)
@@ -526,12 +549,15 @@ def _stack_kernel(op, inputs, ctx):
 def _squeeze_kernel(op, inputs, ctx):
     (x,) = inputs
     axis = op.get_attr("axis")
+    dims = list(runtime_shape(x))
+    if axis is None:
+        dims = [d for d in dims if d != 1]
+    elif dims.pop(normalize_axis(axis, len(dims), "Squeeze")) != 1:
+        raise InvalidArgumentError(
+            f"Squeeze operand shape {runtime_shape(x)} is not of size 1 "
+            f"along axis {axis}", node_def=op.name,
+        )
     if isinstance(x, SymbolicValue):
-        dims = list(x.shape)
-        if axis is None:
-            dims = [d for d in dims if d != 1]
-        else:
-            dims.pop(axis % len(dims))
         out = make_symbolic(dims, x.dtype)
     else:
         out = np.squeeze(x, axis=axis) if axis is not None else np.squeeze(x)
@@ -585,6 +611,14 @@ def _slice_kernel(op, inputs, ctx):
     (x,) = inputs
     begin = op.get_attr("begin")
     size = op.get_attr("size")
+    shape = runtime_shape(x)
+    if len(shape) != len(begin) or any(
+        b + s > d for b, s, d in zip(begin, size, shape)
+    ):
+        raise InvalidArgumentError(
+            f"Slice begin {tuple(begin)} size {tuple(size)} is out of "
+            f"bounds for operand shape {shape}", node_def=op.name,
+        )
     if isinstance(x, SymbolicValue):
         out = make_symbolic(size, x.dtype)
     else:

@@ -7,7 +7,7 @@ device). This pass goes further, after placement has resolved devices:
   collapse into one (e.g. equal constants built under different partial
   device scopes, which CSE's requested-device key cannot merge);
 * send/recv pairs left duplicated by that merge — same payload source,
-  same destination device — collapse onto a single rendezvous key.
+  same destination device — collapse onto the surviving pair.
 
 Both rewrites are value-preserving: consumers are rewired to the surviving
 item, and fetch routing follows.
@@ -65,10 +65,10 @@ def coalesce_transfers(items: list, fetch_sources: list):
     # -- 2. dedupe send/recv pairs sharing payload and destination ------------
     merged_transfers = 0
     if remap:
-        recv_of_send: dict[str, object] = {}
+        recv_of_send: dict[int, object] = {}  # send uid -> its recv
         for item in items:
-            if item.kind == "recv" and item.extra_deps:
-                recv_of_send[item.key] = item
+            if item.kind == "recv":
+                recv_of_send[item.sources[0][0].uid] = item
         by_route: dict = {}
         for item in items:
             if item.kind != "send" or item.uid in remap:
@@ -84,10 +84,7 @@ def coalesce_transfers(items: list, fetch_sources: list):
                 by_route[route] = item
                 continue
             remap[item.uid] = kept
-            dropped_recv = recv_of_send.get(item.key)
-            kept_recv = recv_of_send.get(kept.key)
-            if dropped_recv is not None and kept_recv is not None:
-                remap[dropped_recv.uid] = kept_recv
+            remap[recv_of_send[item.uid].uid] = recv_of_send[kept.uid]
             merged_transfers += 1
 
     if not remap:

@@ -10,11 +10,12 @@ Given fetches and feeds, the partitioner:
 3. assigns every surviving op a fully-qualified device via the
    :class:`~repro.core.placement.Placer` (constant-folded roots become
    zero-cost ``const`` items on their placed device);
-4. splits the ops by device and inserts explicit ``_Send``/``_Recv`` item
-   pairs on every cross-device edge (data *and* control), keyed for the
-   run's rendezvous — TF's distributed-execution mechanism, and the place
-   where all network traffic in the paper's benchmarks originates — then
-   coalesces duplicate transfers left after placement;
+4. splits the ops by device and replaces every cross-device edge (data
+   *and* control) with an explicit ``_Send``/``_Recv`` item pair, the
+   recv reading its send's output slot — TF's distributed-execution
+   mechanism, and the place where all network traffic in the paper's
+   benchmarks originates — then coalesces duplicate transfers left after
+   placement;
 5. routes fetched tensors to the client device and precomputes the
    dependency graph (counts + dependents) the executor's
    dependency-counting dispatcher consumes.
@@ -32,7 +33,6 @@ from repro.core.placement import Placer
 from repro.core.tensor import Tensor
 from repro.errors import InvalidArgumentError
 from repro.runtime import collective as collective_runtime
-from repro.runtime.rendezvous import make_key
 
 __all__ = ["Item", "ExecutionPlan", "build_plan", "FEED"]
 
@@ -58,8 +58,7 @@ class Item:
     sources: list = field(default_factory=list)
     # Pure ordering dependencies (control edges).
     extra_deps: list = field(default_factory=list)
-    # send/recv wiring.
-    key: Optional[str] = None
+    # send/recv wiring: a recv's one source is its send's output slot.
     dst_device: Optional[str] = None  # send only
     tensor_name: Optional[str] = None  # send/recv: which tensor moves
     # Constant-folded output values ("const" items only).
@@ -81,7 +80,7 @@ class Item:
     dependents: list = field(default_factory=list)
 
     def __repr__(self) -> str:
-        label = self.op.name if self.op is not None else self.key
+        label = self.op.name if self.op is not None else self.tensor_name
         return f"<Item #{self.uid} {self.kind} {label!r} on {self.device}>"
 
 
@@ -262,27 +261,19 @@ def build_plan(
             return (producer, out_index)
         cache_key = (tensor.name, dst_device)
         if cache_key not in recv_cache:
-            key = make_key(producer.device, dst_device, tensor.name)
             send = new_item(
                 kind="send",
                 device=producer.device,
                 sources=[(producer, out_index)],
-                key=key,
                 dst_device=dst_device,
                 tensor_name=tensor.name,
             )
-            recv = new_item(
+            recv_cache[cache_key] = new_item(
                 kind="recv",
                 device=dst_device,
-                key=key,
                 tensor_name=tensor.name,
-                # This ordering edge is what makes the recv wait for its
-                # value: the counting dispatcher takes it from the
-                # rendezvous without waiting, and the plan verifier's
-                # happens-before relation reads the same edge.
-                extra_deps=[send],
+                sources=[(send, 0)],
             )
-            recv_cache[cache_key] = recv
         return (recv_cache[cache_key], 0)
 
     def _route_control_item(producer: Item, label: str,
@@ -291,24 +282,19 @@ def build_plan(
             return producer
         cache_key = (label, dst_device)
         if cache_key not in ctrl_cache:
-            key = make_key(producer.device, dst_device, f"^{label}")
             send = new_item(
                 kind="send",
                 device=producer.device,
-                sources=[],
                 extra_deps=[producer],
-                key=key,
                 dst_device=dst_device,
                 tensor_name=f"^{label}",
             )
-            recv = new_item(
+            ctrl_cache[cache_key] = new_item(
                 kind="recv",
                 device=dst_device,
-                key=key,
                 tensor_name=f"^{label}",
-                extra_deps=[send],
+                sources=[(send, 0)],
             )
-            ctrl_cache[cache_key] = recv
         return ctrl_cache[cache_key]
 
     def route_control(dep_op: Operation, dst_device: str) -> list[Item]:

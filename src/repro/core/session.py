@@ -40,7 +40,6 @@ from repro.core.tensor import SymbolicValue, Tensor, TensorShape
 from repro.errors import InvalidArgumentError
 
 from repro.runtime.clusterspec import ClusterSpec
-from repro.runtime.rendezvous import Rendezvous
 from repro.runtime.retry import RetryPolicy
 from repro.runtime.server import Server, ServerConfig
 from repro.simnet.events import Environment
@@ -437,11 +436,9 @@ class Session:
         ]
         yield env.timeout(admin_rpc_time(bool(remote_tasks)))
 
-        rendezvous = Rendezvous(env)
         state = ExecutionState(
             env=env,
             plan=plan,
-            rendezvous=rendezvous,
             task_runtimes=task_runtimes,
             devices=self._devices,
             protocol=self._master.data_protocol,

@@ -56,7 +56,7 @@ class Timeline:
                 pid = pid_of(f"transfers ({xfer.protocol})")
                 events.append(
                     {
-                        "name": xfer.key.split(";")[2],
+                        "name": xfer.tensor_name,
                         "cat": "transfer",
                         "ph": "X",
                         "pid": pid,

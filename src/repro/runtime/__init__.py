@@ -1,4 +1,4 @@
-"""Distributed runtime: cluster specs, servers, rendezvous, queue helpers.
+"""Distributed runtime: cluster specs, servers, collectives, queue helpers.
 
 This package plays the role of TensorFlow's C++ distributed runtime: it
 hosts per-task state (devices, resource managers), routes tensors between
@@ -8,8 +8,6 @@ tasks over the simulated network, and provides the coordination helpers
 
 from repro.runtime.clusterspec import ClusterSpec
 from repro.runtime.collective import run_collective
-from repro.runtime.rendezvous import Rendezvous
 from repro.runtime.server import Server, TaskRuntime
 
-__all__ = ["ClusterSpec", "Server", "TaskRuntime", "Rendezvous",
-           "run_collective"]
+__all__ = ["ClusterSpec", "Server", "TaskRuntime", "run_collective"]

@@ -179,17 +179,6 @@ class TestSendRecvPairing:
         assert orphan.severity is Severity.ERROR
         assert orphan.item is not None and orphan.device is not None
 
-    def test_double_send_detected(self):
-        import dataclasses
-
-        plan = self._transfer_plan()
-        send = next(i for i in plan.items if i.kind == "send")
-        clone = dataclasses.replace(send, uid=max(
-            i.uid for i in plan.items) + 1, dependents=[], sources=list(send.sources))
-        plan.items.append(clone)
-        report = verify_plan(plan)
-        assert "plan/double-send" in rules_of(report)
-
     def test_unpaired_send_is_warning(self):
         plan = self._transfer_plan()
         recv = next(i for i in plan.items if i.kind == "recv")

@@ -32,10 +32,9 @@ from repro.errors import (
     InvalidArgumentError,
     UnavailableError,
 )
-from repro.runtime.rendezvous import Rendezvous
 from repro.runtime.retry import RetryPolicy, retry_gen
 from repro.simnet.events import Environment
-from repro.simnet.faults import FaultPlan, MessageDrop
+from repro.simnet.faults import FaultPlan, LinkDegradation, MessageDrop
 
 
 def lane_config(fast, **kwargs):
@@ -120,7 +119,7 @@ def _live(cls):
 
 
 class TestDeadlineTimersReleaseFinishedRuns:
-    """Regression: every deadline timer (collective join, recv, run
+    """Regression: every deadline timer (collective join, run
     watchdog) stayed in the calendar with a closure over its run until
     the *simulated* clock passed it — 300 sim-seconds for the join
     watchdog, ~600 000 runs away — pinning each finished run's
@@ -277,28 +276,6 @@ class TestLateCompletionLandsInTheDeadRun:
 
 
 class TestRecvDeadline:
-    def test_rendezvous_recv_deadline_names_key(self):
-        env = Environment()
-        rdv = Rendezvous(env)
-        event = rdv.recv("a;b;t:0", deadline=2.0)
-        # Unconsumed failures surface out of env.run — the kernel's
-        # nobody-handled-it contract (the executor lanes consume and
-        # defuse this event instead).
-        with pytest.raises(DeadlineExceededError,
-                           match=r"a;b;t:0.*producer never sent"):
-            env.run(until=env.timeout(5.0))
-        assert event.triggered and not event._ok
-        assert rdv.deadline_failures == 1
-
-    def test_recv_deadline_cancelled_by_send(self):
-        env = Environment()
-        rdv = Rendezvous(env)
-        event = rdv.recv("k", deadline=2.0)
-        rdv.send("k", 42)
-        env.run(until=env.timeout(5.0))  # deadline passes harmlessly
-        assert event.value == 42
-        assert rdv.deadline_failures == 0
-
     @pytest.mark.parametrize("fast", [True, False],
                              ids=["fast-path", "legacy"])
     def test_cross_worker_edge_to_dead_producer(self, fast):
@@ -322,6 +299,35 @@ class TestRecvDeadline:
                                   operation_timeout_ms=50.0)
         sess = tf.Session(handle.server("worker", 0), graph=g, config=config)
         with pytest.raises(DeadlineExceededError):
+            sess.run(y)
+
+    @pytest.mark.parametrize("fast", [True, False],
+                             ids=["fast-path", "legacy"])
+    def test_run_deadline_names_the_send_in_flight(self, fast):
+        """A live producer behind a degraded link: the send started but
+        its transfer outlasts the run deadline, and the watchdog says
+        which transfer the run was waiting for."""
+        handle = build_cluster("tegner-k420", {"worker": 2})
+        g = tf.Graph()
+        with g.as_default():
+            with g.device(task_device("worker", 1, "cpu", 0)):
+                x = tf.constant(np.arange(4.0), name="x")
+            with g.device(task_device("worker", 0, "cpu", 0)):
+                y = tf.identity(x, name="y")
+        node = handle.server("worker", 1).runtime.node.name
+        tf.FaultInjector(FaultPlan(faults=(
+            LinkDegradation(node, at=0.0, duration=100.0, extra_latency=10.0),
+        ))).install(handle.machine)
+        config = tf.SessionConfig(executor_fast_path=fast,
+                                  graph_optimization=False,
+                                  operation_timeout_ms=50.0)
+        sess = tf.Session(handle.server("worker", 0), graph=g, config=config)
+        with pytest.raises(
+            DeadlineExceededError,
+            match=r"3 of 4 plan items incomplete; sends still in flight: "
+                  r"\['send:x:0@/job:worker/task:1/device:cpu:0 -> "
+                  r"/job:worker/task:0/device:cpu:0'\]$",
+        ):
             sess.run(y)
 
 

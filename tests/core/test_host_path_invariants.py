@@ -185,8 +185,8 @@ class TestNoCyclicGarbage:
     """A warm run leaves nothing for the cyclic collector.
 
     Everything a warm ``Session.run`` allocates — events, device claims,
-    continuations, the run's ``ExecutionState`` / ``Rendezvous`` /
-    ``RunMetadata`` / kernel contexts — dies by reference count at
+    continuations, the run's ``ExecutionState`` / ``RunMetadata`` /
+    kernel contexts — dies by reference count at
     ``return``: with the collector off, N warm runs leave **0** objects
     for ``gc.collect()`` to find, for any N. On this PR's parent the same
     programs left, per warm run (dispatcher / reference executor):

@@ -559,6 +559,20 @@ def _open_reshape(target):
     return build
 
 
+def _open_layout(rank, op, **kwargs):
+    """``op`` over placeholders of the given static ranks (None: unknown)."""
+    def build():
+        placeholders = tuple(
+            tf.placeholder(tf.float32, r if r is None else [None] * r,
+                           name=f"p{i}")
+            for i, r in enumerate(rank)
+        )
+        args = placeholders[0] if len(placeholders) == 1 else list(placeholders)
+        out = op(args, name="bad_layout", **kwargs)
+        return placeholders, out[0] if isinstance(out, list) else out
+    return build
+
+
 class TestRuntimeShapeErrors:
     """Shapes unknown at build time: the kernel's discovery is a typed
     error naming the op and the operand shapes, raised from the spec — so
@@ -597,7 +611,26 @@ class TestRuntimeShapeErrors:
         (_open_reshape([2, -1]), [(3,)],
          r"Reshape operand shape \(3,\) \(3 elements\) does not fit "
          r"\(2, -1\).*\[op: bad_reshape\]"),
-    ], ids=["add", "matmul", "matvec", "dot", "reshape", "reshape-infer"])
+        (_open_layout([2, 2], tf.concat, axis=0), [(2, 3), (2, 4)],
+         r"Concat operand shapes \[\(2, 3\), \(2, 4\)\] disagree off "
+         r"axis 0.*\[op: bad_layout\]"),
+        (_open_layout([1, 1], tf.stack), [(3,), (4,)],
+         r"Stack operand shapes \[\(3,\), \(4,\)\] are not all equal.*"
+         r"\[op: bad_layout\]"),
+        (_open_layout([1], tf.split, num_splits=2), [(5,)],
+         r"Split operand shape \(5,\) does not divide into 2 along axis "
+         r"0.*\[op: bad_layout\]"),
+        (_open_layout([2], tf.squeeze, axis=0), [(2, 3)],
+         r"Squeeze operand shape \(2, 3\) is not of size 1 along axis 0.*"
+         r"\[op: bad_layout\]"),
+        (_open_layout([1], tf.slice_, begin=[2], size=[4]), [(3,)],
+         r"Slice begin \(2,\) size \(4,\) is out of bounds for operand "
+         r"shape \(3,\).*\[op: bad_layout\]"),
+        (_open_layout([None], tf.transpose, perm=[1, 0]), [(3,)],
+         r"Transpose perm \(1, 0\) does not permute the axes of operand "
+         r"shape \(3,\).*\[op: bad_layout\]"),
+    ], ids=["add", "matmul", "matvec", "dot", "reshape", "reshape-infer",
+            "concat", "stack", "split", "squeeze", "slice", "transpose"])
     def test_same_typed_error_in_every_mode(self, build, feeds, message):
         seen = {
             self._error(build, feeds, symbolic, fast)

@@ -295,7 +295,7 @@ class TestTransferCoalescing:
         assert detail.get("constants_merged", 0) == 1
 
     def test_send_recv_edge_registered(self):
-        # Satellite fix: route_value's recv really depends on its send.
+        # route_value's recv reads its send's output slot: its one source.
         g = tf.Graph()
         with g.as_default():
             with g.device("/cpu:0"):
@@ -309,7 +309,10 @@ class TestTransferCoalescing:
         sends = [i for i in plan.items if i.kind == "send"]
         recvs = [i for i in plan.items if i.kind == "recv"]
         assert len(sends) == 1 and len(recvs) == 1
-        assert recvs[0].extra_deps == [sends[0]]
+        assert recvs[0].sources == [(sends[0], 0)]
+        assert recvs[0].extra_deps == []
+        assert plan.dep_counts[recvs[0].uid] == 1
+        assert sends[0].dependents == [recvs[0]]
 
 
 class TestConfigSwitches:

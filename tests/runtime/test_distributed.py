@@ -1,11 +1,10 @@
-"""Distributed execution: servers, rendezvous, reducers, token barriers."""
+"""Distributed execution: servers, reducers, token barriers."""
 
 import numpy as np
 import pytest
 
 import repro as tf
-from repro.errors import InternalError, InvalidArgumentError
-from repro.runtime.rendezvous import Rendezvous, make_key
+from repro.errors import InvalidArgumentError
 from repro.runtime.server import ServerConfig
 from repro.runtime.sync import QueueReducer, TokenBarrier
 from repro.simnet.events import Environment
@@ -23,48 +22,6 @@ def two_node_tegner():
     ps = tf.Server(cluster, "ps", 0, machine=machine)
     worker = tf.Server(cluster, "worker", 0, machine=machine)
     return env, machine, ps, worker
-
-
-class TestRendezvous:
-    def test_send_then_recv(self):
-        env = Environment()
-        rdv = Rendezvous(env)
-        rdv.send("k", 42)
-        event = rdv.recv("k")
-        assert event.triggered and event.value == 42
-
-    def test_recv_then_send_wakes(self):
-        env = Environment()
-        rdv = Rendezvous(env)
-        event = rdv.recv("k")
-        assert not event.triggered
-        rdv.send("k", "hello")
-        assert event.triggered and event.value == "hello"
-
-    def test_duplicate_send_rejected(self):
-        env = Environment()
-        rdv = Rendezvous(env)
-        rdv.send("k", 1)
-        with pytest.raises(InternalError):
-            rdv.send("k", 2)
-
-    def test_multiple_receivers_share_value(self):
-        env = Environment()
-        rdv = Rendezvous(env)
-        e1, e2 = rdv.recv("k"), rdv.recv("k")
-        rdv.send("k", 7)
-        assert e1.value == 7 and e2.value == 7
-
-    def test_make_key_uniqueness(self):
-        # One key per edge; no run component — every run has its own
-        # Rendezvous, so a cached plan's keys are right for all its runs.
-        keys = {
-            make_key("/a", "/b", "t:0"), make_key("/b", "/a", "t:0"),
-            make_key("/a", "/c", "t:0"), make_key("/a", "/b", "t:1"),
-            make_key("/a", "/b", "^t"),
-        }
-        assert len(keys) == 5
-        assert make_key("/a", "/b", "t:0") == "/a;/b;t:0"
 
 
 class TestServers:
