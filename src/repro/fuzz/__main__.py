@@ -55,9 +55,8 @@ def _campaign_entry(seed: int, options: GeneratorOptions,
     entry = report.to_dict()
     entry["source"] = source
     if report.divergences and do_shrink:
-        # Shrink against the first diverging cell with a concrete cell
-        # attached (sim-time invariants compare pairs; value/dtype/
-        # shape/error/verifier divergences name a single cell).
+        # Shrink against the first divergence's cell: the shrinker's
+        # oracle re-runs that cell's baseline and sim-time pairs.
         target = report.divergences[0].cell
         result = shrink(program, target)
         script = result.program.to_python(

@@ -15,18 +15,23 @@ and — crucially for shrinking — edited: the delta-debugging shrinker
 deletes and rewires instructions, and :meth:`Program.to_python` prints
 any program as a self-contained repro script against the public API.
 
-Generation draws from the operator catalog (:mod:`repro.fuzz.catalog`),
-dispatching on each entry's declared ``shape_rule`` to sample valid
-input shapes and static attributes. All randomness comes from one
-caller-seeded :class:`random.Random`: the same ``(seed, options)`` pair
-always yields the same program, byte for byte.
+Generation draws from the operator catalog (:mod:`repro.fuzz.catalog`).
+Each entry's declared ``shape_rule`` names one operator record
+(:data:`_FAMILIES`): ``sample`` draws valid input shapes and static
+attributes, ``call`` states the instruction as a builder call —
+``tf.<op_def(op_type).builder>(*args, **kwargs)`` — which
+:meth:`Program.materialize` resolves against tensors and
+:meth:`Program.body_source` renders as text. All randomness comes from
+one caller-seeded :class:`random.Random`: the same ``(seed, options)``
+pair always yields the same program, byte for byte.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -111,7 +116,7 @@ class Program:
 
     @property
     def has_collective(self) -> bool:
-        return any(i.op_type.startswith("Collective") for i in self.instrs)
+        return any(i.op_type in COLLECTIVE_OP_TYPES for i in self.instrs)
 
     @property
     def has_allreduce(self) -> bool:
@@ -123,7 +128,7 @@ class Program:
                 if ins.op_type == "Placeholder"]
 
     def op_count(self) -> int:
-        """Instructions that create at least one graph op."""
+        """Every instruction, Placeholders and ``Gradients`` tails included."""
         return len(self.instrs)
 
     def clone(self) -> "Program":
@@ -163,7 +168,7 @@ class Program:
     def materialize(
         self,
         algorithm: Optional[str] = None,
-        placeholder_lookup: Optional[Callable[[int], Any]] = None,
+        placeholders: Optional[Sequence[Any]] = None,
     ) -> "Built":
         """Build this program's ops into the *current default graph*.
 
@@ -171,140 +176,58 @@ class Program:
             algorithm: override the ``algorithm=`` attr of every
                 ``CollectiveAllReduce`` (the harness's algorithm axis;
                 other collectives only register a ring schedule).
-            placeholder_lookup: maps a Placeholder instruction index to
-                an existing tensor — how a ``@repro.function`` trace
-                substitutes its argument tensors. By default a fresh
-                ``tf.placeholder`` named ``ph_<index>`` is created and
-                its feed value recorded.
+            placeholders: one existing tensor per Placeholder
+                instruction, in program order — how a ``@repro.function``
+                trace substitutes its argument tensors. By default a
+                fresh ``tf.placeholder`` named ``ph_<index>`` is created
+                and its feed value recorded.
         """
         built = Built()
         graph = get_default_graph()
         for index, ins in enumerate(self.instrs):
-            control_ops = [
-                built.variables[int(c.split(":", 1)[1])].initializer
-                if c.startswith("init:")
-                else built.ops[int(c.split(":", 1)[1])]
-                for c in ins.control
-            ]
-            inputs = [built.results[src][out] for src, out in ins.inputs]
-            device_scope = graph.device(ins.device) if ins.device else None
-            control_scope = (
-                graph.control_dependencies(control_ops) if control_ops
-                else None
-            )
+            scopes = [graph.device(ins.device)] if ins.device else []
+            if ins.control:
+                scopes.append(graph.control_dependencies([
+                    built.variables[int(c[5:])].initializer
+                    if c.startswith("init:") else built.ops[int(c[3:])]
+                    for c in ins.control
+                ]))
+            for scope in scopes:
+                scope.__enter__()
             try:
-                if device_scope is not None:
-                    device_scope.__enter__()
-                if control_scope is not None:
-                    control_scope.__enter__()
-                self._build_one(index, ins, inputs, built, algorithm,
-                                placeholder_lookup)
+                if ins.op_type == "Placeholder":
+                    binds = "tensor"
+                    if placeholders is not None:
+                        out = placeholders[len(built.placeholders)]
+                    else:
+                        out = repro.placeholder(
+                            _NP_DTYPES[ins.out_dtypes[0]],
+                            shape=list(ins.out_shapes[0]), name=f"ph_{index}")
+                        built.feeds[out.name] = ins.value
+                    built.placeholders.append((index, out))
+                else:
+                    builder, (args, kwargs, binds) = _call(index, ins)
+                    out = getattr(repro, builder)(
+                        *_resolve(args, built, algorithm),
+                        **{k: _resolve(v, built, algorithm)
+                           for k, v in kwargs.items()})
             finally:
-                if control_scope is not None:
-                    control_scope.__exit__(None, None, None)
-                if device_scope is not None:
-                    device_scope.__exit__(None, None, None)
-        built.fetch_tensors = [
-            built.results[src][out] for src, out in self.fetches
-        ]
-        return built
-
-    def _build_one(self, index: int, ins: Instr, inputs: list,
-                   built: "Built", algorithm: Optional[str],
-                   placeholder_lookup) -> None:
-        tf = repro
-        op_type = ins.op_type
-        if op_type == "Const":
-            out = tf.constant(ins.value)
-        elif op_type == "Placeholder":
-            if placeholder_lookup is not None:
-                out = placeholder_lookup(index)
-            else:
-                out = tf.placeholder(
-                    _NP_DTYPES[ins.out_dtypes[0]],
-                    shape=list(ins.out_shapes[0]),
-                    name=f"ph_{index}",
-                )
-                built.feeds[out.name] = ins.value
-            built.placeholders.append((index, out))
-        elif op_type == "Fill":
-            out = tf.fill(list(ins.attrs["shape"]), ins.attrs["value"],
-                          dtype=_NP_DTYPES[ins.out_dtypes[0]])
-        elif op_type == "VariableV2":
-            var = tf.Variable(inputs[0], name=f"fuzz_var_{index}")
-            built.variables[index] = var
-            built.ops[index] = var.op
-            built.results[index] = []
-            return
-        elif op_type in ("Assign", "AssignAdd", "AssignSub"):
-            builder = {"Assign": tf.assign, "AssignAdd": tf.assign_add,
-                       "AssignSub": tf.assign_sub}[op_type]
-            out = builder(built.variables[ins.attrs["var"]], inputs[0])
-        elif op_type == "Cast":
-            out = tf.cast(inputs[0], _NP_DTYPES[ins.attrs["dst_dtype"]])
-        elif op_type == "Reshape":
-            out = tf.reshape(inputs[0], list(ins.attrs["shape"]))
-        elif op_type == "Transpose":
-            out = tf.transpose(inputs[0], perm=list(ins.attrs["perm"]))
-        elif op_type == "Concat":
-            out = tf.concat(inputs, axis=ins.attrs["axis"])
-        elif op_type == "Split":
-            out = tf.split(inputs[0], ins.attrs["num_splits"],
-                           axis=ins.attrs["axis"])
-        elif op_type == "Stack":
-            out = tf.stack(inputs, axis=ins.attrs["axis"])
-        elif op_type == "Squeeze":
-            out = tf.squeeze(inputs[0], axis=ins.attrs["axis"])
-        elif op_type == "ExpandDims":
-            out = tf.expand_dims(inputs[0], axis=ins.attrs["axis"])
-        elif op_type == "Slice":
-            out = tf.slice_(inputs[0], list(ins.attrs["begin"]),
-                            list(ins.attrs["size"]))
-        elif op_type in ("Sum", "Mean", "Max"):
-            builder = {"Sum": tf.reduce_sum, "Mean": tf.reduce_mean,
-                       "Max": tf.reduce_max}[op_type]
-            out = builder(inputs[0], axis=ins.attrs.get("axis"),
-                          keepdims=ins.attrs.get("keepdims", False))
-        elif op_type == "MatMul":
-            out = tf.matmul(inputs[0], inputs[1],
-                            transpose_a=ins.attrs.get("transpose_a", False),
-                            transpose_b=ins.attrs.get("transpose_b", False))
-        elif op_type == "AddN":
-            out = tf.add_n(inputs)
-        elif op_type.startswith("Collective"):
-            alg = ins.attrs.get("algorithm", "ring")
-            if algorithm is not None and op_type == "CollectiveAllReduce":
-                alg = algorithm
-            devices = list(ins.attrs["devices"])
-            if op_type == "CollectiveBroadcast":
-                out = tf.broadcast(inputs[0], devices=devices, algorithm=alg)
-            else:
-                builder = {
-                    "CollectiveAllReduce": tf.all_reduce,
-                    "CollectiveReduceScatter": tf.reduce_scatter,
-                    "CollectiveAllGather": tf.all_gather,
-                }[op_type]
-                out = builder(inputs, devices=devices, algorithm=alg)
-        elif op_type == "Gradients":
-            loss, xs = inputs[0], inputs[1:]
-            out = tf.gradients(loss, list(xs))
-            missing = [i for i, g in enumerate(out) if g is None]
-            if missing:
+                for scope in reversed(scopes):
+                    scope.__exit__(None, None, None)
+            if binds == "variable":
+                built.variables[index] = out
+                built.ops[index] = out.op
+                built.results[index] = []
+                continue
+            tensors = list(out) if binds == "list" else [out]
+            if None in tensors:  # a Gradients tail lost an x
                 raise InvalidArgumentError(
-                    f"generated gradient tail lost xs {missing} "
-                    f"(generator connectivity tracking is wrong)"
-                )
-        else:
-            # Plain unary/binary elementwise builders share a calling
-            # convention: positional tensor inputs only.
-            builder = getattr(tf, op_def(op_type).builder)
-            out = builder(*inputs)
-        if isinstance(out, (list, tuple)):
-            tensors = list(out)
-        else:
-            tensors = [out]
-        built.results[index] = tensors
-        built.ops[index] = tensors[0].op
+                    f"instruction {index} ({ins.op_type}) lost an output "
+                    f"(generator connectivity tracking is wrong)")
+            built.results[index] = tensors
+            built.ops[index] = tensors[0].op
+        built.fetch_tensors = [built.results[s][o] for s, o in self.fetches]
+        return built
 
     # -- codegen -----------------------------------------------------------
 
@@ -317,23 +240,53 @@ class Program:
         """
         lines: list[str] = []
         for index, ins in enumerate(self.instrs):
-            lines.extend(_emit_instr(index, ins))
-        if not lines:
-            lines.append("pass")
-        return "\n".join(indent + line for line in lines)
+            if ins.op_type == "Placeholder":
+                lines.append(f"t{index} = [ph_{index}]")
+                continue
+            builder, (args, kwargs, binds) = _call(index, ins)
+            parts = [_render(a) for a in args]
+            parts += [f"{k}={_render(v)}" for k, v in kwargs.items()]
+            expr = f"tf.{builder}({', '.join(parts)})"
+            if binds == "tensor":
+                expr = f"[{expr}]"
+            target = f"v{index}" if binds == "variable" else f"t{index}"
+            lines.extend(_wrap_scopes(ins, f"{target} = {expr}"))
+        return "\n".join(indent + line for line in lines or ["pass"])
 
     def to_python(self, cell: Any = None, note: str = "") -> str:
         """A self-contained repro script for this program.
 
-        The script rebuilds the program with the public ``repro`` API,
-        runs the baseline cell (session / legacy lane / optimizer off)
-        and the diverging cell, and asserts byte-identity fetch by
-        fetch. While the underlying defect exists the script raises
-        ``AssertionError``; once fixed it prints ``OK`` (which is why
-        shrunk repros are checked into ``corpus/`` and replayed by CI
-        as regression tests).
+        The script rebuilds the program with the public ``repro`` API
+        (its ``body``) and lets the harness judge ``cell`` on that build
+        exactly as the shrinker did (bytes, static specs, simulated
+        time). While the defect exists the script raises
+        ``AssertionError`` naming each divergence; once fixed it prints
+        ``OK`` — so shrunk repros double as regression tests.
         """
-        return _render_script(self, cell, note)
+        from repro.fuzz.harness import Cell  # local: avoid import cycle
+
+        cell = cell if cell is not None else Cell(frontend="session")
+        ph_indices = self.placeholder_indices
+        pieces = {
+            "seed": str(self.seed),
+            "note": note,
+            "ph_bind": "\n".join(f"    ph_{idx} = _phs[{pos}]"
+                                 for pos, idx in enumerate(ph_indices))
+            or "    del _phs",
+            "body": self.body_source(indent="    "),
+            "fetch_exprs": ", ".join(map(_ref_expr, self.fetches)),
+            "feed_values": ",\n    ".join(
+                _np_literal(self.instrs[i].value) for i in ph_indices),
+            "gpus": str(self.gpus),
+            "cell": repr(cell),
+            "label": cell.label(),
+        }
+        # Substituted chunk by chunk, not with .format(): emitted bodies
+        # contain literal braces (list reprs) .format would misparse.
+        script = _SCRIPT_TEMPLATE
+        for key, chunk in pieces.items():
+            script = script.replace("{%s}" % key, chunk)
+        return script
 
 
 @dataclass
@@ -349,8 +302,66 @@ class Built:
 
 
 # ---------------------------------------------------------------------------
-# codegen helpers
+# instructions as builder calls
 # ---------------------------------------------------------------------------
+# materialize and body_source read one description of each instruction:
+# ``tf.<builder>(*args, **kwargs)``, the arguments written in a small
+# vocabulary — a Ref tuple (an earlier instruction's output; the only
+# tuple a call holds), a _Var (a variable instruction's Variable), an
+# _Algorithm (the cell's allreduce algorithm), a list of these, a NumPy
+# scalar type, or a literal.
+
+class _Var(NamedTuple):
+    index: int
+
+
+class _Algorithm(NamedTuple):
+    default: str  # the instruction's own, when the cell overrides none
+
+
+class _Call(NamedTuple):
+    args: list
+    kwargs: dict = {}
+    # "tensor": t<i> = [result]; "list": t<i> = result; "variable": v<i>
+    binds: str = "tensor"
+
+
+def _call(index: int, ins: Instr) -> tuple[str, _Call]:
+    """Instruction ``index`` as a builder name and its call."""
+    if ins.op_type == "Gradients":
+        loss, *xs = ins.inputs
+        return "gradients", _Call([loss, xs], binds="list")
+    entry = op_def(ins.op_type)
+    return entry.builder, _FAMILIES[entry.shape_rule].call(index, ins)
+
+
+def _resolve(arg: Any, built: "Built", algorithm: Optional[str]) -> Any:
+    if type(arg) is tuple:
+        return built.results[arg[0]][arg[1]]
+    if isinstance(arg, list):
+        return [_resolve(a, built, algorithm) for a in arg]
+    if isinstance(arg, _Var):
+        return built.variables[arg.index]
+    if isinstance(arg, _Algorithm):
+        return algorithm or arg.default
+    return arg
+
+
+def _render(arg: Any) -> str:
+    if type(arg) is tuple:
+        return _ref_expr(arg)
+    if isinstance(arg, list):
+        return f"[{', '.join(_render(a) for a in arg)}]"
+    if isinstance(arg, _Var):
+        return f"v{arg.index}"
+    if isinstance(arg, _Algorithm):
+        return "algorithm"  # the script body's parameter
+    if isinstance(arg, type):
+        return f"np.{np.dtype(arg).name}"
+    if isinstance(arg, (np.ndarray, np.generic)):
+        return _np_literal(arg)
+    return repr(arg)
+
 
 def _np_literal(arr: Optional[np.ndarray]) -> str:
     arr = np.asarray(arr)
@@ -362,108 +373,30 @@ def _ref_expr(ref: Ref) -> str:
     return f"t{src}[{out}]"
 
 
-def _emit_instr(index: int, ins: Instr) -> list[str]:
-    """Lines creating ``t<index>`` (always a *list* of output tensors)."""
-    args = [_ref_expr(ref) for ref in ins.inputs]
-    op_type = ins.op_type
-    if op_type == "Const":
-        expr = f"tf.constant({_np_literal(ins.value)})"
-    elif op_type == "Placeholder":
-        # Bound by the script preamble / traced-function signature.
-        return [f"t{index} = [ph_{index}]"]
-    elif op_type == "Fill":
-        expr = (f"tf.fill({list(ins.attrs['shape'])!r}, "
-                f"{ins.attrs['value']!r}, "
-                f"dtype=np.{ins.out_dtypes[0]})")
-    elif op_type == "VariableV2":
-        expr = f"tf.Variable({args[0]}, name='fuzz_var_{index}')"
-        return _wrap_scopes(ins, [f"v{index} = {expr}"])
-    elif op_type in ("Assign", "AssignAdd", "AssignSub"):
-        builder = {"Assign": "tf.assign", "AssignAdd": "tf.assign_add",
-                   "AssignSub": "tf.assign_sub"}[op_type]
-        expr = f"{builder}(v{ins.attrs['var']}, {args[0]})"
-    elif op_type == "Cast":
-        expr = f"tf.cast({args[0]}, np.{ins.attrs['dst_dtype']})"
-    elif op_type == "Reshape":
-        expr = f"tf.reshape({args[0]}, {list(ins.attrs['shape'])!r})"
-    elif op_type == "Transpose":
-        expr = f"tf.transpose({args[0]}, perm={list(ins.attrs['perm'])!r})"
-    elif op_type == "Concat":
-        expr = f"tf.concat([{', '.join(args)}], axis={ins.attrs['axis']!r})"
-    elif op_type == "Split":
-        expr = (f"tf.split({args[0]}, {ins.attrs['num_splits']!r}, "
-                f"axis={ins.attrs['axis']!r})")
-        return _wrap_scopes(ins, [f"t{index} = {expr}"])
-    elif op_type == "Stack":
-        expr = f"tf.stack([{', '.join(args)}], axis={ins.attrs['axis']!r})"
-    elif op_type == "Squeeze":
-        expr = f"tf.squeeze({args[0]}, axis={ins.attrs['axis']!r})"
-    elif op_type == "ExpandDims":
-        expr = f"tf.expand_dims({args[0]}, axis={ins.attrs['axis']!r})"
-    elif op_type == "Slice":
-        expr = (f"tf.slice_({args[0]}, {list(ins.attrs['begin'])!r}, "
-                f"{list(ins.attrs['size'])!r})")
-    elif op_type in ("Sum", "Mean", "Max"):
-        builder = {"Sum": "tf.reduce_sum", "Mean": "tf.reduce_mean",
-                   "Max": "tf.reduce_max"}[op_type]
-        expr = (f"{builder}({args[0]}, axis={ins.attrs.get('axis')!r}, "
-                f"keepdims={ins.attrs.get('keepdims', False)!r})")
-    elif op_type == "MatMul":
-        expr = (f"tf.matmul({args[0]}, {args[1]}, "
-                f"transpose_a={ins.attrs.get('transpose_a', False)!r}, "
-                f"transpose_b={ins.attrs.get('transpose_b', False)!r})")
-    elif op_type == "AddN":
-        expr = f"tf.add_n([{', '.join(args)}])"
-    elif op_type.startswith("Collective"):
-        builder = {
-            "CollectiveAllReduce": "tf.all_reduce",
-            "CollectiveReduceScatter": "tf.reduce_scatter",
-            "CollectiveAllGather": "tf.all_gather",
-            "CollectiveBroadcast": "tf.broadcast",
-        }[op_type]
-        devices = list(ins.attrs["devices"])
-        alg = ("algorithm" if op_type == "CollectiveAllReduce"
-               else f"{ins.attrs.get('algorithm', 'ring')!r}")
-        if op_type == "CollectiveBroadcast":
-            expr = (f"{builder}({args[0]}, devices={devices!r}, "
-                    f"algorithm={alg})")
-        else:
-            expr = (f"{builder}([{', '.join(args)}], devices={devices!r}, "
-                    f"algorithm={alg})")
-        return _wrap_scopes(ins, [f"t{index} = {expr}"])
-    elif op_type == "Gradients":
-        loss, xs = args[0], args[1:]
-        expr = f"tf.gradients({loss}, [{', '.join(xs)}])"
-        return _wrap_scopes(ins, [f"t{index} = {expr}"])
-    else:
-        expr = f"tf.{op_def(op_type).builder}({', '.join(args)})"
-    return _wrap_scopes(ins, [f"t{index} = [{expr}]"])
-
-
-def _wrap_scopes(ins: Instr, lines: list[str]) -> list[str]:
+def _wrap_scopes(ins: Instr, line: str) -> list[str]:
+    lines = [line]
     if ins.control:
-        deps = ", ".join(
-            f"v{c.split(':', 1)[1]}.initializer" if c.startswith("init:")
-            else f"t{c.split(':', 1)[1]}[0].op"
-            for c in ins.control
-        )
-        lines = [f"with g.control_dependencies([{deps}]):"] + [
-            "    " + line for line in lines
-        ]
+        deps = ", ".join(f"v{c[5:]}.initializer" if c.startswith("init:")
+                         else f"t{c[3:]}[0].op" for c in ins.control)
+        lines = [f"with g.control_dependencies([{deps}]):",
+                 *("    " + ln for ln in lines)]
     if ins.device:
-        lines = [f"with g.device({ins.device!r}):"] + [
-            "    " + line for line in lines
-        ]
+        lines = [f"with g.device({ins.device!r}):",
+                 *("    " + ln for ln in lines)]
     return lines
 
 
-_SCRIPT_TEMPLATE = '''{header}
+_SCRIPT_TEMPLATE = '''\
+"""Shrunk differential-fuzz repro (seed={seed}, cell={label}).
+
+Auto-generated by python -m repro.fuzz. Asserts that the cell agrees with the
+baseline as the fuzz harness judges it; raises AssertionError while the defect
+reproduces.
+{note}"""
 
 import numpy as np
 
 import repro as tf
-from repro.fuzz.harness import Cell, run_cell
-from repro.fuzz.generator import Program
 
 
 def body(*placeholders, algorithm="ring"):
@@ -481,51 +414,12 @@ FEEDS = [
 GPUS = {gpus}
 
 if __name__ == "__main__":
-    from repro.fuzz.harness import run_script_body
+    from repro.fuzz.harness import Cell, _script_divergences
 
-    run_script_body(body, FEEDS, GPUS,
-                    Cell({cell_kwargs}))
-    print("OK: {label} matches the baseline bytes")
+    found = _script_divergences(body, FEEDS, GPUS, {cell})
+    assert not found, "\\n".join(d.describe() for d in found)
+    print("OK: {label} agrees with the baseline")
 '''
-
-
-# The template is substituted chunk-by-chunk rather than with .format():
-# emitted bodies contain literal braces (dict attrs, list reprs) that
-# .format would misparse.
-def _render_script(program: Program, cell: Any, note: str) -> str:
-    from repro.fuzz.harness import Cell  # local: avoid import cycle
-
-    cell = cell if cell is not None else Cell(frontend="session")
-    ph_indices = program.placeholder_indices
-    feed_lines = ",\n    ".join(
-        _np_literal(program.instrs[i].value) for i in ph_indices
-    )
-    header = (
-        f'"""Shrunk differential-fuzz repro (seed={program.seed}, '
-        f'cell={cell.label()}).\n\n'
-        f"Auto-generated by python -m repro.fuzz. Asserts that the cell "
-        f"produces the\nbaseline's bytes; raises AssertionError while "
-        f"the defect reproduces.\n"
-        f"{note}\"\"\""
-    )
-    fetch_exprs = ", ".join(_ref_expr(ref) for ref in program.fetches)
-    bind_lines = "\n".join(
-        f"    ph_{idx} = _phs[{pos}]" for pos, idx in enumerate(ph_indices)
-    ) or "    del _phs"
-    pieces = {
-        "header": header,
-        "ph_bind": bind_lines,
-        "body": program.body_source(indent="    "),
-        "fetch_exprs": fetch_exprs,
-        "feed_values": feed_lines,
-        "gpus": str(program.gpus),
-        "cell_kwargs": cell.script_kwargs(),
-        "label": cell.label(),
-    }
-    script = _SCRIPT_TEMPLATE
-    for key, chunk in pieces.items():
-        script = script.replace("{%s}" % key, chunk)
-    return script
 
 
 # ---------------------------------------------------------------------------
@@ -619,19 +513,12 @@ class _GenState:
     def random_array(self, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
         if dtype == "int32":
             return np.asarray(
-                self.rng.choices(range(-4, 5), k=_size(shape)),
+                self.rng.choices(range(-4, 5), k=math.prod(shape)),
                 dtype=np.int32,
             ).reshape(shape)
         values = [round(self.rng.uniform(-2.0, 2.0), 3)
-                  for _ in range(_size(shape))]
+                  for _ in range(math.prod(shape))]
         return np.asarray(values, dtype=_NP_DTYPES[dtype]).reshape(shape)
-
-
-def _size(shape: tuple[int, ...]) -> int:
-    n = 1
-    for d in shape:
-        n *= d
-    return n
 
 
 def generate(seed: int, options: Optional[GeneratorOptions] = None
@@ -640,7 +527,6 @@ def generate(seed: int, options: Optional[GeneratorOptions] = None
     options = options or GeneratorOptions()
     rng = random.Random(seed)
     state = _GenState(rng, options)
-    entries = catalog()
     if options.collectives and rng.random() < 0.6:
         state.world = rng.randint(2, max(2, min(8, options.max_world)))
 
@@ -652,34 +538,16 @@ def generate(seed: int, options: Optional[GeneratorOptions] = None
             dtype = rng.choice(("float32", "float64"))
             shape = rng.choice(_SHAPES)
             meta = _RefMeta(dtype=dtype, shape=shape, needs_feed=True,
-                            diff_ok=True)
-            index = state.add(
-                Instr(op_type="Placeholder",
-                      value=state.random_array(dtype, shape)),
-                [meta],
-            )
-            state.meta[(index, 0)] = replace(
-                state.meta[(index, 0)], ph_ancestry=frozenset({index})
-            )
+                            ph_ancestry=frozenset({len(state.instrs)}))
+            state.add(Instr(op_type="Placeholder",
+                            value=state.random_array(dtype, shape)), [meta])
 
     budget = rng.randint(max(2, options.max_ops // 2), options.max_ops)
-    drawable = [e for t, e in sorted(entries.items())
-                if t not in ("Placeholder",)]
+    drawable = [e for _, e in sorted(catalog().items())]
     for _ in range(budget):
         for _attempt in range(6):
             entry = rng.choice(drawable)
-            if entry.op_type in COLLECTIVE_OP_TYPES and (
-                not options.collectives or state.world < 2
-            ):
-                continue
-            if entry.op_type in ("VariableV2", "Assign", "AssignAdd",
-                                 "AssignSub"):
-                if not options.variables:
-                    continue
-                if _sample_variable_chain(state):
-                    break
-                continue
-            if _SAMPLERS[entry.shape_rule](state, entry):
+            if _FAMILIES[entry.shape_rule].sample(state, entry):
                 break
 
     if options.gradients:
@@ -884,7 +752,7 @@ def _sample_reshape(state: _GenState, entry: OpDef) -> bool:
     if ref is None:
         return False
     meta = state.meta[ref]
-    n = _size(meta.shape)
+    n = math.prod(meta.shape)
     options: list[tuple[int, ...]] = [(n,), tuple(reversed(meta.shape))]
     for d in (2, 3, 4):
         if n % d == 0:
@@ -935,7 +803,7 @@ def _sample_concat(state: _GenState, entry: OpDef) -> bool:
         return False
     dims = list(shape)
     dims[axis] = shape[axis] * len(refs)
-    if _size(tuple(dims)) > _MAX_ELEMENTS:
+    if math.prod(tuple(dims)) > _MAX_ELEMENTS:
         return False
     out = state.combined(refs, entry, dtype, tuple(dims))
     state.add(
@@ -990,7 +858,7 @@ def _sample_stack(state: _GenState, entry: OpDef) -> bool:
     axis = rng.randrange(len(shape) + 1)
     dims = list(shape)
     dims.insert(axis, len(refs))
-    if _size(tuple(dims)) > _MAX_ELEMENTS:
+    if math.prod(tuple(dims)) > _MAX_ELEMENTS:
         return False
     out = state.combined(refs, entry, dtype, tuple(dims))
     state.add(
@@ -1061,7 +929,7 @@ def _sample_slice(state: _GenState, entry: OpDef) -> bool:
 def _sample_collective(state: _GenState, entry: OpDef) -> bool:
     rng = state.rng
     world = state.world
-    if world < 2:
+    if world < 2:  # also with collectives off: no world was drawn
         return False
     devices = tuple(f"/device:gpu:{i}" for i in range(world))
     dtype = rng.choice(entry.dtypes)
@@ -1102,21 +970,23 @@ def _sample_collective(state: _GenState, entry: OpDef) -> bool:
         out_shape = (shape[0] // world,) + shape[1:]
     else:  # CollectiveAllGather
         out_shape = (shape[0] * world,) + shape[1:]
-    if _size(out_shape) * world > _MAX_ELEMENTS:
+    if math.prod(out_shape) * world > _MAX_ELEMENTS:
         return False
     metas = [state.combined(refs, entry, dtype, out_shape)
              for _ in range(world)]
-    alg = "ring"
     state.add(
         Instr(op_type=op_type, inputs=tuple(refs),
-              attrs={"devices": devices, "algorithm": alg}),
+              attrs={"devices": devices, "algorithm": "ring"}),
         metas,
     )
     return True
 
 
-def _sample_variable_chain(state: _GenState) -> bool:
-    """Variable + ordered update chain, read through the update outputs."""
+def _sample_variable_chain(state: _GenState, entry: OpDef) -> bool:
+    """Variable + ordered update chain, read through the update outputs
+    (whichever of the family's ops was drawn)."""
+    if not state.options.variables:
+        return False
     rng = state.rng
     dtype = rng.choice(("float32", "float64", "int32"))
     init = state.pick(dtype=dtype,
@@ -1124,11 +994,7 @@ def _sample_variable_chain(state: _GenState) -> bool:
     if init is None:
         return False
     shape = state.meta[init].shape
-    var_index = state.add(
-        Instr(op_type="VariableV2", inputs=(init,),
-              attrs={}),
-        [],
-    )
+    var_index = state.add(Instr(op_type="VariableV2", inputs=(init,)), [])
     prev = f"init:{var_index}"
     # Running meta of the variable's *state*: an update output reflects
     # every write so far, not just its own delta. Found by the fuzzer
@@ -1181,9 +1047,8 @@ def _sample_gradient_tail(state: _GenState) -> bool:
         return False
     loss_ref = rng.choice(candidates)
     meta = state.meta[loss_ref]
-    entries = catalog()
     if meta.shape:
-        out = state.combined([loss_ref], entries["Sum"], meta.dtype, ())
+        out = state.combined([loss_ref], op_def("Sum"), meta.dtype, ())
         sum_index = state.add(
             Instr(op_type="Sum", inputs=(loss_ref,),
                   attrs={"axis": None, "keepdims": False}),
@@ -1235,22 +1100,76 @@ def _choose_fetches(state: _GenState) -> list[Ref]:
     return fetches
 
 
-_SAMPLERS: dict[str, Callable[[_GenState, OpDef], bool]] = {
-    "source": _sample_source,
-    "unary_same": _sample_unary,
-    "elementwise_broadcast": _sample_binary,
-    "same_shape_n": _sample_same_shape_n,
-    "matmul": _sample_matmul,
-    "dot": _sample_dot,
-    "reduce": _sample_reduce,
-    "cast": _sample_cast,
-    "reshape": _sample_reshape,
-    "transpose": _sample_transpose,
-    "concat": _sample_concat,
-    "split": _sample_split,
-    "stack": _sample_stack,
-    "squeeze": _sample_squeeze,
-    "expand_dims": _sample_expand_dims,
-    "slice": _sample_slice,
-    "collective": _sample_collective,
+# -- operator records --------------------------------------------------------
+# One record per shape-rule family: ``sample`` draws the family's
+# instructions, ``call`` states one as its builder's arguments. A new
+# drawable family is one more entry in _FAMILIES.
+
+class _Family(NamedTuple):
+    sample: Callable[[_GenState, OpDef], bool]
+    call: Callable[[int, Instr], _Call]
+
+
+def _attr(ins: Instr, name: str) -> Any:
+    value = ins.attrs.get(name)  # a tuple attr is a list literal, not a Ref
+    return list(value) if isinstance(value, tuple) else value
+
+
+def _calls(listed: bool = False, args: tuple = (), kwargs: tuple = (),
+           binds: str = "tensor") -> Callable[[int, Instr], _Call]:
+    """The call of a builder taking the inputs (each its own argument,
+    or ``listed`` as one list), then the named attrs."""
+    def call(index: int, ins: Instr) -> _Call:
+        refs = list(ins.inputs)
+        return _Call(([refs] if listed else refs)
+                     + [_attr(ins, a) for a in args],
+                     {k: _attr(ins, k) for k in kwargs}, binds)
+    return call
+
+
+def _source_call(index: int, ins: Instr) -> _Call:
+    if ins.op_type == "Fill":
+        return _Call([list(ins.attrs["shape"]), ins.attrs["value"]],
+                     {"dtype": _NP_DTYPES[ins.out_dtypes[0]]})
+    return _Call([ins.value])
+
+
+def _collective_call(index: int, ins: Instr) -> _Call:
+    refs, algorithm = list(ins.inputs), ins.attrs.get("algorithm", "ring")
+    if ins.op_type == "CollectiveAllReduce":  # the harness's algorithm axis
+        algorithm = _Algorithm(algorithm)
+    return _Call(refs if ins.op_type == "CollectiveBroadcast" else [refs],
+                 {"devices": list(ins.attrs["devices"]),
+                  "algorithm": algorithm}, "list")
+
+
+def _variable_call(index: int, ins: Instr) -> _Call:
+    if ins.op_type == "VariableV2":
+        return _Call(list(ins.inputs), {"name": f"fuzz_var_{index}"},
+                     "variable")
+    return _Call([_Var(ins.attrs["var"]), *ins.inputs])
+
+
+_FAMILIES: dict[str, _Family] = {
+    "source": _Family(_sample_source, _source_call),
+    "unary_same": _Family(_sample_unary, _calls()),
+    "elementwise_broadcast": _Family(_sample_binary, _calls()),
+    "dot": _Family(_sample_dot, _calls()),
+    "same_shape_n": _Family(_sample_same_shape_n, _calls(listed=True)),
+    "matmul": _Family(_sample_matmul,
+                      _calls(kwargs=("transpose_a", "transpose_b"))),
+    "reduce": _Family(_sample_reduce, _calls(kwargs=("axis", "keepdims"))),
+    "cast": _Family(_sample_cast, lambda index, ins: _Call(
+        [*ins.inputs, _NP_DTYPES[ins.attrs["dst_dtype"]]])),
+    "reshape": _Family(_sample_reshape, _calls(args=("shape",))),
+    "transpose": _Family(_sample_transpose, _calls(kwargs=("perm",))),
+    "concat": _Family(_sample_concat, _calls(listed=True, kwargs=("axis",))),
+    "split": _Family(_sample_split, _calls(
+        args=("num_splits",), kwargs=("axis",), binds="list")),
+    "stack": _Family(_sample_stack, _calls(listed=True, kwargs=("axis",))),
+    "squeeze": _Family(_sample_squeeze, _calls(kwargs=("axis",))),
+    "expand_dims": _Family(_sample_expand_dims, _calls(kwargs=("axis",))),
+    "slice": _Family(_sample_slice, _calls(args=("begin", "size"))),
+    "collective": _Family(_sample_collective, _collective_call),
+    "variable_update": _Family(_sample_variable_chain, _variable_call),
 }

@@ -26,12 +26,16 @@ interpreter has no clock at all.
 Independently of the baseline, every fetched value's dtype and shape must
 be compatible with the static spec its op's shape function produced when
 the graph was built (NumPy, through the kernels, is the reference).
+
+A cell runner takes a *build step* — :meth:`Program.materialize`, or a
+repro script's ``body`` — so the script a shrunk divergence ships as is
+judged by the same code that found it (:func:`has_divergence`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -40,7 +44,7 @@ from repro.core.kernels.registry import KernelContext, ResourceManager
 from repro.core.tensor import Tensor, TensorShape
 from repro.errors import ReproError, VerificationError
 from repro.eager import evaluate
-from repro.fuzz.generator import Program
+from repro.fuzz.generator import Built, Program
 
 __all__ = [
     "BASELINE",
@@ -51,7 +55,6 @@ __all__ = [
     "matrix_cells",
     "run_cell",
     "run_program",
-    "run_script_body",
 ]
 
 # Slack on "optimized is no slower than unoptimized" only (seed 403 at
@@ -83,18 +86,6 @@ class Cell:
         if self.verify:
             parts.append("verify")
         return "/".join(parts)
-
-    def script_kwargs(self) -> str:
-        """Constructor kwargs as source text (repro-script codegen)."""
-        fields = [f"frontend={self.frontend!r}"]
-        if self.frontend != "eager":
-            fields += [
-                f"fast_path={self.fast_path!r}",
-                f"optimize={self.optimize!r}",
-                f"algorithm={self.algorithm!r}",
-                f"verify={self.verify!r}",
-            ]
-        return ", ".join(fields)
 
     @property
     def timeable(self) -> bool:
@@ -230,29 +221,44 @@ def _session_config(gpus: int, cell: Cell) -> "repro.SessionConfig":
     )
 
 
+class _Subject(NamedTuple):
+    """What a cell run builds, and with what."""
+
+    # Program.materialize's contract: build(algorithm, placeholders=None)
+    build: Callable[..., Built]
+    feeds: list  # one value per placeholder, in program order
+    gpus: int
+
+
+def _subject(program: Program) -> _Subject:
+    feeds = [program.instrs[i].value for i in program.placeholder_indices]
+    return _Subject(program.materialize, feeds, program.gpus)
+
+
 def run_cell(program: Program, cell: Cell) -> CellRun:
     """Execute ``program`` under ``cell``; never raises on graph errors."""
+    return _run(_subject(program), cell)
+
+
+def _run(subject: _Subject, cell: Cell) -> CellRun:
     # Drawn programs legitimately hit sqrt(-x), x/0, exp overflow, ...;
     # the resulting NaN/inf bit patterns are exactly what the matrix
     # compares, so the warnings are noise.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _run_cell_quiet(program, cell)
-
-
-def _run_cell_quiet(program: Program, cell: Cell) -> CellRun:
-    try:
-        if cell.frontend == "eager":
-            return _run_eager(program, cell)
-        if cell.frontend == "session":
-            return _run_session(program, cell)
-        if cell.frontend == "function":
-            return _run_function(program, cell)
-        raise ValueError(f"unknown frontend {cell.frontend!r}")
-    except VerificationError as exc:
-        return CellRun(cell=cell, error=repr(exc), verifier_rejected=True)
-    except (ReproError, ValueError, TypeError, ZeroDivisionError,
-            FloatingPointError, OverflowError, IndexError, KeyError) as exc:
-        return CellRun(cell=cell, error=repr(exc))
+        try:
+            if cell.frontend == "eager":
+                return _run_eager(subject, cell)
+            if cell.frontend == "session":
+                return _run_session(subject, cell)
+            if cell.frontend == "function":
+                return _run_function(subject, cell)
+            raise ValueError(f"unknown frontend {cell.frontend!r}")
+        except VerificationError as exc:
+            return CellRun(cell=cell, error=repr(exc), verifier_rejected=True)
+        except (ReproError, ValueError, TypeError, ZeroDivisionError,
+                FloatingPointError, OverflowError, IndexError,
+                KeyError) as exc:
+            return CellRun(cell=cell, error=repr(exc))
 
 
 def _finished(cell: Cell, fetch_tensors: list[Tensor], values: Any,
@@ -272,52 +278,39 @@ def _finished(cell: Cell, fetch_tensors: list[Tensor], values: Any,
                    spec_errors=spec_errors)
 
 
-def _run_eager(program: Program, cell: Cell) -> CellRun:
-    graph = repro.Graph()
-    with graph.as_default():
-        built = program.materialize()
-        ctx = KernelContext(
-            feeds=dict(built.feeds),
-            resources=ResourceManager("eager"),
-        )
+def _run_eager(subject: _Subject, cell: Cell) -> CellRun:
+    with repro.Graph().as_default():
+        built = subject.build(cell.algorithm)
+        ctx = KernelContext(feeds=dict(built.feeds),
+                            resources=ResourceManager("eager"))
         values = evaluate(built.fetch_tensors, built.feeds, ctx)
     return _finished(cell, built.fetch_tensors, values)
 
 
-def _run_session(program: Program, cell: Cell) -> CellRun:
+def _run_session(subject: _Subject, cell: Cell) -> CellRun:
     graph = repro.Graph()
     with graph.as_default():
-        built = program.materialize(algorithm=cell.algorithm)
-    config = _session_config(program.gpus, cell)
+        built = subject.build(cell.algorithm)
+    config = _session_config(subject.gpus, cell)
     with repro.Session(graph=graph, config=config) as sess:
         values = sess.run(built.fetch_tensors, feed_dict=dict(built.feeds))
         sim_time = float(sess.env.now)
     return _finished(cell, built.fetch_tensors, values, sim_time)
 
 
-def _run_function(program: Program, cell: Cell) -> CellRun:
-    ph_indices = program.placeholder_indices
-    feed_arrays = [program.instrs[i].value for i in ph_indices]
+def _run_function(subject: _Subject, cell: Cell) -> CellRun:
     fetch_tensors: list[Tensor] = []
 
     def traced(*args):
-        by_index = dict(zip(ph_indices, args))
-        built = program.materialize(
-            algorithm=cell.algorithm,
-            placeholder_lookup=lambda index: by_index[index],
-        )
+        built = subject.build(cell.algorithm, args)
         fetch_tensors[:] = built.fetch_tensors
         return built.fetch_tensors
 
-    fn = repro.function(
-        traced,
-        name=f"fuzz_seed_{program.seed}",
-        config=_session_config(program.gpus, cell),
-    )
-    values = fn(*feed_arrays)
-    sim_time = (
-        float(fn.session.env.now) if fn.session is not None else None
-    )
+    # One trace name for every build step, so a repro script's traced
+    # graph is named op for op like the campaign's.
+    fn = repro.function(traced, config=_session_config(subject.gpus, cell))
+    values = fn(*subject.feeds)
+    sim_time = float(fn.session.env.now) if fn.session is not None else None
     return _finished(cell, fetch_tensors, values, sim_time)
 
 
@@ -386,39 +379,27 @@ def compare_runs(reference: CellRun, run: CellRun) -> list[Divergence]:
     return _compare_values(reference, run) + _spec_divergences(run)
 
 
-def _time_invariants(runs: dict[str, CellRun]) -> list[Divergence]:
+def _time_invariants(runs: Iterable[CellRun]) -> list[Divergence]:
     diffs: list[Divergence] = []
     timed = {
-        run.cell: run for run in runs.values()
+        run.cell: run for run in runs
         if run.ok and run.cell.timeable and run.sim_time is not None
     }
     for cell, run in timed.items():
-        if cell.fast_path:
-            continue
-        twin = timed.get(replace(cell, fast_path=True))
-        if twin is None:
-            continue
-        if run.sim_time != twin.sim_time:
-            diffs.append(Divergence(
-                kind="sim_time", cell=twin.cell,
-                detail=(
-                    f"fast-path t={twin.sim_time!r} != legacy "
-                    f"t={run.sim_time!r} for the same plan"
-                ),
-            ))
-    for cell, run in timed.items():
-        if not cell.optimize:
-            continue
-        unopt = timed.get(replace(cell, optimize=False))
-        if unopt is None:
-            continue
-        if run.sim_time > unopt.sim_time + _SIM_SLACK:
+        legacy = timed.get(replace(cell, fast_path=False))
+        if cell.fast_path and legacy and run.sim_time != legacy.sim_time:
             diffs.append(Divergence(
                 kind="sim_time", cell=cell,
-                detail=(
-                    f"optimized t={run.sim_time!r} slower than "
-                    f"unoptimized t={unopt.sim_time!r}"
-                ),
+                detail=(f"fast-path t={run.sim_time!r} != legacy "
+                        f"t={legacy.sim_time!r} for the same plan"),
+            ))
+        unopt = timed.get(replace(cell, optimize=False))
+        if (cell.optimize and unopt
+                and run.sim_time > unopt.sim_time + _SIM_SLACK):
+            diffs.append(Divergence(
+                kind="sim_time", cell=cell,
+                detail=(f"optimized t={run.sim_time!r} slower than "
+                        f"unoptimized t={unopt.sim_time!r}"),
             ))
     return diffs
 
@@ -431,107 +412,79 @@ def run_program(program: Program,
                 cells: Optional[list[Cell]] = None) -> ProgramReport:
     """Run the full matrix over one program and collect divergences."""
     report = ProgramReport(program=program)
-    baseline = run_cell(program, BASELINE)
+    subject = _subject(program)
+    baseline = _run(subject, BASELINE)
     report.runs[BASELINE.label() + " [baseline]"] = baseline
     if baseline.error is not None:
         # The generator only emits programs it believes are valid, so a
         # baseline failure is itself a finding (generator or runtime).
-        report.divergences.append(Divergence(
-            kind="error", cell=BASELINE,
-            detail=f"baseline failed: {baseline.error}",
-        ))
+        report.divergences.append(_baseline_failed(baseline))
         return report
     report.divergences.extend(_spec_divergences(baseline))
     for cell in (cells if cells is not None else matrix_cells(program)):
-        run = run_cell(program, cell)
+        run = _run(subject, cell)
         report.runs[cell.label()] = run
         report.divergences.extend(compare_runs(baseline, run))
-    report.divergences.extend(_time_invariants(report.runs))
+    report.divergences.extend(_time_invariants(report.runs.values()))
     return report
 
 
+def _baseline_failed(baseline: CellRun) -> Divergence:
+    return Divergence(kind="error", cell=BASELINE,
+                      detail=f"baseline failed: {baseline.error}")
+
+
+def _judge(subject: _Subject, cell: Cell
+           ) -> tuple[CellRun, list[Divergence]]:
+    """The baseline run, and ``cell``'s divergences by the campaign's
+    checks: bytes and static specs against the baseline, simulated time
+    against its timing twins — the other executor lane and the other
+    optimizer setting."""
+    baseline = _run(subject, BASELINE)
+    if baseline.error is not None:
+        return baseline, [_baseline_failed(baseline)]
+
+    def run_of(target: Cell) -> CellRun:
+        return baseline if target == BASELINE else _run(subject, target)
+
+    run = run_of(cell)
+    found = compare_runs(baseline, run)
+    if cell.timeable:
+        for twin in (replace(cell, fast_path=not cell.fast_path),
+                     replace(cell, optimize=not cell.optimize)):
+            found += _time_invariants([run, run_of(twin)])
+    return baseline, found
+
+
 def has_divergence(program: Program, cell: Cell) -> bool:
-    """Does ``cell`` still disagree with the baseline on ``program``?
+    """Does ``cell`` still disagree with the baseline on ``program``,
+    by bytes, static specs or simulated time?
 
     The shrinker's oracle: candidates whose *baseline* breaks are
     invalid reductions (they changed the program, not just shrank the
     failure) and count as non-reproducing.
     """
-    baseline = run_cell(program, BASELINE)
-    if baseline.error is not None:
-        return False
-    run = run_cell(program, cell)
-    return bool(compare_runs(baseline, run))
+    baseline, found = _judge(_subject(program), cell)
+    return baseline.ok and bool(found)
 
 
-def run_script_body(body, feeds, gpus, cell: Cell) -> None:
-    """Entry point for emitted repro scripts (see Program.to_python).
-
-    ``body(*placeholder_tensors, algorithm=...)`` rebuilds the graph in
-    the current default graph and returns the fetch tensors. Runs the
-    baseline and the diverging cell, asserting byte identity.
-    """
-    def run_one(target_cell: Cell) -> list:
-        algorithm = target_cell.algorithm or "ring"
-        if target_cell.frontend == "eager":
-            graph = repro.Graph()
-            with graph.as_default():
-                phs = [
-                    repro.placeholder(
-                        value.dtype, shape=list(value.shape),
-                        name=f"script_ph_{pos}",
-                    )
-                    for pos, value in enumerate(feeds)
-                ]
-                fetches = body(*phs, algorithm=algorithm)
-                feed_map = {
-                    ph.name: value for ph, value in zip(phs, feeds)
-                }
-                ctx = KernelContext(
-                    feeds=dict(feed_map),
-                    resources=ResourceManager("eager"),
-                )
-                return [np.asarray(v)
-                        for v in evaluate(fetches, feed_map, ctx)]
-        if target_cell.frontend == "function":
-            fn = repro.function(
-                lambda *args: body(*args, algorithm=algorithm),
-                config=_session_config(gpus, target_cell),
-            )
-            values = fn(*feeds)
-            return [np.asarray(v)
-                    for v in (values if isinstance(values, list)
-                              else [values])]
-        graph = repro.Graph()
-        with graph.as_default():
-            phs = [
-                repro.placeholder(
-                    value.dtype, shape=list(value.shape),
-                    name=f"script_ph_{pos}",
-                )
-                for pos, value in enumerate(feeds)
+def _script_divergences(body: Callable, feeds: list, gpus: int,
+                        cell: Cell) -> list[Divergence]:
+    """A repro script's verdict (:meth:`Program.to_python`): its
+    ``body(*placeholders, algorithm=...)`` judged as :func:`has_divergence`
+    judged the program, a failing baseline included."""
+    def build(algorithm: Optional[str] = None,
+              placeholders: Optional[list] = None) -> Built:
+        built = Built()
+        if placeholders is None:
+            placeholders = [
+                repro.placeholder(v.dtype, shape=list(v.shape),
+                                  name=f"script_ph_{pos}")
+                for pos, v in enumerate(feeds)
             ]
-            fetches = body(*phs, algorithm=algorithm)
-        config = _session_config(gpus, target_cell)
-        with repro.Session(graph=graph, config=config) as sess:
-            values = sess.run(
-                fetches, feed_dict=dict(zip(phs, feeds))
-            )
-        return [np.asarray(v)
-                for v in (values if isinstance(values, list) else [values])]
+            built.feeds = {ph.name: v for ph, v in zip(placeholders, feeds)}
+        built.fetch_tensors = body(*placeholders,
+                                   algorithm=algorithm or "ring")
+        return built
 
-    want = run_one(BASELINE)
-    got = run_one(cell)
-    assert len(want) == len(got), (
-        f"fetch count: baseline {len(want)} != cell {len(got)}"
-    )
-    for index, (w, g) in enumerate(zip(want, got)):
-        assert w.dtype == g.dtype, (
-            f"fetch[{index}] dtype: baseline {w.dtype} != {g.dtype}"
-        )
-        assert w.shape == g.shape, (
-            f"fetch[{index}] shape: baseline {w.shape} != {g.shape}"
-        )
-        assert w.tobytes() == g.tobytes(), (
-            f"fetch[{index}] bytes differ:\nbaseline={w!r}\ncell={g!r}"
-        )
+    return _judge(_Subject(build, feeds, gpus), cell)[1]

@@ -26,8 +26,9 @@ fails are rejected outright — a reduction must shrink the failure, not
 replace it with a different one.
 
 The result ships as a self-contained script via
-:meth:`Program.to_python`, which asserts byte identity: it fails while
-the defect lives and passes once fixed, so shrunk repros double as
+:meth:`Program.to_python`, which asks the harness for this oracle's
+verdict (bytes, static specs, simulated time): it fails while the
+defect lives and passes once fixed, so shrunk repros double as
 regression tests (the ``corpus/`` directory CI replays).
 """
 

@@ -26,7 +26,7 @@ from repro.core.kernels.registry import (
 from repro.core.tensor import TensorShape
 from repro.errors import UnimplementedError
 from repro.fuzz.catalog import EXCLUDED_OPS, catalog
-from repro.fuzz.generator import _SAMPLERS
+from repro.fuzz.generator import _FAMILIES
 
 SEED = 11
 
@@ -191,8 +191,7 @@ def test_op_registration(op_type):
         lo, hi = definition.arity
         assert 0 <= lo <= hi
         assert definition.dtypes
-        assert (definition.shape_rule in _SAMPLERS
-                or definition.shape_rule == "variable_update")
+        assert definition.shape_rule in _FAMILIES
     if definition.inline:
         assert not definition.graph_only
         assert not inspect.isgeneratorfunction(definition.kernel)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.core.session as session_module
 from repro.core.kernels.registry import get_kernel, override_kernel
 from repro.fuzz.generator import Instr, Program, generate
 from repro.fuzz.harness import Cell, has_divergence, run_program
@@ -111,19 +112,100 @@ def test_shrinker_on_generated_program():
         assert has_divergence(result.program, target)
 
 
+def _exec_script(script: str, tmp_path) -> None:
+    """Run an emitted repro script as ``__main__``."""
+    path = tmp_path / "repro.py"
+    path.write_text(script, encoding="utf-8")
+    namespace = {"__name__": "__main__", "__file__": str(path)}
+    exec(compile(script, str(path), "exec"), namespace)
+
+
 def test_shrunk_repro_script_fails_buggy_and_passes_fixed(tmp_path):
     program = _padded_mul_program()
     with override_kernel("Mul", _buggy_eager_mul(get_kernel("Mul"))):
         result = shrink(program, EAGER)
         script = result.program.to_python(cell=EAGER)
-        path = tmp_path / "seed_424242_eager.py"
-        path.write_text(script, encoding="utf-8")
-        namespace = {"__name__": "__main__", "__file__": str(path)}
         with pytest.raises(AssertionError):
-            exec(compile(script, str(path), "exec"), dict(namespace))
+            _exec_script(script, tmp_path)
     # Defect fixed (kernel restored): the same script now passes — the
     # property that lets corpus/ scripts double as regression tests.
-    exec(compile(script, str(path), "exec"), dict(namespace))
+    _exec_script(script, tmp_path)
+
+
+def _skewed_fast_lane(launch_plan):
+    """The dispatcher's runs end 1 us late: a defect only the simulated
+    clock shows (every fetched byte is right)."""
+
+    def launch(state):
+        done = launch_plan(state)
+        if done is None or not state.fast_path:
+            return done
+
+        def late():
+            yield done
+            yield state.env.timeout(1e-6)
+
+        return state.env.process(late())
+
+    return launch
+
+
+def test_sim_time_divergence_shrinks_and_its_script_fails(
+        tmp_path, monkeypatch, capsys):
+    # Once the shrinker judged bytes only: a sim-time divergence did not
+    # "reproduce", the program stayed whole and its script printed OK.
+    program = generate(3)
+    monkeypatch.setattr(session_module, "launch_plan",
+                        _skewed_fast_lane(session_module.launch_plan))
+    report = run_program(program)
+    assert {d.kind for d in report.divergences} == {"sim_time"}
+    target = report.divergences[0].cell
+    assert target.label() == "session/fast/noopt"
+    result = shrink(program, target)
+    assert result.ops < result.original_ops
+    script = result.program.to_python(cell=target)
+    with pytest.raises(AssertionError, match=r"\[sim_time\]"):
+        _exec_script(script, tmp_path)
+    monkeypatch.undo()
+    capsys.readouterr()
+    _exec_script(script, tmp_path)
+    assert capsys.readouterr().out.startswith("OK")
+
+
+def test_static_spec_divergence_shrinks_and_its_script_fails(
+        tmp_path, capsys):
+    # A Mul that widens its output to float64 in *every* cell: bytes
+    # agree everywhere, only the static spec check sees it. Once the
+    # script compared bytes only and printed OK while the defect lived.
+    drawn = next(
+        p for p in map(generate, range(200))
+        if any(p.instrs[i].op_type == "Mul" for i in p.live_set())
+    )
+    program = Program(
+        instrs=drawn.instrs, world=drawn.world, seed=drawn.seed,
+        fetches=[(i, 0) for i, ins in enumerate(drawn.instrs)
+                 if ins.op_type == "Mul" and ins.out_dtypes[0] != "float64"],
+    )
+    original = get_kernel("Mul")
+
+    def widened(op, inputs, ctx):
+        outputs, cost = original(op, inputs, ctx)
+        if not ctx.symbolic:
+            outputs = [np.asarray(outputs[0], dtype=np.float64)]
+        return outputs, cost
+
+    with override_kernel("Mul", widened):
+        report = run_program(program)
+        assert {d.kind for d in report.divergences} == {"static_spec"}
+        target = report.divergences[0].cell
+        result = shrink(program, target)
+        assert result.ops < result.original_ops
+        script = result.program.to_python(cell=target)
+        with pytest.raises(AssertionError, match=r"\[static_spec\]"):
+            _exec_script(script, tmp_path)
+    capsys.readouterr()
+    _exec_script(script, tmp_path)
+    assert capsys.readouterr().out.startswith("OK")
 
 
 def _seed_638_shape() -> Program:
