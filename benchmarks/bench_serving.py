@@ -9,9 +9,9 @@ knobs that shape a serving deployment —
   is the unbatched baseline every other arm is judged against;
 * **offered load** — concurrent closed-loop clients.
 
-Every point lands in ``benchmarks/results/BENCH_serving.json`` via
-``record_bench`` (requests/sec, p50/p99 latency, mean batch
-occupancy) so the serving trajectory is tracked across PRs. The headline
+Every point lands in ``benchmarks/results/BENCH_serving.json``
+(requests/sec, p50/p99 latency, mean batch occupancy). These are host
+milliseconds, so nothing compares them across commits yet. The headline
 assertion is the subsystem's reason to exist: at the heaviest load,
 micro-batched throughput must beat the unbatched baseline, because one
 coalesced ``Session.run`` amortizes per-run overhead (admission RPC,
@@ -23,6 +23,8 @@ one-worker twin in every cell and was removed with the knob. Entry names
 keep the ``_w1_`` infix so the committed trajectory stays comparable.
 """
 
+import json
+import os
 
 from repro.apps.serving import build_mlp_server, run_serving_load
 from repro.perf.reporting import format_table
@@ -32,6 +34,20 @@ BATCH_SIZES = (1, 8, 32)
 # (clients, requests_per_client): equal total work per load so points
 # differ only in concurrency, not volume.
 LOADS = ((4, 30), (16, 15))
+
+
+def _record(results_dir, name, **fields):
+    """Merge one entry into ``BENCH_serving.json``, keeping the others."""
+    path = os.path.join(results_dir, "BENCH_serving.json")
+    try:
+        with open(path, encoding="utf-8") as handle:
+            entries = json.load(handle)
+    except (OSError, ValueError):
+        entries = {}
+    entries[name] = fields
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(entries, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 def _measure(batch, clients, requests):
@@ -46,8 +62,8 @@ def _measure(batch, clients, requests):
         server.stop()
 
 
-def test_throughput_sweep_batching_beats_unbatched(record_table,
-                                                   record_bench):
+def test_throughput_sweep_batching_beats_unbatched(results_dir,
+                                                   record_table):
     rows = []
     fields = {}
     results = {}
@@ -95,10 +111,10 @@ def test_throughput_sweep_batching_beats_unbatched(record_table,
                    "shared plan-cached Session)"),
         ),
     )
-    record_bench("serving", "serving_sweep", **fields)
+    _record(results_dir, "serving_sweep", **fields)
 
 
-def test_admission_backpressure_under_overload(record_bench):
+def test_admission_backpressure_under_overload(results_dir):
     """A shallow queue sheds load instead of queueing without bound."""
     server = build_mlp_server(
         config=ServingConfig(max_batch_size=4, max_queue=4)
@@ -114,8 +130,8 @@ def test_admission_backpressure_under_overload(record_bench):
     assert res.completed + res.rejected == res.offered
     assert res.rejected > 0
     assert res.completed > 0
-    record_bench(
-        "serving", "serving_backpressure",
+    _record(
+        results_dir, "serving_backpressure",
         offered=res.offered,
         completed=res.completed,
         rejected=res.rejected,

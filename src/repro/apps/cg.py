@@ -161,7 +161,7 @@ def run_cg(
             system.
         optimize: force plan-time graph optimization and the executor fast
             path on/off for every session (``None`` keeps the defaults);
-            used by ``benchmarks/bench_optimizer.py`` for A/B comparisons.
+            ``tests/perf/test_sim_headlines.py`` pins both arms.
         fault_plan: a :class:`repro.simnet.faults.FaultPlan` to install
             on the cluster. A worker crash interrupts that worker's sim
             process; the run returns early with ``crashed=True`` instead

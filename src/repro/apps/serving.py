@@ -6,8 +6,7 @@ matmul — row-independent arithmetic, so micro-batched execution is
 byte-identical to unbatched). ``run_serving_load`` drives it closed-loop
 from concurrent client threads — the offered-load knob — and reports
 sustained requests/sec with p50/p99 latency, the numbers
-``benchmarks/bench_serving.py`` sweeps over worker count x batch size x
-load.
+``benchmarks/bench_serving.py`` sweeps over batch size x load.
 """
 
 from __future__ import annotations

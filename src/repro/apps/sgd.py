@@ -20,8 +20,8 @@ update. The gradient exchange — the scalability bottleneck at HPC scale
 Both mechanisms accumulate in rank order starting from zeros, so the
 weight trajectories are **byte-identical**; only the simulated clock
 differs, and the ring wins once the gradient is large enough that the
-chief's NIC serializes ``O(W)`` buffer copies (``benchmarks/
-bench_sgd.py`` quantifies the crossover).
+chief's NIC serializes ``O(W)`` buffer copies (``tests/perf/
+test_sim_headlines.py`` pins the exchange at 2/4/8 workers).
 
 The model is linear regression — ``loss = sum((X_w @ w - y_w)^2)`` per
 shard — which exercises exactly the gradient registry the autodiff

@@ -419,8 +419,8 @@ def _tree_allreduce(devices: Sequence, nbytes_per_rank: Sequence[int],
     (one round) and fan the result back out last (one round). ``O(log W)``
     latency steps instead of the ring's ``2 (W - 1)``, at ``log2(W)`` x
     the wire bytes — the winning trade for scalars and small tensors,
-    losing at bandwidth scale (``benchmarks/bench_collective_algos.py``
-    maps the crossover).
+    losing at bandwidth scale (``tests/perf/test_sim_headlines.py`` pins
+    the crossover).
     """
     world = len(devices)
     env = devices[0].env
