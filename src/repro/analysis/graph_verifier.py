@@ -239,10 +239,10 @@ def _check_device(op: Operation, placer: Optional[Placer],
 
 def _check_specs(op: Operation, report: Report) -> None:
     try:
-        shape_fn = op_def(op.type).shape_fn
-        if shape_fn is None:
+        definition = op_def(op.type)
+        if definition.shape_fn is None:
             return  # the op's recorded specs are the authority
-        inferred = shape_fn(op.inputs, op.attrs)
+        inferred = definition.output_specs(op.inputs, op.attrs)
     except ReproError as exc:
         report.emit(
             "graph/shape-dtype",
@@ -268,11 +268,11 @@ def _check_specs(op: Operation, report: Report) -> None:
                 f"{tensor.dtype.name}; inference derives {dtype.name}",
                 op=op.name,
             )
-        if not tensor.shape.is_compatible_with(shape):
+        if not tensor.shape.is_compatible_with(TensorShape(shape)):
             report.emit(
                 "graph/shape-dtype",
                 f"output {idx} of {op.name!r} records shape {tensor.shape}; "
-                f"inference derives incompatible {shape}",
+                f"inference derives incompatible {TensorShape(shape)}",
                 op=op.name,
             )
 

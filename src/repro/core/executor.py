@@ -43,7 +43,7 @@ import inspect
 from collections import deque
 from typing import Any, Optional
 
-from repro.core.kernels.registry import KernelContext, get_kernel, op_def
+from repro.core.kernels.registry import KernelContext, dispatch, op_def
 from repro.core.metadata import NodeStats, RunMetadata, TransferStats
 from repro.core.partition import FEED, ExecutionPlan, Item, _job_task_of
 from repro.core.tensor import value_nbytes
@@ -703,16 +703,14 @@ class _Dispatcher:
         """
         state = self.state
         op = item.op
-        definition = op_def(op.type)
-        kernel = definition.kernel
         if op.type in _NO_DEVICE_HOLD:
             # Queue ops have generator kernels and fall back inside
             # _run_op_body; other no-hold ops complete inline.
-            return self._run_op_body(item, kernel, None, state.env.now)
+            return self._run_op_body(item, None, state.env.now)
         device = state.device_obj(item.device)
         request = device.resource.try_acquire()
         if request is not None:
-            if definition.inline:
+            if op_def(op.type).inline:
                 # Inline-eligible (``register_kernel(..., inline=True)``):
                 # a plain-function kernel that never yields and always
                 # costs zero simulated seconds. The hold would last zero
@@ -720,28 +718,28 @@ class _Dispatcher:
                 # order is unchanged, no events are scheduled; on a busy
                 # device it queues like any other op.
                 device.resource.release(request)
-                return self._run_op_body(item, kernel, None, state.env.now)
-            return self._run_op_body(item, kernel, request, state.env.now)
-        self._queue_op(item, kernel, device.resource)
+                return self._run_op_body(item, None, state.env.now)
+            return self._run_op_body(item, request, state.env.now)
+        self._queue_op(item, device.resource)
         return False
 
-    def _queue_op(self, item: Item, kernel, resource) -> None:
+    def _queue_op(self, item: Item, resource) -> None:
         """Wait in the device FIFO; run the body once the slot is granted."""
         start = self.env.now
         request = resource.request()
         request.callbacks.append(
             lambda _ev: self._guard(
-                lambda: self._run_op_granted(item, kernel, request, start)
+                lambda: self._run_op_granted(item, request, start)
             )
         )
 
-    def _run_op_granted(self, item: Item, kernel, request, start: float) -> None:
+    def _run_op_granted(self, item: Item, request, start: float) -> None:
         """Continuation once a queued device request is finally granted."""
-        if self._run_op_body(item, kernel, request, start):
+        if self._run_op_body(item, request, start):
             self._item_done(item)
 
-    def _run_op_body(self, item: Item, kernel, request, start: float) -> bool:
-        """Kernel execution once the device slot (if any) is held.
+    def _run_op_body(self, item: Item, request, start: float) -> bool:
+        """The op's dispatch once the device slot (if any) is held.
 
         ``start`` is the dispatch time (before any device-queue wait), so
         traced durations include the wait exactly as the legacy lane
@@ -750,11 +748,9 @@ class _Dispatcher:
         _item_done.
         """
         state = self.state
-        op = item.op
         try:
             inputs = [state.resolve_source(s) for s in item.sources]
-            ctx = state.kernel_ctx(item.device)
-            result = kernel(op, inputs, ctx)
+            result = dispatch(item.op, inputs, state.kernel_ctx(item.device))
             if inspect.isgenerator(result):
                 # Blocking kernel: drive it as a callback chain that
                 # inherits (and eventually releases) the held request.
@@ -1013,7 +1009,6 @@ def _run_op(state: ExecutionState, item: Item):
     op = item.op
     device = state.device_obj(item.device)
     task = state.task_runtime(item.device)
-    kernel = get_kernel(op.type)
     inputs = [state.resolve_source(s) for s in item.sources]
     ctx = state.kernel_ctx(item.device)
     hold_device = op.type not in _NO_DEVICE_HOLD
@@ -1030,7 +1025,7 @@ def _run_op(state: ExecutionState, item: Item):
             if request is None:
                 request = device.resource.request()
                 yield request
-        result = kernel(op, inputs, ctx)
+        result = dispatch(op, inputs, ctx)
         if inspect.isgenerator(result):
             result = yield from result
         outputs, cost = result

@@ -233,12 +233,12 @@ class Graph:
                 )
         attrs = attrs or {}
         if output_specs is None:
-            shape_fn = op_def(op_type).shape_fn
-            if shape_fn is None:
+            definition = op_def(op_type)
+            if definition.shape_fn is None:
                 raise InvalidArgumentError(
                     f"{op_type} has no shape function; pass output_specs"
                 )
-            output_specs = shape_fn(inputs, attrs)
+            output_specs = definition.output_specs(inputs, attrs)
         op_name = self.unique_name(name or op_type)
         if device is None:
             device = self.current_device

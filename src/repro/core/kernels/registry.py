@@ -1,19 +1,28 @@
 """Op registry, cost accounting, and per-task runtime state.
 
 One :class:`OpDef` per op type — kernel, device support, flags, shape
-function, generation contract, gradient — in one table. A *kernel*
-implements one op type. Its signature is::
+function, cost, generation contract, gradient — in one table. The record,
+not the kernel, states what an application of the op produces and what it
+costs:
 
-    kernel(op, inputs, ctx) -> (outputs, Cost)
+* ``shape_fn(specs, attrs)`` derives one ``(dtype, dims)`` pair per output
+  from input *specs* — anything with ``.dtype`` and ``.shape``: the input
+  :class:`~repro.core.tensor.Tensor` s when ``create_op`` builds the op and
+  the verifier re-checks it, :class:`~repro.core.tensor.SymbolicValue` s
+  when it runs;
+* ``cost(in_specs, out_specs, attrs)`` prices one execution as a
+  :class:`Cost`, which the executing device model converts to simulated
+  seconds.
 
-where ``inputs``/``outputs`` are lists of runtime values (ndarrays or
-:class:`~repro.core.tensor.SymbolicValue`). A kernel may instead be a
-*generator* that yields DES events (for blocking ops such as queue dequeue
-or file I/O) and finally returns the same ``(outputs, Cost)`` pair.
+A *kernel* computes values and nothing else. Its signature is::
 
-The :class:`Cost` describes the work done; the executing device model
-converts it to simulated time. Kernels never sleep on their own except by
-yielding events.
+    kernel(op, inputs, ctx) -> outputs
+
+A kernel may instead be a *generator* that yields DES events (for blocking
+ops such as queue dequeue or file I/O) and finally returns its outputs.
+:func:`dispatch` is every kernel's one caller: it runs the shape function,
+calls the kernel only when there are values to compute, and prices the
+op. Kernels never sleep on their own except by yielding events.
 """
 
 from __future__ import annotations
@@ -21,32 +30,49 @@ from __future__ import annotations
 import contextlib
 import inspect
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Optional, Sequence
+from types import GeneratorType
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Generator,
+    Iterator,
+    Mapping,
+    Optional,
+    Sequence,
+)
 
-from repro.errors import NotFoundError, UnimplementedError
+from repro.core.tensor import SymbolicValue, TensorShape, dims_of
+from repro.errors import InvalidArgumentError, NotFoundError, UnimplementedError
 
 if TYPE_CHECKING:
-    from repro.core.tensor import Tensor, TensorShape
     from repro.dtypes import DType
 
 __all__ = [
     "Cost",
+    "CostFn",
     "KernelContext",
     "OpDef",
     "ResourceManager",
     "ShapeFn",
+    "dispatch",
     "register_kernel",
     "op_def",
     "get_kernel",
     "registered_op_types",
     "is_pure",
     "override_kernel",
+    "total_nbytes",
+    "no_cost",
+    "memcpy_cost",
+    "elementwise_cost",
+    "reduction_cost",
 ]
 
-# (dtype, shape) per output, from the op's inputs and static attributes.
+# (dtype, dims) per output, from the inputs' specs and static attributes.
 ShapeFn = Callable[
-    [Sequence["Tensor"], Mapping[str, Any]],
-    "list[tuple[DType, TensorShape]]",
+    [Sequence[Any], Mapping[str, Any]],
+    "list[tuple[DType, Optional[Sequence[Optional[int]]]]]",
 ]
 
 
@@ -70,13 +96,64 @@ class Cost:
     host_bytes: float = 0.0
     kind: str = "compute"
 
-    @staticmethod
-    def none() -> "Cost":
-        return Cost(kind="none")
 
-    @staticmethod
-    def sync() -> "Cost":
-        return Cost(kind="sync")
+# One execution's Cost from its input and output specs and static attrs.
+CostFn = Callable[
+    [Sequence[SymbolicValue], Sequence[SymbolicValue], Mapping[str, Any]],
+    Cost,
+]
+
+
+# -- the shared cost shapes --------------------------------------------------
+
+Specs = Sequence[SymbolicValue]
+
+
+def total_nbytes(specs: Specs) -> int:
+    """The specs' bytes, summed (a loop: twice as fast as ``sum`` over a
+    generator, and every priced op pays it)."""
+    n = 0
+    for spec in specs:
+        n += spec.nbytes
+    return n
+
+
+def no_cost(in_specs: Specs, out_specs: Specs, attrs: Mapping[str, Any]) -> Cost:
+    """Zero simulated seconds: metadata, handles, reads of held values."""
+    return Cost(kind="none")
+
+
+def memcpy_cost(ins: int = 1, outs: int = 1) -> CostFn:
+    """Bytes streamed: ``ins`` times the inputs' plus ``outs`` times the
+    outputs'."""
+    def cost(in_specs: Specs, out_specs: Specs, attrs: Mapping[str, Any]) -> Cost:
+        nbytes = 0
+        if ins:
+            nbytes += ins * total_nbytes(in_specs)
+        if outs:
+            nbytes += outs * total_nbytes(out_specs)
+        return Cost(mem_bytes=nbytes, kind="memcpy")
+
+    return cost
+
+
+def elementwise_cost(flops_per_element: float = 1.0) -> CostFn:
+    """``flops_per_element`` per output element; every operand read and the
+    output written once."""
+    def cost(in_specs: Specs, out_specs: Specs, attrs: Mapping[str, Any]) -> Cost:
+        (out,) = out_specs
+        return Cost(flops=flops_per_element * out.size,
+                    mem_bytes=total_nbytes(in_specs) + out.nbytes,
+                    kind="compute")
+
+    return cost
+
+
+def reduction_cost(in_specs: Specs, out_specs: Specs,
+                   attrs: Mapping[str, Any]) -> Cost:
+    """One flop per input element; the input streamed once."""
+    (x,) = in_specs
+    return Cost(flops=1.0 * x.size, mem_bytes=x.nbytes, kind="compute")
 
 
 class ResourceManager:
@@ -137,17 +214,31 @@ class OpDef:
 
     Attributes:
         op_type: the graph op type the record describes.
-        kernel: the implementation (swapped by :func:`override_kernel`).
+        kernel: ``kernel(op, inputs, ctx) -> outputs``, values only
+            (swapped by :func:`override_kernel`).
         devices: device types with an implementation.
         pure, stateful, graph_only, inline: see :func:`register_kernel`.
-        shape_fn: ``shape_fn(inputs, attrs)`` returns one
-            ``(dtype, shape)`` pair per output, or raises
-            :class:`~repro.errors.InvalidArgumentError` when inputs and
-            attrs do not describe a valid application of the op. The
-            builders (through ``Graph.create_op``) and the verifier run
-            this same function. ``None`` for ops whose caller *is* the
-            spec authority (``Placeholder``, ``VariableV2``, queues,
-            datasets, tile I/O): they pass ``output_specs=`` explicitly.
+        shape_fn: ``shape_fn(specs, attrs)`` returns one ``(dtype, dims)``
+            pair per output, or raises
+            :class:`~repro.errors.InvalidArgumentError` when the inputs'
+            specs and attrs do not describe a valid application of the op.
+            ``create_op`` runs it on the input tensors, the verifier again
+            on a built op, and :func:`dispatch` on the run-time values'
+            specs — one rule and one message (:meth:`output_specs`) in
+            every mode. ``None`` only for ``kernel_spec`` ops whose caller
+            is the spec authority (``Placeholder``, ``VariableV2``, queues,
+            iterators, tile I/O): they pass ``output_specs=`` explicitly.
+        cost: ``cost(in_specs, out_specs, attrs)`` prices one execution;
+            the run-time specs are :class:`SymbolicValue` s.
+        kernel_spec: the kernel runs in every mode, shape-only included,
+            and its outputs are their own specs. Only these kernels may
+            meet a :class:`SymbolicValue`: their outputs come from data
+            (a feed, a constant's array, the variable store, a queue, an
+            iterator, a tile file), they act on state a shape-only run must
+            still change (assign, enqueue, close, tile write), or — the
+            collectives — their one value function
+            (:func:`repro.runtime.collective.collective_values`) checks
+            every rank at run time in every lane.
         builder: name of the flat-namespace builder
             (``repro.core.ops.__all__``) that constructs the op.
         arity: ``(min, max)`` count of *tensor* inputs the builder
@@ -177,11 +268,27 @@ class OpDef:
     graph_only: bool
     inline: bool
     shape_fn: Optional[ShapeFn]
+    cost: CostFn
+    kernel_spec: bool
     builder: str
     arity: Optional[tuple[int, int]]
     dtypes: Optional[tuple[str, ...]]
     shape_rule: Optional[str]
     gradient: Optional[Callable] = None
+
+    def output_specs(self, specs: Sequence[Any], attrs: Mapping[str, Any],
+                     name: Optional[str] = None) -> list:
+        """``shape_fn(specs, attrs)``. A rejection names the op type, its
+        operand shapes and the reason — the same text at build, verify and
+        run time; at run time ``name`` tags the op as well."""
+        try:
+            return self.shape_fn(specs, attrs)  # type: ignore[misc]
+        except InvalidArgumentError as exc:
+            shapes = ", ".join(str(TensorShape(dims_of(s))) for s in specs)
+            raise InvalidArgumentError(
+                f"{self.op_type} operand shapes [{shapes}]: {exc.message}",
+                node_def=name,
+            ) from None
 
 
 _OPS: dict[str, OpDef] = {}
@@ -192,10 +299,12 @@ def register_kernel(
     devices: tuple[str, ...] = ("cpu", "gpu"),
     *,
     builder: str,
+    cost: Optional[CostFn] = None,
     pure: bool = False,
     stateful: bool = False,
     graph_only: bool = False,
     inline: bool = False,
+    kernel_spec: bool = False,
     shape_fn: Optional[ShapeFn] = None,
     arity: Optional[tuple[int, int]] = None,
     dtypes: Optional[tuple[str, ...]] = None,
@@ -222,24 +331,32 @@ def register_kernel(
       written as generators are graph-only implicitly; this flag marks the
       non-generator stragglers (queue bookkeeping, iterators).
     * ``inline`` — the kernel is a plain function that never yields,
-      never blocks, and always resolves to a zero-duration cost (kind
-      "none"/"sync" with no device seconds): metadata ops, constants,
-      variable reads. The executor dispatches these synchronously off its
-      ready list (no calendar events) while still honouring device-FIFO
-      order, so the flag is a promise about *cost*, not just purity.
+      never blocks, and costs nothing (``cost=no_cost``): metadata ops,
+      constants, variable reads. The executor dispatches these
+      synchronously off its ready list (no calendar events) while still
+      honouring device-FIFO order, so the flag is a promise about *cost*,
+      not just purity.
 
-    ``shape_fn``, ``builder`` and the generation fields (``arity``,
-    ``dtypes``, ``shape_rule``) are described on :class:`OpDef`.
+    ``cost`` is required; ``shape_fn`` is required unless ``kernel_spec``.
+    They, ``kernel_spec``, ``builder`` and the generation fields
+    (``arity``, ``dtypes``, ``shape_rule``) are described on
+    :class:`OpDef`.
     """
 
     def wrap(fn: Callable) -> Callable:
         if op_type in _OPS:
             raise UnimplementedError(f"Duplicate kernel registration: {op_type}")
+        if cost is None or (shape_fn is None and not kernel_spec):
+            raise UnimplementedError(
+                f"{op_type}: register a cost, and a shape_fn unless the "
+                f"kernel decides its specs (kernel_spec=True)"
+            )
         is_generator = inspect.isgeneratorfunction(fn)
-        if inline and (graph_only or is_generator):
+        if inline and (graph_only or is_generator or cost is not no_cost):
             raise UnimplementedError(
                 f"{op_type}: inline=True needs a non-blocking plain-function "
-                f"kernel (generator/graph_only kernels advance the clock)"
+                f"kernel that costs nothing (generator/graph_only kernels "
+                f"and priced ops advance the clock)"
             )
         _OPS[op_type] = OpDef(
             op_type=op_type,
@@ -250,6 +367,8 @@ def register_kernel(
             graph_only=graph_only or is_generator,
             inline=inline,
             shape_fn=shape_fn,
+            cost=cost,
+            kernel_spec=kernel_spec,
             builder=builder,
             arity=arity,
             dtypes=dtypes,
@@ -258,6 +377,47 @@ def register_kernel(
         return fn
 
     return wrap
+
+
+def dispatch(op: Any, inputs: list, ctx: KernelContext) -> Any:
+    """Run ``op`` on ``inputs``: ``(outputs, Cost)``, or — for a blocking
+    kernel — a generator that returns them.
+
+    The one caller of every kernel (both executors, the eager interpreter
+    and constant folding). The op's record states the outputs' specs
+    (``shape_fn`` over the inputs' specs) and prices them (``cost``). The
+    kernel is called only when there are values to compute: every input is
+    concrete, or — for a source — the run is. Otherwise the outputs *are*
+    the specs, so a shape-only run never calls such a kernel. A
+    ``kernel_spec`` op's kernel always runs, and its outputs are their own
+    specs.
+    """
+    definition = _OPS[op.type]
+    attrs = op.attrs
+    in_specs = [SymbolicValue.of(v) for v in inputs]
+    out_specs: Optional[list] = None
+    if not definition.kernel_spec:
+        out_specs = [
+            SymbolicValue.derived(dims, dtype)
+            for dtype, dims in definition.output_specs(in_specs, attrs, op.name)
+        ]
+        if SymbolicValue in map(type, inputs) if inputs else ctx.symbolic:
+            return out_specs, definition.cost(in_specs, out_specs, attrs)
+    outputs = definition.kernel(op, inputs, ctx)
+    if isinstance(outputs, GeneratorType):
+        return _priced(definition, attrs, in_specs, out_specs, outputs)
+    if out_specs is None:
+        out_specs = [SymbolicValue.of(v) for v in outputs]
+    return outputs, definition.cost(in_specs, out_specs, attrs)
+
+
+def _priced(definition: OpDef, attrs: Mapping[str, Any], in_specs: Specs,
+            out_specs: Optional[Specs], gen: Generator) -> Generator:
+    """A blocking kernel's generator, returning its outputs with the Cost."""
+    outputs = yield from gen
+    if out_specs is None:
+        out_specs = [SymbolicValue.of(v) for v in outputs]
+    return outputs, definition.cost(in_specs, out_specs, attrs)
 
 
 def op_def(op_type: str) -> OpDef:
@@ -291,7 +451,8 @@ def override_kernel(op_type: str, fn: Callable) -> Iterator[Callable]:
     deliberately wrong kernel, prove the differential matrix catches it
     and the shrinker minimizes it, then restore the real kernel. Every
     other field of the :class:`OpDef` is left untouched — a planted
-    bug must look exactly like the op it impersonates.
+    bug must look exactly like the op it impersonates (its shape function
+    and cost still describe the op, so the clock does not move).
 
     Caveat: plan-time constant folding memoizes folded values on the
     *graph object*, so a graph executed before the override can replay

@@ -9,18 +9,15 @@ import numpy as np
 
 from repro import dtypes
 from repro.core.graph import Graph
-from repro.core.kernels.registry import Cost, register_kernel
+from repro.core.kernels.registry import memcpy_cost, no_cost, register_kernel
 from repro.core.ops.common import (
     NUMERIC,
     OutputSpecs,
-    any_symbolic,
     declared_in_attrs,
     graph_of,
-    make_symbolic,
-    merged_shape,
+    merged_dims,
     normalize_axis,
-    runtime_shape,
-    runtime_spec,
+    num_elements,
     same_as_input,
     to_tensor,
     uniform_dtype,
@@ -31,7 +28,7 @@ from repro.core.tensor import (
     Tensor,
     TensorShape,
     as_shape,
-    value_nbytes,
+    dims_of,
 )
 from repro.errors import InvalidArgumentError
 
@@ -229,88 +226,91 @@ def slice_(value, begin: Sequence[int], size: Sequence[int], name: str = "Slice"
 
 
 # ---------------------------------------------------------------------------
-# shape functions: (inputs, attrs) -> one (dtype, shape) per output. Run by
-# create_op when the op is built and re-run by the graph verifier.
+# shape functions: (specs, attrs) -> one (dtype, dims) per output. Run by
+# create_op on the input tensors, by the graph verifier, and by the
+# dispatcher on the run-time values' specs.
 # ---------------------------------------------------------------------------
 
-def _const_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
+def _const_shape(inputs: Sequence[Any], attrs: Mapping[str, Any]) -> OutputSpecs:
     arr = attrs["value"]
-    return [(dtypes.as_dtype(arr.dtype), TensorShape(arr.shape))]
+    return [(dtypes.as_dtype(arr.dtype), arr.shape)]
 
 
-def _cast_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
-    return [(dtypes.as_dtype(attrs["dst_dtype"]), inputs[0].shape)]
+def _cast_shape(inputs: Sequence[Any], attrs: Mapping[str, Any]) -> OutputSpecs:
+    return [(dtypes.as_dtype(attrs["dst_dtype"]), dims_of(inputs[0]))]
 
 
-def _reshape_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
-    x = inputs[0]
-    new_shape = list(attrs["shape"])
+def _reshape_shape(inputs: Sequence[Any], attrs: Mapping[str, Any]) -> OutputSpecs:
+    new_shape = tuple(attrs["shape"])
     if new_shape.count(-1) > 1:
         raise InvalidArgumentError("reshape allows at most one -1 dimension")
-    static: list[Optional[int]] = []
-    known = 1
-    for d in new_shape:
-        if d == -1:
-            static.append(None)
-        else:
-            static.append(d)
-            known *= d
-    total = x.shape.num_elements()
-    if -1 in new_shape and total is not None:
-        if total % known != 0:
-            raise InvalidArgumentError(
-                f"Cannot reshape {x.shape} ({total} elements) into {new_shape}"
-            )
-        static[new_shape.index(-1)] = total // known
-    elif total is not None and total != known:
+    known = math.prod(d for d in new_shape if d != -1)
+    total = num_elements(dims_of(inputs[0]))
+    if -1 not in new_shape:
+        dims: tuple = new_shape
+    elif total is None:
+        dims = tuple(None if d == -1 else d for d in new_shape)
+    elif known == 0:
         raise InvalidArgumentError(
-            f"Cannot reshape {x.shape} into {new_shape}: element count differs"
+            f"-1 in {new_shape} is ambiguous beside a zero dimension"
         )
-    return [(x.dtype, TensorShape(static))]
+    else:
+        dims = tuple(total // known if d == -1 else d for d in new_shape)
+    if total is not None and num_elements(dims) != total:
+        raise InvalidArgumentError(f"{total} elements do not fit {new_shape}")
+    return [(inputs[0].dtype, dims)]
 
 
-def _transpose_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
+def _transpose_shape(inputs: Sequence[Any], attrs: Mapping[str, Any]) -> OutputSpecs:
     x = inputs[0]
     perm = tuple(attrs["perm"])
-    rank = x.shape.rank
-    if rank is None:
-        return [(x.dtype, TensorShape(None))]
-    if sorted(perm) != list(range(rank)):
-        raise InvalidArgumentError(f"Bad permutation {perm} for rank {rank}")
-    return [(x.dtype, TensorShape([x.shape[p] for p in perm]))]
+    dims = dims_of(x)
+    if dims is None:
+        return [(x.dtype, None)]
+    if sorted(perm) != list(range(len(dims))):
+        raise InvalidArgumentError(
+            f"perm {perm} does not permute the axes of rank {len(dims)}"
+        )
+    return [(x.dtype, tuple(dims[p] for p in perm))]
 
 
-def _concat_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
+def _concat_shape(inputs: Sequence[Any], attrs: Mapping[str, Any]) -> OutputSpecs:
     dtype = uniform_dtype(inputs, "concat")
-    rank = next((t.shape.rank for t in inputs if t.shape.rank is not None), None)
+    shapes = [dims_of(t) for t in inputs]
+    rank = next((len(s) for s in shapes if s is not None), None)
     if rank is None:
-        return [(dtype, TensorShape(None))]
+        return [(dtype, None)]
     ax = normalize_axis(attrs["axis"], rank, "concat")
-    dims: list[Optional[int]] = list(inputs[0].shape.with_rank(rank).dims or ())
+    dims: list[Optional[int]] = [None] * rank
     total: Optional[int] = 0
-    for t in inputs:
-        s = t.shape.with_rank(rank)
-        for i in range(rank):
+    for s in shapes:
+        if s is None:
+            total = None
+            continue
+        if len(s) != rank:
+            raise InvalidArgumentError(
+                f"concat operands disagree in rank: {len(s)} vs {rank}"
+            )
+        for i, d in enumerate(s):
             if i == ax:
                 continue
             if dims[i] is None:
-                dims[i] = s[i]
-            elif s[i] is not None and s[i] != dims[i]:
+                dims[i] = d
+            elif d is not None and d != dims[i]:
                 raise InvalidArgumentError(
-                    f"concat shapes disagree on dim {i}: {dims[i]} vs {s[i]}"
+                    f"concat shapes disagree on dim {i}: {dims[i]} vs {d}"
                 )
-        if total is not None:
-            total = None if s[ax] is None else total + s[ax]
+        total = None if total is None or s[ax] is None else total + s[ax]
     dims[ax] = total
-    return [(dtype, TensorShape(dims))]
+    return [(dtype, dims)]
 
 
-def _split_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
+def _split_shape(inputs: Sequence[Any], attrs: Mapping[str, Any]) -> OutputSpecs:
     x = inputs[0]
     num_splits = attrs["num_splits"]
-    if x.shape.dims is None:
-        return [(x.dtype, TensorShape(None))] * num_splits
-    dims = list(x.shape.dims)
+    if dims_of(x) is None:
+        return [(x.dtype, None)] * num_splits
+    dims = list(dims_of(x))
     ax = normalize_axis(attrs["axis"], len(dims), "split")
     dim = dims[ax]
     if dim is not None:
@@ -319,26 +319,26 @@ def _split_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSp
                 f"Dimension {dim} not divisible into {num_splits} splits"
             )
         dims[ax] = dim // num_splits
-    return [(x.dtype, TensorShape(dims))] * num_splits
+    return [(x.dtype, dims)] * num_splits
 
 
-def _stack_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
+def _stack_shape(inputs: Sequence[Any], attrs: Mapping[str, Any]) -> OutputSpecs:
     dtype = inputs[0].dtype
-    base = merged_shape(inputs)
-    if base.dims is None:
-        return [(dtype, TensorShape(None))]
-    dims = list(base.dims)
-    ax = normalize_axis(attrs["axis"], len(dims) + 1, "stack")
-    dims.insert(ax, len(inputs))
-    return [(dtype, TensorShape(dims))]
+    base = merged_dims(inputs)
+    if base is None:
+        return [(dtype, None)]
+    dims = list(base)
+    dims.insert(normalize_axis(attrs["axis"], len(dims) + 1, "stack"),
+                len(inputs))
+    return [(dtype, dims)]
 
 
-def _squeeze_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
+def _squeeze_shape(inputs: Sequence[Any], attrs: Mapping[str, Any]) -> OutputSpecs:
     x = inputs[0]
     axis = attrs["axis"]
-    if x.shape.dims is None:
-        return [(x.dtype, TensorShape(None))]
-    dims = list(x.shape.dims)
+    if dims_of(x) is None:
+        return [(x.dtype, None)]
+    dims = list(dims_of(x))
     if axis is None:
         dims = [d for d in dims if d != 1]
     else:
@@ -348,59 +348,54 @@ def _squeeze_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> Output
                 f"Cannot squeeze dim {ax} of size {dims[ax]}"
             )
         dims.pop(ax)
-    return [(x.dtype, TensorShape(dims))]
+    return [(x.dtype, dims)]
 
 
-def _expand_dims_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
+def _expand_dims_shape(inputs: Sequence[Any], attrs: Mapping[str, Any]) -> OutputSpecs:
     x = inputs[0]
-    if x.shape.dims is None:
-        return [(x.dtype, TensorShape(None))]
-    dims = list(x.shape.dims)
-    ax = normalize_axis(attrs["axis"], len(dims) + 1, "expand_dims")
-    dims.insert(ax, 1)
-    return [(x.dtype, TensorShape(dims))]
+    if dims_of(x) is None:
+        return [(x.dtype, None)]
+    dims = list(dims_of(x))
+    dims.insert(normalize_axis(attrs["axis"], len(dims) + 1, "expand_dims"), 1)
+    return [(x.dtype, dims)]
 
 
-def _slice_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
+def _slice_shape(inputs: Sequence[Any], attrs: Mapping[str, Any]) -> OutputSpecs:
     x = inputs[0]
     begin = tuple(attrs["begin"])
     size = tuple(attrs["size"])
     if len(begin) != len(size):
         raise InvalidArgumentError("slice begin/size rank mismatch")
-    if x.shape.rank is not None and x.shape.rank != len(begin):
+    dims = dims_of(x)
+    if dims is not None and len(dims) != len(begin):
         raise InvalidArgumentError(
-            f"slice begin/size rank {len(begin)} != tensor rank {x.shape.rank}"
+            f"slice begin/size rank {len(begin)} != tensor rank {len(dims)}"
         )
-    dims = x.shape.dims or (None,) * len(begin)
-    for i, (b, s, d) in enumerate(zip(begin, size, dims)):
+    for i, (b, s, d) in enumerate(zip(begin, size, dims or (None,) * len(begin))):
         if b < 0 or (d is not None and b + s > d):
             raise InvalidArgumentError(
                 f"slice [{b}, {b + s}) is out of bounds for dim {i} of "
                 f"size {d}"
             )
-    return [(x.dtype, TensorShape(size))]
+    return [(x.dtype, size)]
 
 
 # ---------------------------------------------------------------------------
-# kernels, each registered with its OpDef (flags, shape function, and the
-# generation contract the repro.fuzz catalog draws from)
+# kernels (values only), each registered with its OpDef: flags, shape
+# function, cost, and the generation contract the repro.fuzz catalog draws
+# from
 # ---------------------------------------------------------------------------
 
-def _memcpy_cost(*values) -> Cost:
-    nbytes = sum(value_nbytes(v) for v in values)
-    return Cost(mem_bytes=nbytes, kind="memcpy")
-
-
-@register_kernel("Const", pure=True, inline=True, shape_fn=_const_shape,
-                 builder="constant", arity=(0, 0), dtypes=NUMERIC,
-                 shape_rule="source")
-def _const_kernel(op, inputs, ctx):
-    value = op.get_attr("value")
-    return [value], Cost.none()
-
-
-@register_kernel("Placeholder", inline=True, builder="placeholder",
+@register_kernel("Const", pure=True, inline=True, kernel_spec=True,
+                 shape_fn=_const_shape, cost=no_cost, builder="constant",
                  arity=(0, 0), dtypes=NUMERIC, shape_rule="source")
+def _const_kernel(op, inputs, ctx):
+    return [op.get_attr("value")]
+
+
+@register_kernel("Placeholder", inline=True, kernel_spec=True, cost=no_cost,
+                 builder="placeholder", arity=(0, 0), dtypes=NUMERIC,
+                 shape_rule="source")
 def _placeholder_kernel(op, inputs, ctx):
     name = op.outputs[0].name
     if name not in ctx.feeds:
@@ -416,212 +411,96 @@ def _placeholder_kernel(op, inputs, ctx):
                 f"shape {op.outputs[0].shape}",
                 node_def=op.name,
             )
-    return [value], Cost.none()
+    return [value]
 
 
 @register_kernel("Identity", pure=True, inline=True, shape_fn=same_as_input,
-                 builder="identity", arity=(1, 1),
+                 cost=no_cost, builder="identity", arity=(1, 1),
                  dtypes=NUMERIC + ("bool",), shape_rule="unary_same")
 def _identity_kernel(op, inputs, ctx):
-    return [inputs[0]], Cost.none()
+    return [inputs[0]]
 
 
-@register_kernel("Cast", pure=True, shape_fn=_cast_shape, builder="cast",
-                 arity=(1, 1), dtypes=NUMERIC + ("bool",), shape_rule="cast")
+@register_kernel("Cast", pure=True, shape_fn=_cast_shape, cost=memcpy_cost(),
+                 builder="cast", arity=(1, 1), dtypes=NUMERIC + ("bool",),
+                 shape_rule="cast")
 def _cast_kernel(op, inputs, ctx):
     target = dtypes.as_dtype(op.get_attr("dst_dtype"))
-    (x,) = inputs
-    if isinstance(x, SymbolicValue):
-        out = make_symbolic(x.shape, target)
-    else:
-        out = np.asarray(x).astype(target.np_dtype)
-    return [out], _memcpy_cost(x, out)
+    return [np.asarray(inputs[0]).astype(target.np_dtype)]
 
 
 @register_kernel("Reshape", pure=True, inline=True, shape_fn=_reshape_shape,
-                 builder="reshape", arity=(1, 1), dtypes=NUMERIC,
-                 shape_rule="reshape")
+                 cost=no_cost, builder="reshape", arity=(1, 1),
+                 dtypes=NUMERIC, shape_rule="reshape")
 def _reshape_kernel(op, inputs, ctx):
-    (x,) = inputs
-    new_shape = op.get_attr("shape")
-    shape = runtime_shape(x)
-    total = math.prod(shape)
-    known = math.prod(d for d in new_shape if d != -1)
-    resolved = tuple(total // (known or 1) if d == -1 else d for d in new_shape)
-    if math.prod(resolved) != total:
-        # Checked on the spec, so shape-only and concrete runs agree.
-        raise InvalidArgumentError(
-            f"Reshape operand shape {shape} ({total} elements) does not "
-            f"fit {new_shape}", node_def=op.name,
-        )
-    if isinstance(x, SymbolicValue):
-        return [make_symbolic(resolved, x.dtype)], Cost.none()
-    return [np.reshape(x, resolved)], Cost.none()
+    return [np.reshape(inputs[0], op.get_attr("shape"))]
 
 
 @register_kernel("Transpose", pure=True, shape_fn=_transpose_shape,
-                 builder="transpose", arity=(1, 1), dtypes=NUMERIC,
-                 shape_rule="transpose")
+                 cost=memcpy_cost(), builder="transpose", arity=(1, 1),
+                 dtypes=NUMERIC, shape_rule="transpose")
 def _transpose_kernel(op, inputs, ctx):
-    (x,) = inputs
-    perm = op.get_attr("perm")
-    shape = runtime_shape(x)
-    if sorted(perm) != list(range(len(shape))):
-        raise InvalidArgumentError(
-            f"Transpose perm {tuple(perm)} does not permute the axes of "
-            f"operand shape {shape}", node_def=op.name,
-        )
-    if isinstance(x, SymbolicValue):
-        out = make_symbolic(tuple(shape[p] for p in perm), x.dtype)
-    else:
-        out = np.transpose(x, perm)
-    return [out], _memcpy_cost(x, out)
+    return [np.transpose(inputs[0], op.get_attr("perm"))]
 
 
 @register_kernel("Concat", pure=True, shape_fn=_concat_shape,
-                 builder="concat", arity=(2, 4), dtypes=NUMERIC,
-                 shape_rule="concat")
+                 cost=memcpy_cost(outs=0), builder="concat", arity=(2, 4),
+                 dtypes=NUMERIC, shape_rule="concat")
 def _concat_kernel(op, inputs, ctx):
-    axis = op.get_attr("axis")
-    shapes = [runtime_shape(v) for v in inputs]
-    first = shapes[0]
-    ax = normalize_axis(axis, len(first), "Concat")
-    if any(
-        len(s) != len(first) or s[:ax] != first[:ax]
-        or s[ax + 1:] != first[ax + 1:] for s in shapes
-    ):
-        raise InvalidArgumentError(
-            f"Concat operand shapes {shapes} disagree off axis {axis}",
-            node_def=op.name,
-        )
-    if any_symbolic(inputs):
-        dims = list(first)
-        dims[ax] = sum(s[ax] for s in shapes)
-        out = make_symbolic(dims, runtime_spec(inputs[0]).dtype)
-    else:
-        out = np.concatenate([np.asarray(v) for v in inputs], axis=axis)
-    return [out], _memcpy_cost(*inputs)
+    return [np.concatenate([np.asarray(v) for v in inputs],
+                           axis=op.get_attr("axis"))]
 
 
-@register_kernel("Split", pure=True, shape_fn=_split_shape, builder="split",
-                 arity=(1, 1), dtypes=NUMERIC, shape_rule="split")
+@register_kernel("Split", pure=True, shape_fn=_split_shape,
+                 cost=memcpy_cost(outs=0), builder="split", arity=(1, 1),
+                 dtypes=NUMERIC, shape_rule="split")
 def _split_kernel(op, inputs, ctx):
-    (x,) = inputs
-    axis = op.get_attr("axis")
-    n = op.get_attr("num_splits")
-    dims = list(runtime_shape(x))
-    ax = normalize_axis(axis, len(dims), "Split")
-    if dims[ax] % n:
-        raise InvalidArgumentError(
-            f"Split operand shape {tuple(dims)} does not divide into {n} "
-            f"along axis {axis}", node_def=op.name,
-        )
-    if isinstance(x, SymbolicValue):
-        dims[ax] //= n
-        outs = [make_symbolic(dims, x.dtype) for _ in range(n)]
-    else:
-        outs = [np.ascontiguousarray(part) for part in np.split(np.asarray(x), n, axis=axis)]
-    return outs, _memcpy_cost(x)
+    parts = np.split(np.asarray(inputs[0]), op.get_attr("num_splits"),
+                     axis=op.get_attr("axis"))
+    return [np.ascontiguousarray(part) for part in parts]
 
 
-@register_kernel("Stack", pure=True, shape_fn=_stack_shape, builder="stack",
-                 arity=(2, 4), dtypes=NUMERIC, shape_rule="stack")
+@register_kernel("Stack", pure=True, shape_fn=_stack_shape,
+                 cost=memcpy_cost(outs=0), builder="stack", arity=(2, 4),
+                 dtypes=NUMERIC, shape_rule="stack")
 def _stack_kernel(op, inputs, ctx):
-    axis = op.get_attr("axis")
-    shapes = [runtime_shape(v) for v in inputs]
-    if any(s != shapes[0] for s in shapes):
-        raise InvalidArgumentError(
-            f"Stack operand shapes {shapes} are not all equal",
-            node_def=op.name,
-        )
-    if any_symbolic(inputs):
-        dims = list(shapes[0])
-        dims.insert(normalize_axis(axis, len(dims) + 1, "Stack"), len(inputs))
-        out = make_symbolic(dims, runtime_spec(inputs[0]).dtype)
-    else:
-        out = np.stack([np.asarray(v) for v in inputs], axis=axis)
-    return [out], _memcpy_cost(*inputs)
+    return [np.stack([np.asarray(v) for v in inputs], axis=op.get_attr("axis"))]
 
 
 @register_kernel("Squeeze", pure=True, inline=True, shape_fn=_squeeze_shape,
-                 builder="squeeze", arity=(1, 1), dtypes=NUMERIC,
-                 shape_rule="squeeze")
+                 cost=no_cost, builder="squeeze", arity=(1, 1),
+                 dtypes=NUMERIC, shape_rule="squeeze")
 def _squeeze_kernel(op, inputs, ctx):
-    (x,) = inputs
-    axis = op.get_attr("axis")
-    dims = list(runtime_shape(x))
-    if axis is None:
-        dims = [d for d in dims if d != 1]
-    elif dims.pop(normalize_axis(axis, len(dims), "Squeeze")) != 1:
-        raise InvalidArgumentError(
-            f"Squeeze operand shape {runtime_shape(x)} is not of size 1 "
-            f"along axis {axis}", node_def=op.name,
-        )
-    if isinstance(x, SymbolicValue):
-        out = make_symbolic(dims, x.dtype)
-    else:
-        out = np.squeeze(x, axis=axis) if axis is not None else np.squeeze(x)
-    return [out], Cost.none()
+    return [np.squeeze(inputs[0], axis=op.get_attr("axis"))]
 
 
 @register_kernel("ExpandDims", pure=True, inline=True,
-                 shape_fn=_expand_dims_shape, builder="expand_dims",
-                 arity=(1, 1), dtypes=NUMERIC, shape_rule="expand_dims")
+                 shape_fn=_expand_dims_shape, cost=no_cost,
+                 builder="expand_dims", arity=(1, 1), dtypes=NUMERIC,
+                 shape_rule="expand_dims")
 def _expand_dims_kernel(op, inputs, ctx):
-    (x,) = inputs
-    axis = op.get_attr("axis")
-    if isinstance(x, SymbolicValue):
-        dims = list(x.shape)
-        ax = axis % (len(dims) + 1)
-        dims.insert(ax, 1)
-        out = make_symbolic(dims, x.dtype)
-    else:
-        out = np.expand_dims(x, axis=axis)
-    return [out], Cost.none()
+    return [np.expand_dims(inputs[0], axis=op.get_attr("axis"))]
 
 
-@register_kernel("Fill", pure=True, shape_fn=declared_in_attrs, builder="fill",
-                 arity=(0, 0), dtypes=NUMERIC, shape_rule="source")
+@register_kernel("Fill", pure=True, shape_fn=declared_in_attrs,
+                 cost=memcpy_cost(ins=0), builder="fill", arity=(0, 0),
+                 dtypes=NUMERIC, shape_rule="source")
 def _fill_kernel(op, inputs, ctx):
-    shape = op.get_attr("shape")
-    value = op.get_attr("fill_value")
-    dtype = op.outputs[0].dtype
-    if ctx.symbolic:
-        out = make_symbolic(shape, dtype)
-    else:
-        out = np.full(shape, value, dtype=dtype.np_dtype)
-    return [out], Cost(mem_bytes=value_nbytes(out), kind="memcpy")
+    return [np.full(op.get_attr("shape"), op.get_attr("fill_value"),
+                    dtype=op.outputs[0].dtype.np_dtype)]
 
 
 @register_kernel("ZerosLike", pure=True, shape_fn=same_as_input,
-                 builder="zeros_like", arity=(1, 1), dtypes=NUMERIC,
-                 shape_rule="unary_same")
+                 cost=memcpy_cost(ins=0), builder="zeros_like", arity=(1, 1),
+                 dtypes=NUMERIC, shape_rule="unary_same")
 def _zeros_like_kernel(op, inputs, ctx):
-    (x,) = inputs
-    if isinstance(x, SymbolicValue):
-        out = make_symbolic(x.shape, x.dtype)
-    else:
-        out = np.zeros_like(x)
-    return [out], Cost(mem_bytes=value_nbytes(out), kind="memcpy")
+    return [np.zeros_like(inputs[0])]
 
 
-@register_kernel("Slice", pure=True, shape_fn=_slice_shape, builder="slice_",
+@register_kernel("Slice", pure=True, shape_fn=_slice_shape,
+                 cost=memcpy_cost(ins=0, outs=2), builder="slice_",
                  arity=(1, 1), dtypes=NUMERIC, shape_rule="slice")
 def _slice_kernel(op, inputs, ctx):
-    (x,) = inputs
-    begin = op.get_attr("begin")
-    size = op.get_attr("size")
-    shape = runtime_shape(x)
-    if len(shape) != len(begin) or any(
-        b + s > d for b, s, d in zip(begin, size, shape)
-    ):
-        raise InvalidArgumentError(
-            f"Slice begin {tuple(begin)} size {tuple(size)} is out of "
-            f"bounds for operand shape {shape}", node_def=op.name,
-        )
-    if isinstance(x, SymbolicValue):
-        out = make_symbolic(size, x.dtype)
-    else:
-        index = tuple(slice(b, b + s) for b, s in zip(begin, size))
-        out = np.ascontiguousarray(np.asarray(x)[index])
-    return [out], Cost(mem_bytes=2 * value_nbytes(out), kind="memcpy")
+    index = tuple(slice(b, b + s)
+                  for b, s in zip(op.get_attr("begin"), op.get_attr("size")))
+    return [np.ascontiguousarray(np.asarray(inputs[0])[index])]

@@ -40,16 +40,16 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Optional, Sequence
 
-from repro.core.kernels.registry import Cost, register_kernel
+from repro.core.kernels.registry import Cost, register_kernel, total_nbytes
 from repro.core.ops.common import (
     NUMERIC,
     OutputSpecs,
-    merged_shape,
-    runtime_spec,
+    merge_dims,
+    merged_dims,
     to_tensor,
     uniform_dtype,
 )
-from repro.core.tensor import Tensor, TensorShape, value_nbytes
+from repro.core.tensor import Tensor, dims_of
 from repro.errors import InvalidArgumentError
 from repro.runtime.collective import (
     collective_values,
@@ -282,57 +282,75 @@ def broadcast(
 
 
 # ---------------------------------------------------------------------------
-# shape functions: (inputs, attrs) -> one (dtype, shape) per output. Run by
-# create_op when the op is built and re-run by the graph verifier.
+# shape functions: (specs, attrs) -> one (dtype, dims) per output. Run by
+# create_op and re-run by the graph verifier; at run time the op type's
+# value function checks every rank (the ops are ``kernel_spec``).
 # ---------------------------------------------------------------------------
 
-def _all_reduce_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
+def _all_reduce_shape(inputs: Sequence[Any], attrs: Mapping[str, Any]) -> OutputSpecs:
     dtype = uniform_dtype(inputs, "all_reduce")
-    return [(dtype, merged_shape(inputs))] * len(inputs)
+    return [(dtype, merged_dims(inputs))] * len(inputs)
 
 
-def _reduce_scatter_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
+def _reduce_scatter_shape(inputs: Sequence[Any], attrs: Mapping[str, Any]) -> OutputSpecs:
     dtype = uniform_dtype(inputs, "reduce_scatter")
     world = len(inputs)
-    dims = merged_shape(inputs).dims
+    dims = merged_dims(inputs)
     if dims is None:
-        return [(dtype, TensorShape(None))] * world
+        return [(dtype, None)] * world
     if not dims:
         raise InvalidArgumentError(
             "reduce_scatter needs tensors of rank >= 1 (got a scalar)"
         )
     lead = dims[0]
     rows = None if lead is None else scatter_rows(lead, world, "reduce_scatter")
-    out_shape = TensorShape([rows, *dims[1:]])
-    return [(dtype, out_shape)] * world
+    return [(dtype, (rows, *dims[1:]))] * world
 
 
-def _all_gather_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
+def _all_gather_shape(inputs: Sequence[Any], attrs: Mapping[str, Any]) -> OutputSpecs:
     dtype = uniform_dtype(inputs, "all_gather")
     lead: Optional[int] = 0
-    trailing: Optional[TensorShape] = None
+    trailing: Optional[tuple] = None
     for t in inputs:
-        rank = t.shape.rank
-        if rank == 0:
+        dims = dims_of(t)
+        if dims is None:
+            return [(dtype, None)] * len(inputs)
+        if not dims:
             raise InvalidArgumentError(
                 "all_gather needs tensors of rank >= 1 (got a scalar)"
             )
-        if rank is None:
-            lead, trailing = None, None
-            break
-        tail = t.shape[1:]
-        trailing = tail if trailing is None else trailing.merge_with(tail)
-        head = t.shape[0]
-        lead = None if (lead is None or head is None) else lead + head
-    if trailing is None:
-        out_shape = TensorShape(None)
-    else:
-        out_shape = TensorShape([lead]).concatenate(trailing)
-    return [(dtype, out_shape)] * len(inputs)
+        trailing = dims[1:] if trailing is None else merge_dims(trailing, dims[1:])
+        lead = None if lead is None or dims[0] is None else lead + dims[0]
+    return [(dtype, (lead, *trailing))] * len(inputs)
 
 
-def _broadcast_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
-    return [(inputs[0].dtype, inputs[0].shape)] * attrs["world"]
+def _broadcast_shape(inputs: Sequence[Any], attrs: Mapping[str, Any]) -> OutputSpecs:
+    return [(inputs[0].dtype, dims_of(inputs[0]))] * attrs["world"]
+
+
+# ---------------------------------------------------------------------------
+# costs: the nominal arithmetic of one direct execution
+# ---------------------------------------------------------------------------
+
+def _all_reduce_cost(in_specs, out_specs, attrs) -> Cost:
+    world, spec = len(in_specs), in_specs[0]
+    return Cost(flops=(world - 1) * spec.size,
+                mem_bytes=2 * world * spec.nbytes, kind="compute")
+
+
+def _reduce_scatter_cost(in_specs, out_specs, attrs) -> Cost:
+    world, spec = len(in_specs), in_specs[0]
+    return Cost(flops=(world - 1) * spec.size,
+                mem_bytes=(world + 1) * spec.nbytes, kind="compute")
+
+
+def _all_gather_cost(in_specs, out_specs, attrs) -> Cost:
+    return Cost(mem_bytes=(1 + len(in_specs)) * total_nbytes(in_specs),
+                kind="memcpy")
+
+
+def _broadcast_cost(in_specs, out_specs, attrs) -> Cost:
+    return Cost(mem_bytes=attrs["world"] * in_specs[0].nbytes, kind="memcpy")
 
 
 # ---------------------------------------------------------------------------
@@ -341,56 +359,29 @@ def _broadcast_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> Outp
 #
 # Under a Session these ops never reach kernel dispatch — the partitioner
 # lowers them into per-rank schedule legs — so the kernels only implement
-# the immediate-execution semantics: the op type's value function plus a
-# nominal Cost. They are deliberately *not* ``pure`` (CSE/folding must not
-# merge or pre-evaluate communication) and not ``graph_only`` (the
+# the immediate-execution semantics: the op type's value function, priced
+# nominally by the record. They are deliberately *not* ``pure`` (CSE/folding
+# must not merge or pre-evaluate communication) and not ``graph_only`` (the
 # arithmetic is well-defined without a simulator).
 
 
-@register_kernel("CollectiveAllReduce", shape_fn=_all_reduce_shape,
-                 builder="all_reduce", arity=(2, 8), dtypes=NUMERIC,
-                 shape_rule="collective")
-def _all_reduce_kernel(op, inputs, ctx):
-    world = len(inputs)
-    outputs = collective_values(op.type, inputs, world, op.name)
-    spec = runtime_spec(inputs[0])
-    return outputs, Cost(
-        flops=(world - 1) * spec.size,
-        mem_bytes=2 * world * spec.nbytes,
-        kind="compute",
-    )
-
-
-@register_kernel("CollectiveReduceScatter", shape_fn=_reduce_scatter_shape,
-                 builder="reduce_scatter", arity=(2, 8), dtypes=NUMERIC,
-                 shape_rule="collective")
-def _reduce_scatter_kernel(op, inputs, ctx):
-    world = len(inputs)
-    outputs = collective_values(op.type, inputs, world, op.name)
-    spec = runtime_spec(inputs[0])
-    return outputs, Cost(
-        flops=(world - 1) * spec.size,
-        mem_bytes=(world + 1) * spec.nbytes,
-        kind="compute",
-    )
-
-
-@register_kernel("CollectiveAllGather", shape_fn=_all_gather_shape,
-                 builder="all_gather", arity=(2, 8), dtypes=NUMERIC,
-                 shape_rule="collective")
-def _all_gather_kernel(op, inputs, ctx):
-    world = len(inputs)
-    outputs = collective_values(op.type, inputs, world, op.name)
-    nbytes = sum(value_nbytes(v) for v in inputs)
-    return outputs, Cost(mem_bytes=(1 + world) * nbytes, kind="memcpy")
-
-
-@register_kernel("CollectiveBroadcast", shape_fn=_broadcast_shape,
-                 builder="broadcast", arity=(1, 1), dtypes=NUMERIC,
-                 shape_rule="collective")
-def _broadcast_kernel(op, inputs, ctx):
+def _collective_kernel(op, inputs, ctx):
     world = op.get_attr("world")
-    outputs = collective_values(op.type, inputs, world, op.name)
-    return outputs, Cost(
-        mem_bytes=world * value_nbytes(inputs[0]), kind="memcpy"
-    )
+    return collective_values(op.type, inputs, world, op.name)
+
+
+for _op, _builder, _shape_fn, _cost, _arity in (
+    ("CollectiveAllReduce", "all_reduce", _all_reduce_shape,
+     _all_reduce_cost, (2, 8)),
+    ("CollectiveReduceScatter", "reduce_scatter", _reduce_scatter_shape,
+     _reduce_scatter_cost, (2, 8)),
+    ("CollectiveAllGather", "all_gather", _all_gather_shape,
+     _all_gather_cost, (2, 8)),
+    ("CollectiveBroadcast", "broadcast", _broadcast_shape,
+     _broadcast_cost, (1, 1)),
+):
+    register_kernel(
+        _op, kernel_spec=True, shape_fn=_shape_fn, cost=_cost,
+        builder=_builder, arity=_arity, dtypes=NUMERIC,
+        shape_rule="collective",
+    )(_collective_kernel)

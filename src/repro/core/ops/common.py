@@ -1,32 +1,37 @@
-"""Shared helpers for op builders and kernels."""
+"""Shared helpers for op builders and shape functions.
+
+A shape function reads its inputs' dims through :func:`dims_of`: a
+tensor's static dims at build and verify time (``None`` for an unknown
+rank or size), a run-time value's shape tuple when the op runs. The helpers
+below therefore take and return plain dims tuples; only an error message
+builds a :class:`TensorShape`.
+"""
 
 from __future__ import annotations
 
+import math
 from typing import Any, Mapping, Optional, Sequence
-
-import numpy as np
 
 from repro import dtypes
 from repro.core.graph import Graph, get_default_graph
-from repro.core.tensor import NP_DESCRIBED, SymbolicValue, Tensor, TensorShape
+from repro.core.tensor import Tensor, TensorShape, dims_of
 from repro.errors import InvalidArgumentError
 
 __all__ = [
     "NUMERIC",
     "FLOATS",
+    "Dims",
     "OutputSpecs",
     "to_tensor",
-    "broadcast_static_shapes",
-    "merged_shape",
+    "broadcast_dims",
+    "merge_dims",
+    "merged_dims",
+    "num_elements",
     "normalize_axis",
+    "no_outputs",
     "same_as_input",
     "declared_in_attrs",
     "uniform_dtype",
-    "any_symbolic",
-    "runtime_shape",
-    "runtime_spec",
-    "elementwise_spec",
-    "make_symbolic",
     "graph_of",
 ]
 
@@ -48,18 +53,36 @@ def to_tensor(value: Any, dtype=None, graph: Optional[Graph] = None) -> Tensor:
     return convert_to_tensor(value, dtype=dtype, graph=graph)
 
 
-def broadcast_static_shapes(a: TensorShape, b: TensorShape) -> TensorShape:
-    """NumPy broadcasting over partially-known shapes."""
-    if a.dims is None or b.dims is None:
-        return TensorShape(None)
-    ra, rb = len(a.dims), len(b.dims)
-    rank = max(ra, rb)
+# -- registration helpers: dtype palettes of the generation contracts ------------
+
+NUMERIC = ("float32", "float64", "int32")
+# Float-only: kernels that route through float intermediates whose cast
+# back to int is either lossy in surprising ways (Mean) or undefined for
+# inf/NaN (Div by zero, Sqrt of negatives).
+FLOATS = ("float32", "float64")
+
+
+# -- shape-function helpers ----------------------------------------------------
+
+# A spec's dims: None for an unknown rank, None entries for unknown sizes.
+Dims = Optional[tuple]
+# What a shape function returns: one (dtype, dims) pair per output.
+OutputSpecs = list[tuple[dtypes.DType, Dims]]
+
+
+def broadcast_dims(a: Dims, b: Dims) -> Dims:
+    """NumPy broadcasting over partially-known dims."""
+    if a is None or b is None:
+        return None
+    if a == b or not b:
+        return a
+    if not a:
+        return b
+    rank = max(len(a), len(b))
     # Missing leading dimensions broadcast as size 1 (NumPy semantics),
     # so the result dim is the other side's — statically known or not.
-    dims_a = (1,) * (rank - ra) + a.dims
-    dims_b = (1,) * (rank - rb) + b.dims
     out = []
-    for da, db in zip(dims_a, dims_b):
+    for da, db in zip((1,) * (rank - len(a)) + a, (1,) * (rank - len(b)) + b):
         if da == 1:
             out.append(db)
         elif db == 1:
@@ -72,53 +95,71 @@ def broadcast_static_shapes(a: TensorShape, b: TensorShape) -> TensorShape:
             out.append(da)
         else:
             raise InvalidArgumentError(
-                f"Shapes {a} and {b} are not broadcast-compatible"
+                f"Shapes {TensorShape(a)} and {TensorShape(b)} are not "
+                f"broadcast-compatible"
             )
-    return TensorShape(out)
+    return tuple(out)
 
 
-# -- registration helpers: dtype palettes of the generation contracts ------------
+def merge_dims(a: Dims, b: Dims) -> Dims:
+    """The most specific dims compatible with both, or raise."""
+    if a is None:
+        return b
+    if b is None or a == b:
+        return a
+    if len(a) != len(b):
+        raise InvalidArgumentError(
+            f"Shapes {TensorShape(a)} and {TensorShape(b)} have different ranks"
+        )
+    merged = []
+    for da, db in zip(a, b):
+        if da is not None and db is not None and da != db:
+            raise InvalidArgumentError(
+                f"Shapes {TensorShape(a)} and {TensorShape(b)} are incompatible"
+            )
+        merged.append(da if da is not None else db)
+    return tuple(merged)
 
-NUMERIC = ("float32", "float64", "int32")
-# Float-only: kernels that route through float intermediates whose cast
-# back to int is either lossy in surprising ways (Mean) or undefined for
-# inf/NaN (Div by zero, Sqrt of negatives).
-FLOATS = ("float32", "float64")
+
+def merged_dims(inputs: Sequence[Any]) -> Dims:
+    """The most specific dims compatible with every input, or raise."""
+    dims = dims_of(inputs[0])
+    for t in inputs[1:]:
+        dims = merge_dims(dims, dims_of(t))
+    return dims
 
 
-# -- shape-function helpers ----------------------------------------------------
+def num_elements(dims: Dims) -> Optional[int]:
+    """Element count, or None if any dim (or the rank) is unknown."""
+    if dims is None or None in dims:
+        return None
+    return math.prod(dims)
 
-# What a shape function returns: one (dtype, shape) pair per output.
-OutputSpecs = list[tuple[dtypes.DType, TensorShape]]
+
+def no_outputs(inputs: Sequence[Any], attrs: Mapping[str, Any]) -> OutputSpecs:
+    """Shape function of ops run for their effect or their control edges."""
+    return []
 
 
-def same_as_input(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
+def same_as_input(inputs: Sequence[Any], attrs: Mapping[str, Any]) -> OutputSpecs:
     """Shape function: one output with the first input's dtype and shape."""
-    return [(inputs[0].dtype, inputs[0].shape)]
+    return [(inputs[0].dtype, dims_of(inputs[0]))]
 
 
-def declared_in_attrs(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
+def declared_in_attrs(inputs: Sequence[Any], attrs: Mapping[str, Any]) -> OutputSpecs:
     """Shape function of sources whose ``dtype``/``shape`` attrs say it all."""
-    return [(dtypes.as_dtype(attrs["dtype"]), TensorShape(attrs["shape"]))]
+    return [(dtypes.as_dtype(attrs["dtype"]), attrs["shape"])]
 
 
-def uniform_dtype(inputs: Sequence[Tensor], what: str) -> dtypes.DType:
+def uniform_dtype(inputs: Sequence[Any], what: str) -> dtypes.DType:
     """The dtype every input shares, or raise naming ``what``."""
     dtype = inputs[0].dtype
     for t in inputs[1:]:
-        if t.dtype != dtype:
+        if t.dtype is not dtype and t.dtype != dtype:
             raise InvalidArgumentError(
                 f"{what} dtype mismatch: {dtype.name} vs {t.dtype.name}"
             )
     return dtype
-
-
-def merged_shape(inputs: Sequence[Tensor]) -> TensorShape:
-    """The most specific shape compatible with every input, or raise."""
-    shape = inputs[0].shape
-    for t in inputs[1:]:
-        shape = shape.merge_with(t.shape)
-    return shape
 
 
 def normalize_axis(axis: int, rank: int, what: str) -> int:
@@ -128,42 +169,3 @@ def normalize_axis(axis: int, rank: int, what: str) -> int:
             f"{what} axis {axis} is out of range for rank {rank}"
         )
     return axis % rank
-
-
-# -- runtime-value helpers (used by kernels) ---------------------------------
-
-def any_symbolic(values: Sequence[Any]) -> bool:
-    return any(isinstance(v, SymbolicValue) for v in values)
-
-
-def runtime_shape(value: Any) -> tuple[int, ...]:
-    if isinstance(value, SymbolicValue):
-        return value.shape
-    if not isinstance(value, NP_DESCRIBED):
-        value = np.asarray(value)
-    return value.shape
-
-
-def runtime_spec(value: Any) -> SymbolicValue:
-    return SymbolicValue.of(value)
-
-
-def make_symbolic(shape: Sequence[int], dtype) -> SymbolicValue:
-    return SymbolicValue(shape, dtypes.as_dtype(dtype))
-
-
-def elementwise_spec(op, values: Sequence[Any]) -> SymbolicValue:
-    """Broadcasted result spec of elementwise ``op`` over runtime values."""
-    shape = runtime_shape(values[0])
-    for v in values[1:]:
-        other = runtime_shape(v)
-        if other != shape:
-            try:
-                shape = np.broadcast_shapes(shape, other)
-            except ValueError:
-                raise InvalidArgumentError(
-                    f"{op.type} operand shapes "
-                    f"{[runtime_shape(x) for x in values]} are not "
-                    f"broadcast-compatible", node_def=op.name,
-                ) from None
-    return SymbolicValue(shape, op.outputs[0].dtype)

@@ -5,7 +5,8 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.graph import Graph, Operation, get_default_graph
-from repro.core.kernels.registry import Cost, register_kernel
+from repro.core.kernels.registry import no_cost, register_kernel
+from repro.core.ops.common import no_outputs
 from repro.core.tensor import Tensor
 
 __all__ = ["no_op", "group"]
@@ -31,6 +32,7 @@ def group(*inputs, name: str = "group", graph: Optional[Graph] = None) -> Operat
         return g.create_op("NoOp", inputs=[], output_specs=[], name=name)
 
 
-@register_kernel("NoOp", inline=True, builder="no_op")
+@register_kernel("NoOp", inline=True, shape_fn=no_outputs, cost=no_cost,
+                 builder="no_op")
 def _no_op_kernel(op, inputs, ctx):
-    return [], Cost.none()
+    return []

@@ -17,7 +17,8 @@ import numpy as np
 
 from repro import dtypes
 from repro.core.graph import Graph, get_default_graph
-from repro.core.kernels.registry import Cost, register_kernel
+from repro.core.kernels.registry import Cost, no_cost, register_kernel, total_nbytes
+from repro.core.ops.common import no_outputs
 from repro.core.tensor import Tensor, TensorShape
 from repro.errors import InvalidArgumentError, OutOfRangeError
 
@@ -205,13 +206,20 @@ class DatasetIterator:
         return list(op.outputs)
 
 
-@register_kernel("IteratorV2", devices=("cpu",), builder="Dataset", graph_only=True)
+@register_kernel("IteratorV2", devices=("cpu",), shape_fn=no_outputs,
+                 cost=no_cost, builder="Dataset", graph_only=True)
 def _iterator_kernel(op, inputs, ctx):
-    return [], Cost.none()
+    return []
 
 
-@register_kernel("IteratorGetNext", devices=("cpu",),
-                 builder="Dataset", stateful=True, graph_only=True)
+def _get_next_cost(in_specs, out_specs, attrs) -> Cost:
+    # Input pipelines run on the host; charge a light host cost.
+    return Cost(host_bytes=total_nbytes(out_specs), kind="io")
+
+
+@register_kernel("IteratorGetNext", devices=("cpu",), kernel_spec=True,
+                 cost=_get_next_cost, builder="Dataset", stateful=True,
+                 graph_only=True)
 def _get_next_kernel(op, inputs, ctx):
     key = op.get_attr("iterator")
     iterators = ctx.resources.iterators
@@ -221,6 +229,4 @@ def _get_next_kernel(op, inputs, ctx):
         element = next(iterators[key])
     except StopIteration:
         raise OutOfRangeError("End of sequence", node_def=op.name) from None
-    nbytes = sum(np.asarray(c).nbytes for c in element)
-    # Input pipelines run on the host; charge a light host cost.
-    return list(element), Cost(host_bytes=nbytes, kind="io")
+    return list(element)

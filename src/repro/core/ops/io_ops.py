@@ -16,7 +16,7 @@ from repro import dtypes
 from repro.core.graph import Graph, Operation, get_default_graph
 from repro.core.kernels.registry import Cost, register_kernel
 from repro.core.ops.common import to_tensor
-from repro.core.tensor import Tensor, as_shape, value_nbytes
+from repro.core.tensor import Tensor, as_shape
 
 
 from repro.errors import InvalidArgumentError, UnavailableError
@@ -71,7 +71,16 @@ def _format_path(pattern: str, index_values) -> str:
         ) from exc
 
 
-@register_kernel("ReadTile", devices=("cpu",), builder="read_tile")
+def _read_cost(in_specs, out_specs, attrs) -> Cost:
+    return Cost(io_bytes=out_specs[0].nbytes, kind="io")
+
+
+def _write_cost(in_specs, out_specs, attrs) -> Cost:
+    return Cost(io_bytes=in_specs[0].nbytes, kind="io")
+
+
+@register_kernel("ReadTile", devices=("cpu",), kernel_spec=True,
+                 cost=_read_cost, builder="read_tile")
 def _read_tile_kernel(op, inputs, ctx):
     fs = ctx.filesystem()
     if fs is None:
@@ -81,12 +90,11 @@ def _read_tile_kernel(op, inputs, ctx):
     path = _format_path(op.get_attr("pattern"), inputs)
     node = ctx.worker.node
     value = yield from fs.read(path, node, symbolic=ctx.symbolic)
-    nbytes = value_nbytes(value)
-    return [value], Cost(io_bytes=nbytes, kind="io")
+    return [value]
 
 
 @register_kernel("WriteTile", devices=("cpu",), stateful=True,
-                 builder="write_tile")
+                 kernel_spec=True, cost=_write_cost, builder="write_tile")
 def _write_tile_kernel(op, inputs, ctx):
     fs = ctx.filesystem()
     if fs is None:
@@ -97,5 +105,4 @@ def _write_tile_kernel(op, inputs, ctx):
     path = _format_path(op.get_attr("pattern"), index_values)
     node = ctx.worker.node
     yield from fs.write(path, value, node)
-    nbytes = value_nbytes(value)
-    return [], Cost(io_bytes=nbytes, kind="io")
+    return []

@@ -7,24 +7,27 @@ from typing import Any, Mapping, Optional, Sequence
 import numpy as np
 
 from repro import dtypes
-from repro.core.kernels.registry import Cost, ShapeFn, register_kernel
+from repro.core.kernels.registry import (
+    Cost,
+    ShapeFn,
+    elementwise_cost,
+    reduction_cost,
+    register_kernel,
+    total_nbytes,
+)
 from repro.core.ops.common import (
     FLOATS,
     NUMERIC,
     OutputSpecs,
-    any_symbolic,
-    broadcast_static_shapes,
-    elementwise_spec,
-    make_symbolic,
-    merged_shape,
+    broadcast_dims,
+    merge_dims,
+    merged_dims,
     normalize_axis,
-    runtime_shape,
-    runtime_spec,
     same_as_input,
     to_tensor,
     uniform_dtype,
 )
-from repro.core.tensor import SymbolicValue, Tensor, TensorShape, value_nbytes
+from repro.core.tensor import Tensor, dims_of
 from repro.errors import InvalidArgumentError
 
 __all__ = [
@@ -186,108 +189,126 @@ def reduce_max(x, axis=None, keepdims: bool = False, name: str = "Max") -> Tenso
 
 
 # ---------------------------------------------------------------------------
-# shape functions: (inputs, attrs) -> one (dtype, shape) per output. Run by
-# create_op when the op is built and re-run by the graph verifier.
+# shape functions: (specs, attrs) -> one (dtype, dims) per output. Run by
+# create_op on the input tensors, by the graph verifier, and by the
+# dispatcher on the run-time values' specs.
 # ---------------------------------------------------------------------------
 
 def _binary_shape(op_type: str, out_dtype: Optional[dtypes.DType] = None) -> ShapeFn:
-    def shape_fn(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
+    def shape_fn(inputs: Sequence[Any], attrs: Mapping[str, Any]) -> OutputSpecs:
         dtype = uniform_dtype(inputs, op_type)
-        shape = broadcast_static_shapes(inputs[0].shape, inputs[1].shape)
-        return [(out_dtype or dtype, shape)]
+        dims = broadcast_dims(dims_of(inputs[0]), dims_of(inputs[1]))
+        return [(out_dtype or dtype, dims)]
 
     return shape_fn
 
 
-def _matmul_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
-    at, bt = inputs
+def _matmul_shape(inputs: Sequence[Any], attrs: Mapping[str, Any]) -> OutputSpecs:
     dtype = uniform_dtype(inputs, "matmul")
     transpose_a = attrs.get("transpose_a", False)
     transpose_b = attrs.get("transpose_b", False)
-    sa = at.shape
-    sb = bt.shape
-    rank_b = sb.rank
-    if sa.rank not in (None, 2):
-        raise InvalidArgumentError(f"matmul lhs must be rank 2, got {sa}")
-    if rank_b not in (None, 1, 2):
-        raise InvalidArgumentError(f"matmul rhs must be rank 1 or 2, got {sb}")
-    if rank_b == 1 and transpose_b:
-        raise InvalidArgumentError("cannot transpose a rank-1 rhs")
-    m = None if sa.rank is None else sa[1 if transpose_a else 0]
-    ka = None if sa.rank is None else sa[0 if transpose_a else 1]
-    if rank_b == 1:
-        kb = sb[0]
-        out_shape = TensorShape([m])
+    sa, sb = dims_of(inputs[0]), dims_of(inputs[1])
+    if sa is not None and len(sa) != 2:
+        raise InvalidArgumentError(f"matmul lhs must be rank 2, got rank {len(sa)}")
+    if sb is not None and len(sb) not in (1, 2):
+        raise InvalidArgumentError(
+            f"matmul rhs must be rank 1 or 2, got rank {len(sb)}"
+        )
+    m = ka = None
+    if sa is not None:
+        m, ka = (sa[1], sa[0]) if transpose_a else sa
+    if sb is None:
+        kb, dims = None, None
+    elif len(sb) == 1:
+        if transpose_b:
+            raise InvalidArgumentError("cannot transpose a rank-1 rhs")
+        kb, dims = sb[0], (m,)
     else:
-        kb = None if rank_b is None else sb[1 if transpose_b else 0]
-        n = None if rank_b is None else sb[0 if transpose_b else 1]
-        out_shape = TensorShape([m, n]) if rank_b is not None else TensorShape(None)
+        kb, n = (sb[1], sb[0]) if transpose_b else sb
+        dims = (m, n)
     if ka is not None and kb is not None and ka != kb:
         raise InvalidArgumentError(
             f"matmul inner dimensions disagree: {ka} vs {kb}"
         )
-    return [(dtype, out_shape)]
+    return [(dtype, dims)]
 
 
-def _dot_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
+def _dot_shape(inputs: Sequence[Any], attrs: Mapping[str, Any]) -> OutputSpecs:
     dtype = uniform_dtype(inputs, "dot")
     for t in inputs:
-        if t.shape.rank not in (None, 1):
-            raise InvalidArgumentError(f"dot expects vectors, got {t.shape}")
-    return [(dtype, TensorShape([]))]
+        if dims_of(t) is not None and len(dims_of(t)) != 1:
+            raise InvalidArgumentError(
+                f"dot expects vectors, got rank {len(dims_of(t))}"
+            )
+    merge_dims(dims_of(inputs[0]), dims_of(inputs[1]))
+    return [(dtype, ())]
 
 
-def _add_n_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
-    shape = merged_shape(inputs)
+def _add_n_shape(inputs: Sequence[Any], attrs: Mapping[str, Any]) -> OutputSpecs:
+    dims = merged_dims(inputs)
     for t in inputs[1:]:
         if t.dtype != inputs[0].dtype:
             raise InvalidArgumentError("add_n requires uniform dtypes")
-    return [(inputs[0].dtype, shape)]
+    return [(inputs[0].dtype, dims)]
 
 
-def _reduce_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
+def _reduce_shape(inputs: Sequence[Any], attrs: Mapping[str, Any]) -> OutputSpecs:
     x = inputs[0]
     axes = attrs["axis"]
     keepdims = attrs.get("keepdims", False)
-    dims = x.shape.dims
-    if axes is None:
-        out_shape = TensorShape([] if not keepdims else [1] * len(dims or ()))
-        if dims is None and keepdims:
-            out_shape = TensorShape(None)
-    elif dims is None:
-        out_shape = TensorShape(None)
+    dims = dims_of(x)
+    if dims is None:
+        return [(x.dtype, None if keepdims or axes is not None else ())]
+    norm = (set(range(len(dims))) if axes is None
+            else {normalize_axis(a, len(dims), "reduce") for a in axes})
+    if keepdims:
+        return [(x.dtype, tuple(1 if i in norm else d for i, d in enumerate(dims)))]
+    return [(x.dtype, tuple(d for i, d in enumerate(dims) if i not in norm))]
+
+
+# ---------------------------------------------------------------------------
+# costs beyond the shared shapes of the registry
+# ---------------------------------------------------------------------------
+
+def _matmul_cost(in_specs, out_specs, attrs) -> Cost:
+    sa, sb = in_specs[0].shape, in_specs[1].shape
+    m, k = (sa[1], sa[0]) if attrs.get("transpose_a", False) else sa
+    if len(sb) == 1:
+        n = 1
     else:
-        norm = {normalize_axis(a, len(dims), "reduce") for a in axes}
-        kept = [
-            (1 if keepdims else None) if i in norm else d
-            for i, d in enumerate(dims)
-        ]
-        if not keepdims:
-            kept = [d for i, d in enumerate(kept) if i not in norm]
-        out_shape = TensorShape(kept)
-    return [(x.dtype, out_shape)]
+        n = sb[0] if attrs.get("transpose_b", False) else sb[1]
+    dtype = in_specs[0].dtype
+    # Complex multiply-add counts 4x real flops; the figures only use real.
+    factor = 4.0 if dtype.is_complex else 1.0
+    return Cost(flops=factor * 2.0 * m * k * n,
+                mem_bytes=(m * k + k * n + m * n) * dtype.size, kind="compute")
+
+
+def _dot_cost(in_specs, out_specs, attrs) -> Cost:
+    n = in_specs[0].shape[0]
+    dtype = in_specs[0].dtype
+    factor = 4.0 if dtype.is_complex else 1.0
+    return Cost(flops=factor * 2.0 * n, mem_bytes=2 * n * dtype.size,
+                kind="compute")
+
+
+def _add_n_cost(in_specs, out_specs, attrs) -> Cost:
+    (out,) = out_specs
+    return Cost(flops=(len(in_specs) - 1) * out.size,
+                mem_bytes=total_nbytes(in_specs) + out.nbytes,
+                kind="compute")
 
 
 # ---------------------------------------------------------------------------
-# kernels, each registered with its OpDef (flags, shape function, and the
-# generation contract the repro.fuzz catalog draws from)
+# kernels (values only), each registered with its OpDef: flags, shape
+# function, cost, and the generation contract the repro.fuzz catalog draws
+# from
 # ---------------------------------------------------------------------------
 
-def _elementwise_cost(values, out_spec: SymbolicValue, flops_per_element: float = 1.0) -> Cost:
-    n = out_spec.size
-    nbytes = sum(value_nbytes(v) for v in values) + out_spec.nbytes
-    return Cost(flops=flops_per_element * n, mem_bytes=nbytes, kind="compute")
-
-
-def _binary_kernel(np_fn, flops_per_element: float = 1.0):
+def _binary_kernel(np_fn):
     def kernel(op, inputs, ctx):
-        out_spec = elementwise_spec(op, inputs)
-        cost = _elementwise_cost(inputs, out_spec, flops_per_element)
-        if any_symbolic(inputs):
-            return [out_spec], cost
         a, b = (np.asarray(v) for v in inputs)
-        out = np_fn(a, b).astype(op.outputs[0].dtype.np_dtype, copy=False)
-        return [out], cost
+        return [np_fn(a, b).astype(op.outputs[0].dtype.np_dtype, copy=False)]
 
     return kernel
 
@@ -301,20 +322,16 @@ for _op, _builder, _np_fn, _dtypes in (
     ("Minimum", "minimum", np.minimum, NUMERIC),
 ):
     register_kernel(
-        _op, pure=True, shape_fn=_binary_shape(_op), builder=_builder,
-        arity=(2, 2), dtypes=_dtypes, shape_rule="elementwise_broadcast",
+        _op, pure=True, shape_fn=_binary_shape(_op), cost=elementwise_cost(),
+        builder=_builder, arity=(2, 2), dtypes=_dtypes,
+        shape_rule="elementwise_broadcast",
     )(_binary_kernel(_np_fn))
 
 
-def _unary_kernel(np_fn, flops_per_element: float = 1.0):
+def _unary_kernel(np_fn):
     def kernel(op, inputs, ctx):
-        (x,) = inputs
-        out_spec = elementwise_spec(op, inputs)
-        cost = _elementwise_cost(inputs, out_spec, flops_per_element)
-        if isinstance(x, SymbolicValue):
-            return [out_spec], cost
-        out = np_fn(np.asarray(x)).astype(op.outputs[0].dtype.np_dtype, copy=False)
-        return [out], cost
+        out = np_fn(np.asarray(inputs[0]))
+        return [out.astype(op.outputs[0].dtype.np_dtype, copy=False)]
 
     return kernel
 
@@ -331,122 +348,53 @@ for _op, _builder, _np_fn, _flops, _dtypes in (
     ("Sigmoid", "sigmoid", _sigmoid_np, 10.0, FLOATS),
 ):
     register_kernel(
-        _op, pure=True, shape_fn=same_as_input, builder=_builder,
-        arity=(1, 1), dtypes=_dtypes, shape_rule="unary_same",
-    )(_unary_kernel(_np_fn, flops_per_element=_flops))
+        _op, pure=True, shape_fn=same_as_input, cost=elementwise_cost(_flops),
+        builder=_builder, arity=(1, 1), dtypes=_dtypes, shape_rule="unary_same",
+    )(_unary_kernel(_np_fn))
 
 
 @register_kernel("GreaterEqual", pure=True,
                  shape_fn=_binary_shape("GreaterEqual", dtypes.bool_),
-                 builder="greater_equal", arity=(2, 2), dtypes=NUMERIC,
+                 cost=elementwise_cost(), builder="greater_equal",
+                 arity=(2, 2), dtypes=NUMERIC,
                  shape_rule="elementwise_broadcast")
 def _greater_equal_kernel(op, inputs, ctx):
-    out_spec = elementwise_spec(op, inputs)
-    cost = _elementwise_cost(inputs, out_spec)
-    if any_symbolic(inputs):
-        return [out_spec], cost
     a, b = (np.asarray(v) for v in inputs)
-    return [np.greater_equal(a, b)], cost
+    return [np.greater_equal(a, b)]
 
 
 @register_kernel("MatMul", pure=True, shape_fn=_matmul_shape,
-                 builder="matmul", arity=(2, 2), dtypes=FLOATS,
-                 shape_rule="matmul")
+                 cost=_matmul_cost, builder="matmul", arity=(2, 2),
+                 dtypes=FLOATS, shape_rule="matmul")
 def _matmul_kernel(op, inputs, ctx):
-    a, b = inputs
-    ta = op.get_attr("transpose_a", False)
-    tb = op.get_attr("transpose_b", False)
-    sa = runtime_shape(a)
-    sb = runtime_shape(b)
-    m, k = (sa[1], sa[0]) if ta else (sa[0], sa[1])
-    if len(sb) == 1:
-        kb, n = sb[0], 1
-        out_shape: tuple[int, ...] = (m,)
-    else:
-        kb, n = (sb[1], sb[0]) if tb else (sb[0], sb[1])
-        out_shape = (m, n)
-    if k != kb:
-        # Checked on the spec, so shape-only and concrete runs agree.
-        raise InvalidArgumentError(
-            f"MatMul operand shapes {sa} and {sb} (transpose_a={ta}, "
-            f"transpose_b={tb}) disagree on the inner dimension: {k} vs {kb}",
-            node_def=op.name,
-        )
-    dtype = runtime_spec(a).dtype
-    # Complex multiply-add counts 4x real flops; the figures only use real.
-    factor = 4.0 if dtype.is_complex else 1.0
-    flops = factor * 2.0 * m * k * n
-    nbytes = (m * k + k * n + m * n) * dtype.size
-    cost = Cost(flops=flops, mem_bytes=nbytes, kind="compute")
-    if any_symbolic(inputs):
-        return [make_symbolic(out_shape, dtype)], cost
-    am = np.asarray(a).T if ta else np.asarray(a)
-    bm = np.asarray(b).T if tb else np.asarray(b)
-    return [am @ bm], cost
+    a, b = (np.asarray(v) for v in inputs)
+    am = a.T if op.get_attr("transpose_a", False) else a
+    bm = b.T if op.get_attr("transpose_b", False) else b
+    return [am @ bm]
 
 
-@register_kernel("Dot", pure=True, shape_fn=_dot_shape, builder="dot",
-                 arity=(2, 2), dtypes=FLOATS, shape_rule="dot")
+@register_kernel("Dot", pure=True, shape_fn=_dot_shape, cost=_dot_cost,
+                 builder="dot", arity=(2, 2), dtypes=FLOATS, shape_rule="dot")
 def _dot_kernel(op, inputs, ctx):
-    a, b = inputs
-    sa, sb = runtime_shape(a), runtime_shape(b)
-    if len(sa) != 1 or sa != sb:
-        # Checked on the spec, so shape-only and concrete runs agree.
-        raise InvalidArgumentError(
-            f"Dot operand shapes {sa} and {sb} are not two vectors of one "
-            f"length", node_def=op.name,
-        )
-    n = sa[0]
-    dtype = runtime_spec(a).dtype
-    factor = 4.0 if dtype.is_complex else 1.0
-    cost = Cost(
-        flops=factor * 2.0 * n,
-        mem_bytes=2 * n * dtype.size,
-        kind="compute",
-    )
-    if any_symbolic(inputs):
-        return [make_symbolic((), dtype)], cost
-    return [np.asarray(np.dot(np.asarray(a), np.asarray(b)))], cost
+    a, b = (np.asarray(v) for v in inputs)
+    return [np.asarray(np.dot(a, b))]
 
 
-@register_kernel("AddN", pure=True, shape_fn=_add_n_shape, builder="add_n",
-                 arity=(2, 4), dtypes=NUMERIC, shape_rule="same_shape_n")
+@register_kernel("AddN", pure=True, shape_fn=_add_n_shape, cost=_add_n_cost,
+                 builder="add_n", arity=(2, 4), dtypes=NUMERIC,
+                 shape_rule="same_shape_n")
 def _add_n_kernel(op, inputs, ctx):
-    out_spec = elementwise_spec(op, inputs)
-    cost = Cost(
-        flops=(len(inputs) - 1) * out_spec.size,
-        mem_bytes=sum(value_nbytes(v) for v in inputs) + out_spec.nbytes,
-        kind="compute",
-    )
-    if any_symbolic(inputs):
-        return [out_spec], cost
-    total = np.zeros(out_spec.shape, dtype=out_spec.dtype.np_dtype)
+    total = np.zeros(np.shape(inputs[0]), dtype=op.outputs[0].dtype.np_dtype)
     for v in inputs:
         total = total + np.asarray(v)
-    return [total], cost
+    return [total]
 
 
-def _reduce_kernel(np_fn, extra_flops: float = 1.0):
+def _reduce_kernel(np_fn):
     def kernel(op, inputs, ctx):
-        (x,) = inputs
-        axes = op.get_attr("axis")
-        keepdims = op.get_attr("keepdims", False)
-        spec = runtime_spec(x)
-        cost = Cost(
-            flops=extra_flops * spec.size,
-            mem_bytes=spec.nbytes,
-            kind="compute",
-        )
-        if isinstance(x, SymbolicValue):
-            shape = list(spec.shape)
-            rank = len(shape)
-            norm = set(range(rank)) if axes is None else {a % rank for a in axes}
-            dims = [1 if i in norm else d for i, d in enumerate(shape)]
-            if not keepdims:
-                dims = [d for i, d in enumerate(dims) if i not in norm]
-            return [make_symbolic(dims, spec.dtype)], cost
-        out = np_fn(np.asarray(x), axis=axes, keepdims=keepdims)
-        return [np.asarray(out, dtype=op.outputs[0].dtype.np_dtype)], cost
+        out = np_fn(np.asarray(inputs[0]), axis=op.get_attr("axis"),
+                    keepdims=op.get_attr("keepdims", False))
+        return [np.asarray(out, dtype=op.outputs[0].dtype.np_dtype)]
 
     return kernel
 
@@ -457,6 +405,6 @@ for _op, _builder, _np_fn, _dtypes in (
     ("Max", "reduce_max", np.max, NUMERIC),
 ):
     register_kernel(
-        _op, pure=True, shape_fn=_reduce_shape, builder=_builder,
-        arity=(1, 1), dtypes=_dtypes, shape_rule="reduce",
+        _op, pure=True, shape_fn=_reduce_shape, cost=reduction_cost,
+        builder=_builder, arity=(1, 1), dtypes=_dtypes, shape_rule="reduce",
     )(_reduce_kernel(_np_fn))

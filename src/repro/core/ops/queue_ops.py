@@ -11,12 +11,14 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from repro import dtypes
 from repro.core.graph import Graph, Operation, get_default_graph
 from repro.core.kernels.queue_runtime import SimQueue
-from repro.core.kernels.registry import Cost, register_kernel
-from repro.core.ops.common import to_tensor
-from repro.core.tensor import Tensor, TensorShape, as_shape, value_nbytes
+from repro.core.kernels.registry import Cost, no_cost, register_kernel, total_nbytes
+from repro.core.ops.common import no_outputs, to_tensor
+from repro.core.tensor import Tensor, TensorShape, as_shape
 from repro.errors import InvalidArgumentError
 
 __all__ = ["FIFOQueue"]
@@ -165,11 +167,12 @@ def _get_queue(op, ctx) -> SimQueue:
     return queues[key]
 
 
-@register_kernel("FIFOQueue", devices=("cpu",), builder="FIFOQueue", graph_only=True)
+@register_kernel("FIFOQueue", devices=("cpu",), shape_fn=no_outputs,
+                 cost=no_cost, builder="FIFOQueue", graph_only=True)
 def _queue_create_kernel(op, inputs, ctx):
     # Creation is lazy in _get_queue; the handle op itself is a no-op so
     # that running it (e.g. through an init fetch) is harmless.
-    return [], Cost.none()
+    return []
 
 
 def _queue_op_host_work(ctx):
@@ -195,38 +198,43 @@ def _queue_op_host_work(ctx):
         gil.release(request)
 
 
-@register_kernel("QueueEnqueue", devices=("cpu",), builder="FIFOQueue", stateful=True)
+def _element_cost(in_specs, out_specs, attrs) -> Cost:
+    """The element's bytes handed over; a blocked queue op holds no device."""
+    return Cost(mem_bytes=total_nbytes(in_specs) + total_nbytes(out_specs),
+                kind="sync")
+
+
+@register_kernel("QueueEnqueue", devices=("cpu",), kernel_spec=True,
+                 cost=_element_cost, builder="FIFOQueue", stateful=True)
 def _enqueue_kernel(op, inputs, ctx):
     queue = _get_queue(op, ctx)
     yield from _queue_op_host_work(ctx)
     if not queue.try_enqueue(list(inputs)):
         yield queue.enqueue(list(inputs))
-    nbytes = sum(value_nbytes(v) for v in inputs)
-    return [], Cost(mem_bytes=nbytes, kind="sync")
+    return []
 
 
-@register_kernel("QueueDequeue", devices=("cpu",), builder="FIFOQueue", stateful=True)
+@register_kernel("QueueDequeue", devices=("cpu",), kernel_spec=True,
+                 cost=_element_cost, builder="FIFOQueue", stateful=True)
 def _dequeue_kernel(op, inputs, ctx):
     queue = _get_queue(op, ctx)
     yield from _queue_op_host_work(ctx)
     ready, components = queue.try_dequeue()
     if not ready:
         components = yield queue.dequeue()
-    nbytes = sum(value_nbytes(v) for v in components)
-    return list(components), Cost(mem_bytes=nbytes, kind="sync")
+    return list(components)
 
 
-@register_kernel("QueueSize", devices=("cpu",), builder="FIFOQueue", graph_only=True)
+@register_kernel("QueueSize", devices=("cpu",), kernel_spec=True,
+                 cost=no_cost, builder="FIFOQueue", graph_only=True)
 def _queue_size_kernel(op, inputs, ctx):
-    import numpy as np
-
-    queue = _get_queue(op, ctx)
-    return [np.asarray(queue.size(), dtype=np.int32)], Cost.none()
+    return [np.asarray(_get_queue(op, ctx).size(), dtype=np.int32)]
 
 
-@register_kernel("QueueClose", devices=("cpu",),
-                 builder="FIFOQueue", stateful=True, graph_only=True)
+@register_kernel("QueueClose", devices=("cpu",), kernel_spec=True,
+                 cost=no_cost, builder="FIFOQueue", stateful=True,
+                 graph_only=True)
 def _queue_close_kernel(op, inputs, ctx):
     queue = _get_queue(op, ctx)
     queue.close(cancel_pending_enqueues=op.get_attr("cancel_pending_enqueues", False))
-    return [], Cost.none()
+    return []

@@ -15,7 +15,7 @@ import numpy as np
 from repro import dtypes
 from repro.core.graph import Graph
 from repro.core.kernels.registry import Cost, register_kernel
-from repro.core.ops.common import declared_in_attrs, graph_of, make_symbolic
+from repro.core.ops.common import declared_in_attrs, graph_of
 from repro.core.tensor import Tensor, as_shape
 from repro.errors import InvalidArgumentError
 
@@ -79,39 +79,26 @@ def _make_rng(op, ctx) -> np.random.Generator:
     return np.random.Generator(bitgen)
 
 
-def _random_cost(op) -> Cost:
-    shape = op.get_attr("shape")
-    n = 1
-    for d in shape:
-        n *= d
-    esize = op.outputs[0].dtype.size
+def _random_cost(in_specs, out_specs, attrs) -> Cost:
+    (out,) = out_specs
     # ~10 flops per Philox sample plus the output write.
-    return Cost(flops=10.0 * n, mem_bytes=n * esize, kind="compute")
+    return Cost(flops=10.0 * out.size, mem_bytes=out.nbytes, kind="compute")
 
 
 @register_kernel("RandomUniform", stateful=True, shape_fn=declared_in_attrs,
-                 builder="random_uniform")
+                 cost=_random_cost, builder="random_uniform")
 def _random_uniform_kernel(op, inputs, ctx):
-    cost = _random_cost(op)
-    shape = op.get_attr("shape")
-    dtype = op.outputs[0].dtype
-    if ctx.symbolic:
-        return [make_symbolic(shape, dtype)], cost
-    rng = _make_rng(op, ctx)
     lo = op.get_attr("minval")
     hi = op.get_attr("maxval")
-    out = rng.random(size=shape, dtype=np.float64) * (hi - lo) + lo
-    return [out.astype(dtype.np_dtype)], cost
+    out = _make_rng(op, ctx).random(size=op.get_attr("shape"),
+                                    dtype=np.float64) * (hi - lo) + lo
+    return [out.astype(op.outputs[0].dtype.np_dtype)]
 
 
 @register_kernel("RandomNormal", stateful=True, shape_fn=declared_in_attrs,
-                 builder="random_normal")
+                 cost=_random_cost, builder="random_normal")
 def _random_normal_kernel(op, inputs, ctx):
-    cost = _random_cost(op)
-    shape = op.get_attr("shape")
-    dtype = op.outputs[0].dtype
-    if ctx.symbolic:
-        return [make_symbolic(shape, dtype)], cost
-    rng = _make_rng(op, ctx)
-    out = rng.normal(loc=op.get_attr("mean"), scale=op.get_attr("stddev"), size=shape)
-    return [out.astype(dtype.np_dtype)], cost
+    out = _make_rng(op, ctx).normal(loc=op.get_attr("mean"),
+                                    scale=op.get_attr("stddev"),
+                                    size=op.get_attr("shape"))
+    return [out.astype(op.outputs[0].dtype.np_dtype)]

@@ -12,9 +12,8 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from repro.core.kernels.registry import Cost, ShapeFn, register_kernel
-from repro.core.ops.common import OutputSpecs, runtime_spec, to_tensor
-
-from repro.core.tensor import SymbolicValue, Tensor
+from repro.core.ops.common import OutputSpecs, to_tensor
+from repro.core.tensor import Tensor, dims_of
 from repro.errors import InvalidArgumentError
 
 __all__ = ["fft", "ifft"]
@@ -26,15 +25,18 @@ def _fft_like(op_type: str, x, name: str) -> Tensor:
 
 
 def _fft_shape(op_type: str) -> ShapeFn:
-    def shape_fn(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
+    def shape_fn(inputs: Sequence[Any], attrs: Mapping[str, Any]) -> OutputSpecs:
         xt = inputs[0]
         if not xt.dtype.is_complex:
             raise InvalidArgumentError(
                 f"{op_type} requires a complex input, got {xt.dtype.name}; cast first"
             )
-        if xt.shape.rank not in (None, 1):
-            raise InvalidArgumentError(f"{op_type} implements 1-D transforms, got {xt.shape}")
-        return [(xt.dtype, xt.shape)]
+        dims = dims_of(xt)
+        if dims is not None and len(dims) != 1:
+            raise InvalidArgumentError(
+                f"{op_type} implements 1-D transforms, got rank {len(dims)}"
+            )
+        return [(xt.dtype, dims)]
 
     return shape_fn
 
@@ -49,29 +51,22 @@ def ifft(x, name: str = "IFFT") -> Tensor:
     return _fft_like("IFFT", x, name)
 
 
-def _fft_cost(spec: SymbolicValue) -> Cost:
-    n = max(spec.size, 1)
+def _fft_cost(in_specs, out_specs, attrs) -> Cost:
+    (x,) = in_specs
+    n = max(x.size, 1)
     flops = 5.0 * n * max(math.log2(n), 1.0)
-    return Cost(flops=flops, mem_bytes=2 * spec.nbytes, kind="compute")
+    return Cost(flops=flops, mem_bytes=2 * x.nbytes, kind="compute")
 
 
-@register_kernel("FFT", pure=True, shape_fn=_fft_shape("FFT"), builder="fft")
-def _fft_kernel(op, inputs, ctx):
-    (x,) = inputs
-    spec = runtime_spec(x)
-    cost = _fft_cost(spec)
-    if isinstance(x, SymbolicValue):
-        return [spec], cost
-    out = np.fft.fft(np.asarray(x)).astype(op.outputs[0].dtype.np_dtype, copy=False)
-    return [out], cost
+def _fft_kernel(np_fn):
+    def kernel(op, inputs, ctx):
+        out = np_fn(np.asarray(inputs[0]))
+        return [out.astype(op.outputs[0].dtype.np_dtype, copy=False)]
+
+    return kernel
 
 
-@register_kernel("IFFT", pure=True, shape_fn=_fft_shape("IFFT"), builder="ifft")
-def _ifft_kernel(op, inputs, ctx):
-    (x,) = inputs
-    spec = runtime_spec(x)
-    cost = _fft_cost(spec)
-    if isinstance(x, SymbolicValue):
-        return [spec], cost
-    out = np.fft.ifft(np.asarray(x)).astype(op.outputs[0].dtype.np_dtype, copy=False)
-    return [out], cost
+for _op, _builder, _np_fn in (("FFT", "fft", np.fft.fft),
+                              ("IFFT", "ifft", np.fft.ifft)):
+    register_kernel(_op, pure=True, shape_fn=_fft_shape(_op), cost=_fft_cost,
+                    builder=_builder)(_fft_kernel(_np_fn))

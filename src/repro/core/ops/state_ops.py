@@ -17,16 +17,15 @@ import numpy as np
 
 from repro import dtypes
 from repro.core.graph import Graph, GraphKeys, get_default_graph
-from repro.core.kernels.registry import Cost, register_kernel
+from repro.core.kernels.registry import Cost, memcpy_cost, no_cost, register_kernel
 from repro.core.ops.common import (
     NUMERIC,
     OutputSpecs,
     graph_of,
-    runtime_spec,
+    merge_dims,
     to_tensor,
 )
-
-from repro.core.tensor import SymbolicValue, Tensor, TensorShape, as_shape, value_nbytes
+from repro.core.tensor import SymbolicValue, Tensor, TensorShape, as_shape, dims_of
 from repro.errors import FailedPreconditionError, InvalidArgumentError, NotFoundError
 
 __all__ = [
@@ -187,7 +186,7 @@ def global_variables_initializer(graph: Optional[Graph] = None, name: str = "ini
 # shape function (run by create_op and re-run by the graph verifier)
 # ---------------------------------------------------------------------------
 
-def _assign_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputSpecs:
+def _assign_shape(inputs: Sequence[Any], attrs: Mapping[str, Any]) -> OutputSpecs:
     """The variable's dtype; its static shape merged with the value's."""
     var_name = attrs.get("var_name")
     if var_name is None:
@@ -199,15 +198,23 @@ def _assign_shape(inputs: Sequence[Tensor], attrs: Mapping[str, Any]) -> OutputS
             f"assign op targets unknown variable {var_name!r}"
         ) from None
     var = var_op.outputs[0]
-    return [(var.dtype, var.shape.merge_with(inputs[0].shape))]
+    return [(var.dtype, merge_dims(dims_of(var), dims_of(inputs[0])))]
+
+
+def _accumulate_cost(in_specs, out_specs, attrs) -> Cost:
+    """Read the variable and the delta, write the variable."""
+    (updated,) = out_specs
+    return Cost(flops=updated.size, mem_bytes=3 * updated.nbytes, kind="compute")
 
 
 # ---------------------------------------------------------------------------
-# kernels, each registered with its OpDef
+# kernels, each registered with its OpDef. The variable store decides what
+# a read or an update delivers, so every one is ``kernel_spec``.
 # ---------------------------------------------------------------------------
 
-@register_kernel("VariableV2", inline=True, builder="Variable", arity=(1, 1),
-                 dtypes=NUMERIC, shape_rule="variable_update")
+@register_kernel("VariableV2", inline=True, kernel_spec=True, cost=no_cost,
+                 builder="Variable", arity=(1, 1), dtypes=NUMERIC,
+                 shape_rule="variable_update")
 def _variable_kernel(op, inputs, ctx):
     store = ctx.resources.variables
     if op.name not in store:
@@ -218,20 +225,19 @@ def _variable_kernel(op, inputs, ctx):
     value = store[op.name]
     # Reading a variable hands out a reference, not a copy (TF semantics);
     # the read itself is free, consumers pay for the bytes they touch.
-    return [value], Cost.none()
+    return [value]
 
 
-@register_kernel("Assign", stateful=True, shape_fn=_assign_shape,
+@register_kernel("Assign", stateful=True, kernel_spec=True,
+                 shape_fn=_assign_shape, cost=memcpy_cost(ins=2, outs=0),
                  builder="assign", arity=(1, 1), dtypes=NUMERIC,
                  shape_rule="variable_update")
 def _assign_kernel(op, inputs, ctx):
     (value,) = inputs
-    var_name = op.get_attr("var_name")
     if isinstance(value, np.ndarray):
         value = value.copy()
-    ctx.resources.variables[var_name] = value
-    nbytes = value_nbytes(value)
-    return [value], Cost(mem_bytes=2 * nbytes, kind="memcpy")
+    ctx.resources.variables[op.get_attr("var_name")] = value
+    return [value]
 
 
 def _accumulate_kernel(np_op):
@@ -245,16 +251,14 @@ def _accumulate_kernel(np_op):
                 node_def=op.name,
             )
         current = store[var_name]
-        spec = runtime_spec(current)
-        cost = Cost(flops=spec.size, mem_bytes=3 * spec.nbytes, kind="compute")
         if isinstance(current, SymbolicValue) or isinstance(delta, SymbolicValue):
-            store[var_name] = spec
-            return [spec], cost
-        updated = np_op(np.asarray(current), np.asarray(delta)).astype(
-            op.outputs[0].dtype.np_dtype, copy=False
-        )
+            updated = SymbolicValue.of(current)
+        else:
+            updated = np_op(np.asarray(current), np.asarray(delta)).astype(
+                op.outputs[0].dtype.np_dtype, copy=False
+            )
         store[var_name] = updated
-        return [updated], cost
+        return [updated]
 
     return kernel
 
@@ -264,6 +268,7 @@ for _op, _builder, _np_op in (
     ("AssignSub", "assign_sub", np.subtract),
 ):
     register_kernel(
-        _op, stateful=True, shape_fn=_assign_shape, builder=_builder,
-        arity=(1, 1), dtypes=NUMERIC, shape_rule="variable_update",
+        _op, stateful=True, kernel_spec=True, shape_fn=_assign_shape,
+        cost=_accumulate_cost, builder=_builder, arity=(1, 1),
+        dtypes=NUMERIC, shape_rule="variable_update",
     )(_accumulate_kernel(_np_op))

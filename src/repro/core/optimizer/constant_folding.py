@@ -1,6 +1,6 @@
 """Constant folding: evaluate const-only pure subtrees once at plan time.
 
-Foldable ops run through their registered kernels with a plain
+Foldable ops are dispatched as execution dispatches them, with a plain
 :class:`~repro.core.kernels.registry.KernelContext` (honouring the
 session's shape-only flag, so symbolic runs fold to the same symbolic
 values execution would produce). Results are memoized on the graph object:
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.kernels.registry import KernelContext, get_kernel, is_pure
+from repro.core.kernels.registry import KernelContext, dispatch, is_pure
 from repro.core.metadata import PassStats
 from repro.core.optimizer.pipeline import Subgraph
 
@@ -92,8 +92,7 @@ def fold_constants(sg: Subgraph) -> PassStats:
             continue
         if cached is None:
             try:
-                result = get_kernel(op.type)(op, inputs, ctx)
-                outputs, _cost = result
+                outputs, _cost = dispatch(op, inputs, ctx)
             except Exception:
                 memo[op.name] = _FAILED
                 continue

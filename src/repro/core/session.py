@@ -463,7 +463,9 @@ class Session:
             values = []
             for source in plan.fetch_sources:
                 if source[0] is FEED:
-                    values.append(np.asarray(feeds[source[1]]))
+                    # As validated: an array of the tensor's dtype, or the
+                    # fed SymbolicValue itself in shape-only mode.
+                    values.append(feeds[source[1]])
                 else:
                     item, idx = source
                     values.append(state.values[item.uid][idx])

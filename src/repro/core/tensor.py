@@ -12,6 +12,7 @@ problems whose data would not fit in host memory).
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -19,7 +20,8 @@ import numpy as np
 from repro import dtypes
 from repro.errors import InvalidArgumentError
 
-__all__ = ["TensorShape", "Tensor", "SymbolicValue", "as_shape", "RuntimeValue"]
+__all__ = ["TensorShape", "Tensor", "SymbolicValue", "as_shape", "dims_of",
+           "RuntimeValue"]
 
 
 class TensorShape:
@@ -156,7 +158,18 @@ class TensorShape:
     def __str__(self) -> str:
         if self._dims is None:
             return "<unknown>"
-        return "(" + ", ".join("?" if d is None else str(d) for d in self._dims) + ")"
+        # Written as the run-time shape tuple is, so a shape error reads
+        # the same at build and run time: "(3,)", "(?, 3)".
+        dims = ", ".join("?" if d is None else str(d) for d in self._dims)
+        return f"({dims},)" if len(self._dims) == 1 else f"({dims})"
+
+
+def dims_of(spec) -> Optional[tuple]:
+    """The dims of a spec — anything with ``.dtype`` and ``.shape``: a
+    :class:`Tensor`'s static dims (``None`` for an unknown rank or size),
+    or a run-time value's shape tuple."""
+    shape = spec.shape
+    return shape.dims if isinstance(shape, TensorShape) else shape
 
 
 def as_shape(value) -> TensorShape:
@@ -296,10 +309,18 @@ class SymbolicValue:
 
     @property
     def size(self) -> int:
-        n = 1
-        for d in self.shape:
-            n *= d
-        return n
+        return math.prod(self.shape)
+
+    @classmethod
+    def derived(cls, dims: Sequence[int], dtype: dtypes.DType) -> "SymbolicValue":
+        """The spec a shape function derived at run time: its dims are
+        Python ints and its dtype a ``DType`` already, so nothing is
+        coerced."""
+        spec = cls.__new__(cls)
+        spec.shape = tuple(dims)
+        spec.dtype = dtype
+        spec.nbytes = math.prod(spec.shape) * dtype.size
+        return spec
 
     @classmethod
     def of(cls, value: "RuntimeValue") -> "SymbolicValue":

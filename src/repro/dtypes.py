@@ -34,13 +34,15 @@ class DType:
         size: bytes per element on the wire and in device memory.
     """
 
-    __slots__ = ("name", "np_dtype", "size", "_enum")
+    __slots__ = ("name", "np_dtype", "size", "_enum", "_complex")
 
     def __init__(self, name: str, np_dtype, enum: int):
         self.name = name
         self.np_dtype = np.dtype(np_dtype)
         self.size = int(self.np_dtype.itemsize)
         self._enum = enum
+        # Read by every matmul/dot cost: classified once, not per read.
+        self._complex = bool(np.issubdtype(self.np_dtype, np.complexfloating))
 
     # -- numeric classification -------------------------------------------
     @property
@@ -49,7 +51,7 @@ class DType:
 
     @property
     def is_complex(self) -> bool:
-        return np.issubdtype(self.np_dtype, np.complexfloating)
+        return self._complex
 
     @property
     def is_integer(self) -> bool:

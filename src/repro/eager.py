@@ -32,6 +32,7 @@ from repro.core.graph import Graph, Operation
 from repro.core.kernels.registry import (
     KernelContext,
     ResourceManager,
+    dispatch,
     op_def,
 )
 from repro.core.tensor import Tensor
@@ -45,8 +46,9 @@ def evaluate(fetches: Sequence[Any], feeds: dict, ctx: KernelContext) -> list:
 
     This is the direct interpreter shared by :class:`EagerContext` and
     ``repro.function``'s run-eagerly mode: no Session, no discrete-event
-    simulation, no cost accounting — each reachable op's kernel executes
-    once, in dependency order, against ``ctx``.
+    simulation — each reachable op is dispatched once, in dependency
+    order, against ``ctx`` (its record's shape function checks the
+    operands as it would under a Session; the cost is dropped).
 
     Args:
         fetches: Tensors and/or Operations to evaluate.
@@ -83,7 +85,7 @@ def evaluate(fetches: Sequence[Any], feeds: dict, ctx: KernelContext) -> list:
                 f"under a Session)"
             )
         inputs = [values[t.op][t.value_index] for t in op.inputs]
-        result = definition.kernel(op, inputs, ctx)
+        result = dispatch(op, inputs, ctx)
         if not isinstance(result, tuple):
             raise UnimplementedError(
                 f"{op.type} kernel did not return eagerly; graph mode only"

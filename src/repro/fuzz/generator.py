@@ -18,7 +18,8 @@ any program as a self-contained repro script against the public API.
 Generation draws from the operator catalog (:mod:`repro.fuzz.catalog`).
 Each entry's declared ``shape_rule`` names one operator record
 (:data:`_FAMILIES`): ``sample`` draws valid input shapes and static
-attributes, ``call`` states the instruction as a builder call —
+attributes (the op's record derives the outputs' specs), ``call``
+states the instruction as a builder call —
 ``tf.<op_def(op_type).builder>(*args, **kwargs)`` — which
 :meth:`Program.materialize` resolves against tensors and
 :meth:`Program.body_source` renders as text. All randomness comes from
@@ -508,6 +509,27 @@ class _GenState:
             ph_ancestry=ancestry,
         )
 
+    def outputs(self, entry: OpDef, ins: Instr) -> list[_RefMeta]:
+        """One meta per output of ``ins``, its spec as the op's record
+        derives it: ``shape_fn`` over the input metas, which are specs
+        (a dtype the shape functions compare and pass through, here its
+        name, and a shape tuple). ``world`` is the collective builders'
+        implicit attr."""
+        refs = list(ins.inputs)
+        attrs = {"world": self.world, **ins.attrs}
+        return [self.combined(refs, entry, str(dtype), tuple(dims))
+                for dtype, dims in entry.shape_fn(
+                    [self.meta[r] for r in refs], attrs)]
+
+    def apply(self, entry: OpDef, ins: Instr, cap: bool = False) -> bool:
+        """Append ``ins`` with the outputs its record derives — unless,
+        with ``cap``, together they outgrow the element cap."""
+        outs = self.outputs(entry, ins)
+        if cap and sum(math.prod(m.shape) for m in outs) > _MAX_ELEMENTS:
+            return False
+        self.add(ins, outs)
+        return True
+
     # -- value synthesis ---------------------------------------------------
 
     def random_array(self, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -588,14 +610,10 @@ def _sample_source(state: _GenState, entry: OpDef) -> bool:
 
 
 def _sample_unary(state: _GenState, entry: OpDef) -> bool:
-    dtype = state.rng.choice(entry.dtypes)
-    ref = state.pick(dtype=dtype)
+    ref = state.pick(dtype=state.rng.choice(entry.dtypes))
     if ref is None:
         return False
-    meta = state.meta[ref]
-    out = state.combined([ref], entry, dtype, meta.shape)
-    state.add(Instr(op_type=entry.op_type, inputs=(ref,)), [out])
-    return True
+    return state.apply(entry, Instr(op_type=entry.op_type, inputs=(ref,)))
 
 
 def _sample_binary(state: _GenState, entry: OpDef) -> bool:
@@ -617,31 +635,29 @@ def _sample_binary(state: _GenState, entry: OpDef) -> bool:
             break
     if b is None:
         return False
-    sb = state.meta[b].shape
-    out_shape = tuple(np.broadcast_shapes(sa, sb))
-    out_dtype = "bool" if entry.op_type == "GreaterEqual" else dtype
-    out = state.combined([a, b], entry, out_dtype, out_shape)
-    state.add(Instr(op_type=entry.op_type, inputs=(a, b)), [out])
-    return True
+    return state.apply(entry, Instr(op_type=entry.op_type, inputs=(a, b)))
 
 
-def _sample_same_shape_n(state: _GenState, entry: OpDef) -> bool:
-    rng = state.rng
-    dtype = rng.choice(entry.dtypes)
-    first = state.pick(dtype=dtype)
-    if first is None:
-        return False
+def _same_shape_refs(state: _GenState, entry: OpDef, dtype: str,
+                     first: Ref) -> list[Ref]:
+    """``first`` and up to ``arity[1] - 1`` more refs of its spec."""
     shape = state.meta[first].shape
-    count = rng.randint(entry.arity[0], entry.arity[1])
+    count = state.rng.randint(entry.arity[0], entry.arity[1])
     refs = [first] + [
         state.pick(dtype=dtype, shape=shape) for _ in range(count - 1)
     ]
-    refs = [r for r in refs if r is not None]
+    return [r for r in refs if r is not None]
+
+
+def _sample_same_shape_n(state: _GenState, entry: OpDef) -> bool:
+    dtype = state.rng.choice(entry.dtypes)
+    first = state.pick(dtype=dtype)
+    if first is None:
+        return False
+    refs = _same_shape_refs(state, entry, dtype, first)
     if len(refs) < entry.arity[0]:
         return False
-    out = state.combined(refs, entry, dtype, shape)
-    state.add(Instr(op_type=entry.op_type, inputs=tuple(refs)), [out])
-    return True
+    return state.apply(entry, Instr(op_type=entry.op_type, inputs=tuple(refs)))
 
 
 def _sample_matmul(state: _GenState, entry: OpDef) -> bool:
@@ -651,16 +667,10 @@ def _sample_matmul(state: _GenState, entry: OpDef) -> bool:
     if a is None:
         return False
     ta = rng.random() < 0.25
-    sa = state.meta[a].shape
-    m, k = (sa[1], sa[0]) if ta else (sa[0], sa[1])
-    rank1 = rng.random() < 0.2
-    if rank1:
+    k = state.meta[a].shape[0 if ta else 1]
+    if rng.random() < 0.2:  # a rank-1 rhs
+        tb = False
         b = state.pick(dtype=dtype, shape=(k,))
-        if b is None:
-            return False
-        out_shape: tuple[int, ...] = (m,)
-        attrs = {"transpose_a": ta, "transpose_b": False}
-        refs = [a, b]
     else:
         tb = rng.random() < 0.25
         b = state.pick(
@@ -668,17 +678,11 @@ def _sample_matmul(state: _GenState, entry: OpDef) -> bool:
             pred=lambda mt: len(mt.shape) == 2
             and (mt.shape[1] if tb else mt.shape[0]) == k,
         )
-        if b is None:
-            return False
-        sb = state.meta[b].shape
-        n = sb[0] if tb else sb[1]
-        out_shape = (m, n)
-        attrs = {"transpose_a": ta, "transpose_b": tb}
-        refs = [a, b]
-    out = state.combined(refs, entry, dtype, out_shape)
-    state.add(Instr(op_type="MatMul", inputs=tuple(refs), attrs=attrs),
-              [out])
-    return True
+    if b is None:
+        return False
+    return state.apply(entry, Instr(
+        op_type="MatMul", inputs=(a, b),
+        attrs={"transpose_a": ta, "transpose_b": tb}))
 
 
 def _sample_dot(state: _GenState, entry: OpDef) -> bool:
@@ -689,9 +693,7 @@ def _sample_dot(state: _GenState, entry: OpDef) -> bool:
     b = state.pick(dtype=dtype, shape=state.meta[a].shape)
     if b is None:
         return False
-    out = state.combined([a, b], entry, dtype, ())
-    state.add(Instr(op_type="Dot", inputs=(a, b)), [out])
-    return True
+    return state.apply(entry, Instr(op_type="Dot", inputs=(a, b)))
 
 
 def _sample_reduce(state: _GenState, entry: OpDef) -> bool:
@@ -700,27 +702,12 @@ def _sample_reduce(state: _GenState, entry: OpDef) -> bool:
     ref = state.pick(dtype=dtype, pred=lambda m: len(m.shape) >= 1)
     if ref is None:
         return False
-    shape = state.meta[ref].shape
     keepdims = rng.random() < 0.3
-    if rng.random() < 0.4:
-        axis = None
-        out_shape = tuple([1] * len(shape)) if keepdims else ()
-    else:
-        ax = rng.randrange(len(shape))
-        axis = [ax]
-        dims = list(shape)
-        if keepdims:
-            dims[ax] = 1
-        else:
-            dims.pop(ax)
-        out_shape = tuple(dims)
-    out = state.combined([ref], entry, dtype, out_shape)
-    state.add(
-        Instr(op_type=entry.op_type, inputs=(ref,),
-              attrs={"axis": axis, "keepdims": keepdims}),
-        [out],
-    )
-    return True
+    axis = (None if rng.random() < 0.4
+            else [rng.randrange(len(state.meta[ref].shape))])
+    return state.apply(entry, Instr(
+        op_type=entry.op_type, inputs=(ref,),
+        attrs={"axis": axis, "keepdims": keepdims}))
 
 
 def _sample_cast(state: _GenState, entry: OpDef) -> bool:
@@ -728,21 +715,16 @@ def _sample_cast(state: _GenState, entry: OpDef) -> bool:
     ref = state.pick(pred=lambda m: m.dtype in entry.dtypes)
     if ref is None:
         return False
-    src = state.meta[ref].dtype
     # float -> int is skipped: inf/NaN-to-int casts are platform-defined.
     targets = {
         "float32": ("float64",),
         "float64": ("float32",),
         "int32": ("float32", "float64", "int32"),
         "bool": ("float32", "int32"),
-    }[src]
-    dst = rng.choice(targets)
-    out = state.combined([ref], entry, dst, state.meta[ref].shape)
-    state.add(
-        Instr(op_type="Cast", inputs=(ref,), attrs={"dst_dtype": dst}),
-        [out],
-    )
-    return True
+    }[state.meta[ref].dtype]
+    return state.apply(entry, Instr(
+        op_type="Cast", inputs=(ref,),
+        attrs={"dst_dtype": rng.choice(targets)}))
 
 
 def _sample_reshape(state: _GenState, entry: OpDef) -> bool:
@@ -751,20 +733,15 @@ def _sample_reshape(state: _GenState, entry: OpDef) -> bool:
                      and len(m.shape) >= 1)
     if ref is None:
         return False
-    meta = state.meta[ref]
-    n = math.prod(meta.shape)
-    options: list[tuple[int, ...]] = [(n,), tuple(reversed(meta.shape))]
+    shape = state.meta[ref].shape
+    n = math.prod(shape)
+    options: list[tuple[int, ...]] = [(n,), tuple(reversed(shape))]
     for d in (2, 3, 4):
         if n % d == 0:
             options.append((d, n // d))
-    new_shape = rng.choice(options)
-    out = state.combined([ref], entry, meta.dtype, new_shape)
-    state.add(
-        Instr(op_type="Reshape", inputs=(ref,),
-              attrs={"shape": new_shape}),
-        [out],
-    )
-    return True
+    return state.apply(entry, Instr(
+        op_type="Reshape", inputs=(ref,),
+        attrs={"shape": rng.choice(options)}))
 
 
 def _sample_transpose(state: _GenState, entry: OpDef) -> bool:
@@ -773,17 +750,10 @@ def _sample_transpose(state: _GenState, entry: OpDef) -> bool:
                      and len(m.shape) >= 2)
     if ref is None:
         return False
-    meta = state.meta[ref]
-    perm = list(range(len(meta.shape)))
+    perm = list(range(len(state.meta[ref].shape)))
     rng.shuffle(perm)
-    out_shape = tuple(meta.shape[p] for p in perm)
-    out = state.combined([ref], entry, meta.dtype, out_shape)
-    state.add(
-        Instr(op_type="Transpose", inputs=(ref,),
-              attrs={"perm": tuple(perm)}),
-        [out],
-    )
-    return True
+    return state.apply(entry, Instr(
+        op_type="Transpose", inputs=(ref,), attrs={"perm": tuple(perm)}))
 
 
 def _sample_concat(state: _GenState, entry: OpDef) -> bool:
@@ -792,25 +762,12 @@ def _sample_concat(state: _GenState, entry: OpDef) -> bool:
     first = state.pick(dtype=dtype, pred=lambda m: len(m.shape) >= 1)
     if first is None:
         return False
-    shape = state.meta[first].shape
-    axis = rng.randrange(len(shape))
-    count = rng.randint(entry.arity[0], entry.arity[1])
-    refs = [first] + [
-        state.pick(dtype=dtype, shape=shape) for _ in range(count - 1)
-    ]
-    refs = [r for r in refs if r is not None]
+    axis = rng.randrange(len(state.meta[first].shape))
+    refs = _same_shape_refs(state, entry, dtype, first)
     if len(refs) < 2:
         return False
-    dims = list(shape)
-    dims[axis] = shape[axis] * len(refs)
-    if math.prod(tuple(dims)) > _MAX_ELEMENTS:
-        return False
-    out = state.combined(refs, entry, dtype, tuple(dims))
-    state.add(
-        Instr(op_type="Concat", inputs=tuple(refs), attrs={"axis": axis}),
-        [out],
-    )
-    return True
+    return state.apply(entry, Instr(
+        op_type="Concat", inputs=tuple(refs), attrs={"axis": axis}), cap=True)
 
 
 def _sample_split(state: _GenState, entry: OpDef) -> bool:
@@ -822,23 +779,13 @@ def _sample_split(state: _GenState, entry: OpDef) -> bool:
         for axis, dim in enumerate(shape):
             for parts in (2, 3, 4):
                 if dim % parts == 0 and dim >= parts and parts > 1:
-                    candidates.append((refs, axis, parts, dtype, shape))
+                    candidates.append((refs, axis, parts))
     if not candidates:
         return False
-    refs, axis, parts, dtype, shape = rng.choice(candidates)
-    ref = rng.choice(refs)
-    dims = list(shape)
-    dims[axis] //= parts
-    metas = [
-        state.combined([ref], entry, dtype, tuple(dims))
-        for _ in range(parts)
-    ]
-    state.add(
-        Instr(op_type="Split", inputs=(ref,),
-              attrs={"num_splits": parts, "axis": axis}),
-        metas,
-    )
-    return True
+    refs, axis, parts = rng.choice(candidates)
+    return state.apply(entry, Instr(
+        op_type="Split", inputs=(rng.choice(refs),),
+        attrs={"num_splits": parts, "axis": axis}))
 
 
 def _sample_stack(state: _GenState, entry: OpDef) -> bool:
@@ -847,61 +794,32 @@ def _sample_stack(state: _GenState, entry: OpDef) -> bool:
     first = state.pick(dtype=dtype)
     if first is None:
         return False
-    shape = state.meta[first].shape
-    count = rng.randint(entry.arity[0], entry.arity[1])
-    refs = [first] + [
-        state.pick(dtype=dtype, shape=shape) for _ in range(count - 1)
-    ]
-    refs = [r for r in refs if r is not None]
+    refs = _same_shape_refs(state, entry, dtype, first)
     if len(refs) < 2:
         return False
-    axis = rng.randrange(len(shape) + 1)
-    dims = list(shape)
-    dims.insert(axis, len(refs))
-    if math.prod(tuple(dims)) > _MAX_ELEMENTS:
-        return False
-    out = state.combined(refs, entry, dtype, tuple(dims))
-    state.add(
-        Instr(op_type="Stack", inputs=tuple(refs), attrs={"axis": axis}),
-        [out],
-    )
-    return True
+    axis = rng.randrange(len(state.meta[first].shape) + 1)
+    return state.apply(entry, Instr(
+        op_type="Stack", inputs=tuple(refs), attrs={"axis": axis}), cap=True)
 
 
 def _sample_squeeze(state: _GenState, entry: OpDef) -> bool:
-    rng = state.rng
     ref = state.pick(pred=lambda m: m.dtype in entry.dtypes
                      and 1 in m.shape)
     if ref is None:
         return False
-    meta = state.meta[ref]
-    ones = [i for i, d in enumerate(meta.shape) if d == 1]
-    axis = rng.choice(ones)
-    dims = list(meta.shape)
-    dims.pop(axis)
-    out = state.combined([ref], entry, meta.dtype, tuple(dims))
-    state.add(
-        Instr(op_type="Squeeze", inputs=(ref,), attrs={"axis": axis}),
-        [out],
-    )
-    return True
+    ones = [i for i, d in enumerate(state.meta[ref].shape) if d == 1]
+    return state.apply(entry, Instr(
+        op_type="Squeeze", inputs=(ref,),
+        attrs={"axis": state.rng.choice(ones)}))
 
 
 def _sample_expand_dims(state: _GenState, entry: OpDef) -> bool:
-    rng = state.rng
     ref = state.pick(pred=lambda m: m.dtype in entry.dtypes)
     if ref is None:
         return False
-    meta = state.meta[ref]
-    axis = rng.randrange(len(meta.shape) + 1)
-    dims = list(meta.shape)
-    dims.insert(axis, 1)
-    out = state.combined([ref], entry, meta.dtype, tuple(dims))
-    state.add(
-        Instr(op_type="ExpandDims", inputs=(ref,), attrs={"axis": axis}),
-        [out],
-    )
-    return True
+    axis = state.rng.randrange(len(state.meta[ref].shape) + 1)
+    return state.apply(entry, Instr(
+        op_type="ExpandDims", inputs=(ref,), attrs={"axis": axis}))
 
 
 def _sample_slice(state: _GenState, entry: OpDef) -> bool:
@@ -910,20 +828,15 @@ def _sample_slice(state: _GenState, entry: OpDef) -> bool:
                      and len(m.shape) >= 1 and min(m.shape) >= 1)
     if ref is None:
         return False
-    meta = state.meta[ref]
     begin, size = [], []
-    for dim in meta.shape:
+    for dim in state.meta[ref].shape:
         s = rng.randint(1, dim)
         b = rng.randint(0, dim - s)
         begin.append(b)
         size.append(s)
-    out = state.combined([ref], entry, meta.dtype, tuple(size))
-    state.add(
-        Instr(op_type="Slice", inputs=(ref,),
-              attrs={"begin": tuple(begin), "size": tuple(size)}),
-        [out],
-    )
-    return True
+    return state.apply(entry, Instr(
+        op_type="Slice", inputs=(ref,),
+        attrs={"begin": tuple(begin), "size": tuple(size)}))
 
 
 def _sample_collective(state: _GenState, entry: OpDef) -> bool:
@@ -931,22 +844,16 @@ def _sample_collective(state: _GenState, entry: OpDef) -> bool:
     world = state.world
     if world < 2:  # also with collectives off: no world was drawn
         return False
-    devices = tuple(f"/device:gpu:{i}" for i in range(world))
+    attrs = {"devices": tuple(f"/device:gpu:{i}" for i in range(world)),
+             "algorithm": "ring"}
     dtype = rng.choice(entry.dtypes)
     op_type = entry.op_type
     if op_type == "CollectiveBroadcast":
         ref = state.pick(dtype=dtype)
         if ref is None:
             return False
-        meta = state.meta[ref]
-        metas = [state.combined([ref], entry, dtype, meta.shape)
-                 for _ in range(world)]
-        state.add(
-            Instr(op_type=op_type, inputs=(ref,),
-                  attrs={"devices": devices, "algorithm": "ring"}),
-            metas,
-        )
-        return True
+        return state.apply(entry, Instr(op_type=op_type, inputs=(ref,),
+                                        attrs=attrs))
     if op_type == "CollectiveReduceScatter":
         pred = (lambda m: len(m.shape) >= 1
                 and m.shape[0] % world == 0 and m.shape[0] >= world)
@@ -957,29 +864,14 @@ def _sample_collective(state: _GenState, entry: OpDef) -> bool:
     first = state.pick(dtype=dtype, pred=pred)
     if first is None:
         return False
-    shape = state.meta[first].shape
     refs = [first]
     for _ in range(world - 1):
-        other = state.pick(dtype=dtype, shape=shape)
+        other = state.pick(dtype=dtype, shape=state.meta[first].shape)
         if other is None:
             return False
         refs.append(other)
-    if op_type == "CollectiveAllReduce":
-        out_shape = shape
-    elif op_type == "CollectiveReduceScatter":
-        out_shape = (shape[0] // world,) + shape[1:]
-    else:  # CollectiveAllGather
-        out_shape = (shape[0] * world,) + shape[1:]
-    if math.prod(out_shape) * world > _MAX_ELEMENTS:
-        return False
-    metas = [state.combined(refs, entry, dtype, out_shape)
-             for _ in range(world)]
-    state.add(
-        Instr(op_type=op_type, inputs=tuple(refs),
-              attrs={"devices": devices, "algorithm": "ring"}),
-        metas,
-    )
-    return True
+    return state.apply(entry, Instr(op_type=op_type, inputs=tuple(refs),
+                                    attrs=attrs), cap=True)
 
 
 def _sample_variable_chain(state: _GenState, entry: OpDef) -> bool:

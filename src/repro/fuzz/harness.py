@@ -3,7 +3,8 @@
 A *cell* is one configuration of the execution matrix — frontend (eager
 interpreter / Session / ``@repro.function`` trace) × executor lane
 (fast-path / legacy) × optimizer (on / off, plus ``verify_plans``) ×
-collective algorithm (ring / tree). The baseline cell is the most
+collective algorithm (ring / tree), plus one shape-only Session cell.
+The baseline cell is the most
 literal interpretation of the graph: Session, legacy lane, optimizer
 off, ring collectives. Every other cell must reproduce the baseline's
 fetches **byte for byte** — same dtype, same shape, same bits, NaNs
@@ -17,7 +18,11 @@ On top of byte identity the harness checks two sim-time invariants:
   that axis must report the *identical* simulated completion time
   (``==``, no tolerance);
 * plan-time optimization may only help: optimized sim time must not
-  exceed unoptimized sim time (within float slack).
+  exceed unoptimized sim time (within float slack);
+* the shape-only cell runs the same plan on specs instead of values —
+  every op priced by its record from the same specs — so it must report
+  the concrete cell's simulated time bit for bit, and fetch exactly the
+  baseline values' dtypes and shapes.
 
 Algorithm cells are excluded from time comparison — changing the
 collective schedule legitimately changes the timeline — and the eager
@@ -41,7 +46,7 @@ import numpy as np
 
 import repro
 from repro.core.kernels.registry import KernelContext, ResourceManager
-from repro.core.tensor import Tensor, TensorShape
+from repro.core.tensor import SymbolicValue, Tensor, TensorShape
 from repro.errors import ReproError, VerificationError
 from repro.eager import evaluate
 from repro.fuzz.generator import Built, Program
@@ -72,6 +77,7 @@ class Cell:
     optimize: bool = True
     algorithm: Optional[str] = None  # allreduce override; None = as built
     verify: bool = False  # verify_plans=True differential check
+    shape_only: bool = False  # feeds become their specs; no data
 
     def label(self) -> str:
         if self.frontend == "eager":
@@ -85,6 +91,8 @@ class Cell:
             parts.append(self.algorithm)
         if self.verify:
             parts.append("verify")
+        if self.shape_only:
+            parts.append("shape")
         return "/".join(parts)
 
     @property
@@ -105,7 +113,9 @@ class CellRun:
     """Outcome of one program under one cell."""
 
     cell: Cell
-    values: Optional[list] = None  # one ndarray per fetch
+    # one ndarray per fetch (a SymbolicValue where a shape-only run has
+    # no data)
+    values: Optional[list] = None
     sim_time: Optional[float] = None
     error: Optional[str] = None  # repr of the raised error, if any
     verifier_rejected: bool = False
@@ -185,6 +195,10 @@ def matrix_cells(program: Program, subset: Optional[list[str]] = None
         # itself a divergence (verifier false positive).
         Cell(frontend="session", fast_path=True, optimize=True,
              verify=True),
+        # The mode the paper's figures run in: specs, no data. Its twin
+        # for simulated time is the concrete session/fast/opt cell.
+        Cell(frontend="session", fast_path=True, optimize=True,
+             shape_only=True),
         # Tracing frontend over both lanes.
         Cell(frontend="function", fast_path=True, optimize=True),
         Cell(frontend="function", fast_path=False, optimize=True),
@@ -218,6 +232,7 @@ def _session_config(gpus: int, cell: Cell) -> "repro.SessionConfig":
         graph_optimization=cell.optimize,
         executor_fast_path=cell.fast_path,
         verify_plans=cell.verify,
+        shape_only=cell.shape_only,
     )
 
 
@@ -261,17 +276,24 @@ def _run(subject: _Subject, cell: Cell) -> CellRun:
             return CellRun(cell=cell, error=repr(exc))
 
 
+def _np_dtype(value: Any) -> np.dtype:
+    """A fetched value's element type as NumPy names it (a spec's too)."""
+    return (value.dtype.np_dtype if isinstance(value, SymbolicValue)
+            else value.dtype)
+
+
 def _finished(cell: Cell, fetch_tensors: list[Tensor], values: Any,
               sim_time: Optional[float] = None) -> CellRun:
     """A successful run, with each value checked against its static spec."""
     if not isinstance(values, list):
         values = [values]
-    arrays = [np.asarray(v) for v in values]
+    arrays = [v if isinstance(v, SymbolicValue) else np.asarray(v)
+              for v in values]
     spec_errors = [
         (index, f"{t.name} is statically {t.dtype.name} {t.shape}, the "
-                f"value is {a.dtype} {a.shape}")
+                f"value is {_np_dtype(a)} {a.shape}")
         for index, (t, a) in enumerate(zip(fetch_tensors, arrays))
-        if a.dtype != t.dtype.np_dtype
+        if _np_dtype(a) != t.dtype.np_dtype
         or not t.shape.is_compatible_with(TensorShape(a.shape))
     ]
     return CellRun(cell=cell, values=arrays, sim_time=sim_time,
@@ -292,8 +314,10 @@ def _run_session(subject: _Subject, cell: Cell) -> CellRun:
     with graph.as_default():
         built = subject.build(cell.algorithm)
     config = _session_config(subject.gpus, cell)
+    feeds = {name: SymbolicValue.of(value) if cell.shape_only else value
+             for name, value in built.feeds.items()}
     with repro.Session(graph=graph, config=config) as sess:
-        values = sess.run(built.fetch_tensors, feed_dict=dict(built.feeds))
+        values = sess.run(built.fetch_tensors, feed_dict=feeds)
         sim_time = float(sess.env.now)
     return _finished(cell, built.fetch_tensors, values, sim_time)
 
@@ -323,11 +347,10 @@ def _compare_values(reference: CellRun, run: CellRun) -> list[Divergence]:
     assert reference.values is not None and run.values is not None
     for index, (want, got) in enumerate(zip(reference.values, run.values)):
         want = np.asarray(want)
-        got = np.asarray(got)
-        if want.dtype != got.dtype:
+        if want.dtype != _np_dtype(got):
             diffs.append(Divergence(
                 kind="dtype", cell=run.cell, fetch=index,
-                detail=f"baseline {want.dtype} != {got.dtype}",
+                detail=f"baseline {want.dtype} != {_np_dtype(got)}",
             ))
             continue
         if want.shape != got.shape:
@@ -336,6 +359,9 @@ def _compare_values(reference: CellRun, run: CellRun) -> list[Divergence]:
                 detail=f"baseline {want.shape} != {got.shape}",
             ))
             continue
+        if isinstance(got, SymbolicValue):
+            continue  # a spec has no bytes to compare
+        got = np.asarray(got)
         # tobytes() compares exact bit patterns: NaN==NaN, -0.0!=0.0.
         if want.tobytes() != got.tobytes():
             delta = ""
@@ -386,6 +412,15 @@ def _time_invariants(runs: Iterable[CellRun]) -> list[Divergence]:
         if run.ok and run.cell.timeable and run.sim_time is not None
     }
     for cell, run in timed.items():
+        if cell.shape_only:
+            concrete = timed.get(replace(cell, shape_only=False))
+            if concrete and run.sim_time != concrete.sim_time:
+                diffs.append(Divergence(
+                    kind="sim_time", cell=cell,
+                    detail=(f"shape-only t={run.sim_time!r} != concrete "
+                            f"t={concrete.sim_time!r} for the same plan"),
+                ))
+            continue
         legacy = timed.get(replace(cell, fast_path=False))
         if cell.fast_path and legacy and run.sim_time != legacy.sim_time:
             diffs.append(Divergence(
@@ -439,7 +474,7 @@ def _judge(subject: _Subject, cell: Cell
     """The baseline run, and ``cell``'s divergences by the campaign's
     checks: bytes and static specs against the baseline, simulated time
     against its timing twins — the other executor lane and the other
-    optimizer setting."""
+    optimizer setting, or for the shape-only cell its concrete twin."""
     baseline = _run(subject, BASELINE)
     if baseline.error is not None:
         return baseline, [_baseline_failed(baseline)]
@@ -450,8 +485,12 @@ def _judge(subject: _Subject, cell: Cell
     run = run_of(cell)
     found = compare_runs(baseline, run)
     if cell.timeable:
-        for twin in (replace(cell, fast_path=not cell.fast_path),
-                     replace(cell, optimize=not cell.optimize)):
+        twins = (
+            [replace(cell, shape_only=False)] if cell.shape_only
+            else [replace(cell, fast_path=not cell.fast_path),
+                  replace(cell, optimize=not cell.optimize)]
+        )
+        for twin in twins:
             found += _time_invariants([run, run_of(twin)])
     return baseline, found
 

@@ -80,8 +80,8 @@ PLANTED_DEFECTS = {
     "chained-substitution": (
         substitute("a:0", "loose:0"), substitute("loose:0", "wide:0"),
         FOLD, "graph/substitution-type",
-        "substituting 'wide:0' for 'a:0' changes shape (3) -> "
-        "incompatible (4)",
+        "substituting 'wide:0' for 'a:0' changes shape (3,) -> "
+        "incompatible (4,)",
     ),
     "substitution-cycle": (
         substitute("a:0", "loose:0"), substitute("loose:0", "a:0"),

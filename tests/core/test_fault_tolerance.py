@@ -206,8 +206,8 @@ class TestFailedRunReturnsItsMemory:
         baseline = {name: pool.in_use for name, pool in pools.items()}
         for clock in self.GOOD_RUN_CLOCKS:
             with pytest.raises(InvalidArgumentError,
-                               match=r"MatMul operand shapes \(2, 3\) and "
-                                     r"\(2, 3\).*\[op: MatMul_2\]"):
+                               match=r"MatMul operand shapes \[\(2, 3\), "
+                                     r"\(2, 3\)\].*\[op: MatMul_2\]"):
                 sess.run([chain, other], feed_dict=bad)
             values = sess.run([chain, other], feed_dict=good)
             for value, want in zip(values, expected):

@@ -16,9 +16,13 @@ optimised (PR 17's parent); they change only with the simulated schedule.
 allocates nothing that only the cyclic collector can free.
 ``TestPlanMissCounts`` pins what a plan-cache *miss* may not pay again:
 a device string parsed per item, a control walk on a control-free op.
+``TestShapeOnlyKernelCalls`` pins what a shape-only run may not pay at
+all: a kernel call for an op its record describes.
 """
 
+import contextlib
 import gc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -30,6 +34,12 @@ from repro import dtypes
 from repro.apps.cg import run_cg
 from repro.apps.common import build_cluster, task_device
 from repro.apps.sgd import run_sgd
+from repro.core.kernels.registry import (
+    get_kernel,
+    op_def,
+    override_kernel,
+    registered_op_types,
+)
 from repro.core.ops.data_ops import Dataset
 from repro.core.optimizer.pipeline import Subgraph
 from repro.core.tensor import SymbolicValue
@@ -239,13 +249,16 @@ class TestValueLaneCounts:
 
     Ten chained ``add`` ops over 8×8 float64, optimizer off so all ten
     run; one cold run, then one warm run with the four things a kernel
-    used to pay per op counted by rebinding the attribute. On this PR's
-    parent the warm run made **74 / 10 / 30 / 50** calls to
-    ``np.asarray`` / ``np.broadcast_shapes`` / ``SymbolicValue.__init__``
-    / ``dtypes.as_dtype``, on both executors. What is left: the kernel's
-    own ``np.asarray`` of its two operands and one per feed (20 + 2), and
-    one ``SymbolicValue(shape, dtype)`` — hence one ``as_dtype`` — per
-    op for the result spec."""
+    used to pay per op counted by rebinding the attribute. Before the
+    value lane read specs off arrays the warm run made **74 / 10 / 30 /
+    50** calls to ``np.asarray`` / ``np.broadcast_shapes`` /
+    ``SymbolicValue.__init__`` / ``dtypes.as_dtype``, on both executors.
+    What is left: the kernel's own ``np.asarray`` of its two operands and
+    one per feed (20 + 2). The result spec the shape function derives is
+    built from its dims tuple and ``DType`` as they are
+    (``SymbolicValue.derived``), so it costs no ``__init__`` and no
+    ``as_dtype``. Broadcasting is the shape function's own rule over dims
+    tuples, so ``[8, 8] + [8]`` pays exactly what equal shapes pay."""
 
     @staticmethod
     def _counted(monkeypatch, fast, second_shape):
@@ -287,14 +300,15 @@ class TestValueLaneCounts:
                              ids=["fast-path", "reference"])
     def test_equal_shapes_pay_nothing_per_operand(self, fast, monkeypatch):
         assert self._counted(monkeypatch, fast, (8, 8)) == {
-            "asarray": 22, "broadcast_shapes": 0, "__init__": 10,
-            "as_dtype": 10}
+            "asarray": 22, "broadcast_shapes": 0, "__init__": 0,
+            "as_dtype": 0}
 
     @pytest.mark.parametrize("fast", [True, False],
                              ids=["fast-path", "reference"])
     def test_different_shapes_still_broadcast(self, fast, monkeypatch):
-        counts = self._counted(monkeypatch, fast, (8,))
-        assert counts["broadcast_shapes"] == 10
+        assert self._counted(monkeypatch, fast, (8,)) == {
+            "asarray": 22, "broadcast_shapes": 0, "__init__": 0,
+            "as_dtype": 0}
 
 
 class _CountedReads(dict):
@@ -392,3 +406,44 @@ class TestPlanMissCounts:
         item = next(i for i in plan.items if i.kind == "op"
                     and i.op.name == "out")
         assert {d.op.name for d in item.extra_deps} == {"kept"}
+
+
+class TestShapeOnlyKernelCalls:
+    """A kernel computes values; the op record computes specs and cost.
+
+    So a shape-only run calls a kernel only where data decides the spec
+    (``kernel_spec`` ops: queues, iterators, tile files, variables,
+    constants). Counted by wrapping every registered kernel: the fig10 CG
+    program — queues, tile reads, variables and per-GPU matmul/add chains
+    — before the record owned the rule made one kernel call per executed
+    op, each returning a spec from its own symbolic branch."""
+
+    def test_shape_only_cg_calls_only_kernel_spec_kernels(self):
+        calls = Counter()
+
+        def counted(op_type):
+            kernel = get_kernel(op_type)
+
+            def wrapper(op, inputs, ctx):
+                calls[op_type] += 1
+                return kernel(op, inputs, ctx)
+
+            return wrapper
+
+        with contextlib.ExitStack() as stack:
+            for op_type in registered_op_types():
+                stack.enter_context(
+                    override_kernel(op_type, counted(op_type)))
+            run_cg(n=512, num_gpus=2, iterations=3, shape_only=True)
+        off_list = {t: n for t, n in calls.items()
+                    if not op_def(t).kernel_spec}
+        assert off_list == {}
+        assert calls["QueueDequeue"] > 0 and calls["ReadTile"] > 0
+
+    def test_every_op_is_described_by_its_record(self):
+        undescribed = [
+            t for t in registered_op_types()
+            if not callable(op_def(t).cost)
+            or (op_def(t).shape_fn is None and not op_def(t).kernel_spec)
+        ]
+        assert undescribed == []

@@ -7,10 +7,12 @@ static spec the op's shape function produced (NumPy is the reference).
 
 ``test_op_registration`` is the one sweep over the op table
 (``repro.core.kernels.registry``): it tells a new op what it forgot —
-shape function, builder, parity case, fuzz contract or exclusion.
+shape function, cost, builder, parity case, fuzz contract or exclusion.
 """
 
 import inspect
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,10 +104,6 @@ COVERED_ELSEWHERE = {
     "VariableV2", "Assign", "AssignAdd", "AssignSub", "Placeholder",
 }
 
-# Ops with no shape function: their builder's caller declares the output
-# specs (graph inputs, variables, runtime resources) or there are none.
-SPEC_AUTHORITY = {"Placeholder", "VariableV2", "NoOp"} | GRAPH_ONLY
-
 
 def _wrap_graph_arg(value, graph):
     if isinstance(value, np.ndarray):
@@ -170,8 +168,10 @@ def test_op_registration(op_type):
     definition = op_def(op_type)
     assert definition.op_type == op_type
     assert callable(definition.kernel)
-    assert (definition.shape_fn is None) == (op_type in SPEC_AUTHORITY), (
-        "register a shape_fn, or list the op as its own spec authority"
+    assert callable(definition.cost), "register the op's cost"
+    assert definition.shape_fn is not None or definition.kernel_spec, (
+        "register a shape_fn, or mark the kernel as the op's run-time spec "
+        "authority (kernel_spec=True)"
     )
     assert definition.builder in ops.__all__
     assert definition.graph_only == (op_type in GRAPH_ONLY)
@@ -204,6 +204,17 @@ def test_inline_set_unchanged():
         "Const", "ExpandDims", "Identity", "NoOp", "Placeholder",
         "Reshape", "Squeeze", "VariableV2",
     }
+
+
+def test_kernel_spec_list_is_the_documented_one():
+    """ARCHITECTURE §1.1 names every op whose kernel decides its specs."""
+    text = (Path(__file__).parents[2] / "docs" / "ARCHITECTURE.md").read_text(
+        encoding="utf-8")
+    paragraph = text.split("The `kernel_spec` ops:", 1)[1].split("\n\n", 1)[0]
+    documented = re.findall(r"`(\w+)`", paragraph)
+    assert sorted(documented) == [
+        t for t in registered_op_types() if op_def(t).kernel_spec]
+    assert len(documented) == len(set(documented))
 
 
 def test_duplicate_registration_rejected():

@@ -41,10 +41,7 @@ def _doubled_add():
     original = get_kernel("Add")
 
     def doubled(op, inputs, ctx):
-        outputs, cost = original(op, inputs, ctx)
-        if isinstance(outputs[0], np.ndarray):
-            outputs = [outputs[0] * 2]
-        return outputs, cost
+        return [original(op, inputs, ctx)[0] * 2]
 
     return doubled
 

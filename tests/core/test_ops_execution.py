@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import repro as tf
-from repro.core.kernels.registry import Cost, override_kernel
+from repro.core.kernels.registry import KernelContext, ResourceManager, override_kernel
 from repro.core.tensor import SymbolicValue, value_nbytes
-from repro.eager import EagerContext
+from repro.eager import EagerContext, evaluate
 from repro.errors import FailedPreconditionError, InvalidArgumentError
 from repro.simnet.gpu import GPUModel
 
@@ -440,7 +440,7 @@ class TestDispatcherContinuations:
                     yield failing
                 finally:
                     cleanups.append(env.now)
-                return [inputs[0]], Cost.none()
+                return [inputs[0]]
 
             return kernel
 
@@ -463,7 +463,7 @@ class TestDispatcherContinuations:
             yield ctx.env.timeout(0.0)  # ``ready`` is processed first
             for _ in range(5000):
                 assert (yield ready) == 7
-            return [inputs[0] * 2], Cost.none()
+            return [inputs[0] * 2]
 
         fast, reference = (self._run_with_exp_kernel(kernel, lane)
                            for lane in (True, False))
@@ -573,10 +573,65 @@ def _open_layout(rank, op, **kwargs):
     return build
 
 
+# (build, feeds, message): every row is discovered only at run time, by
+# the op's shape function over the fed values' specs.
+_RUNTIME_SHAPE_CASES = [
+    (_open_add, [(3,), (4,)],
+     r"Add operand shapes \[\(3,\), \(4,\)\].*\[op: bad_add\]"),
+    (_open_matmul, [(2, 3), (2, 3)],
+     r"MatMul operand shapes \[\(2, 3\), \(2, 3\)\].*3 vs 2.*"
+     r"\[op: bad_matmul\]"),
+    (_open_matmul, [(2, 3), (5,)],
+     r"MatMul operand shapes \[\(2, 3\), \(5,\)\].*3 vs 5.*"
+     r"\[op: bad_matmul\]"),
+    (_open_dot, [(3,), (4,)],
+     r"Dot operand shapes \[\(3,\), \(4,\)\].*\[op: bad_dot\]"),
+    (_open_reshape([5]), [(3,)],
+     r"Reshape operand shapes \[\(3,\)\]: 3 elements do not fit "
+     r"\(5,\).*\[op: bad_reshape\]"),
+    (_open_reshape([2, -1]), [(3,)],
+     r"Reshape operand shapes \[\(3,\)\]: 3 elements do not fit "
+     r"\(2, -1\).*\[op: bad_reshape\]"),
+    (_open_layout([2, 2], tf.concat, axis=0), [(2, 3), (2, 4)],
+     r"Concat operand shapes \[\(2, 3\), \(2, 4\)\]: concat shapes "
+     r"disagree on dim 1.*\[op: bad_layout\]"),
+    (_open_layout([1, 1], tf.stack), [(3,), (4,)],
+     r"Stack operand shapes \[\(3,\), \(4,\)\].*\[op: bad_layout\]"),
+    (_open_layout([1], tf.split, num_splits=2), [(5,)],
+     r"Split operand shapes \[\(5,\)\]: Dimension 5 not divisible into 2 "
+     r"splits.*\[op: bad_layout\]"),
+    (_open_layout([2], tf.squeeze, axis=0), [(2, 3)],
+     r"Squeeze operand shapes \[\(2, 3\)\]: Cannot squeeze dim 0 of size "
+     r"2.*\[op: bad_layout\]"),
+    (_open_layout([1], tf.slice_, begin=[2], size=[4]), [(3,)],
+     r"Slice operand shapes \[\(3,\)\]: slice \[2, 6\) is out of bounds "
+     r"for dim 0 of size 3.*\[op: bad_layout\]"),
+    (_open_layout([None], tf.transpose, perm=[1, 0]), [(3,)],
+     r"Transpose operand shapes \[\(3,\)\]: perm \(1, 0\) does not "
+     r"permute the axes of rank 1.*\[op: bad_layout\]"),
+    (_open_layout([None], tf.reduce_sum, axis=5), [(3,)],
+     r"Sum operand shapes \[\(3,\)\]: reduce axis 5 is out of range for "
+     r"rank 1.*\[op: bad_layout\]"),
+    (_open_layout([None], tf.expand_dims, axis=7), [(3,)],
+     r"ExpandDims operand shapes \[\(3,\)\]: expand_dims axis 7 is out of "
+     r"range for rank 2.*\[op: bad_layout\]"),
+    (_open_layout([1, 1], tf.add_n), [(3,), (1,)],
+     r"AddN operand shapes \[\(3,\), \(1,\)\]: Shapes \(3,\) and "
+     r"\(1,\) are incompatible.*\[op: bad_layout\]"),
+]
+_RUNTIME_SHAPE_IDS = [
+    "add", "matmul", "matvec", "dot", "reshape", "reshape-infer", "concat",
+    "stack", "split", "squeeze", "slice", "transpose", "reduce-axis",
+    "expand_dims-axis", "add_n",
+]
+
+
 class TestRuntimeShapeErrors:
-    """Shapes unknown at build time: the kernel's discovery is a typed
-    error naming the op and the operand shapes, raised from the spec — so
-    the shape-only lane rejects exactly what the concrete lane rejects."""
+    """Shapes unknown at build time: the op's one shape function, run on
+    the fed values' specs, raises one typed error naming the op and the
+    operand shapes — so the shape-only lane rejects exactly what the
+    concrete lane rejects, at the same simulated instant, and eager raises
+    the same text."""
 
     @staticmethod
     def _error(build, feeds, symbolic, fast):
@@ -594,43 +649,8 @@ class TestRuntimeShapeErrors:
                 sess.run(fetch, feed_dict=feed)
             return str(info.value), sess.env.now
 
-    @pytest.mark.parametrize("build, feeds, message", [
-        (_open_add, [(3,), (4,)],
-         r"Add operand shapes \[\(3,\), \(4,\)\].*\[op: bad_add\]"),
-        (_open_matmul, [(2, 3), (2, 3)],
-         r"MatMul operand shapes \(2, 3\) and \(2, 3\).*3 vs 2.*"
-         r"\[op: bad_matmul\]"),
-        (_open_matmul, [(2, 3), (5,)],
-         r"MatMul operand shapes \(2, 3\) and \(5,\).*3 vs 5.*"
-         r"\[op: bad_matmul\]"),
-        (_open_dot, [(3,), (4,)],
-         r"Dot operand shapes \(3,\) and \(4,\).*\[op: bad_dot\]"),
-        (_open_reshape([5]), [(3,)],
-         r"Reshape operand shape \(3,\) \(3 elements\) does not fit "
-         r"\(5,\).*\[op: bad_reshape\]"),
-        (_open_reshape([2, -1]), [(3,)],
-         r"Reshape operand shape \(3,\) \(3 elements\) does not fit "
-         r"\(2, -1\).*\[op: bad_reshape\]"),
-        (_open_layout([2, 2], tf.concat, axis=0), [(2, 3), (2, 4)],
-         r"Concat operand shapes \[\(2, 3\), \(2, 4\)\] disagree off "
-         r"axis 0.*\[op: bad_layout\]"),
-        (_open_layout([1, 1], tf.stack), [(3,), (4,)],
-         r"Stack operand shapes \[\(3,\), \(4,\)\] are not all equal.*"
-         r"\[op: bad_layout\]"),
-        (_open_layout([1], tf.split, num_splits=2), [(5,)],
-         r"Split operand shape \(5,\) does not divide into 2 along axis "
-         r"0.*\[op: bad_layout\]"),
-        (_open_layout([2], tf.squeeze, axis=0), [(2, 3)],
-         r"Squeeze operand shape \(2, 3\) is not of size 1 along axis 0.*"
-         r"\[op: bad_layout\]"),
-        (_open_layout([1], tf.slice_, begin=[2], size=[4]), [(3,)],
-         r"Slice begin \(2,\) size \(4,\) is out of bounds for operand "
-         r"shape \(3,\).*\[op: bad_layout\]"),
-        (_open_layout([None], tf.transpose, perm=[1, 0]), [(3,)],
-         r"Transpose perm \(1, 0\) does not permute the axes of operand "
-         r"shape \(3,\).*\[op: bad_layout\]"),
-    ], ids=["add", "matmul", "matvec", "dot", "reshape", "reshape-infer",
-            "concat", "stack", "split", "squeeze", "slice", "transpose"])
+    @pytest.mark.parametrize("build, feeds, message", _RUNTIME_SHAPE_CASES,
+                             ids=_RUNTIME_SHAPE_IDS)
     def test_same_typed_error_in_every_mode(self, build, feeds, message):
         seen = {
             self._error(build, feeds, symbolic, fast)
@@ -638,6 +658,20 @@ class TestRuntimeShapeErrors:
         }
         assert len(seen) == 1  # one message, one clock
         assert re.search(message, seen.pop()[0])
+
+    @pytest.mark.parametrize("build, feeds, message", _RUNTIME_SHAPE_CASES,
+                             ids=_RUNTIME_SHAPE_IDS)
+    def test_eager_raises_the_same_error(self, build, feeds, message):
+        g = tf.Graph()
+        with g.as_default():
+            placeholders, fetch = build()
+        values = {p.name: np.ones(shape, p.dtype.np_dtype)
+                  for p, shape in zip(placeholders, feeds)}
+        ctx = KernelContext(feeds=values, resources=ResourceManager("eager"))
+        with pytest.raises(InvalidArgumentError) as info:
+            evaluate([fetch], values, ctx)
+        assert str(info.value) == self._error(build, feeds, False, True)[0]
+        assert re.search(message, str(info.value))
 
     def test_eager_rejects_with_the_same_class(self):
         ctx = EagerContext()
@@ -647,3 +681,10 @@ class TestRuntimeShapeErrors:
             ctx.matmul(np.ones((2, 3)), np.ones((2, 3)))
         with pytest.raises(InvalidArgumentError):
             ctx.dot(np.ones(3), np.ones(4))
+
+    def test_static_dot_of_unequal_vectors_is_rejected_at_build(self):
+        with tf.Graph().as_default():
+            with pytest.raises(InvalidArgumentError,
+                               match=r"Dot operand shapes \[\(3,\), \(4,\)\]"):
+                tf.dot(tf.constant(np.ones(3, np.float32)),
+                       tf.constant(np.ones(4, np.float32)))

@@ -140,6 +140,19 @@ class TestFeeds:
         with tf.Session(graph=g) as sess:
             assert sess.run(y, feed_dict={"x:0": 2.0}) == pytest.approx(3.0)
 
+    def test_fetching_a_symbolic_feed_returns_the_spec(self):
+        # Used to come back as a 0-d object ndarray wrapping the spec.
+        g = tf.Graph()
+        with g.as_default():
+            p = tf.placeholder(tf.float32, shape=[None], name="p")
+            doubled = p * 2
+        spec = tf.SymbolicValue((3,), tf.float32)
+        config = tf.SessionConfig(shape_only=True)
+        with tf.Session(graph=g, config=config) as sess:
+            fed, twice = sess.run([p, doubled], feed_dict={p: spec})
+        assert fed is spec
+        assert twice == tf.SymbolicValue((3,), doubled.dtype)
+
 
 class TestPlacementSemantics:
     def test_simple_placement_prefers_gpu(self):

@@ -232,15 +232,13 @@ SPEC_VALUES = {
 
 
 class TestSpecIsReadOffTheValue:
-    """``SymbolicValue.of`` / ``value_nbytes`` / ``runtime_shape`` answer from
-    what NumPy already describes; the answers are the ones the slow route —
+    """``SymbolicValue.of`` / ``value_nbytes`` answer from what NumPy
+    already describes; the answers are the ones the slow route —
     ``np.asarray``, then a spec rebuilt through ``SymbolicValue.__init__``
     and ``as_dtype`` — gives."""
 
     @pytest.mark.parametrize("name", sorted(SPEC_VALUES))
     def test_matches_the_rebuilt_spec(self, name):
-        from repro.core.ops.common import runtime_shape
-
         value = SPEC_VALUES[name]
         arr = np.asarray(value)
         rebuilt = SymbolicValue(arr.shape, dtypes.as_dtype(arr.dtype))
@@ -254,8 +252,6 @@ class TestSpecIsReadOffTheValue:
         assert spec == rebuilt and hash(spec) == hash(rebuilt)
         assert value_nbytes(value) == int(arr.nbytes)
         assert type(value_nbytes(value)) is int
-        assert runtime_shape(value) == tuple(arr.shape)
-        assert type(runtime_shape(value)) is tuple
 
     def test_unsupported_dtype_is_still_rejected(self):
         with pytest.raises(InvalidArgumentError):

@@ -75,10 +75,10 @@ def test_matrix_subset_restricts_cells(tmp_path):
 
 def _buggy_eager_mul(original):
     def kernel(op, inputs, ctx):
-        outputs, cost = original(op, inputs, ctx)
+        outputs = original(op, inputs, ctx)
         if ctx.env is None and isinstance(outputs[0], np.ndarray):
             outputs = [outputs[0] + np.asarray(1, dtype=outputs[0].dtype)]
-        return outputs, cost
+        return outputs
 
     return kernel
 

@@ -1,9 +1,12 @@
 """Execution matrix: cell enumeration, byte comparison, divergences."""
 
+from dataclasses import replace
+
 import numpy as np
 
-from repro.core.kernels.registry import override_kernel
-from repro.fuzz.generator import GeneratorOptions, Program, generate
+from repro.core.kernels.registry import op_def, override_kernel
+from repro.core.tensor import SymbolicValue
+from repro.fuzz.generator import GeneratorOptions, Instr, Program, generate
 from repro.fuzz.harness import (
     BASELINE,
     Cell,
@@ -115,12 +118,12 @@ def _buggy_eager_mul(original):
     """A Mul kernel that is wrong only in eager mode (ctx.env is None)."""
 
     def kernel(op, inputs, ctx):
-        outputs, cost = original(op, inputs, ctx)
+        outputs = original(op, inputs, ctx)
         if ctx.env is None and isinstance(outputs[0], np.ndarray):
             outputs = [outputs[0] + np.asarray(
                 1, dtype=outputs[0].dtype
             )]
-        return outputs, cost
+        return outputs
 
     return kernel
 
@@ -165,10 +168,10 @@ def test_value_contradicting_its_static_spec_is_a_divergence():
     original = get_kernel("Mul")
 
     def widened(op, inputs, ctx):
-        outputs, cost = original(op, inputs, ctx)
+        outputs = original(op, inputs, ctx)
         if not ctx.symbolic:
             outputs = [np.asarray(outputs[0], dtype=np.float64)]
-        return outputs, cost
+        return outputs
 
     fetched_mul = Program(
         instrs=program.instrs, world=program.world, seed=program.seed,
@@ -178,8 +181,55 @@ def test_value_contradicting_its_static_spec_is_a_divergence():
     assert fetched_mul.fetches and run_program(fetched_mul).ok
     with override_kernel("Mul", widened):
         report = run_program(fetched_mul)
-    assert {d.kind for d in report.divergences} == {"static_spec"}
+    assert {d.kind for d in report.divergences
+            if not d.cell.shape_only} == {"static_spec"}
     assert BASELINE in {d.cell for d in report.divergences}
+    # The shape-only cell fetches what the record says, float32: the
+    # widened bytes disagree with it, and cost more wherever they move.
+    assert {d.kind for d in report.divergences if d.cell.shape_only} <= {
+        "dtype", "sim_time"}
+
+
+def test_shape_only_cell_fetches_specs_on_the_concrete_clock():
+    program = generate(0)
+    (cell,) = matrix_cells(program, subset=["shape"])
+    assert cell.label() == "session/fast/opt/shape"
+    concrete = replace(cell, shape_only=False)
+    report = run_program(program, cells=[cell, concrete])
+    assert report.ok, [d.describe() for d in report.divergences]
+    shape_run = report.runs[cell.label()]
+    assert shape_run.sim_time == report.runs[concrete.label()].sim_time
+    assert any(isinstance(v, SymbolicValue) for v in shape_run.values)
+
+
+def test_run_time_shape_rule_defect_is_caught_by_the_shape_only_cell(
+        monkeypatch):
+    # Right at build time, one trailing 1 too many at run time: the
+    # concrete cells compute values with the kernel and see nothing (the
+    # element count, hence the clock, is unchanged); the shape-only cell
+    # fetches what the record says.
+    x = np.float32([1.5, -2.0])
+    program = Program(instrs=[
+        Instr(op_type="Placeholder", value=x, out_dtypes=("float32",),
+              out_shapes=(x.shape,)),
+        Instr(op_type="Mul", inputs=((0, 0), (0, 0)),
+              out_dtypes=("float32",), out_shapes=(x.shape,)),
+    ], fetches=[(1, 0)], seed=0)
+    assert run_program(program).ok
+    definition = op_def("Mul")
+    rule = definition.shape_fn
+
+    def padded(inputs, attrs):
+        specs = rule(inputs, attrs)
+        if isinstance(inputs[0], SymbolicValue):
+            return [(dtype, (*dims, 1)) for dtype, dims in specs]
+        return specs
+
+    monkeypatch.setattr(definition, "shape_fn", padded)
+    report = run_program(program)
+    assert {(d.kind, d.cell.label()) for d in report.divergences} == {
+        ("shape", "session/fast/opt/shape"),
+        ("static_spec", "session/fast/opt/shape")}
 
 
 def test_run_cell_captures_errors_instead_of_raising():
