@@ -750,7 +750,8 @@ class _Dispatcher:
         state = self.state
         try:
             inputs = [state.resolve_source(s) for s in item.sources]
-            result = dispatch(item.op, inputs, state.kernel_ctx(item.device))
+            result = dispatch(item.op, inputs, state.kernel_ctx(item.device),
+                              item.price)
             if inspect.isgenerator(result):
                 # Blocking kernel: drive it as a callback chain that
                 # inherits (and eventually releases) the held request.
@@ -1025,7 +1026,7 @@ def _run_op(state: ExecutionState, item: Item):
             if request is None:
                 request = device.resource.request()
                 yield request
-        result = dispatch(op, inputs, ctx)
+        result = dispatch(op, inputs, ctx, item.price)
         if inspect.isgenerator(result):
             result = yield from result
         outputs, cost = result

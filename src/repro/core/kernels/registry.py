@@ -14,15 +14,28 @@ costs:
   :class:`Cost`, which the executing device model converts to simulated
   seconds.
 
+An op is priced at plan time where shapes are static. When every input
+and output tensor of an op has a fully defined static shape,
+``build_plan`` prices it once (:func:`static_price`): the outputs' specs
+are the tensors' own — derived by ``create_op`` with the same
+``shape_fn``, or declared by the caller of a ``kernel_spec`` op — and
+``cost`` runs once. A run over static shapes then calls no shape function
+and no cost function; constant folding prices what it folds the same way.
+Every other execution — partially static shapes, eager — is priced by
+the same function (:func:`price_of`) each time it runs.
+
 A *kernel* computes values and nothing else. Its signature is::
 
     kernel(op, inputs, ctx) -> outputs
 
 A kernel may instead be a *generator* that yields DES events (for blocking
 ops such as queue dequeue or file I/O) and finally returns its outputs.
-:func:`dispatch` is every kernel's one caller: it runs the shape function,
-calls the kernel only when there are values to compute, and prices the
-op. Kernels never sleep on their own except by yielding events.
+:func:`dispatch` is every kernel's one caller: it reads the op's price (or
+derives it) and calls the kernel only when there are values to compute.
+What a planned kernel returns must be exactly the price's specs, the ones
+its priced consumers read; what an unplanned ``kernel_spec`` kernel
+returns must be compatible with its declared static specs. Kernels never
+sleep on their own except by yielding events.
 """
 
 from __future__ import annotations
@@ -43,7 +56,12 @@ from typing import (
 )
 
 from repro.core.tensor import SymbolicValue, TensorShape, dims_of
-from repro.errors import InvalidArgumentError, NotFoundError, UnimplementedError
+from repro.errors import (
+    InternalError,
+    InvalidArgumentError,
+    NotFoundError,
+    UnimplementedError,
+)
 
 if TYPE_CHECKING:
     from repro.dtypes import DType
@@ -53,9 +71,12 @@ __all__ = [
     "CostFn",
     "KernelContext",
     "OpDef",
+    "Price",
     "ResourceManager",
     "ShapeFn",
     "dispatch",
+    "price_of",
+    "static_price",
     "register_kernel",
     "op_def",
     "get_kernel",
@@ -222,23 +243,33 @@ class OpDef:
             pair per output, or raises
             :class:`~repro.errors.InvalidArgumentError` when the inputs'
             specs and attrs do not describe a valid application of the op.
-            ``create_op`` runs it on the input tensors, the verifier again
-            on a built op, and :func:`dispatch` on the run-time values'
-            specs — one rule and one message (:meth:`output_specs`) in
-            every mode. ``None`` only for ``kernel_spec`` ops whose caller
-            is the spec authority (``Placeholder``, ``VariableV2``, queues,
-            iterators, tile I/O): they pass ``output_specs=`` explicitly.
-        cost: ``cost(in_specs, out_specs, attrs)`` prices one execution;
-            the run-time specs are :class:`SymbolicValue` s.
+            ``create_op`` runs it on the input tensors and the verifier
+            again on a built op — one rule and one message
+            (:meth:`output_specs`) in every mode. Where the op's tensors
+            are fully static that is the last time it runs: the plan
+            holds the price (:func:`static_price`). Otherwise
+            :func:`dispatch` runs it on every execution, over the run-time
+            values' specs. ``None`` only for ``kernel_spec`` ops whose
+            caller is the spec authority (``Placeholder``, ``VariableV2``,
+            queues, iterators, tile I/O): they pass ``output_specs=``
+            explicitly.
+        cost: ``cost(in_specs, out_specs, attrs)`` prices one execution
+            from :class:`SymbolicValue` specs — once per plan where shapes
+            are static, on every execution otherwise (:func:`price_of`).
         kernel_spec: the kernel runs in every mode, shape-only included,
             and its outputs are their own specs. Only these kernels may
-            meet a :class:`SymbolicValue`: their outputs come from data
-            (a feed, a constant's array, the variable store, a queue, an
+            meet a :class:`SymbolicValue`: their outputs come from data (a
+            feed, a constant's array, the variable store, a queue, an
             iterator, a tile file), they act on state a shape-only run must
             still change (assign, enqueue, close, tile write), or — the
             collectives — their one value function
             (:func:`repro.runtime.collective.collective_values`) checks
-            every rank at run time in every lane.
+            every rank at run time in every lane. What the kernel delivers
+            must be compatible with the op's declared static specs —
+            exactly them where they are fully static, as the plan priced
+            the op from them — or :func:`dispatch` raises
+            ``InvalidArgumentError``: a priced consumer reads the declared
+            spec, not the value's.
         builder: name of the flat-namespace builder
             (``repro.core.ops.__all__``) that constructs the op.
         arity: ``(min, max)`` count of *tensor* inputs the builder
@@ -379,45 +410,173 @@ def register_kernel(
     return wrap
 
 
-def dispatch(op: Any, inputs: list, ctx: KernelContext) -> Any:
+# An op item's price: its outputs' specs and the Cost of one execution.
+Price = tuple[list[SymbolicValue], Cost]
+
+
+def price_of(definition: OpDef, in_specs: Specs,
+             out_dims: Sequence[tuple[Any, Sequence[int]]],
+             attrs: Mapping[str, Any]) -> Price:
+    """The outputs' specs from their ``(dtype, dims)`` pairs, and the Cost
+    of one execution. The one pricing function: :func:`static_price` calls
+    it once per statically shaped op when the plan is built, :func:`dispatch`
+    on every execution of any other op its record describes."""
+    out_specs = [SymbolicValue.derived(dims, dtype) for dtype, dims in out_dims]
+    return out_specs, definition.cost(in_specs, out_specs, attrs)
+
+
+def static_price(op: Any) -> Optional[Price]:
+    """``op``'s price from its tensors' static specs, or ``None`` when every
+    run must derive it: some input or output shape is not fully defined.
+
+    ``create_op`` derived the output specs with the op's ``shape_fn`` over
+    these very input shapes — or, for a ``kernel_spec`` op, its caller
+    declared them — and a run's values have exactly their tensors' static
+    specs (feeds are validated, :func:`dispatch` checks every kernel's
+    outputs against the price), so this is the price the run-time path
+    would compute on every execution, bit for bit.
+    """
+    definition = _OPS[op.type]
+    in_specs: list[SymbolicValue] = []
+    for tensor in op.inputs:
+        dims = tensor.shape.dims
+        if dims is None or None in dims:
+            return None
+        in_specs.append(SymbolicValue.derived(dims, tensor.dtype))
+    out_dims: list[tuple[Any, Sequence[int]]] = []
+    for tensor in op.outputs:
+        dims = tensor.shape.dims
+        if dims is None or None in dims:
+            return None
+        out_dims.append((tensor.dtype, dims))
+    return price_of(definition, in_specs, out_dims, op.attrs)
+
+
+def dispatch(op: Any, inputs: list, ctx: KernelContext,
+             price: Optional[Price] = None) -> Any:
     """Run ``op`` on ``inputs``: ``(outputs, Cost)``, or — for a blocking
     kernel — a generator that returns them.
 
     The one caller of every kernel (both executors, the eager interpreter
-    and constant folding). The op's record states the outputs' specs
-    (``shape_fn`` over the inputs' specs) and prices them (``cost``). The
-    kernel is called only when there are values to compute: every input is
-    concrete, or — for a source — the run is. Otherwise the outputs *are*
-    the specs, so a shape-only run never calls such a kernel. A
-    ``kernel_spec`` op's kernel always runs, and its outputs are their own
-    specs.
+    and constant folding). ``price`` is the plan's price for an op item
+    whose tensors are all fully static (``Item.price``): the run calls no
+    shape or cost function, and the kernel's outputs must be exactly the
+    price's specs (:func:`_checked`). Without one the op's record derives
+    the price here — ``shape_fn`` over the inputs' specs, then ``cost`` —
+    or, for a ``kernel_spec`` op, prices its outputs once its kernel
+    returned them (:func:`_declared`). A kernel is called only when there
+    are values to compute: every input is concrete, or — for a source —
+    the run is. Otherwise the outputs *are* the specs (a fresh list), so a
+    shape-only run never calls such a kernel. A ``kernel_spec`` op's
+    kernel always runs.
     """
     definition = _OPS[op.type]
-    attrs = op.attrs
+    if price is not None:
+        if not definition.kernel_spec and (
+                SymbolicValue in map(type, inputs) if inputs else ctx.symbolic):
+            out_specs, cost = price
+            return list(out_specs), cost
+        outputs = definition.kernel(op, inputs, ctx)
+        if isinstance(outputs, GeneratorType):
+            return _settled_later(outputs, _checked, op, definition, price)
+        return _checked(op, definition, price, outputs)
     in_specs = [SymbolicValue.of(v) for v in inputs]
-    out_specs: Optional[list] = None
-    if not definition.kernel_spec:
-        out_specs = [
-            SymbolicValue.derived(dims, dtype)
-            for dtype, dims in definition.output_specs(in_specs, attrs, op.name)
-        ]
-        if SymbolicValue in map(type, inputs) if inputs else ctx.symbolic:
-            return out_specs, definition.cost(in_specs, out_specs, attrs)
+    if definition.kernel_spec:
+        outputs = definition.kernel(op, inputs, ctx)
+        if isinstance(outputs, GeneratorType):
+            return _settled_later(outputs, _declared, op, definition, in_specs)
+        return _declared(op, definition, in_specs, outputs)
+    attrs = op.attrs
+    out_specs, cost = price_of(
+        definition, in_specs, definition.output_specs(in_specs, attrs, op.name),
+        attrs)
+    if SymbolicValue in map(type, inputs) if inputs else ctx.symbolic:
+        return out_specs, cost
     outputs = definition.kernel(op, inputs, ctx)
     if isinstance(outputs, GeneratorType):
-        return _priced(definition, attrs, in_specs, out_specs, outputs)
-    if out_specs is None:
-        out_specs = [SymbolicValue.of(v) for v in outputs]
-    return outputs, definition.cost(in_specs, out_specs, attrs)
+        return _settled_later(outputs, lambda values: (values, cost))
+    return outputs, cost
 
 
-def _priced(definition: OpDef, attrs: Mapping[str, Any], in_specs: Specs,
-            out_specs: Optional[Specs], gen: Generator) -> Generator:
-    """A blocking kernel's generator, returning its outputs with the Cost."""
+def _checked(op: Any, definition: OpDef, price: Price,
+             outputs: list) -> tuple[list, Cost]:
+    """A planned op's outputs with its Cost, once each was found to be
+    exactly the spec the price states — the spec every priced consumer
+    reads. For an op its record describes, a contradiction is a wrong
+    kernel: an ``InternalError`` here, not a wrong spec downstream. For a
+    ``kernel_spec`` op the specs are its caller's declaration, and data
+    that contradicts it is an ``InvalidArgumentError``."""
+    out_specs, cost = price
+    if len(outputs) != len(out_specs):
+        raise _contradiction(op, definition, outputs, out_specs)
+    for value, spec in zip(outputs, out_specs):
+        # NumPy hands out one dtype object per lane width, and specs hold
+        # the seven DType singletons: ``is`` decides all but a
+        # contradiction.
+        dtype = value.dtype
+        if value.shape != spec.shape or (
+                dtype is not spec.dtype.np_dtype
+                and dtype is not spec.dtype
+                and dtype != spec.dtype.np_dtype):
+            raise _contradiction(op, definition, outputs, out_specs)
+    return outputs, cost
+
+
+def _declared(op: Any, definition: OpDef, in_specs: Specs,
+              outputs: list) -> tuple[list, Cost]:
+    """An unplanned ``kernel_spec`` op's outputs, priced from their own
+    specs once each was found compatible with the op's declared static
+    spec (some declared dim is unknown, or the caller is eager)."""
+    out_specs = [SymbolicValue.of(v) for v in outputs]
+    for tensor, spec in zip(op.outputs, out_specs):
+        declared = tensor.shape
+        if (spec.dtype is not tensor.dtype
+                and spec.dtype != tensor.dtype) or (
+                spec.shape != declared.dims
+                and not declared.is_compatible_with(spec.shape)):
+            raise _undeclared(op, out_specs)
+    return outputs, definition.cost(in_specs, out_specs, op.attrs)
+
+
+def _settled_later(gen: Generator, settle: Callable[..., tuple[list, Cost]],
+                   *args: Any) -> Generator:
+    """A blocking kernel's generator, returning ``settle(*args, outputs)``
+    once the kernel returned its outputs."""
     outputs = yield from gen
-    if out_specs is None:
-        out_specs = [SymbolicValue.of(v) for v in outputs]
-    return outputs, definition.cost(in_specs, out_specs, attrs)
+    return settle(*args, outputs)
+
+
+def _contradiction(op: Any, definition: OpDef, outputs: list,
+                   out_specs: Specs) -> Exception:
+    got = [SymbolicValue.of(v) for v in outputs]
+    if definition.kernel_spec:
+        return _undeclared(op, got)
+
+    def describe(specs: Specs) -> str:
+        return ", ".join(f"{s.dtype.name} {TensorShape(s.shape)}" for s in specs)
+
+    return InternalError(
+        f"{op.type} kernel returned [{describe(got)}]; its record states "
+        f"[{describe(out_specs)}]",
+        node_def=op.name,
+    )
+
+
+def _undeclared(op: Any, out_specs: Specs) -> InvalidArgumentError:
+    for index, (tensor, spec) in enumerate(zip(op.outputs, out_specs)):
+        if spec.dtype != tensor.dtype or not tensor.shape.is_compatible_with(
+                spec.shape):
+            return InvalidArgumentError(
+                f"{op.type} delivered output {index} as {spec.dtype.name} "
+                f"{TensorShape(spec.shape)}, incompatible with its declared "
+                f"{tensor.dtype.name} {tensor.shape}",
+                node_def=op.name,
+            )
+    return InvalidArgumentError(
+        f"{op.type} delivered {len(out_specs)} outputs; it declares "
+        f"{len(op.outputs)}",
+        node_def=op.name,
+    )
 
 
 def op_def(op_type: str) -> OpDef:

@@ -130,7 +130,9 @@ class Dataset:
         """Apply a python function per element.
 
         Unlike TF we cannot trace ``fn`` into the graph, so the caller must
-        state the post-map ``element_spec``.
+        state the post-map ``element_spec``: ``get_next`` rejects an element
+        that contradicts it (``InvalidArgumentError``). Each component is
+        delivered as an array, in the dtype ``fn`` gave it.
         """
         parent = self._factory
 
@@ -139,7 +141,7 @@ class Dataset:
                 out = fn(*element)
                 if not isinstance(out, tuple):
                     out = (out,)
-                yield out
+                yield tuple(np.asarray(x) for x in out)
 
         return Dataset(factory, element_spec)
 

@@ -92,12 +92,20 @@ class FIFOQueue:
                 f"enqueue expects {self.num_components} components, got {len(values)}"
             )
         tensors = []
-        for v, dt in zip(values, self._dtypes):
+        # Components whose static shape cannot vouch for the declared one:
+        # the kernel checks those values when they arrive.
+        shape_checks = []
+        for index, (v, dt, shape) in enumerate(
+                zip(values, self._dtypes, self._shapes)):
             t = to_tensor(v, dtype=None, graph=self.graph)
             if t.dtype != dt:
                 raise InvalidArgumentError(
                     f"enqueue component dtype {t.dtype.name} != queue dtype {dt.name}"
                 )
+            if not shape.is_compatible_with(t.shape):
+                raise _component_shape_error(self.name, index, t.shape, shape)
+            if not t.shape.is_fully_defined and shape.dims is not None:
+                shape_checks.append((index, shape))
             tensors.append(t)
         op = self.graph.create_op(
             "QueueEnqueue",
@@ -105,7 +113,8 @@ class FIFOQueue:
             output_specs=[],
             attrs={"queue": self._runtime_key(),
                    "capacity": self._queue_op.get_attr("capacity"),
-                   "num_components": self.num_components},
+                   "num_components": self.num_components,
+                   "shape_checks": tuple(shape_checks)},
             name=f"{self.name}/{name}",
             device=self.device,
         )
@@ -152,6 +161,17 @@ class FIFOQueue:
             name=f"{self.name}/{name}",
             device=self.device,
         )
+
+
+def _component_shape_error(queue: str, index: int, shape,
+                           declared: TensorShape,
+                           node_def: Optional[str] = None
+                           ) -> InvalidArgumentError:
+    return InvalidArgumentError(
+        f"enqueue component {index} of queue {queue!r} has shape "
+        f"{TensorShape(shape)}; the queue declares {declared}",
+        node_def=node_def,
+    )
 
 
 def _get_queue(op, ctx) -> SimQueue:
@@ -207,6 +227,11 @@ def _element_cost(in_specs, out_specs, attrs) -> Cost:
 @register_kernel("QueueEnqueue", devices=("cpu",), kernel_spec=True,
                  cost=_element_cost, builder="FIFOQueue", stateful=True)
 def _enqueue_kernel(op, inputs, ctx):
+    for index, declared in op.get_attr("shape_checks", ()):
+        if not declared.is_compatible_with(inputs[index].shape):
+            raise _component_shape_error(op.get_attr("queue"), index,
+                                         inputs[index].shape, declared,
+                                         node_def=op.name)
     queue = _get_queue(op, ctx)
     yield from _queue_op_host_work(ctx)
     if not queue.try_enqueue(list(inputs)):

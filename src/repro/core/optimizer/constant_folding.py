@@ -21,7 +21,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.kernels.registry import KernelContext, dispatch, is_pure
+from repro.core.kernels.registry import (
+    KernelContext,
+    dispatch,
+    is_pure,
+    static_price,
+)
 from repro.core.metadata import PassStats
 from repro.core.optimizer.pipeline import Subgraph
 
@@ -92,7 +97,10 @@ def fold_constants(sg: Subgraph) -> PassStats:
             continue
         if cached is None:
             try:
-                outputs, _cost = dispatch(op, inputs, ctx)
+                # Priced as a plan prices the op (its outputs are static,
+                # above): a kernel that contradicts its record raises here
+                # and the op is left to run, where it raises again.
+                outputs, _cost = dispatch(op, inputs, ctx, static_price(op))
             except Exception:
                 memo[op.name] = _FAILED
                 continue

@@ -28,6 +28,7 @@ from typing import Any, Optional, Sequence
 
 
 from repro.core.graph import Graph, Operation
+from repro.core.kernels.registry import Price, static_price
 from repro.core.ops.collective_ops import COLLECTIVE_OP_TYPES
 from repro.core.placement import Placer
 from repro.core.tensor import Tensor
@@ -66,6 +67,11 @@ class Item:
     # Whether any surrounding tensor is double precision ("op" items;
     # precomputed so the executor's cost conversion skips a tensor scan).
     double_precision: bool = False
+    # The outputs' specs and the Cost of one execution, when every tensor
+    # of the op is fully static ("op" items; registry.static_price): a run
+    # hands it to dispatch, which then runs no shape or cost function.
+    # Shared by every run: a shape-only run gets a fresh list of the specs.
+    price: Optional[Price] = None
     # Which rank of its collective op this leg executes ("collective"
     # items only; one leg per rank, all sharing the same ``op``).
     collective_rank: int = 0
@@ -439,6 +445,7 @@ def build_plan(
             continue
         item = new_item(kind="op", device=device, op=op)
         item.double_precision = _is_double_precision(op)
+        item.price = static_price(op)
         op_items[op.name] = item
         item.sources = [route_value(t, device) for t in op.inputs]
         item.extra_deps = control_deps_of(op, device)

@@ -495,16 +495,28 @@ def _judge(subject: _Subject, cell: Cell
     return baseline, found
 
 
-def has_divergence(program: Program, cell: Cell) -> bool:
+def has_divergence(program: Program, cell: Cell,
+                   failure: Optional[str] = None) -> bool:
     """Does ``cell`` still disagree with the baseline on ``program``,
     by bytes, static specs or simulated time?
 
     The shrinker's oracle: candidates whose *baseline* breaks are
     invalid reductions (they changed the program, not just shrank the
-    failure) and count as non-reproducing.
+    failure) and count as non-reproducing — unless ``cell`` *is* the
+    baseline, whose own failure (a kernel caught contradicting its
+    record, say) is then the divergence: it reproduces while the baseline
+    still raises ``failure``, the original error's type name
+    (:func:`error_type`; any error when ``None``).
     """
     baseline, found = _judge(_subject(program), cell)
-    return baseline.ok and bool(found)
+    if baseline.error is None:
+        return bool(found)
+    return cell == BASELINE and failure in (None, error_type(baseline.error))
+
+
+def error_type(error: str) -> str:
+    """The exception class name of a recorded :attr:`CellRun.error`."""
+    return error.split("(", 1)[0]
 
 
 def _script_divergences(body: Callable, feeds: list, gpus: int,

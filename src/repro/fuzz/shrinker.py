@@ -23,7 +23,10 @@ edits, in order of aggressiveness:
 Each round re-runs from step 2; the loop stops at a fixpoint (no edit
 reproduces) or after ``max_rounds``. Candidates whose *baseline* run
 fails are rejected outright — a reduction must shrink the failure, not
-replace it with a different one.
+replace it with a different one. When the divergence *is* the baseline's
+failure (a kernel that contradicts its record fails every concrete cell,
+the baseline first), a candidate reproduces while its baseline raises
+the same error type.
 
 The result ships as a self-contained script via
 :meth:`Program.to_python`, which asks the harness for this oracle's
@@ -40,7 +43,13 @@ from typing import Optional
 import numpy as np
 
 from repro.fuzz.generator import Instr, Program
-from repro.fuzz.harness import Cell, has_divergence
+from repro.fuzz.harness import (
+    BASELINE,
+    Cell,
+    error_type,
+    has_divergence,
+    run_cell,
+)
 
 __all__ = ["ShrinkResult", "shrink"]
 
@@ -68,6 +77,10 @@ def shrink(program: Program, cell: Cell, *, max_rounds: int = 12,
     """
     original_ops = program.op_count()
     state = _ShrinkState(max_attempts=max_attempts)
+    if cell == BASELINE:
+        # The divergence is the baseline's own failure: hold its type fixed.
+        error = run_cell(program, BASELINE).error
+        state.failure = error_type(error) if error is not None else None
     current = program.clone()
     if not state.reproduces(current, cell):
         return ShrinkResult(program=current, cell=cell, attempts=state.attempts,
@@ -102,6 +115,8 @@ class _ShrinkState:
     attempts: int = 0
     # Memo: identical candidate programs reproduce (or not) identically.
     seen: dict[str, bool] = field(default_factory=dict)
+    # Shrinking a failing baseline: the error type a candidate must raise.
+    failure: Optional[str] = None
 
     @property
     def exhausted(self) -> bool:
@@ -114,7 +129,7 @@ class _ShrinkState:
         if key in self.seen:
             return self.seen[key]
         self.attempts += 1
-        result = has_divergence(program, cell)
+        result = has_divergence(program, cell, self.failure)
         self.seen[key] = result
         return result
 

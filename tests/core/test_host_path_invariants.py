@@ -258,21 +258,28 @@ class TestValueLaneCounts:
     built from its dims tuple and ``DType`` as they are
     (``SymbolicValue.derived``), so it costs no ``__init__`` and no
     ``as_dtype``. Broadcasting is the shape function's own rule over dims
-    tuples, so ``[8, 8] + [8]`` pays exactly what equal shapes pay."""
+    tuples, so ``[8, 8] + [8]`` pays exactly what equal shapes pay.
+
+    Over static shapes the plan prices each ``add`` once, when it is
+    built (``registry.static_price``), so the warm run calls ``Add``'s
+    shape function and cost **0** times; before plans carried prices it
+    called each 10 times. Over ``[None, 8]`` placeholders nothing can be
+    priced ahead and the run-time rule still runs: 10 of each."""
 
     @staticmethod
-    def _counted(monkeypatch, fast, second_shape):
+    def _counted(monkeypatch, fast, second_shape, first_shape=(8, 8)):
         g = tf.Graph()
         with g.as_default():
-            x = tf.placeholder(tf.float64, [8, 8], name="x")
+            x = tf.placeholder(tf.float64, first_shape, name="x")
             y = tf.placeholder(tf.float64, second_shape, name="y")
             out = x
             for i in range(10):
                 out = tf.add(out, y, name=f"add_{i}")
         sess = tf.Session(graph=g, config=tf.SessionConfig(
             graph_optimization=False, executor_fast_path=fast))
+        fed_shape = tuple(8 if d is None else d for d in second_shape)
         feed = {x: np.arange(64.0).reshape(8, 8),
-                y: np.arange(float(np.prod(second_shape))).reshape(second_shape)}
+                y: np.arange(float(np.prod(fed_shape))).reshape(fed_shape)}
         sess.run(out, feed_dict=feed)  # cold: plans, places, fills memos
 
         counts = {}
@@ -291,6 +298,8 @@ class TestValueLaneCounts:
         count(np, "broadcast_shapes")
         count(SymbolicValue, "__init__")
         count(dtypes, "as_dtype")
+        count(op_def("Add"), "shape_fn")
+        count(op_def("Add"), "cost")
         value = sess.run(out, feed_dict=feed)
         monkeypatch.undo()
         np.testing.assert_array_equal(value, feed[x] + 10 * feed[y])
@@ -301,14 +310,22 @@ class TestValueLaneCounts:
     def test_equal_shapes_pay_nothing_per_operand(self, fast, monkeypatch):
         assert self._counted(monkeypatch, fast, (8, 8)) == {
             "asarray": 22, "broadcast_shapes": 0, "__init__": 0,
-            "as_dtype": 0}
+            "as_dtype": 0, "shape_fn": 0, "cost": 0}
 
     @pytest.mark.parametrize("fast", [True, False],
                              ids=["fast-path", "reference"])
     def test_different_shapes_still_broadcast(self, fast, monkeypatch):
         assert self._counted(monkeypatch, fast, (8,)) == {
             "asarray": 22, "broadcast_shapes": 0, "__init__": 0,
-            "as_dtype": 0}
+            "as_dtype": 0, "shape_fn": 0, "cost": 0}
+
+    @pytest.mark.parametrize("fast", [True, False],
+                             ids=["fast-path", "reference"])
+    def test_partially_static_shapes_are_priced_per_run(self, fast,
+                                                        monkeypatch):
+        counts = self._counted(monkeypatch, fast, (None, 8),
+                               first_shape=(None, 8))
+        assert (counts["shape_fn"], counts["cost"]) == (10, 10)
 
 
 class _CountedReads(dict):

@@ -56,6 +56,32 @@ class TestTileIOOps:
         with pytest.raises(InvalidArgumentError):
             sess.run(tile)
 
+    @pytest.mark.parametrize("fast", [True, False],
+                             ids=["fast-path", "reference"])
+    @pytest.mark.parametrize("declared, printed", [
+        ((4, 4), r"\(4, 4\)"),  # the plan prices it: checked for equality
+        ((None, 4), r"\(\?, 4\)"),  # unpriced: checked for compatibility
+    ], ids=["static", "partial"])
+    def test_a_tile_contradicting_its_declared_shape_is_rejected(
+            self, fast, declared, printed):
+        # A consumer of the tile is priced from the declared shape: the
+        # file's (2, 2) must not flow on as if it were one.
+        env = Environment()
+        machine = localhost(env)
+        machine.filesystem.store_array("small_0.npy",
+                                       np.ones((2, 2), np.float32))
+        sess = tf.Session(graph=tf.Graph(), machine=machine,
+                          config=tf.SessionConfig(executor_fast_path=fast))
+        with sess.graph.as_default():
+            tile = tf.read_tile("small_{0}.npy", [0], dtype=tf.float32,
+                                shape=declared, name="tile")
+            total = tf.reduce_sum(tile * 2.0)
+        with pytest.raises(InvalidArgumentError,
+                           match=r"ReadTile delivered output 0 as float32 "
+                                 r"\(2, 2\), incompatible with its declared "
+                                 r"float32 " + printed + r" \[op: tile\]"):
+            sess.run(total)
+
     def test_io_advances_simulated_clock(self):
         sess, machine = self._session()
         machine.filesystem.store_array(

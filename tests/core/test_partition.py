@@ -1,12 +1,17 @@
 """Unit tests for graph pruning and partitioning (send/recv insertion)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import repro as tf
+from repro.core.kernels.registry import KernelContext, dispatch, op_def
 from repro.core.partition import FEED, _job_task_of, build_plan
 from repro.core.placement import Placer
+from repro.core.tensor import SymbolicValue
 from repro.errors import InvalidArgumentError
+from repro.fuzz.generator import generate
 
 
 def make_placer(gpus: int = 1):
@@ -281,3 +286,61 @@ class TestHelpers:
             c = tf.constant(1.0)
         plan = plan_for(g, fetch_tensors=[c])
         assert plan.tasks == [("localhost", 0)]
+
+
+def _bits(cost):
+    """A Cost's fields, each float as its exact bits."""
+    return [(type(v).__name__, v.hex() if isinstance(v, float) else v)
+            for v in dataclasses.astuple(cost)]
+
+
+class TestStaticPrices:
+    """An op whose tensors are all fully static is priced once, when its
+    plan is built (``Item.price``); a run hands that price to ``dispatch``
+    instead of running the op's shape function and cost. Over fuzz seeds
+    0..100, optimizer off and on, every price a plan holds equals what the
+    run-time path derives from the same specs, bit for bit: the record's
+    ``shape_fn`` then ``cost`` for an op it describes, ``cost`` over the
+    declared outputs for a ``kernel_spec`` op (whose kernel must deliver
+    exactly those)."""
+
+    def test_fuzz_plans_hold_the_run_time_price(self):
+        ctx = KernelContext(symbolic=True)
+        priced = data_decided = 0
+        for seed in range(100):
+            program = generate(seed)
+            graph = tf.Graph()
+            with graph.as_default():
+                built = program.materialize()
+            for optimize in (False, True):
+                # Constant folding evaluates drawn sqrt(-x), x/0, ...
+                with np.errstate(divide="ignore", invalid="ignore",
+                                 over="ignore"), tf.Session(
+                        graph=graph, config=tf.SessionConfig(
+                            num_gpus=program.gpus,
+                            graph_optimization=optimize)) as sess:
+                    plan = sess._prepare_run(built.fetch_tensors,
+                                             built.feeds).plan
+                for item in plan.items:
+                    if item.kind != "op":
+                        continue
+                    # Drawn programs are fully static: every op is priced.
+                    assert item.price is not None, item
+                    priced += 1
+                    op = item.op
+                    in_specs = [SymbolicValue(t.shape.dims, t.dtype)
+                                for t in op.inputs]
+                    definition = op_def(op.type)
+                    if definition.kernel_spec:
+                        data_decided += 1
+                        want_specs = [SymbolicValue(t.shape.dims, t.dtype)
+                                      for t in op.outputs]
+                        want_cost = definition.cost(in_specs, want_specs,
+                                                    op.attrs)
+                    else:
+                        want_specs, want_cost = dispatch(op, in_specs, ctx)
+                    specs, cost = item.price
+                    assert [(s.shape, s.dtype, s.nbytes) for s in specs] == [
+                        (s.shape, s.dtype, s.nbytes) for s in want_specs], op
+                    assert _bits(cost) == _bits(want_cost), op
+        assert priced > 1000 and data_decided > 0

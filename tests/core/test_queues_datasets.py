@@ -114,6 +114,38 @@ class TestFIFOQueue:
             with pytest.raises(InvalidArgumentError):
                 q.enqueue(tf.constant(1.0, dtype=tf.float64))
 
+    def test_enqueue_of_a_static_shape_the_queue_does_not_declare(self):
+        g = tf.Graph()
+        with g.as_default():
+            q = tf.FIFOQueue(4, [tf.float32], shapes=[(2,)], name="pairs")
+            with pytest.raises(
+                    InvalidArgumentError,
+                    match=r"enqueue component 0 of queue 'pairs' has shape "
+                          r"\(3,\); the queue declares \(2,\)"):
+                q.enqueue(tf.constant(np.ones(3, np.float32)))
+
+    @pytest.mark.parametrize("fast", [True, False],
+                             ids=["fast-path", "reference"])
+    def test_enqueue_of_a_fed_shape_the_queue_does_not_declare(self, fast):
+        # A (3,) element once came back out of a [(2,)] queue as a (2,)
+        # tensor holding (3,) data.
+        g = tf.Graph()
+        with g.as_default():
+            q = tf.FIFOQueue(4, [tf.float32], shapes=[(2,)], name="pairs")
+            x = tf.placeholder(tf.float32, [None])
+            enq = q.enqueue(x)
+            deq = q.dequeue()
+        with tf.Session(graph=g, config=tf.SessionConfig(
+                executor_fast_path=fast)) as sess:
+            with pytest.raises(
+                    InvalidArgumentError,
+                    match=r"enqueue component 0 of queue 'pairs' has shape "
+                          r"\(3,\); the queue declares \(2,\) "
+                          r"\[op: pairs/enqueue\]"):
+                sess.run(enq, feed_dict={x: np.ones(3, np.float32)})
+            sess.run(enq, feed_dict={x: np.full(2, 4.0, np.float32)})
+            np.testing.assert_array_equal(sess.run(deq), [4.0, 4.0])
+
     def test_shared_name_shares_state(self):
         g = tf.Graph()
         with g.as_default():
@@ -166,6 +198,28 @@ class TestDataset:
             element_spec=[(tf.int64, [])],
         )
         assert [int(x) for x in ds.as_python_list()] == [0, 2, 4, 6]
+
+    @pytest.mark.parametrize("fast", [True, False],
+                             ids=["fast-path", "reference"])
+    def test_map_whose_element_spec_is_wrong_is_rejected(self, fast):
+        # map cannot trace its function, so the caller states the spec;
+        # an element that contradicts it is the caller's bad argument.
+        g = tf.Graph()
+        with g.as_default():
+            ds = Dataset.range(4).map(
+                lambda x: np.full(2, x, dtype=np.int64),
+                element_spec=[(tf.int64, [])],
+            )
+            nxt = ds.make_one_shot_iterator(name="it").get_next()
+            doubled = nxt * 2
+        with tf.Session(graph=g, config=tf.SessionConfig(
+                executor_fast_path=fast)) as sess:
+            with pytest.raises(
+                    InvalidArgumentError,
+                    match=r"IteratorGetNext delivered output 0 as int64 "
+                          r"\(2,\), incompatible with its declared int64 \(\) "
+                          r"\[op: it/get_next\]"):
+                sess.run(doubled)
 
     def test_batch(self):
         ds = Dataset.range(5).batch(2)

@@ -161,7 +161,11 @@ def test_planted_eager_bug_is_caught_by_the_matrix():
 
 def test_value_contradicting_its_static_spec_is_a_divergence():
     # A kernel wrong in *every* cell (so byte comparison sees nothing):
-    # Mul returns float64 whatever its shape function promised.
+    # Mul returns float64 whatever its record states. A plan prices the
+    # static Mul and checks what its kernel returns against the price, so
+    # every concrete plan cell — the baseline first — fails at the kernel,
+    # naming it; eager plans nothing and fetches a value contradicting its
+    # static spec.
     program = _mul_seed()
     from repro.core.kernels.registry import get_kernel
 
@@ -181,13 +185,21 @@ def test_value_contradicting_its_static_spec_is_a_divergence():
     assert fetched_mul.fetches and run_program(fetched_mul).ok
     with override_kernel("Mul", widened):
         report = run_program(fetched_mul)
-    assert {d.kind for d in report.divergences
-            if not d.cell.shape_only} == {"static_spec"}
-    assert BASELINE in {d.cell for d in report.divergences}
-    # The shape-only cell fetches what the record says, float32: the
-    # widened bytes disagree with it, and cost more wherever they move.
-    assert {d.kind for d in report.divergences if d.cell.shape_only} <= {
-        "dtype", "sim_time"}
+        runs = [run_cell(fetched_mul, cell)
+                for cell in matrix_cells(fetched_mul)]
+    assert [(d.kind, d.cell) for d in report.divergences] == [
+        ("error", BASELINE)]
+    caught = "InternalError('Mul kernel returned [float64 "
+    assert caught in report.divergences[0].detail
+    for run in runs:
+        if run.cell.shape_only:
+            # No kernel runs: the outputs are the specs the record states.
+            assert run.ok and not run.spec_errors
+        elif run.cell.frontend == "eager":
+            assert run.ok and run.spec_errors
+        else:
+            assert run.error.startswith(caught), (run.cell.label(), run.error)
+            assert "its record states [float32 " in run.error
 
 
 def test_shape_only_cell_fetches_specs_on_the_concrete_clock():
@@ -204,16 +216,17 @@ def test_shape_only_cell_fetches_specs_on_the_concrete_clock():
 
 def test_run_time_shape_rule_defect_is_caught_by_the_shape_only_cell(
         monkeypatch):
-    # Right at build time, one trailing 1 too many at run time: the
-    # concrete cells compute values with the kernel and see nothing (the
-    # element count, hence the clock, is unchanged); the shape-only cell
-    # fetches what the record says.
+    # Right at build time, one trailing 1 too many at run time. The
+    # placeholder is [None], so no plan prices the Mul and the run-time
+    # rule runs on every execution: the concrete cells compute values with
+    # the kernel and see nothing (the element count, hence the clock, is
+    # unchanged); the shape-only cell fetches what the rule says.
     x = np.float32([1.5, -2.0])
     program = Program(instrs=[
         Instr(op_type="Placeholder", value=x, out_dtypes=("float32",),
-              out_shapes=(x.shape,)),
+              out_shapes=((None,),)),
         Instr(op_type="Mul", inputs=((0, 0), (0, 0)),
-              out_dtypes=("float32",), out_shapes=(x.shape,)),
+              out_dtypes=("float32",), out_shapes=((None,),)),
     ], fetches=[(1, 0)], seed=0)
     assert run_program(program).ok
     definition = op_def("Mul")

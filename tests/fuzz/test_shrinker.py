@@ -6,7 +6,7 @@ import pytest
 import repro.core.session as session_module
 from repro.core.kernels.registry import get_kernel, override_kernel
 from repro.fuzz.generator import Instr, Program, generate
-from repro.fuzz.harness import Cell, has_divergence, run_program
+from repro.fuzz.harness import BASELINE, Cell, has_divergence, run_program
 from repro.fuzz.shrinker import shrink
 
 EAGER = Cell(frontend="eager")
@@ -175,8 +175,10 @@ def test_sim_time_divergence_shrinks_and_its_script_fails(
 def test_static_spec_divergence_shrinks_and_its_script_fails(
         tmp_path, capsys):
     # A Mul that widens its output to float64 in *every* cell: bytes
-    # agree everywhere, only the static spec check sees it. Once the
+    # agree everywhere. Once only the static spec check saw it, and the
     # script compared bytes only and printed OK while the defect lived.
+    # Now the kernel check fails the baseline itself: the shrinker holds
+    # that failure's type fixed, and the script reports it.
     drawn = next(
         p for p in map(generate, range(200))
         if any(p.instrs[i].op_type == "Mul" for i in p.live_set())
@@ -196,13 +198,15 @@ def test_static_spec_divergence_shrinks_and_its_script_fails(
 
     with override_kernel("Mul", widened):
         report = run_program(program)
-        assert {d.kind for d in report.divergences
-                if not d.cell.shape_only} == {"static_spec"}
+        assert [(d.kind, d.cell) for d in report.divergences] == [
+            ("error", BASELINE)]
         target = report.divergences[0].cell
         result = shrink(program, target)
         assert result.ops < result.original_ops
+        assert any(ins.op_type == "Mul" for ins in result.program.instrs)
         script = result.program.to_python(cell=target)
-        with pytest.raises(AssertionError, match=r"\[static_spec\]"):
+        with pytest.raises(AssertionError,
+                           match=r"\[error\].*InternalError\('Mul kernel"):
             _exec_script(script, tmp_path)
     capsys.readouterr()
     _exec_script(script, tmp_path)
