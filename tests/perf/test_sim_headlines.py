@@ -17,7 +17,12 @@ import pytest
 
 import repro as tf
 from repro import analysis
-from repro.apps.cg import run_cg, run_cg_single
+from repro.apps.cg import (
+    make_spd_problem,
+    run_cg,
+    run_cg_single,
+    run_cg_with_recovery,
+)
 from repro.apps.common import build_cluster, task_device
 from repro.apps.matmul import run_matmul
 from repro.apps.sgd import run_sgd, run_sgd_restartable
@@ -84,6 +89,9 @@ GOLDEN = {
     "transient_drops": {
         "elapsed": "0x1.202961726b8b5p-5", "recoveries": 0, "drops": 4,
     },
+    # (total s, recoveries, iterations replayed): one CG worker lost at
+    # 60 % of a clean 16-iteration solve, checkpoints every 4.
+    "cg_recovery": ("0x1.e3ef44b0577fap-6", 1, 0),
     # app -> (plan items on, off, simulated s on, off).
     "optimizer": {
         "fig10_cg": (380, 398,
@@ -349,6 +357,22 @@ def test_transient_drops_cost_backoff_only(tmp_path):
                    "drops": res.injector_stats["drops"]}) == \
         GOLDEN["transient_drops"]
     assert res.recoveries == 0  # absorbed by retries, no restore
+
+
+def test_cg_recovery_cost(tmp_path):
+    """CG restarts on a fresh cluster from the newest consistent cut;
+    the clock sums every attempt's iteration loop."""
+    prob = make_spd_problem(64, 0)
+    ref = run_cg(system="kebnekaise-v100", n=64, num_gpus=2, iterations=16,
+                 shape_only=False, problem=prob)
+    res = run_cg_with_recovery(
+        n=64, num_gpus=2, iterations=16, checkpoint_dir=str(tmp_path),
+        checkpoint_every=4, problem=prob,
+        fault_plan=FaultPlan.single_crash("worker", 1, at=ref.elapsed * 0.6))
+    assert _hexed((res.total_elapsed, res.recoveries,
+                   res.iterations_replayed)) == GOLDEN["cg_recovery"]
+    assert res.solution.tobytes() == ref.solution.tobytes()
+    assert res.total_elapsed > ref.elapsed
 
 
 # -- Plan-time optimizer: fewer plan items, never a slower clock ---------
