@@ -82,8 +82,9 @@ def main() -> None:
     print("\ncheckpoint after 80 iters -> restart -> 80 more:")
     print(f"  residual uninterrupted: {result.residual:.3e}")
     print(f"  residual resumed:       {resumed.residual:.3e}")
-    agreement = np.isclose(resumed.residual, result.residual, rtol=1e-6)
-    print(f"  restart reproduces the uninterrupted run: {bool(agreement)}")
+    assert resumed.solution.tobytes() == result.solution.tobytes(), \
+        "restart must reproduce the uninterrupted run byte for byte"
+    print("  restart reproduces the uninterrupted run byte for byte")
 
 
 if __name__ == "__main__":

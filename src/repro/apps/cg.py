@@ -32,17 +32,18 @@ from repro.apps.common import (
     session_config,
     task_device,
 )
-from repro.core.checkpoint import Saver, latest_checkpoint, read_checkpoint
+from repro.core.checkpoint import Saver, latest_common_checkpoint
 from repro.core.tensor import SymbolicValue
 from repro.errors import (
-    DataLossError,
     DeadlineExceededError,
     InvalidArgumentError,
     NotFoundError,
     UnavailableError,
 )
+from repro.runtime.recovery import Fault, run_recoverable
+from repro.runtime.retry import RetryPolicy
 from repro.runtime.sync import QueueReducer
-from repro.simnet.events import Interrupt
+from repro.simnet.events import Environment, Interrupt
 from repro.simnet.faults import FaultInjector
 
 __all__ = [
@@ -142,8 +143,6 @@ def run_cg(
     problem=None,
     optimize: Optional[bool] = None,
     fault_plan=None,
-    start_step: int = 0,
-    resume_step: Optional[int] = None,
 ) -> CGResult:
     """Run the distributed CG solver.
 
@@ -152,10 +151,13 @@ def run_cg(
         num_gpus: worker count == row blocks (must divide n).
         iterations: fixed iteration count (paper: 500).
         checkpoint_dir/checkpoint_every: snapshot worker state every k
-            iterations (concrete mode). Snapshots are step-tagged
-            (``cg_w{w}-{step}``) so a recovery driver can pick the
-            newest step *all* workers completed.
-        resume_dir: restore worker state from checkpoints and skip setup.
+            iterations (concrete mode). Snapshots are tagged with the
+            absolute iteration (``cg_w{w}-{step}``), so a resumed run
+            continues the numbering instead of overwriting older ones.
+        resume_dir: skip setup and restore every worker from the newest
+            iteration *all* workers checkpointed intact (a consistent
+            cut; a mixed one would corrupt the solve), then run
+            ``iterations`` more from there.
         problem: optional concrete ``(A, b)`` pair (e.g. a discretized PDE,
             the paper's motivating CG use case); defaults to a random SPD
             system.
@@ -166,15 +168,19 @@ def run_cg(
             on the cluster. A worker crash interrupts that worker's sim
             process; the run returns early with ``crashed=True`` instead
             of hanging (use :func:`run_cg_with_recovery` to restart).
-        start_step: absolute iteration number this run starts at (resumed
-            runs); checkpoint tags continue from here.
-        resume_step: restore every worker from exactly
-            ``cg_w{w}-{resume_step}`` (a consistent cross-worker cut)
-            instead of each worker's newest checkpoint.
     """
     if n % num_gpus != 0:
         raise InvalidArgumentError(f"num_gpus {num_gpus} must divide n {n}")
     rows = n // num_gpus
+    start_step, resume_paths = 0, None
+    if resume_dir is not None:
+        cut = _consistent_cut(resume_dir, num_gpus)
+        if cut is None:
+            raise NotFoundError(
+                f"No iteration every worker checkpointed intact under "
+                f"{resume_dir!r}"
+            )
+        start_step, resume_paths = cut
     handle = cluster or build_cluster(
         system, {"reducer": 1, "worker": num_gpus}, protocol=protocol
     )
@@ -317,7 +323,7 @@ def run_cg(
             gather_bcast, feed_dict={full_p_feed: full})
 
     def reducer_proc():
-        if resume_dir is None:
+        if resume_paths is None:
             # Setup round: one rs reduction + one gather of b.
             yield from reducer_session.run_gen(rs_only_step)
             yield from gather_round()
@@ -327,21 +333,8 @@ def run_cg(
 
     def worker_proc(w: int):
         sess = worker_sessions[w]
-        if resume_dir is not None:
-            if resume_step is not None:
-                path = os.path.join(resume_dir, f"cg_w{w}-{resume_step}")
-            else:
-                # Legacy untagged layout first, then the newest intact
-                # step-tagged snapshot (trailing dash so w=1 cannot
-                # match cg_w10-*).
-                path = os.path.join(resume_dir, f"cg_w{w}")
-                if not os.path.exists(path):
-                    path = latest_checkpoint(resume_dir, prefix=f"cg_w{w}-")
-                if path is None:
-                    raise NotFoundError(
-                        f"No checkpoint for worker {w} under {resume_dir!r}"
-                    )
-            yield from savers[w].restore_gen(sess, path)
+        if resume_paths is not None:
+            yield from savers[w].restore_gen(sess, resume_paths[w])
         else:
             yield from sess.run_gen(setup_ops[w])
         state["ready"] += 1
@@ -390,25 +383,13 @@ def run_cg(
     if crashed:
         elapsed = (env.now - state["loop_start"]
                    if state["loop_start"] is not None else 0.0)
-        return CGResult(
-            system=system,
-            n=n,
-            num_gpus=num_gpus,
-            iterations=iterations,
-            elapsed=elapsed,
-            residual=float("nan"),
-            validated=False,
-            checkpoint_path=checkpoint_dir,
-            crashed=True,
-            completed_step=start_step + min(state["iters"]),
-            fault_detail=fault_detail,
-        )
-    elapsed = state["loop_end"] - state["loop_start"]
+    else:
+        elapsed = state["loop_end"] - state["loop_start"]
 
     residual = float("nan")
     validated = False
     x = None
-    if not shape_only:
+    if not (shape_only or crashed):
         x = np.concatenate([ws.run(xv) for ws, xv in zip(worker_sessions, x_vars)])
         if a_full is None:
             a_full, b_full = problem if problem is not None else make_spd_problem(n, seed)
@@ -431,9 +412,11 @@ def run_cg(
         residual=residual,
         validated=validated,
         checkpoint_path=checkpoint_dir,
-        solution=x if not shape_only else None,
+        solution=x,
         plan_items=plan_items,
+        crashed=crashed,
         completed_step=start_step + min(state["iters"]),
+        fault_detail=fault_detail,
     )
 
 
@@ -441,39 +424,16 @@ def run_cg(
 # Checkpoint-restart recovery driver
 # ---------------------------------------------------------------------------
 
-def _common_checkpoint_step(checkpoint_dir: str,
-                            num_gpus: int) -> Optional[int]:
-    """Newest step at which EVERY worker has an intact checkpoint.
+# Four restarts without the consistent cut moving forward, no backoff.
+_RECOVERY_POLICY = RetryPolicy(max_attempts=5, initial_backoff=0.0)
 
-    Workers checkpoint independently, so a crash mid-round can leave
-    worker 0 at step 6 and worker 1 at step 4; restoring a mixed cut
-    would corrupt the solve. Only steps present — and readable — for all
-    ``num_gpus`` workers qualify. Returns None when no consistent cut
-    exists (restart from scratch).
-    """
-    if not os.path.isdir(checkpoint_dir):
-        return None
-    per_worker: list[set] = []
-    for w in range(num_gpus):
-        prefix = f"cg_w{w}-"
-        steps = set()
-        for entry in os.listdir(checkpoint_dir):
-            if not entry.startswith(prefix) or entry.endswith(".tmp"):
-                continue
-            try:
-                steps.add(int(entry[len(prefix):]))
-            except ValueError:
-                continue
-        per_worker.append(steps)
-    for step in sorted(set.intersection(*per_worker), reverse=True):
-        try:
-            for w in range(num_gpus):
-                read_checkpoint(
-                    os.path.join(checkpoint_dir, f"cg_w{w}-{step}"))
-        except (DataLossError, NotFoundError):
-            continue
-        return step
-    return None
+
+def _consistent_cut(checkpoint_dir: str, num_gpus: int):
+    """``(step, per-worker paths)`` of the newest iteration every worker
+    checkpointed intact, or None (the trailing dash keeps worker 1 from
+    matching ``cg_w10-*``)."""
+    return latest_common_checkpoint(
+        checkpoint_dir, [f"cg_w{w}-" for w in range(num_gpus)])
 
 
 @dataclass
@@ -492,6 +452,7 @@ class CGRecoveryResult:
     validated: bool = False
     solution: Optional[np.ndarray] = None
     attempts: list = field(default_factory=list)  # CGResult per attempt
+    fault_log: list = field(default_factory=list)  # see Recovery.fault_log
 
     @property
     def recovery_overhead(self) -> float:
@@ -510,12 +471,13 @@ def run_cg_with_recovery(
     checkpoint_dir: Optional[str] = None,
     checkpoint_every: int = 5,
     fault_plan=None,
-    max_restarts: int = 4,
+    recovery_policy: RetryPolicy = _RECOVERY_POLICY,
     problem=None,
 ) -> CGRecoveryResult:
     """Solve ``A x = b`` with checkpoint-restart across worker losses.
 
-    The paper's CG fault-tolerance story end to end: run the distributed
+    The paper's CG fault-tolerance story end to end, driven by the
+    recovery loop of :mod:`repro.runtime.recovery`: run the distributed
     solver under a fault plan; when a worker is lost, find the newest
     iteration *every* worker checkpointed (a consistent cut), bring up a
     fresh cluster, restore all workers from that cut and continue the
@@ -524,7 +486,9 @@ def run_cg_with_recovery(
 
     The fault plan is installed on the first attempt only — a restart
     models replacement hardware, so consumed crash faults do not re-fire
-    on the recovered cluster.
+    on the recovered cluster. Each cluster has its own clock, so the
+    loop's clock is a job clock charged with every attempt's iteration
+    loop (and any backoff ``recovery_policy`` sleeps).
     """
     if checkpoint_dir is None:
         raise InvalidArgumentError("run_cg_with_recovery needs checkpoint_dir=")
@@ -535,36 +499,28 @@ def run_cg_with_recovery(
     if problem is None:
         problem = make_spd_problem(n, seed)
     attempts: list = []
-    plan = fault_plan
-    start_step = 0
-    resume_dir = None
-    resume_step = None
-    iterations_replayed = 0
-    while True:
+    job_clock = Environment()
+
+    def advance(step):
         res = run_cg(
             system=system, n=n, num_gpus=num_gpus,
-            iterations=iterations - start_step, protocol=protocol,
+            iterations=iterations - step, protocol=protocol,
             shape_only=False, seed=seed, checkpoint_dir=checkpoint_dir,
-            checkpoint_every=checkpoint_every, resume_dir=resume_dir,
-            problem=problem, fault_plan=plan, start_step=start_step,
-            resume_step=resume_step,
+            checkpoint_every=checkpoint_every,
+            resume_dir=checkpoint_dir if step else None, problem=problem,
+            fault_plan=None if attempts else fault_plan,
         )
         attempts.append(res)
-        if not res.crashed:
-            break
-        if len(attempts) > max_restarts:
-            raise UnavailableError(
-                f"CG solve still failing after {max_restarts} restarts: "
-                f"{res.fault_detail}"
-            )
-        plan = None
-        common = _common_checkpoint_step(checkpoint_dir, num_gpus)
-        iterations_replayed += res.completed_step - (common or 0)
-        if common is None:
-            start_step, resume_dir, resume_step = 0, None, None
-        else:
-            start_step, resume_dir, resume_step = (
-                common, checkpoint_dir, common)
+        job_clock.run(until=job_clock.timeout(res.elapsed))
+        if res.crashed:
+            raise Fault(UnavailableError(res.fault_detail), res.completed_step)
+        return res.completed_step
+
+    def restore():
+        cut = _consistent_cut(checkpoint_dir, num_gpus)
+        return cut[0] if cut is not None else None
+
+    recovery = run_recoverable(job_clock, advance, restore, recovery_policy)
     final = attempts[-1]
     return CGRecoveryResult(
         system=system,
@@ -572,13 +528,14 @@ def run_cg_with_recovery(
         num_gpus=num_gpus,
         iterations=iterations,
         checkpoint_every=checkpoint_every,
-        total_elapsed=sum(a.elapsed for a in attempts),
-        recoveries=len(attempts) - 1,
-        iterations_replayed=iterations_replayed,
+        total_elapsed=job_clock.now,
+        recoveries=recovery.recoveries,
+        iterations_replayed=recovery.replayed,
         residual=final.residual,
         validated=final.validated,
         solution=final.solution,
         attempts=attempts,
+        fault_log=recovery.fault_log,
     )
 
 

@@ -42,6 +42,7 @@ are byte-identical across frontends too.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -56,11 +57,8 @@ from repro.apps.common import (
     task_device,
 )
 from repro.core.checkpoint import Saver, checkpoint_step, latest_checkpoint
-from repro.errors import (
-    DeadlineExceededError,
-    InvalidArgumentError,
-    UnavailableError,
-)
+from repro.errors import InvalidArgumentError, NotFoundError
+from repro.runtime.recovery import DETECTED, Fault, run_recoverable
 from repro.runtime.retry import RetryPolicy
 from repro.simnet.faults import FaultInjector
 
@@ -498,6 +496,12 @@ class SGDRestartResult:
         return self.elapsed / max(self.steps, 1)
 
 
+# Eight restore attempts per recovery (the failed step is attempt one),
+# each after a backoff sleep: 0.05 s, doubling, uncapped.
+_RECOVERY_POLICY = RetryPolicy(max_attempts=9, initial_backoff=0.05,
+                               max_backoff=math.inf)
+
+
 def run_sgd_restartable(
     system: str = "tegner-k420",
     d: int = 32,
@@ -512,8 +516,7 @@ def run_sgd_restartable(
     fault_plan=None,
     operation_timeout_ms: float = 250.0,
     retry_policy: Optional[RetryPolicy] = None,
-    max_recovery_attempts: int = 8,
-    recovery_backoff: float = 0.05,
+    recovery_policy: RetryPolicy = _RECOVERY_POLICY,
     mode: str = "collective",
     blocks: int = 1,
     momentum: float = 0.0,
@@ -521,16 +524,17 @@ def run_sgd_restartable(
 ) -> SGDRestartResult:
     """Train the data-parallel regression with checkpoint-restart.
 
-    The same step graph as :func:`run_sgd`, wrapped in the paper's
-    fault-tolerance loop: a per-run deadline turns a lost worker into
-    :class:`DeadlineExceededError` instead of a hang, transient message
-    drops are retried with exponential backoff, and on worker loss the
-    driver backs off (in simulated time, letting a scheduled restart
-    land), restores every replica from the latest intact checkpoint and
-    replays from there. Because the step arithmetic is deterministic and
-    a restore overwrites any partially-applied update, the recovered
-    weight trajectory is **byte-identical** to a fault-free run — which
-    this function verifies against the NumPy reference.
+    The same step graph as :func:`run_sgd`, driven by the recovery loop
+    of :mod:`repro.runtime.recovery`: a per-run deadline turns a lost
+    worker into :class:`DeadlineExceededError` instead of a hang,
+    transient message drops are retried with exponential backoff, and on
+    worker loss the loop backs off (in simulated time, letting a
+    scheduled restart land), restores every replica in place from the
+    latest intact checkpoint and replays from there. Because the step
+    arithmetic is deterministic and a restore overwrites any
+    partially-applied update, the recovered weight trajectory is
+    **byte-identical** to a fault-free run — which this function
+    verifies against the NumPy reference.
 
     Args:
         checkpoint_dir: where ``Saver`` snapshots land (required).
@@ -541,10 +545,8 @@ def run_sgd_restartable(
         operation_timeout_ms: per-run deadline in simulated ms.
         retry_policy: backoff for transient sends (None = the default
             :class:`RetryPolicy`).
-        max_recovery_attempts: restore attempts per detected fault
-            before giving up and re-raising.
-        recovery_backoff: initial driver-level backoff (simulated
-            seconds) before a restore attempt; doubles per retry.
+        recovery_policy: restore attempts and the backoff (simulated
+            seconds) before each, per recovery.
     """
     if checkpoint_dir is None:
         raise InvalidArgumentError("run_sgd_restartable needs checkpoint_dir=")
@@ -584,60 +586,46 @@ def run_sgd_restartable(
 
     loss_history: list = []
     trajectory: list = []
-    fault_log: list = []
-    recoveries = 0
-    steps_replayed = 0
-    step = 0
+    checkpoints_written = 0
 
-    def recover() -> int:
-        """Back off, restore from the newest intact checkpoint, return
-        the step it encodes. Restores themselves ride the same deadline
-        machinery, so a still-down worker just triggers the next retry."""
-        delay = recovery_backoff
-        last_exc: Optional[BaseException] = None
-        for _ in range(max_recovery_attempts):
-            env.run(until=env.timeout(delay))
-            delay *= 2.0
-            path = latest_checkpoint(checkpoint_dir, prefix="sgd-")
-            if path is None:
-                continue
+    def save(step):
+        nonlocal checkpoints_written
+        saver.save(sess, prefix, global_step=step)
+        checkpoints_written += 1
+
+    def advance(step):
+        del loss_history[step:]
+        del trajectory[step:]
+        while step < steps:
             try:
-                saver.restore(sess, path)
-            except (DeadlineExceededError, UnavailableError) as exc:
-                last_exc = exc
-                continue
-            return checkpoint_step(path)
-        raise last_exc if last_exc is not None else UnavailableError(
-            f"No recoverable checkpoint under {checkpoint_dir!r} after "
-            f"{max_recovery_attempts} attempts"
-        )
+                values = sess.run(
+                    [loss_fetch, *updates[:num_params], step_op],
+                    run_metadata=metadata,
+                )
+                step += 1
+                loss_history.append(float(values[0]))
+                trajectory.append(np.concatenate(
+                    [np.reshape(np.asarray(v), -1)
+                     for v in values[1:1 + num_params]]
+                ))
+                if step % checkpoint_every == 0:
+                    save(step)
+            except DETECTED as exc:
+                raise Fault(exc, step) from exc
+        return step
+
+    def restore():
+        # Restores ride the same deadlines: a worker still down fails
+        # this attempt, and the loop backs off and tries again.
+        path = latest_checkpoint(checkpoint_dir, prefix="sgd-")
+        if path is None:
+            raise NotFoundError(f"No intact checkpoint under {checkpoint_dir!r}")
+        saver.restore(sess, path)
+        return checkpoint_step(path)
 
     start = env.now
-    saver.save(sess, prefix, global_step=0)
-    checkpoints_written = 1
-    while step < steps:
-        try:
-            values = sess.run(
-                [loss_fetch, *updates[:num_params], step_op],
-                run_metadata=metadata,
-            )
-            step += 1
-            loss_history.append(float(values[0]))
-            trajectory.append(np.concatenate(
-                [np.reshape(np.asarray(v), -1)
-                 for v in values[1:1 + num_params]]
-            ))
-            if step % checkpoint_every == 0:
-                saver.save(sess, prefix, global_step=step)
-                checkpoints_written += 1
-        except (DeadlineExceededError, UnavailableError) as exc:
-            recoveries += 1
-            fault_log.append((env.now, type(exc).__name__, str(exc)))
-            restored = recover()
-            steps_replayed += step - restored
-            del loss_history[restored:]
-            del trajectory[restored:]
-            step = restored
+    save(0)
+    recovery = run_recoverable(env, advance, restore, recovery_policy)
     elapsed = env.now - start
 
     weights = trajectory[-1]
@@ -657,14 +645,14 @@ def run_sgd_restartable(
         steps=steps,
         checkpoint_every=checkpoint_every,
         elapsed=elapsed,
-        recoveries=recoveries,
-        steps_replayed=steps_replayed,
+        recoveries=recovery.recoveries,
+        steps_replayed=recovery.replayed,
         checkpoints_written=checkpoints_written,
         loss_history=loss_history,
         trajectory=trajectory,
         weights=weights,
         validated=validated,
-        fault_log=fault_log,
+        fault_log=recovery.fault_log,
         injector_stats=dict(injector.stats) if injector else {},
         metadata_retries=metadata.retries,
         metadata_deadlines=metadata.deadline_exceeded,

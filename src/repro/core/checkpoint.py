@@ -31,6 +31,7 @@ from repro.errors import DataLossError, InvalidArgumentError, NotFoundError
 __all__ = [
     "Saver",
     "latest_checkpoint",
+    "latest_common_checkpoint",
     "read_checkpoint",
     "checkpoint_step",
 ]
@@ -191,24 +192,48 @@ def latest_checkpoint(directory: str, prefix: str = "ckpt",
     older step, so a fault-recovery driver always restores from the
     newest *intact* snapshot.
     """
+    cut = latest_common_checkpoint(directory, [prefix], validate=validate)
+    return cut[1][0] if cut is not None else None
+
+
+def latest_common_checkpoint(
+    directory: str, prefixes: Sequence[str], validate: bool = True,
+) -> Optional[tuple[int, list[str]]]:
+    """Newest step every prefix holds a checkpoint for: ``(step, paths)``.
+
+    The consistent cut of independently checkpointing tasks: one task
+    may be at step 6 and another at step 4 when a crash hits, and
+    restoring such a mixed cut corrupts the run. A step qualifies only
+    when every prefix has a finished ``prefix…-STEP`` file for it (and,
+    with ``validate``, every one of them reads back intact); ``paths``
+    follows ``prefixes``' order. None when no step qualifies.
+    """
     if not os.path.isdir(directory):
         return None
-    candidates: list[tuple[int, str]] = []
-    for entry in os.listdir(directory):
-        if not entry.startswith(prefix) or entry.endswith(".tmp"):
-            continue
-        step_text = entry.rpartition("-")[2]
-        try:
-            step = int(step_text)
-        except ValueError:
-            continue
-        candidates.append((step, os.path.join(directory, entry)))
-    for _step, path in sorted(candidates, reverse=True):
-        if not validate:
-            return path
-        try:
-            read_checkpoint(path)
-            return path
-        except (DataLossError, NotFoundError):
-            continue
+    entries = sorted(os.listdir(directory))
+    by_prefix: list[dict[int, str]] = []  # per prefix: step -> path
+    for prefix in prefixes:
+        found: dict[int, str] = {}
+        for entry in entries:
+            if not entry.startswith(prefix) or entry.endswith(".tmp"):
+                continue
+            try:
+                found[int(entry.rpartition("-")[2])] = os.path.join(
+                    directory, entry)
+            except ValueError:
+                continue
+        by_prefix.append(found)
+    common = set(by_prefix[0]).intersection(*by_prefix[1:])
+    for step in sorted(common, reverse=True):
+        paths = [found[step] for found in by_prefix]
+        if not validate or all(map(_intact, paths)):
+            return step, paths
     return None
+
+
+def _intact(path: str) -> bool:
+    try:
+        read_checkpoint(path)
+    except (DataLossError, NotFoundError):
+        return False
+    return True

@@ -5,8 +5,9 @@ Transient faults (dropped messages, a task mid-restart) surface as
 them with capped exponential backoff. :class:`RetryPolicy` captures the
 schedule, :func:`retry_gen` drives a generator-shaped attempt under it
 inside the DES (backoff sleeps advance the simulated clock, never the
-wall clock), and drivers reuse :meth:`RetryPolicy.delays` for their own
-recovery loops.
+wall clock), and the checkpoint-restart loop of
+:mod:`repro.runtime.recovery` sleeps :meth:`RetryPolicy.delays` between
+its restore attempts.
 """
 
 from __future__ import annotations

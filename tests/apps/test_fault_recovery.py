@@ -10,13 +10,14 @@ import pytest
 
 import repro as tf
 from repro.apps.cg import (
-    _common_checkpoint_step,
+    _consistent_cut,
     make_spd_problem,
     run_cg,
     run_cg_with_recovery,
 )
 from repro.apps.sgd import run_sgd, run_sgd_restartable
 from repro.errors import InvalidArgumentError, UnavailableError
+from repro.runtime.retry import RetryPolicy
 from repro.simnet.faults import FaultPlan, MessageDrop
 
 
@@ -91,8 +92,8 @@ class TestSGDRestart:
                                 checkpoint_dir=str(tmp_path),
                                 checkpoint_every=3, fault_plan=plan,
                                 operation_timeout_ms=20.0,
-                                max_recovery_attempts=2,
-                                recovery_backoff=0.01)
+                                recovery_policy=RetryPolicy(
+                                    max_attempts=3, initial_backoff=0.01))
 
     def test_checkpoint_dir_required(self):
         with pytest.raises(InvalidArgumentError, match="checkpoint_dir"):
@@ -140,10 +141,46 @@ class TestCGRecovery:
         assert res.recoveries == 1
         assert res.solution.tobytes() == ref.solution.tobytes()
 
+    def test_resume_restores_a_consistent_cut(self, tmp_path):
+        """Worker 1's newest snapshot is gone: a resume must restore
+        every worker from iteration 4, not worker 0 from 8 and worker 1
+        from 4 (a mixed cut solves a different system, silently)."""
+        prob = make_spd_problem(64, 0)
+        ref = run_cg(n=64, num_gpus=2, iterations=12, shape_only=False,
+                     problem=prob)
+        run_cg(n=64, num_gpus=2, iterations=8, shape_only=False,
+               problem=prob, checkpoint_dir=str(tmp_path), checkpoint_every=4)
+        (tmp_path / "cg_w1-8").unlink()
+        resumed = run_cg(n=64, num_gpus=2, iterations=8, shape_only=False,
+                         problem=prob, resume_dir=str(tmp_path))
+        assert resumed.solution.tobytes() == ref.solution.tobytes()
+        assert resumed.completed_step == 12
+
+    def test_resumed_run_tags_snapshots_from_its_cut(self, tmp_path):
+        """A run resumed from iteration 8 writes ``cg_w*-12``; it must
+        not rewrite ``cg_w*-4`` with iteration-12 state, which a later
+        resume would then take for iteration 4."""
+        prob = make_spd_problem(64, 0)
+        ckpt = str(tmp_path)
+        run_cg(n=64, num_gpus=2, iterations=8, shape_only=False,
+               problem=prob, checkpoint_dir=ckpt, checkpoint_every=4)
+        early = {w: (tmp_path / f"cg_w{w}-4").read_bytes() for w in (0, 1)}
+        run_cg(n=64, num_gpus=2, iterations=4, shape_only=False,
+               problem=prob, checkpoint_dir=ckpt, checkpoint_every=4,
+               resume_dir=ckpt)
+        for w in (0, 1):
+            assert (tmp_path / f"cg_w{w}-4").read_bytes() == early[w]
+            assert (tmp_path / f"cg_w{w}-12").exists()
+        ref = run_cg(n=64, num_gpus=2, iterations=16, shape_only=False,
+                     problem=prob)
+        again = run_cg(n=64, num_gpus=2, iterations=4, shape_only=False,
+                       problem=prob, resume_dir=ckpt)
+        assert again.solution.tobytes() == ref.solution.tobytes()
+
     def test_common_checkpoint_step_requires_all_workers(self, tmp_path):
-        assert _common_checkpoint_step(str(tmp_path), 2) is None
+        assert _consistent_cut(str(tmp_path), 2) is None
         (tmp_path / "cg_w0-4").write_bytes(b"RPCK garbage")  # torn file
-        assert _common_checkpoint_step(str(tmp_path), 2) is None
+        assert _consistent_cut(str(tmp_path), 2) is None
 
     def test_recovery_requires_checkpoint_dir(self):
         with pytest.raises(InvalidArgumentError, match="checkpoint_dir"):
@@ -152,11 +189,12 @@ class TestCGRecovery:
     def test_exhausted_restarts_raise(self, tmp_path):
         """Every attempt crashes (fresh plan each time via monkeypatched
         driver would be intrusive; instead: crash at t=0 with no
-        checkpoints possible and max_restarts=0)."""
+        checkpoints possible and a single allowed attempt)."""
         prob = make_spd_problem(64, 0)
         plan = FaultPlan.single_crash("worker", 0, at=0.0)
         with pytest.raises(UnavailableError, match="restarts"):
             run_cg_with_recovery(n=64, num_gpus=2, iterations=8,
                                  checkpoint_dir=str(tmp_path),
                                  checkpoint_every=4, fault_plan=plan,
-                                 max_restarts=0, problem=prob)
+                                 recovery_policy=RetryPolicy(max_attempts=1),
+                                 problem=prob)

@@ -34,6 +34,7 @@ from repro.core.placement import Placer
 from repro.core.session import admin_rpc_time
 from repro.core.tensor import SymbolicValue
 from repro.runtime.collective import run_collective, select_algorithm
+from repro.runtime.retry import RetryPolicy
 from repro.simnet.events import Environment
 from repro.simnet.faults import FaultPlan, MessageDrop, WorkerCrash
 from repro.simnet.machines import tegner
@@ -304,7 +305,8 @@ def _restartable(tmp_path, tag, checkpoint_every, fault_plan):
     res = run_sgd_restartable(
         num_workers=2, steps=40, checkpoint_dir=str(tmp_path / tag),
         checkpoint_every=checkpoint_every, fault_plan=fault_plan,
-        operation_timeout_ms=2.0, recovery_backoff=0.001,
+        operation_timeout_ms=2.0,
+        recovery_policy=RetryPolicy(max_attempts=9, initial_backoff=0.001),
     )
     assert res.validated, (
         f"{tag}: recovered trajectory must be byte-identical to the "
