@@ -143,6 +143,8 @@ def run_cg(
     problem=None,
     optimize: Optional[bool] = None,
     fault_plan=None,
+    *,
+    _resume_cut=None,
 ) -> CGResult:
     """Run the distributed CG solver.
 
@@ -168,13 +170,15 @@ def run_cg(
             on the cluster. A worker crash interrupts that worker's sim
             process; the run returns early with ``crashed=True`` instead
             of hanging (use :func:`run_cg_with_recovery` to restart).
+        _resume_cut: the cut of ``resume_dir`` a recovery driver already
+            found, so it is not searched for twice.
     """
     if n % num_gpus != 0:
         raise InvalidArgumentError(f"num_gpus {num_gpus} must divide n {n}")
     rows = n // num_gpus
     start_step, resume_paths = 0, None
     if resume_dir is not None:
-        cut = _consistent_cut(resume_dir, num_gpus)
+        cut = _resume_cut or _consistent_cut(resume_dir, num_gpus)
         if cut is None:
             raise NotFoundError(
                 f"No iteration every worker checkpointed intact under "
@@ -424,8 +428,9 @@ def run_cg(
 # Checkpoint-restart recovery driver
 # ---------------------------------------------------------------------------
 
-# Four restarts without the consistent cut moving forward, no backoff.
-_RECOVERY_POLICY = RetryPolicy(max_attempts=5, initial_backoff=0.0)
+# No backoff: a restart boots replacement hardware, with nothing to wait
+# for. Finding the cut cannot fail detection, so one restore per fault.
+_RECOVERY_POLICY = RetryPolicy(max_attempts=2, initial_backoff=0.0)
 
 
 def _consistent_cut(checkpoint_dir: str, num_gpus: int):
@@ -471,7 +476,6 @@ def run_cg_with_recovery(
     checkpoint_dir: Optional[str] = None,
     checkpoint_every: int = 5,
     fault_plan=None,
-    recovery_policy: RetryPolicy = _RECOVERY_POLICY,
     problem=None,
 ) -> CGRecoveryResult:
     """Solve ``A x = b`` with checkpoint-restart across worker losses.
@@ -488,7 +492,7 @@ def run_cg_with_recovery(
     models replacement hardware, so consumed crash faults do not re-fire
     on the recovered cluster. Each cluster has its own clock, so the
     loop's clock is a job clock charged with every attempt's iteration
-    loop (and any backoff ``recovery_policy`` sleeps).
+    loop.
     """
     if checkpoint_dir is None:
         raise InvalidArgumentError("run_cg_with_recovery needs checkpoint_dir=")
@@ -500,6 +504,7 @@ def run_cg_with_recovery(
         problem = make_spd_problem(n, seed)
     attempts: list = []
     job_clock = Environment()
+    cut = None  # what restore() found, for the next advance to restore
 
     def advance(step):
         res = run_cg(
@@ -507,8 +512,8 @@ def run_cg_with_recovery(
             iterations=iterations - step, protocol=protocol,
             shape_only=False, seed=seed, checkpoint_dir=checkpoint_dir,
             checkpoint_every=checkpoint_every,
-            resume_dir=checkpoint_dir if step else None, problem=problem,
-            fault_plan=None if attempts else fault_plan,
+            resume_dir=checkpoint_dir if cut else None, problem=problem,
+            fault_plan=None if attempts else fault_plan, _resume_cut=cut,
         )
         attempts.append(res)
         job_clock.run(until=job_clock.timeout(res.elapsed))
@@ -517,10 +522,11 @@ def run_cg_with_recovery(
         return res.completed_step
 
     def restore():
+        nonlocal cut
         cut = _consistent_cut(checkpoint_dir, num_gpus)
-        return cut[0] if cut is not None else None
+        return cut[0] if cut else None
 
-    recovery = run_recoverable(job_clock, advance, restore, recovery_policy)
+    recovery = run_recoverable(job_clock, advance, restore, _RECOVERY_POLICY)
     final = attempts[-1]
     return CGRecoveryResult(
         system=system,

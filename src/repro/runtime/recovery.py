@@ -11,7 +11,8 @@ that library's loop. A driver hands it two hooks:
 * ``restore() -> step | None`` brings the state back to the newest
   checkpoint it can and returns that checkpoint's step (``None``: there
   is none, so the replay starts from step 0). A detection error from a
-  restore (a peer still down) is one more failed attempt.
+  restore (a peer still down) is one more failed attempt at recovering
+  from the same fault.
 
 The hooks own the restart mechanism: SGD restores into its live
 session, CG boots a fresh cluster. The loop owns the rest: the attempt
@@ -60,26 +61,24 @@ def run_recoverable(env, advance: Callable[[int], int],
                     policy: RetryPolicy) -> Recovery:
     """Run ``advance`` to the end, restoring and replaying after faults.
 
-    ``policy`` counts attempts as :func:`repro.runtime.retry.retry_gen`
-    does: the advance that failed is the first, and each retry sleeps
-    the next backoff delay on ``env``'s clock, then restores. A restore
-    that lands on a newer checkpoint than the previous one did renews
-    the attempts (the run made progress). Once they are spent, the last
-    detection error is raised again, as the cause of an error of its
-    class that says why the loop stopped.
+    Each fault gets the whole of ``policy``, counted as
+    :func:`repro.runtime.retry.retry_gen` counts: the advance that
+    failed is the first attempt, and each retry sleeps the next backoff
+    delay on ``env``'s clock, then restores. Once they are spent, the
+    last detection error is raised again, as the cause of an error of
+    its class that says why the loop stopped.
     """
     record = Recovery()
-    resumed = 0
-    delays = policy.delays()
+    restored = 0
     while True:
         try:
-            record.step = advance(resumed)
+            record.step = advance(restored)
             return record
         except Fault as fault:
             error, reached = fault.error, fault.step
         record.recoveries += 1
         record.fault_log.append((env.now, type(error).__name__, str(error)))
-        for delay in delays:
+        for delay in policy.delays():
             env.run(until=env.timeout(delay))
             try:
                 restored = restore() or 0
@@ -89,9 +88,6 @@ def run_recoverable(env, advance: Callable[[int], int],
         else:
             raise type(error)(
                 f"{error} (recovery gave up: {policy} allows no more "
-                f"restarts without progress)"
+                f"restarts)"
             ) from error
         record.replayed += reached - restored
-        if restored > resumed:
-            delays = policy.delays()
-        resumed = restored

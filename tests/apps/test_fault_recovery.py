@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import repro as tf
+from repro.apps import cg
 from repro.apps.cg import (
     _consistent_cut,
     make_spd_problem,
@@ -186,15 +187,16 @@ class TestCGRecovery:
         with pytest.raises(InvalidArgumentError, match="checkpoint_dir"):
             run_cg_with_recovery(n=64, iterations=4)
 
-    def test_exhausted_restarts_raise(self, tmp_path):
-        """Every attempt crashes (fresh plan each time via monkeypatched
-        driver would be intrusive; instead: crash at t=0 with no
-        checkpoints possible and a single allowed attempt)."""
+    def test_exhausted_restarts_raise(self, tmp_path, monkeypatch):
+        """A restarted cluster runs without the fault plan, so a real
+        run cannot spend its restarts; a schedule of one attempt makes
+        the crash at t=0 final."""
+        monkeypatch.setattr(cg, "_RECOVERY_POLICY",
+                            RetryPolicy(max_attempts=1))
         prob = make_spd_problem(64, 0)
         plan = FaultPlan.single_crash("worker", 0, at=0.0)
         with pytest.raises(UnavailableError, match="restarts"):
             run_cg_with_recovery(n=64, num_gpus=2, iterations=8,
                                  checkpoint_dir=str(tmp_path),
                                  checkpoint_every=4, fault_plan=plan,
-                                 recovery_policy=RetryPolicy(max_attempts=1),
                                  problem=prob)

@@ -61,26 +61,18 @@ def test_spent_attempts_reraise_the_last_detection_error():
     assert env.now == 0.5 + 1.0
 
 
-def test_attempts_renew_only_when_the_restored_step_moves():
-    policy = RetryPolicy(max_attempts=2, initial_backoff=0.5)
+def test_each_fault_gets_the_whole_schedule():
+    """Two faults that restore the same checkpoint: the second starts
+    its backoff at the initial delay and has every attempt again."""
     env = Environment()
     stub = Stub(env, runs=[(UnavailableError("a"), 5),
-                           (UnavailableError("b"), 9), 12],
-                restores=[4, 8])
-    record = run_recoverable(env, stub.advance, stub.restore, policy)
-    assert (record.step, record.recoveries, record.replayed) == (12, 2, 2)
-    assert stub.restored_at == [0.5, 1.0]  # the schedule restarted
-
-    # Back at step 4 twice: the second restore spends the renewed attempt.
-    env = Environment()
-    third = UnavailableError("c")
-    stub = Stub(env, runs=[(UnavailableError("a"), 5),
-                           (UnavailableError("b"), 6), (third, 6)],
-                restores=[4, 4])
-    with pytest.raises(UnavailableError) as info:
-        run_recoverable(env, stub.advance, stub.restore, policy)
-    assert info.value.__cause__ is third
-    assert stub.restored_at == [0.5, 1.0]
+                           (UnavailableError("b"), 6), 12],
+                restores=[UnavailableError("down"), 4,
+                          UnavailableError("down"), 4])
+    record = run_recoverable(env, stub.advance, stub.restore, POLICY)
+    assert (record.step, record.recoveries, record.replayed) == (12, 2, 3)
+    assert stub.advanced_from == [0, 4, 4]
+    assert stub.restored_at == [0.5, 1.5, 2.0, 3.0]
 
 
 def test_no_checkpoint_replays_from_step_zero():
