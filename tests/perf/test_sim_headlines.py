@@ -3,8 +3,10 @@
 The mechanism numbers the paper's argument rests on: ring vs tree
 allreduce, ring vs the central reducer (the Horovod argument), recovery
 cost vs checkpoint interval and crash count, what the plan-time
-optimizer removes, and what the static verifier costs per plan; plus
-one small point per paper figure. Each is recomputed here and compared with ``GOLDEN``, floats as ``float.hex``
+optimizer removes, what the static verifier costs per plan, and the
+device memory the executor accounts (peaks, allocation counts, the
+paper's out-of-memory point); plus one small point per paper figure.
+Each is recomputed here and compared with ``GOLDEN``, floats as ``float.hex``
 strings (the idiom of ``tests/runtime/test_collective.py::GOLDEN``).
 The simulated clock is deterministic, so any drift is a finding: a
 change that moves a headline re-pins it here in the same change and
@@ -110,6 +112,54 @@ GOLDEN = {
     },
     "verified_plan_items": 994,
     "verifier_calls": {"pre_optimization": 1, "per_pass": 1, "plan": 1},
+    # Device memory as the executor accounts it: pool -> (peak B,
+    # allocations, B still allocated after the run).
+    "memory": {
+        # Shape-only Fig. 10 point: 16384 on 4 Tegner K80s, 5 iterations.
+        "fig10_cg": {
+            "t01n01/host-mem": (536870920, 271, 0),
+            "/job:reducer/task:0/device:gpu:0@t01n01/gpu:0": (40, 55, 0),
+            "/job:worker/task:0/device:gpu:0@t01n01/gpu:1":
+                (1073938440, 82, 537067528),
+            "t01n02/host-mem": (1073741832, 16, 0),
+            "/job:worker/task:1/device:gpu:0@t01n02/gpu:0":
+                (1073938440, 82, 537067528),
+            "/job:worker/task:2/device:gpu:0@t01n02/gpu:1":
+                (1073938440, 82, 537067528),
+            "t01n03/host-mem": (536870920, 8, 0),
+            "/job:worker/task:3/device:gpu:0@t01n03/gpu:0":
+                (1073938440, 82, 537067528),
+        },
+        # Concrete 64 x 64 stencil on 4 workers, 40 sweeps.
+        "stencil": {
+            "t01n01/host-mem": (32768, 5, 0),
+            "/job:chief/task:0/device:gpu:0@t01n01/gpu:0": (0, 0, 0),
+            "t01n02/host-mem": (51120, 973, 8200),
+            "/job:worker/task:0/device:gpu:0@t01n02/gpu:0": (0, 0, 0),
+            "t01n03/host-mem": (50608, 893, 8200),
+            "/job:worker/task:1/device:gpu:0@t01n03/gpu:0": (0, 0, 0),
+            "t01n04/host-mem": (50608, 893, 8200),
+            "/job:worker/task:2/device:gpu:0@t01n04/gpu:0": (0, 0, 0),
+            "t01n05/host-mem": (51120, 933, 8200),
+            "/job:worker/task:3/device:gpu:0@t01n05/gpu:0": (0, 0, 0),
+        },
+        # Fig. 10's omitted point, 65536 on 2 K80s: (error, failing item,
+        # pools at the failure).
+        "fig10_oom": (
+            "OOM on /job:worker/task:1/device:gpu:0@t01n02/gpu:0: requested "
+            "17179869184 B with 12883853304 B free of 12884901888 B",
+            ("recv", "worker1/loadA:0"),
+            {
+                "t01n01/host-mem": (17179869192, 20, 17179869184),
+                "/job:reducer/task:0/device:gpu:0@t01n01/gpu:0": (24, 3, 0),
+                "/job:worker/task:0/device:gpu:0@t01n01/gpu:1":
+                    (1572872, 10, 1048584),
+                "t01n02/host-mem": (17179869192, 3, 0),
+                "/job:worker/task:1/device:gpu:0@t01n02/gpu:0":
+                    (1572872, 10, 1048584),
+            },
+        ),
+    },
 }
 
 
@@ -494,3 +544,75 @@ def test_verifier_runs_once_per_plan(monkeypatch):
     assert after_first == GOLDEN["verifier_calls"]
     assert calls == after_first
     assert hits == 39
+
+
+# -- Device memory: every pool sees the same allocate/free sequence ------
+
+def _pools(handle):
+    """pool name -> (peak B, allocations, B in use) over the cluster's
+    distinct pools (a node's host memory is shared by its tasks)."""
+    pools = {id(pool): pool for server in handle.servers.values()
+             for pool in server.runtime.memory_pools.values()}
+    return {pool.name: (pool.peak, pool.alloc_count, pool.in_use)
+            for pool in pools.values()}
+
+
+def _resident(handle, workers, device_type, nbytes):
+    """pool name -> ``nbytes`` of variables each worker keeps on its
+    ``device_type`` pool; 0 on every other pool."""
+    resident = dict.fromkeys(_pools(handle), 0)
+    for w in range(workers):
+        runtime = handle.server("worker", w).runtime
+        pool = runtime.memory_pools[task_device("worker", w, device_type, 0)]
+        resident[pool.name] = nbytes
+    return resident
+
+
+def _in_use(pools):
+    return {name: in_use for name, (_, _, in_use) in pools.items()}
+
+
+def test_memory_of_a_shape_only_cg_point():
+    """Peaks and allocation counts pinned; after the run only the
+    variables (``A``, ``x``, ``r``, ``p``, ``rs_old``) hold memory."""
+    handle = build_cluster("tegner-k80", {"reducer": 1, "worker": 4})
+    run_cg(system="tegner-k80", n=16384, num_gpus=4, iterations=5,
+           shape_only=True, cluster=handle)
+    pools = _pools(handle)
+    assert pools == GOLDEN["memory"]["fig10_cg"]
+    rows, n = 4096, 16384
+    assert _in_use(pools) == _resident(
+        handle, 4, "gpu", 8 * (rows * n + 2 * rows + n + 1))
+
+
+def test_memory_of_a_concrete_stencil():
+    """Same on concrete 16 x 64 blocks; the residents are ``u`` and
+    ``res``."""
+    handle = build_cluster("tegner-k420", {"chief": 1, "worker": 4})
+    run_stencil(n=64, num_workers=4, iterations=40, cluster=handle)
+    pools = _pools(handle)
+    assert pools == GOLDEN["memory"]["stencil"]
+    assert _in_use(pools) == _resident(handle, 4, "cpu", 8 * (16 * 64 + 1))
+
+
+def _failing_item(exc):
+    """(kind, op or tensor name) of the plan item whose output allocation
+    raised ``exc``: the ``item`` of the innermost ``register_outputs``
+    frame."""
+    item, tb = None, exc.__traceback__
+    while tb is not None:
+        if tb.tb_frame.f_code.co_name == "register_outputs":
+            item = tb.tb_frame.f_locals["item"]
+        tb = tb.tb_next
+    return item.kind, item.op.name if item.op is not None else item.tensor_name
+
+
+def test_memory_of_the_fig10_oom_point():
+    """A 16 GB row block cannot land on a 12 GB K80: the same item's
+    allocation fails, with the same bytes in every pool."""
+    handle = build_cluster("tegner-k80", {"reducer": 1, "worker": 2})
+    with pytest.raises(tf.errors.ResourceExhaustedError) as failure:
+        run_cg(system="tegner-k80", n=65536, num_gpus=2, iterations=5,
+               shape_only=True, cluster=handle)
+    assert (str(failure.value), _failing_item(failure.value),
+            _pools(handle)) == GOLDEN["memory"]["fig10_oom"]
