@@ -526,8 +526,11 @@ def _declared(op: Any, definition: OpDef, in_specs: Specs,
               outputs: list) -> tuple[list, Cost]:
     """An unplanned ``kernel_spec`` op's outputs, priced from their own
     specs once each was found compatible with the op's declared static
-    spec (some declared dim is unknown, or the caller is eager)."""
+    spec (some declared dim is unknown, or the caller is eager): one per
+    declared output, each of a compatible dtype and shape."""
     out_specs = [SymbolicValue.of(v) for v in outputs]
+    if len(out_specs) != len(op.outputs):
+        raise _undeclared(op, out_specs)
     for tensor, spec in zip(op.outputs, out_specs):
         declared = tensor.shape
         if (spec.dtype is not tensor.dtype

@@ -148,3 +148,16 @@ class TestEagerLimits:
         with tf.Session(graph=g) as sess:
             graph_result = sess.run(graph_result_t)
         np.testing.assert_array_equal(eager_result, graph_result)
+
+    @pytest.mark.parametrize("declared", [1, 3])
+    def test_a_kernel_spec_op_delivers_every_declared_output(self, ctx,
+                                                             declared):
+        """A two-rank allreduce delivers two outputs, whatever the caller
+        declared: neither the second is dropped nor a third invented."""
+        with pytest.raises(
+                InvalidArgumentError,
+                match=rf"^CollectiveAllReduce delivered 2 outputs; it "
+                      rf"declares {declared} \[op: CollectiveAllReduce\]$"):
+            ctx.execute("CollectiveAllReduce", [np.ones(2), np.ones(2)],
+                        attrs={"world": 2},
+                        output_dtypes=[np.float64] * declared)

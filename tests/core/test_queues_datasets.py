@@ -221,6 +221,31 @@ class TestDataset:
                           r"\[op: it/get_next\]"):
                 sess.run(doubled)
 
+    @pytest.mark.parametrize("fast", [True, False],
+                             ids=["fast-path", "reference"])
+    @pytest.mark.parametrize("fn,declared,delivered", [
+        (lambda x: (x, 2 * x), 1, 2),
+        (lambda x: x, 2, 1),
+    ], ids=["undeclared-component", "missing-component"])
+    def test_map_delivering_a_different_component_count_is_rejected(
+            self, fast, fn, declared, delivered):
+        # [None, 2] leaves the op unpriced, so the count is checked when
+        # the element arrives: a component is never silently dropped,
+        # and a missing one is not an IndexError downstream.
+        g = tf.Graph()
+        with g.as_default():
+            ds = Dataset.from_tensor_slices(
+                np.arange(6.0).reshape(3, 2)).batch(2).map(
+                    fn, element_spec=[(tf.float64, [None, 2])] * declared)
+            nxt = ds.make_one_shot_iterator(name="it").get_next()
+        with tf.Session(graph=g, config=tf.SessionConfig(
+                executor_fast_path=fast)) as sess:
+            with pytest.raises(
+                    InvalidArgumentError,
+                    match=rf"^IteratorGetNext delivered {delivered} outputs; "
+                          rf"it declares {declared} \[op: it/get_next\]$"):
+                sess.run(nxt)
+
     def test_batch(self):
         ds = Dataset.range(5).batch(2)
         batches = ds.as_python_list()
