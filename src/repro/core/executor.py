@@ -35,6 +35,12 @@ Device serialization happens through the device's
 :class:`~repro.simnet.resources.Resource`; cross-device movement is a
 ``send`` item charging :mod:`repro.simnet.transports` for the wire time
 and leaving the value in its own slot, which its ``recv`` reads.
+
+What a priced op item costs is read off its plan: the simulated seconds
+(``Item.seconds``) and its outputs' bytes (its price's specs). Device
+memory is refcounted per output slot (``Item.slot`` + output index) in
+per-run lists; a slot's bytes go back to its pool when its last reader
+consumed it, or at run end.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from typing import Any, Optional
 
 from repro.core.kernels.registry import KernelContext, dispatch, op_def
 from repro.core.metadata import NodeStats, RunMetadata, TransferStats
-from repro.core.partition import FEED, ExecutionPlan, Item, _job_task_of
+from repro.core.partition import FEED, ExecutionPlan, Item, cost_seconds
 from repro.core.tensor import value_nbytes
 from repro.errors import DeadlineExceededError, InternalError
 from repro.runtime.collective import run_collective
@@ -82,16 +88,6 @@ _NO_DEVICE_HOLD = {
 _VARIABLE_OPS = {"VariableV2", "Assign", "AssignAdd", "AssignSub"}
 
 
-class _Allocation:
-    __slots__ = ("pool", "nbytes", "remaining_consumers", "freed")
-
-    def __init__(self, pool, nbytes: int, remaining_consumers: int):
-        self.pool = pool
-        self.nbytes = nbytes
-        self.remaining_consumers = remaining_consumers
-        self.freed = False
-
-
 class _CollectiveGroup:
     """Per-run rendezvous of one lowered collective op's rank legs.
 
@@ -125,16 +121,18 @@ class ExecutionState:
     """Everything one session run writes; the plan it executes is read-only.
 
     ``values[item.uid]`` holds the item's output list once it completed
-    (``None`` before). The slots die with this object at run end, so any
-    number of runs — concurrent ``run_gen`` coroutines, serving threads,
-    a failed run's late completions — can share one cached plan.
+    (``None`` before). Device memory is accounted per output slot
+    (``Item.slot`` + output index): readers still to come, copied from
+    ``plan.consumer_counts``, and the bytes and pool the slot holds. All
+    of it dies with this object at run end, so any number of runs —
+    concurrent ``run_gen`` coroutines, serving threads, a failed run's
+    late completions — can share one cached plan.
     """
 
     def __init__(
         self,
         env: Environment,
         plan: ExecutionPlan,
-        task_runtimes: dict,
         devices: dict[str, tuple],
         protocol: str,
         feeds: dict[str, Any],
@@ -149,7 +147,6 @@ class ExecutionState:
     ):
         self.env = env
         self.plan = plan
-        self.task_runtimes = task_runtimes
         self.values: list[Any] = [None] * len(plan.items)
         self.protocol = protocol
         self.feeds = feeds
@@ -167,42 +164,27 @@ class ExecutionState:
         self.fault_injector = fault_injector
         # Items parked because their task is down (diagnostics).
         self.stalled_items: list[Item] = []
-        self._allocations: dict[tuple[int, int], _Allocation] = {}
+        self._readers = plan.consumer_counts.copy()
+        self._held = [0] * len(self._readers)
+        self._pools: list = [None] * len(self._readers)
         self._released = False  # set by release_all: the run is over
         # Collective op name -> this run's rank-leg rendezvous.
         self._collective_groups: dict[str, _CollectiveGroup] = {}
-        # Device strings are resolved once per session, not per run (see
-        # _resolve): the memo is the session's, a fact about its cluster.
+        # The session's device table, a fact about its cluster: device
+        # string -> (task runtime, device, memory pool, (job, task)).
         self._devices = devices
         # Kernel contexts carry the run's feeds: per run.
         self._ctx_cache: dict[str, KernelContext] = {}
 
     # -- resolution ------------------------------------------------------------
-    def _resolve(self, device: str) -> tuple:
-        """``(task runtime, device object, memory pool, (job, task))``."""
-        entry = self._devices.get(device)
-        if entry is None:
-            job, task = jobtask = _job_task_of(device)
-            try:
-                runtime = self.task_runtimes[jobtask]
-            except KeyError:
-                raise InternalError(
-                    f"No runtime for task /job:{job}/task:{task}"
-                ) from None
-            entry = self._devices[device] = (
-                runtime, runtime.device(device),
-                runtime.memory_pools[device], jobtask,
-            )
-        return entry
-
     def task_runtime(self, device: str):
-        return self._resolve(device)[0]
+        return self._devices[device][0]
 
     def device_obj(self, device: str):
-        return self._resolve(device)[1]
+        return self._devices[device][1]
 
     def memory_pool(self, device: str):
-        return self._resolve(device)[2]
+        return self._devices[device][2]
 
     def kernel_ctx(self, device: str) -> KernelContext:
         """The (immutable-per-run) kernel context for ``device``."""
@@ -225,7 +207,7 @@ class ExecutionState:
         """True when ``device``'s task is currently crashed."""
         if self.fault_injector is None:
             return False
-        return self.fault_injector.is_down(*self._resolve(device)[3])
+        return self.fault_injector.is_down(*self._devices[device][3])
 
     def park_stalled(self, item: Item) -> None:
         """Record an item stalled on a down task; a peer's deadline or
@@ -289,63 +271,58 @@ class ExecutionState:
         arm_deadline(self.env, timeout_s, group.done, expire)
 
     # -- memory refcounting -------------------------------------------------------
-    def register_outputs(self, item: Item, outputs: list) -> int:
-        """Allocate device memory for an item's outputs; returns bytes."""
-        is_variable = item.kind == "op" and item.op.type in _VARIABLE_OPS
+    def register_outputs(self, item: Item, outputs: list) -> None:
+        """Allocate device memory for an item's outputs: a priced item's
+        bytes are its price's specs' (its outputs are exactly those
+        specs), any other item's are read off the values."""
         pool = self.memory_pool(item.device)
-        total = 0
-        if is_variable:
+        price = item.price
+        if item.kind == "op" and item.op.type in _VARIABLE_OPS:
             # Alias of the variable's persistent storage: account once.
-            var_name = (
-                item.op.get_attr("var_name") or item.op.name
-                if item.op.type != "VariableV2"
-                else item.op.name
-            )
-            task = self.task_runtime(item.device)
-            nbytes = sum(value_nbytes(v) for v in outputs)
-            previous = task.resources.variables.get("__mem__" + var_name)
+            op = item.op
+            var_name = (op.get_attr("var_name") or op.name
+                        if op.type != "VariableV2" else op.name)
+            memory = self.task_runtime(item.device).resources.variable_memory
+            nbytes = sum(value_nbytes(v) for v in
+                         (outputs if price is None else price[0]))
+            previous = memory.get(var_name)
             if previous is None or previous[1] != nbytes:
                 if previous is not None:
                     previous[0].free(previous[1])
                 pool.allocate(nbytes)
-                task.resources.variables["__mem__" + var_name] = (pool, nbytes)
-            return nbytes
+                memory[var_name] = (pool, nbytes)
+            return
         if self._released:
             # An item of a failed run completing inside a later one (its
             # timeout was already armed): the run's memory went back in
             # release_all, and nothing would ever free a new allocation.
-            return 0
+            return
+        slot = item.slot
         for idx, value in enumerate(outputs):
-            nbytes = value_nbytes(value)
-            total += nbytes
-            consumers = (
-                item.consumer_counts[idx] if idx < len(item.consumer_counts) else 0
-            )
+            nbytes = (value_nbytes(value) if price is None
+                      else price[0][idx].nbytes)
             pool.allocate(nbytes)
-            alloc = _Allocation(pool, nbytes, consumers)
-            self._allocations[(item.uid, idx)] = alloc
-            if consumers == 0:
-                # Dead output: freed as soon as it was produced.
-                alloc.freed = True
-                pool.free(nbytes)
-        return total
+            if self._readers[slot + idx]:
+                self._held[slot + idx] = nbytes
+                self._pools[slot + idx] = pool
+            else:
+                pool.free(nbytes)  # dead output: freed once produced
 
     def consume(self, producer: Item, idx: int) -> None:
-        alloc = self._allocations.get((producer.uid, idx))
-        if alloc is None or alloc.freed:
-            return
-        alloc.remaining_consumers -= 1
-        if alloc.remaining_consumers <= 0:
-            alloc.freed = True
-            alloc.pool.free(alloc.nbytes)
+        slot = producer.slot + idx
+        self._readers[slot] -= 1
+        nbytes = self._held[slot]
+        if nbytes and self._readers[slot] <= 0:
+            self._held[slot] = 0
+            self._pools[slot].free(nbytes)
 
     def release_all(self) -> None:
         """Free whatever survived the run (fetched values, errors)."""
-        for alloc in self._allocations.values():
-            if not alloc.freed:
-                alloc.freed = True
-                alloc.pool.free(alloc.nbytes)
-        self._allocations.clear()
+        held = self._held
+        for slot, nbytes in enumerate(held):
+            if nbytes:
+                held[slot] = 0
+                self._pools[slot].free(nbytes)
         self._released = True
 
     # -- value plumbing -----------------------------------------------------------
@@ -627,10 +604,11 @@ class _Dispatcher:
     def _completed(self, item: Item) -> list[Item]:
         self.remaining -= 1
         ready = []
-        for dependent in item.dependents:
-            self.counts[dependent.uid] -= 1
-            if self.counts[dependent.uid] == 0:
-                ready.append(dependent)
+        counts, items = self.counts, self.state.plan.items
+        for uid in item.dependents:
+            counts[uid] -= 1
+            if not counts[uid]:
+                ready.append(items[uid])
         if self.remaining == 0 and not self.finished:
             self.finished = True
             self.done.succeed()
@@ -810,13 +788,14 @@ class _Dispatcher:
         _finalize_op(state, item, outputs, start)
         self._count_fast()
 
+
 def _cost_seconds(state: ExecutionState, item: Item, cost) -> float:
-    """Simulated seconds the executing device charges for ``cost``."""
-    if cost.kind not in ("compute", "memcpy", "io"):
-        return 0.0
-    return state.device_obj(item.device).time_for_cost(
-        cost, item.op.type, item.double_precision
-    )
+    """Simulated seconds the executing device charges for ``cost``: the
+    plan's, for a priced item (``Item.seconds``)."""
+    seconds = item.seconds
+    if seconds is None:
+        seconds = cost_seconds(state.device_obj(item.device), item, cost)
+    return seconds
 
 
 def _finalize_op(state: ExecutionState, item: Item, outputs, start: float) -> None:

@@ -34,8 +34,11 @@ ops such as queue dequeue or file I/O) and finally returns its outputs.
 derives it) and calls the kernel only when there are values to compute.
 What a planned kernel returns must be exactly the price's specs, the ones
 its priced consumers read; what an unplanned ``kernel_spec`` kernel
-returns must be compatible with its declared static specs. Kernels never
-sleep on their own except by yielding events.
+returns must be exactly as many outputs as it declares, each compatible
+with its declared static spec. Kernels never sleep on their own except
+by yielding events, and never write: not an input, not an output they
+returned. So a kernel may return a view of an input (``Reshape``,
+``Slice``, ``Split``, ...) where a copy would buy nothing.
 """
 
 from __future__ import annotations
@@ -184,11 +187,16 @@ class ResourceManager:
     In TensorFlow these live in the C++ runtime's per-worker resource
     manager, which is why variables placed on a parameter server persist
     across sessions — the same semantics apply here.
+
+    ``variable_memory`` maps a variable's name to the ``(memory pool,
+    bytes)`` its storage holds, as the executor accounts it: once per
+    variable, not per read.
     """
 
     def __init__(self, name: str = "local"):
         self.name = name
         self.variables: dict[str, Any] = {}
+        self.variable_memory: dict[str, tuple[Any, int]] = {}
         self.queues: dict[str, Any] = {}
         self.iterators: dict[str, Any] = {}
         self.rng_counters: dict[str, int] = {}
@@ -199,6 +207,11 @@ class ResourceManager:
         return value
 
     def clear(self) -> None:
+        """Drop every resource, as a killed process would, and give the
+        variables' memory back to its pools."""
+        for pool, nbytes in self.variable_memory.values():
+            pool.free(nbytes)
+        self.variable_memory.clear()
         self.variables.clear()
         self.queues.clear()
         self.iterators.clear()

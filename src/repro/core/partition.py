@@ -69,9 +69,13 @@ class Item:
     double_precision: bool = False
     # The outputs' specs and the Cost of one execution, when every tensor
     # of the op is fully static ("op" items; registry.static_price): a run
-    # hands it to dispatch, which then runs no shape or cost function.
-    # Shared by every run: a shape-only run gets a fresh list of the specs.
+    # hands it to dispatch, which then runs no shape or cost function, and
+    # reads the outputs' bytes off the specs. Shared by every run: a
+    # shape-only run gets a fresh list of the specs.
     price: Optional[Price] = None
+    # The simulated seconds the item's device charges for the price's
+    # Cost, when the plan was built with the session's device table.
+    seconds: Optional[float] = None
     # Which rank of its collective op this leg executes ("collective"
     # items only; one leg per rank, all sharing the same ``op``).
     collective_rank: int = 0
@@ -79,10 +83,13 @@ class Item:
     # only): the op's algorithm attr with "auto" resolved per payload and
     # world size at lowering time.
     collective_algorithm: Optional[str] = None
-    # Per-output consumer counts (memory refcounting), filled by build_plan.
-    consumer_counts: list = field(default_factory=list)
-    # Dependency graph (static per plan), filled by build_plan: the items
-    # waiting on this one (how many it waits on: ``plan.dep_counts``).
+    # Output ``i`` is the plan's output slot ``slot + i`` (memory
+    # refcounting: ``plan.consumer_counts``), filled by build_plan.
+    slot: int = 0
+    # Dependency graph (static per plan), filled by build_plan: the uids
+    # of the items waiting on this one (how many it waits on:
+    # ``plan.dep_counts``). Uids, not items: an item refers only to its
+    # producers, so a dropped plan is freed by reference count.
     dependents: list = field(default_factory=list)
 
     def __repr__(self) -> str:
@@ -98,6 +105,9 @@ class ExecutionPlan:
     # Per item, the number of distinct producer items it waits on: a
     # run's dispatcher copies the list and counts it down.
     dep_counts: list[int]
+    # Per output slot (``Item.slot``), how many sources and fetches read
+    # it: a run copies the list and frees the slot's bytes at zero.
+    consumer_counts: list[int]
     per_device: dict[str, list[Item]]
     # For each fetch tensor: local (Item, out_idx) on the client device.
     fetch_sources: list
@@ -149,6 +159,7 @@ def build_plan(
     optimize: bool = False,
     symbolic: bool = False,
     verify: bool = False,
+    devices: Optional[dict[str, tuple]] = None,
 ) -> ExecutionPlan:
     """Construct the execution plan for one session run.
 
@@ -164,6 +175,11 @@ def build_plan(
             plan before it is returned (and therefore before the session
             caches it). Raises :class:`~repro.errors.VerificationError`
             on any error-severity finding.
+        devices: the session's device table (``Session._devices``:
+            device string -> ``(task runtime, device, memory pool, (job,
+            task))``). With it, a priced op item also carries the seconds
+            its device charges (``Item.seconds``); without it, every run
+            converts the price's Cost.
     """
     # ---- 1. prune ---------------------------------------------------------
     needed: dict[str, Operation] = {}
@@ -446,6 +462,9 @@ def build_plan(
         item = new_item(kind="op", device=device, op=op)
         item.double_precision = _is_double_precision(op)
         item.price = static_price(op)
+        if item.price is not None and devices is not None:
+            item.seconds = cost_seconds(devices[device][1], item,
+                                        item.price[1])
         op_items[op.name] = item
         item.sources = [route_value(t, device) for t in op.inputs]
         item.extra_deps = control_deps_of(op, device)
@@ -470,24 +489,20 @@ def build_plan(
         for uid, item in enumerate(items):
             item.uid = uid
 
-    # ---- consumer counts (memory refcounting) -------------------------------
+    # ---- output slots and their consumer counts (memory refcounting) ------
+    consumer_counts: list[int] = []
     for item in items:
+        item.slot = len(consumer_counts)
         if item.kind == "op":
-            n_out = len(item.op.outputs)
+            consumer_counts += [0] * len(item.op.outputs)
         elif item.kind == "const":
-            n_out = len(item.const_values)
+            consumer_counts += [0] * len(item.const_values)
         else:
-            n_out = 1
-        item.consumer_counts = [0] * n_out
-    for item in items:
-        for source in item.sources:
-            if source[0] is not FEED:
-                producer, idx = source
-                producer.consumer_counts[idx] += 1
-    for source in fetch_sources:
-        if source[0] is not FEED:
-            producer, idx = source
-            producer.consumer_counts[idx] += 1
+            consumer_counts.append(0)
+    for sources in [item.sources for item in items] + [fetch_sources]:
+        for producer, idx in sources:
+            if producer is not FEED:
+                consumer_counts[producer.slot + idx] += 1
 
     # ---- dependency graph (static per plan) ---------------------------------
     # The executor's dependency-counting dispatcher needs, per item, the
@@ -500,11 +515,11 @@ def build_plan(
                 producer = source[0]
                 if producer.uid not in seen:
                     seen.add(producer.uid)
-                    producer.dependents.append(item)
+                    producer.dependents.append(item.uid)
         for dep in item.extra_deps:
             if dep.uid not in seen:
                 seen.add(dep.uid)
-                dep.dependents.append(item)
+                dep.dependents.append(item.uid)
         dep_counts.append(len(seen))
 
     # ---- group by device -----------------------------------------------------
@@ -518,6 +533,7 @@ def build_plan(
     plan = ExecutionPlan(
         items=items,
         dep_counts=dep_counts,
+        consumer_counts=consumer_counts,
         per_device=per_device,
         fetch_sources=fetch_sources,
         devices_by_task=devices_by_task,
@@ -560,6 +576,13 @@ def _verify_built_plan(plan: ExecutionPlan) -> None:
         with open(report_path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(record) + "\n")
     report.raise_if_errors()
+
+
+def cost_seconds(device, item: Item, cost) -> float:
+    """Simulated seconds ``device`` charges an op item for ``cost``."""
+    if cost.kind not in ("compute", "memcpy", "io"):
+        return 0.0
+    return device.time_for_cost(cost, item.op.type, item.double_precision)
 
 
 def _is_double_precision(op) -> bool:

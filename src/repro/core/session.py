@@ -123,7 +123,6 @@ class _PreparedRun:
     structure: tuple
     slots: list
     fetch_tensors: list
-    task_runtimes: dict
     plan_cache_hit: bool
     cache_hits: int
     cache_misses: int
@@ -179,10 +178,10 @@ class Session:
                     node_name="localhost",
                 )
         self.env: Environment = self.machine.env
-        # (job, task) -> TaskRuntime, filled by _task_runtimes().
+        # (job, task) -> TaskRuntime, and device string -> (runtime,
+        # device, memory pool, (job, task)) for every device of the
+        # cluster: both filled by _task_runtimes().
         self._runtimes: Optional[dict] = None
-        # Device string -> (runtime, device, memory pool, (job, task)),
-        # filled by the runs' ExecutionStates as they first meet a device.
         self._devices: dict[str, tuple] = {}
         # Plan cache: repeated runs of the same fetches/feeds on an
         # unchanged graph reuse the pruned/optimized/partitioned plan (TF
@@ -225,11 +224,12 @@ class Session:
     def _task_runtimes(self) -> dict:
         """``(job, task) -> TaskRuntime`` for the whole cluster.
 
-        Walked once per session: the cluster spec is fixed and
-        ``Machine.register_server`` never rebinds an address, so the map
-        cannot go stale. It is kept only once *every* task has resolved
-        — a session opened before its peers are up raises ``NotFoundError``
-        run after run, until they are.
+        Walked once per session, together with the device table every
+        plan and run of the session reads (``_devices``): the cluster
+        spec is fixed and ``Machine.register_server`` never rebinds an
+        address, so neither can go stale. They are kept only once *every*
+        task has resolved — a session opened before its peers are up
+        raises ``NotFoundError`` run after run, until they are.
         """
         runtimes = self._runtimes
         if runtimes is None:
@@ -240,6 +240,11 @@ class Session:
                 ).runtime
                 for job in spec.jobs
                 for index in spec.task_indices(job)
+            }
+            self._devices = {
+                device: (runtime, runtime.device(device), pool, jobtask)
+                for jobtask, runtime in runtimes.items()
+                for device, pool in runtime.memory_pools.items()
             }
             self._runtimes = runtimes
         return runtimes
@@ -387,6 +392,7 @@ class Session:
                 optimize=self.config.graph_optimization,
                 symbolic=self.config.shape_only,
                 verify=self.config.verify_plans,
+                devices=self._devices,
             )
             with self._cache_lock:
                 self._plan_cache[cache_key] = plan
@@ -398,7 +404,6 @@ class Session:
             structure=structure,
             slots=slots,
             fetch_tensors=fetch_tensors,
-            task_runtimes=task_runtimes,
             plan_cache_hit=plan_cache_hit,
             cache_hits=hits,
             cache_misses=misses,
@@ -411,7 +416,6 @@ class Session:
         structure = prepared.structure
         fetch_tensors = prepared.fetch_tensors
         slots = prepared.slots
-        task_runtimes = prepared.task_runtimes
         plan_cache_hit = prepared.plan_cache_hit
         if self.config.log_device_placement:
             for name, device in sorted(plan.placements.items()):
@@ -439,7 +443,6 @@ class Session:
         state = ExecutionState(
             env=env,
             plan=plan,
-            task_runtimes=task_runtimes,
             devices=self._devices,
             protocol=self._master.data_protocol,
             feeds=feeds,

@@ -247,19 +247,11 @@ class FaultInjector:
             self.stats["restarts"] += 1
 
     def _wipe_task(self, job: str, task: int) -> None:
-        """Drop the task's resource manager, as a killed process would.
-
-        Variable memory-pool accounting entries (``__mem__*``) are freed
-        before the wipe so pool occupancy stays conserved.
-        """
+        """Drop the task's resource manager, as a killed process would
+        (its variables' memory goes back to the pools)."""
         for server in self.machine.address_table.values():
             if server.job_name == job and server.task_index == task:
-                resources = server.runtime.resources
-                for name, value in list(resources.variables.items()):
-                    if name.startswith("__mem__"):
-                        pool, nbytes = value
-                        pool.free(nbytes)
-                resources.clear()
+                server.runtime.resources.clear()
 
     # -- link degradation -----------------------------------------------------
     def _link_of(self, spec: LinkDegradation):

@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 import repro as tf
+import repro.core.executor as executor_module
 import repro.core.partition as partition_module
 import repro.core.session as session_module
 from repro import dtypes
@@ -44,7 +45,9 @@ from repro.core.ops.data_ops import Dataset
 from repro.core.optimizer.pipeline import Subgraph
 from repro.core.tensor import SymbolicValue
 from repro.figures.fig7_stream import run_fig7
+from repro.simnet.cpu import CPUDevice
 from repro.simnet.events import Environment
+from repro.simnet.gpu import GPUDevice
 
 # name -> (program, steps, float.hex(env.now) per environment in first-step
 # order, fast_path_items summed over runs, runs launched)
@@ -243,12 +246,28 @@ class TestNoCyclicGarbage:
             finally:
                 gc.enable()
 
+    def test_a_dropped_plan_leaves_nothing_unreachable(self):
+        """An item refers to its producers only (its dependents are uids),
+        so a plan evicted from the cache is freed by reference count."""
+        session, run = _two_gpu_program(True)
+        run()
+        plan = next(iter(session._plan_cache.values()))
+        assert any(item.kind == "send" for item in plan.items)
+        del plan
+        gc.collect()
+        gc.disable()
+        try:
+            session._plan_cache.clear()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestValueLaneCounts:
     """A concrete value's spec is read off the array, not re-derived.
 
-    Ten chained ``add`` ops over 8×8 float64, optimizer off so all ten
-    run; one cold run, then one warm run with the four things a kernel
+    Ten chained ``add`` ops over 8×8 float64 on the client's CPU (so the
+    fetch moves no bytes), optimizer off so all ten run; one cold run, then one warm run with the four things a kernel
     used to pay per op counted by rebinding the attribute. Before the
     value lane read specs off arrays the warm run made **74 / 10 / 30 /
     50** calls to ``np.asarray`` / ``np.broadcast_shapes`` /
@@ -263,13 +282,17 @@ class TestValueLaneCounts:
     Over static shapes the plan prices each ``add`` once, when it is
     built (``registry.static_price``), so the warm run calls ``Add``'s
     shape function and cost **0** times; before plans carried prices it
-    called each 10 times. Over ``[None, 8]`` placeholders nothing can be
-    priced ahead and the run-time rule still runs: 10 of each."""
+    called each 10 times. The plan also holds what the price comes to:
+    the outputs' bytes (the price's specs) and the device's seconds
+    (``Item.seconds``), so memory accounting calls ``value_nbytes`` and
+    the device calls ``time_for_cost`` **0** times; before, 10 each.
+    Over ``[None, 8]`` placeholders nothing can be priced ahead and the
+    run-time rule still runs: 10 of each."""
 
     @staticmethod
     def _counted(monkeypatch, fast, second_shape, first_shape=(8, 8)):
         g = tf.Graph()
-        with g.as_default():
+        with g.as_default(), g.device("/cpu:0"):
             x = tf.placeholder(tf.float64, first_shape, name="x")
             y = tf.placeholder(tf.float64, second_shape, name="y")
             out = x
@@ -294,12 +317,16 @@ class TestValueLaneCounts:
 
             monkeypatch.setattr(owner, name, wrapper)
 
+        for device_class in (CPUDevice, GPUDevice):  # one sum for both
+            count(device_class, "time_for_cost")
+
         count(np, "asarray")
         count(np, "broadcast_shapes")
         count(SymbolicValue, "__init__")
         count(dtypes, "as_dtype")
         count(op_def("Add"), "shape_fn")
         count(op_def("Add"), "cost")
+        count(executor_module, "value_nbytes")
         value = sess.run(out, feed_dict=feed)
         monkeypatch.undo()
         np.testing.assert_array_equal(value, feed[x] + 10 * feed[y])
@@ -310,14 +337,16 @@ class TestValueLaneCounts:
     def test_equal_shapes_pay_nothing_per_operand(self, fast, monkeypatch):
         assert self._counted(monkeypatch, fast, (8, 8)) == {
             "asarray": 22, "broadcast_shapes": 0, "__init__": 0,
-            "as_dtype": 0, "shape_fn": 0, "cost": 0}
+            "as_dtype": 0, "shape_fn": 0, "cost": 0, "time_for_cost": 0,
+            "value_nbytes": 0}
 
     @pytest.mark.parametrize("fast", [True, False],
                              ids=["fast-path", "reference"])
     def test_different_shapes_still_broadcast(self, fast, monkeypatch):
         assert self._counted(monkeypatch, fast, (8,)) == {
             "asarray": 22, "broadcast_shapes": 0, "__init__": 0,
-            "as_dtype": 0, "shape_fn": 0, "cost": 0}
+            "as_dtype": 0, "shape_fn": 0, "cost": 0, "time_for_cost": 0,
+            "value_nbytes": 0}
 
     @pytest.mark.parametrize("fast", [True, False],
                              ids=["fast-path", "reference"])
@@ -325,7 +354,8 @@ class TestValueLaneCounts:
                                                         monkeypatch):
         counts = self._counted(monkeypatch, fast, (None, 8),
                                first_shape=(None, 8))
-        assert (counts["shape_fn"], counts["cost"]) == (10, 10)
+        assert (counts["shape_fn"], counts["cost"], counts["time_for_cost"],
+                counts["value_nbytes"]) == (10, 10, 10, 10)
 
 
 class _CountedReads(dict):

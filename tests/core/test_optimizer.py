@@ -312,7 +312,7 @@ class TestTransferCoalescing:
         assert recvs[0].sources == [(sends[0], 0)]
         assert recvs[0].extra_deps == []
         assert plan.dep_counts[recvs[0].uid] == 1
-        assert sends[0].dependents == [recvs[0]]
+        assert sends[0].dependents == [recvs[0].uid]
 
 
 class TestConfigSwitches:

@@ -151,7 +151,7 @@ class TestSendRecvInsertion:
             for item in state.plan.items:
                 if item.kind == "recv":  # its send is its only dependency
                     ((send, _),) = item.sources
-                    send.dependents.remove(item)
+                    send.dependents.remove(item.uid)
                     state.plan.dep_counts[item.uid] = 0
                     if not keep_source:
                         item.sources = []
@@ -251,7 +251,12 @@ class TestSendRecvInsertion:
         plan = plan_for(g, fetch_tensors=[b, c])
         a_item = next(i for i in plan.items if i.kind == "op" and i.op.name == "a")
         # b and c consume a:0 (fetch consumers attach to b/c items).
-        assert a_item.consumer_counts[0] == 2
+        assert plan.consumer_counts[a_item.slot] == 2
+        # One slot per output, in plan order; every source and fetch
+        # reads one.
+        assert [i.slot for i in plan.items] == list(range(len(plan.items)))
+        assert sum(plan.consumer_counts) == len(plan.fetch_sources) + sum(
+            len(i.sources) for i in plan.items)
 
 
 class TestFetchRouting:

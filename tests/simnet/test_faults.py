@@ -127,6 +127,36 @@ class TestWorkerCrash:
         assert injector.is_down("worker", 1)
         assert "w" not in victim.runtime.resources.variables
 
+    def test_crash_frees_variable_memory_whatever_the_names(self,
+                                                            machine_pair):
+        """The variable store holds the user's variables and nothing else,
+        whatever they are called; the wipe gives their bytes back."""
+        import numpy as np
+
+        import repro as tf
+
+        machine, _, _ = machine_pair
+        env = machine.env
+        cluster = tf.ClusterSpec({"worker": ["t01n01:8888", "t01n02:8888"]})
+        victim = tf.Server(cluster, "worker", 1, machine=machine)
+        tf.Server(cluster, "worker", 0, machine=machine)
+        g = tf.Graph()
+        with g.as_default(), g.device("/job:worker/task:1/device:cpu:0"):
+            names = ["__mem__x", "w"]
+            variables = [tf.Variable(np.ones(4), name=n) for n in names]
+        sess = tf.Session(victim, graph=g)
+        pool = victim.runtime.memory_pools["/job:worker/task:1/device:cpu:0"]
+        before = pool.in_use
+        sess.run([v.initializer for v in variables])
+        resources = victim.runtime.resources
+        assert sorted(resources.variables) == names
+        assert pool.in_use == before + 2 * 32
+        FaultInjector(FaultPlan.single_crash("worker", 1, at=env.now + 1.0)
+                      ).install(machine)
+        advance(env, 2.0)
+        assert resources.variables == resources.variable_memory == {}
+        assert pool.in_use == before
+
     def test_crash_interrupts_registered_process(self, machine_pair):
         machine, _, _ = machine_pair
         env = machine.env
