@@ -455,9 +455,8 @@ def _concat_kernel(op, inputs, ctx):
                  cost=memcpy_cost(outs=0), builder="split", arity=(1, 1),
                  dtypes=NUMERIC, shape_rule="split")
 def _split_kernel(op, inputs, ctx):
-    parts = np.split(np.asarray(inputs[0]), op.get_attr("num_splits"),
-                     axis=op.get_attr("axis"))
-    return [np.ascontiguousarray(part) for part in parts]
+    return np.split(inputs[0], op.get_attr("num_splits"),
+                    axis=op.get_attr("axis"))
 
 
 @register_kernel("Stack", pure=True, shape_fn=_stack_shape,
@@ -503,4 +502,4 @@ def _zeros_like_kernel(op, inputs, ctx):
 def _slice_kernel(op, inputs, ctx):
     index = tuple(slice(b, b + s)
                   for b, s in zip(op.get_attr("begin"), op.get_attr("size")))
-    return [np.ascontiguousarray(np.asarray(inputs[0])[index])]
+    return [inputs[0][index]]

@@ -155,6 +155,63 @@ def test_eager_matches_graph(builder_name, args, kwargs):
         np.testing.assert_array_equal(np.asarray(eager_out), np.asarray(graph_out))
 
 
+def _read_only(value):
+    """``value`` with every array replaced by a read-only copy."""
+    if isinstance(value, np.ndarray):
+        frozen = value.copy()
+        frozen.setflags(write=False)
+        return frozen
+    if isinstance(value, list):
+        return [_read_only(v) for v in value]
+    return value
+
+
+def _described(value):
+    """Dtype, shape and bytes of every array in ``value``."""
+    if value is None:
+        return None
+    if isinstance(value, (list, tuple)):
+        return [_described(v) for v in value]
+    value = np.asarray(value)
+    return value.dtype.str, value.shape, value.tobytes()
+
+
+@pytest.mark.parametrize(
+    "builder_name,args,kwargs",
+    [case[1:] for case in CASES],
+    ids=[f"{c[1]}:{'+'.join(c[0])}" for c in CASES],
+)
+def test_kernels_never_write_their_inputs(builder_name, args, kwargs):
+    """The contract views rest on (ARCHITECTURE §1.1): a kernel only reads
+    its inputs, so read-only ones — what a constant's array is — give the
+    same bytes, where a write would raise."""
+    writable = getattr(eager.EagerContext(seed=SEED), builder_name)(
+        *args, **kwargs)
+    frozen = getattr(eager.EagerContext(seed=SEED), builder_name)(
+        *[_read_only(a) for a in args],
+        **{k: _read_only(v) for k, v in kwargs.items()})
+    assert _described(frozen) == _described(writable)
+
+
+@pytest.mark.parametrize("builder_name,args,kwargs", [
+    case[1:] for case in CASES if case[0] in (("Slice",), ("Split",))],
+    ids=["split", "slice_"])
+def test_slices_are_views_of_their_input(builder_name, args, kwargs):
+    """``Slice`` and ``Split`` copy nothing, eagerly or under a Session
+    (a fed array reaches the kernel as it was fed)."""
+    source = args[0]
+    eager_out = getattr(eager.EagerContext(), builder_name)(*args, **kwargs)
+    g = tf.Graph()
+    with g.as_default():
+        fed = tf.placeholder(tf.float64, source.shape)
+        built = getattr(tf, builder_name)(fed, *args[1:], **kwargs)
+    with tf.Session(graph=g) as sess:
+        graph_out = sess.run(built, feed_dict={fed: source})
+    for out in (eager_out, graph_out):
+        for part in out if isinstance(out, list) else [out]:
+            assert np.shares_memory(part, source)
+
+
 def test_graph_only_ops_rejected_eagerly():
     ctx = eager.EagerContext()
     for op_type in sorted(GRAPH_ONLY):
