@@ -266,8 +266,8 @@ class TestNoCyclicGarbage:
 class TestValueLaneCounts:
     """A concrete value's spec is read off the array, not re-derived.
 
-    Ten chained ``add`` ops over 8×8 float64 on the client's CPU (so the
-    fetch moves no bytes), optimizer off so all ten run; one cold run, then one warm run with the four things a kernel
+    Ten chained ``add`` ops over 8×8 float64, optimizer off so all ten
+    run; one cold run, then one warm run with the four things a kernel
     used to pay per op counted by rebinding the attribute. Before the
     value lane read specs off arrays the warm run made **74 / 10 / 30 /
     50** calls to ``np.asarray`` / ``np.broadcast_shapes`` /
@@ -285,14 +285,23 @@ class TestValueLaneCounts:
     called each 10 times. The plan also holds what the price comes to:
     the outputs' bytes (the price's specs) and the device's seconds
     (``Item.seconds``), so memory accounting calls ``value_nbytes`` and
-    the device calls ``time_for_cost`` **0** times; before, 10 each.
-    Over ``[None, 8]`` placeholders nothing can be priced ahead and the
-    run-time rule still runs: 10 of each."""
+    the device calls ``time_for_cost`` **0** times for the ``add`` ops;
+    before, 10 each. Over ``[None, 8]`` placeholders nothing can be
+    priced ahead and the run-time rule still runs: 10 of each.
+
+    Every count is pinned on both placements. By default the ``add`` ops
+    run on the session's GPU and the fetch moves to the client's CPU
+    through a send/recv pair, which reads ``value_nbytes`` twice (the
+    send's payload and the recv's unpriced output); pinned to the
+    client's CPU the fetch moves nothing."""
+
+    # value_nbytes calls the fetch's transfer makes, per placement.
+    TRANSFER_NBYTES = {None: 2, "/cpu:0": 0}
 
     @staticmethod
-    def _counted(monkeypatch, fast, second_shape, first_shape=(8, 8)):
+    def _counted(monkeypatch, fast, device, second_shape, first_shape=(8, 8)):
         g = tf.Graph()
-        with g.as_default(), g.device("/cpu:0"):
+        with g.as_default(), g.device(device):
             x = tf.placeholder(tf.float64, first_shape, name="x")
             y = tf.placeholder(tf.float64, second_shape, name="y")
             out = x
@@ -304,6 +313,9 @@ class TestValueLaneCounts:
         feed = {x: np.arange(64.0).reshape(8, 8),
                 y: np.arange(float(np.prod(fed_shape))).reshape(fed_shape)}
         sess.run(out, feed_dict=feed)  # cold: plans, places, fills memos
+        assert {item.device.rsplit(":", 2)[-2]
+                for item in next(iter(sess._plan_cache.values())).items
+                if item.kind == "op"} == {"cpu" if device else "gpu"}
 
         counts = {}
 
@@ -332,30 +344,39 @@ class TestValueLaneCounts:
         np.testing.assert_array_equal(value, feed[x] + 10 * feed[y])
         return counts
 
+    @pytest.mark.parametrize("device", [None, "/cpu:0"],
+                             ids=["default", "client-cpu"])
     @pytest.mark.parametrize("fast", [True, False],
                              ids=["fast-path", "reference"])
-    def test_equal_shapes_pay_nothing_per_operand(self, fast, monkeypatch):
-        assert self._counted(monkeypatch, fast, (8, 8)) == {
+    def test_equal_shapes_pay_nothing_per_operand(self, fast, device,
+                                                  monkeypatch):
+        assert self._counted(monkeypatch, fast, device, (8, 8)) == {
             "asarray": 22, "broadcast_shapes": 0, "__init__": 0,
             "as_dtype": 0, "shape_fn": 0, "cost": 0, "time_for_cost": 0,
-            "value_nbytes": 0}
+            "value_nbytes": self.TRANSFER_NBYTES[device]}
 
+    @pytest.mark.parametrize("device", [None, "/cpu:0"],
+                             ids=["default", "client-cpu"])
     @pytest.mark.parametrize("fast", [True, False],
                              ids=["fast-path", "reference"])
-    def test_different_shapes_still_broadcast(self, fast, monkeypatch):
-        assert self._counted(monkeypatch, fast, (8,)) == {
+    def test_different_shapes_still_broadcast(self, fast, device,
+                                              monkeypatch):
+        assert self._counted(monkeypatch, fast, device, (8,)) == {
             "asarray": 22, "broadcast_shapes": 0, "__init__": 0,
             "as_dtype": 0, "shape_fn": 0, "cost": 0, "time_for_cost": 0,
-            "value_nbytes": 0}
+            "value_nbytes": self.TRANSFER_NBYTES[device]}
 
+    @pytest.mark.parametrize("device", [None, "/cpu:0"],
+                             ids=["default", "client-cpu"])
     @pytest.mark.parametrize("fast", [True, False],
                              ids=["fast-path", "reference"])
-    def test_partially_static_shapes_are_priced_per_run(self, fast,
+    def test_partially_static_shapes_are_priced_per_run(self, fast, device,
                                                         monkeypatch):
-        counts = self._counted(monkeypatch, fast, (None, 8),
-                               first_shape=(None, 8))
-        assert (counts["shape_fn"], counts["cost"], counts["time_for_cost"],
-                counts["value_nbytes"]) == (10, 10, 10, 10)
+        assert self._counted(monkeypatch, fast, device, (None, 8),
+                             first_shape=(None, 8)) == {
+            "asarray": 22, "broadcast_shapes": 0, "__init__": 0,
+            "as_dtype": 0, "shape_fn": 10, "cost": 10, "time_for_cost": 10,
+            "value_nbytes": 10 + self.TRANSFER_NBYTES[device]}
 
 
 class _CountedReads(dict):

@@ -31,7 +31,7 @@ from repro.apps.sgd import run_sgd, run_sgd_restartable
 from repro.apps.stencil import run_stencil
 from repro.apps.stream import run_stream
 from repro.core.ops import collective_ops
-from repro.core.partition import build_plan
+from repro.core.partition import Item, build_plan
 from repro.core.placement import Placer
 from repro.core.session import admin_rpc_time
 from repro.core.tensor import SymbolicValue
@@ -505,9 +505,11 @@ def test_verifier_burn_in(identities):
     g, feed_map, fetches = _layered_graph(identities)
     placer = Placer({("localhost", 0): {"cpu": 1, "gpu": GPUS}},
                     default_job="localhost", default_task=0)
+    session = tf.Session(graph=g, config=tf.SessionConfig(num_gpus=GPUS))
+    session._task_runtimes()  # fills the device table plans are built with
     plan = build_plan(g, [], fetches, feed_map, placer,
                       client_device="/job:localhost/task:0/device:cpu:0",
-                      optimize=True, verify=True)
+                      devices=session._devices, optimize=True, verify=True)
     assert plan.verified
     assert plan.verifier_diagnostics == []
     assert len(plan.items) == GOLDEN["verified_plan_items"]
@@ -597,13 +599,18 @@ def test_memory_of_a_concrete_stencil():
 
 def _failing_item(exc):
     """(kind, op or tensor name) of the plan item whose output allocation
-    raised ``exc``: the ``item`` of the innermost ``register_outputs``
-    frame."""
+    raised ``exc``: the ``item`` of the innermost
+    ``ExecutionState.register_outputs`` frame. The error names only the
+    pool, so the item is read off the traceback; a refactor that renames
+    that method or its argument fails here, not as a memory drift."""
     item, tb = None, exc.__traceback__
     while tb is not None:
         if tb.tb_frame.f_code.co_name == "register_outputs":
-            item = tb.tb_frame.f_locals["item"]
+            item = tb.tb_frame.f_locals.get("item")
         tb = tb.tb_next
+    assert isinstance(item, Item), (
+        "no register_outputs(item, ...) frame in the OOM's traceback: "
+        "point _failing_item at the executor's output allocation again")
     return item.kind, item.op.name if item.op is not None else item.tensor_name
 
 
