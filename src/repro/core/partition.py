@@ -74,7 +74,7 @@ class Item:
     # shape-only run gets a fresh list of the specs.
     price: Optional[Price] = None
     # The simulated seconds the item's device charges for the price's
-    # Cost, when the plan was built with the session's device table.
+    # Cost (priced "op" items only; unpriced ones convert every run).
     seconds: Optional[float] = None
     # Which rank of its collective op this leg executes ("collective"
     # items only; one leg per rank, all sharing the same ``op``).
@@ -156,14 +156,18 @@ def build_plan(
     feeds: dict[str, Any],
     placer: Placer,
     client_device: str,
+    devices: dict[str, tuple],
     optimize: bool = False,
     symbolic: bool = False,
     verify: bool = False,
-    devices: Optional[dict[str, tuple]] = None,
 ) -> ExecutionPlan:
     """Construct the execution plan for one session run.
 
     Args:
+        devices: the session's device table (``Session._devices``:
+            device string -> ``(task runtime, device, memory pool, (job,
+            task))``). A priced op item carries the seconds its device
+            charges (``Item.seconds``), read off the table once here.
         optimize: run the Grappler-style pass pipeline over the pruned
             set and coalesce duplicate constants/transfers afterwards;
             ``False`` (the default) builds the plan with no rewriting.
@@ -175,11 +179,6 @@ def build_plan(
             plan before it is returned (and therefore before the session
             caches it). Raises :class:`~repro.errors.VerificationError`
             on any error-severity finding.
-        devices: the session's device table (``Session._devices``:
-            device string -> ``(task runtime, device, memory pool, (job,
-            task))``). With it, a priced op item also carries the seconds
-            its device charges (``Item.seconds``); without it, every run
-            converts the price's Cost.
     """
     # ---- 1. prune ---------------------------------------------------------
     needed: dict[str, Operation] = {}
@@ -462,7 +461,7 @@ def build_plan(
         item = new_item(kind="op", device=device, op=op)
         item.double_precision = _is_double_precision(op)
         item.price = static_price(op)
-        if item.price is not None and devices is not None:
+        if item.price is not None:
             item.seconds = cost_seconds(devices[device][1], item,
                                         item.price[1])
         op_items[op.name] = item

@@ -1,6 +1,8 @@
 """Adversarial tests for verify_plan: races, send/recv pairing, and
 collective deadlocks, each seeded into a real lowered plan."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,15 @@ def make_placer(gpus=2):
     )
 
 
+@functools.lru_cache(maxsize=None)
+def device_table(gpus=2):
+    """The device table a local session with ``gpus`` GPUs plans with."""
+    session = tf.Session(graph=tf.Graph(),
+                         config=tf.SessionConfig(num_gpus=gpus))
+    session._task_runtimes()
+    return session._devices
+
+
 def plan_for(graph, fetch_tensors=(), fetch_ops=(), optimize=False, gpus=2):
     return build_plan(
         graph,
@@ -32,6 +43,7 @@ def plan_for(graph, fetch_tensors=(), fetch_ops=(), optimize=False, gpus=2):
         {},
         make_placer(gpus),
         client_device=CLIENT,
+        devices=device_table(gpus),
         optimize=optimize,
     )
 
@@ -345,7 +357,7 @@ class TestVerifiedPlanMetadata:
             b = tf.identity(a, name="b")
         plan = build_plan(
             g, [], [b], {}, make_placer(),
-            client_device=CLIENT,
+            client_device=CLIENT, devices=device_table(),
             optimize=True, verify=True,
         )
         assert plan.verified
@@ -359,7 +371,7 @@ class TestVerifiedPlanMetadata:
             b = tf.assign_sub(v, tf.constant([3.0]), name="w2")
         plan = build_plan(
             g, [a.op, b.op], [], {}, make_placer(),
-            client_device=CLIENT, verify=True,
+            client_device=CLIENT, devices=device_table(), verify=True,
         )
         assert plan.verified  # warnings do not fail the build
         assert [d.rule for d in plan.verifier_diagnostics] == [
@@ -377,7 +389,7 @@ class TestVerifiedPlanMetadata:
             a = tf.constant([1.0], name="a")
         build_plan(
             g, [], [a], {}, make_placer(),
-            client_device=CLIENT, verify=True,
+            client_device=CLIENT, devices=device_table(), verify=True,
         )
         records = [json.loads(line)
                    for line in report_file.read_text().splitlines()]

@@ -2,6 +2,8 @@
 preservation (optimized vs. unoptimized runs must fetch identical bytes).
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,15 @@ def make_placer(gpus: int = 1):
     )
 
 
+@functools.lru_cache(maxsize=None)
+def device_table(gpus: int = 1) -> dict:
+    """The device table a local session with ``gpus`` GPUs plans with."""
+    session = tf.Session(graph=tf.Graph(),
+                         config=tf.SessionConfig(num_gpus=gpus))
+    session._task_runtimes()
+    return session._devices
+
+
 def opt_plan(graph, fetch_tensors=(), fetch_ops=(), feeds=None, gpus=1,
              symbolic=False):
     return build_plan(
@@ -31,6 +42,7 @@ def opt_plan(graph, fetch_tensors=(), fetch_ops=(), feeds=None, gpus=1,
         feeds or {},
         make_placer(gpus),
         client_device="/job:localhost/task:0/device:cpu:0",
+        devices=device_table(gpus),
         optimize=True,
         symbolic=symbolic,
     )
@@ -305,6 +317,7 @@ class TestTransferCoalescing:
         plan = build_plan(
             g, [b.op], [], {}, make_placer(),
             client_device="/job:localhost/task:0/device:cpu:0",
+            devices=device_table(),
         )
         sends = [i for i in plan.items if i.kind == "send"]
         recvs = [i for i in plan.items if i.kind == "recv"]

@@ -1,6 +1,7 @@
 """Unit tests for graph pruning and partitioning (send/recv insertion)."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -22,6 +23,15 @@ def make_placer(gpus: int = 1):
     )
 
 
+@functools.lru_cache(maxsize=None)
+def device_table(gpus: int = 1) -> dict:
+    """The device table a local session with ``gpus`` GPUs plans with."""
+    session = tf.Session(graph=tf.Graph(),
+                         config=tf.SessionConfig(num_gpus=gpus))
+    session._task_runtimes()
+    return session._devices
+
+
 def plan_for(graph, fetch_tensors=(), fetch_ops=(), feeds=None, gpus=1):
     return build_plan(
         graph,
@@ -30,6 +40,7 @@ def plan_for(graph, fetch_tensors=(), fetch_ops=(), feeds=None, gpus=1):
         feeds or {},
         make_placer(gpus),
         client_device="/job:localhost/task:0/device:cpu:0",
+        devices=device_table(gpus),
     )
 
 
