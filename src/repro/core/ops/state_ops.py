@@ -235,7 +235,12 @@ def _variable_kernel(op, inputs, ctx):
 def _assign_kernel(op, inputs, ctx):
     (value,) = inputs
     if isinstance(value, np.ndarray):
+        # The store keeps its own read-only copy: a fed array is the
+        # caller's, and a read, a slice of it or a fetch hands out the
+        # stored array itself, so an in-place write to one raises instead
+        # of changing the variable behind the store's back.
         value = value.copy()
+        value.setflags(write=False)
     ctx.resources.variables[op.get_attr("var_name")] = value
     return [value]
 
@@ -257,6 +262,7 @@ def _accumulate_kernel(np_op):
             updated = np_op(np.asarray(current), np.asarray(delta)).astype(
                 op.outputs[0].dtype.np_dtype, copy=False
             )
+            updated.setflags(write=False)  # stored read-only, as Assign's
         store[var_name] = updated
         return [updated]
 

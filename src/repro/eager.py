@@ -250,10 +250,11 @@ class EagerContext:
         self._op_counter += 1
         if name in self._resources.variables:
             raise InvalidArgumentError(f"Variable {name!r} already exists")
-        self._resources.variables[name] = np.asarray(initial_value).copy()
+        self._store(name, np.asarray(initial_value).copy())
         return name
 
     def read(self, handle: str):
+        """The variable's stored array itself: read-only, never a copy."""
         try:
             return self._resources.variables[handle]
         except KeyError:
@@ -261,7 +262,13 @@ class EagerContext:
 
     def assign(self, handle: str, value) -> None:
         self.read(handle)  # existence check
-        self._resources.variables[handle] = np.asarray(value).copy()
+        self._store(handle, np.asarray(value).copy())
 
     def assign_add(self, handle: str, delta) -> None:
-        self._resources.variables[handle] = self.read(handle) + np.asarray(delta)
+        self._store(handle, self.read(handle) + np.asarray(delta))
+
+    def _store(self, handle: str, value: np.ndarray) -> None:
+        # Stored read-only, as a Session's Assign stores it: a read hands
+        # out the array itself, so an in-place write to it must raise.
+        value.setflags(write=False)
+        self._resources.variables[handle] = value

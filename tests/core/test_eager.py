@@ -76,6 +76,21 @@ class TestEagerVariables:
         ctx.assign(handle, np.full(3, 9.0))
         np.testing.assert_allclose(ctx.read(handle), [9, 9, 9])
 
+    def test_read_is_read_only(self, ctx):
+        """``read`` hands out the stored array itself, as a Session's
+        variable read does: writing to it, or to a slice of it, raises."""
+        source = np.zeros(3)
+        handle = ctx.variable(source, name="state")
+        source += 1  # the initial value was copied
+        for update in (None, ctx.assign, ctx.assign_add):
+            if update is not None:
+                update(handle, np.ones(3))
+            for value in (ctx.read(handle), ctx.slice_(ctx.read(handle),
+                                                      [0], [2])):
+                with pytest.raises(ValueError, match="read-only"):
+                    value += 1
+        np.testing.assert_array_equal(ctx.read(handle), [2, 2, 2])
+
     def test_duplicate_name_rejected(self, ctx):
         ctx.variable(1.0, name="v")
         with pytest.raises(InvalidArgumentError):

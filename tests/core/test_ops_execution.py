@@ -292,6 +292,26 @@ class TestVariables:
             sess.run(dec.op)
             assert sess.run(v) == pytest.approx(14.0)
 
+    @pytest.mark.parametrize("fast", [True, False],
+                             ids=["fast-path", "reference"])
+    def test_fetched_variable_storage_is_read_only(self, fast):
+        """A read, a slice of it and an update's result are the stored
+        array itself (no copy), so writing to a fetched one raises and the
+        variable keeps its value."""
+        g = tf.Graph()
+        with g.as_default():
+            v = tf.Variable(np.arange(6.0), name="v")
+            head = tf.slice_(v.value(), [0], [3])
+            inc = tf.assign_add(v, tf.constant(np.ones(6)))
+        config = tf.SessionConfig(executor_fast_path=fast)
+        with tf.Session(graph=g, config=config) as sess:
+            sess.run(v.initializer)
+            for fetched in sess.run([v, head]) + [sess.run(inc)]:
+                assert not fetched.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    fetched += 1
+            np.testing.assert_array_equal(sess.run(v), np.arange(6.0) + 1)
+
     def test_global_variables_initializer(self):
         g = tf.Graph()
         with g.as_default():
