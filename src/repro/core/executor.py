@@ -963,7 +963,7 @@ def _run_collective(state: ExecutionState, item: Item):
             group.results = yield from run_collective(
                 op.type, group.devices, group.values,
                 op.get_attr("protocol") or state.protocol,
-                item.collective_algorithm or "ring", op.name,
+                item.collective_algorithm, op.name,
             )
         except BaseException as exc:
             # Wake the peer legs so their cleanup runs; the failure still

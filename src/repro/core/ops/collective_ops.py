@@ -18,7 +18,7 @@ items (see ``build_plan``): each leg sits on its rank's device, receives
 its rank's input through the ordinary ``route_value`` send/recv
 machinery, and the last leg to arrive drives
 :func:`repro.runtime.collective.run_collective` — the value function,
-then the chosen clock-only schedule over the simulated transports — so
+then the chosen schedule's rounds over the simulated transports — so
 placement, the plan-time optimizer, the plan cache, the
 dependency-counting dispatcher and ``RunMetadata`` all apply, and the
 op's simulated time is the standalone schedule's time by construction.

@@ -12,20 +12,22 @@ halves that never meet:
   rank order starting from zeros, so every caller — the eager kernels of
   :mod:`repro.core.ops.collective_ops`, both executor lanes, the
   benchmarks — gets the same bytes and the same typed error.
-* **What a collective costs** — *clock-only strategies* registered under
-  ``(op type, algorithm)``: generators ``schedule(devices,
-  nbytes_per_rank, protocol)`` that yield the DES events of their
-  communication rounds over the simulated transports and return
-  nothing. A strategy never sees a value, so algorithm choice can only
-  ever move the simulated clock, never the bytes — by construction.
+* **What a collective costs** — *schedules* registered under
+  ``(op type, algorithm)``: pure functions ``rounds(world,
+  nbytes_per_rank) -> list[Round]``. A :class:`Round` is the sends that
+  run concurrently, each ``(src, dst, chunk, nbytes)``, and the bytes of
+  vector math every rank does after them. A schedule never sees a value,
+  a device or a protocol, so algorithm choice can only ever move the
+  simulated clock, never the bytes — by construction.
 
-:func:`run_collective` is the one entry point joining the two: the
-lowered graph op's rank rendezvous (``core/executor.py``), the tests and
-``benchmarks/bench_{collectives,collective_algos,ablations}.py`` all
-drive it, so a graph op's simulated time is the standalone schedule's
-time. The partitioner resolves an op's ``algorithm="auto"`` attr per
-payload and world size through :func:`select_algorithm` at lowering time.
-Two allreduce schedules ship:
+:func:`run_collective` joins the two and is the one driver of a round
+list: each round is one ``AllOf`` over its transfers, then the slowest
+rank's local math. The lowered graph op's rank rendezvous
+(``core/executor.py``), the tests and ``benchmarks/bench_ablations.py``
+all drive it, so a graph op's simulated time is the standalone
+schedule's time. The partitioner resolves an op's ``algorithm="auto"``
+attr per payload and world size through :func:`select_algorithm`, which
+prices every registered round list. Two allreduce schedules ship:
 
 * **ring** (bandwidth-optimal): the buffer is cut into ``W`` chunks;
   ``W - 1`` reduce-scatter steps followed by ``W - 1`` allgather steps
@@ -39,25 +41,29 @@ Two allreduce schedules ship:
   instead of the ring's ``2 (W - 1)``, at ``log2(W)``× the wire bytes —
   the right trade for scalars and small tensors.
 
-Adding a schedule is ~15 lines of clock code::
+Adding a schedule is one function::
 
     @register_strategy("CollectiveAllReduce", "my-algo")
-    def _my_allreduce(devices, nbytes_per_rank, protocol):
-        env = devices[0].env
-        for sends in my_rounds(len(devices), nbytes_per_rank[0]):
-            yield _round(devices, sends, protocol, "my-algo")
-            yield env.timeout(local_math_seconds)
+    def _my_allreduce(world, nbytes_per_rank):
+        return [Round(sends, local_bytes) for sends, local_bytes in
+                my_steps(world, nbytes_per_rank[0])]
 
-It must yield nothing for a one-rank world; the builders' ``algorithm=``
-attr, the fuzz matrix and the benchmarks pick it up from the registry.
+It returns ``[]`` for a one-rank world. The builders' ``algorithm=``
+attr, ``auto``, the fuzz matrix and the chunk proof of
+``tests/runtime/test_collective.py`` (which replays the rounds over
+symbolic chunk ownership and checks the op's postcondition) pick it up
+from the registry.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, NoReturn, Optional, Sequence
+from typing import (
+    Any, Callable, Generator, NamedTuple, NoReturn, Optional, Sequence,
+)
 
 import numpy as np
 
+from repro import dtypes
 from repro.core.tensor import SymbolicValue, value_nbytes
 from repro.errors import InvalidArgumentError
 from repro.simnet import transports
@@ -67,7 +73,7 @@ __all__ = [
     "run_collective",
     "collective_values",
     "scatter_rows",
-    "allreduce_time_lower_bound",
+    "Round",
     "register_strategy",
     "get_strategy",
     "registered_algorithms",
@@ -105,7 +111,8 @@ def _symbolic(values: Sequence) -> bool:
     return any(isinstance(v, SymbolicValue) for v in values)
 
 
-def _fresh(shape: Sequence[int], dtype, world: int) -> list[SymbolicValue]:
+def _fresh(shape: Sequence[int], dtype: dtypes.DType,
+           world: int) -> list[SymbolicValue]:
     # One *distinct* spec per rank: a result is a fresh buffer on every
     # rank, never an alias of some rank's input.
     return [SymbolicValue(shape, dtype) for _ in range(world)]
@@ -214,27 +221,47 @@ def collective_values(op_type: str, values: Sequence, world: int,
 
 
 # ---------------------------------------------------------------------------
-# what a collective costs: the strategy registry
+# what a collective costs: schedules as round lists
 # ---------------------------------------------------------------------------
 
-# (op type, algorithm) -> clock-only schedule generator with the uniform
-# signature ``schedule(devices, nbytes_per_rank, protocol)``.
-_STRATEGIES: dict[tuple[str, str], Callable] = {}
+# (src rank, dst rank, chunk, nbytes)
+Send = tuple[int, int, int, int]
 
 
-def register_strategy(op_type: str, algorithm: str):
-    """Decorator registering a schedule for ``(op_type, algorithm)``.
+class Round(NamedTuple):
+    """One communication round of a schedule.
 
-    The decorated generator takes ``(devices, nbytes_per_rank, protocol)``
-    — one simulated device per rank in ring order, the wire size of each
-    rank's input (a broadcast has one entry, the root's payload) and the
-    bulk transport — yields DES events for its communication steps, and
-    returns nothing. It yields nothing at all for a one-rank world.
-    :func:`run_collective` drives whatever schedule is registered; adding
-    an algorithm never touches the executor.
+    ``sends`` run concurrently and read what each sender held before the
+    round; ``chunk`` names one of the (at most ``W``) pieces the schedule
+    cuts the buffer into. After the sends every rank spends
+    ``local_bytes`` of vector math, adding what arrived into its own
+    partial of the chunk; with ``None`` there is no local step and a
+    receive replaces the chunk.
     """
 
-    def wrap(fn: Callable) -> Callable:
+    sends: list[Send]
+    local_bytes: Optional[int] = None
+
+
+Schedule = Callable[[int, Sequence[int]], list[Round]]
+
+# (op type, algorithm) -> schedule
+_STRATEGIES: dict[tuple[str, str], Schedule] = {}
+
+
+def register_strategy(op_type: str,
+                      algorithm: str) -> Callable[[Schedule], Schedule]:
+    """Decorator registering a schedule for ``(op_type, algorithm)``.
+
+    The decorated function takes ``(world, nbytes_per_rank)`` — the rank
+    count and the wire size of each rank's input (a broadcast has one
+    entry, the root's payload) — and returns its :class:`Round` list,
+    ``[]`` for a one-rank world. :func:`run_collective` plays whatever
+    schedule is registered; adding an algorithm never touches the
+    executor.
+    """
+
+    def wrap(fn: Schedule) -> Schedule:
         key = (op_type, algorithm)
         if key in _STRATEGIES:
             raise InvalidArgumentError(
@@ -246,7 +273,7 @@ def register_strategy(op_type: str, algorithm: str):
     return wrap
 
 
-def get_strategy(op_type: str, algorithm: str) -> Callable:
+def get_strategy(op_type: str, algorithm: str) -> Schedule:
     """The registered schedule for ``(op_type, algorithm)``."""
     try:
         return _STRATEGIES[(op_type, algorithm)]
@@ -264,16 +291,19 @@ def registered_algorithms(op_type: str) -> tuple[str, ...]:
 
 def run_collective(
     op_type: str,
-    devices: Sequence,
-    values: Sequence,
+    devices: Sequence[Any],
+    values: Sequence[Any],
     protocol: str = "rdma",
     algorithm: str = "ring",
     name: Optional[str] = None,
-) -> Iterator:
+) -> Generator[Event, Any, list[Any]]:
     """Generator: run one collective across ``devices``.
 
     Computes the per-rank results with :func:`collective_values`, then
-    spends the simulated time of the ``(op_type, algorithm)`` schedule.
+    plays the ``(op_type, algorithm)`` schedule's rounds on the simulated
+    clock: all of a round's transfers concurrently, then its local math
+    at the slowest rank's NumPy rate (every rank adds at once, so the
+    last to finish gates the step).
 
     Args:
         op_type: one of the four ``Collective*`` op types.
@@ -290,7 +320,20 @@ def run_collective(
     """
     schedule = get_strategy(op_type, algorithm)
     results = collective_values(op_type, values, len(devices), name)
-    yield from schedule(devices, [value_nbytes(v) for v in values], protocol)
+    rounds = schedule(len(devices), [value_nbytes(v) for v in values])
+    env = devices[0].env
+    rate = min(d.node.cpu.model.numpy_bytes_rate for d in devices)
+    for sends, local_bytes in rounds:
+        yield AllOf(env, [
+            env.process(
+                transports.transfer(devices[src], devices[dst], nbytes,
+                                    protocol),
+                name=f"{algorithm}:{src}->{dst}",
+            )
+            for src, dst, _chunk, nbytes in sends
+        ])
+        if local_bytes is not None:
+            yield env.timeout(local_bytes / rate)
     return results
 
 
@@ -301,50 +344,30 @@ def run_collective(
 AUTO_LATENCY_BANDWIDTH_BYTES = 48 * 1024
 
 
-def _tree_steps(world: int) -> int:
-    """Full-buffer exchange rounds of the halving/doubling schedule."""
-    if world < 2:
-        return 0
-    power = 1 << (world.bit_length() - 1)
-    extra = 0 if power == world else 2  # fold-in + fold-out rounds
-    return power.bit_length() - 1 + extra
-
-
 def select_algorithm(op_type: str, nbytes: Optional[int], world: int) -> str:
     """Resolve ``algorithm="auto"`` for one lowered collective.
 
-    The model behind the rule: a ring step moves ``nbytes / W`` per link
-    and there are ``2 (W - 1)`` of them; a tree round moves the full
-    buffer and there are ``~log2 W``. With ``C`` the per-step fixed cost
-    in bytes (:data:`AUTO_LATENCY_BANDWIDTH_BYTES`), the tree wins iff
-
-        ``s_tree * (C + B) < s_ring * C + (s_ring / W) * B``
-
-    i.e. below a crossover payload proportional to ``C`` — small buffers
-    are latency-bound (the ring's ``2 (W-1)`` steps dominate), large ones
-    bandwidth-bound (the ring's ``2 (W-1)/W`` bytes win). Unknown static
-    payloads (``nbytes is None``) default to the bandwidth-safe ring.
+    Prices every registered schedule off its round list: a round costs
+    the fixed per-step ``C`` (:data:`AUTO_LATENCY_BANDWIDTH_BYTES`) plus
+    its largest send, and the cheapest sum wins, a tie going to the
+    schedule with fewer rounds. Small buffers are latency-bound, so the
+    tree's ``~log2 W`` rounds beat the ring's ``2 (W - 1)``; large ones
+    are bandwidth-bound, so the ring's ``1/W`` chunks beat the tree's
+    full buffers. Unknown static payloads (``nbytes is None``) default to
+    the bandwidth-safe ring.
     """
-    if op_type != "CollectiveAllReduce" or world < 2:
-        return "ring"
     if nbytes is None:
         return "ring"
-    s_tree = _tree_steps(world)
-    s_ring = 2 * (world - 1)
-    if s_tree >= s_ring:
-        return "ring"
-    slope = s_tree - s_ring / world
-    if slope <= 0:
-        return "tree"  # fewer steps *and* no wire-byte penalty
-    crossover = AUTO_LATENCY_BANDWIDTH_BYTES * (s_ring - s_tree) / slope
-    return "tree" if nbytes <= crossover else "ring"
+    nbytes_per_rank = [nbytes] * world
 
+    def price(algorithm: str) -> tuple[int, int]:
+        rounds = get_strategy(op_type, algorithm)(world, nbytes_per_rank)
+        return sum(
+            AUTO_LATENCY_BANDWIDTH_BYTES + max(send[3] for send in r.sends)
+            for r in rounds
+        ), len(rounds)
 
-def allreduce_time_lower_bound(nbytes: int, num_ranks: int, link_rate: float) -> float:
-    """The textbook ring bound: ``2 (W-1)/W * nbytes / rate``."""
-    if num_ranks < 2:
-        return 0.0
-    return 2.0 * (num_ranks - 1) / num_ranks * nbytes / link_rate
+    return min(registered_algorithms(op_type), key=price)
 
 
 # ---------------------------------------------------------------------------
@@ -352,163 +375,110 @@ def allreduce_time_lower_bound(nbytes: int, num_ranks: int, link_rate: float) ->
 # ---------------------------------------------------------------------------
 
 
-def _slowest_numpy_rate(devices: Sequence) -> float:
-    """Host vector-op rate of the slowest rank.
-
-    Every reduce-scatter/assembly step completes when the *last* rank
-    finishes its local math, so on heterogeneous rings the slowest host
-    gates each step.
-    """
-    return min(d.node.cpu.model.numpy_bytes_rate for d in devices)
-
-
-def _round(devices: Sequence, sends: Sequence[tuple[int, int, int]],
-           protocol: str, label: str) -> Event:
-    """One communication round: every ``(src rank, dst rank, nbytes)``
-    send runs concurrently; the event fires when the last one lands."""
-    env = devices[0].env
-    return AllOf(env, [
-        env.process(
-            transports.transfer(devices[src], devices[dst], nbytes, protocol),
-            name=f"{label}:{src}->{dst}",
-        )
-        for src, dst, nbytes in sends
-    ])
+def _ring_reduce_scatter_rounds(world: int, chunk: int) -> list[Round]:
+    """``W - 1`` steps; in step ``s`` rank ``r`` passes its partial of
+    chunk ``r - s - 1`` to rank ``r + 1``, which adds its own. Rank ``r``
+    ends holding chunk ``r``'s full sum."""
+    return [
+        Round([(rank, (rank + 1) % world, (rank - step - 1) % world, chunk)
+               for rank in range(world)], chunk)
+        for step in range(world - 1)
+    ]
 
 
-def _ring_round(devices: Sequence, chunks: Sequence[int], protocol: str,
-                label: str) -> Event:
-    """Every rank sends ``chunks[rank]`` bytes to its ring neighbour."""
-    world = len(devices)
-    return _round(
-        devices,
-        [(rank, (rank + 1) % world, chunks[rank]) for rank in range(world)],
-        protocol, label,
-    )
+def _ring_allgather_rounds(world: int,
+                           block_nbytes: Sequence[int]) -> list[Round]:
+    """``W - 1`` steps; in step ``s`` rank ``r`` forwards block ``r - s``
+    (its own first, then the one it just received) to rank ``r + 1``."""
+    return [
+        Round([(rank, (rank + 1) % world, (rank - step) % world,
+                block_nbytes[(rank - step) % world])
+               for rank in range(world)])
+        for step in range(world - 1)
+    ]
 
 
 @register_strategy("CollectiveAllReduce", "ring")
-def _ring_allreduce(devices: Sequence, nbytes_per_rank: Sequence[int],
-                    protocol: str) -> Iterator:
+def _ring_allreduce(world: int, nbytes_per_rank: Sequence[int]) -> list[Round]:
     """``W - 1`` reduce-scatter steps, then ``W - 1`` allgather steps."""
-    world = len(devices)
-    env = devices[0].env
     # Chunks are ceil-divided; the last partial chunk costs like a full one
     # only in its final step, which the ceil approximates conservatively.
     chunk = -(-nbytes_per_rank[0] // world)
-    add_seconds = chunk / _slowest_numpy_rate(devices)
-    for step in range(2 * (world - 1)):
-        yield _ring_round(devices, [chunk] * world, protocol, "ring")
-        # Reduction math on each rank: one chunk-sized vector add per
-        # reduce-scatter step. All ranks add concurrently, so the step
-        # costs the slowest rank's add (negligible next to the wire time,
-        # but accounted).
-        if step < world - 1:
-            yield env.timeout(add_seconds)
+    return (_ring_reduce_scatter_rounds(world, chunk)
+            + _ring_allgather_rounds(world, [chunk] * world))
 
 
 @register_strategy("CollectiveAllReduce", "tree")
-def _tree_allreduce(devices: Sequence, nbytes_per_rank: Sequence[int],
-                    protocol: str) -> Iterator:
+def _tree_allreduce(world: int, nbytes_per_rank: Sequence[int]) -> list[Round]:
     """Latency-optimal allreduce by recursive halving/doubling.
 
     With ``W = 2^k`` ranks: ``k`` rounds; in round ``j`` every rank
-    exchanges its **full** buffer with the partner at distance ``2^j``
-    and adds, all pairs concurrent over duplex links. Non-power-of-two
-    worlds fold the ``r = W - 2^k`` extra ranks into their partners first
-    (one round) and fan the result back out last (one round). ``O(log W)``
-    latency steps instead of the ring's ``2 (W - 1)``, at ``log2(W)`` x
-    the wire bytes — the winning trade for scalars and small tensors,
-    losing at bandwidth scale (``tests/perf/test_sim_headlines.py`` pins
-    the crossover).
+    exchanges its **full** buffer (one chunk) with the partner at
+    distance ``2^j`` and adds, all pairs concurrent over duplex links.
+    Non-power-of-two worlds fold the ``r = W - 2^k`` extra ranks into
+    their partners first (one round) and fan the result back out last
+    (one round). ``O(log W)`` latency steps instead of the ring's
+    ``2 (W - 1)``, at ``log2(W)`` x the wire bytes — the winning trade
+    for scalars and small tensors, losing at bandwidth scale
+    (``tests/perf/test_sim_headlines.py`` pins the crossover).
     """
-    world = len(devices)
-    env = devices[0].env
     nbytes = nbytes_per_rank[0]
-    add_seconds = nbytes / _slowest_numpy_rate(devices)
     power = 1 << (world.bit_length() - 1)
     extras = range(world - power)
+    rounds: list[Round] = []
     if extras:
         # Fold-in: extra rank (power + i) sends its addend to partner i.
-        yield _round(devices, [(power + i, i, nbytes) for i in extras],
-                     protocol, "tree")
-        yield env.timeout(add_seconds)
+        rounds.append(Round([(power + i, i, 0, nbytes) for i in extras],
+                            nbytes))
     distance = 1
     while distance < power:
-        sends = []
-        for rank in range(power):
-            if rank & distance == 0:
-                sends.append((rank, rank + distance, nbytes))
-                sends.append((rank + distance, rank, nbytes))
-        yield _round(devices, sends, protocol, "tree")
-        yield env.timeout(add_seconds)
+        rounds.append(Round([
+            send
+            for rank in range(power) if rank & distance == 0
+            for send in ((rank, rank + distance, 0, nbytes),
+                         (rank + distance, rank, 0, nbytes))
+        ], nbytes))
         distance <<= 1
     if extras:
         # Fold-out: partners return the finished sum to the extra ranks.
-        yield _round(devices, [(i, power + i, nbytes) for i in extras],
-                     protocol, "tree")
+        rounds.append(Round([(i, power + i, 0, nbytes) for i in extras]))
+    return rounds
 
 
 @register_strategy("CollectiveReduceScatter", "ring")
-def _ring_reduce_scatter(devices: Sequence, nbytes_per_rank: Sequence[int],
-                         protocol: str) -> Iterator:
-    """The ring allreduce's first half standalone.
-
-    ``W - 1`` steps each move one axis-0 block to the ring neighbour (all
-    links concurrent) and reduce on arrival — every rank ends holding only
-    its ``1/W`` share of the sum, having moved ``(W-1)/W`` of the buffer.
-    """
-    world = len(devices)
-    env = devices[0].env
-    chunk = nbytes_per_rank[0] // world
-    add_seconds = chunk / _slowest_numpy_rate(devices)
-    for _step in range(world - 1):
-        yield _ring_round(devices, [chunk] * world, protocol, "reduce_scatter")
-        # Every step reduces the arriving block into the local partial.
-        yield env.timeout(add_seconds)
+def _ring_reduce_scatter(world: int,
+                         nbytes_per_rank: Sequence[int]) -> list[Round]:
+    """The ring allreduce's first half standalone: every rank ends
+    holding only its ``1/W`` axis-0 block of the sum, having moved
+    ``(W-1)/W`` of the buffer."""
+    return _ring_reduce_scatter_rounds(world, nbytes_per_rank[0] // world)
 
 
 @register_strategy("CollectiveAllGather", "ring")
-def _ring_allgather(devices: Sequence, nbytes_per_rank: Sequence[int],
-                    protocol: str) -> Iterator:
-    """``W - 1`` steps; in step ``s`` every rank forwards the chunk it
-    received in step ``s - 1`` (its own buffer initially) to the next
-    rank, all links active concurrently. Total traffic per link is
-    ``(W-1)/W * total_bytes``, the bandwidth-optimal allgather."""
-    world = len(devices)
-    if world < 2:
-        return
-    for step in range(world - 1):
-        # Rank r forwards the chunk that originated at rank (r - step).
-        yield _ring_round(
-            devices,
-            [nbytes_per_rank[(rank - step) % world] for rank in range(world)],
-            protocol, "allgather",
-        )
-    # Local assembly: every rank copies the W chunks into one contiguous
-    # buffer; the slowest host gates the (concurrent) copies.
-    yield devices[0].env.timeout(
-        sum(nbytes_per_rank) / _slowest_numpy_rate(devices)
-    )
+def _ring_allgather(world: int, nbytes_per_rank: Sequence[int]) -> list[Round]:
+    """``W - 1`` forwarding steps, all links active concurrently: total
+    traffic per link is ``(W-1)/W * total_bytes``, the bandwidth-optimal
+    allgather. The last step's local math is the assembly: every rank
+    copies the ``W`` blocks into one contiguous buffer."""
+    rounds = _ring_allgather_rounds(world, nbytes_per_rank)
+    if rounds:
+        rounds[-1] = rounds[-1]._replace(local_bytes=sum(nbytes_per_rank))
+    return rounds
 
 
 @register_strategy("CollectiveBroadcast", "ring")
-def _ring_broadcast(devices: Sequence, nbytes_per_rank: Sequence[int],
-                    protocol: str) -> Iterator:
-    """Pipelined ring broadcast from ``devices[0]``.
+def _ring_broadcast(world: int, nbytes_per_rank: Sequence[int]) -> list[Round]:
+    """Pipelined ring broadcast from rank 0.
 
     The buffer is cut into ``W`` chunks which stream around the ring; link
-    ``j`` (hops from the root) is busy during steps ``j .. j + W - 1``, so
-    the whole broadcast takes ``2W - 2`` chunk steps — for large buffers
-    the time approaches one buffer traversal regardless of ``W``, instead
-    of the root serializing ``W - 1`` full sends.
+    ``j`` (hops from the root) carries chunk ``s - j`` in steps ``s = j ..
+    j + W - 1``, so the whole broadcast takes ``2W - 2`` chunk steps — for
+    large buffers the time approaches one buffer traversal regardless of
+    ``W``, instead of the root serializing ``W - 1`` full sends.
     """
-    world = len(devices)
     chunk = -(-nbytes_per_rank[0] // world)
-    for step in range(2 * world - 2):
-        yield _round(
-            devices,
-            [(hop, hop + 1, chunk) for hop in range(world - 1)
-             if hop <= step <= hop + world - 1],
-            protocol, "bcast",
-        )
+    return [
+        Round([(hop, hop + 1, step - hop, chunk) for hop in range(world - 1)
+               if hop <= step <= hop + world - 1])
+        for step in range(2 * world - 2)
+    ]

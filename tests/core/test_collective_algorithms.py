@@ -12,7 +12,7 @@ Contracts under test:
   (tree for latency-bound small buffers, ring at bandwidth scale) and
   the decision lands in ``RunMetadata.collective_algorithms``;
 * ``CollectiveReduceScatter`` lowers, times like its standalone
-  generator, and agrees with eager execution.
+  schedule, and agrees with eager execution.
 """
 
 import numpy as np
@@ -28,7 +28,6 @@ from repro.core.session import admin_rpc_time
 from repro.core.tensor import SymbolicValue
 from repro.errors import InvalidArgumentError
 from repro.runtime.collective import (
-    allreduce_time_lower_bound,
     get_strategy,
     registered_algorithms,
     run_collective,
@@ -144,12 +143,16 @@ class TestTreeTiming:
         tree = tree_time(8, 8 * MB)
         assert ring < tree
 
-    def test_tree_respects_lower_bound(self):
+    def test_tree_respects_lower_bound(self, wire_bound):
         for world, nbytes in ((4, MB), (8, 8 * MB)):
             env = Environment()
             machine = tegner(env, k420_nodes=world)
-            bound = allreduce_time_lower_bound(
-                nbytes, world, machine.fabric.effective_rate)
+            bound = wire_bound("CollectiveAllReduce", "tree", world,
+                               [nbytes] * world, machine.fabric.effective_rate)
+            # log2 W full-buffer rounds: more wire time than the ring's.
+            assert bound == pytest.approx(
+                (world.bit_length() - 1) * nbytes
+                / machine.fabric.effective_rate)
             assert tree_time(world, nbytes) >= bound
 
     def test_non_power_of_two_worlds_complete(self):
@@ -158,7 +161,7 @@ class TestTreeTiming:
 
     def test_graph_op_matches_standalone_tree_both_lanes(self):
         """The promotion contract extends to every algorithm: a lowered
-        tree allreduce charges the standalone tree generator's time."""
+        tree allreduce charges the standalone tree schedule's time."""
         world, nbytes = 4, 64 * 1024
         expected = tree_time(world, nbytes)
         for fast_path in (True, False):

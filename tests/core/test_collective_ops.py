@@ -3,7 +3,7 @@
 The promotion contract: ``CollectiveAllReduce`` (and friends) produce
 byte-identical values whether run through a raw Session, a traced
 ``@repro.function``, or eagerly — and under a Session the lowered ring
-legs charge exactly the standalone ring generator's simulated time.
+legs charge exactly the standalone ring schedule's simulated time.
 """
 
 import numpy as np
@@ -17,10 +17,7 @@ from repro.core.metadata import RunMetadata
 from repro.core.session import admin_rpc_time
 from repro.core.tensor import SymbolicValue
 from repro.errors import InvalidArgumentError
-from repro.runtime.collective import (
-    allreduce_time_lower_bound,
-    run_collective,
-)
+from repro.runtime.collective import run_collective
 from repro.simnet.events import Environment
 from repro.simnet.machines import tegner
 
@@ -154,7 +151,7 @@ class TestRingTiming:
 
     def test_graph_op_matches_standalone_ring(self):
         """The acceptance bar: the lowered op's simulated time is the
-        standalone generator's time, on both executor lanes."""
+        standalone schedule's time, on both executor lanes."""
         world, nbytes = 4, 16 * MB
         standalone = self._standalone_time(world, nbytes)
         assert self._graph_op_time(world, nbytes) == pytest.approx(
@@ -162,13 +159,13 @@ class TestRingTiming:
         assert self._graph_op_time(world, nbytes, fast_path=False) == \
             pytest.approx(standalone, rel=1e-9)
 
-    def test_graph_op_respects_lower_bound(self):
+    def test_graph_op_respects_lower_bound(self, wire_bound):
         world, nbytes = 4, 64 * MB
         elapsed = self._graph_op_time(world, nbytes)
         env = Environment()
         machine = tegner(env, k420_nodes=world)
-        bound = allreduce_time_lower_bound(
-            nbytes, world, machine.fabric.effective_rate)
+        bound = wire_bound("CollectiveAllReduce", "ring", world,
+                           [nbytes] * world, machine.fabric.effective_rate)
         assert bound <= elapsed < 4.0 * bound
 
 

@@ -1,25 +1,31 @@
-"""Collectives: one value function per op type, clock-only schedules.
+"""Collectives: one value function per op type, schedules as round lists.
 
-Everything here drives the single entry point
+Everything timed here drives the single entry point
 :func:`repro.runtime.collective.run_collective` — what the lowered graph
-op's rank rendezvous drives too.
+op's rank rendezvous drives too. The chunk proof replays every
+registered schedule's rounds over symbolic chunk ownership and checks
+that they compute their op.
 """
 
 import dataclasses
 import inspect
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import repro as tf
 from repro import eager
-from repro.core.tensor import SymbolicValue
+from repro.core.tensor import SymbolicValue, value_nbytes
 from repro.errors import InvalidArgumentError
 from repro.core.ops.collective_ops import COLLECTIVE_OP_TYPES
+from repro.runtime import collective
 from repro.runtime.collective import (
-    allreduce_time_lower_bound,
+    Round,
     get_strategy,
     registered_algorithms,
     run_collective,
+    select_algorithm,
 )
 from repro.simnet import transports
 from repro.simnet.events import AllOf, Environment
@@ -179,9 +185,10 @@ def test_entry_point_matches_kernel(op_type, algorithm):
 
 
 class TestTiming:
-    def test_time_tracks_ring_bound(self):
-        """Measured time stays within a small factor of the textbook lower
-        bound. The gap is structural: each node's HCA is modelled as one
+    def test_time_tracks_ring_bound(self, wire_bound):
+        """Measured time stays within a small factor of the wire-time
+        bound (for the ring, the textbook ``2 (W-1)/W * nbytes / rate``).
+        The gap is structural: each node's HCA is modelled as one
         fair-share pipe, so the simultaneous send+receive of every ring
         step halves the per-flow rate (2x), and the reduce-scatter adds
         charge host time on top."""
@@ -189,7 +196,8 @@ class TestTiming:
         nbytes = 64 * MB
         _, elapsed = run_allreduce(env, devices, payload(ALLREDUCE, 4, nbytes))
         link = devices[0].node.machine.fabric.effective_rate
-        bound = allreduce_time_lower_bound(nbytes, 4, link)
+        bound = wire_bound(ALLREDUCE, "ring", 4, [nbytes] * 4, link)
+        assert bound == pytest.approx(2.0 * 3 / 4 * nbytes / link)
         assert bound <= elapsed < 4.0 * bound
 
     def test_per_rank_bytes_independent_of_world_size(self):
@@ -231,11 +239,6 @@ class TestTiming:
         env2.run(until=env2.process(central()))
         central_time = env2.now
         assert ring_time < central_time / 2
-
-    def test_lower_bound_formula(self):
-        assert allreduce_time_lower_bound(100, 1, 10) == 0.0
-        assert allreduce_time_lower_bound(100, 2, 10) == pytest.approx(10.0)
-        assert allreduce_time_lower_bound(100, 4, 10) == pytest.approx(15.0)
 
     def test_slowest_rank_gates_reduce_scatter_adds(self):
         """Regression: the reduce-scatter add was charged at rank 0's
@@ -326,24 +329,174 @@ class TestBroadcast:
 
 
 class TestStrategyContract:
-    """A strategy is clock code: a generator over (devices, nbytes per
-    rank, protocol) that returns nothing and never sees a value."""
+    """A strategy is a pure function of (world, nbytes per rank) that
+    returns its rounds: it never sees a value, a device or a protocol."""
 
     @pytest.mark.parametrize("op_type,algorithm", STRATEGIES)
-    def test_generator_returning_none_silent_at_world_one(
-            self, op_type, algorithm):
+    def test_pure_round_list_in_range(self, op_type, algorithm):
         strategy = get_strategy(op_type, algorithm)
-        assert inspect.isgeneratorfunction(strategy)
         assert list(inspect.signature(strategy).parameters) == [
-            "devices", "nbytes_per_rank", "protocol"]
-        _, one = make_ring(1)
-        assert list(strategy(one, [4096], "rdma")) == []
-        env, devices = make_ring(3)
-        nbytes = [4096] if op_type == BROADCAST else [4096] * 3
-        returned = env.run(
-            until=env.process(strategy(devices, nbytes, "rdma")))
-        assert returned is None
-        assert env.now > 0
+            "world", "nbytes_per_rank"]
+        assert strategy(1, [4096]) == []
+        for world in range(2, 17):
+            # Uneven sizes: an allgather's blocks may differ per rank.
+            nbytes = [4096 + 8 * rank for rank in range(world)]
+            rounds = strategy(world, nbytes)
+            assert rounds and rounds == strategy(world, nbytes)
+            for round_ in rounds:
+                assert isinstance(round_, Round) and round_.sends
+                for src, dst, chunk, size in round_.sends:
+                    assert src != dst, (world, round_)
+                    assert 0 <= src < world and 0 <= dst < world
+                    assert 0 <= chunk < world and size >= 0
+
+
+@pytest.mark.parametrize("op_type,algorithm", STRATEGIES)
+@pytest.mark.parametrize("world", (2, 3, 4, 5, 8))
+def test_no_run_beats_the_wire_time_of_its_rounds(
+        op_type, algorithm, world, wire_bound):
+    for nbytes in (4096, 8 * MB):
+        env, devices = make_ring(world)
+        values = payload(op_type, world, nbytes)
+        _, elapsed = run(env, op_type, devices, values, algorithm)
+        bound = wire_bound(op_type, algorithm, world,
+                           [value_nbytes(v) for v in values],
+                           devices[0].node.machine.fabric.effective_rate)
+        assert 0 < bound <= elapsed, (nbytes, bound, elapsed)
+
+
+# ---------------------------------------------------------------------------
+# the chunk proof: a schedule's rounds compute its op
+# ---------------------------------------------------------------------------
+
+
+def replay(op_type, world, rounds):
+    """Symbolic chunk ownership after ``rounds``.
+
+    ``held[rank][chunk]`` is the multiset of ranks whose contribution
+    that rank's copy of the chunk holds. Sends read the state from before
+    their round; a receive adds (multiset sum) in a round with a local
+    step and replaces the chunk in a round without one.
+    """
+    if op_type in (REDUCE_SCATTER, ALLGATHER):
+        chunks = world  # one axis-0 block per rank
+    else:
+        chunks = 1 + max((send[2] for r in rounds for send in r.sends),
+                         default=0)
+
+    def initial(rank, chunk):
+        if op_type == ALLGATHER:
+            return Counter([rank] if chunk == rank else [])
+        if op_type == BROADCAST:
+            return Counter([0] if rank == 0 else [])
+        return Counter([rank])
+
+    held = [[initial(rank, chunk) for chunk in range(chunks)]
+            for rank in range(world)]
+    for round_ in rounds:
+        before = [row[:] for row in held]  # Counters are never mutated
+        for src, dst, chunk, _nbytes in round_.sends:
+            if round_.local_bytes is None:
+                held[dst][chunk] = before[src][chunk]
+            else:
+                held[dst][chunk] = held[dst][chunk] + before[src][chunk]
+    return held
+
+
+def prove(op_type, algorithm, world):
+    """Assert that the registered schedule computes ``op_type``:
+
+    * allreduce: every rank holds every chunk, each rank counted once
+    * reduce-scatter: rank ``r`` holds chunk ``r``'s full sum
+    * allgather: every rank holds every rank's block
+    * broadcast: every rank holds every chunk of the root's buffer
+    """
+    rounds = get_strategy(op_type, algorithm)(world, [4096] * world)
+    everyone = Counter(range(world))
+    for rank, chunks in enumerate(replay(op_type, world, rounds)):
+        for chunk, owners in enumerate(chunks):
+            if op_type == REDUCE_SCATTER and chunk != rank:
+                continue
+            want = {ALLGATHER: Counter([chunk]),
+                    BROADCAST: Counter([0])}.get(op_type, everyone)
+            assert owners == want, (world, rank, chunk, owners)
+
+
+@pytest.mark.parametrize("op_type,algorithm", STRATEGIES)
+def test_chunk_proof(op_type, algorithm):
+    for world in range(1, 17):
+        prove(op_type, algorithm, world)
+
+
+def test_chunk_proof_catches_a_dropped_send(monkeypatch):
+    ring = get_strategy(REDUCE_SCATTER, "ring")
+
+    def dropped(world, nbytes_per_rank):
+        rounds = ring(world, nbytes_per_rank)
+        rounds[1] = rounds[1]._replace(sends=rounds[1].sends[1:])
+        return rounds
+
+    monkeypatch.setitem(
+        collective._STRATEGIES, (REDUCE_SCATTER, "ring"), dropped)
+    with pytest.raises(AssertionError):
+        prove(REDUCE_SCATTER, "ring", 4)
+
+
+def test_chunk_proof_catches_a_double_count(monkeypatch):
+    tree = get_strategy(ALLREDUCE, "tree")
+
+    def doubled(world, nbytes_per_rank):
+        rounds = tree(world, nbytes_per_rank)
+        exchange = rounds[0]  # power-of-two world: no fold-in round
+        assert exchange.local_bytes is not None
+        rounds[0] = exchange._replace(
+            sends=exchange.sends + exchange.sends[:1])
+        return rounds
+
+    monkeypatch.setitem(collective._STRATEGIES, (ALLREDUCE, "tree"), doubled)
+    with pytest.raises(AssertionError):
+        prove(ALLREDUCE, "tree", 8)
+
+
+def _star_allreduce(world, nbytes_per_rank):
+    """Every rank sends its buffer to rank 0, which adds; rank 0 then
+    sends the sum back to every rank."""
+    if world < 2:
+        return []
+    nbytes = nbytes_per_rank[0]
+    return [
+        Round([(rank, 0, 0, nbytes) for rank in range(1, world)], nbytes),
+        Round([(0, rank, 0, nbytes) for rank in range(1, world)]),
+    ]
+
+
+def test_adding_a_schedule_is_one_function(monkeypatch):
+    """Registered and nothing else: the chunk proof, the driver, ``auto``
+    and the builders' ``algorithm=`` check all read the registry."""
+    monkeypatch.setitem(
+        collective._STRATEGIES, (ALLREDUCE, "star"), _star_allreduce)
+    for world in range(1, 17):
+        prove(ALLREDUCE, "star", world)
+
+    values = [np.arange(4.0) * (rank + 1) for rank in range(3)]
+    env, devices = make_ring(3)
+    results, elapsed = run(env, ALLREDUCE, devices, values, "star")
+    assert elapsed > 0
+    for got in results:
+        np.testing.assert_array_equal(got, np.arange(4.0) * 6)
+
+    # Priced off its rounds: two beat the tree's three on a latency-bound
+    # buffer; at bandwidth scale the ring's 1/W chunks still win.
+    assert select_algorithm(ALLREDUCE, 8, 8) == "star"
+    assert select_algorithm(ALLREDUCE, 8 * MB, 8) == "ring"
+
+    g = tf.Graph()
+    with g.as_default():
+        outs = tf.all_reduce([tf.constant(v) for v in values],
+                             algorithm="star")
+    with tf.Session(graph=g) as sess:
+        for got in sess.run(outs):
+            np.testing.assert_array_equal(got, np.arange(4.0) * 6)
 
 
 # float.hex of the standalone simulated time of every registered
