@@ -25,7 +25,7 @@ The checks only read; they never mutate the graph or the working set.
 from __future__ import annotations
 
 import weakref
-from typing import Any, Callable, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Union
 
 from repro.analysis.diagnostics import Report, Severity, register_rule
 from repro.core.graph import Graph, Operation
@@ -33,6 +33,9 @@ from repro.core.kernels.registry import op_def
 from repro.core.placement import DeviceSpec, Placer
 from repro.core.tensor import TensorShape
 from repro.errors import ReproError
+
+if TYPE_CHECKING:
+    from repro.core.optimizer.pipeline import Subgraph
 
 __all__ = ["verify_graph"]
 
@@ -82,6 +85,7 @@ def verify_graph(
     opt_pass: Optional[str] = None,
     context: str = "",
     cache: bool = False,
+    edited: Optional[Iterable[str]] = None,
 ) -> Report:
     """Statically verify a graph or an optimizer working set.
 
@@ -104,22 +108,27 @@ def verify_graph(
             memo — so the cache is sound unless the caller mutates
             existing operations in place (what the adversarial tests do;
             they verify with ``cache=False``, the default).
+        edited: working sets only. For a working set that verified clean
+            before, the names of the :class:`Subgraph` fields a pass has
+            edited since (``"ops"``, ``"value_subs"``, ``"control_subs"``,
+            ``"control_drops"``, ``"folded"``); a check that no edit of
+            those fields can fail is not repeated. Passes only *add*
+            rewrites and *remove* ops — the pipeline's contract — so a
+            fold adds no edge or substitution and a removal adds no edge.
+            ``None`` (the default) runs every check.
 
     Returns:
         A :class:`Report`; call ``raise_if_errors()`` to fail on findings.
     """
-    # Imported here: the optimizer pipeline imports this module's package
-    # lazily, and this module must not import the pipeline at load time.
-    from repro.core.optimizer.pipeline import Subgraph
-
-    if isinstance(target, Subgraph):
-        report = Report(context=context or "subgraph verification")
-        _verify_subgraph(target, report)
-    else:
+    if isinstance(target, Graph):
         report = Report(context=context or "graph verification")
         subset = list(ops) if ops is not None else target.operations
         _verify_ops(target, subset, placer, report,
                     whole_graph=ops is None, cache=cache)
+    else:
+        report = Report(context=context or "subgraph verification")
+        _verify_subgraph(target, report,
+                         None if edited is None else frozenset(edited))
     if opt_pass is not None:
         report.attribute(opt_pass)
     return report
@@ -128,22 +137,22 @@ def verify_graph(
 # ---------------------------------------------------------------------------
 # whole-graph / op-subset checks
 # ---------------------------------------------------------------------------
+#
+# Acyclicity is proved by order: ``create_op`` numbers ops in creation
+# order and an op's inputs and control inputs exist before it does, so in
+# a graph built through the public API every edge points at a lower
+# ``node_id``. When every edge of the subset does, ``node_id`` order is a
+# topological order and the subset is acyclic; only a graph whose edges
+# were rewired in place (a forward or self edge) pays for Kahn's
+# algorithm, which then names the ops that form the cycle.
 
-def _registered(graph: Graph, op: Operation) -> bool:
-    try:
-        return graph.get_operation_by_name(op.name) is op
-    except ReproError:
-        return False
-
-
-# graph -> [version, clean op names, whole-graph-acyclic flag]. Keyed
-# weakly so dropping a Graph drops its memo. Only consulted for
-# placer-less verification: per-op results depend on the cluster when a
-# placer resolves devices, and the memo does not key on it. ``clean``
-# holds ops whose per-op checks passed; the flag records that one Kahn
-# pass proved the *whole* graph acyclic at this version — graphs are
-# append-only through the public API, so the verdict covers every op
-# subset until ``create_op`` bumps the version.
+# graph -> (version, clean op names). Keyed weakly so dropping a Graph
+# drops its memo. Only consulted for placer-less verification: per-op
+# results depend on the cluster when a placer resolves devices, and the
+# memo does not key on it. ``clean`` holds ops whose per-op checks passed
+# and whose every edge points at a registered op with a lower ``node_id``;
+# graphs are append-only through the public API, so that holds until
+# ``create_op`` bumps the version.
 _CLEAN_OPS_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
@@ -155,45 +164,39 @@ def _verify_ops(
     whole_graph: bool,
     cache: bool = False,
 ) -> None:
-    entry: Optional[list] = None
     clean: Optional[set] = None
     if cache and placer is None:
         entry = _CLEAN_OPS_CACHE.get(graph)
         if entry is None or entry[0] != graph.version:
-            entry = [graph.version, set(), False]
+            entry = (graph.version, set())
             _CLEAN_OPS_CACHE[graph] = entry
         clean = entry[1]
+    in_order = True
     for op in ops:
         if clean is not None and op.name in clean:
             continue
         found_before = len(report.diagnostics)
-        _check_edges(graph, op, report)
+        backward = _check_edges(graph, op, report)
         _check_device(op, placer, report)
         _check_specs(op, report)
-        if clean is not None and len(report.diagnostics) == found_before:
+        in_order = in_order and backward
+        if (clean is not None and backward
+                and len(report.diagnostics) == found_before):
             clean.add(op.name)
-    if entry is not None and entry[2]:
-        pass  # a subset of a proven-acyclic graph is acyclic
-    elif entry is not None:
-        all_ops = graph.operations
-        scratch = Report(context="whole-graph cycle check")
-        _check_cycles(all_ops, {op.name for op in all_ops}, scratch)
-        if scratch.ok:
-            entry[2] = True
-        else:
-            # The cycle may live outside this subset: report only what
-            # the requested op set actually exhibits.
-            _check_cycles(ops, {op.name for op in ops}, report)
-    else:
-        _check_cycles(ops, {op.name for op in ops}, report)
+    if not in_order:
+        _check_cycles(ops, report)
     if whole_graph:
         _check_variable_initializers(ops, report)
 
 
-def _check_edges(graph: Graph, op: Operation, report: Report) -> None:
+def _check_edges(graph: Graph, op: Operation, report: Report) -> bool:
+    """Report dangling edges; True when every edge points at a registered
+    op with a lower ``node_id`` (the order proof's per-op condition)."""
+    backward = True
     for tensor in op.inputs:
         producer = tensor.op
-        if not _registered(graph, producer):
+        if not graph.contains(producer):
+            backward = False
             report.emit(
                 "graph/dangling-ref",
                 f"input {tensor.name!r} of {op.name!r} comes from an op the "
@@ -201,7 +204,10 @@ def _check_edges(graph: Graph, op: Operation, report: Report) -> None:
                 op=op.name,
                 hint="rebuild the edge from a live op of the same graph",
             )
-        elif tensor.value_index >= len(producer.outputs):
+            continue
+        if producer.node_id >= op.node_id:
+            backward = False
+        if tensor.value_index >= len(producer.outputs):
             report.emit(
                 "graph/dangling-ref",
                 f"input {tensor.name!r} of {op.name!r} indexes output "
@@ -210,13 +216,17 @@ def _check_edges(graph: Graph, op: Operation, report: Report) -> None:
                 op=op.name,
             )
     for dep in op.control_inputs:
-        if not _registered(graph, dep):
+        if not graph.contains(dep):
+            backward = False
             report.emit(
                 "graph/dangling-ref",
                 f"control input {dep.name!r} of {op.name!r} is not an op of "
                 f"this graph",
                 op=op.name,
             )
+        elif dep.node_id >= op.node_id:
+            backward = False
+    return backward
 
 
 def _check_device(op: Operation, placer: Optional[Placer],
@@ -252,15 +262,22 @@ def _check_specs(op: Operation, report: Report) -> None:
                  "application of this op type",
         )
         return
-    if len(inferred) != len(op.outputs):
+    outputs = op.outputs
+    if len(inferred) != len(outputs):
         report.emit(
             "graph/shape-dtype",
-            f"{op.name!r} records {len(op.outputs)} output(s); inference "
+            f"{op.name!r} records {len(outputs)} output(s); inference "
             f"derives {len(inferred)}",
             op=op.name,
         )
         return
-    for idx, ((dtype, shape), tensor) in enumerate(zip(inferred, op.outputs)):
+    for (dtype, shape), tensor in zip(inferred, outputs):
+        if (dtype is not tensor.dtype or shape is None
+                or tuple(shape) != tensor.shape.dims):
+            break
+    else:
+        return  # the common case: inference reproduces the record exactly
+    for idx, ((dtype, shape), tensor) in enumerate(zip(inferred, outputs)):
         if tensor.dtype != dtype:
             report.emit(
                 "graph/shape-dtype",
@@ -277,8 +294,9 @@ def _check_specs(op: Operation, report: Report) -> None:
             )
 
 
-def _check_cycles(ops: list[Operation], names: set, report: Report) -> None:
+def _check_cycles(ops: list[Operation], report: Report) -> None:
     """Kahn's topological sort over data + control edges within the set."""
+    names = {op.name for op in ops}
     indegree: dict[str, int] = {}
     dependents: dict[str, list[Operation]] = {}
     for op in ops:
@@ -345,11 +363,29 @@ def _check_variable_initializers(ops: list[Operation],
 # optimizer working-set (post-pass) checks
 # ---------------------------------------------------------------------------
 
-def _verify_subgraph(sg: Any, report: Report) -> None:
-    graph = sg.graph
-    # 1. Substitution chains must terminate: sg.resolve() follows
-    #    value_subs unboundedly, so a cycle here would hang the pipeline —
-    #    detect it with a visited set and bail out before using resolve().
+def _verify_subgraph(sg: Any, report: Report,
+                     edited: Optional[frozenset]) -> None:
+    if edited is None or "value_subs" in edited:
+        if not _check_substitutions(sg, report):
+            return  # resolution unsafe: skip the remaining checks
+    unordered = None
+    if edited is None or not edited <= {"folded"}:
+        unordered = _check_resolved_edges(sg, report)
+    if edited is None or "folded" in edited:
+        # Folded values still match the folded op's recorded output specs.
+        for name, values in sg.folded.items():
+            _check_folded_entry(sg.graph, name, values, report)
+    if unordered is not None:
+        # The rewritten edge relation stays acyclic.
+        _check_resolved_cycles(unordered, report)
+
+
+def _check_substitutions(sg: Any, report: Report) -> bool:
+    """Chains terminate and preserve type; False when resolving would
+    loop forever."""
+    # Substitution chains must terminate: sg.resolve() follows value_subs
+    # unboundedly, so a cycle here would hang the pipeline — detect it
+    # with a visited set and bail out before using resolve().
     for name in sg.value_subs:
         seen = {name}
         tensor = sg.value_subs[name]
@@ -363,15 +399,15 @@ def _verify_subgraph(sg: Any, report: Report) -> None:
                     hint="a rewrite substituted a tensor for (transitively) "
                          "itself",
                 )
-                return  # resolution unsafe: skip the remaining checks
+                return False
             seen.add(tensor.name)
             tensor = sg.value_subs[tensor.name]
 
-    # 2. Every substitution preserves dtype and a compatible shape.
+    # Every substitution preserves dtype and a compatible shape.
     resolve = _flat_resolver(sg)
     for name in sg.value_subs:
         try:
-            original = graph.get_tensor_by_name(name)
+            original = sg.graph.get_tensor_by_name(name)
         except ReproError:
             report.emit(
                 "graph/dangling-ref",
@@ -395,29 +431,42 @@ def _verify_subgraph(sg: Any, report: Report) -> None:
                 f"shape {original.shape} -> incompatible {replacement.shape}",
                 op=replacement.op.name,
             )
+    return True
 
-    # 3. Surviving ops only reference surviving ops, feeds, or folded
-    #    roots; fetches still resolve into the surviving set. One scan
-    #    builds the resolved dependency relation used by both the
-    #    dangling-ref check here and the cycle check below — this hook
-    #    runs after *every* pass, so the scan count matters.
-    surviving = {op.name for op in sg.ops}
-    indegree: dict[str, int] = {}
-    dependents: dict[str, list] = {}
+
+def _check_resolved_edges(sg: Any, report: Report
+                          ) -> Optional[list[tuple[str, list[str]]]]:
+    """Report dangling edges and dropped fetches; return the resolved
+    relation when ``node_id`` order does not prove it acyclic."""
+    # Surviving ops only reference surviving ops, feeds, or folded roots;
+    # fetches still resolve into the surviving set. One scan collects the
+    # resolved dependency relation used by both the dangling-ref check
+    # here and the cycle check below — this hook runs after every pass
+    # that rewrote something, so the scan count matters. Rewrites resolve
+    # to earlier ops (a CSE survivor, an identity's input, a spliced
+    # NoOp's own deps), so the relation normally runs backward in
+    # ``node_id`` order, which proves it acyclic (see the op-subset
+    # checks above).
+    resolve = _flat_resolver(sg)
+    feeds = sg.feeds
+    surviving = {op.name: op.node_id for op in sg.ops}
+    relation: list[tuple[str, list[str]]] = []
+    in_order = True
     for op in sg.ops:
-        deps: set[str] = set()
+        deps: list[str] = []
         # A folded root materializes pre-evaluated values: it has no
         # runtime inputs, and its constant subtree legitimately dies in
         # the dead-code sweep.
         inputs = () if op.name in sg.folded else op.inputs
         for tensor in inputs:
-            if tensor.name in sg.feeds:
+            if tensor.name in feeds:
                 continue
             resolved = resolve(tensor)
-            if resolved.name in sg.feeds:
+            if resolved is not tensor and resolved.name in feeds:
                 continue
             producer = resolved.op.name
-            if producer not in surviving:
+            position = surviving.get(producer)
+            if position is None:
                 report.emit(
                     "graph/dangling-ref",
                     f"input {tensor.name!r} of surviving op {op.name!r} "
@@ -426,22 +475,25 @@ def _verify_subgraph(sg: Any, report: Report) -> None:
                     op=op.name,
                     hint="the pass removed an op that still has consumers",
                 )
-            else:
-                deps.add(producer)
-        for dep in sg.effective_control_deps(op):
-            if dep.name not in surviving:
-                report.emit(
-                    "graph/dangling-ref",
-                    f"control dep {dep.name!r} of surviving op {op.name!r} "
-                    f"was dropped by the pipeline",
-                    op=op.name,
-                )
-            else:
-                deps.add(dep.name)
-        deps.discard(op.name)
-        indegree[op.name] = len(deps)
-        for dep in deps:
-            dependents.setdefault(dep, []).append(op.name)
+                continue
+            deps.append(producer)
+            if position >= op.node_id and producer != op.name:
+                in_order = False
+        if op.control_inputs:
+            for dep in sg.effective_control_deps(op):
+                position = surviving.get(dep.name)
+                if position is None:
+                    report.emit(
+                        "graph/dangling-ref",
+                        f"control dep {dep.name!r} of surviving op "
+                        f"{op.name!r} was dropped by the pipeline",
+                        op=op.name,
+                    )
+                    continue
+                deps.append(dep.name)
+                if position >= op.node_id and dep.name != op.name:
+                    in_order = False
+        relation.append((op.name, deps))
     for tensor in sg.fetch_tensors:
         if tensor.name in sg.feeds:
             continue
@@ -462,14 +514,9 @@ def _verify_subgraph(sg: Any, report: Report) -> None:
                 f"fetched operation {name!r} was dropped by the pipeline",
                 op=name,
             )
-
-    # 4. Folded values still match the folded op's recorded output specs.
-    for name, values in sg.folded.items():
-        _check_folded_entry(graph, name, values, report)
-
-    # 5. The rewritten edge relation stays acyclic (over the dependency
-    #    relation collected in the scan above).
-    _check_resolved_cycles(sg, indegree, dependents, report)
+    if in_order and len(surviving) == len(sg.ops):
+        return None
+    return relation
 
 
 def _check_folded_entry(graph: Any, name: str, values: Any,
@@ -492,7 +539,7 @@ def _check_folded_entry(graph: Any, name: str, values: Any,
         return
     for idx, (value, tensor) in enumerate(zip(values, op.outputs)):
         shape = getattr(value, "shape", None)
-        if shape is None:
+        if shape is None or shape == tensor.shape.dims:
             continue
         if not tensor.shape.is_compatible_with(TensorShape(shape)):
             report.emit(
@@ -532,9 +579,17 @@ def _flat_resolver(sg: Any) -> Callable[[Any], Any]:
     return resolve
 
 
-def _check_resolved_cycles(sg: Any, indegree: dict, dependents: dict,
+def _check_resolved_cycles(relation: list[tuple[str, list[str]]],
                            report: Report) -> None:
-    indegree = dict(indegree)
+    """Kahn's algorithm over the resolved relation (self-edges excluded)."""
+    indegree: dict[str, int] = {}
+    dependents: dict[str, list] = {}
+    for name, deps in relation:
+        unique = set(deps)
+        unique.discard(name)
+        indegree[name] = len(unique)
+        for dep in unique:
+            dependents.setdefault(dep, []).append(name)
     queue = [name for name, deg in indegree.items() if deg == 0]
     visited = 0
     while queue:
@@ -544,7 +599,7 @@ def _check_resolved_cycles(sg: Any, indegree: dict, dependents: dict,
             indegree[consumer] -= 1
             if indegree[consumer] == 0:
                 queue.append(consumer)
-    if visited == len(sg.ops):
+    if visited == len(relation):
         return
     stuck = sorted(name for name, deg in indegree.items() if deg > 0)
     report.emit(

@@ -30,7 +30,7 @@ The analysis is pure reading: it never mutates plan items.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict
 from typing import Any, Optional
 
 from repro.analysis.diagnostics import Report, Severity, register_rule
@@ -77,13 +77,14 @@ _ACCUMULATING_OP_TYPES = frozenset({"AssignAdd", "AssignSub"})
 def verify_plan(plan: Any, context: str = "") -> Report:
     """Statically verify one lowered execution plan."""
     report = Report(context=context or "plan verification")
-    if not _check_uid_index(plan, report):
+    by_kind = _index_items(plan, report)
+    if by_kind is None:
         return report  # every later check addresses items by uid
-    _check_send_recv(plan, report)
-    legs_by_op = _check_collective_worlds(plan, report)
+    _check_send_recv(plan, by_kind, report)
+    legs_by_op = _check_collective_worlds(by_kind, report)
     adjacency, indegree = _check_membership(plan, legs_by_op, report)
     _check_cycles(plan, legs_by_op, adjacency, indegree, report)
-    _check_variable_races(plan, adjacency, report)
+    _check_variable_races(by_kind, adjacency, report)
     return report
 
 
@@ -93,11 +94,15 @@ def verify_plan(plan: Any, context: str = "") -> Report:
 #
 # A run keeps one value slot and one dependency counter per item, indexed
 # by uid: an item numbered past the end is an IndexError mid-run, and two
-# items sharing a number silently share a slot.
+# items sharing a number silently share a slot. The same scan groups the
+# items by kind, so each later rule walks only the items it is about.
 
-def _check_uid_index(plan: Any, report: Report) -> bool:
+def _index_items(plan: Any, report: Report) -> Optional[dict[str, list]]:
+    """Items by kind, in uid order; ``None`` when an item is misnumbered."""
     ok = True
+    by_kind: dict[str, list] = defaultdict(list)
     for index, item in enumerate(plan.items):
+        by_kind[item.kind].append(item)
         if item.uid != index:
             ok = False
             report.emit(
@@ -111,7 +116,7 @@ def _check_uid_index(plan: Any, report: Report) -> bool:
                 hint="renumber after any rewrite that drops or adds items "
                      "(build_plan does, after transfer coalescing)",
             )
-    return ok
+    return by_kind if ok else None
 
 
 def _is_live(plan: Any, item: Any) -> bool:
@@ -124,13 +129,15 @@ def _is_live(plan: Any, item: Any) -> bool:
 # ---------------------------------------------------------------------------
 #
 # Dependency-graph nodes are item uids, plus one synthetic barrier node per
-# collective op. The executor's group rendezvous means *no* leg completes
-# before *every* leg has arrived — so each leg's dependencies feed the
-# barrier, and each leg depends on the barrier. A cycle through two
-# barriers is exactly "rank i issues A before B while rank j issues B
-# before A". Membership checking walks the same source/extra_deps edges,
-# so both structures come out of a single pass over the items: this runs
-# on every verified plan build, and the scan count is the cost.
+# collective op, numbered after the items (uids are dense, so both
+# structures are lists indexed by node). The executor's group rendezvous
+# means *no* leg completes before *every* leg has arrived — so each leg's
+# dependencies feed the barrier, and each leg depends on the barrier. A
+# cycle through two barriers is exactly "rank i issues A before B while
+# rank j issues B before A". Membership checking walks the same
+# source/extra_deps edges, so both structures come out of a single pass
+# over the items: this runs on every verified plan build, and the scan
+# count is the cost.
 
 def _outputs_of(item: Any) -> int:
     if item.kind == "op":
@@ -141,80 +148,83 @@ def _outputs_of(item: Any) -> int:
 
 
 def _check_membership(plan: Any, legs_by_op: dict,
-                      report: Report) -> tuple[dict, dict]:
+                      report: Report) -> tuple[list, list]:
     from repro.core.partition import FEED
 
-    barrier_of: dict[int, str] = {}
-    adjacency: dict[object, list] = {item.uid: [] for item in plan.items}
-    indegree: dict[object, int] = dict.fromkeys(adjacency, 0)
-    for name, legs in legs_by_op.items():
-        barrier = f"barrier:{name}"
-        adjacency[barrier] = []
-        indegree[barrier] = 0
+    items = plan.items
+    count = len(items)
+    nodes = count + len(legs_by_op)
+    adjacency: list[list[int]] = [[] for _ in range(nodes)]
+    indegree = [0] * nodes
+    outputs = [_outputs_of(item) for item in items]
+    barrier_of: dict[int, int] = {}
+    for barrier, legs in enumerate(legs_by_op.values(), start=count):
         for leg in legs:
             barrier_of[leg.uid] = barrier
+            adjacency[barrier].append(leg.uid)
+            indegree[leg.uid] += 1
 
-    def bad_ref(item: Any, producer: Any, out_idx: Optional[int]) -> bool:
-        if not _is_live(plan, producer):
-            report.emit(
-                "plan/dangling-item",
-                f"item #{item.uid} ({item.kind}) references item "
-                f"#{producer.uid}, which this plan does not contain",
-                item=item.uid,
-                op=item.op.name if item.op is not None else None,
-                device=item.device,
-                hint="a plan-level rewrite dropped an item without "
-                     "rewiring its consumers",
-            )
-            return True
-        if out_idx is not None and out_idx >= _outputs_of(producer):
-            report.emit(
-                "plan/dangling-item",
-                f"item #{item.uid} reads output {out_idx} of item "
-                f"#{producer.uid} ({producer.kind}), which has "
-                f"{_outputs_of(producer)} output(s)",
-                item=item.uid,
-                device=item.device,
-            )
-        return False  # producer is live: the ordering edge still holds
+    def dangling(item: Any, producer: Any) -> None:
+        report.emit(
+            "plan/dangling-item",
+            f"item #{item.uid} ({item.kind}) references item "
+            f"#{producer.uid}, which this plan does not contain",
+            item=item.uid,
+            op=item.op.name if item.op is not None else None,
+            device=item.device,
+            hint="a plan-level rewrite dropped an item without "
+                 "rewiring its consumers",
+        )
 
-    for item in plan.items:
+    for item in items:
         uid = item.uid
-        barrier = barrier_of.get(uid)
-        if barrier is None:
-            dst = uid
-        else:
-            dst = barrier
-            adjacency[barrier].append(uid)
-            indegree[uid] += 1
-        for source in item.sources:
-            producer = source[0]
-            if producer is not FEED and not bad_ref(item, producer, source[1]):
-                adjacency[producer.uid].append(dst)
-                indegree[dst] += 1
+        dst = barrier_of.get(uid, uid) if barrier_of else uid
+        edges = 0
+        for producer, out_idx in item.sources:
+            if producer is FEED:
+                continue
+            src = producer.uid
+            if not (0 <= src < count and items[src] is producer):
+                dangling(item, producer)
+                continue
+            if out_idx >= outputs[src]:
+                report.emit(
+                    "plan/dangling-item",
+                    f"item #{uid} reads output {out_idx} of item "
+                    f"#{src} ({producer.kind}), which has "
+                    f"{outputs[src]} output(s)",
+                    item=uid,
+                    device=item.device,
+                )
+            # The producer is live: the ordering edge still holds.
+            adjacency[src].append(dst)
+            edges += 1
         for dep in item.extra_deps:
-            if not bad_ref(item, dep, None):
-                adjacency[dep.uid].append(dst)
-                indegree[dst] += 1
+            src = dep.uid
+            if not (0 <= src < count and items[src] is dep):
+                dangling(item, dep)
+                continue
+            adjacency[src].append(dst)
+            edges += 1
+        indegree[dst] += edges
 
-    for source in plan.fetch_sources:
-        if source[0] is FEED:
+    for producer, out_idx in plan.fetch_sources:
+        if producer is FEED:
             continue
-        producer, out_idx = source
-        if not _is_live(plan, producer):
+        src = producer.uid
+        if not (0 <= src < count and items[src] is producer):
             report.emit(
                 "plan/dangling-item",
-                f"a fetch reads item #{producer.uid}, which this plan does "
-                f"not contain",
-                item=producer.uid,
+                f"a fetch reads item #{src}, which this plan does not "
+                f"contain",
+                item=src,
             )
-        elif out_idx >= _outputs_of(producer):
+        elif out_idx >= outputs[src]:
             report.emit(
                 "plan/dangling-item",
-                f"a fetch reads output {out_idx} of item #{producer.uid} "
-                f"({producer.kind}), which has {_outputs_of(producer)} "
-                f"output(s)",
-                item=producer.uid,
+                f"a fetch reads output {out_idx} of item #{src} "
+                f"({producer.kind}), which has {outputs[src]} output(s)",
+                item=src,
             )
     return adjacency, indegree
 
@@ -223,11 +233,10 @@ def _check_membership(plan: Any, legs_by_op: dict,
 # send/recv pairing
 # ---------------------------------------------------------------------------
 
-def _check_send_recv(plan: Any, report: Report) -> None:
+def _check_send_recv(plan: Any, by_kind: dict[str, list],
+                     report: Report) -> None:
     read: set[int] = set()  # uids of the sends some recv reads
-    for recv in plan.items:
-        if recv.kind != "recv":
-            continue
+    for recv in by_kind["recv"]:
         send = recv.sources[0][0] if len(recv.sources) == 1 else None
         if (
             getattr(send, "kind", None) == "send"
@@ -246,8 +255,8 @@ def _check_send_recv(plan: Any, report: Report) -> None:
             hint="restore the matching send, or drop the recv with "
                  "its consumers",
         )
-    for send in plan.items:
-        if send.kind == "send" and send.uid not in read:
+    for send in by_kind["send"]:
+        if send.uid not in read:
             report.emit(
                 "plan/unpaired-send",
                 f"send #{send.uid} of {send.tensor_name!r} from "
@@ -261,11 +270,11 @@ def _check_send_recv(plan: Any, report: Report) -> None:
 # collectives: world membership
 # ---------------------------------------------------------------------------
 
-def _check_collective_worlds(plan: Any, report: Report) -> dict[str, list]:
+def _check_collective_worlds(by_kind: dict[str, list],
+                             report: Report) -> dict[str, list]:
     legs_by_op: dict[str, list] = {}
-    for item in plan.items:
-        if item.kind == "collective":
-            legs_by_op.setdefault(item.op.name, []).append(item)
+    for item in by_kind["collective"]:
+        legs_by_op.setdefault(item.op.name, []).append(item)
     for name, legs in legs_by_op.items():
         world = legs[0].op.get_attr("world")
         ranks = sorted(leg.collective_rank for leg in legs)
@@ -302,24 +311,25 @@ def _check_collective_worlds(plan: Any, report: Report) -> dict[str, list]:
     return legs_by_op
 
 
-def _check_cycles(plan: Any, legs_by_op: dict, adjacency: dict,
-                  indegree: dict, report: Report) -> None:
-    remaining = dict(indegree)
-    queue = [node for node, deg in remaining.items() if deg == 0]
+def _check_cycles(plan: Any, legs_by_op: dict, adjacency: list,
+                  indegree: list, report: Report) -> None:
+    remaining = indegree  # counted down in place: built for this check
+    queue = [node for node, deg in enumerate(remaining) if deg == 0]
     visited = 0
     while queue:
         node = queue.pop()
         visited += 1
-        for consumer in adjacency.get(node, ()):
+        for consumer in adjacency[node]:
             remaining[consumer] -= 1
             if remaining[consumer] == 0:
                 queue.append(consumer)
     if visited == len(remaining):
         return
-    stuck = {node for node, deg in remaining.items() if deg > 0}
-    stuck_barriers = sorted(
-        node[len("barrier:"):] for node in stuck if isinstance(node, str)
-    )
+    count = len(plan.items)
+    names = list(legs_by_op)
+    stuck = {node for node, deg in enumerate(remaining) if deg > 0}
+    stuck_barriers = sorted(names[node - count] for node in stuck
+                            if node >= count)
     if len(stuck_barriers) >= 2:
         involved = []
         for name in stuck_barriers:
@@ -345,7 +355,7 @@ def _check_cycles(plan: Any, legs_by_op: dict, adjacency: dict,
                  "order; reorder the per-rank dependencies",
         )
         return
-    stuck_items = sorted(node for node in stuck if not isinstance(node, str))
+    stuck_items = sorted(node for node in stuck if node < count)
     labels = []
     for uid in stuck_items[:8]:
         item = plan.items[uid]
@@ -369,7 +379,7 @@ def _check_cycles(plan: Any, legs_by_op: dict, adjacency: dict,
 # variable races
 # ---------------------------------------------------------------------------
 
-def _check_variable_races(plan: Any, adjacency: dict,
+def _check_variable_races(by_kind: dict[str, list], adjacency: list,
                           report: Report) -> None:
     from repro.core.partition import _job_task_of
 
@@ -377,9 +387,7 @@ def _check_variable_races(plan: Any, adjacency: dict,
     # manager of the task owning the executing device, so same-named
     # accesses on different tasks touch different storage.
     groups: dict[tuple, list] = {}
-    for item in plan.items:
-        if item.kind != "op":
-            continue
+    for item in by_kind["op"]:
         op_type = item.op.type
         if op_type == "VariableV2":
             var_name = item.op.name
@@ -439,19 +447,22 @@ def _check_variable_races(plan: Any, adjacency: dict,
                 )
 
 
-def _pairwise_order(adjacency: dict, uids: list) -> set:
+def _pairwise_order(adjacency: list, uids: list) -> set:
     """All (a, b) pairs where b is reachable from a, within ``uids``."""
     targets = set(uids)
     ordered: set = set()
     for start in uids:
+        # A search stops once it has reached every other target.
+        missing = len(targets) - 1
         seen = {start}
-        frontier = deque(adjacency.get(start, ()))
-        while frontier:
-            node = frontier.popleft()
+        stack = list(adjacency[start])
+        while stack and missing:
+            node = stack.pop()
             if node in seen:
                 continue
             seen.add(node)
             if node in targets:
                 ordered.add((start, node))
-            frontier.extend(adjacency.get(node, ()))
+                missing -= 1
+            stack.extend(adjacency[node])
     return ordered

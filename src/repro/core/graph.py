@@ -278,6 +278,11 @@ class Graph:
         except KeyError:
             raise NotFoundError(f"No operation named {name!r} in graph") from None
 
+    def contains(self, op: Operation) -> bool:
+        """Whether ``op`` is the operation this graph registers under its
+        name (not a dropped op or one of another graph)."""
+        return self._nodes.get(op.name) is op
+
     def get_tensor_by_name(self, name: str) -> Tensor:
         if ":" not in name:
             raise InvalidArgumentError(

@@ -134,23 +134,22 @@ def _sweep_unreachable(sg: Subgraph) -> PassStats:
     )
 
 
+_EDITABLE = ("ops", "value_subs", "control_subs", "control_drops", "folded")
+
+
 def _rewrite_fingerprint(sg: Subgraph) -> tuple:
-    """Sizes of every structure a pass can edit.
+    """Sizes of every structure a pass can edit, in ``_EDITABLE`` order.
 
     Passes only ever *add* substitutions/drops/folds and *remove* ops, so
     equal sizes before and after a pass mean the pass rewrote nothing —
     and re-verifying an unchanged working set cannot find anything new.
+    A size that moved names a structure the pass edited.
     """
-    return (
-        len(sg.ops),
-        len(sg.value_subs),
-        len(sg.control_subs),
-        len(sg.control_drops),
-        len(sg.folded),
-    )
+    return tuple(len(getattr(sg, name)) for name in _EDITABLE)
 
 
-def _verify_last_pass(sg: Subgraph, stats: list[PassStats]) -> None:
+def _verify_last_pass(sg: Subgraph, stats: list[PassStats],
+                      edited: set) -> None:
     """Re-verify the working set after the pass that produced ``stats[-1]``.
 
     Violations are attributed to that pass: the finding's ``opt_pass``
@@ -158,13 +157,15 @@ def _verify_last_pass(sg: Subgraph, stats: list[PassStats]) -> None:
     buggy rewrite is caught at the exact pipeline stage that broke the
     graph rather than at plan-build (or worse, execution) time. This is
     :func:`repro.analysis.verify_graph` over the whole working set — the
-    same rules, in the same code, that the verifier's own tests drive.
+    same rules, in the same code, that the verifier's own tests drive;
+    ``edited`` names the structures the pass changed, so checks that
+    none of those edits can fail are not repeated.
     """
     from repro.analysis import verify_graph
 
     pass_name = stats[-1].name
     report = verify_graph(
-        sg, opt_pass=pass_name,
+        sg, opt_pass=pass_name, edited=edited,
         context=f"after optimizer pass {pass_name!r}",
     )
     stats[-1].detail["verified"] = report.ok
@@ -218,8 +219,10 @@ def run_pipeline(
                 # still holds.
                 stats[-1].detail["verified"] = True
             else:
+                edited = {name for name, old, new
+                          in zip(_EDITABLE, fingerprint, after) if old != new}
                 fingerprint = after
-                _verify_last_pass(sg, stats)
+                _verify_last_pass(sg, stats, edited)
 
     for optimizer_pass in (
         dead_code.collapse_identities,

@@ -12,7 +12,7 @@ Implements TF's placement rules the paper describes in Section II:
 
 from __future__ import annotations
 
-import re
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,59 +21,56 @@ from repro.errors import InvalidArgumentError, NotFoundError
 
 __all__ = ["DeviceSpec", "Placer", "canonical_device"]
 
-_PART_RE = re.compile(r"^(job|replica|task|device|cpu|gpu)(?::(.*))?$", re.IGNORECASE)
 
-
-@dataclass
+@dataclass(frozen=True)
 class DeviceSpec:
-    """A parsed, possibly partial device string."""
+    """A parsed, possibly partial device string (immutable: one parse of
+    a string is shared by every caller)."""
 
     job: Optional[str] = None
     task: Optional[int] = None
     device_type: Optional[str] = None  # "cpu" | "gpu"
     device_index: Optional[int] = None
 
-    @classmethod
-    def parse(cls, spec: str) -> "DeviceSpec":
-        """Parse strings like ``/job:ps/task:0/device:GPU:1`` or ``/gpu:0``."""
-        result = cls()
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def parse(spec: str) -> "DeviceSpec":
+        """Parse strings like ``/job:ps/task:0/device:GPU:1`` or ``/gpu:0``.
+
+        Memoized per string: the placer and the graph verifier both ask
+        for every op's device, and a program names few distinct ones.
+        """
         if not spec:
-            return result
+            return DeviceSpec()
+        fields: dict = {}
         for part in spec.strip("/").split("/"):
             if not part:
                 continue
             lowered = part.lower()
             if lowered.startswith("job:"):
-                result.job = part[4:]
+                fields["job"] = part[4:]
             elif lowered.startswith("replica:"):
                 continue  # accepted and ignored (always replica 0)
             elif lowered.startswith("task:"):
-                result.task = _int_field(part[5:], spec)
+                fields["task"] = _int_field(part[5:], spec)
             elif lowered.startswith("device:"):
                 rest = part[7:]
                 if ":" in rest:
                     dtype, _, idx = rest.partition(":")
-                    result.device_type = _dtype_field(dtype, spec)
-                    result.device_index = _int_field(idx, spec) if idx != "*" else None
+                    fields["device_type"] = _dtype_field(dtype, spec)
+                    fields["device_index"] = (
+                        _int_field(idx, spec) if idx != "*" else None
+                    )
                 else:
-                    result.device_type = _dtype_field(rest, spec)
+                    fields["device_type"] = _dtype_field(rest, spec)
             elif lowered.startswith("cpu") or lowered.startswith("gpu"):
                 dtype, _, idx = part.partition(":")
-                result.device_type = _dtype_field(dtype, spec)
+                fields["device_type"] = _dtype_field(dtype, spec)
                 if idx:
-                    result.device_index = _int_field(idx, spec)
+                    fields["device_index"] = _int_field(idx, spec)
             else:
                 raise InvalidArgumentError(f"Cannot parse device part {part!r} in {spec!r}")
-        return result
-
-    def merge_defaults(self, other: "DeviceSpec") -> "DeviceSpec":
-        """Fill unset fields from ``other``."""
-        return DeviceSpec(
-            job=self.job if self.job is not None else other.job,
-            task=self.task if self.task is not None else other.task,
-            device_type=self.device_type if self.device_type is not None else other.device_type,
-            device_index=self.device_index if self.device_index is not None else other.device_index,
-        )
+        return DeviceSpec(**fields)
 
     def to_string(self) -> str:
         parts = []
@@ -146,49 +143,43 @@ class Placer:
         collective op, whose legs land on many devices while the op
         itself carries a single placement.
         """
-        requested = DeviceSpec.parse(device_str)
-        spec = requested.merge_defaults(
-            DeviceSpec(job=self.default_job, task=self.default_task)
-        )
-        key = (spec.job, spec.task)
-        if key not in self.task_devices:
+        requested = DeviceSpec.parse(device_str)  # shared: read, never mutated
+        job = self.default_job if requested.job is None else requested.job
+        task = self.default_task if requested.task is None else requested.task
+        if (job, task) not in self.task_devices:
             raise NotFoundError(
-                f"Op {name!r} requests unknown task /job:{spec.job}/task:{spec.task}"
+                f"Op {name!r} requests unknown task /job:{job}/task:{task}"
             )
-        available = self.task_devices[key]
+        available = self.task_devices[(job, task)]
         supported = op_def(op_type).devices
+        fallback = (
+            "gpu" if "gpu" in supported and available.get("gpu", 0) > 0
+            else "cpu"
+        )
 
-        if spec.device_type is None:
+        device_type = requested.device_type
+        index = requested.device_index or 0
+        if device_type is None:
             # Simple placement: prefer the first GPU when the kernel
             # supports it and the task has one.
-            if "gpu" in supported and available.get("gpu", 0) > 0:
-                spec.device_type, spec.device_index = "gpu", 0
-            else:
-                spec.device_type, spec.device_index = "cpu", 0
+            device_type, index = fallback, 0
         else:
-            spec.device_index = spec.device_index or 0
             problem = None
-            if spec.device_type not in supported:
+            if device_type not in supported:
+                problem = f"op type {op_type} has no {device_type} kernel"
+            elif available.get(device_type, 0) <= index:
                 problem = (
-                    f"op type {op_type} has no {spec.device_type} kernel"
-                )
-            elif available.get(spec.device_type, 0) <= spec.device_index:
-                problem = (
-                    f"task has {available.get(spec.device_type, 0)} "
-                    f"{spec.device_type} device(s); index {spec.device_index} "
-                    f"does not exist"
+                    f"task has {available.get(device_type, 0)} "
+                    f"{device_type} device(s); index {index} does not exist"
                 )
             if problem is not None:
                 if not self.allow_soft:
                     raise InvalidArgumentError(
                         f"Cannot place op {name!r} on "
-                        f"{spec.to_string()!r}: {problem} "
-                        f"(allow_soft_placement=False)"
+                        f"{canonical_device(job, task, device_type, index)!r}"
+                        f": {problem} (allow_soft_placement=False)"
                     )
                 # Soft placement: fall back to a supported device,
                 # preferring the GPU when possible.
-                if "gpu" in supported and available.get("gpu", 0) > 0:
-                    spec.device_type, spec.device_index = "gpu", 0
-                else:
-                    spec.device_type, spec.device_index = "cpu", 0
-        return canonical_device(spec.job, spec.task, spec.device_type, spec.device_index)
+                device_type, index = fallback, 0
+        return canonical_device(job, task, device_type, index)

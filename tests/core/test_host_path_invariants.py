@@ -43,6 +43,7 @@ from repro.core.kernels.registry import (
 )
 from repro.core.ops.data_ops import Dataset
 from repro.core.optimizer.pipeline import Subgraph
+from repro.core.placement import DeviceSpec
 from repro.core.tensor import SymbolicValue
 from repro.figures.fig7_stream import run_fig7
 from repro.simnet.cpu import CPUDevice
@@ -393,10 +394,14 @@ class TestPlanMissCounts:
     One ``build_plan`` of a 20-op program — two eight-``matmul`` chains,
     one per worker GPU (worker 1's built first), joined on worker 0 behind
     one ``control_dependencies`` edge — lowers to 25 items on 3 devices.
-    On this PR's parent ``build_plan`` parsed a device string **25** times
-    (once per item); now once per device. ``effective_control_deps`` read
-    ``control_drops`` once per call on every op; now it reads neither
-    rewrite map for an op that has no control input."""
+    ``build_plan`` once parsed a device string **25** times (once per
+    item); now once per device. ``DeviceSpec.parse`` is memoized per
+    string, so the placer and the graph verifier share one parse (the
+    session verifies its plans here) and a second plan over the same
+    graph parses nothing.
+    ``effective_control_deps`` read ``control_drops`` once per call on
+    every op; now it reads neither rewrite map for an op that has no
+    control input."""
 
     @staticmethod
     def _program():
@@ -416,7 +421,7 @@ class TestPlanMissCounts:
                     out = tf.reduce_sum(chains[1], name="out")
                 total = tf.add(out, tf.reduce_sum(chains[0]), name="total")
         sess = tf.Session(handle.server("worker", 0), graph=g,
-                          config=tf.SessionConfig(verify_plans=False))
+                          config=tf.SessionConfig(verify_plans=True))
         return g, sess, total, {x: np.ones((16, 16), np.float32)}
 
     def test_a_device_string_is_parsed_once_per_device(self, monkeypatch):
@@ -429,10 +434,17 @@ class TestPlanMissCounts:
             return original(device)
 
         monkeypatch.setattr(partition_module, "_job_task_of", counted)
+        DeviceSpec.parse.cache_clear()
         plan = sess._prepare_run(total, feed).plan
         monkeypatch.undo()
         assert len(g.operations) == 20 and len(plan.items) == 25
         assert parsed == list(plan.per_device) and len(parsed) == 3
+        # The pruned ops name two device strings (the fed ``x`` is cut
+        # away), and the placer and the verifier share one parse of each.
+        assert DeviceSpec.parse.cache_info().misses == 2
+        second = sess._prepare_run(g.get_tensor_by_name("out:0"), feed)
+        assert not second.plan_cache_hit
+        assert DeviceSpec.parse.cache_info().misses == 2
         gpu0, gpu1, cpu0 = (task_device("worker", 0, "gpu", 0),
                             task_device("worker", 1, "gpu", 0),
                             task_device("worker", 0, "cpu", 0))

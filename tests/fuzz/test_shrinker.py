@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 import repro.core.session as session_module
+from repro import analysis
 from repro.core.kernels.registry import get_kernel, override_kernel
 from repro.fuzz.generator import Instr, Program, generate
 from repro.fuzz.harness import BASELINE, Cell, has_divergence, run_program
 from repro.fuzz.shrinker import shrink
 
 EAGER = Cell(frontend="eager")
+VERIFY = Cell(frontend="session", fast_path=True, optimize=True, verify=True)
 
 
 def _buggy_eager_mul(original):
@@ -211,6 +213,38 @@ def test_static_spec_divergence_shrinks_and_its_script_fails(
     capsys.readouterr()
     _exec_script(script, tmp_path)
     assert capsys.readouterr().out.startswith("OK")
+
+
+def _rejecting_mul(verify_graph):
+    """A verifier with one planted false positive: any graph with a Mul."""
+
+    def planted(target, **kwargs):
+        report = verify_graph(target, **kwargs)
+        for op in kwargs.get("ops") or ():
+            if op.type == "Mul":
+                report.emit("graph/cycle", "planted: a Mul op", op=op.name)
+        return report
+
+    return planted
+
+
+def test_verifier_false_positive_is_named_and_shrinks_to_the_mul(
+        monkeypatch):
+    # Only the verify cell verifies: every other cell runs the program
+    # cleanly, so the rejection is a verifier false positive.
+    program = _padded_mul_program()
+    monkeypatch.setattr(analysis, "verify_graph",
+                        _rejecting_mul(analysis.verify_graph))
+    report = run_program(program)
+    assert [(d.kind, d.cell) for d in report.divergences] == [
+        ("verifier", VERIFY)]
+    assert "planted: a Mul op" in report.divergences[0].detail
+    result = shrink(program, VERIFY)
+    assert result.ops <= 5 and result.ops < result.original_ops
+    assert any(ins.op_type == "Mul" for ins in result.program.instrs)
+    assert has_divergence(result.program, VERIFY)
+    monkeypatch.undo()
+    assert not has_divergence(result.program, VERIFY)
 
 
 def _seed_638_shape() -> Program:
