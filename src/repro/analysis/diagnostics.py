@@ -32,6 +32,7 @@ __all__ = [
     "register_rule",
     "get_rule",
     "rule_catalog",
+    "unsorted_nodes",
 ]
 
 
@@ -227,3 +228,24 @@ class Report:
             "warnings": len(self.warnings),
             "diagnostics": [d.to_dict() for d in self.diagnostics],
         }
+
+
+def unsorted_nodes(preds: dict) -> list:
+    """Kahn's algorithm over ``preds`` (node -> the nodes it waits on, each
+    a key of ``preds``): the nodes a topological sort cannot clear — every
+    node on a cycle and every node downstream of one — in ``preds`` order.
+    Empty when the relation is acyclic. The verifiers call it only when
+    their order proof fails, to name the cycle."""
+    remaining: dict = {}
+    dependents: dict = {}
+    for node, deps in preds.items():
+        remaining[node] = len(deps)
+        for dep in deps:
+            dependents.setdefault(dep, []).append(node)
+    queue = [node for node, count in remaining.items() if not count]
+    while queue:
+        for consumer in dependents.get(queue.pop(), ()):
+            remaining[consumer] -= 1
+            if not remaining[consumer]:
+                queue.append(consumer)
+    return [node for node, count in remaining.items() if count]

@@ -27,7 +27,12 @@ from __future__ import annotations
 import weakref
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Union
 
-from repro.analysis.diagnostics import Report, Severity, register_rule
+from repro.analysis.diagnostics import (
+    Report,
+    Severity,
+    register_rule,
+    unsorted_nodes,
+)
 from repro.core.graph import Graph, Operation
 from repro.core.kernels.registry import op_def
 from repro.core.placement import DeviceSpec, Placer
@@ -104,9 +109,10 @@ def verify_graph(
             an unchanged graph (the session hot path: a new plan for new
             fetches over the same graph) only checks ops not seen clean
             before. Graphs are append-only through the public API — each
-            ``create_op`` bumps ``graph.version``, which invalidates the
-            memo — so the cache is sound unless the caller mutates
-            existing operations in place (what the adversarial tests do;
+            ``create_op`` and each ``Tensor.set_shape`` refinement bumps
+            ``graph.version``, which invalidates the memo — so the cache
+            is sound unless the caller mutates existing operations in
+            place (what the adversarial tests do;
             they verify with ``cache=False``, the default).
         edited: working sets only. For a working set that verified clean
             before, the names of the :class:`Subgraph` fields a pass has
@@ -152,7 +158,7 @@ def verify_graph(
 # memo does not key on it. ``clean`` holds ops whose per-op checks passed
 # and whose every edge points at a registered op with a lower ``node_id``;
 # graphs are append-only through the public API, so that holds until
-# ``create_op`` bumps the version.
+# ``create_op`` (or a ``Tensor.set_shape`` refinement) bumps the version.
 _CLEAN_OPS_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
@@ -297,29 +303,12 @@ def _check_specs(op: Operation, report: Report) -> None:
 def _check_cycles(ops: list[Operation], report: Report) -> None:
     """Kahn's topological sort over data + control edges within the set."""
     names = {op.name for op in ops}
-    indegree: dict[str, int] = {}
-    dependents: dict[str, list[Operation]] = {}
-    for op in ops:
-        count = 0
-        seen: set[str] = set()
-        for dep in _op_deps(op):
-            if dep.name in names and dep.name not in seen:
-                seen.add(dep.name)
-                count += 1
-                dependents.setdefault(dep.name, []).append(op)
-        indegree[op.name] = count
-    queue = [op for op in ops if indegree[op.name] == 0]
-    visited = 0
-    while queue:
-        op = queue.pop()
-        visited += 1
-        for consumer in dependents.get(op.name, ()):
-            indegree[consumer.name] -= 1
-            if indegree[consumer.name] == 0:
-                queue.append(consumer)
-    if visited == len(ops):
+    stuck = sorted(unsorted_nodes({
+        op.name: {dep.name for dep in _op_deps(op) if dep.name in names}
+        for op in ops
+    }))
+    if not stuck:
         return
-    stuck = sorted(name for name, deg in indegree.items() if deg > 0)
     report.emit(
         "graph/cycle",
         f"{len(stuck)} op(s) form at least one data/control cycle: "
@@ -582,26 +571,11 @@ def _flat_resolver(sg: Any) -> Callable[[Any], Any]:
 def _check_resolved_cycles(relation: list[tuple[str, list[str]]],
                            report: Report) -> None:
     """Kahn's algorithm over the resolved relation (self-edges excluded)."""
-    indegree: dict[str, int] = {}
-    dependents: dict[str, list] = {}
-    for name, deps in relation:
-        unique = set(deps)
-        unique.discard(name)
-        indegree[name] = len(unique)
-        for dep in unique:
-            dependents.setdefault(dep, []).append(name)
-    queue = [name for name, deg in indegree.items() if deg == 0]
-    visited = 0
-    while queue:
-        name = queue.pop()
-        visited += 1
-        for consumer in dependents.get(name, ()):
-            indegree[consumer] -= 1
-            if indegree[consumer] == 0:
-                queue.append(consumer)
-    if visited == len(relation):
+    stuck = sorted(unsorted_nodes(
+        {name: set(deps) - {name} for name, deps in relation}
+    ))
+    if not stuck:
         return
-    stuck = sorted(name for name, deg in indegree.items() if deg > 0)
     report.emit(
         "graph/cycle",
         f"optimizer rewrites created a cycle through "

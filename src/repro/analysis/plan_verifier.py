@@ -33,7 +33,12 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Any, Optional
 
-from repro.analysis.diagnostics import Report, Severity, register_rule
+from repro.analysis.diagnostics import (
+    Report,
+    Severity,
+    register_rule,
+    unsorted_nodes,
+)
 
 __all__ = ["verify_plan"]
 
@@ -82,9 +87,10 @@ def verify_plan(plan: Any, context: str = "") -> Report:
         return report  # every later check addresses items by uid
     _check_send_recv(plan, by_kind, report)
     legs_by_op = _check_collective_worlds(by_kind, report)
-    adjacency, indegree = _check_membership(plan, legs_by_op, report)
-    _check_cycles(plan, legs_by_op, adjacency, indegree, report)
-    _check_variable_races(by_kind, adjacency, report)
+    in_order = _check_membership(plan, legs_by_op, report)
+    if not in_order:
+        _check_cycles(plan, legs_by_op, report)
+    _check_variable_races(plan, by_kind, legs_by_op, in_order, report)
     return report
 
 
@@ -113,8 +119,8 @@ def _index_items(plan: Any, report: Report) -> Optional[dict[str, list]]:
                 item=item.uid,
                 op=item.op.name if item.op is not None else None,
                 device=item.device,
-                hint="renumber after any rewrite that drops or adds items "
-                     "(build_plan does, after transfer coalescing)",
+                hint="number each item once, by its position, as "
+                     "build_plan's new_item does",
             )
     return by_kind if ok else None
 
@@ -125,19 +131,23 @@ def _is_live(plan: Any, item: Any) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# membership + the dependency graph (one scan builds both)
+# membership + the order proof (one scan)
 # ---------------------------------------------------------------------------
 #
-# Dependency-graph nodes are item uids, plus one synthetic barrier node per
-# collective op, numbered after the items (uids are dense, so both
-# structures are lists indexed by node). The executor's group rendezvous
-# means *no* leg completes before *every* leg has arrived — so each leg's
-# dependencies feed the barrier, and each leg depends on the barrier. A
-# cycle through two barriers is exactly "rank i issues A before B while
-# rank j issues B before A". Membership checking walks the same
-# source/extra_deps edges, so both structures come out of a single pass
-# over the items: this runs on every verified plan build, and the scan
-# count is the cost.
+# The executor's group rendezvous means *no* leg of a collective completes
+# before *every* leg has arrived: each op has one barrier that every leg's
+# dependencies feed and every leg waits on. A cycle through two barriers
+# is exactly "rank i issues A before B while rank j issues B before A".
+#
+# Acyclicity is proved by order: ``build_plan`` numbers an item after
+# everything it reads, and routes every leg's inputs before it numbers a
+# leg. Place each barrier just before its op's first leg; when every
+# source and ordering edge then points at a lower position, uid order is
+# a topological order and no cycle exists. The membership check walks
+# the same edges, so both come out of one scan over the items: this runs
+# on every verified plan build, and the scan count is the cost. Only a
+# plan with a forward edge pays for Kahn's algorithm (``_check_cycles``),
+# which names the cycle or the deadlocked collectives.
 
 def _outputs_of(item: Any) -> int:
     if item.kind == "op":
@@ -147,22 +157,18 @@ def _outputs_of(item: Any) -> int:
     return 1  # send, recv, collective: one output slot
 
 
-def _check_membership(plan: Any, legs_by_op: dict,
-                      report: Report) -> tuple[list, list]:
+def _check_membership(plan: Any, legs_by_op: dict, report: Report) -> bool:
+    """Report dangling references; True when every edge points backward."""
     from repro.core.partition import FEED
 
     items = plan.items
     count = len(items)
-    nodes = count + len(legs_by_op)
-    adjacency: list[list[int]] = [[] for _ in range(nodes)]
-    indegree = [0] * nodes
     outputs = [_outputs_of(item) for item in items]
-    barrier_of: dict[int, int] = {}
-    for barrier, legs in enumerate(legs_by_op.values(), start=count):
-        for leg in legs:
-            barrier_of[leg.uid] = barrier
-            adjacency[barrier].append(leg.uid)
-            indegree[leg.uid] += 1
+    # A leg's edges feed its op's barrier, which sits just before the
+    # op's first leg (``legs_by_op`` lists legs in uid order).
+    barrier_at = {leg.uid: legs[0].uid
+                  for legs in legs_by_op.values() for leg in legs}
+    in_order = True
 
     def dangling(item: Any, producer: Any) -> None:
         report.emit(
@@ -178,8 +184,7 @@ def _check_membership(plan: Any, legs_by_op: dict,
 
     for item in items:
         uid = item.uid
-        dst = barrier_of.get(uid, uid) if barrier_of else uid
-        edges = 0
+        position = barrier_at.get(uid, uid) if barrier_at else uid
         for producer, out_idx in item.sources:
             if producer is FEED:
                 continue
@@ -197,16 +202,14 @@ def _check_membership(plan: Any, legs_by_op: dict,
                     device=item.device,
                 )
             # The producer is live: the ordering edge still holds.
-            adjacency[src].append(dst)
-            edges += 1
+            if src >= position:
+                in_order = False
         for dep in item.extra_deps:
             src = dep.uid
             if not (0 <= src < count and items[src] is dep):
                 dangling(item, dep)
-                continue
-            adjacency[src].append(dst)
-            edges += 1
-        indegree[dst] += edges
+            elif src >= position:
+                in_order = False
 
     for producer, out_idx in plan.fetch_sources:
         if producer is FEED:
@@ -226,7 +229,15 @@ def _check_membership(plan: Any, legs_by_op: dict,
                 f"({producer.kind}), which has {outputs[src]} output(s)",
                 item=src,
             )
-    return adjacency, indegree
+    return in_order
+
+
+def _live_inputs(plan: Any, item: Any) -> list:
+    """Uids of the live items ``item`` reads or is ordered after."""
+    inputs = [producer for producer, _ in item.sources
+              if not isinstance(producer, str)]  # str: the FEED sentinel
+    inputs += item.extra_deps
+    return [p.uid for p in inputs if _is_live(plan, p)]
 
 
 # ---------------------------------------------------------------------------
@@ -311,23 +322,23 @@ def _check_collective_worlds(by_kind: dict[str, list],
     return legs_by_op
 
 
-def _check_cycles(plan: Any, legs_by_op: dict, adjacency: list,
-                  indegree: list, report: Report) -> None:
-    remaining = indegree  # counted down in place: built for this check
-    queue = [node for node, deg in enumerate(remaining) if deg == 0]
-    visited = 0
-    while queue:
-        node = queue.pop()
-        visited += 1
-        for consumer in adjacency[node]:
-            remaining[consumer] -= 1
-            if remaining[consumer] == 0:
-                queue.append(consumer)
-    if visited == len(remaining):
-        return
+def _check_cycles(plan: Any, legs_by_op: dict, report: Report) -> None:
+    """Kahn's algorithm over the items plus one barrier node per
+    collective op (numbered after the items)."""
     count = len(plan.items)
+    preds: dict[int, list] = {}
+    for barrier, legs in enumerate(legs_by_op.values(), start=count):
+        preds[barrier] = []
+        for leg in legs:
+            preds[barrier] += _live_inputs(plan, leg)
+            preds[leg.uid] = [barrier]
+    for item in plan.items:
+        if item.uid not in preds:
+            preds[item.uid] = _live_inputs(plan, item)
+    stuck = set(unsorted_nodes(preds))
+    if not stuck:
+        return
     names = list(legs_by_op)
-    stuck = {node for node, deg in enumerate(remaining) if deg > 0}
     stuck_barriers = sorted(names[node - count] for node in stuck
                             if node >= count)
     if len(stuck_barriers) >= 2:
@@ -379,7 +390,8 @@ def _check_cycles(plan: Any, legs_by_op: dict, adjacency: list,
 # variable races
 # ---------------------------------------------------------------------------
 
-def _check_variable_races(by_kind: dict[str, list], adjacency: list,
+def _check_variable_races(plan: Any, by_kind: dict[str, list],
+                          legs_by_op: dict, in_order: bool,
                           report: Report) -> None:
     from repro.core.partition import _job_task_of
 
@@ -407,7 +419,8 @@ def _check_variable_races(by_kind: dict[str, list], adjacency: list,
         writers = [a for a in accessors if a.op.type in _WRITER_OP_TYPES]
         if not writers or len(accessors) < 2:
             continue
-        ordered = _pairwise_order(adjacency, [a.uid for a in accessors])
+        ordered = _pairwise_order(plan, legs_by_op,
+                                  [a.uid for a in accessors], in_order)
         for i, first in enumerate(accessors):
             for second in accessors[i + 1:]:
                 if first.op.type not in _WRITER_OP_TYPES and \
@@ -447,22 +460,34 @@ def _check_variable_races(by_kind: dict[str, list], adjacency: list,
                 )
 
 
-def _pairwise_order(adjacency: list, uids: list) -> set:
-    """All (a, b) pairs where b is reachable from a, within ``uids``."""
+def _pairwise_order(plan: Any, legs_by_op: dict, uids: list,
+                    in_order: bool) -> set:
+    """All (a, b) pairs where b is reachable from a, within ``uids``.
+
+    Searches backward from each b over sources and ordering deps; a leg
+    waits on its op's barrier, so its predecessors are those of every leg
+    of its op. In a plan in dependency order every predecessor has a lower
+    uid: a search stops below the lowest of ``uids``, and once it has met
+    every lower one.
+    """
+    groups = {leg.uid: legs for legs in legs_by_op.values() for leg in legs}
+    floor = min(uids) if in_order else 0
     targets = set(uids)
     ordered: set = set()
-    for start in uids:
-        # A search stops once it has reached every other target.
-        missing = len(targets) - 1
-        seen = {start}
-        stack = list(adjacency[start])
+    for end in uids:
+        missing = (sum(1 for uid in uids if uid < end) if in_order
+                   else len(uids) - 1)
+        seen = {end}
+        stack = [end]
         while stack and missing:
             node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            if node in targets:
-                ordered.add((start, node))
-                missing -= 1
-            stack.extend(adjacency[node])
+            for member in groups.get(node, (plan.items[node],)):
+                for uid in _live_inputs(plan, member):
+                    if uid < floor or uid in seen:
+                        continue
+                    seen.add(uid)
+                    if uid in targets:
+                        ordered.add((uid, end))
+                        missing -= 1
+                    stack.append(uid)
     return ordered

@@ -116,8 +116,9 @@ class Graph:
         self._finalized = False
         self._next_id = 0
         self.seed = seed
-        # Monotonic version, bumped on each added op; lets sessions detect
-        # graph growth between runs.
+        # Monotonic version, bumped on each added op and each
+        # ``Tensor.set_shape`` refinement; lets sessions detect graph
+        # changes between runs.
         self.version = 0
 
     # -- default-graph management -------------------------------------------

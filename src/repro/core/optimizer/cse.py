@@ -4,7 +4,7 @@ Two pure ops are merged when they agree on ``(type, resolved inputs,
 attrs, requested device)`` and their static output specs match. Attribute
 freezing is exact: constant payloads compare by dtype/shape/bytes, so two
 separately-built but identical ``Const`` ops merge too (which in turn lets
-the partitioner's per-tensor transfer cache coalesce their sends).
+the partitioner's transfer cache share one send per destination).
 """
 
 from __future__ import annotations

@@ -9,13 +9,15 @@ Given fetches and feeds, the partitioner:
    collapsing, CSE, constant folding, redundant-dependency pruning;
 3. assigns every surviving op a fully-qualified device via the
    :class:`~repro.core.placement.Placer` (constant-folded roots become
-   zero-cost ``const`` items on their placed device);
+   zero-cost ``const`` items on their placed device, and equal
+   constants on one device become one item);
 4. splits the ops by device and replaces every cross-device edge (data
    *and* control) with an explicit ``_Send``/``_Recv`` item pair, the
    recv reading its send's output slot — TF's distributed-execution
    mechanism, and the place where all network traffic in the paper's
-   benchmarks originates — then coalesces duplicate transfers left after
-   placement;
+   benchmarks originates. One pair carries a value to every consumer on
+   the destination device. Each item is numbered after everything it
+   reads, so uid order is a dependency order;
 5. routes fetched tensors to the client device and precomputes the
    dependency graph (counts + dependents) the executor's
    dependency-counting dispatcher consumes.
@@ -26,9 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
+import numpy as np
 
 from repro.core.graph import Graph, Operation
 from repro.core.kernels.registry import Price, static_price
+from repro.core.metadata import PassStats
 from repro.core.ops.collective_ops import COLLECTIVE_OP_TYPES
 from repro.core.placement import Placer
 from repro.core.tensor import Tensor
@@ -169,8 +173,9 @@ def build_plan(
             task))``). A priced op item carries the seconds its device
             charges (``Item.seconds``), read off the table once here.
         optimize: run the Grappler-style pass pipeline over the pruned
-            set and coalesce duplicate constants/transfers afterwards;
-            ``False`` (the default) builds the plan with no rewriting.
+            set, and merge equal constants on one device (with their
+            transfers) while lowering; ``False`` (the default) builds
+            the plan with no rewriting.
         symbolic: whether the session executes shape-only (constant folding
             evaluates with the same flag so folded values match execution).
         verify: run the static analysis layer (:mod:`repro.analysis`):
@@ -244,6 +249,9 @@ def build_plan(
     placements = {op.name: placer.place(op) for op in ordered}
 
     # ---- 4. items + send/recv insertion ------------------------------------
+    # ``new_item`` numbers an item once, after routing everything it reads:
+    # every source and ordering edge points at a lower uid, so uid order is
+    # a dependency order (``verify_plan`` proves acyclicity by it).
     items: list[Item] = []
     op_items: dict[str, Item] = {}
     # Collective op name -> its per-rank legs (lowering replaces the one
@@ -252,11 +260,20 @@ def build_plan(
     collective_legs: dict[str, list[Item]] = {}
     # Collective op name -> resolved algorithm (lowering's "auto" picks).
     collective_algorithms: dict[str, str] = {}
-    # (tensor name, dst device) -> recv Item  (dedupe: one transfer feeds
-    # every consumer of the tensor on that device).
-    recv_cache: dict[tuple[str, str], Item] = {}
-    # (producer op name, dst device) -> recv-of-control Item.
-    ctrl_cache: dict[tuple[str, str], Item] = {}
+    # (producer uid, output index, dst device) -> recv Item: one transfer
+    # feeds every consumer of the value on that device, whichever tensor
+    # name (or merged constant) reaches it.
+    recv_cache: dict[tuple[int, int, str], Item] = {}
+    # (producer uid, dst device) -> recv-of-control Item.
+    ctrl_cache: dict[tuple[int, str], Item] = {}
+    # Optimized plans merge equal constants on one device (built under
+    # different partial device scopes, which CSE's requested-device key
+    # cannot merge): (device, value fingerprint) -> the kept const item.
+    const_by_value: dict[tuple, Item] = {}
+    merged_consts = 0
+    # Every (tensor name or ^label, dst device) routed across devices: the
+    # ones beyond one per transfer share a merged constant's transfer.
+    named_routes: set[tuple[str, str]] = set()
 
     def new_item(**kwargs) -> Item:
         item = Item(uid=len(items), **kwargs)
@@ -280,7 +297,8 @@ def build_plan(
         producer, out_index = producer_of(tensor)
         if producer.device == dst_device:
             return (producer, out_index)
-        cache_key = (tensor.name, dst_device)
+        named_routes.add((tensor.name, dst_device))
+        cache_key = (producer.uid, out_index, dst_device)
         if cache_key not in recv_cache:
             send = new_item(
                 kind="send",
@@ -301,7 +319,8 @@ def build_plan(
                             dst_device: str) -> Item:
         if producer.device == dst_device:
             return producer
-        cache_key = (label, dst_device)
+        named_routes.add((f"^{label}", dst_device))
+        cache_key = (producer.uid, dst_device)
         if cache_key not in ctrl_cache:
             send = new_item(
                 kind="send",
@@ -336,8 +355,34 @@ def build_plan(
     def control_deps_of(op: Operation, device: str) -> list[Item]:
         deps: list[Item] = []
         for dep in control_inputs_of(op):
-            deps.extend(route_control(dep, device))
+            for item in route_control(dep, device):
+                # Merged constants can share one ordering edge.
+                if all(item is not seen for seen in deps):
+                    deps.append(item)
         return deps
+
+    def const_item(op: Operation, device: str, values: list,
+                   deps: list[Item]) -> Item:
+        """A const item for ``op``, or the equal one already on ``device``.
+
+        A constant ordered after other work keeps its own schedule slot,
+        and symbolic values are never merged (spec equality is not value
+        equality).
+        """
+        nonlocal merged_consts
+        key: Optional[tuple] = None
+        if not deps and all(isinstance(v, np.ndarray) for v in values):
+            key = (device, tuple((v.dtype.str, v.shape, v.tobytes())
+                                 for v in values))
+            kept = const_by_value.get(key)
+            if kept is not None:
+                merged_consts += 1
+                return kept
+        item = new_item(kind="const", device=device, op=op,
+                        const_values=values, extra_deps=deps)
+        if key is not None:
+            const_by_value[key] = item
+        return item
 
     def static_payload_nbytes(op: Operation) -> Optional[int]:
         """Static per-rank buffer bytes of a collective, if known."""
@@ -346,15 +391,42 @@ def build_plan(
                 return tensor.shape.num_elements() * tensor.dtype.size
         return None
 
+    def leg_device(op: Operation, rank: int, devices_attr) -> str:
+        """Rank ``rank``'s device: explicit ``devices`` attr first, else
+        colocated with the rank input's producer."""
+        if devices_attr is not None:
+            return placer.resolve_device(
+                devices_attr[rank], op.type, name=f"{op.name}[{rank}]"
+            )
+        input_t = (
+            op.inputs[0] if op.type == "CollectiveBroadcast"
+            else op.inputs[rank]
+        )
+        resolved = resolve(input_t)
+        upstream = collective_legs.get(resolved.op.name)
+        if upstream is not None:
+            # Chained collectives: colocate with the upstream *leg* that
+            # produces this rank's input (the op's nominal placement is a
+            # single device and would collapse every leg onto it).
+            return upstream[resolved.value_index].device
+        if resolved.name not in feeds and resolved.op.name in placements:
+            return placements[resolved.op.name]
+        # Fed input: its producer was pruned — honour the placeholder's
+        # requested device string instead.
+        return placer.resolve_device(
+            resolved.op.device, op.type, name=f"{op.name}[{rank}]"
+        )
+
     def lower_collective(op: Operation) -> None:
         """Expand a collective op into one schedule leg per rank.
 
-        Each leg lands on its rank's device — explicit ``devices`` attr
-        first, else colocated with the rank input's producer — takes only
+        Each leg lands on its rank's device (``leg_device``), takes only
         its *own* rank's input through ``route_value`` (the collective
         traffic itself is charged by the executor's shared schedule,
         never by per-input send/recv fan-in), and produces output index
-        ``rank`` of the op as its single output slot. The op's
+        ``rank`` of the op as its single output slot. Every leg's inputs
+        are routed before any leg is numbered, so the group's legs are
+        consecutive and follow everything any of them reads. The op's
         ``algorithm`` attr is resolved here: ``"auto"`` picks the
         schedule per static payload size and world size
         (:func:`repro.runtime.collective.select_algorithm` — tree for
@@ -387,86 +459,51 @@ def build_plan(
                 f"inputs give every leg a producer to colocate with. "
                 f"(Eager execution accepts a bare world=: no placement.)"
             )
-        legs = []
-        for rank in range(world):
-            input_t = (
-                op.inputs[0] if op.type == "CollectiveBroadcast"
-                else op.inputs[rank]
-            )
-            if devices_attr is not None:
-                dev = placer.resolve_device(
-                    devices_attr[rank], op.type, name=f"{op.name}[{rank}]"
-                )
+        devs = [leg_device(op, rank, devices_attr) for rank in range(world)]
+        routed: list[tuple[list, list[Item]]] = []
+        for rank, dev in enumerate(devs):
+            if op.type != "CollectiveBroadcast":
+                sources = [route_value(op.inputs[rank], dev)]
+            elif rank == 0:
+                sources = [route_value(op.inputs[0], dev)]
             else:
-                resolved = resolve(input_t)
-                upstream = collective_legs.get(resolved.op.name)
-                if upstream is not None:
-                    # Chained collectives: colocate with the upstream
-                    # *leg* that produces this rank's input (the op's
-                    # nominal placement is a single device and would
-                    # collapse every leg onto it).
-                    dev = upstream[resolved.value_index].device
-                elif (
-                    resolved.name not in feeds
-                    and resolved.op.name in placements
-                ):
-                    dev = placements[resolved.op.name]
-                else:
-                    # Fed input: its producer was pruned — honour the
-                    # placeholder's requested device string instead.
-                    dev = placer.resolve_device(
-                        resolved.op.device, op.type, name=f"{op.name}[{rank}]"
-                    )
-            leg = new_item(kind="collective", device=dev, op=op)
-            leg.collective_rank = rank
-            leg.collective_algorithm = algorithm
-            legs.append(leg)
-        collective_legs[op.name] = legs
-        for rank, leg in enumerate(legs):
-            if op.type == "CollectiveBroadcast":
                 # Only the root holds the payload; the other legs receive
                 # it through the ring schedule, not through route_value.
-                leg.sources = (
-                    [route_value(op.inputs[0], leg.device)] if rank == 0 else []
-                )
-            else:
-                leg.sources = [route_value(op.inputs[rank], leg.device)]
-            leg.extra_deps = control_deps_of(op, leg.device)
+                sources = []
+            routed.append((sources, control_deps_of(op, dev)))
+        collective_legs[op.name] = [
+            new_item(kind="collective", device=dev, op=op, sources=sources,
+                     extra_deps=deps, collective_rank=rank,
+                     collective_algorithm=algorithm)
+            for rank, (dev, (sources, deps)) in enumerate(zip(devs, routed))
+        ]
 
     folded = opt.folded if opt is not None else {}
     for op in ordered:
         device = placements[op.name]
         if op.type in COLLECTIVE_OP_TYPES:
             lower_collective(op)
-            continue
-        if op.name in folded:
+        elif op.name in folded:
             # Constant-folded root: materializes pre-evaluated outputs on
             # its device at zero simulated cost; no runtime inputs.
-            item = new_item(
-                kind="const", device=device, op=op,
-                const_values=folded[op.name],
-            )
-            op_items[op.name] = item
-            continue
-        if opt is not None and op.type == "Const":
+            op_items[op.name] = const_item(op, device, folded[op.name], [])
+        elif opt is not None and op.type == "Const":
             # Plain constants need no kernel dispatch either; as const
-            # items they become coalescable and complete inline.
-            item = new_item(
-                kind="const", device=device, op=op,
-                const_values=[op.get_attr("value")],
+            # items they merge with equal ones and complete inline.
+            deps = control_deps_of(op, device)
+            op_items[op.name] = const_item(
+                op, device, [op.get_attr("value")], deps
             )
+        else:
+            sources = [route_value(t, device) for t in op.inputs]
+            item = new_item(kind="op", device=device, op=op, sources=sources,
+                            extra_deps=control_deps_of(op, device),
+                            double_precision=_is_double_precision(op),
+                            price=static_price(op))
+            if item.price is not None:
+                item.seconds = cost_seconds(devices[device][1], item,
+                                            item.price[1])
             op_items[op.name] = item
-            item.extra_deps = control_deps_of(op, device)
-            continue
-        item = new_item(kind="op", device=device, op=op)
-        item.double_precision = _is_double_precision(op)
-        item.price = static_price(op)
-        if item.price is not None:
-            item.seconds = cost_seconds(devices[device][1], item,
-                                        item.price[1])
-        op_items[op.name] = item
-        item.sources = [route_value(t, device) for t in op.inputs]
-        item.extra_deps = control_deps_of(op, device)
 
     # ---- 5. fetch routing ---------------------------------------------------
     fetch_sources = []
@@ -476,17 +513,17 @@ def build_plan(
             continue
         fetch_sources.append(route_value(tensor, client_device))
 
-    # ---- 6. transfer coalescing ---------------------------------------------
     if opt is not None:
-        from repro.core.optimizer.coalescing import coalesce_transfers
-
-        items, fetch_sources, coalesce_stats = coalesce_transfers(
-            items, fetch_sources
-        )
-        pass_stats.append(coalesce_stats)
-        # Dense again after the merge: a run indexes its slots by uid.
-        for uid, item in enumerate(items):
-            item.uid = uid
+        # What the merges saved: each merged constant one item, each
+        # shared transfer a send/recv pair.
+        shared = len(named_routes) - len(recv_cache) - len(ctrl_cache)
+        pass_stats.append(PassStats(
+            name="transfer_coalescing",
+            nodes_before=len(items) + merged_consts + 2 * shared,
+            nodes_after=len(items),
+            detail={"constants_merged": merged_consts,
+                    "transfers_merged": shared} if merged_consts else {},
+        ))
 
     # ---- output slots and their consumer counts (memory refcounting) ------
     consumer_counts: list[int] = []

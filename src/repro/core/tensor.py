@@ -213,8 +213,15 @@ class Tensor:
         return self.op.device
 
     def set_shape(self, shape) -> None:
-        """Refine the static shape with caller-supplied information."""
-        self._shape = self._shape.merge_with(as_shape(shape))
+        """Refine the static shape with caller-supplied information.
+
+        A change bumps ``graph.version``, like a new op: cached plans and
+        the verifier's memo of clean ops were built on the old shape.
+        """
+        merged = self._shape.merge_with(as_shape(shape))
+        if merged != self._shape:
+            self._shape = merged
+            self.op.graph.version += 1
 
     def consumers(self) -> list:
         """Operations that take this tensor as a data input."""

@@ -166,6 +166,50 @@ class TestShapeDtype:
         assert "graph/shape-dtype" in rules_of(report)
 
 
+class TestSetShapeInvalidatesMemo:
+    """``Tensor.set_shape`` changes what an op's shape function sees, so
+    it bumps ``graph.version`` like a new op does."""
+
+    def _graph(self):
+        g = tf.Graph()
+        with g.as_default():
+            x = tf.placeholder(tf.float32, [None, None], name="x")
+            y = tf.matmul(x, tf.ones((5, 6)), name="y")
+        return g, x, y
+
+    def test_refinement_is_seen_by_the_cached_verifier(self):
+        g, x, _ = self._graph()
+        assert verify_graph(g, ops=g.operations, cache=True).ok
+        version = g.version
+        x.set_shape([3, 4])  # inner dimension 4 vs the constant's 5
+        assert g.version == version + 1
+        for cache in (True, False):
+            report = verify_graph(g, ops=g.operations, cache=cache)
+            assert "graph/shape-dtype" in rules_of(report)
+
+    def test_a_no_op_refinement_keeps_the_version(self):
+        g, x, _ = self._graph()
+        x.set_shape([3, 5])
+        version = g.version
+        x.set_shape([None, 5])
+        x.set_shape([3, 5])
+        assert g.version == version
+
+    def test_verifying_session_rejects_its_next_plan(self):
+        from repro.errors import VerificationError
+
+        g, x, y = self._graph()
+        config = tf.SessionConfig(verify_plans=True)
+        with tf.Session(graph=g, config=config) as sess:
+            out = sess.run(y, feed_dict={x: np.ones((3, 5), np.float32)})
+            assert out.shape == (3, 6)
+            x.set_shape([3, 4])
+            # A cached plan would run the MatMul and fail in its kernel;
+            # a new plan is verified first.
+            with pytest.raises(VerificationError, match="graph/shape-dtype"):
+                sess.run(y, feed_dict={x: np.ones((3, 4), np.float32)})
+
+
 class TestSubgraphChecks:
     """Post-pass working-set invariants (what the pipeline hook runs)."""
 

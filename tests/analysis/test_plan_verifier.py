@@ -395,3 +395,157 @@ class TestVerifiedPlanMetadata:
                    for line in report_file.read_text().splitlines()]
         assert len(records) == 1
         assert records[0]["errors"] == 0 and records[0]["items"] >= 1
+
+
+def forward_edges(plan):
+    """Source, control and barrier edges that do not point at a lower uid.
+
+    A collective's barrier sits just before its op's first leg: every
+    leg's producers must precede that leg.
+    """
+    from repro.core.partition import FEED
+
+    first_leg = {}
+    for item in plan.items:
+        if item.kind == "collective":
+            first_leg.setdefault(item.op.name, item.uid)
+    found = []
+    for item in plan.items:
+        producers = [p for p, _ in item.sources if p is not FEED]
+        producers += item.extra_deps
+        barrier = (first_leg[item.op.name] if item.kind == "collective"
+                   else item.uid)
+        found += [(p.uid, item.uid) for p in producers
+                  if p.uid >= item.uid or p.uid >= barrier]
+    return found
+
+
+def _ordered_programs():
+    import json
+    from pathlib import Path
+
+    from repro.fuzz.generator import GeneratorOptions
+
+    corpus = Path(__file__).resolve().parents[2] / "corpus" / "seeds.json"
+    for record in json.loads(corpus.read_text(encoding="utf-8")):
+        yield record["seed"], GeneratorOptions(
+            max_ops=record["ops"],
+            collectives=record.get("collectives", True),
+            gradients=record.get("gradients", True),
+            max_world=record["max_world"],
+        )
+    for seed in range(201):
+        yield seed, GeneratorOptions()
+
+
+class TestDependencyOrder:
+    """build_plan numbers every item after everything it reads, so
+    verify_plan proves acyclicity by order and runs Kahn's algorithm only
+    on a plan with a forward edge."""
+
+    def test_built_plans_are_in_dependency_order(self):
+        from repro.fuzz.generator import generate
+
+        plans = 0
+        for seed, options in _ordered_programs():
+            program = generate(seed, options)
+            for optimize in (False, True):
+                g = tf.Graph()
+                with g.as_default():
+                    built = program.materialize()
+                config = tf.SessionConfig(num_gpus=program.gpus,
+                                          graph_optimization=optimize)
+                with np.errstate(all="ignore"), \
+                        tf.Session(graph=g, config=config) as sess:
+                    sess.run(built.fetch_tensors, feed_dict=dict(built.feeds))
+                    for plan in sess._plan_cache.values():
+                        assert forward_edges(plan) == [], (seed, optimize)
+                        plans += 1
+        assert plans >= 2 * 201
+
+    @staticmethod
+    def _reversed(plan):
+        """The same plan numbered backwards: every edge points forward."""
+        plan.items.reverse()
+        for uid, item in enumerate(plan.items):
+            item.uid = uid
+        assert forward_edges(plan)
+        return plan
+
+    def _ordered_writes_plan(self):
+        g = tf.Graph()
+        with g.as_default():
+            v = tf.Variable(tf.constant([1.0]), name="v")
+            a = tf.assign(v, tf.constant([2.0]), name="w1")
+            with g.device("/device:gpu:1"), g.control_dependencies([a.op]):
+                b = tf.assign(v, tf.constant([3.0]), name="w2")
+        return plan_for(g, fetch_ops=[a.op, b.op])
+
+    def test_forward_edges_without_a_cycle_verify_clean(self):
+        plan = self._reversed(self._ordered_writes_plan())
+        report = verify_plan(plan)
+        assert report.ok and len(report) == 0
+        collective = self._reversed(
+            TestCollectives()._two_collective_plan()
+        )
+        assert verify_plan(collective).ok
+
+    def test_races_are_still_found_out_of_order(self):
+        plan = self._reversed(TestVariableRaces()._racy_plan())
+        assert rules_of(verify_plan(plan)) == ["plan/variable-race"]
+
+    def test_forward_edge_closing_a_cycle_is_named(self):
+        g = tf.Graph()
+        with g.as_default():
+            a = tf.constant([1.0], name="a")
+            with g.device("/device:gpu:1"):
+                b = tf.identity(a, name="b")
+            c = tf.identity(b, name="c")
+        plan = plan_for(g, fetch_tensors=[c])
+        items = {i.op.name: i for i in plan.items if i.kind == "op"}
+        items["a"].extra_deps = [items["c"]]
+        report = verify_plan(plan)
+        assert rules_of(report) == ["plan/cycle"]
+        message = report.errors[0].message
+        for name in ("a", "b", "c", "a:0"):
+            assert f"({name})" in message
+
+    def test_crossed_collectives_reach_the_fallback(self, monkeypatch):
+        from repro.analysis import plan_verifier
+
+        calls = []
+        kahn = plan_verifier.unsorted_nodes
+        monkeypatch.setattr(plan_verifier, "unsorted_nodes",
+                            lambda preds: calls.append(1) or kahn(preds))
+        plan = TestCollectives()._two_collective_plan()
+        assert verify_plan(plan).ok and not calls
+        legs1 = [i for i in plan.items
+                 if i.kind == "collective" and i.op.name == "ar1"]
+        legs2 = [i for i in plan.items
+                 if i.kind == "collective" and i.op.name == "ar2"]
+        legs1[0].extra_deps = list(legs1[0].extra_deps) + [legs2[0]]
+        assert "plan/collective-order" in rules_of(verify_plan(plan))
+        assert calls == [1]
+
+    def test_ordered_plans_never_run_kahn(self, monkeypatch):
+        from repro.analysis import plan_verifier
+
+        def refuse(preds):
+            raise AssertionError("Kahn's algorithm ran on an ordered plan")
+
+        monkeypatch.setattr(plan_verifier, "unsorted_nodes", refuse)
+        assert verify_plan(self._ordered_writes_plan()).ok
+        assert verify_plan(TestCollectives()._two_collective_plan()).ok
+        racy = verify_plan(TestVariableRaces()._racy_plan())
+        assert rules_of(racy) == ["plan/variable-race"]
+        for optimize in (False, True):
+            g = tf.Graph()
+            with g.as_default():
+                vals = []
+                for rank, dev in enumerate(GPUS):
+                    with g.device(dev):
+                        vals.append(tf.constant([float(rank)] * 4))
+                reduced = collective_ops.all_reduce(vals, devices=GPUS)
+                out = tf.add(reduced[0], reduced[1])
+            plan = plan_for(g, fetch_tensors=[out], optimize=optimize)
+            assert verify_plan(plan).ok

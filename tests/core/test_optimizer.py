@@ -291,20 +291,38 @@ class TestDependencyPruning:
 class TestTransferCoalescing:
     def test_equal_constants_share_one_transfer(self):
         # Same value under different partial device scopes: CSE's
-        # requested-device key cannot merge them, post-placement
-        # coalescing can.
+        # requested-device key cannot merge them, build_plan's placed
+        # const key can, and both then route through one transfer.
         g = tf.Graph()
         with g.as_default():
             with g.device("/gpu:0"):
                 a = tf.constant(np.ones(8, np.float32), name="a")
             with g.device("/device:GPU:0"):
                 b = tf.constant(np.ones(8, np.float32), name="b")
-            with g.device("/gpu:0"):
+            with g.device("/cpu:0"):
                 r = tf.random_uniform([8], name="r")
                 out = tf.add(tf.add(a, r), tf.add(b, r), name="out")
-        plan = opt_plan(g, fetch_tensors=[out])
-        detail = stats_by_name(plan)["transfer_coalescing"].detail
-        assert detail.get("constants_merged", 0) == 1
+        plan = opt_plan(g, fetch_tensors=[out, b])
+        consts = [i for i in plan.items if i.kind == "const"]
+        sends = [i for i in plan.items if i.kind == "send"]
+        recvs = [i for i in plan.items if i.kind == "recv"]
+        assert [i.op.name for i in consts] == ["a"]
+        assert len(sends) == 1 and len(recvs) == 1
+        assert sends[0].sources == [(consts[0], 0)]
+        assert sends[0].dst_device == recvs[0].device == (
+            "/job:localhost/task:0/device:cpu:0"
+        )
+        adds = [i for i in plan.items if i.kind == "op"
+                and i.op.type == "Add" and i.op.name != "out"]
+        assert [i.sources[0] for i in adds] == [(recvs[0], 0)] * 2
+        # The fetch of the merged-away constant follows the merge.
+        assert plan.fetch_sources[1] == (recvs[0], 0)
+        stats = stats_by_name(plan)["transfer_coalescing"]
+        assert stats.detail == {"constants_merged": 1, "transfers_merged": 1}
+        assert stats.nodes_before - stats.nodes_after == 3
+        with tf.Session(graph=g) as sess:
+            _, fetched = sess.run([out, b])
+        np.testing.assert_array_equal(fetched, np.ones(8, np.float32))
 
     def test_send_recv_edge_registered(self):
         # route_value's recv reads its send's output slot: its one source.
