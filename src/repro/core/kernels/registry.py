@@ -21,8 +21,11 @@ are the tensors' own — derived by ``create_op`` with the same
 ``shape_fn``, or declared by the caller of a ``kernel_spec`` op — and
 ``cost`` runs once. A run over static shapes then calls no shape function
 and no cost function; constant folding prices what it folds the same way.
-Every other execution — partially static shapes, eager — is priced by
-the same function (:func:`price_of`) each time it runs.
+An op whose static shapes are partial is priced once as well, from the
+specs its plan's fed values carry forward (:func:`fed_price`): a session
+plans a run per fed shape. Every other execution — an op downstream of a
+rejected or undeclared spec, eager — is priced by the same function
+(:func:`price_of`) each time it runs.
 
 A *kernel* computes values and nothing else. Its signature is::
 
@@ -78,6 +81,7 @@ __all__ = [
     "ResourceManager",
     "ShapeFn",
     "dispatch",
+    "fed_price",
     "price_of",
     "static_price",
     "register_kernel",
@@ -465,6 +469,25 @@ def static_price(op: Any) -> Optional[Price]:
     return price_of(definition, in_specs, out_dims, op.attrs)
 
 
+def fed_price(op: Any, in_specs: Specs) -> Optional[Price]:
+    """``op``'s price over ``in_specs``, the specs every run of its plan
+    feeds it, by the calls :func:`dispatch` makes on an unplanned op — or
+    ``None`` when each run must still derive it: a ``kernel_spec`` op
+    declares an unknown dim, or ``shape_fn`` rejects the specs (the run
+    raises that from the op) or leaves a dim unknown."""
+    definition = _OPS[op.type]
+    if definition.kernel_spec:
+        out_dims = [(tensor.dtype, tensor.shape.dims) for tensor in op.outputs]
+    else:
+        try:
+            out_dims = definition.output_specs(in_specs, op.attrs, op.name)
+        except InvalidArgumentError:
+            return None
+    if any(dims is None or None in dims for _, dims in out_dims):
+        return None
+    return price_of(definition, in_specs, out_dims, op.attrs)
+
+
 def dispatch(op: Any, inputs: list, ctx: KernelContext,
              price: Optional[Price] = None) -> Any:
     """Run ``op`` on ``inputs``: ``(outputs, Cost)``, or — for a blocking
@@ -472,7 +495,7 @@ def dispatch(op: Any, inputs: list, ctx: KernelContext,
 
     The one caller of every kernel (both executors, the eager interpreter
     and constant folding). ``price`` is the plan's price for an op item
-    whose tensors are all fully static (``Item.price``): the run calls no
+    (``Item.price``, from static or fed specs): the run calls no
     shape or cost function, and the kernel's outputs must be exactly the
     price's specs (:func:`_checked`). Without one the op's record derives
     the price here — ``shape_fn`` over the inputs' specs, then ``cost`` —

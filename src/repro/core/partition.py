@@ -31,11 +31,11 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from repro.core.graph import Graph, Operation
-from repro.core.kernels.registry import Price, static_price
+from repro.core.kernels.registry import Price, fed_price, static_price
 from repro.core.metadata import PassStats
 from repro.core.ops.collective_ops import COLLECTIVE_OP_TYPES
 from repro.core.placement import Placer
-from repro.core.tensor import Tensor
+from repro.core.tensor import SymbolicValue, Tensor
 from repro.errors import InvalidArgumentError
 from repro.runtime import collective as collective_runtime
 
@@ -71,11 +71,12 @@ class Item:
     # Whether any surrounding tensor is double precision ("op" items;
     # precomputed so the executor's cost conversion skips a tensor scan).
     double_precision: bool = False
-    # The outputs' specs and the Cost of one execution, when every tensor
-    # of the op is fully static ("op" items; registry.static_price): a run
-    # hands it to dispatch, which then runs no shape or cost function, and
-    # reads the outputs' bytes off the specs. Shared by every run: a
-    # shape-only run gets a fresh list of the specs.
+    # The outputs' specs and the Cost of one execution, from the op's static
+    # specs (registry.static_price) or from those the fed values carry
+    # forward (registry.fed_price) ("op" items): a run hands it to
+    # dispatch, which then runs no shape or cost function, and reads the
+    # outputs' bytes off the specs. Shared by every run: a shape-only run
+    # gets a fresh list of the specs.
     price: Optional[Price] = None
     # The simulated seconds the item's device charges for the price's
     # Cost (priced "op" items only; unpriced ones convert every run).
@@ -168,6 +169,8 @@ def build_plan(
     """Construct the execution plan for one session run.
 
     Args:
+        feeds: fed tensor name -> value. Partially shaped ops are priced
+            from these values' specs: the plan serves these shapes only.
         devices: the session's device table (``Session._devices``:
             device string -> ``(task runtime, device, memory pool, (job,
             task))``). A priced op item carries the seconds its device
@@ -384,6 +387,20 @@ def build_plan(
             const_by_value[key] = item
         return item
 
+    def spec_of(source) -> Optional[SymbolicValue]:
+        """The spec every run delivers through ``source``, if the plan
+        fixes it: a feed's, a constant's or a priced op's, moved or not."""
+        producer, index = source
+        if producer is FEED:
+            return SymbolicValue.of(feeds[index])
+        if producer.price is not None:
+            return producer.price[0][index]
+        if producer.kind == "const":
+            return SymbolicValue.of(producer.const_values[index])
+        if producer.kind in ("send", "recv"):
+            return spec_of(producer.sources[0])
+        return None
+
     def static_payload_nbytes(op: Operation) -> Optional[int]:
         """Static per-rank buffer bytes of a collective, if known."""
         for tensor in op.inputs:
@@ -496,10 +513,15 @@ def build_plan(
             )
         else:
             sources = [route_value(t, device) for t in op.inputs]
+            price = static_price(op)
+            if price is None:
+                in_specs = [spec_of(source) for source in sources]
+                if None not in in_specs:
+                    price = fed_price(op, in_specs)
             item = new_item(kind="op", device=device, op=op, sources=sources,
                             extra_deps=control_deps_of(op, device),
                             double_precision=_is_double_precision(op),
-                            price=static_price(op))
+                            price=price)
             if item.price is not None:
                 item.seconds = cost_seconds(devices[device][1], item,
                                             item.price[1])

@@ -10,8 +10,9 @@ Mirrors TF 1.x usage::
         sess.run(init)
 
 A session prunes, optimizes and partitions the graph once per (fetches,
-feeds, graph version) into an immutable, cached plan; each run schedules
-that plan on the discrete-event simulator with its own
+fed names and shapes, graph version, plan-shaping config) into an
+immutable, cached plan; each run schedules that plan on the
+discrete-event simulator with its own
 :class:`~repro.core.executor.ExecutionState` and returns concrete NumPy
 values (or :class:`~repro.core.tensor.SymbolicValue` specs in shape-only
 mode). ``run_gen`` is the coroutine flavour used when many tasks run
@@ -49,9 +50,9 @@ from repro.simnet.transports import protocol_latency
 
 __all__ = ["Session", "SessionConfig", "admin_rpc_time"]
 
-# Bound on cached (fetches, feeds, graph-version) plans per session: long-
-# lived sessions issuing many distinct fetch combinations evict LRU-first
-# instead of growing without limit.
+# Bound on cached plans per session: long-lived sessions issuing many
+# distinct fetch combinations or fed shapes evict LRU-first instead of
+# growing without limit.
 _PLAN_CACHE_CAPACITY = 64
 
 
@@ -363,11 +364,18 @@ class Session:
         structure, fetch_ops, fetch_tensors, slots = self._parse_fetches(fetches)
         feeds = self._validate_feeds(_normalize_feeds(feed_dict))
         task_runtimes = self._task_runtimes()
+        config = self.config
+        # A plan is priced for its fed shapes (build_plan), so they are part
+        # of its key, and so is every config field the build reads.
         cache_key = (
             tuple(op.name for op in fetch_ops),
             tuple(t.name for t in fetch_tensors),
-            tuple(sorted(feeds)),
+            tuple(sorted((name, value.shape) for name, value in feeds.items())),
             self.graph.version,
+            config.graph_optimization,
+            config.shape_only,
+            config.verify_plans,
+            config.allow_soft_placement,
         )
         with self._cache_lock:
             plan = self._plan_cache.get(cache_key)
@@ -379,6 +387,8 @@ class Session:
                 self._plan_cache_misses += 1
             hits, misses = self._plan_cache_hits, self._plan_cache_misses
         if plan is None:
+            # A hit's fed shapes were checked when its plan was built.
+            self._check_feed_shapes(feeds)
             # Placement inputs are a miss's business: a hit builds neither.
             plan = build_plan(
                 self.graph,
@@ -389,9 +399,9 @@ class Session:
                 canonical_device(
                     self._master.job_name, self._master.task_index, "cpu", 0
                 ),
-                optimize=self.config.graph_optimization,
-                symbolic=self.config.shape_only,
-                verify=self.config.verify_plans,
+                optimize=config.graph_optimization,
+                symbolic=config.shape_only,
+                verify=config.verify_plans,
                 devices=self._devices,
             )
             with self._cache_lock:
@@ -487,8 +497,8 @@ class Session:
         ]
 
     def _validate_feeds(self, feeds: dict) -> dict:
-        """Check every feed against the fed tensor's dtype and shape, and
-        coerce concrete values to the right NumPy dtype."""
+        """Check every feed against the fed tensor's dtype, and coerce
+        concrete values to the right NumPy dtype."""
         validated = {}
         for name, value in feeds.items():
             tensor = self.graph.get_tensor_by_name(name)
@@ -498,17 +508,21 @@ class Session:
                         f"Feed for {name} has dtype {value.dtype.name}; "
                         f"tensor expects {tensor.dtype.name}"
                     )
-                fed_shape = TensorShape(value.shape)
             else:
                 value = np.asarray(value, dtype=tensor.dtype.np_dtype)
-                fed_shape = TensorShape(value.shape)
+            validated[name] = value
+        return validated
+
+    def _check_feed_shapes(self, feeds: dict) -> None:
+        """Check every feed's shape against the fed tensor's."""
+        for name, value in feeds.items():
+            tensor = self.graph.get_tensor_by_name(name)
+            fed_shape = TensorShape(value.shape)
             if not tensor.shape.is_compatible_with(fed_shape):
                 raise InvalidArgumentError(
                     f"Feed for {name} has shape {fed_shape}; tensor expects "
                     f"{tensor.shape}"
                 )
-            validated[name] = value
-        return validated
 
     def _evict_plans(self) -> None:
         """Bound the plan cache, LRU-first. Caller must hold ``_cache_lock``.

@@ -3,9 +3,10 @@
 A :class:`ServingSignature` is one callable entry point of the shared
 graph — named placeholder inputs whose leading dimension is the batch
 axis, plus fetch tensors — the analog of a TF-Serving signature over a
-cached subgraph-per-fetch plan. Because the Session's plan cache keys on
-fetch/feed *names* (never fed shapes or values), every batch size of a
-signature reuses one cached plan: coalescing is free at plan level.
+cached subgraph-per-fetch plan. The Session's plan cache keys on
+fetch/feed names and fed shapes (never values), so each batch size of a
+signature builds one plan, priced for that shape, and reuses it: at most
+``max_batch_size`` plans per signature for fixed-row requests.
 
 :class:`MicroBatcher` concatenates compatible requests along axis 0 into
 one feed, and scatters the batched results back row-for-row. For

@@ -220,8 +220,9 @@ class TestLateCompletionLandsInTheDeadRun:
     """A run failed by its deadline leaves an op's cost timeout armed; it
     fires inside the next run of the same cached plan. The completion
     writes the *dead* run's slots — until PR 21 it wrote the plan item
-    the live run had already filled, and the live run fetched the dead
-    run's value."""
+    the live run used, and the live run fetched the dead run's value.
+    A plan is built per fed shape, so both runs feed equal shapes (with
+    different values) to share one."""
 
     @pytest.mark.parametrize("fast", [True, False],
                              ids=["fast-path", "legacy"])
@@ -232,8 +233,8 @@ class TestLateCompletionLandsInTheDeadRun:
         g = tf.Graph()
         with g.as_default():
             # cpu:0 has a slot per core, so the live run's `first` does
-            # not queue behind the dead run's: it finishes (small feed)
-            # while the dead one (big feed) is still being charged.
+            # not queue behind the dead run's: the dead one completes
+            # while the live one is still being charged.
             with g.device("/cpu:0"):
                 x = tf.placeholder(tf.float32, [None, None], name="x")
                 w = tf.placeholder(tf.float32, [None, None], name="w")
@@ -242,8 +243,9 @@ class TestLateCompletionLandsInTheDeadRun:
                     # Outlasts the dead run's `first`: the live run is
                     # still in flight when the late completion lands.
                     second = tf.matmul(w, w, name="second")
-        big = np.full((256, 256), 0.5, np.float32)
-        small = np.arange(16, dtype=np.float32).reshape(4, 4)
+        dead_x = np.full((256, 256), 0.5, np.float32)
+        live_x = np.arange(256 * 256, dtype=np.float32).reshape(256, 256)
+        big = np.full((256, 256), 0.25, np.float32)
 
         states = []
         launch = session_module.launch_plan
@@ -256,13 +258,13 @@ class TestLateCompletionLandsInTheDeadRun:
         sess = tf.Session(graph=g, config=tf.SessionConfig(
             executor_fast_path=fast, operation_timeout_ms=1e-3))
         with pytest.raises(DeadlineExceededError):
-            sess.run([first, second], feed_dict={x: big, w: big})
+            sess.run([first, second], feed_dict={x: dead_x, w: big})
         sess.config.operation_timeout_ms = None
-        got = sess.run([first, second], feed_dict={x: small, w: big})
+        got = sess.run([first, second], feed_dict={x: live_x, w: big})
 
         with tf.Session(graph=g, config=tf.SessionConfig(
                 executor_fast_path=fast)) as fresh:
-            want = fresh.run([first, second], feed_dict={x: small, w: big})
+            want = fresh.run([first, second], feed_dict={x: live_x, w: big})
         for value, expected in zip(got, want):
             assert value.tobytes() == expected.tobytes()
 
@@ -270,9 +272,9 @@ class TestLateCompletionLandsInTheDeadRun:
         assert dead.plan is live.plan  # one cached plan, a hit
         (uid,) = (i.uid for i in live.plan.items
                   if i.op is not None and i.op.name == "first")
-        assert live.values[uid][0].tobytes() == (small @ small).tobytes()
+        assert live.values[uid][0].tobytes() == (live_x @ live_x).tobytes()
         # ... and the late completion did happen, in the dead run's slot.
-        assert dead.values[uid][0].tobytes() == (big @ big).tobytes()
+        assert dead.values[uid][0].tobytes() == (dead_x @ dead_x).tobytes()
 
 
 class TestRecvDeadline:

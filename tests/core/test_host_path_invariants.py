@@ -287,8 +287,10 @@ class TestValueLaneCounts:
     the outputs' bytes (the price's specs) and the device's seconds
     (``Item.seconds``), so memory accounting calls ``value_nbytes`` and
     the device calls ``time_for_cost`` **0** times for the ``add`` ops;
-    before, 10 each. Over ``[None, 8]`` placeholders nothing can be
-    priced ahead and the run-time rule still runs: 10 of each.
+    before, 10 each. Over ``[None, 8]`` placeholders the plan is built
+    for the fed ``[8, 8]`` and prices each ``add`` from the specs the
+    feeds carry forward (``registry.fed_price``), so the warm run pays
+    **0** of each too; before plans were keyed on fed shapes it paid 10.
 
     Every count is pinned on both placements. By default the ``add`` ops
     run on the session's GPU and the fetch moves to the client's CPU
@@ -371,13 +373,13 @@ class TestValueLaneCounts:
                              ids=["default", "client-cpu"])
     @pytest.mark.parametrize("fast", [True, False],
                              ids=["fast-path", "reference"])
-    def test_partially_static_shapes_are_priced_per_run(self, fast, device,
-                                                        monkeypatch):
+    def test_partially_static_shapes_are_priced_once_per_fed_shape(
+            self, fast, device, monkeypatch):
         assert self._counted(monkeypatch, fast, device, (None, 8),
                              first_shape=(None, 8)) == {
             "asarray": 22, "broadcast_shapes": 0, "__init__": 0,
-            "as_dtype": 0, "shape_fn": 10, "cost": 10, "time_for_cost": 10,
-            "value_nbytes": 10 + self.TRANSFER_NBYTES[device]}
+            "as_dtype": 0, "shape_fn": 0, "cost": 0, "time_for_cost": 0,
+            "value_nbytes": self.TRANSFER_NBYTES[device]}
 
 
 class _CountedReads(dict):

@@ -7,12 +7,18 @@ import numpy as np
 import pytest
 
 import repro as tf
-from repro.core.kernels.registry import KernelContext, dispatch, op_def
-from repro.core.partition import FEED, _job_task_of, build_plan
+from repro.core import executor as executor_module
+from repro.core.kernels.registry import (
+    KernelContext,
+    dispatch,
+    op_def,
+    static_price,
+)
+from repro.core.partition import FEED, _job_task_of, build_plan, cost_seconds
 from repro.core.placement import Placer
 from repro.core.tensor import SymbolicValue
 from repro.errors import InvalidArgumentError
-from repro.fuzz.generator import generate
+from repro.fuzz.generator import GeneratorOptions, Program, generate
 
 
 def make_placer(gpus: int = 1):
@@ -197,7 +203,7 @@ class TestSendRecvInsertion:
         pytest.importorskip("repro.fuzz")
         from repro.analysis import verify_plan
         from repro.core import session as session_module
-        from repro.fuzz.generator import generate
+        from repro.fuzz.generator import GeneratorOptions, Program, generate
         from repro.fuzz.harness import Cell, run_cell
 
         launch = session_module.launch_plan
@@ -360,3 +366,113 @@ class TestStaticPrices:
                         (s.shape, s.dtype, s.nbytes) for s in want_specs], op
                     assert _bits(cost) == _bits(want_cost), op
         assert priced > 1000 and data_decided > 0
+
+
+class TestFedPrices:
+    """An op whose static shapes are partial is priced when its plan is
+    built, from the specs the fed values carry forward: a session plans a
+    run per fed shape. Every such price equals what
+    ``dispatch(op, inputs, ctx, None)`` derives from the inputs the run
+    hands the op, and ``Item.seconds`` what the device charges for that
+    Cost, bit for bit — on both executors, optimizer off and on."""
+
+    @staticmethod
+    def _fed_priced(monkeypatch, sess, fetches, feed_dict):
+        """Run once, then check every item priced from fed specs against
+        the run's own inputs; returns (checked, unpriced) op item counts."""
+        inputs_of = {}
+        run_time = executor_module.dispatch
+
+        def recording(op, inputs, ctx, price=None):
+            inputs_of[op.name] = [SymbolicValue.of(v) for v in inputs]
+            return run_time(op, inputs, ctx, price)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(executor_module, "dispatch", recording)
+            sess.run(fetches, feed_dict=feed_dict)
+        plan = sess._prepare_run(fetches, feed_dict).plan
+        ctx = KernelContext(symbolic=True)
+        checked = unpriced = 0
+        for item in plan.items:
+            if item.kind != "op" or static_price(item.op) is not None:
+                continue
+            if item.price is None:
+                unpriced += 1
+                continue
+            op = item.op
+            in_specs = inputs_of[op.name]
+            definition = op_def(op.type)
+            if definition.kernel_spec:
+                want_specs = [SymbolicValue(t.shape.dims, t.dtype)
+                              for t in op.outputs]
+                want_cost = definition.cost(in_specs, want_specs, op.attrs)
+            else:
+                want_specs, want_cost = dispatch(op, in_specs, ctx, None)
+            specs, cost = item.price
+            assert [(s.shape, s.dtype, s.nbytes) for s in specs] == [
+                (s.shape, s.dtype, s.nbytes) for s in want_specs], op
+            assert _bits(cost) == _bits(want_cost), op
+            device = sess._devices[item.device][1]
+            assert item.seconds.hex() == cost_seconds(
+                device, item, want_cost).hex(), op
+            checked += 1
+        return checked, unpriced
+
+    @pytest.mark.parametrize("optimize", [False, True], ids=["noopt", "opt"])
+    @pytest.mark.parametrize("fast", [True, False],
+                             ids=["fast-path", "reference"])
+    def test_batch_shapes_each_get_the_run_time_price(self, monkeypatch,
+                                                      fast, optimize):
+        rng = np.random.default_rng(5)
+        g = tf.Graph()
+        with g.as_default():
+            x = tf.placeholder(tf.float32, [None, 16], name="x")
+            m = tf.placeholder(tf.float64, [None, None], name="m")
+            w = tf.constant(rng.standard_normal((16, 8)).astype(np.float32))
+            b = tf.constant(rng.standard_normal(8).astype(np.float32))
+            h = tf.sigmoid(tf.add(tf.matmul(x, w), b), name="h")
+            with g.device("/cpu:0"):  # reached through a send/recv pair
+                rows = tf.reduce_sum(h, axis=1, name="rows")
+            flat = tf.reshape(tf.concat([h, h], axis=1), [-1], name="flat")
+            gram = tf.matmul(m, tf.transpose(m), name="gram")
+        sess = tf.Session(graph=g, config=tf.SessionConfig(
+            graph_optimization=optimize, executor_fast_path=fast))
+        fetches = [h, rows, flat, gram]
+        shapes = [(1, (2, 5)), (3, (4, 4)), (8, (2, 5)), (3, (4, 4))]
+        for batch, m_shape in shapes:
+            feed = {x: rng.random((batch, 16), dtype=np.float32),
+                    m: rng.random(m_shape)}
+            # Every op is downstream of a partially shaped feed.
+            assert self._fed_priced(monkeypatch, sess, fetches, feed) == (
+                8, 0)
+        info = sess.plan_cache_info()
+        assert (info["plans"], info["misses"]) == (3, 3)
+
+    @pytest.mark.parametrize("optimize", [False, True], ids=["noopt", "opt"])
+    @pytest.mark.parametrize("fast", [True, False],
+                             ids=["fast-path", "reference"])
+    def test_fuzz_programs_over_unshaped_placeholders(self, monkeypatch,
+                                                      fast, optimize):
+        # Drawn programs with every placeholder declared all-None (and no
+        # gradient tail, which needs static shapes): each plan is built
+        # for the drawn values' shapes.
+        checked = 0
+        for seed in range(100):
+            drawn = generate(seed, GeneratorOptions(gradients=False))
+            program = Program(
+                instrs=[dataclasses.replace(
+                    ins, out_shapes=tuple(tuple(None for _ in shape)
+                                          for shape in ins.out_shapes))
+                        if ins.op_type == "Placeholder" else ins
+                        for ins in drawn.instrs],
+                fetches=drawn.fetches, world=drawn.world, seed=drawn.seed)
+            graph = tf.Graph()
+            with graph.as_default():
+                built = program.materialize()
+            with np.errstate(all="ignore"), tf.Session(
+                    graph=graph, config=tf.SessionConfig(
+                        num_gpus=program.gpus, graph_optimization=optimize,
+                        executor_fast_path=fast)) as sess:
+                checked += self._fed_priced(
+                    monkeypatch, sess, built.fetch_tensors, built.feeds)[0]
+        assert checked > 200

@@ -1,5 +1,7 @@
 """Session behaviour: feeds, fetches, placement, errors, metadata."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ import repro as tf
 import repro.core.session as session_module
 from repro.core.metadata import RunMetadata, RunOptions
 from repro.core.placement import DeviceSpec
+from repro.core.tensor import TensorShape
 from repro.errors import InvalidArgumentError, NotFoundError
 from repro.simnet.events import Environment
 from repro.simnet.machines import Machine, tegner
@@ -351,6 +354,111 @@ class TestWarmRuns:
                 tf.constant(0.0, name="bump_version")
             sess.run(y, feed_dict={x: [3.0, 4.0]})
             assert counters == {"placers": 2, "resolves": 0}
+
+    @pytest.mark.parametrize("field, value", [
+        ("verify_plans", True), ("graph_optimization", False),
+        ("shape_only", True)])
+    def test_a_config_change_on_a_live_session_builds_a_new_plan(
+            self, field, value):
+        # Each field changes the plan build_plan makes; a plan cached
+        # under the old value used to be a hit.
+        g = tf.Graph()
+        with g.as_default():
+            x = tf.placeholder(tf.float32, shape=[2], name="x")
+            y = tf.identity(x * tf.constant(2.0) + tf.constant(0.0))
+        feed = {x: np.float32([1.0, 2.0])}
+        config = tf.SessionConfig(verify_plans=False)
+        sess = tf.Session(graph=g, config=config)
+        sess.run(y, feed_dict=feed)
+        setattr(sess.config, field, value)
+        got = RunMetadata()
+        value_got = sess.run(y, feed_dict=feed, run_metadata=got)
+        want = RunMetadata()
+        fresh = tf.Session(graph=g, config=dataclasses.replace(
+            config, **{field: value}))
+        value_want = fresh.run(y, feed_dict=feed, run_metadata=want)
+        assert not got.plan_cache_hit
+        assert (got.plan_verified, got.plan_items) == (
+            want.plan_verified, want.plan_items)
+        assert repr(value_got) == repr(value_want)
+        # ... and changing it back finds the first plan again.
+        setattr(sess.config, field, getattr(config, field))
+        again = RunMetadata()
+        sess.run(y, feed_dict=feed, run_metadata=again)
+        assert again.plan_cache_hit
+
+    def test_turning_soft_placement_off_is_not_a_hit(self):
+        g = tf.Graph()
+        with g.as_default(), g.device("/gpu:7"):
+            y = tf.constant(2.0) * 3.0
+        sess = tf.Session(graph=g)
+        assert sess.run(y) == pytest.approx(6.0)
+        sess.config.allow_soft_placement = False
+        with pytest.raises(InvalidArgumentError, match="gpu:7"):
+            sess.run(y)
+
+    def test_a_warm_plan_checks_no_fed_shape_and_excuses_no_wrong_one(
+            self, monkeypatch):
+        # Fed shapes are in the plan key, so a hit's shapes were checked
+        # when its plan was built; a wrong shape is a miss and raises.
+        g = tf.Graph()
+        with g.as_default():
+            x = tf.placeholder(tf.float32, shape=[None, 3], name="x")
+            y = x * 2.0
+        sess = tf.Session(graph=g)
+        sess.run(y, feed_dict={x: np.ones((2, 3), np.float32)})
+        checks = []
+        compatible = TensorShape.is_compatible_with
+
+        def counted(self, other):
+            checks.append(other)
+            return compatible(self, other)
+
+        monkeypatch.setattr(TensorShape, "is_compatible_with", counted)
+        sess.run(y, feed_dict={x: np.zeros((2, 3), np.float32)})
+        assert checks == []
+        for _ in range(2):
+            with pytest.raises(InvalidArgumentError) as caught:
+                sess.run(y, feed_dict={x: np.ones((2, 4), np.float32)})
+            assert str(caught.value) == (
+                "Feed for x:0 has shape (2, 4); tensor expects (?, 3)")
+        assert len(checks) == 2
+        info = sess.plan_cache_info()
+        # Each wrong shape missed, like any run whose plan build fails.
+        assert (info["plans"], info["hits"], info["misses"]) == (1, 1, 3)
+
+    @pytest.mark.parametrize("optimize", [False, True], ids=["noopt", "opt"])
+    @pytest.mark.parametrize("fast", [True, False],
+                             ids=["fast-path", "reference"])
+    def test_a_fed_shape_the_op_rejects_fails_inside_the_run(self, fast,
+                                                             optimize):
+        # The plan for these fed shapes prices `sq` but cannot price `ab`:
+        # its shape function rejects them. So `ab` and everything after it
+        # keep the run-time path, and the run fails from `ab`, after `sq`
+        # ran, with the message and at the instant it always had.
+        g = tf.Graph()
+        with g.as_default():
+            a = tf.placeholder(tf.float32, [None, None], name="a")
+            b = tf.placeholder(tf.float32, [None, None], name="b")
+            ab = tf.matmul(tf.square(a, name="sq"), b, name="ab")
+            out = tf.sigmoid(ab, name="out")
+        sess = tf.Session(graph=g, config=tf.SessionConfig(
+            executor_fast_path=fast, graph_optimization=optimize))
+        sess.run(out, feed_dict={a: np.ones((2, 3), np.float32),
+                                 b: np.ones((3, 4), np.float32)})
+        assert sess.env.now.hex() == "0x1.1b1ed7131c467p-12"
+        bad = {a: np.ones((64, 48), np.float32),
+               b: np.ones((64, 48), np.float32)}
+        with pytest.raises(InvalidArgumentError) as caught:
+            sess.run(out, feed_dict=bad)
+        assert str(caught.value) == (
+            "MatMul operand shapes [(64, 48), (64, 48)]: matmul inner "
+            "dimensions disagree: 48 vs 64 [op: ab]")
+        assert sess.env.now.hex() == "0x1.10acd8e10c2fdp-11"
+        plan = sess._prepare_run(out, bad).plan
+        assert {item.op.name: item.price is not None for item in plan.items
+                if item.kind == "op"} == {"sq": True, "ab": False,
+                                          "out": False}
 
     def test_cluster_is_memoised_only_once_every_task_resolves(self):
         env = Environment()

@@ -179,6 +179,58 @@ class TestHotPlanContention:
             assert got.tobytes() == want.tobytes()
 
 
+    def test_two_batch_shapes_at_once_each_get_their_own_plan(self):
+        """A plan is built per fed shape: two threads feeding different
+        batch shapes concurrently each build (and then hit) their own
+        plan, priced for their shape, and every result's bytes equal a
+        serial run's."""
+        g = tf.Graph()
+        with g.as_default():
+            x = tf.placeholder(tf.float32, [None, 4], name="x")
+            w = tf.constant(np.arange(16, dtype=np.float32).reshape(4, 4))
+            y = tf.sigmoid(tf.matmul(x, w) + 1.0, name="y")
+        rng = np.random.default_rng(11)
+        runs_each = 10
+        payloads = {rows: [rng.random((rows, 4), dtype=np.float32)
+                           for _ in range(runs_each)] for rows in (2, 5)}
+        serial = tf.Session(graph=g)
+        baseline = {rows: [serial.run(y, feed_dict={x: p}) for p in feeds]
+                    for rows, feeds in payloads.items()}
+
+        sess = tf.Session(graph=g)
+        results = {rows: [] for rows in payloads}
+        barrier = threading.Barrier(len(payloads))
+
+        def worker(rows):
+            def body():
+                barrier.wait()
+                for payload in payloads[rows]:
+                    results[rows].append(
+                        sess.run(y, feed_dict={x: payload}))
+
+            return body
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _run_threads([worker(rows) for rows in payloads])
+        finally:
+            sys.setswitchinterval(interval)
+
+        for rows, want in baseline.items():
+            assert [v.tobytes() for v in results[rows]] == [
+                v.tobytes() for v in want]
+        info = sess.plan_cache_info()
+        # No two threads share a key, so each builds its plan exactly once.
+        assert (info["plans"], info["misses"], info["hits"]) == (
+            2, 2, 2 * runs_each - 2)
+        matmul_rows = sorted(
+            item.price[0][0].shape[0]
+            for plan in sess._plan_cache.values() for item in plan.items
+            if item.kind == "op" and item.op.type == "MatMul")
+        assert matmul_rows == [2, 5]
+
+
 class TestCacheChurn:
     def test_eviction_races_with_concurrent_runs(self):
         """More signatures than capacity, from many threads at once."""

@@ -214,13 +214,16 @@ def test_shape_only_cell_fetches_specs_on_the_concrete_clock():
     assert any(isinstance(v, SymbolicValue) for v in shape_run.values)
 
 
-def test_run_time_shape_rule_defect_is_caught_by_the_shape_only_cell(
+def test_run_time_shape_rule_defect_is_caught_by_the_fed_shape_plan(
         monkeypatch):
-    # Right at build time, one trailing 1 too many at run time. The
-    # placeholder is [None], so no plan prices the Mul and the run-time
-    # rule runs on every execution: the concrete cells compute values with
-    # the kernel and see nothing (the element count, hence the clock, is
-    # unchanged); the shape-only cell fetches what the rule says.
+    # Right at build time, one trailing 1 too many over run-time specs.
+    # The placeholder is [None], and a session plans the run for the fed
+    # [2]: its plan prices the Mul with the run-time rule and checks what
+    # the kernel returns against that price, so every concrete session
+    # cell — the baseline first — fails at the kernel, naming it. The
+    # shape-only cell fetches what the rule says, which contradicts the
+    # static spec; the function frontend traces [2] and prices it with the
+    # build-time rule, and eager feeds the rule arrays: both see nothing.
     x = np.float32([1.5, -2.0])
     program = Program(instrs=[
         Instr(op_type="Placeholder", value=x, out_dtypes=("float32",),
@@ -240,9 +243,26 @@ def test_run_time_shape_rule_defect_is_caught_by_the_shape_only_cell(
 
     monkeypatch.setattr(definition, "shape_fn", padded)
     report = run_program(program)
-    assert {(d.kind, d.cell.label()) for d in report.divergences} == {
-        ("shape", "session/fast/opt/shape"),
-        ("static_spec", "session/fast/opt/shape")}
+    runs = [run_cell(program, cell) for cell in matrix_cells(program)]
+    assert [(d.kind, d.cell) for d in report.divergences] == [
+        ("error", BASELINE)]
+    caught = ("InternalError('Mul kernel returned [float32 (2,)]; its "
+              "record states [float32 (2, 1)] [op: Mul]')")
+    assert report.divergences[0].detail == f"baseline failed: {caught}"
+    outcomes = {run.cell.label(): (run.error, run.spec_errors)
+                for run in runs}
+    assert outcomes == {
+        "session/fast/noopt": (caught, []),
+        "session/legacy/opt": (caught, []),
+        "session/fast/opt": (caught, []),
+        "session/fast/opt/verify": (caught, []),
+        "session/fast/opt/shape": (None, [
+            (0, "Mul:0 is statically float32 (?,), the value is float32 "
+                "(2, 1)")]),
+        "function/fast/opt": (None, []),
+        "function/legacy/opt": (None, []),
+        "eager": (None, []),
+    }
 
 
 def test_run_cell_captures_errors_instead_of_raising():

