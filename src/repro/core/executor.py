@@ -36,22 +36,35 @@ Device serialization happens through the device's
 ``send`` item charging :mod:`repro.simnet.transports` for the wire time
 and leaving the value in its own slot, which its ``recv`` reads.
 
-What a priced op item costs is read off its plan: the simulated seconds
-(``Item.seconds``) and its outputs' bytes (its price's specs). Device
-memory is refcounted per output slot (``Item.slot`` + output index) in
-per-run lists; a slot's bytes go back to its pool when its last reader
-consumed it, or at run end.
+Whatever an item's dispatch reads and its plan fixes is read off the
+item's dispatch record, filled by ``build_plan``: the device-table entry
+(``Item.entry``: task runtime, device, memory pool; a send's
+``dst_entry``), an op's lane (``Item.lane``), its outputs' bytes
+(``Item.out_nbytes``: a priced op's specs, a const's values, and the
+send and recv of either) and a priced op's seconds (``Item.seconds``).
+A run resolves none of it again; only a value no plan fixes is measured.
+An op, a const or a collective leg completes through :func:`_complete`,
+in either executor. Device memory is refcounted per output slot
+(``Item.slot`` + output index) in per-run lists, allocated in
+:meth:`ExecutionState.allocate` only; a slot's bytes go back to its pool
+when its last reader consumed it, or at run end.
 """
 
 from __future__ import annotations
 
-import inspect
 from collections import deque
+from types import GeneratorType
 from typing import Any, Optional
 
-from repro.core.kernels.registry import KernelContext, dispatch, op_def
+from repro.core.kernels.registry import KernelContext, dispatch
 from repro.core.metadata import NodeStats, RunMetadata, TransferStats
-from repro.core.partition import FEED, ExecutionPlan, Item, cost_seconds
+from repro.core.partition import (
+    FEED,
+    VARIABLE_OPS,
+    ExecutionPlan,
+    Item,
+    cost_seconds,
+)
 from repro.core.tensor import value_nbytes
 from repro.errors import DeadlineExceededError, InternalError
 from repro.runtime.collective import run_collective
@@ -72,20 +85,6 @@ __all__ = [
 # turns a silent deadlock into a DeadlineExceededError naming the
 # missing ranks. ``SessionConfig.operation_timeout_ms`` overrides it.
 DEFAULT_COLLECTIVE_JOIN_TIMEOUT = 300.0
-
-# Ops that block on external conditions and must not occupy a device slot
-# while waiting (a blocked dequeue would otherwise starve the device).
-_NO_DEVICE_HOLD = {
-    "QueueEnqueue",
-    "QueueDequeue",
-    "QueueSize",
-    "QueueClose",
-    "NoOp",
-}
-
-# Stateful ops whose outputs alias resource-manager storage: their output
-# memory is accounted once per variable, not per execution.
-_VARIABLE_OPS = {"VariableV2", "Assign", "AssignAdd", "AssignSub"}
 
 
 class _CollectiveGroup:
@@ -133,7 +132,6 @@ class ExecutionState:
         self,
         env: Environment,
         plan: ExecutionPlan,
-        devices: dict[str, tuple],
         protocol: str,
         feeds: dict[str, Any],
         symbolic: bool,
@@ -170,44 +168,32 @@ class ExecutionState:
         self._released = False  # set by release_all: the run is over
         # Collective op name -> this run's rank-leg rendezvous.
         self._collective_groups: dict[str, _CollectiveGroup] = {}
-        # The session's device table, a fact about its cluster: device
-        # string -> (task runtime, device, memory pool, (job, task)).
-        self._devices = devices
         # Kernel contexts carry the run's feeds: per run.
         self._ctx_cache: dict[str, KernelContext] = {}
 
     # -- resolution ------------------------------------------------------------
-    def task_runtime(self, device: str):
-        return self._devices[device][0]
-
-    def device_obj(self, device: str):
-        return self._devices[device][1]
-
-    def memory_pool(self, device: str):
-        return self._devices[device][2]
-
-    def kernel_ctx(self, device: str) -> KernelContext:
-        """The (immutable-per-run) kernel context for ``device``."""
-        ctx = self._ctx_cache.get(device)
+    def kernel_ctx(self, item: Item) -> KernelContext:
+        """The (immutable-per-run) kernel context for ``item``'s device."""
+        ctx = self._ctx_cache.get(item.device)
         if ctx is None:
-            task = self.task_runtime(device)
+            task, device = item.entry[0], item.entry[1]
             ctx = KernelContext(
                 symbolic=self.symbolic,
                 feeds=self.feeds,
                 resources=task.resources,
                 env=self.env,
-                device=self.device_obj(device),
+                device=device,
                 worker=task,
                 graph_seed=self.graph_seed,
             )
-            self._ctx_cache[device] = ctx
+            self._ctx_cache[item.device] = ctx
         return ctx
 
-    def task_down(self, device: str) -> bool:
-        """True when ``device``'s task is currently crashed."""
+    def task_down(self, item: Item) -> bool:
+        """True when ``item``'s task is currently crashed."""
         if self.fault_injector is None:
             return False
-        return self.fault_injector.is_down(*self._devices[device][3])
+        return self.fault_injector.is_down(*item.entry[3])
 
     def park_stalled(self, item: Item) -> None:
         """Record an item stalled on a down task; a peer's deadline or
@@ -271,50 +257,55 @@ class ExecutionState:
         arm_deadline(self.env, timeout_s, group.done, expire)
 
     # -- memory refcounting -------------------------------------------------------
-    def register_outputs(self, item: Item, outputs: list) -> None:
-        """Allocate device memory for an item's outputs: a priced item's
-        bytes are its price's specs' (its outputs are exactly those
-        specs), any other item's are read off the values."""
-        pool = self.memory_pool(item.device)
-        price = item.price
-        if item.kind == "op" and item.op.type in _VARIABLE_OPS:
-            # Alias of the variable's persistent storage: account once.
-            op = item.op
-            var_name = (op.get_attr("var_name") or op.name
-                        if op.type != "VariableV2" else op.name)
-            memory = self.task_runtime(item.device).resources.variable_memory
-            nbytes = sum(value_nbytes(v) for v in
-                         (outputs if price is None else price[0]))
-            previous = memory.get(var_name)
-            if previous is None or previous[1] != nbytes:
-                if previous is not None:
-                    previous[0].free(previous[1])
-                pool.allocate(nbytes)
-                memory[var_name] = (pool, nbytes)
-            return
+    def allocate(self, item: Item, outputs: list) -> None:
+        """Allocate device memory for an item's outputs: the bytes its
+        record states (``Item.out_nbytes``), else the values' own."""
+        pool = item.entry[2]
+        sizes = item.out_nbytes
+        if sizes is None:
+            if item.kind == "op" and item.op.type in VARIABLE_OPS:
+                # Alias of the variable's persistent storage: account once.
+                op = item.op
+                var_name = (op.get_attr("var_name") or op.name
+                            if op.type != "VariableV2" else op.name)
+                memory = item.entry[0].resources.variable_memory
+                nbytes = sum(map(value_nbytes, outputs))
+                previous = memory.get(var_name)
+                if previous is None or previous[1] != nbytes:
+                    if previous is not None:
+                        previous[0].free(previous[1])
+                    pool.allocate(nbytes)
+                    memory[var_name] = (pool, nbytes)
+                return
+            sizes = tuple(map(value_nbytes, outputs))
         if self._released:
             # An item of a failed run completing inside a later one (its
             # timeout was already armed): the run's memory went back in
             # release_all, and nothing would ever free a new allocation.
             return
         slot = item.slot
-        for idx, value in enumerate(outputs):
-            nbytes = (value_nbytes(value) if price is None
-                      else price[0][idx].nbytes)
+        readers = self._readers
+        for nbytes in sizes:
             pool.allocate(nbytes)
-            if self._readers[slot + idx]:
-                self._held[slot + idx] = nbytes
-                self._pools[slot + idx] = pool
+            if readers[slot]:
+                self._held[slot] = nbytes
+                self._pools[slot] = pool
             else:
                 pool.free(nbytes)  # dead output: freed once produced
+            slot += 1
 
-    def consume(self, producer: Item, idx: int) -> None:
-        slot = producer.slot + idx
-        self._readers[slot] -= 1
-        nbytes = self._held[slot]
-        if nbytes and self._readers[slot] <= 0:
-            self._held[slot] = 0
-            self._pools[slot].free(nbytes)
+    def consume(self, item: Item) -> None:
+        """Count ``item``'s reads of its sources: a slot's bytes go back
+        to its pool once its last reader consumed it."""
+        readers, held = self._readers, self._held
+        for producer, idx in item.sources:
+            if producer is not FEED:
+                slot = producer.slot + idx
+                readers[slot] -= 1
+                nbytes = held[slot]
+                if nbytes and readers[slot] <= 0:
+                    held[slot] = 0
+                    self._pools[slot].free(nbytes)
 
     def release_all(self) -> None:
         """Free whatever survived the run (fetched values, errors)."""
@@ -461,7 +452,7 @@ def _legacy_dependencies(item: Item, processes: list) -> list:
 
 
 def _legacy_item_proc(state: ExecutionState, item: Item, processes: list):
-    if state.task_down(item.device):
+    if state.task_down(item):
         # The task died: park forever on a fresh event. Peers' deadlines
         # (collective join, recv, run watchdog) report the loss.
         state.park_stalled(item)
@@ -469,7 +460,7 @@ def _legacy_item_proc(state: ExecutionState, item: Item, processes: list):
     deps = _legacy_dependencies(item, processes)
     if deps:
         yield AllOf(state.env, deps)
-    if state.task_down(item.device):
+    if state.task_down(item):
         # Crashed while waiting on producers (the fault fired mid-run).
         state.park_stalled(item)
         yield state.env.event()
@@ -506,7 +497,6 @@ class _Driven:
                 else:
                     target = gen.send(send_value)
             except StopIteration:
-                self.dispatcher._count_fast()
                 self.dispatcher._item_done(self.item)
                 return
             except BaseException as exc:
@@ -531,7 +521,7 @@ class _Driven:
 
 
 class _OpElapsed:
-    """What a light-lane op's cost timeout calls: release, finalize, cascade.
+    """What a light-lane op's cost timeout calls: complete, cascade.
 
     Same rule as :class:`_Driven` — the timeout holds this object, which
     holds the dispatcher and the op's results and nothing that refers
@@ -551,9 +541,8 @@ class _OpElapsed:
     def __call__(self, _event: Event) -> None:
         dispatcher = self.dispatcher
         try:
-            dispatcher._finish_op(
-                self.item, self.request, self.outputs, self.start
-            )
+            _complete(dispatcher.state, self.item, self.request, self.outputs,
+                      self.start)
             dispatcher._item_done(self.item)
         except BaseException as exc:
             dispatcher._fail(exc)
@@ -570,6 +559,7 @@ class _Dispatcher:
         self.done = self.env.event()
         self.finished = False
         self.faults = state.fault_injector
+        self.metadata = state.metadata
 
     def start(self) -> Event:
         if self.state.deadline_seconds is not None:
@@ -603,6 +593,8 @@ class _Dispatcher:
     # -- completion bookkeeping ------------------------------------------------
     def _completed(self, item: Item) -> list[Item]:
         self.remaining -= 1
+        if self.metadata is not None:
+            self.metadata.fast_path_items += 1
         ready = []
         counts, items = self.counts, self.state.plan.items
         for uid in item.dependents:
@@ -621,7 +613,9 @@ class _Dispatcher:
 
     def _item_done(self, item: Item) -> None:
         """Light-lane completion: bookkeeping plus cascading dispatch."""
-        self._dispatch(self._completed(item))
+        ready = self._completed(item)
+        if ready:
+            self._dispatch(ready)
 
     # -- dispatch ---------------------------------------------------------------
     def _dispatch(self, ready) -> None:
@@ -631,35 +625,31 @@ class _Dispatcher:
                 return  # a failure was reported: stop feeding new work
             item = queue.popleft()
             try:
-                if self.faults is not None and self.state.task_down(item.device):
+                if self.faults is not None and self.state.task_down(item):
                     # The item's task is crashed: park it (never completes).
                     # Peers' deadlines surface the loss as an error.
                     self.state.park_stalled(item)
                     continue
-                if item.kind == "const":
-                    _finish_const(self.state, item)
-                    self._count_fast()
+                kind = item.kind
+                if kind == "op":
+                    if self._start_op(item):
+                        queue.extend(self._completed(item))
+                elif kind == "const":
+                    _complete(self.state, item, None, list(item.const_values),
+                              self.env.now)
                     queue.extend(self._completed(item))
-                elif item.kind == "recv":
+                elif kind == "recv":
                     _run_recv(self.state, item)
-                    self._count_fast()
                     self._item_done(item)
-                elif item.kind == "send":
+                elif kind == "send":
                     self._start_driven(item, _run_send(self.state, item))
-                elif item.kind == "collective":
+                else:  # "collective"
                     self._start_driven(
                         item, _run_collective(self.state, item)
                     )
-                else:  # "op"
-                    if self._start_op(item):
-                        queue.extend(self._completed(item))
             except BaseException as exc:  # kernel/validation errors
                 self._fail(exc)
                 return
-
-    def _count_fast(self) -> None:
-        if self.state.metadata is not None:
-            self.state.metadata.fast_path_items += 1
 
     def _guard(self, fn) -> None:
         """Run a continuation; route exceptions to the run's done event."""
@@ -679,26 +669,25 @@ class _Dispatcher:
         Generator kernels fall back to the process lane (the generator is
         created lazily, so nothing has executed yet when we hand it over).
         """
-        state = self.state
-        op = item.op
-        if op.type in _NO_DEVICE_HOLD:
+        lane = item.lane
+        if lane == "no_hold":
             # Queue ops have generator kernels and fall back inside
             # _run_op_body; other no-hold ops complete inline.
-            return self._run_op_body(item, None, state.env.now)
-        device = state.device_obj(item.device)
-        request = device.resource.try_acquire()
+            return self._run_op_body(item, None, self.env.now)
+        resource = item.entry[1].resource
+        request = resource.try_acquire()
         if request is not None:
-            if op_def(op.type).inline:
+            if lane == "inline":
                 # Inline-eligible (``register_kernel(..., inline=True)``):
                 # a plain-function kernel that never yields and always
                 # costs zero simulated seconds. The hold would last zero
                 # seconds, so claim and return the slot now — FIFO grant
                 # order is unchanged, no events are scheduled; on a busy
                 # device it queues like any other op.
-                device.resource.release(request)
-                return self._run_op_body(item, None, state.env.now)
-            return self._run_op_body(item, request, state.env.now)
-        self._queue_op(item, device.resource)
+                resource.release(request)
+                return self._run_op_body(item, None, self.env.now)
+            return self._run_op_body(item, request, self.env.now)
+        self._queue_op(item, resource)
         return False
 
     def _queue_op(self, item: Item, resource) -> None:
@@ -728,9 +717,9 @@ class _Dispatcher:
         state = self.state
         try:
             inputs = [state.resolve_source(s) for s in item.sources]
-            result = dispatch(item.op, inputs, state.kernel_ctx(item.device),
+            result = dispatch(item.op, inputs, state.kernel_ctx(item),
                               item.price)
-            if inspect.isgenerator(result):
+            if isinstance(result, GeneratorType):
                 # Blocking kernel: drive it as a callback chain that
                 # inherits (and eventually releases) the held request.
                 self._start_driven(
@@ -738,13 +727,15 @@ class _Dispatcher:
                 )
                 return False
             outputs, cost = result
-            seconds = _cost_seconds(state, item, cost)
+            seconds = item.seconds  # the plan's, for a priced item
+            if seconds is None:
+                seconds = cost_seconds(item.entry[1], item, cost)
         except BaseException:
             if request is not None:
                 request.resource.release(request)
             raise
         if seconds <= 0:
-            self._finish_op(item, request, outputs, start)
+            _complete(state, item, request, outputs, start)
             return True
 
         if cost.host_bytes > 0:
@@ -758,7 +749,7 @@ class _Dispatcher:
     def _run_op_on_gil(self, item: Item, request, outputs, start: float,
                        seconds: float) -> None:
         """Host-side Python work serializes on the task's GIL."""
-        gil = self.state.task_runtime(item.device).gil
+        gil = item.entry[0].gil
         gil_req = gil.try_acquire()
 
         def with_gil(_ev=None):
@@ -772,7 +763,7 @@ class _Dispatcher:
 
         def release_and_finish():
             gil.release(gil_req)
-            self._finish_op(item, request, outputs, start)
+            _complete(self.state, item, request, outputs, start)
             self._item_done(item)
 
         if gil_req is not None:
@@ -781,35 +772,28 @@ class _Dispatcher:
             gil_req = gil.request()
             gil_req.callbacks.append(with_gil)
 
-    def _finish_op(self, item: Item, request, outputs, start: float) -> None:
-        state = self.state
-        if request is not None:
-            request.resource.release(request)
-        _finalize_op(state, item, outputs, start)
-        self._count_fast()
 
-
-def _cost_seconds(state: ExecutionState, item: Item, cost) -> float:
-    """Simulated seconds the executing device charges for ``cost``: the
-    plan's, for a priced item (``Item.seconds``)."""
-    seconds = item.seconds
-    if seconds is None:
-        seconds = cost_seconds(state.device_obj(item.device), item, cost)
-    return seconds
-
-
-def _finalize_op(state: ExecutionState, item: Item, outputs, start: float) -> None:
-    """Post-kernel bookkeeping shared by every execution lane.
-
-    Outputs are live before inputs can be released: the kernel's working
-    set holds both (this is what makes big tiles tight on a 1 GB K420).
-    """
+def _complete(state: ExecutionState, item: Item, request, outputs,
+              start: float) -> None:
+    """An op's, a const's or a collective leg's completion, in every lane
+    of both executors: give back its device slot, store and allocate its
+    outputs, then consume its sources — outputs are live before inputs
+    can be released: the kernel's working set holds both (this is what
+    makes big tiles tight on a 1 GB K420)."""
+    if request is not None:
+        request.resource.release(request)
     state.values[item.uid] = outputs
-    state.register_outputs(item, outputs)
-    for source in item.sources:
-        if source[0] is not FEED:
-            state.consume(source[0], source[1])
-    _record_node_stats(state, item, start)
+    state.allocate(item, outputs)
+    state.consume(item)
+    if state.trace and state.metadata is not None and item.op is not None:
+        state.metadata.step_stats.append(NodeStats(
+            device=item.device,
+            op_name=item.op.name,
+            op_type=item.op.type,
+            start=start,
+            end=state.env.now,
+            out_bytes=sum(map(value_nbytes, outputs)),
+        ))
 
 
 def _finish_generator(state: ExecutionState, item: Item, gen, request,
@@ -819,10 +803,12 @@ def _finish_generator(state: ExecutionState, item: Item, gen, request,
     try:
         result = yield from gen
         outputs, cost = result
-        seconds = _cost_seconds(state, item, cost)
+        seconds = item.seconds
+        if seconds is None:
+            seconds = cost_seconds(item.entry[1], item, cost)
         if seconds > 0:
             if cost.host_bytes > 0:
-                task = state.task_runtime(item.device)
+                task = item.entry[0]
                 gil_req = task.gil.request()
                 yield gil_req
                 try:
@@ -834,29 +820,7 @@ def _finish_generator(state: ExecutionState, item: Item, gen, request,
     finally:
         if request is not None:
             request.resource.release(request)
-    _finalize_op(state, item, outputs, start)
-
-
-def _record_node_stats(state: ExecutionState, item: Item, start: float) -> None:
-    if state.trace and state.metadata is not None and item.op is not None:
-        state.metadata.step_stats.append(
-            NodeStats(
-                device=item.device,
-                op_name=item.op.name,
-                op_type=item.op.type,
-                start=start,
-                end=state.env.now,
-                out_bytes=sum(
-                    value_nbytes(v) for v in state.values[item.uid] or []
-                ),
-            )
-        )
-
-
-def _finish_const(state: ExecutionState, item: Item) -> None:
-    outputs = state.values[item.uid] = list(item.const_values)
-    state.register_outputs(item, outputs)
-    _record_node_stats(state, item, state.env.now)
+    _complete(state, item, None, outputs, start)
 
 
 def _item_proc(state: ExecutionState, item: Item):
@@ -869,7 +833,7 @@ def _item_proc(state: ExecutionState, item: Item):
     elif item.kind == "const":
         # Fast path disabled: const items still complete instantly, just
         # inside a simulator process.
-        _finish_const(state, item)
+        _complete(state, item, None, list(item.const_values), state.env.now)
         return
     else:
         yield from _run_op(state, item)
@@ -879,11 +843,11 @@ def _run_send(state: ExecutionState, item: Item):
     env = state.env
     if item.sources:
         value = state.resolve_source(item.sources[0])
-        nbytes = value_nbytes(value)
+        nbytes = (value_nbytes(value) if item.out_nbytes is None
+                  else item.out_nbytes[0])
     else:
         value, nbytes = None, 0  # control edge
-    src_dev = state.device_obj(item.device)
-    dst_dev = state.device_obj(item.dst_device)
+    src_dev, dst_dev = item.entry[1], item.dst_entry[1]
     start = env.now
     # Transient transport faults (injected message drops) surface as
     # UnavailableError; with a retry policy configured the send backs
@@ -902,9 +866,7 @@ def _run_send(state: ExecutionState, item: Item):
             state.retry_policy,
             on_retry=count_retry,
         )
-    if item.sources:
-        producer, idx = item.sources[0]
-        state.consume(producer, idx)
+    state.consume(item)
     if state.trace and state.metadata is not None:
         state.metadata.transfers.append(
             TransferStats(
@@ -932,7 +894,7 @@ def _run_recv(state: ExecutionState, item: Item) -> None:
     value = state.values[send.uid][0]
     state.values[item.uid] = [value]
     if value is not None:
-        state.register_outputs(item, [value])
+        state.allocate(item, [value])
 
 
 def _run_collective(state: ExecutionState, item: Item):
@@ -951,7 +913,7 @@ def _run_collective(state: ExecutionState, item: Item):
     rank = item.collective_rank
     group = state.collective_group(item)
     start = state.env.now
-    group.devices[rank] = state.device_obj(item.device)
+    group.devices[rank] = item.entry[1]
     if item.sources:
         group.values[rank] = state.resolve_source(item.sources[0])
     group.arrived_ranks.append(rank)
@@ -975,27 +937,18 @@ def _run_collective(state: ExecutionState, item: Item):
         group.done.succeed()
     else:
         yield group.done
-    result = group.results[rank]
-    state.values[item.uid] = [result]
-    state.register_outputs(item, [result])
-    if item.sources and item.sources[0][0] is not FEED:
-        producer, idx = item.sources[0]
-        state.consume(producer, idx)
-    _record_node_stats(state, item, start)
+    _complete(state, item, None, [group.results[rank]], start)
 
 
 def _run_op(state: ExecutionState, item: Item):
     env = state.env
-    op = item.op
-    device = state.device_obj(item.device)
-    task = state.task_runtime(item.device)
+    task, device = item.entry[0], item.entry[1]
     inputs = [state.resolve_source(s) for s in item.sources]
-    ctx = state.kernel_ctx(item.device)
-    hold_device = op.type not in _NO_DEVICE_HOLD
+    ctx = state.kernel_ctx(item)
     request = None
     start = env.now
     try:
-        if hold_device:
+        if item.lane != "no_hold":
             # A free slot is claimed synchronously, as the dispatcher
             # does: a grant event costs one URGENT calendar hop that const
             # items do not pay, and same-instant device-FIFO order would
@@ -1005,11 +958,13 @@ def _run_op(state: ExecutionState, item: Item):
             if request is None:
                 request = device.resource.request()
                 yield request
-        result = dispatch(op, inputs, ctx, item.price)
-        if inspect.isgenerator(result):
+        result = dispatch(item.op, inputs, ctx, item.price)
+        if isinstance(result, GeneratorType):
             result = yield from result
         outputs, cost = result
-        seconds = _cost_seconds(state, item, cost)
+        seconds = item.seconds
+        if seconds is None:
+            seconds = cost_seconds(device, item, cost)
         if seconds > 0:
             if cost.host_bytes > 0:
                 # Host-side Python work serializes on the task's GIL.
@@ -1024,4 +979,4 @@ def _run_op(state: ExecutionState, item: Item):
     finally:
         if request is not None:
             device.resource.release(request)
-    _finalize_op(state, item, outputs, start)
+    _complete(state, item, None, outputs, start)

@@ -31,11 +31,11 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from repro.core.graph import Graph, Operation
-from repro.core.kernels.registry import Price, fed_price, static_price
+from repro.core.kernels.registry import Price, fed_price, op_def, static_price
 from repro.core.metadata import PassStats
 from repro.core.ops.collective_ops import COLLECTIVE_OP_TYPES
 from repro.core.placement import Placer
-from repro.core.tensor import SymbolicValue, Tensor
+from repro.core.tensor import SymbolicValue, Tensor, value_nbytes
 from repro.errors import InvalidArgumentError
 from repro.runtime import collective as collective_runtime
 
@@ -43,6 +43,20 @@ __all__ = ["Item", "ExecutionPlan", "build_plan", "FEED"]
 
 # Sentinel marking an input edge satisfied from the feed dict.
 FEED = "__feed__"
+
+# Ops that block on external conditions and must not occupy a device slot
+# while waiting (a blocked dequeue would otherwise starve the device).
+_NO_DEVICE_HOLD = {
+    "QueueEnqueue",
+    "QueueDequeue",
+    "QueueSize",
+    "QueueClose",
+    "NoOp",
+}
+
+# Stateful ops whose outputs alias resource-manager storage: their output
+# memory is accounted once per variable, not per execution.
+VARIABLE_OPS = {"VariableV2", "Assign", "AssignAdd", "AssignSub"}
 
 
 @dataclass(slots=True)
@@ -81,6 +95,18 @@ class Item:
     # The simulated seconds the item's device charges for the price's
     # Cost (priced "op" items only; unpriced ones convert every run).
     seconds: Optional[float] = None
+    # The dispatch record, what every run reads instead of re-resolving
+    # it: ``entry`` is the session's device-table entry for ``device``
+    # (task runtime, device, memory pool, (job, task)) and a send's
+    # ``dst_entry`` its destination's; an "op" item's ``lane`` says how
+    # it treats its device slot ("held", "inline" or "no_hold"); and
+    # ``out_nbytes`` holds each output's bytes wherever the plan fixes
+    # them (priced non-variable ops, consts, and the sends and recvs of
+    # their outputs), ``None`` where a run measures its values.
+    entry: tuple = ()
+    dst_entry: tuple = ()
+    lane: str = "held"
+    out_nbytes: Optional[tuple] = None
     # Which rank of its collective op this leg executes ("collective"
     # items only; one leg per rank, all sharing the same ``op``).
     collective_rank: int = 0
@@ -173,8 +199,9 @@ def build_plan(
             from these values' specs: the plan serves these shapes only.
         devices: the session's device table (``Session._devices``:
             device string -> ``(task runtime, device, memory pool, (job,
-            task))``). A priced op item carries the seconds its device
-            charges (``Item.seconds``), read off the table once here.
+            task))``), read once per item here: each item's dispatch
+            record holds its entry (``Item.entry``), and a priced op item
+            the seconds its device charges (``Item.seconds``).
         optimize: run the Grappler-style pass pipeline over the pruned
             set, and merge equal constants on one device (with their
             transfers) while lowering; ``False`` (the default) builds
@@ -279,7 +306,7 @@ def build_plan(
     named_routes: set[tuple[str, str]] = set()
 
     def new_item(**kwargs) -> Item:
-        item = Item(uid=len(items), **kwargs)
+        item = Item(uid=len(items), entry=devices[kwargs["device"]], **kwargs)
         items.append(item)
         return item
 
@@ -303,18 +330,24 @@ def build_plan(
         named_routes.add((tensor.name, dst_device))
         cache_key = (producer.uid, out_index, dst_device)
         if cache_key not in recv_cache:
+            nbytes = producer.out_nbytes
+            if nbytes is not None:
+                nbytes = (nbytes[out_index],)
             send = new_item(
                 kind="send",
                 device=producer.device,
                 sources=[(producer, out_index)],
                 dst_device=dst_device,
+                dst_entry=devices[dst_device],
                 tensor_name=tensor.name,
+                out_nbytes=nbytes,
             )
             recv_cache[cache_key] = new_item(
                 kind="recv",
                 device=dst_device,
                 tensor_name=tensor.name,
                 sources=[(send, 0)],
+                out_nbytes=nbytes,
             )
         return (recv_cache[cache_key], 0)
 
@@ -330,6 +363,7 @@ def build_plan(
                 device=producer.device,
                 extra_deps=[producer],
                 dst_device=dst_device,
+                dst_entry=devices[dst_device],
                 tensor_name=f"^{label}",
             )
             ctrl_cache[cache_key] = new_item(
@@ -382,7 +416,8 @@ def build_plan(
                 merged_consts += 1
                 return kept
         item = new_item(kind="const", device=device, op=op,
-                        const_values=values, extra_deps=deps)
+                        const_values=values, extra_deps=deps,
+                        out_nbytes=tuple(map(value_nbytes, values)))
         if key is not None:
             const_by_value[key] = item
         return item
@@ -518,13 +553,16 @@ def build_plan(
                 in_specs = [spec_of(source) for source in sources]
                 if None not in in_specs:
                     price = fed_price(op, in_specs)
+            lane = ("no_hold" if op.type in _NO_DEVICE_HOLD
+                    else "inline" if op_def(op.type).inline else "held")
             item = new_item(kind="op", device=device, op=op, sources=sources,
                             extra_deps=control_deps_of(op, device),
                             double_precision=_is_double_precision(op),
-                            price=price)
-            if item.price is not None:
-                item.seconds = cost_seconds(devices[device][1], item,
-                                            item.price[1])
+                            price=price, lane=lane)
+            if price is not None:
+                item.seconds = cost_seconds(item.entry[1], item, price[1])
+                if op.type not in VARIABLE_OPS:
+                    item.out_nbytes = tuple(spec.nbytes for spec in price[0])
             op_items[op.name] = item
 
     # ---- 5. fetch routing ---------------------------------------------------

@@ -453,7 +453,6 @@ class Session:
         state = ExecutionState(
             env=env,
             plan=plan,
-            devices=self._devices,
             protocol=self._master.data_protocol,
             feeds=feeds,
             symbolic=self.config.shape_only,

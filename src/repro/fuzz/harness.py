@@ -11,7 +11,7 @@ fetches **byte for byte** — same dtype, same shape, same bits, NaNs
 included — because nothing in the matrix is allowed to change numerics,
 only scheduling and lowering.
 
-On top of byte identity the harness checks two sim-time invariants:
+On top of byte identity the harness checks these invariants:
 
 * the fast-path and reference (``executor_fast_path=False``) executors
   are alternative drivers of the *same* plan, so identical configs across
@@ -22,7 +22,11 @@ On top of byte identity the harness checks two sim-time invariants:
 * the shape-only cell runs the same plan on specs instead of values —
   every op priced by its record from the same specs — so it must report
   the concrete cell's simulated time bit for bit, and fetch exactly the
-  baseline values' dtypes and shapes.
+  baseline values' dtypes and shapes;
+* the two executors account the same plan's device memory alike: a
+  fast-path cell's pools end with the allocation counts and bytes in
+  use of its reference twin's. (Not the peaks: at same-instant ties the
+  executors order allocations and frees differently.)
 
 Algorithm cells are excluded from time comparison — changing the
 collective schedule legitimately changes the timeline — and the eager
@@ -121,6 +125,9 @@ class CellRun:
     verifier_rejected: bool = False
     # (fetch index, detail) per value contradicting its static spec
     spec_errors: list[tuple[int, str]] = field(default_factory=list)
+    # pool name -> (allocations, bytes in use) after the run (cells that
+    # run a Session)
+    memory: Optional[dict] = None
 
     @property
     def ok(self) -> bool:
@@ -132,7 +139,7 @@ class Divergence:
     """One detected disagreement between a cell and its reference."""
 
     # "value" | "dtype" | "shape" | "error" | "verifier" | "sim_time" |
-    # "static_spec"
+    # "static_spec" | "memory"
     kind: str
     cell: Cell
     fetch: Optional[int] = None  # index into program.fetches, if per-fetch
@@ -283,7 +290,7 @@ def _np_dtype(value: Any) -> np.dtype:
 
 
 def _finished(cell: Cell, fetch_tensors: list[Tensor], values: Any,
-              sim_time: Optional[float] = None) -> CellRun:
+              session: Optional["repro.Session"] = None) -> CellRun:
     """A successful run, with each value checked against its static spec."""
     if not isinstance(values, list):
         values = [values]
@@ -296,8 +303,13 @@ def _finished(cell: Cell, fetch_tensors: list[Tensor], values: Any,
         if _np_dtype(a) != t.dtype.np_dtype
         or not t.shape.is_compatible_with(TensorShape(a.shape))
     ]
-    return CellRun(cell=cell, values=arrays, sim_time=sim_time,
-                   spec_errors=spec_errors)
+    if session is None:
+        return CellRun(cell=cell, values=arrays, spec_errors=spec_errors)
+    pools = session.master.runtime.memory_pools
+    return CellRun(cell=cell, values=arrays, sim_time=float(session.env.now),
+                   spec_errors=spec_errors,
+                   memory={name: (pool.alloc_count, pool.in_use)
+                           for name, pool in pools.items()})
 
 
 def _run_eager(subject: _Subject, cell: Cell) -> CellRun:
@@ -318,8 +330,7 @@ def _run_session(subject: _Subject, cell: Cell) -> CellRun:
              for name, value in built.feeds.items()}
     with repro.Session(graph=graph, config=config) as sess:
         values = sess.run(built.fetch_tensors, feed_dict=feeds)
-        sim_time = float(sess.env.now)
-    return _finished(cell, built.fetch_tensors, values, sim_time)
+    return _finished(cell, built.fetch_tensors, values, sess)
 
 
 def _run_function(subject: _Subject, cell: Cell) -> CellRun:
@@ -334,8 +345,7 @@ def _run_function(subject: _Subject, cell: Cell) -> CellRun:
     # graph is named op for op like the campaign's.
     fn = repro.function(traced, config=_session_config(subject.gpus, cell))
     values = fn(*subject.feeds)
-    sim_time = float(fn.session.env.now) if fn.session is not None else None
-    return _finished(cell, fetch_tensors, values, sim_time)
+    return _finished(cell, fetch_tensors, values, fn.session)
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +449,25 @@ def _time_invariants(runs: Iterable[CellRun]) -> list[Divergence]:
     return diffs
 
 
+def _memory_invariants(runs: Iterable[CellRun]) -> list[Divergence]:
+    """Each fast-path cell's pools against its reference twin's."""
+    accounted = {run.cell: run.memory for run in runs
+                 if run.ok and run.memory is not None}
+    diffs: list[Divergence] = []
+    for cell, memory in accounted.items():
+        reference = accounted.get(replace(cell, fast_path=False))
+        if cell.fast_path and reference is not None and memory != reference:
+            differ = {name: (pool, reference.get(name))
+                      for name, pool in memory.items()
+                      if pool != reference.get(name)}
+            diffs.append(Divergence(
+                kind="memory", cell=cell,
+                detail=(f"(allocations, bytes in use) fast-path != "
+                        f"reference: {differ}"),
+            ))
+    return diffs
+
+
 # ---------------------------------------------------------------------------
 # whole-matrix driver
 # ---------------------------------------------------------------------------
@@ -461,6 +490,7 @@ def run_program(program: Program,
         report.runs[cell.label()] = run
         report.divergences.extend(compare_runs(baseline, run))
     report.divergences.extend(_time_invariants(report.runs.values()))
+    report.divergences.extend(_memory_invariants(report.runs.values()))
     return report
 
 
@@ -474,13 +504,17 @@ def _judge(subject: _Subject, cell: Cell
     """The baseline run, and ``cell``'s divergences by the campaign's
     checks: bytes and static specs against the baseline, simulated time
     against its timing twins — the other executor lane and the other
-    optimizer setting, or for the shape-only cell its concrete twin."""
+    optimizer setting, or for the shape-only cell its concrete twin —
+    and memory accounting against the other executor lane."""
     baseline = _run(subject, BASELINE)
     if baseline.error is not None:
         return baseline, [_baseline_failed(baseline)]
+    runs = {BASELINE: baseline}
 
     def run_of(target: Cell) -> CellRun:
-        return baseline if target == BASELINE else _run(subject, target)
+        if target not in runs:
+            runs[target] = _run(subject, target)
+        return runs[target]
 
     run = run_of(cell)
     found = compare_runs(baseline, run)
@@ -492,13 +526,16 @@ def _judge(subject: _Subject, cell: Cell
         )
         for twin in twins:
             found += _time_invariants([run, run_of(twin)])
+    if cell.frontend != "eager":
+        lane_twin = run_of(replace(cell, fast_path=not cell.fast_path))
+        found += _memory_invariants([run, lane_twin])
     return baseline, found
 
 
 def has_divergence(program: Program, cell: Cell,
                    failure: Optional[str] = None) -> bool:
     """Does ``cell`` still disagree with the baseline on ``program``,
-    by bytes, static specs or simulated time?
+    by bytes, static specs, simulated time or memory accounting?
 
     The shrinker's oracle: candidates whose *baseline* breaks are
     invalid reductions (they changed the program, not just shrank the

@@ -22,6 +22,7 @@ all: a kernel call for an op its record describes.
 
 import contextlib
 import gc
+import sys
 from collections import Counter
 
 import numpy as np
@@ -294,12 +295,17 @@ class TestValueLaneCounts:
 
     Every count is pinned on both placements. By default the ``add`` ops
     run on the session's GPU and the fetch moves to the client's CPU
-    through a send/recv pair, which reads ``value_nbytes`` twice (the
-    send's payload and the recv's unpriced output); pinned to the
-    client's CPU the fetch moves nothing."""
-
-    # value_nbytes calls the fetch's transfer makes, per placement.
-    TRANSFER_NBYTES = {None: 2, "/cpu:0": 0}
+    through a send/recv pair; pinned to the client's CPU the fetch moves
+    nothing. The pair reads the bytes its producer's price states off its
+    dispatch record (``Item.out_nbytes``), so it measures **0** values;
+    before records held them it measured 2 (the send's payload and the
+    recv's output). The record also holds the item's device-table entry
+    and its lane, so the warm run reads the session's device table and
+    calls ``op_def`` **0** times; before, it read the table 22 to 35
+    times (per placement and executor), and the fast lane called
+    ``op_def`` once per ``add``.
+    ``test_an_unpriced_producer_s_transfer_measures_its_bytes`` pins
+    the other side: a transfer of a value no price states measures it."""
 
     @staticmethod
     def _counted(monkeypatch, fast, device, second_shape, first_shape=(8, 8)):
@@ -342,6 +348,7 @@ class TestValueLaneCounts:
         count(op_def("Add"), "shape_fn")
         count(op_def("Add"), "cost")
         count(executor_module, "value_nbytes")
+        _count_op_def_and_device_table(monkeypatch, counts, sess)
         value = sess.run(out, feed_dict=feed)
         monkeypatch.undo()
         np.testing.assert_array_equal(value, feed[x] + 10 * feed[y])
@@ -356,7 +363,7 @@ class TestValueLaneCounts:
         assert self._counted(monkeypatch, fast, device, (8, 8)) == {
             "asarray": 22, "broadcast_shapes": 0, "__init__": 0,
             "as_dtype": 0, "shape_fn": 0, "cost": 0, "time_for_cost": 0,
-            "value_nbytes": self.TRANSFER_NBYTES[device]}
+            "value_nbytes": 0, "op_def": 0, "device_table": 0}
 
     @pytest.mark.parametrize("device", [None, "/cpu:0"],
                              ids=["default", "client-cpu"])
@@ -367,7 +374,7 @@ class TestValueLaneCounts:
         assert self._counted(monkeypatch, fast, device, (8,)) == {
             "asarray": 22, "broadcast_shapes": 0, "__init__": 0,
             "as_dtype": 0, "shape_fn": 0, "cost": 0, "time_for_cost": 0,
-            "value_nbytes": self.TRANSFER_NBYTES[device]}
+            "value_nbytes": 0, "op_def": 0, "device_table": 0}
 
     @pytest.mark.parametrize("device", [None, "/cpu:0"],
                              ids=["default", "client-cpu"])
@@ -379,7 +386,79 @@ class TestValueLaneCounts:
                              first_shape=(None, 8)) == {
             "asarray": 22, "broadcast_shapes": 0, "__init__": 0,
             "as_dtype": 0, "shape_fn": 0, "cost": 0, "time_for_cost": 0,
-            "value_nbytes": self.TRANSFER_NBYTES[device]}
+            "value_nbytes": 0, "op_def": 0, "device_table": 0}
+
+    @pytest.mark.parametrize("declared", [True, False],
+                             ids=["declared", "undeclared"])
+    @pytest.mark.parametrize("fast", [True, False],
+                             ids=["fast-path", "reference"])
+    def test_an_unpriced_producer_s_transfer_measures_its_bytes(
+            self, fast, declared, monkeypatch):
+        """A dequeue (on the client's CPU: queues live there) feeds an
+        ``identity`` on the GPU, which is fetched back. A queue that
+        declares its element shape prices both ops, and nothing is
+        measured. One that does not leaves the dequeue unpriced
+        (``kernel_spec`` with an undeclared dim) and the identity
+        downstream of it: each op measures its output, and each
+        transfer's send and recv measure the value they move, 6 in all."""
+        g = tf.Graph()
+        with g.as_default():
+            q = tf.FIFOQueue(2, [tf.float64],
+                             shapes=[[8, 8]] if declared else None)
+            put = q.enqueue(tf.placeholder(tf.float64, [8, 8], name="v"))
+            with g.device("/device:gpu:0"):
+                out = tf.identity(q.dequeue())
+        sess = tf.Session(graph=g, config=tf.SessionConfig(
+            graph_optimization=False, executor_fast_path=fast))
+        element = np.arange(64.0).reshape(8, 8)
+        for _ in range(2):  # the second pair of runs is warm
+            sess.run(put, feed_dict={"v:0": element})
+            counts = {"value_nbytes": 0}
+            original = executor_module.value_nbytes
+
+            def counted(value):
+                counts["value_nbytes"] += 1
+                return original(value)
+
+            monkeypatch.setattr(executor_module, "value_nbytes", counted)
+            np.testing.assert_array_equal(sess.run(out), element)
+            monkeypatch.undo()
+        assert counts == {"value_nbytes": 0 if declared else 6}
+
+
+def _count_op_def_and_device_table(monkeypatch, counts, sess):
+    """Count, into ``counts``, ``op_def`` calls through every module that
+    imported it and reads of ``sess``'s device table, until
+    ``monkeypatch.undo``."""
+    counts["op_def"] = 0
+
+    def counted_op_def(op_type):
+        counts["op_def"] += 1
+        return op_def(op_type)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("repro")
+                and getattr(module, "op_def", None) is op_def):
+            monkeypatch.setattr(module, "op_def", counted_op_def)
+    monkeypatch.setattr(sess, "_devices",
+                        _CountedLookups(sess._devices, counts))
+
+
+class _CountedLookups(dict):
+    """A device table that counts every read of an entry."""
+
+    def __init__(self, table, counts):
+        super().__init__(table)
+        self.counts = counts
+        counts["device_table"] = 0
+
+    def __getitem__(self, key):
+        self.counts["device_table"] += 1
+        return super().__getitem__(key)
+
+    def get(self, *args):
+        self.counts["device_table"] += 1
+        return super().get(*args)
 
 
 class _CountedReads(dict):

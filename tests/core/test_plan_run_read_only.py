@@ -7,18 +7,33 @@ Everything a run produces — values, dependency counters, the reference
 executor's processes — lives in that run's ``ExecutionState``, which is
 why any number of runs may share one cached plan. (Until PR 21 the
 executor kept each run's processes and outputs on the plan's items.)
+
+That includes each item's dispatch record (``Item.entry``, ``lane``,
+``out_nbytes``): a run reads it and writes nothing back. The record names
+session objects — the task runtime, the device and its memory pool —
+whose own state (a pool's bytes in use, a device's queue) is run state,
+so the snapshot holds them by identity.
 """
 
+import copy
 import dataclasses
 
 import numpy as np
 import pytest
 
 import repro as tf
+from repro.core import executor as executor_module
 from repro.core import session as session_module
 from repro.core.graph import Operation
 from repro.core.partition import ExecutionPlan, Item
 from repro.errors import DeadlineExceededError
+from repro.runtime.server import TaskRuntime
+from repro.simnet.cpu import CPUDevice
+from repro.simnet.gpu import GPUDevice
+from repro.simnet.memory import MemoryPool
+
+# What a dispatch record names and a run changes the state of.
+_SESSION_OBJECTS = (TaskRuntime, CPUDevice, GPUDevice, MemoryPool)
 
 
 def _freeze(value):
@@ -28,6 +43,8 @@ def _freeze(value):
         return ("item", value.uid)
     if isinstance(value, Operation):
         return ("op", value.name)
+    if isinstance(value, _SESSION_OBJECTS):
+        return ("session object", id(value))
     if isinstance(value, np.ndarray):
         return ("array", value.dtype.str, value.shape, value.tobytes())
     if isinstance(value, (list, tuple)):
@@ -130,3 +147,38 @@ def test_items_take_no_new_attributes():
     for name in ("out_values", "process", "anything"):
         with pytest.raises(AttributeError):
             setattr(item, name, None)
+
+
+def _copied_pool(item):
+    runtime, device, pool, task = item.entry
+    return (runtime, device, copy.copy(pool), task)
+
+
+@pytest.mark.parametrize("field, planted", [
+    ("out_nbytes", lambda item: None),
+    ("lane", lambda item: "no_hold"),
+    ("entry", _copied_pool),
+], ids=["out_nbytes", "lane", "entry"])
+def test_a_run_time_write_to_a_dispatch_record_is_caught(
+        field, planted, built_plans, monkeypatch):
+    """A defect that rewrites a record field while running fails the
+    snapshot check — an equal-looking pool that is not the session's one
+    included."""
+    complete = executor_module._complete
+
+    def writing_complete(state, item, *args):
+        complete(state, item, *args)
+        if item.kind == "op":
+            setattr(item, field, planted(item))
+
+    g = tf.Graph()
+    with g.as_default(), g.device("/device:gpu:0"):
+        total = tf.add(tf.constant([1.0, 2.0]), tf.constant([3.0, 4.0]))
+    sess = tf.Session(graph=g, config=tf.SessionConfig(
+        graph_optimization=False))
+    sess.run(total)
+    ((plan, as_built),) = built_plans
+    assert snapshot(plan) == as_built
+    monkeypatch.setattr(executor_module, "_complete", writing_complete)
+    np.testing.assert_array_equal(sess.run(total), [4.0, 6.0])
+    assert snapshot(plan) != as_built

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from repro.core.executor import ExecutionState
 from repro.core.kernels.registry import op_def, override_kernel
 from repro.core.tensor import SymbolicValue
 from repro.fuzz.generator import GeneratorOptions, Instr, Program, generate
@@ -12,6 +13,7 @@ from repro.fuzz.harness import (
     Cell,
     CellRun,
     compare_runs,
+    has_divergence,
     matrix_cells,
     run_cell,
     run_program,
@@ -275,3 +277,42 @@ def test_run_cell_captures_errors_instead_of_raising():
     run = run_cell(bad, BASELINE)
     # Either the corruption was harmless (no inputs) or it was caught.
     assert run.ok or run.error is not None
+
+
+def _leaky_fast_lane(allocate):
+    """``ExecutionState.allocate`` with a planted fast-lane defect: a dead
+    output's bytes are allocated and never given back."""
+
+    def allocate_keeping_dead_outputs(state, item, outputs):
+        pool = item.entry[2]
+        if state.fast_path:
+            pool.free = lambda nbytes: None  # shadows MemoryPool.free
+        try:
+            allocate(state, item, outputs)
+        finally:
+            pool.__dict__.pop("free", None)
+
+    return allocate_keeping_dead_outputs
+
+
+def test_planted_fast_lane_leak_is_a_memory_divergence(monkeypatch):
+    # Seed 1 computes an output nothing reads. Values and clocks cannot
+    # see a leak; the pools' bytes in use after the run can.
+    program = generate(1)
+    report = run_program(program)
+    assert report.ok, [d.describe() for d in report.divergences]
+    assert all(run.memory for label, run in report.runs.items()
+               if run.cell.frontend == "session")
+    monkeypatch.setattr(ExecutionState, "allocate",
+                        _leaky_fast_lane(ExecutionState.allocate))
+    report = run_program(program)
+    flagged = {(d.kind, d.cell.label()) for d in report.divergences}
+    assert flagged == {("memory", "session/fast/noopt"),
+                       ("memory", "session/fast/opt"),
+                       ("memory", "function/fast/opt")}
+    # The shrinker's oracle judges a cell by the same invariant, against
+    # the other executor lane, from either side.
+    fast = Cell(frontend="session", fast_path=True, optimize=True)
+    assert has_divergence(program, fast)
+    assert has_divergence(program, replace(fast, fast_path=False))
+    assert not has_divergence(program, Cell(frontend="eager"))

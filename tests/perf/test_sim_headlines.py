@@ -30,6 +30,7 @@ from repro.apps.matmul import run_matmul
 from repro.apps.sgd import run_sgd, run_sgd_restartable
 from repro.apps.stencil import run_stencil
 from repro.apps.stream import run_stream
+from repro.core.executor import ExecutionState
 from repro.core.ops import collective_ops
 from repro.core.partition import Item, build_plan
 from repro.core.placement import Placer
@@ -600,16 +601,17 @@ def test_memory_of_a_concrete_stencil():
 def _failing_item(exc):
     """(kind, op or tensor name) of the plan item whose output allocation
     raised ``exc``: the ``item`` of the innermost
-    ``ExecutionState.register_outputs`` frame. The error names only the
-    pool, so the item is read off the traceback; a refactor that renames
-    that method or its argument fails here, not as a memory drift."""
+    ``ExecutionState.allocate`` frame, the one place an output's bytes are
+    allocated. The error names only the pool, so the item is read off the
+    traceback; a refactor that renames that method or its argument fails
+    here, not as a memory drift."""
     item, tb = None, exc.__traceback__
     while tb is not None:
-        if tb.tb_frame.f_code.co_name == "register_outputs":
+        if tb.tb_frame.f_code is ExecutionState.allocate.__code__:
             item = tb.tb_frame.f_locals.get("item")
         tb = tb.tb_next
     assert isinstance(item, Item), (
-        "no register_outputs(item, ...) frame in the OOM's traceback: "
+        "no allocate(item, ...) frame in the OOM's traceback: "
         "point _failing_item at the executor's output allocation again")
     return item.kind, item.op.name if item.op is not None else item.tensor_name
 
