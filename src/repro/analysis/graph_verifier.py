@@ -113,7 +113,10 @@ def verify_graph(
             ``graph.version``, which invalidates the memo — so the cache
             is sound unless the caller mutates existing operations in
             place (what the adversarial tests do;
-            they verify with ``cache=False``, the default).
+            they verify with ``cache=False``, the default). On the same
+            contract, an op whose specs ``create_op`` inferred at the
+            graph's current ``spec_epoch`` is not re-inferred: its record
+            is its shape function's output for its inputs' current specs.
         edited: working sets only. For a working set that verified clean
             before, the names of the :class:`Subgraph` fields a pass has
             edited since (``"ops"``, ``"value_subs"``, ``"control_subs"``,
@@ -171,6 +174,9 @@ def _verify_ops(
     cache: bool = False,
 ) -> None:
     clean: Optional[set] = None
+    # Under the append-only contract, an op inferred at the current epoch
+    # holds its shape function's answer; -1 matches no op.
+    epoch = graph.spec_epoch if cache else -1
     if cache and placer is None:
         entry = _CLEAN_OPS_CACHE.get(graph)
         if entry is None or entry[0] != graph.version:
@@ -184,7 +190,8 @@ def _verify_ops(
         found_before = len(report.diagnostics)
         backward = _check_edges(graph, op, report)
         _check_device(op, placer, report)
-        _check_specs(op, report)
+        if op.inferred_at != epoch:
+            _check_specs(op, report)
         in_order = in_order and backward
         if (clean is not None and backward
                 and len(report.diagnostics) == found_before):

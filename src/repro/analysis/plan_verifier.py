@@ -415,19 +415,22 @@ def _check_variable_races(plan: Any, by_kind: dict[str, list],
             task = item.device
         groups.setdefault((var_name, task), []).append(item)
 
-    for (var_name, _task), accessors in groups.items():
-        writers = [a for a in accessors if a.op.type in _WRITER_OP_TYPES]
-        if not writers or len(accessors) < 2:
-            continue
-        ordered = _pairwise_order(plan, legs_by_op,
-                                  [a.uid for a in accessors], in_order)
+    racy = {key: accessors for key, accessors in groups.items()
+            if len(accessors) >= 2
+            and any(a.op.type in _WRITER_OP_TYPES for a in accessors)}
+    if not racy:
+        return
+    members = [a for group in racy.values() for a in group]
+    bit = {a.uid: 1 << index for index, a in enumerate(members)}
+    reach = _accessor_reach(plan, legs_by_op, bit, in_order)
+    for (var_name, _task), accessors in racy.items():
         for i, first in enumerate(accessors):
             for second in accessors[i + 1:]:
                 if first.op.type not in _WRITER_OP_TYPES and \
                         second.op.type not in _WRITER_OP_TYPES:
                     continue  # read-read pairs are always safe
-                if (first.uid, second.uid) in ordered or \
-                        (second.uid, first.uid) in ordered:
+                if reach[second.uid] & bit[first.uid] or \
+                        reach[first.uid] & bit[second.uid]:
                     continue
                 both_write = (
                     first.op.type in _WRITER_OP_TYPES
@@ -460,34 +463,39 @@ def _check_variable_races(plan: Any, by_kind: dict[str, list],
                 )
 
 
-def _pairwise_order(plan: Any, legs_by_op: dict, uids: list,
-                    in_order: bool) -> set:
-    """All (a, b) pairs where b is reachable from a, within ``uids``.
+def _accessor_reach(plan: Any, legs_by_op: dict, bit: dict[int, int],
+                    in_order: bool) -> dict[int, int]:
+    """Per accessor uid, the accessors it is, or is ordered after, as a
+    bitset: accessor ``uid`` is the bit ``bit[uid]``.
 
-    Searches backward from each b over sources and ordering deps; a leg
-    waits on its op's barrier, so its predecessors are those of every leg
-    of its op. In a plan in dependency order every predecessor has a lower
-    uid: a search stops below the lowest of ``uids``, and once it has met
-    every lower one.
+    One forward pass in uid order gives each item the union of its live
+    inputs' sets; a leg waits on its op's barrier, so every leg of an op
+    takes the union over all of them. In a plan in dependency order every
+    input has a lower uid, so one pass from the lowest accessor to the
+    highest is final. A plan with a forward edge repeats the pass over
+    every item until no set grows.
     """
-    groups = {leg.uid: legs for legs in legs_by_op.values() for leg in legs}
-    floor = min(uids) if in_order else 0
-    targets = set(uids)
-    ordered: set = set()
-    for end in uids:
-        missing = (sum(1 for uid in uids if uid < end) if in_order
-                   else len(uids) - 1)
-        seen = {end}
-        stack = [end]
-        while stack and missing:
-            node = stack.pop()
-            for member in groups.get(node, (plan.items[node],)):
-                for uid in _live_inputs(plan, member):
-                    if uid < floor or uid in seen:
-                        continue
-                    seen.add(uid)
-                    if uid in targets:
-                        ordered.add((uid, end))
-                        missing -= 1
-                    stack.append(uid)
-    return ordered
+    items = plan.items
+    reach = [0] * len(items)
+    group = {leg.uid: legs for legs in legs_by_op.values() for leg in legs}
+    span = range(min(bit), max(bit) + 1) if in_order else range(len(items))
+    grew = True
+    while grew:
+        grew = False
+        barriers: dict[int, int] = {}  # id(legs) -> the legs' union
+        for uid in span:
+            legs = group.get(uid)
+            if legs is not None and id(legs) in barriers:
+                bits = barriers[id(legs)]
+            else:
+                bits = bit.get(uid, 0)  # a leg is never an accessor
+                for member in (items[uid],) if legs is None else legs:
+                    for source in _live_inputs(plan, member):
+                        bits |= reach[source]
+                if legs is not None:
+                    barriers[id(legs)] = bits
+            if bits != reach[uid]:
+                reach[uid] = bits
+                grew = True
+        grew = grew and not in_order
+    return {uid: reach[uid] for uid in bit}

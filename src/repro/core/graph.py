@@ -51,6 +51,9 @@ class Operation:
         device: (possibly partial) device specification string.
         attrs: static attributes consumed by the kernel.
         outputs: produced tensors.
+        inferred_at: the graph's ``spec_epoch`` when ``create_op``
+            derived ``outputs``' specs from the op type's shape function;
+            ``None`` when the caller supplied them.
     """
 
     __slots__ = (
@@ -63,6 +66,7 @@ class Operation:
         "attrs",
         "outputs",
         "node_id",
+        "inferred_at",
     )
 
     def __init__(
@@ -76,6 +80,7 @@ class Operation:
         attrs: dict[str, Any],
         output_specs: Sequence[tuple[dtypes.DType, TensorShape]],
         node_id: int,
+        inferred_at: Optional[int] = None,
     ):
         self.graph = graph
         self.name = name
@@ -85,6 +90,7 @@ class Operation:
         self.device = device
         self.attrs = dict(attrs)
         self.node_id = node_id
+        self.inferred_at = inferred_at
         self.outputs = tuple(
             Tensor(self, i, dt, shape) for i, (dt, shape) in enumerate(output_specs)
         )
@@ -120,6 +126,10 @@ class Graph:
         # ``Tensor.set_shape`` refinement; lets sessions detect graph
         # changes between runs.
         self.version = 0
+        # Bumped by each ``Tensor.set_shape`` refinement only: an op
+        # inferred at the current epoch (``Operation.inferred_at``) holds
+        # exactly what its shape function returns for its inputs' specs.
+        self.spec_epoch = 0
 
     # -- default-graph management -------------------------------------------
     def as_default(self):
@@ -233,6 +243,7 @@ class Graph:
                     f"Input {tensor.name} belongs to a different graph"
                 )
         attrs = attrs or {}
+        inferred_at = None
         if output_specs is None:
             definition = op_def(op_type)
             if definition.shape_fn is None:
@@ -240,6 +251,7 @@ class Graph:
                     f"{op_type} has no shape function; pass output_specs"
                 )
             output_specs = definition.output_specs(inputs, attrs)
+            inferred_at = self.spec_epoch
         op_name = self.unique_name(name or op_type)
         if device is None:
             device = self.current_device
@@ -261,6 +273,7 @@ class Graph:
             attrs=attrs,
             output_specs=specs,
             node_id=self._next_id,
+            inferred_at=inferred_at,
         )
         self._next_id += 1
         self._nodes[op_name] = op

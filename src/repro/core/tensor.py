@@ -216,12 +216,16 @@ class Tensor:
         """Refine the static shape with caller-supplied information.
 
         A change bumps ``graph.version``, like a new op: cached plans and
-        the verifier's memo of clean ops were built on the old shape.
+        the verifier's memo of clean ops were built on the old shape. It
+        also bumps ``graph.spec_epoch``: every op's recorded specs are
+        then re-inferred by the next verification.
         """
         merged = self._shape.merge_with(as_shape(shape))
         if merged != self._shape:
             self._shape = merged
-            self.op.graph.version += 1
+            graph = self.op.graph
+            graph.version += 1
+            graph.spec_epoch += 1
 
     def consumers(self) -> list:
         """Operations that take this tensor as a data input."""

@@ -210,6 +210,61 @@ class TestSetShapeInvalidatesMemo:
                 sess.run(y, feed_dict={x: np.ones((3, 4), np.float32)})
 
 
+class TestInferredSpecs:
+    """``create_op`` stamps an op whose specs it inferred with the graph's
+    ``spec_epoch``; the cached verifier trusts that record until a
+    refinement bumps the epoch, and re-infers everything else."""
+
+    @staticmethod
+    def _counting(monkeypatch, op_type):
+        from repro.core.kernels.registry import op_def
+
+        definition = op_def(op_type)
+        calls = []
+        shape_fn = definition.shape_fn
+
+        def counted(specs, attrs):
+            calls.append(1)
+            return shape_fn(specs, attrs)
+
+        monkeypatch.setattr(definition, "shape_fn", counted)
+        return calls
+
+    def test_only_the_cached_verifier_trusts_the_stamp(self, monkeypatch):
+        g = tf.Graph()
+        with g.as_default():
+            x = tf.placeholder(tf.float32, [None, None], name="x")
+            y = tf.matmul(x, tf.ones((5, 6)), name="y")
+        assert y.op.inferred_at == g.spec_epoch == 0
+        assert x.op.inferred_at is None  # its caller supplied the specs
+        calls = self._counting(monkeypatch, "MatMul")
+        assert verify_graph(g, ops=g.operations, cache=True).ok
+        assert calls == []
+        assert verify_graph(g, ops=g.operations).ok
+        assert calls == [1]
+        x.set_shape([3, 5])
+        assert g.spec_epoch == 1
+        assert verify_graph(g, ops=g.operations, cache=True).ok
+        assert calls == [1, 1]
+
+    def test_session_rejects_caller_specs_that_inference_contradicts(self):
+        from repro.errors import VerificationError
+
+        g = tf.Graph()
+        with g.as_default():
+            a = tf.constant([1.0, 2.0], name="a")
+            bad = g.create_op("Neg", [a], output_specs=[(tf.float32, [3])],
+                              name="bad")
+        assert bad.inferred_at is None
+        config = tf.SessionConfig(verify_plans=True)
+        with tf.Session(graph=g, config=config) as sess:
+            with pytest.raises(VerificationError,
+                               match="graph/shape-dtype") as excinfo:
+                sess.run(bad.outputs[0])
+        assert [(d.rule, d.op) for d in excinfo.value.diagnostics] == [
+            ("graph/shape-dtype", "bad")]
+
+
 class TestSubgraphChecks:
     """Post-pass working-set invariants (what the pipeline hook runs)."""
 

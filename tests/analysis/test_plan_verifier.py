@@ -434,8 +434,31 @@ def _ordered_programs():
             gradients=record.get("gradients", True),
             max_world=record["max_world"],
         )
-    for seed in range(201):
+    for seed in range(301):
         yield seed, GeneratorOptions()
+
+
+@functools.lru_cache(maxsize=None)
+def _built_plans():
+    """(seed, optimize, plan) for every plan the corpus programs and fuzz
+    seeds 0..300 build, optimizer off and on."""
+    from repro.fuzz.generator import generate
+
+    built_plans = []
+    for seed, options in _ordered_programs():
+        program = generate(seed, options)
+        for optimize in (False, True):
+            g = tf.Graph()
+            with g.as_default():
+                built = program.materialize()
+            config = tf.SessionConfig(num_gpus=program.gpus,
+                                      graph_optimization=optimize)
+            with np.errstate(all="ignore"), \
+                    tf.Session(graph=g, config=config) as sess:
+                sess.run(built.fetch_tensors, feed_dict=dict(built.feeds))
+                built_plans += [(seed, optimize, plan)
+                                for plan in sess._plan_cache.values()]
+    return tuple(built_plans)
 
 
 class TestDependencyOrder:
@@ -444,24 +467,11 @@ class TestDependencyOrder:
     on a plan with a forward edge."""
 
     def test_built_plans_are_in_dependency_order(self):
-        from repro.fuzz.generator import generate
-
         plans = 0
-        for seed, options in _ordered_programs():
-            program = generate(seed, options)
-            for optimize in (False, True):
-                g = tf.Graph()
-                with g.as_default():
-                    built = program.materialize()
-                config = tf.SessionConfig(num_gpus=program.gpus,
-                                          graph_optimization=optimize)
-                with np.errstate(all="ignore"), \
-                        tf.Session(graph=g, config=config) as sess:
-                    sess.run(built.fetch_tensors, feed_dict=dict(built.feeds))
-                    for plan in sess._plan_cache.values():
-                        assert forward_edges(plan) == [], (seed, optimize)
-                        plans += 1
-        assert plans >= 2 * 201
+        for seed, optimize, plan in _built_plans():
+            assert forward_edges(plan) == [], (seed, optimize)
+            plans += 1
+        assert plans >= 2 * 301
 
     @staticmethod
     def _reversed(plan):
@@ -549,3 +559,151 @@ class TestDependencyOrder:
                 out = tf.add(reduced[0], reduced[1])
             plan = plan_for(g, fetch_tensors=[out], optimize=optimize)
             assert verify_plan(plan).ok
+
+
+_ACCESSOR_TYPES = ("VariableV2", "Assign", "AssignAdd", "AssignSub")
+
+
+def dfs_predecessors(plan, item):
+    """Every item ``item`` waits on, by plain depth-first search over
+    sources and ordering deps; a collective leg waits on its op's
+    barrier, so on everything any leg of its op waits on."""
+    from repro.core.partition import FEED
+
+    legs = {}
+    for other in plan.items:
+        if other.kind == "collective":
+            legs.setdefault(other.op.name, []).append(other)
+
+    def direct(node):
+        group = legs[node.op.name] if node.kind == "collective" else [node]
+        for member in group:
+            yield from (p for p, _ in member.sources if p is not FEED)
+            yield from member.extra_deps
+
+    seen = set()
+    stack = [item]
+    while stack:
+        for producer in direct(stack.pop()):
+            if id(producer) not in seen:
+                seen.add(id(producer))
+                stack.append(producer)
+    return seen
+
+
+def dfs_race_count(plan):
+    """Unordered accessor pairs of one variable on one task, one of them
+    writing: what ``plan/variable-race`` must report, by the oracle."""
+    from repro.core.partition import _job_task_of
+
+    groups = {}
+    for item in plan.items:
+        if item.kind == "op" and item.op.type in _ACCESSOR_TYPES:
+            name = (item.op.name if item.op.type == "VariableV2"
+                    else item.op.get_attr("var_name"))
+            if name is not None:
+                key = (name, _job_task_of(item.device))
+                groups.setdefault(key, []).append(item)
+    races = 0
+    for accessors in groups.values():
+        before = {a.uid: dfs_predecessors(plan, a) for a in accessors}
+        for i, first in enumerate(accessors):
+            for second in accessors[i + 1:]:
+                if "VariableV2" == first.op.type == second.op.type:
+                    continue
+                if (id(first) not in before[second.uid]
+                        and id(second) not in before[first.uid]):
+                    races += 1
+    return races
+
+
+def assert_race_order_matches_dfs(plan):
+    """The one-pass happens-before sets agree with the DFS oracle on
+    every pair of accessors, and the race verdicts on every group;
+    returns the number of pairs compared."""
+    from repro.analysis import plan_verifier
+
+    accessors = [i for i in plan.items
+                 if i.kind == "op" and i.op.type in _ACCESSOR_TYPES]
+    if len(accessors) < 2:
+        return 0
+    bit = {a.uid: 1 << index for index, a in enumerate(accessors)}
+    legs_by_op = {}
+    for item in plan.items:
+        if item.kind == "collective":
+            legs_by_op.setdefault(item.op.name, []).append(item)
+    reach = plan_verifier._accessor_reach(
+        plan, legs_by_op, bit, in_order=not forward_edges(plan))
+    for second in accessors:
+        before = dfs_predecessors(plan, second)
+        for first in accessors:
+            if first is not second:
+                assert bool(reach[second.uid] & bit[first.uid]) == (
+                    id(first) in before), (first, second)
+    races = [d for d in verify_plan(plan) if d.rule == "plan/variable-race"]
+    assert len(races) == dfs_race_count(plan)
+    return len(accessors) * (len(accessors) - 1)
+
+
+def renumbered_backwards(plan):
+    """``plan`` numbered in reverse, every edge forward; undone on exit."""
+    import contextlib
+
+    @contextlib.contextmanager
+    def reversed_numbering():
+        plan.items.reverse()
+        for uid, item in enumerate(plan.items):
+            item.uid = uid
+        try:
+            yield plan
+        finally:
+            plan.items.reverse()
+            for uid, item in enumerate(plan.items):
+                item.uid = uid
+
+    return reversed_numbering()
+
+
+class TestRaceOrderOracle:
+    """``plan/variable-race`` orders accessors in one forward pass over
+    bitsets; a plain DFS written here is the oracle, on built plans in
+    their own numbering and numbered backwards (the fixpoint path)."""
+
+    def _check(self, plans):
+        pairs = 0
+        for plan in plans:
+            pairs += assert_race_order_matches_dfs(plan)
+            with renumbered_backwards(plan):
+                assert_race_order_matches_dfs(plan)
+        return pairs
+
+    def test_fuzz_and_corpus_plans(self):
+        assert self._check(plan for _, _, plan in _built_plans()) > 1000
+
+    def test_app_plans(self, monkeypatch):
+        import repro.core.session as session_module
+        from repro.apps.cg import run_cg
+        from repro.apps.matmul import run_matmul
+        from repro.apps.sgd import run_sgd
+
+        plans = []
+        build = session_module.build_plan
+
+        def recording(*args, **kwargs):
+            plans.append(build(*args, **kwargs))
+            return plans[-1]
+
+        monkeypatch.setattr(session_module, "build_plan", recording)
+        run_sgd(steps=2, num_workers=4)
+        sgd = len(plans)
+        run_cg(system="tegner-k80", n=64, num_gpus=2, iterations=2)
+        cg = len(plans)
+        run_matmul(n=64, tile=32, num_gpus=2)
+        assert 0 < sgd < cg < len(plans)
+        assert self._check(plans[:sgd]) > 0
+        self._check(plans)
+
+    def test_races_are_counted_alike_on_a_racy_plan(self):
+        plan = TestVariableRaces()._racy_plan()
+        assert dfs_race_count(plan) == 1
+        assert self._check([plan]) > 0

@@ -25,10 +25,11 @@ from repro.core.kernels.registry import (
     register_kernel,
     registered_op_types,
 )
-from repro.core.tensor import TensorShape
+from repro.core.tensor import TensorShape, as_shape
+from repro.dtypes import as_dtype
 from repro.errors import UnimplementedError
 from repro.fuzz.catalog import EXCLUDED_OPS, catalog
-from repro.fuzz.generator import _FAMILIES
+from repro.fuzz.generator import _FAMILIES, generate
 
 SEED = 11
 
@@ -252,6 +253,49 @@ def test_op_registration(op_type):
     if definition.inline:
         assert not definition.graph_only
         assert not inspect.isgeneratorfunction(definition.kernel)
+
+
+def _reinferred(op):
+    """``op``'s specs as a fresh call of its shape function gives them,
+    normalized as ``create_op`` records them."""
+    specs = op_def(op.type).output_specs(op.inputs, op.attrs)
+    return [(as_dtype(dtype), as_shape(shape).dims) for dtype, shape in specs]
+
+
+def test_shape_functions_answer_alike_and_as_recorded():
+    """The graph verifier does not re-run a shape function on an op whose
+    specs ``create_op`` inferred at the graph's current spec epoch: the
+    record *is* that function's answer. That holds only while every shape
+    function answers the same inputs alike, so each one is called twice
+    here, on every op the parity cases and fuzz programs 0..199 build,
+    and an inferred op's answer is its record."""
+    graphs = []
+    for _, builder_name, args, kwargs in CASES:
+        g = tf.Graph(seed=SEED)
+        with g.as_default():
+            getattr(tf, builder_name)(
+                *[_wrap_graph_arg(a, g) for a in args], **kwargs)
+        graphs.append(g)
+    for seed in range(200):
+        g = tf.Graph()
+        with g.as_default(), np.errstate(all="ignore"):
+            generate(seed).materialize()
+        graphs.append(g)
+    checked = set()
+    for g in graphs:
+        for op in g.operations:
+            if op_def(op.type).shape_fn is None:
+                continue
+            answer = _reinferred(op)
+            assert _reinferred(op) == answer, op.name
+            if op.inferred_at is not None:
+                assert answer == [(t.dtype, t.shape.dims)
+                                  for t in op.outputs], op.name
+            checked.add(op.type)
+    drawable = {t for t in catalog() if op_def(t).shape_fn is not None}
+    parity = {t for case in CASES for t in case[0]
+              if op_def(t).shape_fn is not None}
+    assert drawable | parity <= checked
 
 
 def test_inline_set_unchanged():
