@@ -27,7 +27,6 @@ import json
 import os
 
 from repro.apps.serving import build_mlp_server, run_serving_load
-from repro.perf.reporting import format_table
 from repro.serving import ServingConfig
 
 BATCH_SIZES = (1, 8, 32)
@@ -62,9 +61,7 @@ def _measure(batch, clients, requests):
         server.stop()
 
 
-def test_throughput_sweep_batching_beats_unbatched(results_dir,
-                                                   record_table):
-    rows = []
+def test_throughput_sweep_batching_beats_unbatched(results_dir):
     fields = {}
     results = {}
     for clients, requests in LOADS:
@@ -74,12 +71,6 @@ def test_throughput_sweep_batching_beats_unbatched(results_dir,
             assert res.completed == res.offered
             assert res.rejected == 0
             results[(clients, batch)] = res
-            rows.append([
-                clients, batch,
-                f"{res.throughput_rps:.0f}",
-                f"{res.p50_ms:.2f}", f"{res.p99_ms:.2f}",
-                f"{res.mean_batch_occupancy:.2f}",
-            ])
             key = f"c{clients}_w1_b{batch}"
             fields[f"{key}_rps"] = res.throughput_rps
             fields[f"{key}_p50_ms"] = res.p50_ms
@@ -100,17 +91,6 @@ def test_throughput_sweep_batching_beats_unbatched(results_dir,
     # Coalescing actually happened at load, and queueing delay fell.
     assert batched.mean_batch_occupancy > 1.5
     assert batched.p50_ms < unbatched.p50_ms
-
-    record_table(
-        "serving_throughput.txt",
-        format_table(
-            ["clients", "max batch", "req/s",
-             "p50 ms", "p99 ms", "occupancy"],
-            rows,
-            title=("ModelServer closed-loop sweep (seeded MLP, "
-                   "shared plan-cached Session)"),
-        ),
-    )
     _record(results_dir, "serving_sweep", **fields)
 
 

@@ -13,9 +13,10 @@ from typing import Optional
 
 from repro.apps.fft import FFTResult, run_fft
 from repro.errors import ResourceExhaustedError
-from repro.perf.reporting import comparison_row, format_table
+from repro.perf.reporting import comparison_table, format_table
 
-__all__ = ["run_fig11", "format_fig11", "paper_comparison", "SWEEP"]
+__all__ = ["run_fig11", "run_point", "format_fig11", "paper_comparison",
+           "SWEEP"]
 
 SWEEP = {
     "tegner-k420": dict(n=1 << 29, tiles=64, gpus=(2, 4, 8)),
@@ -30,23 +31,37 @@ class Fig11Point:
     gpus: int
     result: Optional[FFTResult]
 
+    @property
+    def key(self) -> tuple:
+        return (self.system, self.gpus)
+
+    @property
+    def value(self) -> Optional[float]:
+        return None if self.result is None else self.result.gflops
+
+
+def run_point(system: str, gpus: int) -> Fig11Point:
+    """One point of Fig. 11 at the system's problem size and tile count."""
+    params = SWEEP[system]
+    try:
+        result = run_fft(
+            system=system,
+            n=params["n"],
+            num_tiles=params["tiles"],
+            num_gpus=gpus,
+            shape_only=True,
+        )
+    except ResourceExhaustedError:
+        result = None
+    return Fig11Point(system, params["n"], gpus, result)
+
 
 def run_fig11(quick: bool = True) -> list[Fig11Point]:
-    points = []
-    for system, params in SWEEP.items():
-        for gpus in params["gpus"]:
-            try:
-                result = run_fft(
-                    system=system,
-                    n=params["n"],
-                    num_tiles=params["tiles"],
-                    num_gpus=gpus,
-                    shape_only=True,
-                )
-            except ResourceExhaustedError:
-                result = None
-            points.append(Fig11Point(system, params["n"], gpus, result))
-    return points
+    return [
+        run_point(system, gpus)
+        for system, params in SWEEP.items()
+        for gpus in params["gpus"]
+    ]
 
 
 def format_fig11(points: list[Fig11Point]) -> str:
@@ -64,24 +79,8 @@ def format_fig11(points: list[Fig11Point]) -> str:
     return format_table(headers, rows, title="Fig. 11 — FFT")
 
 
-def _gflops(points, system, gpus) -> Optional[float]:
-    for p in points:
-        if (p.system, p.gpus) == (system, gpus) and p.result is not None:
-            return p.result.gflops
-    return None
-
-
 def paper_comparison(points: list[Fig11Point]) -> str:
-    rows = []
-    for system in SWEEP:
-        lo, hi = _gflops(points, system, 2), _gflops(points, system, 4)
-        if lo is not None and hi is not None:
-            rows.append(comparison_row("fft/tegner/scaling-2to4", hi / lo))
-    peak = _gflops(points, "tegner-k80", 8)
-    if peak is not None:
-        rows.append(comparison_row("fft/tegner-k80/peak-gflops", peak))
-    return format_table(["target", "paper", "measured", "ratio"], rows,
-                        title="Fig. 11 — paper vs measured")
+    return comparison_table("Fig. 11", {p.key: p.value for p in points})
 
 
 def main() -> None:

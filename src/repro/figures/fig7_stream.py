@@ -10,10 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.apps.stream import StreamResult, run_stream
-from repro.perf.reporting import comparison_row, format_table
+from repro.perf.reporting import comparison_table, format_table
 
-__all__ = ["run_fig7", "format_fig7", "paper_comparison", "PLATFORMS",
-           "PROTOCOLS", "SIZES_MB"]
+__all__ = ["run_fig7", "run_point", "format_fig7", "paper_comparison",
+           "PLATFORMS", "PROTOCOLS", "SIZES_MB"]
 
 # (label, system, device) — the paper's three bar groups.
 PLATFORMS = [
@@ -32,63 +32,59 @@ class Fig7Point:
     size_mb: float
     result: StreamResult
 
+    @property
+    def key(self) -> tuple:
+        return (self.platform, self.protocol, self.size_mb)
+
+    @property
+    def value(self) -> float:
+        return self.result.bandwidth_mbs
+
+
+def run_point(platform: str, protocol: str, size_mb: float,
+              iterations: int = 25) -> Fig7Point:
+    """One bar of Fig. 7, by its labels (``"Tegner GPU", "RDMA", 128``)."""
+    system, device = {label: (system, device)
+                      for label, system, device in PLATFORMS}[platform]
+    result = run_stream(
+        system=system,
+        device=device,
+        size_mb=size_mb,
+        protocol=dict(PROTOCOLS)[protocol],
+        iterations=iterations,
+        shape_only=True,
+    )
+    return Fig7Point(platform, protocol, size_mb, result)
+
 
 def run_fig7(iterations: int = 25, sizes=SIZES_MB) -> list[Fig7Point]:
     """Run the full Fig. 7 sweep (27 bars)."""
-    points = []
-    for platform, system, device in PLATFORMS:
-        for proto_label, protocol in PROTOCOLS:
-            for size in sizes:
-                result = run_stream(
-                    system=system,
-                    device=device,
-                    size_mb=size,
-                    protocol=protocol,
-                    iterations=iterations,
-                    shape_only=True,
-                )
-                points.append(Fig7Point(platform, proto_label, size, result))
-    return points
+    return [
+        run_point(platform, proto_label, size, iterations)
+        for platform, _sys, _dev in PLATFORMS
+        for proto_label, _proto in PROTOCOLS
+        for size in sizes
+    ]
 
 
 def format_fig7(points: list[Fig7Point]) -> str:
     """The figure as a table: rows = platform x protocol, cols = sizes."""
     sizes = sorted({p.size_mb for p in points})
+    measured = {p.key: p.value for p in points}
     headers = ["Platform", "Protocol"] + [f"{s:g} MB [MB/s]" for s in sizes]
     rows = []
     for platform, _sys, _dev in PLATFORMS:
         for proto_label, _proto in PROTOCOLS:
-            row = [platform, proto_label]
-            for size in sizes:
-                match = [
-                    p for p in points
-                    if p.platform == platform and p.protocol == proto_label
-                    and p.size_mb == size
-                ]
-                row.append(match[0].result.bandwidth_mbs if match else "-")
-            rows.append(row)
+            rows.append([platform, proto_label] + [
+                measured.get((platform, proto_label, size), "-")
+                for size in sizes
+            ])
     return format_table(headers, rows, title="Fig. 7 — STREAM bandwidth")
 
 
 def paper_comparison(points: list[Fig7Point]) -> str:
     """Paper-vs-measured rows for the quantities the paper states."""
-    def find(platform, protocol, size):
-        for p in points:
-            if (p.platform, p.protocol, p.size_mb) == (platform, protocol, size):
-                return p.result.bandwidth_mbs
-        return None
-
-    keys = [
-        ("stream/tegner-cpu/rdma/128MB", find("Tegner CPU", "RDMA", 128)),
-        ("stream/tegner-gpu/rdma/128MB", find("Tegner GPU", "RDMA", 128)),
-        ("stream/kebnekaise-gpu/rdma/128MB", find("Kebnekaise GPU", "RDMA", 128)),
-        ("stream/tegner-gpu/mpi/128MB", find("Tegner GPU", "MPI", 128)),
-        ("stream/kebnekaise-gpu/mpi/128MB", find("Kebnekaise GPU", "MPI", 128)),
-        ("stream/tegner-gpu/grpc/128MB", find("Tegner GPU", "gRPC", 128)),
-    ]
-    rows = [comparison_row(key, value) for key, value in keys if value is not None]
-    return format_table(["target", "paper", "measured", "ratio"], rows,
-                        title="Fig. 7 — paper vs measured")
+    return comparison_table("Fig. 7", {p.key: p.value for p in points})
 
 
 def main() -> None:

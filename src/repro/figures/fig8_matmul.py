@@ -15,9 +15,9 @@ from typing import Optional
 
 from repro.apps.matmul import MatmulResult, run_matmul
 from repro.errors import ResourceExhaustedError
-from repro.perf.reporting import comparison_row, format_table
+from repro.perf.reporting import comparison_table, format_table
 
-__all__ = ["run_fig8", "format_fig8", "paper_comparison", "SWEEP"]
+__all__ = ["run_fig8", "run_point", "format_fig8", "paper_comparison", "SWEEP"]
 
 NUM_REDUCERS = 2
 
@@ -28,7 +28,7 @@ SWEEP = {
 }
 
 # The 65536 problem at tile 4096 means 4096 tile products; it is the one
-# slow sweep point, so quick mode (used by the benches) drops it.
+# slow sweep point, so quick mode (the e2e benchmark's) drops it.
 QUICK_SKIP = {("tegner-k420", 65536)}
 
 
@@ -39,27 +39,39 @@ class Fig8Point:
     gpus: int
     result: Optional[MatmulResult]  # None => OOM (paper omits the bar)
 
+    @property
+    def key(self) -> tuple:
+        return (self.system, self.n, self.gpus)
+
+    @property
+    def value(self) -> Optional[float]:
+        return None if self.result is None else self.result.gflops
+
+
+def run_point(system: str, n: int, gpus: int) -> Fig8Point:
+    """One point of Fig. 8 at the system's sweep tile size."""
+    try:
+        result = run_matmul(
+            system=system,
+            n=n,
+            tile=SWEEP[system]["tile"],
+            num_gpus=gpus,
+            num_reducers=NUM_REDUCERS,
+            shape_only=True,
+        )
+    except ResourceExhaustedError:
+        result = None
+    return Fig8Point(system, n, gpus, result)
+
 
 def run_fig8(quick: bool = True) -> list[Fig8Point]:
-    points = []
-    for system, params in SWEEP.items():
-        for n in params["sizes"]:
-            if quick and (system, n) in QUICK_SKIP:
-                continue
-            for gpus in params["gpus"]:
-                try:
-                    result = run_matmul(
-                        system=system,
-                        n=n,
-                        tile=params["tile"],
-                        num_gpus=gpus,
-                        num_reducers=NUM_REDUCERS,
-                        shape_only=True,
-                    )
-                except ResourceExhaustedError:
-                    result = None
-                points.append(Fig8Point(system, n, gpus, result))
-    return points
+    return [
+        run_point(system, n, gpus)
+        for system, params in SWEEP.items()
+        for n in params["sizes"]
+        if not (quick and (system, n) in QUICK_SKIP)
+        for gpus in params["gpus"]
+    ]
 
 
 def format_fig8(points: list[Fig8Point]) -> str:
@@ -76,37 +88,8 @@ def format_fig8(points: list[Fig8Point]) -> str:
     return format_table(headers, rows, title="Fig. 8 — tiled matmul")
 
 
-def _gflops(points, system, n, gpus) -> Optional[float]:
-    for p in points:
-        if (p.system, p.n, p.gpus) == (system, n, gpus) and p.result is not None:
-            return p.result.gflops
-    return None
-
-
 def paper_comparison(points: list[Fig8Point]) -> str:
-    rows = []
-
-    def scaling(system, n, g_lo, g_hi):
-        lo, hi = _gflops(points, system, n, g_lo), _gflops(points, system, n, g_hi)
-        return None if (lo is None or hi is None) else hi / lo
-
-    pairs = [
-        ("matmul/tegner-k420/32768/scaling-2to4",
-         scaling("tegner-k420", 32768, 2, 4)),
-        ("matmul/tegner-k420/32768/scaling-4to8",
-         scaling("tegner-k420", 32768, 4, 8)),
-        ("matmul/tegner-k80/65536/scaling-2to4",
-         scaling("tegner-k80", 65536, 2, 4)),
-        ("matmul/kebnekaise-k80/32768/scaling-2to4",
-         scaling("kebnekaise-k80", 32768, 2, 4)),
-        ("matmul/kebnekaise-k80/32768/peak-16gpu",
-         _gflops(points, "kebnekaise-k80", 32768, 16)),
-    ]
-    for key, value in pairs:
-        if value is not None:
-            rows.append(comparison_row(key, value))
-    return format_table(["target", "paper", "measured", "ratio"], rows,
-                        title="Fig. 8 — paper vs measured")
+    return comparison_table("Fig. 8", {p.key: p.value for p in points})
 
 
 def main(quick: bool = True) -> None:

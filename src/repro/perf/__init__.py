@@ -8,7 +8,7 @@ from repro.perf.metrics import (
     matmul_flops,
     scaling_factor,
 )
-from repro.perf.reporting import format_table, ratio_to_paper
+from repro.perf.reporting import format_table
 
 __all__ = [
     "matmul_flops",
@@ -19,5 +19,4 @@ __all__ = [
     "PAPER_TARGETS",
     "paper_target",
     "format_table",
-    "ratio_to_paper",
 ]

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Optional, Sequence
 
+from repro.perf.calibration import PAPER_TARGETS, paper_target
 
-from repro.perf.calibration import paper_target
-
-__all__ = ["format_table", "ratio_to_paper", "comparison_row"]
+__all__ = ["format_table", "comparison_row", "comparison_table"]
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence], title: str = "") -> str:
@@ -37,11 +36,6 @@ def _fmt(cell) -> str:
     return str(cell)
 
 
-def ratio_to_paper(key: str, measured: float) -> float:
-    """measured / paper for the named target."""
-    return measured / paper_target(key).value
-
-
 def comparison_row(key: str, measured: float) -> list:
     """[key, paper value, measured, ratio, source] row for report tables."""
     target = paper_target(key)
@@ -52,3 +46,22 @@ def comparison_row(key: str, measured: float) -> list:
         f"{_fmt(measured)} {target.unit}",
         f"{measured / target.value:.2f}x",
     ]
+
+
+def comparison_table(figure: str,
+                     measured: Mapping[tuple, Optional[float]]) -> str:
+    """A figure's paper-vs-measured table, one row per paper target of
+    ``figure`` whose sweep point(s) ``measured`` holds a value for
+    (``None`` marks a point that ran out of memory)."""
+    rows = []
+    for target in PAPER_TARGETS.values():
+        if target.figure != figure or target.point is None:
+            continue
+        value = measured.get(target.point)
+        if value is not None and target.over is not None:
+            base = measured.get(target.over)
+            value = None if base is None else value / base
+        if value is not None:
+            rows.append(comparison_row(target.key, value))
+    return format_table(["target", "paper", "measured", "ratio"], rows,
+                        title=f"{figure} — paper vs measured")

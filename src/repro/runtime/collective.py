@@ -23,8 +23,7 @@ halves that never meet:
 :func:`run_collective` joins the two and is the one driver of a round
 list: each round is one ``AllOf`` over its transfers, then the slowest
 rank's local math. The lowered graph op's rank rendezvous
-(``core/executor.py``), the tests and ``benchmarks/bench_ablations.py``
-all drive it, so a graph op's simulated time is the standalone
+(``core/executor.py``) and the tests all drive it, so a graph op's simulated time is the standalone
 schedule's time. The partitioner resolves an op's ``algorithm="auto"``
 attr per payload and world size through :func:`select_algorithm`, which
 prices every registered round list. Two allreduce schedules ship:

@@ -17,7 +17,11 @@ class TestTable1:
         assert rows["Kebnekaise K80"]["instances"] == 4
         assert rows["Kebnekaise V100"]["instances"] == 2
         assert rows["Tegner K420"]["gpu_memory_gb"] == 1
+        assert rows["Tegner K80"]["gpu_memory_gb"] == 12
+        assert rows["Kebnekaise K80"]["gpu_memory_gb"] == 12
         assert rows["Kebnekaise V100"]["gpu_memory_gb"] == 16
+        # Every instance gets exactly one GPU engine.
+        assert all(r["gpus_per_instance"] == 1 for r in rows.values())
 
     def test_format_contains_all_rows(self):
         text = format_table1(run_table1())

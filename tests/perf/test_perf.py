@@ -15,7 +15,7 @@ from repro.perf.metrics import (
     matmul_flops,
     scaling_factor,
 )
-from repro.perf.reporting import comparison_row, format_table, ratio_to_paper
+from repro.perf.reporting import comparison_row, format_table
 
 
 class TestFlopConventions:
@@ -67,6 +67,8 @@ class TestCalibrationRegistry:
             assert target.value > 0
             assert target.unit
             assert len(target.source) > 10, f"{key} lacks a citation"
+            assert target.figure in ("Fig. 7", "Fig. 8", "Fig. 10", "Fig. 11")
+            assert target.over is None or target.point is not None
 
     def test_key_paper_numbers_present(self):
         assert paper_target("stream/tegner-cpu/rdma/128MB").value == 6000
@@ -99,10 +101,6 @@ class TestReporting:
         assert "2,478" in text
         assert "1.74" in text
         assert "12.3" in text
-
-    def test_ratio_to_paper(self):
-        assert ratio_to_paper("cg/kebnekaise-v100/8gpu-gflops", 600) == \
-            pytest.approx(2.0)
 
     def test_comparison_row(self):
         row = comparison_row("matmul/kebnekaise-k80/32768/peak-16gpu", 2478.0)
