@@ -16,10 +16,11 @@ Entry points:
 * ``python -m repro.analysis`` — CLI that builds and verifies every
   example graph plus a seeded random-graph corpus (see ``__main__``).
 
-Sessions run both automatically when ``SessionConfig.verify_plans`` (or
-the ``REPRO_VERIFY_PLANS`` environment variable) is set: ``verify_graph``
-after every optimizer pass — attributing violations to the offending
-pass — and ``verify_plan`` on each plan before it enters the plan cache.
+Every plan a session builds runs both (``partition.build_plan``):
+``verify_graph`` on the pruned graph and after every optimizer pass that
+rewrote something — attributing violations to the offending pass — and
+``verify_plan`` on the lowered plan before it enters the plan cache.
+There is no switch: a plan is verified or it does not run.
 """
 
 from repro.analysis.diagnostics import (

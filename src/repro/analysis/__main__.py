@@ -3,19 +3,19 @@ seeded corpus of fuzz-generator programs.
 
 The CLI is the CI verifier lane's entry point and a local burn-in tool:
 
-* each script under ``examples/`` runs in a subprocess with
-  ``REPRO_VERIFY_PLANS=1``, so every plan any example builds goes
-  through the full static-analysis layer (graph invariants after every
-  optimizer pass, plan races/pairing/collective order before caching).
+* each script under ``examples/`` runs in a subprocess; every plan it
+  builds goes through the full static-analysis layer, as every plan
+  does (graph invariants after every optimizer pass, plan
+  races/pairing/collective order before caching).
   ``REPRO_VERIFY_REPORT`` collects one JSON line per verified plan, so
   the summary can say how many plans were actually proven, not just
   that scripts exited zero;
 * ``--corpus N`` additionally draws N programs from the fuzz generator
   (:func:`repro.fuzz.generate`, seeds ``--seed`` onward) and runs each
-  through the fuzz harness's Session cells: optimized with
-  ``verify_plans=True`` — any diagnostic on a generated program is, by
-  construction, a verifier false positive — against the unoptimized,
-  unverified baseline, byte for byte;
+  through the fuzz harness's Session cells: optimized against the
+  unoptimized baseline, byte for byte. Both verify, and any diagnostic
+  on a generated program is, by construction, a verifier false
+  positive;
 * ``--json PATH`` writes the machine-readable report CI uploads as an
   artifact, and ``--rules`` prints the registered rule catalog.
 
@@ -45,7 +45,6 @@ def _repo_root() -> Path:
 
 def _verify_example(script: Path, timeout: float) -> dict:
     env = dict(os.environ)
-    env["REPRO_VERIFY_PLANS"] = "1"
     src_dir = str(_repo_root() / "src")
     env["PYTHONPATH"] = (
         src_dir + os.pathsep + env["PYTHONPATH"]
@@ -99,7 +98,7 @@ def run_corpus(count: int, seed: int) -> dict:
     from repro.fuzz.generator import GeneratorOptions, generate
     from repro.fuzz.harness import BASELINE, Cell, compare_runs, run_cell
 
-    verified = Cell(frontend="session", optimize=True, verify=True)
+    optimized = Cell(frontend="session", optimize=True)
     options = GeneratorOptions(max_ops=24, max_world=4)
     result: dict = {
         "graphs": 0, "ops": 0, "plans_verified": 0,
@@ -109,16 +108,18 @@ def run_corpus(count: int, seed: int) -> dict:
         program = generate(program_seed, options)
         result["graphs"] += 1
         result["ops"] += program.op_count()
-        run = run_cell(program, verified)
-        if run.verifier_rejected:
+        baseline = run_cell(program, BASELINE)
+        run = run_cell(program, optimized)
+        rejected = [r.error for r in (baseline, run) if r.verifier_rejected]
+        if rejected:
             result["false_positives"].append(
-                f"seed {program_seed}: {run.error}"
+                f"seed {program_seed}: {rejected[0]}"
             )
             continue
         result["plans_verified"] += 1
         result["mismatches"].extend(
             f"seed {program_seed}: {divergence.describe()}"
-            for divergence in compare_runs(run_cell(program, BASELINE), run)
+            for divergence in compare_runs(baseline, run)
         )
     return result
 

@@ -172,6 +172,8 @@ class Report:
 
     def attribute(self, opt_pass: str) -> None:
         """Stamp every unattributed finding with the offending pass name."""
+        if not self.diagnostics:
+            return  # the common case: a clean pass
         self.diagnostics = [
             replace(d, opt_pass=opt_pass) if d.opt_pass is None else d
             for d in self.diagnostics
@@ -208,6 +210,8 @@ class Report:
 
     def raise_if_errors(self) -> None:
         """Raise :class:`VerificationError` carrying every finding."""
+        if not self.diagnostics:
+            return  # the common case: a clean verification
         errors = self.errors
         if not errors:
             return

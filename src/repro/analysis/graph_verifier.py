@@ -24,8 +24,7 @@ The checks only read; they never mutate the graph or the working set.
 
 from __future__ import annotations
 
-import weakref
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Any, Iterable, Optional, Union
 
 from repro.analysis.diagnostics import (
     Report,
@@ -105,25 +104,22 @@ def verify_graph(
             cluster it describes; otherwise they are only parsed.
         opt_pass: attribute findings to this optimizer pass name.
         context: label for the report (defaults to something sensible).
-        cache: memoize per-op results per graph version, so re-verifying
-            an unchanged graph (the session hot path: a new plan for new
-            fetches over the same graph) only checks ops not seen clean
-            before. Graphs are append-only through the public API — each
-            ``create_op`` and each ``Tensor.set_shape`` refinement bumps
-            ``graph.version``, which invalidates the memo — so the cache
-            is sound unless the caller mutates existing operations in
-            place (what the adversarial tests do;
-            they verify with ``cache=False``, the default). On the same
-            contract, an op whose specs ``create_op`` inferred at the
-            graph's current ``spec_epoch`` is not re-inferred: its record
-            is its shape function's output for its inputs' current specs.
+        cache: trust the specs ``create_op`` cached on an op: one it
+            inferred at the graph's current ``spec_epoch`` is not
+            re-inferred, since its record is its shape function's output
+            for its inputs' current specs (a ``Tensor.set_shape``
+            refinement bumps the epoch). Graphs are append-only through
+            the public API, so this is sound unless the caller mutates
+            existing operations in place (what the adversarial tests do;
+            they verify with ``cache=False``, the default).
         edited: working sets only. For a working set that verified clean
             before, the names of the :class:`Subgraph` fields a pass has
             edited since (``"ops"``, ``"value_subs"``, ``"control_subs"``,
             ``"control_drops"``, ``"folded"``); a check that no edit of
             those fields can fail is not repeated. Passes only *add*
             rewrites and *remove* ops — the pipeline's contract — so a
-            fold adds no edge or substitution and a removal adds no edge.
+            fold adds no edge or substitution, a removal adds no edge,
+            and a control drop only removes edges.
             ``None`` (the default) runs every check.
 
     Returns:
@@ -155,16 +151,6 @@ def verify_graph(
 # were rewired in place (a forward or self edge) pays for Kahn's
 # algorithm, which then names the ops that form the cycle.
 
-# graph -> (version, clean op names). Keyed weakly so dropping a Graph
-# drops its memo. Only consulted for placer-less verification: per-op
-# results depend on the cluster when a placer resolves devices, and the
-# memo does not key on it. ``clean`` holds ops whose per-op checks passed
-# and whose every edge points at a registered op with a lower ``node_id``;
-# graphs are append-only through the public API, so that holds until
-# ``create_op`` (or a ``Tensor.set_shape`` refinement) bumps the version.
-_CLEAN_OPS_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
 def _verify_ops(
     graph: Graph,
     ops: list[Operation],
@@ -173,29 +159,36 @@ def _verify_ops(
     whole_graph: bool,
     cache: bool = False,
 ) -> None:
-    clean: Optional[set] = None
     # Under the append-only contract, an op inferred at the current epoch
     # holds its shape function's answer; -1 matches no op.
     epoch = graph.spec_epoch if cache else -1
-    if cache and placer is None:
-        entry = _CLEAN_OPS_CACHE.get(graph)
-        if entry is None or entry[0] != graph.version:
-            entry = (graph.version, set())
-            _CLEAN_OPS_CACHE[graph] = entry
-        clean = entry[1]
     in_order = True
+    contains = graph.contains
+    parsed: set[str] = set()  # device strings that parsed (no placer)
     for op in ops:
-        if clean is not None and op.name in clean:
-            continue
-        found_before = len(report.diagnostics)
-        backward = _check_edges(graph, op, report)
-        _check_device(op, placer, report)
+        # The order proof's per-op condition, tested inline: every edge
+        # points at a registered op with a lower ``node_id``. Only an op
+        # that fails it pays for ``_check_edges``, which names the edge.
+        node_id = op.node_id
+        for tensor in op.inputs:
+            producer = tensor.op
+            if not (producer.node_id < node_id and contains(producer)
+                    and tensor.value_index < len(producer.outputs)):
+                in_order = _check_edges(graph, op, report) and in_order
+                break
+        else:
+            for dep in op.control_inputs:
+                if not (dep.node_id < node_id and contains(dep)):
+                    in_order = _check_edges(graph, op, report) and in_order
+                    break
+        if placer is not None:
+            _check_device(op, placer, report)
+        elif op.device and op.device not in parsed:
+            # A parse depends on the string alone: one per string.
+            if _check_device(op, None, report):
+                parsed.add(op.device)
         if op.inferred_at != epoch:
             _check_specs(op, report)
-        in_order = in_order and backward
-        if (clean is not None and backward
-                and len(report.diagnostics) == found_before):
-            clean.add(op.name)
     if not in_order:
         _check_cycles(ops, report)
     if whole_graph:
@@ -243,12 +236,14 @@ def _check_edges(graph: Graph, op: Operation, report: Report) -> bool:
 
 
 def _check_device(op: Operation, placer: Optional[Placer],
-                  report: Report) -> None:
+                  report: Report) -> bool:
+    """True when ``op``'s device places (or, with no placer, parses)."""
     try:
         if placer is not None:
             placer.place(op)
-        elif op.device:
+        else:
             DeviceSpec.parse(op.device)
+        return True
     except ReproError as exc:
         report.emit(
             "graph/invalid-device",
@@ -258,6 +253,7 @@ def _check_device(op: Operation, placer: Optional[Placer],
             hint="fix the tf.device() scope string, or add the missing "
                  "job/task to the cluster spec",
         )
+        return False
 
 
 def _check_specs(op: Operation, report: Report) -> None:
@@ -359,13 +355,19 @@ def _check_variable_initializers(ops: list[Operation],
 # optimizer working-set (post-pass) checks
 # ---------------------------------------------------------------------------
 
+# Working-set edits that only remove edges (a folded root loses its
+# inputs, a control drop its dep): neither can leave a reference
+# dangling, drop a fetch or close a cycle.
+_EDGE_REMOVING_EDITS = frozenset({"folded", "control_drops"})
+
+
 def _verify_subgraph(sg: Any, report: Report,
                      edited: Optional[frozenset]) -> None:
     if edited is None or "value_subs" in edited:
         if not _check_substitutions(sg, report):
             return  # resolution unsafe: skip the remaining checks
     unordered = None
-    if edited is None or not edited <= {"folded"}:
+    if edited is None or not edited <= _EDGE_REMOVING_EDITS:
         unordered = _check_resolved_edges(sg, report)
     if edited is None or "folded" in edited:
         # Folded values still match the folded op's recorded output specs.
@@ -400,7 +402,7 @@ def _check_substitutions(sg: Any, report: Report) -> bool:
             tensor = sg.value_subs[tensor.name]
 
     # Every substitution preserves dtype and a compatible shape.
-    resolve = _flat_resolver(sg)
+    subs = _flat_subs(sg)
     for name in sg.value_subs:
         try:
             original = sg.graph.get_tensor_by_name(name)
@@ -410,7 +412,7 @@ def _check_substitutions(sg: Any, report: Report) -> bool:
                 f"value substitution keyed on unknown tensor {name!r}",
             )
             continue
-        replacement = resolve(original)
+        replacement = subs[name]
         if replacement.dtype != original.dtype:
             report.emit(
                 "graph/substitution-type",
@@ -435,33 +437,30 @@ def _check_resolved_edges(sg: Any, report: Report
     """Report dangling edges and dropped fetches; return the resolved
     relation when ``node_id`` order does not prove it acyclic."""
     # Surviving ops only reference surviving ops, feeds, or folded roots;
-    # fetches still resolve into the surviving set. One scan collects the
-    # resolved dependency relation used by both the dangling-ref check
-    # here and the cycle check below — this hook runs after every pass
-    # that rewrote something, so the scan count matters. Rewrites resolve
-    # to earlier ops (a CSE survivor, an identity's input, a spliced
-    # NoOp's own deps), so the relation normally runs backward in
-    # ``node_id`` order, which proves it acyclic (see the op-subset
-    # checks above).
-    resolve = _flat_resolver(sg)
+    # fetches still resolve into the surviving set. This hook runs after
+    # every pass that rewrote something, so one scan checks every edge.
+    # Rewrites resolve to earlier ops (a CSE survivor, an identity's
+    # input, a spliced NoOp's own deps), so the relation normally runs
+    # backward in ``node_id`` order, which proves it acyclic (see the
+    # op-subset checks above); only a relation with a forward edge is
+    # collected, by ``_resolved_relation``, for the cycle check below.
+    subs = _flat_subs(sg)
     feeds = sg.feeds
+    folded = sg.folded
     surviving = {op.name: op.node_id for op in sg.ops}
-    relation: list[tuple[str, list[str]]] = []
     in_order = True
     for op in sg.ops:
-        deps: list[str] = []
+        node_id = op.node_id
         # A folded root materializes pre-evaluated values: it has no
         # runtime inputs, and its constant subtree legitimately dies in
         # the dead-code sweep.
-        inputs = () if op.name in sg.folded else op.inputs
-        for tensor in inputs:
+        for tensor in () if op.name in folded else op.inputs:
             if tensor.name in feeds:
                 continue
-            resolved = resolve(tensor)
+            resolved = subs.get(tensor.name, tensor) if subs else tensor
             if resolved is not tensor and resolved.name in feeds:
                 continue
-            producer = resolved.op.name
-            position = surviving.get(producer)
+            position = surviving.get(resolved.op.name)
             if position is None:
                 report.emit(
                     "graph/dangling-ref",
@@ -471,9 +470,7 @@ def _check_resolved_edges(sg: Any, report: Report
                     op=op.name,
                     hint="the pass removed an op that still has consumers",
                 )
-                continue
-            deps.append(producer)
-            if position >= op.node_id and producer != op.name:
+            elif position >= node_id and resolved.op.name != op.name:
                 in_order = False
         if op.control_inputs:
             for dep in sg.effective_control_deps(op):
@@ -485,15 +482,12 @@ def _check_resolved_edges(sg: Any, report: Report
                         f"{op.name!r} was dropped by the pipeline",
                         op=op.name,
                     )
-                    continue
-                deps.append(dep.name)
-                if position >= op.node_id and dep.name != op.name:
+                elif position >= node_id and dep.name != op.name:
                     in_order = False
-        relation.append((op.name, deps))
     for tensor in sg.fetch_tensors:
         if tensor.name in sg.feeds:
             continue
-        resolved = resolve(tensor)
+        resolved = subs.get(tensor.name, tensor)
         if resolved.name not in sg.feeds and resolved.op.name not in surviving:
             report.emit(
                 "graph/fetch-dropped",
@@ -512,6 +506,23 @@ def _check_resolved_edges(sg: Any, report: Report
             )
     if in_order and len(surviving) == len(sg.ops):
         return None
+    return _resolved_relation(sg, subs, surviving)
+
+
+def _resolved_relation(sg: Any, subs: dict,
+                       surviving: dict) -> list[tuple[str, list[str]]]:
+    """Each surviving op's name and the surviving ops it depends on."""
+    relation = []
+    for op in sg.ops:
+        inputs = () if op.name in sg.folded else op.inputs
+        resolved = [subs.get(t.name, t) for t in inputs
+                    if t.name not in sg.feeds]
+        deps = [t.op.name for t in resolved
+                if t.name not in sg.feeds and t.op.name in surviving]
+        if op.control_inputs:
+            deps += [dep.name for dep in sg.effective_control_deps(op)
+                     if dep.name in surviving]
+        relation.append((op.name, deps))
     return relation
 
 
@@ -547,32 +558,22 @@ def _check_folded_entry(graph: Any, name: str, values: Any,
             )
 
 
-def _flat_resolver(sg: Any) -> Callable[[Any], Any]:
-    """A memoizing substitute for ``sg.resolve`` (chains walked once)."""
+def _flat_subs(sg: Any) -> dict:
+    """Each substituted tensor's name -> the tensor its substitution chain
+    ends at, each chain walked once (chains were checked to terminate)."""
     value_subs = sg.value_subs
-    if not value_subs:
-        return lambda tensor: tensor
-    flat: dict[str, object] = {}
-
-    def resolve(tensor: Any) -> Any:
-        if tensor.name not in value_subs:
-            return tensor
-        chain = []
-        while True:
-            name = tensor.name
-            cached = flat.get(name)
-            if cached is not None:
-                tensor = cached
+    flat: dict = {}
+    for name, tensor in value_subs.items():
+        chain = [name]
+        while tensor.name in value_subs:
+            if tensor.name in flat:
+                tensor = flat[tensor.name]
                 break
-            if name not in value_subs:
-                break
-            chain.append(name)
-            tensor = value_subs[name]
-        for name in chain:
-            flat[name] = tensor
-        return tensor
-
-    return resolve
+            chain.append(tensor.name)
+            tensor = value_subs[tensor.name]
+        for link in chain:
+            flat[link] = tensor
+    return flat
 
 
 def _check_resolved_cycles(relation: list[tuple[str, list[str]]],

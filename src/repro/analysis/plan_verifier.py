@@ -30,8 +30,8 @@ The analysis is pure reading: it never mutates plan items.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Any, Optional
+from operator import attrgetter
+from typing import Any
 
 from repro.analysis.diagnostics import (
     Report,
@@ -39,6 +39,7 @@ from repro.analysis.diagnostics import (
     register_rule,
     unsorted_nodes,
 )
+from repro.core.partition import FEED
 
 __all__ = ["verify_plan"]
 
@@ -75,6 +76,7 @@ register_rule(
     "All ranks must issue their collectives in one consistent order",
 )
 
+_UID = attrgetter("uid")
 _WRITER_OP_TYPES = frozenset({"Assign", "AssignAdd", "AssignSub"})
 _ACCUMULATING_OP_TYPES = frozenset({"AssignAdd", "AssignSub"})
 
@@ -82,15 +84,19 @@ _ACCUMULATING_OP_TYPES = frozenset({"AssignAdd", "AssignSub"})
 def verify_plan(plan: Any, context: str = "") -> Report:
     """Statically verify one lowered execution plan."""
     report = Report(context=context or "plan verification")
-    by_kind = _index_items(plan, report)
-    if by_kind is None:
+    if not _check_uids(plan, report):
         return report  # every later check addresses items by uid
-    _check_send_recv(plan, by_kind, report)
-    legs_by_op = _check_collective_worlds(by_kind, report)
-    in_order = _check_membership(plan, legs_by_op, report)
+    # Membership findings go after the pairing and world rules'.
+    edges = Report()
+    ops, legs_by_op, in_order = _scan_items(plan, report, edges)
+    _check_collective_worlds(legs_by_op, report)
+    report.merge(edges)
     if not in_order:
         _check_cycles(plan, legs_by_op, report)
-    _check_variable_races(plan, by_kind, legs_by_op, in_order, report)
+    # No membership finding: every edge names a live item, so the race
+    # rule's reach pass need not test liveness again.
+    _check_variable_races(plan, ops, legs_by_op, in_order,
+                          not edges.diagnostics, report)
     return report
 
 
@@ -100,17 +106,15 @@ def verify_plan(plan: Any, context: str = "") -> Report:
 #
 # A run keeps one value slot and one dependency counter per item, indexed
 # by uid: an item numbered past the end is an IndexError mid-run, and two
-# items sharing a number silently share a slot. The same scan groups the
-# items by kind, so each later rule walks only the items it is about.
+# items sharing a number silently share a slot.
 
-def _index_items(plan: Any, report: Report) -> Optional[dict[str, list]]:
-    """Items by kind, in uid order; ``None`` when an item is misnumbered."""
-    ok = True
-    by_kind: dict[str, list] = defaultdict(list)
-    for index, item in enumerate(plan.items):
-        by_kind[item.kind].append(item)
+def _check_uids(plan: Any, report: Report) -> bool:
+    """True when every item is numbered by its position."""
+    items = plan.items
+    if list(map(_UID, items)) == list(range(len(items))):
+        return True
+    for index, item in enumerate(items):
         if item.uid != index:
-            ok = False
             report.emit(
                 "plan/uid-index",
                 f"{item!r} sits at plan.items[{index}] but is numbered "
@@ -122,16 +126,11 @@ def _index_items(plan: Any, report: Report) -> Optional[dict[str, list]]:
                 hint="number each item once, by its position, as "
                      "build_plan's new_item does",
             )
-    return by_kind if ok else None
-
-
-def _is_live(plan: Any, item: Any) -> bool:
-    """Whether ``item`` is this plan's item (not a dropped or foreign one)."""
-    return 0 <= item.uid < len(plan.items) and plan.items[item.uid] is item
+    return False
 
 
 # ---------------------------------------------------------------------------
-# membership + the order proof (one scan)
+# one scan: send/recv pairing, membership and the order proof
 # ---------------------------------------------------------------------------
 #
 # The executor's group rendezvous means *no* leg of a collective completes
@@ -144,8 +143,9 @@ def _is_live(plan: Any, item: Any) -> bool:
 # leg. Place each barrier just before its op's first leg; when every
 # source and ordering edge then points at a lower position, uid order is
 # a topological order and no cycle exists. The membership check walks
-# the same edges, so both come out of one scan over the items: this runs
-# on every verified plan build, and the scan count is the cost. Only a
+# the same edges, and the pairing rule and the grouping the other rules
+# need visit the same items, so all come out of one scan over the items:
+# this runs on every plan build, and the scan count is the cost. Only a
 # plan with a forward edge pays for Kahn's algorithm (``_check_cycles``),
 # which names the cycle or the deadlocked collectives.
 
@@ -157,21 +157,21 @@ def _outputs_of(item: Any) -> int:
     return 1  # send, recv, collective: one output slot
 
 
-def _check_membership(plan: Any, legs_by_op: dict, report: Report) -> bool:
-    """Report dangling references; True when every edge points backward."""
-    from repro.core.partition import FEED
-
+def _scan_items(plan: Any, report: Report,
+                edges: Report) -> tuple[list, dict[str, list], bool]:
+    """Report unpaired sends and recvs into ``report`` and dangling
+    references into ``edges``; return the op items, the collective legs
+    by op (in uid order), and whether every edge points backward."""
     items = plan.items
     count = len(items)
-    outputs = [_outputs_of(item) for item in items]
-    # A leg's edges feed its op's barrier, which sits just before the
-    # op's first leg (``legs_by_op`` lists legs in uid order).
-    barrier_at = {leg.uid: legs[0].uid
-                  for legs in legs_by_op.values() for leg in legs}
+    ops: list = []
+    sends: list = []
+    read: set[int] = set()  # uids of the sends some recv reads
+    legs_by_op: dict[str, list] = {}
     in_order = True
 
     def dangling(item: Any, producer: Any) -> None:
-        report.emit(
+        edges.emit(
             "plan/dangling-item",
             f"item #{item.uid} ({item.kind}) references item "
             f"#{producer.uid}, which this plan does not contain",
@@ -183,8 +183,22 @@ def _check_membership(plan: Any, legs_by_op: dict, report: Report) -> bool:
         )
 
     for item in items:
-        uid = item.uid
-        position = barrier_at.get(uid, uid) if barrier_at else uid
+        uid = position = item.uid
+        kind = item.kind
+        if kind == "op":
+            ops.append(item)
+        elif kind == "recv":
+            _pair_recv(item, items, read, report)
+        elif kind == "send":
+            sends.append(item)
+        elif kind == "collective":
+            legs = legs_by_op.get(item.op.name)
+            if legs is None:
+                legs = legs_by_op[item.op.name] = []
+            legs.append(item)
+            # A leg's edges feed its op's barrier, which sits just before
+            # the op's first leg.
+            position = legs[0].uid
         for producer, out_idx in item.sources:
             if producer is FEED:
                 continue
@@ -192,18 +206,20 @@ def _check_membership(plan: Any, legs_by_op: dict, report: Report) -> bool:
             if not (0 <= src < count and items[src] is producer):
                 dangling(item, producer)
                 continue
-            if out_idx >= outputs[src]:
-                report.emit(
+            if src >= position:
+                in_order = False
+            made_by = producer.kind  # _outputs_of, inlined: once per edge
+            if out_idx >= (len(producer.op.outputs) if made_by == "op" else
+                           len(producer.const_values or ())
+                           if made_by == "const" else 1):
+                edges.emit(
                     "plan/dangling-item",
                     f"item #{uid} reads output {out_idx} of item "
                     f"#{src} ({producer.kind}), which has "
-                    f"{outputs[src]} output(s)",
+                    f"{_outputs_of(producer)} output(s)",
                     item=uid,
                     device=item.device,
                 )
-            # The producer is live: the ordering edge still holds.
-            if src >= position:
-                in_order = False
         for dep in item.extra_deps:
             src = dep.uid
             if not (0 <= src < count and items[src] is dep):
@@ -211,81 +227,78 @@ def _check_membership(plan: Any, legs_by_op: dict, report: Report) -> bool:
             elif src >= position:
                 in_order = False
 
+    if len(read) != len(sends):  # ``read`` holds live sends' uids only
+        for send in sends:
+            if send.uid not in read:
+                report.emit(
+                    "plan/unpaired-send",
+                    f"send #{send.uid} of {send.tensor_name!r} from "
+                    f"{send.device} has no receiving item",
+                    item=send.uid,
+                    device=send.device,
+                )
     for producer, out_idx in plan.fetch_sources:
         if producer is FEED:
             continue
         src = producer.uid
         if not (0 <= src < count and items[src] is producer):
-            report.emit(
+            edges.emit(
                 "plan/dangling-item",
                 f"a fetch reads item #{src}, which this plan does not "
                 f"contain",
                 item=src,
             )
-        elif out_idx >= outputs[src]:
-            report.emit(
+        elif out_idx >= _outputs_of(producer):
+            edges.emit(
                 "plan/dangling-item",
                 f"a fetch reads output {out_idx} of item #{src} "
-                f"({producer.kind}), which has {outputs[src]} output(s)",
+                f"({producer.kind}), which has {_outputs_of(producer)} "
+                f"output(s)",
                 item=src,
             )
-    return in_order
+    return ops, legs_by_op, in_order
+
+
+def _pair_recv(recv: Any, items: list, read: set[int],
+               report: Report) -> None:
+    """A recv's one source must be a live send bound for its device."""
+    send = recv.sources[0][0] if len(recv.sources) == 1 else None
+    if (
+        getattr(send, "kind", None) == "send"
+        and 0 <= send.uid < len(items) and items[send.uid] is send
+        and send.dst_device == recv.device
+    ):
+        read.add(send.uid)
+        return
+    report.emit(
+        "plan/orphan-recv",
+        f"recv #{recv.uid} of {recv.tensor_name!r} on {recv.device} "
+        f"has {len(recv.sources)} source(s) and none is a live send "
+        f"bound for its device: it has no value to read",
+        item=recv.uid,
+        device=recv.device,
+        hint="restore the matching send, or drop the recv with "
+             "its consumers",
+    )
 
 
 def _live_inputs(plan: Any, item: Any) -> list:
     """Uids of the live items ``item`` reads or is ordered after."""
+    items = plan.items
+    count = len(items)
     inputs = [producer for producer, _ in item.sources
-              if not isinstance(producer, str)]  # str: the FEED sentinel
+              if producer is not FEED]
     inputs += item.extra_deps
-    return [p.uid for p in inputs if _is_live(plan, p)]
-
-
-# ---------------------------------------------------------------------------
-# send/recv pairing
-# ---------------------------------------------------------------------------
-
-def _check_send_recv(plan: Any, by_kind: dict[str, list],
-                     report: Report) -> None:
-    read: set[int] = set()  # uids of the sends some recv reads
-    for recv in by_kind["recv"]:
-        send = recv.sources[0][0] if len(recv.sources) == 1 else None
-        if (
-            getattr(send, "kind", None) == "send"
-            and _is_live(plan, send)
-            and send.dst_device == recv.device
-        ):
-            read.add(send.uid)
-            continue
-        report.emit(
-            "plan/orphan-recv",
-            f"recv #{recv.uid} of {recv.tensor_name!r} on {recv.device} "
-            f"has {len(recv.sources)} source(s) and none is a live send "
-            f"bound for its device: it has no value to read",
-            item=recv.uid,
-            device=recv.device,
-            hint="restore the matching send, or drop the recv with "
-                 "its consumers",
-        )
-    for send in by_kind["send"]:
-        if send.uid not in read:
-            report.emit(
-                "plan/unpaired-send",
-                f"send #{send.uid} of {send.tensor_name!r} from "
-                f"{send.device} has no receiving item",
-                item=send.uid,
-                device=send.device,
-            )
+    return [p.uid for p in inputs
+            if 0 <= p.uid < count and items[p.uid] is p]
 
 
 # ---------------------------------------------------------------------------
 # collectives: world membership
 # ---------------------------------------------------------------------------
 
-def _check_collective_worlds(by_kind: dict[str, list],
-                             report: Report) -> dict[str, list]:
-    legs_by_op: dict[str, list] = {}
-    for item in by_kind["collective"]:
-        legs_by_op.setdefault(item.op.name, []).append(item)
+def _check_collective_worlds(legs_by_op: dict[str, list],
+                             report: Report) -> None:
     for name, legs in legs_by_op.items():
         world = legs[0].op.get_attr("world")
         ranks = sorted(leg.collective_rank for leg in legs)
@@ -319,7 +332,6 @@ def _check_collective_worlds(by_kind: dict[str, list],
                 op=name,
                 item=legs[0].uid,
             )
-    return legs_by_op
 
 
 def _check_cycles(plan: Any, legs_by_op: dict, report: Report) -> None:
@@ -390,16 +402,15 @@ def _check_cycles(plan: Any, legs_by_op: dict, report: Report) -> None:
 # variable races
 # ---------------------------------------------------------------------------
 
-def _check_variable_races(plan: Any, by_kind: dict[str, list],
-                          legs_by_op: dict, in_order: bool,
+def _check_variable_races(plan: Any, ops: list, legs_by_op: dict,
+                          in_order: bool, live: bool,
                           report: Report) -> None:
-    from repro.core.partition import _job_task_of
-
     # (var name, task) -> accessor items; variables live in the resource
-    # manager of the task owning the executing device, so same-named
-    # accesses on different tasks touch different storage.
+    # manager of the task that runs the item, the (job, task) of its
+    # dispatch record, so same-named accesses on different tasks touch
+    # different storage.
     groups: dict[tuple, list] = {}
-    for item in by_kind["op"]:
+    for item in ops:
         op_type = item.op.type
         if op_type == "VariableV2":
             var_name = item.op.name
@@ -409,11 +420,7 @@ def _check_variable_races(plan: Any, by_kind: dict[str, list],
                 continue
         else:
             continue
-        try:
-            task = _job_task_of(item.device)
-        except Exception:
-            task = item.device
-        groups.setdefault((var_name, task), []).append(item)
+        groups.setdefault((var_name, item.entry[3]), []).append(item)
 
     racy = {key: accessors for key, accessors in groups.items()
             if len(accessors) >= 2
@@ -422,7 +429,7 @@ def _check_variable_races(plan: Any, by_kind: dict[str, list],
         return
     members = [a for group in racy.values() for a in group]
     bit = {a.uid: 1 << index for index, a in enumerate(members)}
-    reach = _accessor_reach(plan, legs_by_op, bit, in_order)
+    reach = _accessor_reach(plan, legs_by_op, bit, in_order, live)
     for (var_name, _task), accessors in racy.items():
         for i, first in enumerate(accessors):
             for second in accessors[i + 1:]:
@@ -464,7 +471,7 @@ def _check_variable_races(plan: Any, by_kind: dict[str, list],
 
 
 def _accessor_reach(plan: Any, legs_by_op: dict, bit: dict[int, int],
-                    in_order: bool) -> dict[int, int]:
+                    in_order: bool, live: bool = False) -> dict[int, int]:
     """Per accessor uid, the accessors it is, or is ordered after, as a
     bitset: accessor ``uid`` is the bit ``bit[uid]``.
 
@@ -473,25 +480,35 @@ def _accessor_reach(plan: Any, legs_by_op: dict, bit: dict[int, int],
     takes the union over all of them. In a plan in dependency order every
     input has a lower uid, so one pass from the lowest accessor to the
     highest is final. A plan with a forward edge repeats the pass over
-    every item until no set grows.
+    every item until no set grows. ``live`` says every source and
+    ordering dep is a live item (membership found nothing), so the pass
+    reads them without testing that again.
     """
     items = plan.items
-    reach = [0] * len(items)
+    count = len(items)
+    reach = [0] * count
     group = {leg.uid: legs for legs in legs_by_op.values() for leg in legs}
-    span = range(min(bit), max(bit) + 1) if in_order else range(len(items))
+    span = range(min(bit), max(bit) + 1) if in_order else range(count)
     grew = True
     while grew:
         grew = False
         barriers: dict[int, int] = {}  # id(legs) -> the legs' union
         for uid in span:
-            legs = group.get(uid)
+            legs = group.get(uid) if group else None
             if legs is not None and id(legs) in barriers:
                 bits = barriers[id(legs)]
             else:
                 bits = bit.get(uid, 0)  # a leg is never an accessor
                 for member in (items[uid],) if legs is None else legs:
-                    for source in _live_inputs(plan, member):
-                        bits |= reach[source]
+                    if not live:
+                        for src in _live_inputs(plan, member):
+                            bits |= reach[src]
+                        continue
+                    for producer, _ in member.sources:
+                        if producer is not FEED:
+                            bits |= reach[producer.uid]
+                    for dep in member.extra_deps:
+                        bits |= reach[dep.uid]
                 if legs is not None:
                     barriers[id(legs)] = bits
             if bits != reach[uid]:

@@ -115,12 +115,8 @@ class RunMetadata:
     plan_cache_misses: int = 0
     trace_cache_hits: int = 0
     trace_cache_misses: int = 0
-    # Static-verification accounting: ``plan_verified`` is True when the
-    # plan this run executed went through the analysis layer
-    # (SessionConfig.verify_plans); ``verifier_warnings`` counts
-    # non-fatal findings (e.g. unordered commutative accumulations) the
-    # verifier attached to the plan.
-    plan_verified: bool = False
+    # Non-fatal findings (e.g. unordered commutative accumulations) the
+    # static verifier attached to the plan this run executed.
     verifier_warnings: int = 0
     # Fault-tolerance accounting: deadline expiries observed during the
     # run (collective join / recv / run watchdog), transport sends
@@ -142,7 +138,3 @@ class RunMetadata:
 
     def busiest_ops(self, n: int = 10) -> list[NodeStats]:
         return sorted(self.step_stats, key=lambda s: s.duration, reverse=True)[:n]
-
-    def total_nodes_optimized(self) -> int:
-        """Schedulable units removed by all plan-time passes combined."""
-        return sum(p.nodes_removed for p in self.pass_stats)

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro import analysis
 from repro.core.graph import Graph, Operation
 from repro.core.metadata import PassStats
 from repro.core.tensor import Tensor
@@ -145,7 +146,8 @@ def _rewrite_fingerprint(sg: Subgraph) -> tuple:
     and re-verifying an unchanged working set cannot find anything new.
     A size that moved names a structure the pass edited.
     """
-    return tuple(len(getattr(sg, name)) for name in _EDITABLE)
+    return (len(sg.ops), len(sg.value_subs), len(sg.control_subs),
+            len(sg.control_drops), len(sg.folded))
 
 
 def _verify_last_pass(sg: Subgraph, stats: list[PassStats],
@@ -161,14 +163,11 @@ def _verify_last_pass(sg: Subgraph, stats: list[PassStats],
     ``edited`` names the structures the pass changed, so checks that
     none of those edits can fail are not repeated.
     """
-    from repro.analysis import verify_graph
-
     pass_name = stats[-1].name
-    report = verify_graph(
+    report = analysis.verify_graph(
         sg, opt_pass=pass_name, edited=edited,
         context=f"after optimizer pass {pass_name!r}",
     )
-    stats[-1].detail["verified"] = report.ok
     if report.diagnostics:
         stats[-1].detail["diagnostics"] = [
             d.to_dict() for d in report.diagnostics
@@ -183,7 +182,6 @@ def run_pipeline(
     fetch_tensors: Sequence[Tensor],
     feeds: dict,
     symbolic: bool = False,
-    verify: bool = False,
 ) -> OptimizationResult:
     """Run the fixed pass sequence over the pruned op set ``ordered``.
 
@@ -191,10 +189,10 @@ def run_pipeline(
     decides whether the pipeline runs at all) and never touches ``graph``:
     every pass edits only the :class:`Subgraph` working set.
 
-    With ``verify=True`` (``SessionConfig.verify_plans``), the working
-    set is statically re-verified after every pass and a
-    :class:`~repro.errors.VerificationError` naming the offending pass is
-    raised the moment a rewrite breaks an invariant.
+    The working set is statically re-verified after every pass that
+    rewrote something, and a :class:`~repro.errors.VerificationError`
+    naming the offending pass is raised the moment a rewrite breaks an
+    invariant.
     """
     from repro.core.optimizer import constant_folding, cse, dead_code
 
@@ -207,22 +205,19 @@ def run_pipeline(
         symbolic=symbolic,
     )
     stats: list[PassStats] = []
-    fingerprint = _rewrite_fingerprint(sg) if verify else None
+    fingerprint = _rewrite_fingerprint(sg)
 
     def ran(pass_stats: PassStats) -> None:
         nonlocal fingerprint
         stats.append(pass_stats)
-        if verify:
-            after = _rewrite_fingerprint(sg)
-            if after == fingerprint:
-                # The pass rewrote nothing; the previous verification
-                # still holds.
-                stats[-1].detail["verified"] = True
-            else:
-                edited = {name for name, old, new
-                          in zip(_EDITABLE, fingerprint, after) if old != new}
-                fingerprint = after
-                _verify_last_pass(sg, stats, edited)
+        after = _rewrite_fingerprint(sg)
+        if after != fingerprint:
+            # A pass that rewrote nothing leaves the previous
+            # verification standing.
+            edited = {name for name, old, new
+                      in zip(_EDITABLE, fingerprint, after) if old != new}
+            fingerprint = after
+            _verify_last_pass(sg, stats, edited)
 
     for optimizer_pass in (
         dead_code.collapse_identities,

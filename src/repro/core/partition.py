@@ -25,6 +25,7 @@ Given fetches and feeds, the partitioner:
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
@@ -149,12 +150,9 @@ class ExecutionPlan:
     # Collective op name -> resolved algorithm ("ring"/"tree"/...), the
     # lowering's per-payload "auto" decisions; copied into RunMetadata.
     collective_algorithms: dict = field(default_factory=dict)
-    # Findings the static verifier attached when the plan was built with
-    # verify=True (non-fatal ones only: errors raise instead). Empty when
-    # verification was off.
+    # Non-fatal findings the static verifier attached at build time
+    # (error findings raise instead, so no such plan exists).
     verifier_diagnostics: list = field(default_factory=list)
-    # True when this plan passed static verification at build time.
-    verified: bool = False
     # Always 0; kept only because benchmarks/e2e/trace.py reads them.
     compiled_items: int = 0
     fused_op_count: int = 0
@@ -190,9 +188,16 @@ def build_plan(
     devices: dict[str, tuple],
     optimize: bool = False,
     symbolic: bool = False,
-    verify: bool = False,
 ) -> ExecutionPlan:
-    """Construct the execution plan for one session run.
+    """Construct, and statically verify, the execution plan for one run.
+
+    Every build runs the analysis layer (:mod:`repro.analysis`):
+    ``verify_graph`` on the pruned closure before optimization and after
+    every optimizer pass that rewrote something, and ``verify_plan`` on
+    the lowered plan before it is returned (and therefore before the
+    session caches it). Any error-severity finding raises
+    :class:`~repro.errors.VerificationError`: a plan is verified or it
+    does not exist.
 
     Args:
         feeds: fed tensor name -> value. Partially shaped ops are priced
@@ -208,12 +213,6 @@ def build_plan(
             the plan with no rewriting.
         symbolic: whether the session executes shape-only (constant folding
             evaluates with the same flag so folded values match execution).
-        verify: run the static analysis layer (:mod:`repro.analysis`):
-            ``verify_graph`` on the pruned closure before optimization and
-            after every optimizer pass, and ``verify_plan`` on the lowered
-            plan before it is returned (and therefore before the session
-            caches it). Raises :class:`~repro.errors.VerificationError`
-            on any error-severity finding.
     """
     # ---- 1. prune ---------------------------------------------------------
     needed: dict[str, Operation] = {}
@@ -237,18 +236,16 @@ def build_plan(
     # exist before the op is created.
     ordered = sorted(needed.values(), key=lambda o: o.node_id)
 
-    if verify:
-        # Verify the user's graph as pruned, before any rewriting: a
-        # pre-existing defect must not be attributed to an optimizer pass.
-        # No placer here — device strings are parsed only, so a device
-        # the cluster lacks still surfaces from the place stage below
-        # with its native error type (NotFoundError), not a
-        # VerificationError.
-        from repro.analysis import verify_graph
+    # Verify the user's graph as pruned, before any rewriting: a
+    # pre-existing defect must not be attributed to an optimizer pass.
+    # No placer here — device strings are parsed only, so a device the
+    # cluster lacks still surfaces from the place stage below with its
+    # native error type (NotFoundError), not a VerificationError.
+    from repro import analysis  # it reads this module's FEED
 
-        verify_graph(
-            graph, ops=ordered, context="pre-optimization graph", cache=True
-        ).raise_if_errors()
+    analysis.verify_graph(
+        graph, ops=ordered, context="pre-optimization graph", cache=True
+    ).raise_if_errors()
 
     # ---- 2. optimize -------------------------------------------------------
     opt = None
@@ -258,7 +255,7 @@ def build_plan(
 
         opt = run_pipeline(
             graph, ordered, fetch_ops, fetch_tensors, feeds,
-            symbolic=symbolic, verify=verify,
+            symbolic=symbolic,
         )
         ordered = opt.ops
         pass_stats = list(opt.stats)
@@ -637,29 +634,24 @@ def build_plan(
         pass_stats=pass_stats,
         collective_algorithms=collective_algorithms,
     )
-    if verify:
-        _verify_built_plan(plan)
+    _verify_built_plan(plan)
     return plan
 
 
 def _verify_built_plan(plan: ExecutionPlan) -> None:
     """Run :func:`repro.analysis.verify_plan` on a freshly lowered plan.
 
-    Called before ``build_plan`` returns, so a defective plan can never
-    enter the session's plan cache. Non-fatal findings stay attached as
-    ``plan.verifier_diagnostics``; error findings raise. When the
-    ``REPRO_VERIFY_REPORT`` environment variable names a file, a JSON
-    line summarizing the verification is appended — the burn-in harness
-    and the CI verifier lane count plans through this channel.
+    Called on every plan before ``build_plan`` returns, so a defective
+    plan can never enter the session's plan cache. Non-fatal findings
+    stay attached as ``plan.verifier_diagnostics``; error findings
+    raise. When the ``REPRO_VERIFY_REPORT`` environment variable names a
+    file, a JSON line summarizing the verification is appended — the
+    corpus CLI counts plans through this channel.
     """
-    import json
-    import os
+    from repro import analysis
 
-    from repro.analysis import verify_plan
-
-    report = verify_plan(plan)
+    report = analysis.verify_plan(plan)
     plan.verifier_diagnostics = list(report.diagnostics)
-    plan.verified = report.ok
     report_path = os.environ.get("REPRO_VERIFY_REPORT")
     if report_path:
         record = {
@@ -669,6 +661,8 @@ def _verify_built_plan(plan: ExecutionPlan) -> None:
             "warnings": len(report.warnings),
             "diagnostics": [d.to_dict() for d in report.diagnostics],
         }
+        import json  # only a reporting run pays for the import
+
         with open(report_path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(record) + "\n")
     report.raise_if_errors()

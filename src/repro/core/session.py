@@ -22,10 +22,9 @@ any number of them, and of OS threads, may be running one plan at once.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional, Union
 
 
@@ -99,16 +98,6 @@ class SessionConfig:
     # :class:`repro.runtime.retry.RetryPolicy` for capped exponential
     # backoff over simulated time.
     retry_policy: Optional["RetryPolicy"] = None
-    # Static verification (:mod:`repro.analysis`): re-verify the graph
-    # after every optimizer pass and verify the lowered plan before it
-    # enters the plan cache, raising VerificationError on violations.
-    # Defaults on when the REPRO_VERIFY_PLANS environment variable is a
-    # non-empty value other than "0" (how the test suite and the CI
-    # verifier lane switch it on fleet-wide).
-    verify_plans: bool = field(
-        default_factory=lambda: os.environ.get("REPRO_VERIFY_PLANS", "0")
-        not in ("", "0")
-    )
 
 
 @dataclass
@@ -374,7 +363,6 @@ class Session:
             self.graph.version,
             config.graph_optimization,
             config.shape_only,
-            config.verify_plans,
             config.allow_soft_placement,
         )
         with self._cache_lock:
@@ -401,7 +389,6 @@ class Session:
                 ),
                 optimize=config.graph_optimization,
                 symbolic=config.shape_only,
-                verify=config.verify_plans,
                 devices=self._devices,
             )
             with self._cache_lock:
@@ -440,7 +427,6 @@ class Session:
         metadata.plan_cache_hit = plan_cache_hit
         metadata.plan_cache_hits = prepared.cache_hits
         metadata.plan_cache_misses = prepared.cache_misses
-        metadata.plan_verified = plan.verified
         metadata.verifier_warnings = len(plan.verifier_diagnostics)
 
         remote_tasks = [

@@ -215,10 +215,10 @@ class Tensor:
     def set_shape(self, shape) -> None:
         """Refine the static shape with caller-supplied information.
 
-        A change bumps ``graph.version``, like a new op: cached plans and
-        the verifier's memo of clean ops were built on the old shape. It
-        also bumps ``graph.spec_epoch``: every op's recorded specs are
-        then re-inferred by the next verification.
+        A change bumps ``graph.version``, like a new op: cached plans
+        were built on the old shape. It also bumps ``graph.spec_epoch``:
+        every op's recorded specs are then re-inferred by the next
+        verification.
         """
         merged = self._shape.merge_with(as_shape(shape))
         if merged != self._shape:

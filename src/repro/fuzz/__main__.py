@@ -18,7 +18,7 @@ Typical invocations::
         --json fuzz-report.json --out fuzz-repros
 
     # chase one seed through a subset of the matrix
-    python -m repro.fuzz --seeds 1337 --matrix tree,verify
+    python -m repro.fuzz --seeds 1337 --matrix tree,legacy
 
 Exit status is non-zero when any seed diverges — the lane is red
 precisely when two cells of the matrix disagree about the same graph.
@@ -97,7 +97,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--matrix", default=None, metavar="TOKENS",
         help="comma-separated label substrings selecting matrix cells "
-             "(e.g. 'tree,verify'); default: the full matrix",
+             "(e.g. 'tree,legacy'); default: the full matrix",
     )
     parser.add_argument(
         "--max-world", type=int, default=4, metavar="N",

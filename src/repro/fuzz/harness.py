@@ -2,8 +2,8 @@
 
 A *cell* is one configuration of the execution matrix — frontend (eager
 interpreter / Session / ``@repro.function`` trace) × executor lane
-(fast-path / legacy) × optimizer (on / off, plus ``verify_plans``) ×
-collective algorithm (ring / tree), plus one shape-only Session cell.
+(fast-path / legacy) × optimizer (on / off) × collective algorithm
+(ring / tree), plus one shape-only Session cell.
 The baseline cell is the most
 literal interpretation of the graph: Session, legacy lane, optimizer
 off, ring collectives. Every other cell must reproduce the baseline's
@@ -80,7 +80,6 @@ class Cell:
     fast_path: bool = True
     optimize: bool = True
     algorithm: Optional[str] = None  # allreduce override; None = as built
-    verify: bool = False  # verify_plans=True differential check
     shape_only: bool = False  # feeds become their specs; no data
 
     def label(self) -> str:
@@ -93,8 +92,6 @@ class Cell:
         ]
         if self.algorithm:
             parts.append(self.algorithm)
-        if self.verify:
-            parts.append("verify")
         if self.shape_only:
             parts.append("shape")
         return "/".join(parts)
@@ -102,11 +99,7 @@ class Cell:
     @property
     def timeable(self) -> bool:
         """Whether this cell participates in sim-time invariants."""
-        return (
-            self.frontend == "session"
-            and self.algorithm is None
-            and not self.verify
-        )
+        return self.frontend == "session" and self.algorithm is None
 
 
 BASELINE = Cell(frontend="session", fast_path=False, optimize=False)
@@ -197,11 +190,6 @@ def matrix_cells(program: Program, subset: Optional[list[str]] = None
         Cell(frontend="session", fast_path=True, optimize=False),
         Cell(frontend="session", fast_path=False, optimize=True),
         Cell(frontend="session", fast_path=True, optimize=True),
-        # Static verifier as a differential observer: a verifier crash
-        # or rejection of a graph every other cell executes cleanly is
-        # itself a divergence (verifier false positive).
-        Cell(frontend="session", fast_path=True, optimize=True,
-             verify=True),
         # The mode the paper's figures run in: specs, no data. Its twin
         # for simulated time is the concrete session/fast/opt cell.
         Cell(frontend="session", fast_path=True, optimize=True,
@@ -238,7 +226,6 @@ def _session_config(gpus: int, cell: Cell) -> "repro.SessionConfig":
         num_gpus=gpus,
         graph_optimization=cell.optimize,
         executor_fast_path=cell.fast_path,
-        verify_plans=cell.verify,
         shape_only=cell.shape_only,
     )
 
@@ -495,6 +482,10 @@ def run_program(program: Program,
 
 
 def _baseline_failed(baseline: CellRun) -> Divergence:
+    if baseline.verifier_rejected:
+        return Divergence(kind="verifier", cell=BASELINE,
+                          detail=f"verifier rejected the baseline: "
+                                 f"{baseline.error}")
     return Divergence(kind="error", cell=BASELINE,
                       detail=f"baseline failed: {baseline.error}")
 

@@ -23,7 +23,7 @@ from repro.core.ops import control_flow, math_ops, queue_ops
 from repro.core.tensor import Tensor
 from repro.errors import InvalidArgumentError
 
-__all__ = ["QueueReducer", "TokenBarrier"]
+__all__ = ["QueueReducer"]
 
 _REDUCTIONS: dict[str, Callable] = {
     "sum": lambda values: math_ops.add_n(values, name="reduce_sum"),
@@ -116,39 +116,3 @@ class QueueReducer:
         close_out = self.out_queue.close(cancel_pending_enqueues=True)
         return control_flow.group(close_in, close_out,
                                   name=f"{self.name}/close", graph=self.graph)
-
-
-class TokenBarrier:
-    """A SyncReplicas-style token barrier.
-
-    One coordinator deposits ``num_workers`` tokens per round; each worker
-    consumes exactly one token before proceeding — the mechanism TF's
-    ``SyncReplicasOptimizer`` uses to release workers after a variable
-    update, as described in the paper.
-    """
-
-    def __init__(self, num_workers: int, device: str = "",
-                 name: str = "barrier", graph: Optional[Graph] = None):
-        g = graph or get_default_graph()
-        self.graph = g
-        self.num_workers = num_workers
-        with g.device(device):
-            self._tokens = queue_ops.FIFOQueue(
-                capacity=num_workers,
-                dtypes_=[dtypes.int64],
-                shapes=[[]],
-                name=f"{name}/tokens",
-                graph=g,
-            )
-
-    def release_all(self, step) -> Operation:
-        """Coordinator op: deposit one token per worker for ``step``."""
-        sends = [
-            self._tokens.enqueue(step, name=f"token_{i}")
-            for i in range(self.num_workers)
-        ]
-        return control_flow.group(*sends, name="release", graph=self.graph)
-
-    def wait(self, name: str = "wait_token") -> Tensor:
-        """Worker op: block until a token is available; returns the step."""
-        return self._tokens.dequeue(name=name)

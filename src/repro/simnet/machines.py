@@ -69,18 +69,17 @@ class Machine:
         env: Environment,
         name: str,
         fabric: Interconnect,
-        ethernet: Interconnect = GIGABIT_ETHERNET,
         lustre_rate: float = 16.0e9,
         lustre_client_rate: float = 1.0e9,
         grpc_over_ethernet: bool = False,
-        default_protocol: str = "grpc+verbs",
     ):
         self.env = env
         self.name = name
         self.fabric = fabric
-        self.ethernet = ethernet
+        # Every machine's 1GbE, read when the machine is built, not when
+        # this module was imported: a model change to it reaches them all.
+        self.ethernet = GIGABIT_ETHERNET
         self.grpc_over_ethernet = grpc_over_ethernet
-        self.default_protocol = default_protocol
         self.filesystem = SimFileSystem(
             env, lustre_rate, name=f"{name}/lustre",
             client_rate=lustre_client_rate,

@@ -199,8 +199,7 @@ class TestSetShapeInvalidatesMemo:
         from repro.errors import VerificationError
 
         g, x, y = self._graph()
-        config = tf.SessionConfig(verify_plans=True)
-        with tf.Session(graph=g, config=config) as sess:
+        with tf.Session(graph=g) as sess:
             out = sess.run(y, feed_dict={x: np.ones((3, 5), np.float32)})
             assert out.shape == (3, 6)
             x.set_shape([3, 4])
@@ -256,8 +255,7 @@ class TestInferredSpecs:
             bad = g.create_op("Neg", [a], output_specs=[(tf.float32, [3])],
                               name="bad")
         assert bad.inferred_at is None
-        config = tf.SessionConfig(verify_plans=True)
-        with tf.Session(graph=g, config=config) as sess:
+        with tf.Session(graph=g) as sess:
             with pytest.raises(VerificationError,
                                match="graph/shape-dtype") as excinfo:
                 sess.run(bad.outputs[0])

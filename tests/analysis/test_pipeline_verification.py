@@ -1,16 +1,19 @@
 """Verification wired into the optimizer pipeline and the session.
 
-The tentpole integration contract: a buggy optimizer pass is caught by
-the re-verification that runs after *that* pass, and the resulting
-VerificationError names it; sessions opt in through
-SessionConfig.verify_plans or the REPRO_VERIFY_PLANS environment
-variable; verified plans record their status in RunMetadata.
+The integration contract: a buggy optimizer pass is caught by the
+re-verification that runs after *that* pass, and the resulting
+VerificationError names it; every session verifies every plan it
+builds, and a rejected plan is never cached or run.
 """
 
+import numpy as np
 import pytest
 
 import repro as tf
+from repro import analysis
+from repro.analysis import Report
 from repro.core.metadata import PassStats
+from repro.core.optimizer import pipeline as pipeline_module
 from repro.core.optimizer import run_pipeline
 from repro.errors import VerificationError
 
@@ -24,14 +27,13 @@ def simple_graph():
     return g, c
 
 
-def pipeline(g, fetches, verify=True, fetch_ops=()):
+def pipeline(g, fetches, fetch_ops=()):
     return run_pipeline(
         g,
         g.operations,
         list(fetch_ops),
         list(fetches),
         {},
-        verify=verify,
     )
 
 
@@ -113,12 +115,12 @@ PLANTED_DEFECTS = {
 
 
 class TestPerPassVerification:
-    def test_clean_pipeline_marks_every_pass_verified(self):
+    def test_clean_pipeline_passes_verification(self):
         g, c = simple_graph()
         result = pipeline(g, [c])
         assert result.stats  # at least one pass ran
         for stats in result.stats:
-            assert stats.detail.get("verified") is True
+            assert "diagnostics" not in stats.detail
 
     def test_buggy_pass_caught_and_attributed(self, monkeypatch):
         from repro.core.optimizer import cse
@@ -206,72 +208,126 @@ class TestPerPassVerification:
         # never return.
         assert later_passes == []
 
-    def test_verify_off_lets_buggy_pass_through(self, monkeypatch):
-        from repro.core.optimizer import cse
 
-        def bad_merge(sg):
-            sg.ops = [op for op in sg.ops if op.name != "b"]
-            return PassStats(name="common_subexpression")
-
-        monkeypatch.setattr(cse, "merge_common_subexpressions", bad_merge)
+class TestRewriteFingerprint:
+    def test_each_editable_structure_moves_its_own_slot(self):
+        # The per-pass check re-verifies the structures whose slot moved,
+        # so slot i must follow _EDITABLE[i] and nothing else.
         g, c = simple_graph()
-        result = pipeline(g, [c], verify=False)  # no verification: no raise
-        assert all("verified" not in s.detail for s in result.stats)
+        sg = pipeline_module.Subgraph(
+            graph=g, ops=list(g.operations), feeds=frozenset(),
+            fetch_op_names=frozenset(), symbolic=False,
+            fetch_tensors=(c,))
+        for slot, name in enumerate(pipeline_module._EDITABLE):
+            before = pipeline_module._rewrite_fingerprint(sg)
+            structure = getattr(sg, name)
+            if isinstance(structure, list):
+                structure.pop()
+            else:
+                structure[f"planted_{name}"] = None
+            after = pipeline_module._rewrite_fingerprint(sg)
+            assert [i for i, (old, new) in enumerate(zip(before, after))
+                    if old != new] == [slot], name
+
+
+def racy_graph():
+    g = tf.Graph()
+    with g.as_default():
+        v = tf.Variable(tf.constant([1.0]), name="v")
+        a = tf.assign(v, tf.constant([2.0]), name="w1")
+        b = tf.assign(v, tf.constant([3.0]), name="w2")
+    return g, v, a, b
 
 
 class TestSessionIntegration:
     def test_racy_graph_rejected_before_execution(self):
-        g = tf.Graph()
-        with g.as_default():
-            v = tf.Variable(tf.constant([1.0]), name="v")
-            a = tf.assign(v, tf.constant([2.0]), name="w1")
-            b = tf.assign(v, tf.constant([3.0]), name="w2")
-        config = tf.SessionConfig(verify_plans=True)
-        with tf.Session(graph=g, config=config) as sess:
+        g, v, a, b = racy_graph()
+        with tf.Session(graph=g) as sess:
             sess.run(v.initializer)
             with pytest.raises(VerificationError) as excinfo:
                 sess.run([a, b])
         assert excinfo.value.diagnostics[0].rule == "plan/variable-race"
+
+    def test_default_session_rejects_a_racy_plan_and_caches_nothing(self):
+        g, _, a, b = racy_graph()
+        with tf.Session(graph=g, config=tf.SessionConfig()) as sess:
+            with pytest.raises(VerificationError) as excinfo:
+                sess.run([a, b])
+            assert sess.plan_cache_info()["plans"] == 0
+        assert [d.rule for d in excinfo.value.diagnostics] == [
+            "plan/variable-race"]
 
     def test_verified_run_records_metadata(self):
         g = tf.Graph()
         with g.as_default():
             a = tf.constant([1.0, 2.0], name="a")
             c = tf.add(a, a, name="c")
-        config = tf.SessionConfig(verify_plans=True)
-        with tf.Session(graph=g, config=config) as sess:
+        with tf.Session(graph=g) as sess:
             md = tf.RunMetadata()
             out = sess.run(c, run_metadata=md)
         assert list(out) == [2.0, 4.0]
-        assert md.plan_verified and md.verifier_warnings == 0
-
-    def test_unverified_run_records_metadata(self, monkeypatch):
-        monkeypatch.delenv("REPRO_VERIFY_PLANS", raising=False)
-        g = tf.Graph()
-        with g.as_default():
-            c = tf.constant([1.0], name="c")
-        with tf.Session(graph=g) as sess:
-            md = tf.RunMetadata()
-            sess.run(c, run_metadata=md)
-        assert md.plan_verified is False
+        assert md.verifier_warnings == 0
 
     def test_rejected_plan_never_cached(self):
-        g = tf.Graph()
-        with g.as_default():
-            v = tf.Variable(tf.constant([1.0]), name="v")
-            a = tf.assign(v, tf.constant([2.0]), name="w1")
-            b = tf.assign(v, tf.constant([3.0]), name="w2")
-        config = tf.SessionConfig(verify_plans=True)
-        with tf.Session(graph=g, config=config) as sess:
+        g, _, a, b = racy_graph()
+        with tf.Session(graph=g) as sess:
             for _ in range(2):
                 with pytest.raises(VerificationError):
                     sess.run([a, b])
             info = sess.plan_cache_info()
             assert info["hits"] == 0  # the bad plan never entered the cache
 
-    def test_results_identical_with_and_without_verification(self):
-        import numpy as np
+    @pytest.mark.parametrize("field, value", [
+        ("shape_only", True), ("graph_optimization", False),
+        ("executor_fast_path", False)])
+    def test_every_config_verifies_its_plan(self, field, value):
+        # Shape-only plans (the paper-scale figures), plans that skip the
+        # optimizer and plans run by the legacy executor are all checked.
+        g, _, a, b = racy_graph()
+        config = tf.SessionConfig(**{field: value})
+        with tf.Session(graph=g, config=config) as sess:
+            with pytest.raises(VerificationError) as excinfo:
+                sess.run([a, b])
+            assert sess.plan_cache_info()["plans"] == 0
+        assert [d.rule for d in excinfo.value.diagnostics] == [
+            "plan/variable-race"]
 
+    def test_a_racy_plan_is_rejected_on_the_simulated_run_path(self):
+        g, _, a, b = racy_graph()
+        sess = tf.Session(graph=g)
+        caught = []
+
+        def worker():
+            try:
+                yield from sess.run_gen([a, b])
+            except VerificationError as err:
+                caught.append([d.rule for d in err.diagnostics])
+
+        sess.env.process(worker())
+        sess.env.run()
+        assert caught == [["plan/variable-race"]]
+        assert sess.plan_cache_info()["plans"] == 0
+
+    def test_session_catches_a_buggy_pass_and_caches_nothing(
+            self, monkeypatch):
+        from repro.core.optimizer import cse
+
+        def bad_merge(sg):
+            sg.ops = [op for op in sg.ops if op.name != "a"]
+            return PassStats(name="common_subexpression")
+
+        monkeypatch.setattr(cse, "merge_common_subexpressions", bad_merge)
+        g, c = simple_graph()
+        with tf.Session(graph=g) as sess:
+            with pytest.raises(VerificationError) as excinfo:
+                sess.run(c)
+            assert sess.plan_cache_info()["plans"] == 0
+        assert "common_subexpression" in str(excinfo.value)
+
+    def test_results_identical_with_and_without_verification(
+            self, monkeypatch):
+        # The verifier only reads a plan: with every hook stubbed out the
+        # same graph lowers to the same plan and computes the same bytes.
         def build():
             g = tf.Graph()
             with g.as_default():
@@ -280,28 +336,14 @@ class TestSessionIntegration:
                 z = tf.reduce_sum(y, axis=1)
             return g, z
 
-        outs = []
-        for verify in (False, True):
+        def run():
             g, z = build()
-            config = tf.SessionConfig(verify_plans=verify)
-            with tf.Session(graph=g, config=config) as sess:
-                outs.append(sess.run(z))
-        assert outs[0].tobytes() == outs[1].tobytes()
+            md = tf.RunMetadata()
+            with tf.Session(graph=g) as sess:
+                out = sess.run(z, run_metadata=md)
+            return out.tobytes(), md.plan_items
 
-
-class TestEnvironmentFlag:
-    def test_env_flag_enables_verification(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VERIFY_PLANS", "1")
-        assert tf.SessionConfig().verify_plans is True
-
-    def test_env_flag_zero_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VERIFY_PLANS", "0")
-        assert tf.SessionConfig().verify_plans is False
-
-    def test_default_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_VERIFY_PLANS", raising=False)
-        assert tf.SessionConfig().verify_plans is False
-
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.delenv("REPRO_VERIFY_PLANS", raising=False)
-        assert tf.SessionConfig(verify_plans=True).verify_plans is True
+        verified = run()
+        monkeypatch.setattr(analysis, "verify_graph", lambda *a, **k: Report())
+        monkeypatch.setattr(analysis, "verify_plan", lambda plan: Report())
+        assert run() == verified

@@ -1,13 +1,16 @@
 """Adversarial tests for verify_plan: races, send/recv pairing, and
 collective deadlocks, each seeded into a real lowered plan."""
 
+import dataclasses
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import repro as tf
-from repro.analysis import Severity, verify_plan
+from repro import analysis
+from repro.analysis import Report, Severity, verify_plan
 from repro.core.ops import collective_ops
 from repro.core.partition import build_plan
 from repro.core.placement import Placer
@@ -36,16 +39,20 @@ def device_table(gpus=2):
 
 
 def plan_for(graph, fetch_tensors=(), fetch_ops=(), optimize=False, gpus=2):
-    return build_plan(
-        graph,
-        list(fetch_ops),
-        list(fetch_tensors),
-        {},
-        make_placer(gpus),
-        client_device=CLIENT,
-        devices=device_table(gpus),
-        optimize=optimize,
-    )
+    """The plan ``build_plan`` lowers, before its own plan check: the
+    tests seed defects into it and drive ``verify_plan`` themselves,
+    racy plans included."""
+    with mock.patch.object(analysis, "verify_plan", lambda plan: Report()):
+        return build_plan(
+            graph,
+            list(fetch_ops),
+            list(fetch_tensors),
+            {},
+            make_placer(gpus),
+            client_device=CLIENT,
+            devices=device_table(gpus),
+            optimize=optimize,
+        )
 
 
 def rules_of(report):
@@ -149,17 +156,32 @@ class TestVariableRaces:
         assert report.ok
 
     def test_same_name_on_other_task_not_grouped(self):
-        # Same var_name on different tasks is different storage.
+        # Same var_name on different tasks is different storage. An item
+        # runs on the task of its dispatch record, so moving w2 moves both.
         g = tf.Graph()
         with g.as_default():
             v = tf.Variable(tf.constant([1.0]), name="v")
             a = tf.assign(v, tf.constant([2.0]), name="w1")
             b = tf.assign(v, tf.constant([3.0]), name="w2")
         plan = plan_for(g, fetch_ops=[a.op, b.op])
+        assert not verify_plan(plan).ok
         for item in plan.items:
             if item.kind == "op" and item.op.name == "w2":
                 item.device = "/job:worker/task:1/device:cpu:0"
+                item.entry = (*item.entry[:3], ("worker", 1))
         assert verify_plan(plan).ok
+
+    def test_a_dangling_dep_neither_orders_nor_hides_a_race(self):
+        # A stale copy of w1 in w2's ordering deps is reported, and the
+        # race rule does not read it as the edge that orders the pair.
+        plan = self._racy_plan()
+        w1, w2 = (next(i for i in plan.items
+                       if i.kind == "op" and i.op.name == name)
+                  for name in ("w1", "w2"))
+        w2.extra_deps.append(dataclasses.replace(w1))
+        rules = rules_of(verify_plan(plan))
+        assert "plan/dangling-item" in rules
+        assert "plan/variable-race" in rules
 
     def test_writes_in_separate_runs_clean(self):
         g = tf.Graph()
@@ -358,9 +380,8 @@ class TestVerifiedPlanMetadata:
         plan = build_plan(
             g, [], [b], {}, make_placer(),
             client_device=CLIENT, devices=device_table(),
-            optimize=True, verify=True,
+            optimize=True,
         )
-        assert plan.verified
         assert plan.verifier_diagnostics == []
 
     def test_build_plan_verify_keeps_warnings(self):
@@ -371,9 +392,8 @@ class TestVerifiedPlanMetadata:
             b = tf.assign_sub(v, tf.constant([3.0]), name="w2")
         plan = build_plan(
             g, [a.op, b.op], [], {}, make_placer(),
-            client_device=CLIENT, devices=device_table(), verify=True,
-        )
-        assert plan.verified  # warnings do not fail the build
+            client_device=CLIENT, devices=device_table(),
+        )  # warnings do not fail the build
         assert [d.rule for d in plan.verifier_diagnostics] == [
             "plan/variable-race"
         ]
@@ -389,7 +409,7 @@ class TestVerifiedPlanMetadata:
             a = tf.constant([1.0], name="a")
         build_plan(
             g, [], [a], {}, make_placer(),
-            client_device=CLIENT, devices=device_table(), verify=True,
+            client_device=CLIENT, devices=device_table(),
         )
         records = [json.loads(line)
                    for line in report_file.read_text().splitlines()]

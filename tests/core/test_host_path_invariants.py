@@ -501,8 +501,7 @@ class TestPlanMissCounts:
                 with g.control_dependencies([chains[0].op]):
                     out = tf.reduce_sum(chains[1], name="out")
                 total = tf.add(out, tf.reduce_sum(chains[0]), name="total")
-        sess = tf.Session(handle.server("worker", 0), graph=g,
-                          config=tf.SessionConfig(verify_plans=True))
+        sess = tf.Session(handle.server("worker", 0), graph=g)
         return g, sess, total, {x: np.ones((16, 16), np.float32)}
 
     def test_a_device_string_is_parsed_once_per_device(self, monkeypatch):

@@ -372,7 +372,7 @@ class TestConfigSwitches:
         assert "identity_collapse" in names
         assert "constant_folding" in names
         assert meta.plan_items > 0
-        assert meta.total_nodes_optimized() >= 1
+        assert sum(s.nodes_removed for s in meta.pass_stats) >= 1
 
 
 class TestPlanCacheLRU:

@@ -356,8 +356,7 @@ class TestWarmRuns:
             assert counters == {"placers": 2, "resolves": 0}
 
     @pytest.mark.parametrize("field, value", [
-        ("verify_plans", True), ("graph_optimization", False),
-        ("shape_only", True)])
+        ("graph_optimization", False), ("shape_only", True)])
     def test_a_config_change_on_a_live_session_builds_a_new_plan(
             self, field, value):
         # Each field changes the plan build_plan makes; a plan cached
@@ -367,7 +366,7 @@ class TestWarmRuns:
             x = tf.placeholder(tf.float32, shape=[2], name="x")
             y = tf.identity(x * tf.constant(2.0) + tf.constant(0.0))
         feed = {x: np.float32([1.0, 2.0])}
-        config = tf.SessionConfig(verify_plans=False)
+        config = tf.SessionConfig()
         sess = tf.Session(graph=g, config=config)
         sess.run(y, feed_dict=feed)
         setattr(sess.config, field, value)
@@ -378,8 +377,7 @@ class TestWarmRuns:
             config, **{field: value}))
         value_want = fresh.run(y, feed_dict=feed, run_metadata=want)
         assert not got.plan_cache_hit
-        assert (got.plan_verified, got.plan_items) == (
-            want.plan_verified, want.plan_items)
+        assert got.plan_items == want.plan_items
         assert repr(value_got) == repr(value_want)
         # ... and changing it back finds the first plan again.
         setattr(sess.config, field, getattr(config, field))

@@ -257,7 +257,6 @@ def test_run_time_shape_rule_defect_is_caught_by_the_fed_shape_plan(
         "session/fast/noopt": (caught, []),
         "session/legacy/opt": (caught, []),
         "session/fast/opt": (caught, []),
-        "session/fast/opt/verify": (caught, []),
         "session/fast/opt/shape": (None, [
             (0, "Mul:0 is statically float32 (?,), the value is float32 "
                 "(2, 1)")]),

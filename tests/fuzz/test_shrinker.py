@@ -11,7 +11,6 @@ from repro.fuzz.harness import BASELINE, Cell, has_divergence, run_program
 from repro.fuzz.shrinker import shrink
 
 EAGER = Cell(frontend="eager")
-VERIFY = Cell(frontend="session", fast_path=True, optimize=True, verify=True)
 
 
 def _buggy_eager_mul(original):
@@ -230,21 +229,22 @@ def _rejecting_mul(verify_graph):
 
 def test_verifier_false_positive_is_named_and_shrinks_to_the_mul(
         monkeypatch):
-    # Only the verify cell verifies: every other cell runs the program
-    # cleanly, so the rejection is a verifier false positive.
+    # Every Session cell verifies, the baseline first: the program runs
+    # cleanly without the planted rule, so the baseline's rejection is a
+    # verifier false positive, reported once.
     program = _padded_mul_program()
     monkeypatch.setattr(analysis, "verify_graph",
                         _rejecting_mul(analysis.verify_graph))
     report = run_program(program)
     assert [(d.kind, d.cell) for d in report.divergences] == [
-        ("verifier", VERIFY)]
+        ("verifier", BASELINE)]
     assert "planted: a Mul op" in report.divergences[0].detail
-    result = shrink(program, VERIFY)
+    result = shrink(program, BASELINE)
     assert result.ops <= 5 and result.ops < result.original_ops
     assert any(ins.op_type == "Mul" for ins in result.program.instrs)
-    assert has_divergence(result.program, VERIFY)
+    assert has_divergence(result.program, BASELINE)
     monkeypatch.undo()
-    assert not has_divergence(result.program, VERIFY)
+    assert not has_divergence(result.program, BASELINE)
 
 
 def _seed_638_shape() -> Program:

@@ -434,6 +434,16 @@ def test_claim_fails_under_its_plant(claim, monkeypatch):
         f"{claim.plant} leaves {claim.name!r} holding: {values}")
 
 
+def test_a_plant_on_gigabit_ethernet_reaches_tegner_grpc(monkeypatch):
+    # Tegner resolves gRPC over 1GbE: its bandwidth follows the module's
+    # Ethernet model as the machine is built, not as it was imported.
+    point = ("Fig. 7", "Tegner GPU", "gRPC", 128)
+    before = measure([point])[point]
+    Plant(machines, "GIGABIT_ETHERNET", "port_rate",
+          2 * machines.GIGABIT_ETHERNET.port_rate).apply(monkeypatch)
+    assert measure([point])[point] > 1.5 * before
+
+
 def test_every_claim_plants_one_simnet_parameter():
     assert len(set(CLAIM_IDS)) == len(CLAIM_IDS)
     for claim in CLAIMS:

