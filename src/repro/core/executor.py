@@ -70,7 +70,9 @@ from repro.errors import DeadlineExceededError, InternalError
 from repro.runtime.collective import run_collective
 from repro.runtime.retry import retry_gen
 from repro.simnet import transports
-from repro.simnet.events import AllOf, Environment, Event, arm_deadline
+from repro.simnet.events import (
+    AllOf, Driver, Environment, Event, arm_deadline,
+)
 
 __all__ = [
     "ExecutionState",
@@ -467,18 +469,15 @@ def _legacy_item_proc(state: ExecutionState, item: Item, processes: list):
     yield from _item_proc(state, item)
 
 
-class _Driven:
+class _Driven(Driver):
     """A plan item's generator, driven through event callbacks.
 
     Semantically identical to spawning the generator as a simulator
     process — same events, same timestamps — but skips the process
-    object, its Initialize event and its completion event. Failures of
-    yielded events are thrown into the generator (so its cleanup runs)
-    and then surface through the run's done event.
-
-    The event being waited on holds the bound ``resume``; this object
-    holds its dispatcher, item and generator and nothing that refers back
-    to it, so it dies by reference count when the generator finishes.
+    object, its Initialize event and its completion event (the loop is
+    :class:`~repro.simnet.events.Driver`'s). Failures of yielded events
+    are thrown into the generator (so its cleanup runs) and then surface
+    through the run's done event.
     """
 
     __slots__ = ("dispatcher", "item", "gen")
@@ -488,36 +487,11 @@ class _Driven:
         self.item = item
         self.gen = gen
 
-    def advance(self, send_value, throw_exc) -> None:
-        gen = self.gen
-        while True:
-            try:
-                if throw_exc is not None:
-                    target = gen.throw(throw_exc)
-                else:
-                    target = gen.send(send_value)
-            except StopIteration:
-                self.dispatcher._item_done(self.item)
-                return
-            except BaseException as exc:
-                self.dispatcher._fail(exc)
-                return
-            if target.callbacks is None:  # already processed
-                if target._ok:
-                    send_value, throw_exc = target._value, None
-                else:
-                    target._defused = True
-                    send_value, throw_exc = None, target._value
-                continue
-            target.callbacks.append(self.resume)
-            return
+    def returned(self, value) -> None:
+        self.dispatcher._item_done(self.item)
 
-    def resume(self, event: Event) -> None:
-        if event._ok:
-            self.advance(event._value, None)
-        else:
-            event._defused = True
-            self.advance(None, event._value)
+    def raised(self, exc: BaseException) -> None:
+        self.dispatcher._fail(exc)
 
 
 class _OpElapsed:

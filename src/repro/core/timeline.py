@@ -76,10 +76,3 @@ class Timeline:
     def save(self, path: str, show_transfers: bool = True) -> None:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(self.generate_chrome_trace_format(show_transfers))
-
-    def device_summary(self) -> dict[str, float]:
-        """Total busy seconds per device."""
-        busy: dict[str, float] = {}
-        for stat in self._metadata.step_stats:
-            busy[stat.device] = busy.get(stat.device, 0.0) + stat.duration
-        return busy

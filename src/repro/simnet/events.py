@@ -7,12 +7,15 @@ event calendar. Determinism is guaranteed by breaking ties on
 produce identical schedules — essential for reproducible benchmarks.
 
 Only the features the runtime needs are implemented: timeouts, generic
-events, process events, ``AllOf``/``AnyOf`` conditions and interrupts.
+events, process events, ``AllOf``/``AnyOf`` conditions, interrupts,
+generators driven by callback without a process (:class:`Driver`) and
+deadline timers that leave the calendar once their watched event fired
+(:func:`arm_deadline`).
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -20,6 +23,7 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
+    "Driver",
     "AllOf",
     "AnyOf",
     "Interrupt",
@@ -140,16 +144,23 @@ class Timeout(Event):
 
 
 class Initialize(Event):
-    """Internal event that starts a freshly created process."""
+    """Internal event that starts a freshly created process (or a driven
+    generator that keeps a process's start hop): an URGENT entry now,
+    whose one callback is ``start``."""
 
     __slots__ = ()
 
-    def __init__(self, env: "Environment", process: "Process"):
-        super().__init__(env)
-        self.callbacks = [process._resume]
-        self._ok = True
+    def __init__(self, env: "Environment", start: Callable[[Event], None]):
+        # Event.__init__ and env._schedule(self, URGENT), flattened as in
+        # Timeout: the key is the one _schedule builds.
+        self.env = env
+        self.callbacks = [start]
         self._value = None
-        env._schedule(self, URGENT)
+        self._ok = True
+        self._defused = False
+        self._processed = False
+        env._seq = seq = env._seq + 1
+        heappush(env._queue, (env._now, URGENT, seq, self))
 
 
 class Process(Event):
@@ -167,7 +178,7 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._target: Optional[Event] = Initialize(env, self)
+        self._target: Optional[Event] = Initialize(env, self._resume)
 
     @property
     def is_alive(self) -> bool:
@@ -242,6 +253,64 @@ class Process(Event):
         self.env._active_process = None
 
 
+class Driver:
+    """A generator driven through event callbacks: a process's loop
+    without the process.
+
+    :meth:`advance` sends each yielded event's value into the generator,
+    or throws its failure (defused, so the generator's cleanup runs), and
+    parks :meth:`resume` on the next event it yields; :meth:`returned`
+    or :meth:`raised` hears how the generator ended. Unlike
+    :class:`Process` it pushes no calendar entry of its own — no start,
+    no exit — and has no name; a subclass that must keep a process's
+    hops pushes them itself. A subclass holds the generator in ``gen``
+    plus whatever its hooks need, in slots. The event being waited on
+    holds the bound ``resume``, and the driver holds nothing that refers
+    back to it, so it dies by reference count when the generator ends.
+    """
+
+    __slots__ = ()
+    gen: Generator[Event, Any, Any]
+
+    def advance(self, send_value: Any,
+                throw_exc: Optional[BaseException]) -> None:
+        gen = self.gen
+        while True:
+            try:
+                if throw_exc is not None:
+                    target = gen.throw(throw_exc)
+                else:
+                    target = gen.send(send_value)
+            except StopIteration as stop:
+                self.returned(stop.value)
+                return
+            except BaseException as exc:
+                self.raised(exc)
+                return
+            if target.callbacks is None:  # already processed
+                if target._ok:
+                    send_value, throw_exc = target._value, None
+                else:
+                    target._defused = True
+                    send_value, throw_exc = None, target._value
+                continue
+            target.callbacks.append(self.resume)
+            return
+
+    def resume(self, event: Event) -> None:
+        if event._ok:
+            self.advance(event._value, None)
+        else:
+            event._defused = True
+            self.advance(None, event._value)
+
+    def returned(self, value: Any) -> None:
+        raise NotImplementedError
+
+    def raised(self, exc: BaseException) -> None:
+        raise NotImplementedError
+
+
 class Condition(Event):
     """Waits for a quorum of child events (basis of AllOf / AnyOf)."""
 
@@ -313,10 +382,12 @@ def arm_deadline(env: "Environment", delay: float, watched: Event,
                  expire: Callable[[], None]) -> None:
     """Call ``expire()`` in ``delay`` seconds unless ``watched`` triggers first.
 
-    There is no calendar cancellation (the timer's entry stays, so step
-    counts are exact); instead the callback is detached as soon as
-    ``watched`` is processed, so a far-future timer never pins what
-    ``expire`` closes over — a finished run's tensors, plan and state.
+    The timer is cancelled as soon as ``watched`` is processed: its
+    callback goes at once, so a far-future timer never pins what
+    ``expire`` closes over — a finished run's tensors, plan and state —
+    and its calendar entry goes at the calendar's next compaction
+    (:meth:`Environment._cancel`). An entry that reaches the top first
+    pops empty, in one step, as it would have uncancelled.
     """
     timer = env.timeout(delay)
 
@@ -324,12 +395,13 @@ def arm_deadline(env: "Environment", delay: float, watched: Event,
         if not watched.triggered:
             expire()
 
-    def detach(_ev: Event) -> None:
-        if timer.callbacks is not None:
+    def cancel(_ev: Event) -> None:
+        if timer.callbacks is not None:  # not popped yet
             timer.callbacks.remove(fire)
+            env._cancel(timer)
 
     timer.callbacks.append(fire)
-    watched.callbacks.append(detach)
+    watched.callbacks.append(cancel)
 
 
 class Environment:
@@ -339,6 +411,8 @@ class Environment:
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, int, Event]] = []
         self._seq = 0
+        # Events whose entries _cancel may drop; some may have popped.
+        self._cancelled: set[Event] = set()
         self._active_process: Optional[Process] = None
 
     # -- clock ---------------------------------------------------------------
@@ -370,14 +444,35 @@ class Environment:
     def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:
         """Enter ``event`` into the calendar: the one general entry point.
 
-        The two hottest callers, ``Timeout.__init__`` and ``Event.succeed``,
-        push their entry themselves to save this call per event. They
-        build the identical key — the next ``_seq``, and ``now + 0.0 ==
-        now`` for an undelayed event — so the pop order cannot tell them
-        from a call to this method.
+        The hottest callers, ``Timeout.__init__``, ``Initialize.__init__``
+        and ``Event.succeed``, push their entry themselves to save this
+        call per event. They build the identical key — the next ``_seq``,
+        and ``now + 0.0 == now`` for an undelayed event — so the pop
+        order cannot tell them from a call to this method.
         """
         self._seq += 1
         heappush(self._queue, (self._now + delay, priority, self._seq, event))
+
+    def _cancel(self, event: Event) -> None:
+        """Let ``event``'s calendar entry go; its callbacks are gone.
+
+        Lazy, by asyncio's rule for cancelled timer handles: entries stay
+        until the cancelled ones outnumber half the calendar, then one
+        pass filters them all out and re-heapifies in place (``run``
+        holds the list). Keys are unique, so the rebuilt heap pops what
+        is left in the same order. An entry that reaches the top before
+        that pops as an empty event, one step; its event stays counted
+        until the next compaction, which can only bring that compaction
+        forward. ``step`` and ``run`` never look at the set, so a
+        calendar with nothing cancelled pays nothing per pop.
+        """
+        cancelled = self._cancelled
+        cancelled.add(event)
+        queue = self._queue
+        if 2 * len(cancelled) > len(queue):
+            queue[:] = [entry for entry in queue if entry[3] not in cancelled]
+            heapify(queue)
+            cancelled.clear()
 
     def peek(self) -> float:
         """Time of the next scheduled event (``inf`` when drained)."""

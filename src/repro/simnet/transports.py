@@ -20,11 +20,10 @@ The three protocols differ exactly where the paper says they do
 
 from __future__ import annotations
 
-from typing import Iterator
-
+from typing import Any, Generator, Iterator
 
 from repro.errors import InvalidArgumentError
-from repro.simnet.events import AllOf, Environment
+from repro.simnet.events import AllOf, Environment, Event
 
 __all__ = [
     "DATA_PROTOCOLS",
@@ -74,7 +73,8 @@ def _same_node(a, b) -> bool:
     return a.node is b.node
 
 
-def transfer(src_device, dst_device, nbytes: int, protocol: str = "rdma") -> Iterator:
+def transfer(src_device, dst_device, nbytes: int,
+             protocol: str = "rdma") -> Generator[Event, Any, None]:
     """Generator moving ``nbytes`` from ``src_device`` to ``dst_device``.
 
     Drives the appropriate links of the simulated machine; completes when

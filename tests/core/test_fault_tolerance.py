@@ -163,6 +163,43 @@ class TestDeadlineTimersReleaseFinishedRuns:
         assert _live(ExecutionState) == states
 
 
+class TestDeadlineTimersLeaveTheCalendar:
+    """A deadline timer whose watched event fired is cancelled, and the
+    calendar compacts cancelled entries once they outnumber half of it.
+    Before, every run left its 300 sim-second join watchdog (and, with
+    ``operation_timeout_ms``, its run watchdog) in the heap until the
+    clock passed it: the calendar grew by an entry or two per run."""
+
+    @pytest.mark.parametrize("timeout_ms", [None, 60_000.0],
+                             ids=["default-join-timeout", "operation-timeout"])
+    @pytest.mark.parametrize("fast", [True, False],
+                             ids=["fast-path", "legacy"])
+    def test_calendar_does_not_grow_with_runs(self, fast, timeout_ms):
+        # TestDeadlineTimersReleaseFinishedRuns's program.
+        handle = build_cluster("tegner-k420", {"worker": 2})
+        g = tf.Graph()
+        with g.as_default():
+            phs = []
+            for w in range(2):
+                with g.device(task_device("worker", w, "cpu", 0)):
+                    phs.append(tf.placeholder(tf.float64, shape=[1024],
+                                              name=f"x{w}"))
+            outs = tf.all_reduce(phs)
+            with g.device(task_device("worker", 0, "cpu", 0)):
+                total = tf.add(outs[0], outs[1])
+        sess = tf.Session(handle.server("worker", 0), graph=g,
+                          config=lane_config(
+                              fast, operation_timeout_ms=timeout_ms))
+        feeds = {ph: np.full(1024, w + 1.0) for w, ph in enumerate(phs)}
+
+        sess.run(outs + [total], feed_dict=feeds)
+        after_first = len(sess.env._queue)
+        for _ in range(49):
+            last = sess.run(outs + [total], feed_dict=feeds)
+        np.testing.assert_array_equal(last[2], np.full(1024, 6.0))
+        assert len(sess.env._queue) <= 2 * after_first
+
+
 class TestFailedRunReturnsItsMemory:
     """Regression: ``_fail`` stops dispatch, but a timeout the failed run
     had armed stays in the calendar and fires inside the *next* run; its

@@ -1,16 +1,18 @@
 """A host-only change keeps the calendar exact.
 
-Three small fixed programs, one per lane mix, pin what a change to the
-host path (event construction, link wake-ups, session warm path, executor
-device resolution) may not move: how many calendar entries
+Five small fixed programs, one per lane mix plus two eight-rank
+collectives, pin what a change to the host path (event construction,
+link wake-ups, collective sends, session warm path, executor device
+resolution) may not move: how many calendar entries
 ``Environment.step`` pops, the simulated clock bit for bit, and how many
 plan items the dispatcher completed. ``step`` is counted by rebinding the
 class attribute, exactly as ``benchmarks/e2e/trace.py`` counts
 ``simnet.events.steps`` — so inlining the pop into ``Environment.run``
 reads 0 here before it zeroes the harness counter.
 
-The values were recorded on the commit before the host path was first
-optimised (PR 17's parent); they change only with the simulated schedule.
+The values were recorded before the host path was first optimised, the
+two eight-rank ones before collective sends stopped being processes;
+they change only with the simulated schedule.
 
 ``TestNoCyclicGarbage`` pins the other host-path invariant: a warm run
 allocates nothing that only the cyclic collector can free.
@@ -82,7 +84,42 @@ PROGRAMS = {
         90,
         4,
     ),
+    # Eight ranks, ten tree allreduces a step in flight together: up to 16
+    # flows share one NIC, so a calendar hop dropped or moved under link
+    # contention shows.
+    "sgd_collective_8": (
+        lambda: run_sgd(num_workers=8, steps=2, mode="collective", blocks=8),
+        5236,
+        ["0x1.385dc05b71999p-5"],
+        1754,
+        74,
+    ),
+    # One 1 MB ring allreduce over eight nodes, run cold and warm.
+    "ring_allreduce_8": (
+        lambda: _ring_allreduce_program(),
+        1928,
+        ["0x1.17860c26b27a3p-8"],
+        44,
+        2,
+    ),
 }
+
+
+def _ring_allreduce_program():
+    handle = build_cluster("tegner-k420", {"worker": 8})
+    g = tf.Graph()
+    with g.as_default():
+        phs = []
+        for w in range(8):
+            with g.device(task_device("worker", w, "cpu", 0)):
+                phs.append(tf.placeholder(tf.float64, shape=[131072],
+                                          name=f"x{w}"))
+        outs = tf.all_reduce(phs, algorithm="ring")
+    sess = tf.Session(handle.server("worker", 0), graph=g)
+    feeds = {ph: np.full(131072, w + 1.0) for w, ph in enumerate(phs)}
+    for _ in range(2):
+        got = sess.run(outs, feed_dict=feeds)
+    np.testing.assert_array_equal(got[7], np.full(131072, 36.0))
 
 
 @pytest.mark.parametrize("name", sorted(PROGRAMS))

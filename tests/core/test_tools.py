@@ -119,11 +119,6 @@ class TestTimeline:
         complete = [e for e in events if e.get("ph") == "X"]
         assert all(e["dur"] > 0 for e in complete)
 
-    def test_device_summary(self):
-        summary = Timeline(self._traced_metadata()).device_summary()
-        assert any("gpu" in device for device in summary)
-        assert all(busy >= 0 for busy in summary.values())
-
     def test_save_to_file(self, tmp_path):
         path = tmp_path / "trace.json"
         Timeline(self._traced_metadata()).save(str(path))

@@ -17,7 +17,7 @@ import pytest
 import repro as tf
 from repro import eager
 from repro.core.tensor import SymbolicValue, value_nbytes
-from repro.errors import InvalidArgumentError
+from repro.errors import InvalidArgumentError, UnavailableError
 from repro.core.ops.collective_ops import COLLECTIVE_OP_TYPES
 from repro.runtime import collective
 from repro.runtime.collective import (
@@ -29,6 +29,7 @@ from repro.runtime.collective import (
 )
 from repro.simnet import transports
 from repro.simnet.events import AllOf, Environment
+from repro.simnet.faults import FaultInjector, FaultPlan, MessageDrop
 from repro.simnet.machines import tegner
 
 MB = 1024 * 1024
@@ -264,6 +265,70 @@ class TestTiming:
         # (world - 1) reduce-scatter steps each slow down by the rate gap.
         expected_gap = (world - 1) * chunk * (8.0 - 1.0) / fast_rate
         assert skewed - uniform == pytest.approx(expected_gap, rel=1e-9)
+
+
+class _RecordingEnvironment(Environment):
+    """Logs the key of every calendar entry ``step`` pops."""
+
+    def __init__(self):
+        super().__init__()
+        self.pops = []
+
+    def step(self):
+        when, priority, seq, _event = self._queue[0]
+        self.pops.append((when.hex(), priority, seq))
+        super().step()
+
+
+def _process_per_send(env, transfers):
+    """How a round was joined before: a process per send, one AllOf."""
+    return AllOf(env, [env.process(gen) for gen in transfers])
+
+
+class TestRoundJoin:
+    """A round's sends are driven by callback and joined by one counting
+    event, yet push the calendar entries a process per send and an
+    ``AllOf`` pushed: the same keys, popped in the same order, with the
+    same outcome — contention on a NIC, a same-device and an empty send
+    that finish on their first step, a round without sends, and a
+    dropped message that fails its round while that round's other sends
+    and the next round are still on the wire."""
+
+    ROUNDS = [
+        [(0, 1, 4096), (1, 0, 4096), (2, 1, 8192), (3, 3, 512), (2, 3, 0)],
+        [],
+        [(0, 2, MB), (1, 3, 64)],
+    ]
+
+    def play(self, join, drop):
+        env = _RecordingEnvironment()
+        machine = tegner(env, k420_nodes=4)
+        if drop:
+            FaultInjector(FaultPlan(faults=(MessageDrop(count=1),))).install(
+                machine)
+        cpus = [machine.node(name).cpu for name in sorted(machine.nodes)]
+        outcomes = []
+
+        def rounds():
+            for sends in self.ROUNDS:
+                try:
+                    yield join(env, [
+                        transports.transfer(cpus[src], cpus[dst], nbytes)
+                        for src, dst, nbytes in sends
+                    ])
+                    outcomes.append(env.now.hex())
+                except UnavailableError as exc:
+                    outcomes.append(str(exc))
+
+        env.run(until=env.process(rounds()))
+        env.run()
+        return env.pops, outcomes
+
+    @pytest.mark.parametrize("drop", [False, True], ids=["clean", "drop"])
+    def test_same_calendar_as_a_process_per_send(self, drop):
+        pops, outcomes = self.play(collective._RoundJoin, drop)
+        assert (pops, outcomes) == self.play(_process_per_send, drop)
+        assert ("t01n01 -> t01n02" in outcomes[0]) == drop
 
 
 class TestAllGather:

@@ -315,7 +315,8 @@ class TestCalendarOrder:
         ("drained", "0x1.9133333333333p+6", 17),
     ]
 
-    def test_scripted_scenario_pops_in_the_recorded_order(self):
+    def _play(self, then=lambda env: None):
+        """The scenario; ``then(env)`` runs once ``proc`` has returned."""
         env = _RecordingEnvironment()
         log = []
         # Same-instant timeouts, created out of delay order.
@@ -360,10 +361,39 @@ class TestCalendarOrder:
 
         assert env.run(until=proc) == "done"
         log.append(("returned", env.now.hex(), len(env.pops)))
+        then(env)
         env.run()
         log.append(("drained", env.now.hex(), len(env.pops)))
+        return env, log
+
+    def test_scripted_scenario_pops_in_the_recorded_order(self):
+        env, log = self._play()
         assert env.pops == self.POPS
         assert log == self.LOG
+
+    def test_cancelled_timers_leave_the_recorded_order_alone(self):
+        """Three deadlines whose watched event fires at once: the second
+        cancellation tips the cancelled entries over half the calendar
+        (seq 8, cancelled at 0.1, popped empty at 0.25 and still counted,
+        plus 18 and 19 of five entries), so one compaction drops 18 and
+        19; 20 is cancelled after it and pops empty, one step. Every
+        entry of the pinned scenario pops with its recorded key, in its
+        recorded order."""
+        def cancel_three(env):
+            finished = env.event()
+            for _ in range(3):
+                arm_deadline(env, 1.0, finished,
+                             lambda: pytest.fail("cancelled deadline fired"))
+            finished.succeed()
+
+        env, log = self._play(cancel_three)
+        assert [pop for pop in env.pops if pop[2] <= 17] == self.POPS
+        assert [pop for pop in env.pops if pop[2] > 17] == [
+            ("0x1.ccccccccccccdp-2", 0, 21, "Event"),
+            ("0x1.7333333333333p+0", 1, 20, "Timeout"),
+        ]
+        assert log == self.LOG[:-1] + [("drained", "0x1.9133333333333p+6", 19)]
+        assert env._queue == [] and env._seq == 21
 
     def test_run_reaches_every_event_through_step(self):
         """``run`` may not pop the heap itself: the e2e harness counts
