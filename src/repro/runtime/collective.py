@@ -22,7 +22,7 @@ halves that never meet:
 
 :func:`run_collective` joins the two and is the one driver of a round
 list: each round starts its transfers, waits for all of them on one
-counting join, then spends the slowest rank's local math. A transfer is
+``AllOf``, then spends the slowest rank's local math. A transfer is
 driven by callback, not spawned as a process, yet pushes the two
 calendar entries a process would (start and exit), so the calendar's
 steps and same-instant order are a process's. The lowered graph op's
@@ -70,7 +70,7 @@ from repro import dtypes
 from repro.core.tensor import SymbolicValue, value_nbytes
 from repro.errors import InvalidArgumentError
 from repro.simnet import transports
-from repro.simnet.events import Driver, Environment, Event, Initialize
+from repro.simnet.events import AllOf, Driver, Environment, Event, Initialize
 
 __all__ = [
     "run_collective",
@@ -292,58 +292,24 @@ def registered_algorithms(op_type: str) -> tuple[str, ...]:
     return tuple(sorted(a for (t, a) in _STRATEGIES if t == op_type))
 
 
-class _RoundJoin(Event):
-    """Wait-all over one round's transfers, each a :class:`_Transfer`.
-
-    Triggers exactly as an ``AllOf`` over the transfers' processes did:
-    at once for a round without sends, on the last transfer's exit entry
-    otherwise, and failed by the first transfer that raised (later
-    failures are defused and dropped). Its value is ``None``; nothing
-    reads it.
-    """
-
-    __slots__ = ("_waiting",)
-
-    def __init__(self, env: Environment,
-                 transfers: list[Generator[Event, Any, Any]]
-                 ) -> None:
-        super().__init__(env)
-        self._waiting = len(transfers)
-        if not transfers:
-            self.succeed()
-        for gen in transfers:
-            _Transfer(self, gen)
-
-    def _arrive(self, transfer: Event) -> None:
-        if transfer._ok:
-            # Reaches 0 only if no transfer failed: the join is pending.
-            self._waiting -= 1
-            if not self._waiting:
-                self.succeed()
-        else:
-            transfer._defused = True
-            if not self.triggered:
-                self.fail(transfer._value)
-
-
 class _Transfer(Driver, Event):
     """One send of a round: its generator, driven by callback, keeping
     a process's two calendar hops.
 
     Built, it pushes an URGENT start entry (the ``Initialize`` a process
     pushed) that runs the generator to its first yield; finished, it
-    triggers itself — the URGENT exit entry a process pushed — and its
-    one callback counts it into the round's join.
+    triggers itself with the generator's outcome — the URGENT exit entry
+    a process pushed — so the round's ``AllOf`` joins it as it joined a
+    process.
     """
 
     __slots__ = ("gen",)
 
-    def __init__(self, join: _RoundJoin, gen: Generator[Event, Any, Any]
+    def __init__(self, env: Environment, gen: Generator[Event, Any, Any]
                  ) -> None:
-        Event.__init__(self, join.env)
-        self.callbacks = [join._arrive]
+        super().__init__(env)
         self.gen = gen
-        Initialize(join.env, self.resume)
+        Initialize(env, self.resume)
 
     def returned(self, value: Any) -> None:
         self.succeed(value)
@@ -365,9 +331,8 @@ def run_collective(
     Computes the per-rank results with :func:`collective_values`, then
     plays the ``(op_type, algorithm)`` schedule's rounds on the simulated
     clock: all of a round's transfers concurrently, joined by one
-    counting :class:`_RoundJoin`, then its local math at the slowest
-    rank's NumPy rate (every rank adds at once, so the last to finish
-    gates the step).
+    ``AllOf``, then its local math at the slowest rank's NumPy rate
+    (every rank adds at once, so the last to finish gates the step).
 
     Args:
         op_type: one of the four ``Collective*`` op types.
@@ -388,8 +353,9 @@ def run_collective(
     env = devices[0].env
     rate = min(d.node.cpu.model.numpy_bytes_rate for d in devices)
     for sends, local_bytes in rounds:
-        yield _RoundJoin(env, [
-            transports.transfer(devices[src], devices[dst], nbytes, protocol)
+        yield AllOf(env, [
+            _Transfer(env, transports.transfer(devices[src], devices[dst],
+                                               nbytes, protocol))
             for src, dst, _chunk, nbytes in sends
         ])
         if local_bytes is not None:

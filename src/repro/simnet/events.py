@@ -151,16 +151,11 @@ class Initialize(Event):
     __slots__ = ()
 
     def __init__(self, env: "Environment", start: Callable[[Event], None]):
-        # Event.__init__ and env._schedule(self, URGENT), flattened as in
-        # Timeout: the key is the one _schedule builds.
-        self.env = env
+        super().__init__(env)
         self.callbacks = [start]
-        self._value = None
         self._ok = True
-        self._defused = False
-        self._processed = False
-        env._seq = seq = env._seq + 1
-        heappush(env._queue, (env._now, URGENT, seq, self))
+        self._value = None
+        env._schedule(self, URGENT)
 
 
 class Process(Event):
@@ -318,30 +313,32 @@ class Condition(Event):
 
     def __init__(self, env: "Environment", events: Iterable[Event], need_all: bool):
         super().__init__(env)
-        self._events = list(events)
-        for ev in self._events:
+        self._events = children = list(events)
+        for ev in children:
             if ev.env is not env:
                 raise RuntimeError("Conditions span a single environment")
-        self._count_needed = len(self._events) if need_all else min(1, len(self._events))
+        self._count_needed = len(children) if need_all else min(1, len(children))
         self._count_done = 0
         if self._count_needed == 0:
             self.succeed(self._collect())
             return
-        for ev in self._events:
+        check = self._check
+        for ev in children:
             if ev.callbacks is None:  # already processed
-                self._check(ev)
-                if self.triggered:
+                check(ev)
+                if self._value is not _PENDING:
                     break
             else:
-                ev.callbacks.append(self._check)
+                ev.callbacks.append(check)
 
     def _collect(self) -> dict[Event, Any]:
         # Only *processed* events count: Timeouts carry their value from
-        # creation, so `triggered` alone would leak future outcomes.
+        # creation, so `triggered` alone would leak future outcomes. (The
+        # slot tests stand in for the properties: this runs per join.)
         return {
             ev: ev._value
             for ev in self._events
-            if ev.triggered and ev._ok and ev.callbacks is None
+            if ev._value is not _PENDING and ev._ok and ev.callbacks is None
         }
 
     def _check(self, event: Event) -> None:
@@ -444,9 +441,8 @@ class Environment:
     def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:
         """Enter ``event`` into the calendar: the one general entry point.
 
-        The hottest callers, ``Timeout.__init__``, ``Initialize.__init__``
-        and ``Event.succeed``, push their entry themselves to save this
-        call per event. They build the identical key — the next ``_seq``,
+        The two hottest callers, ``Timeout.__init__`` and ``Event.succeed``,
+        push their entry themselves to save this call per event. They build the identical key — the next ``_seq``,
         and ``now + 0.0 == now`` for an undelayed event — so the pop
         order cannot tell them from a call to this method.
         """

@@ -285,14 +285,20 @@ def _process_per_send(env, transfers):
     return AllOf(env, [env.process(gen) for gen in transfers])
 
 
-class TestRoundJoin:
-    """A round's sends are driven by callback and joined by one counting
-    event, yet push the calendar entries a process per send and an
-    ``AllOf`` pushed: the same keys, popped in the same order, with the
-    same outcome — contention on a NIC, a same-device and an empty send
-    that finish on their first step, a round without sends, and a
-    dropped message that fails its round while that round's other sends
-    and the next round are still on the wire."""
+def _driven_per_send(env, transfers):
+    """How ``run_collective`` joins a round: one ``AllOf`` over driven
+    transfers."""
+    return AllOf(env, [collective._Transfer(env, gen) for gen in transfers])
+
+
+class TestDrivenTransfers:
+    """A round's sends are driven by callback, not spawned as processes,
+    yet push the calendar entries a process per send pushed: the same
+    keys, popped in the same order, with the same outcome — contention
+    on a NIC, a same-device and an empty send that finish on their first
+    step, a round without sends, and a dropped message that fails its
+    round while that round's other sends and the next round are still on
+    the wire."""
 
     ROUNDS = [
         [(0, 1, 4096), (1, 0, 4096), (2, 1, 8192), (3, 3, 512), (2, 3, 0)],
@@ -326,7 +332,7 @@ class TestRoundJoin:
 
     @pytest.mark.parametrize("drop", [False, True], ids=["clean", "drop"])
     def test_same_calendar_as_a_process_per_send(self, drop):
-        pops, outcomes = self.play(collective._RoundJoin, drop)
+        pops, outcomes = self.play(_driven_per_send, drop)
         assert (pops, outcomes) == self.play(_process_per_send, drop)
         assert ("t01n01 -> t01n02" in outcomes[0]) == drop
 
