@@ -17,7 +17,6 @@ from repro.runtime.clusterspec import ClusterSpec
 from repro.runtime.server import Server
 from repro.simnet.events import Environment
 from repro.simnet.machines import (
-    NODE_TYPES,
     instances_per_node,
     kebnekaise,
     localhost,
@@ -82,9 +81,6 @@ class ClusterHandle:
     @property
     def filesystem(self):
         return self.machine.filesystem
-
-    def gpu_model(self):
-        return NODE_TYPES[self.system.replace("localhost", "localhost")]["gpu_model"]
 
 
 def build_cluster(

@@ -43,7 +43,7 @@ from repro.runtime.clusterspec import ClusterSpec
 from repro.runtime.retry import RetryPolicy
 from repro.runtime.server import Server, ServerConfig
 from repro.simnet.events import Environment
-from repro.simnet.gpu import GENERIC_GPU, GPUModel
+from repro.simnet.gpu import GPUModel
 from repro.simnet.machines import Machine, localhost
 from repro.simnet.transports import protocol_latency
 
@@ -72,13 +72,13 @@ class SessionConfig:
     """Session behaviour switches (subset of ``tf.ConfigProto``)."""
 
     allow_soft_placement: bool = True
-    log_device_placement: bool = False
     # Shape-only execution: tensors carry metadata, kernels charge costs
     # but never materialize data. Used for paper-scale benchmark points.
     shape_only: bool = False
-    # Local-session hardware (ignored when a target is given).
+    # Local-session hardware (ignored when a target is given); None is
+    # the generic GPU.
     num_gpus: int = 1
-    gpu_model: GPUModel = GENERIC_GPU
+    gpu_model: Optional[GPUModel] = None
     # Plan-time graph optimization (Grappler-style pass pipeline): the
     # one switch — the pass sequence itself is fixed
     # (:func:`repro.core.optimizer.run_pipeline`).
@@ -414,9 +414,6 @@ class Session:
         fetch_tensors = prepared.fetch_tensors
         slots = prepared.slots
         plan_cache_hit = prepared.plan_cache_hit
-        if self.config.log_device_placement:
-            for name, device in sorted(plan.placements.items()):
-                print(f"{name}: ({device})")
 
         trace = bool(options and options.trace_level >= RunOptions.FULL_TRACE)
         metadata = run_metadata if run_metadata is not None else RunMetadata()

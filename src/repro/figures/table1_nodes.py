@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.perf.reporting import format_table
 from repro.simnet.events import Environment
-from repro.simnet.machines import NODE_TYPES, kebnekaise, tegner
+from repro.simnet.machines import instances_per_node, kebnekaise, tegner
 from repro.slurm.cluster_resolver import SlurmClusterResolver
 from repro.slurm.scontrol import Scontrol
 from repro.slurm.workload_manager import SlurmWorkloadManager
@@ -39,7 +39,7 @@ def run_table1() -> list[dict]:
         env = Environment()
         machine = _FACTORIES[node_type](env)
         node = next(iter(machine.nodes.values()))
-        instances = NODE_TYPES[node_type]["instances"]
+        instances = instances_per_node(node_type)
         slurm = SlurmWorkloadManager(machine)
         job = slurm.submit(num_nodes=1, tasks_per_node=instances)
         resolver = SlurmClusterResolver(

@@ -1,21 +1,11 @@
-"""Performance accounting: flop conventions, calibration provenance, reports."""
+"""Performance accounting: calibration provenance and reports. The paper's
+flop conventions live on the app results (``MatmulResult.flops``,
+``CGResult.flops``, ``FFTResult.flops``)."""
 
 from repro.perf.calibration import PAPER_TARGETS, paper_target
-from repro.perf.metrics import (
-    bandwidth_mbs,
-    cg_flops,
-    fft_flops,
-    matmul_flops,
-    scaling_factor,
-)
 from repro.perf.reporting import format_table
 
 __all__ = [
-    "matmul_flops",
-    "cg_flops",
-    "fft_flops",
-    "bandwidth_mbs",
-    "scaling_factor",
     "PAPER_TARGETS",
     "paper_target",
     "format_table",

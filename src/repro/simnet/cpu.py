@@ -29,7 +29,6 @@ class CPUModel:
     sustained_flops: float  # aggregate usable flop/s for numpy-backed math
     mem_bandwidth: float  # sustained host memory bandwidth, B/s
     mem_capacity: int  # host RAM, bytes
-    memcpy_rate: float  # plain host memcpy, B/s
     serialize_rate: float  # protobuf-style serialization throughput, B/s
     python_bytes_rate: float  # interpreter-bound slicing/merge throughput, B/s
     numpy_bytes_rate: float  # single vectorized NumPy op (e.g. +=), B/s
@@ -43,7 +42,6 @@ HASWELL_E5_2690V3 = CPUModel(
     sustained_flops=350.0e9,
     mem_bandwidth=95.0e9,
     mem_capacity=512 * 1024**3,
-    memcpy_rate=9.0e9,
     serialize_rate=1.4e9,
     python_bytes_rate=0.9e9,
     numpy_bytes_rate=4.0e9,
@@ -57,7 +55,6 @@ BROADWELL_E5_2690V4 = CPUModel(
     sustained_flops=420.0e9,
     mem_bandwidth=110.0e9,
     mem_capacity=128 * 1024**3,
-    memcpy_rate=10.0e9,
     serialize_rate=1.5e9,
     python_bytes_rate=0.9e9,
     numpy_bytes_rate=4.5e9,
@@ -70,7 +67,6 @@ GENERIC_CPU = CPUModel(
     sustained_flops=150.0e9,
     mem_bandwidth=50.0e9,
     mem_capacity=32 * 1024**3,
-    memcpy_rate=8.0e9,
     serialize_rate=1.5e9,
     python_bytes_rate=1.0e9,
     numpy_bytes_rate=4.0e9,

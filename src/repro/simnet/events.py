@@ -179,11 +179,6 @@ class Process(Event):
     def is_alive(self) -> bool:
         return self._value is _PENDING
 
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting for."""
-        return self._target
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""
         if not self.is_alive:
@@ -197,7 +192,6 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""
-        self.env._active_process = self
         while True:
             # Detach from the event that woke us.
             if self._target is not None and self._target.callbacks is not None:
@@ -245,7 +239,6 @@ class Process(Event):
             next_target.callbacks.append(self._resume)
             self._target = next_target
             break
-        self.env._active_process = None
 
 
 class Driver:
@@ -410,16 +403,11 @@ class Environment:
         self._seq = 0
         # Events whose entries _cancel may drop; some may have popped.
         self._cancelled: set[Event] = set()
-        self._active_process: Optional[Process] = None
 
     # -- clock ---------------------------------------------------------------
     @property
     def now(self) -> float:
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process
 
     # -- event construction ----------------------------------------------------
     def event(self) -> Event:
@@ -430,12 +418,6 @@ class Environment:
 
     def process(self, generator: Generator, name: str | None = None) -> Process:
         return Process(self, generator, name=name)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # -- scheduling -----------------------------------------------------------
     def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:

@@ -12,7 +12,7 @@ only) — declared files support paper-scale problems in shape-only mode.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -28,14 +28,14 @@ class SimFileSystem:
     """Machine-wide shared store of named arrays."""
 
     def __init__(self, env: Environment, aggregate_rate: float,
-                 name: str = "lustre", client_rate: Optional[float] = None):
+                 client_rate: float, name: str = "lustre"):
         self.env = env
         self.name = name
         self.link = BandwidthLink(env, aggregate_rate, name=f"{name}/ost")
         # A single client stream cannot saturate the filesystem: np.load
         # over Lustre tops out well below the fabric (striping, request
         # pipelining, the Python read path). Modelled as a per-read cap.
-        self.client_rate = client_rate if client_rate is not None else aggregate_rate
+        self.client_rate = client_rate
         self._files: dict[str, Union[np.ndarray, SymbolicValue]] = {}
         self.bytes_read = 0
         self.bytes_written = 0

@@ -14,15 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-
-
 from repro.simnet.events import Environment
 from repro.simnet.memory import MemoryPool
 from repro.simnet.resources import BandwidthLink, Resource
 
 __all__ = ["GPUModel", "GPUDevice", "K420", "K80_GK210", "V100", "GENERIC_GPU"]
-
-GIGA = 1.0e9
 
 
 @dataclass(frozen=True)

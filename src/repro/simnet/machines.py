@@ -44,19 +44,19 @@ __all__ = [
 ]
 
 # Table I: TF instances per node, per node type.
-NODE_TYPES = {
-    "tegner-k420": {"instances": 1, "gpus": 1, "gpu_model": K420},
-    "tegner-k80": {"instances": 2, "gpus": 2, "gpu_model": K80_GK210},
-    "kebnekaise-k80": {"instances": 4, "gpus": 4, "gpu_model": K80_GK210},
-    "kebnekaise-v100": {"instances": 2, "gpus": 2, "gpu_model": V100},
-    "localhost": {"instances": 1, "gpus": 1, "gpu_model": GENERIC_GPU},
-}
+NODE_TYPES = {"tegner-k420": 1, "tegner-k80": 2, "kebnekaise-k80": 4,
+              "kebnekaise-v100": 2, "localhost": 1}
+
+# Lustre per machine, B/s: the aggregate OST rate, and what one client's
+# read path sustains (np.load over Lustre tops out well below the fabric).
+LUSTRE_RATE = {"tegner": 20.0e9, "kebnekaise": 16.0e9, "localhost": 2.0e9}
+LUSTRE_CLIENT_RATE = {"tegner": 1.1e9, "kebnekaise": 1.0e9, "localhost": 2.0e9}
 
 
 def instances_per_node(node_type: str) -> int:
     """How many TensorFlow instances the paper runs per node of this type."""
     try:
-        return NODE_TYPES[node_type]["instances"]
+        return NODE_TYPES[node_type]
     except KeyError:
         raise InvalidArgumentError(f"Unknown node type {node_type!r}") from None
 
@@ -69,9 +69,6 @@ class Machine:
         env: Environment,
         name: str,
         fabric: Interconnect,
-        lustre_rate: float = 16.0e9,
-        lustre_client_rate: float = 1.0e9,
-        grpc_over_ethernet: bool = False,
     ):
         self.env = env
         self.name = name
@@ -79,10 +76,9 @@ class Machine:
         # Every machine's 1GbE, read when the machine is built, not when
         # this module was imported: a model change to it reaches them all.
         self.ethernet = GIGABIT_ETHERNET
-        self.grpc_over_ethernet = grpc_over_ethernet
         self.filesystem = SimFileSystem(
-            env, lustre_rate, name=f"{name}/lustre",
-            client_rate=lustre_client_rate,
+            env, LUSTRE_RATE[name], LUSTRE_CLIENT_RATE[name],
+            name=f"{name}/lustre",
         )
         self.nodes: dict[str, Node] = {}
         # host:port -> Server (populated by repro.runtime.server.Server).
@@ -97,8 +93,7 @@ class Machine:
         name: str,
         cpu_model: CPUModel,
         gpu_models: Sequence[GPUModel] = (),
-        gpu_numa: Optional[Sequence[int]] = None,
-        nic_numa: int = 0,
+        gpu_numa: Sequence[int] = (),
         node_type: str = "localhost",
     ) -> Node:
         if name in self.nodes:
@@ -110,7 +105,6 @@ class Machine:
             cpu_model=cpu_model,
             gpu_models=gpu_models,
             gpu_numa=gpu_numa,
-            nic_numa=nic_numa,
         )
         node.node_type = node_type
         self.nodes[name] = node
@@ -146,15 +140,9 @@ class Machine:
 
 def tegner(env: Environment, k420_nodes: int = 0, k80_nodes: int = 0) -> Machine:
     """PDC's Tegner: Haswell nodes, EDR InfiniBand, Ethernet-resolved gRPC."""
-    machine = Machine(
-        env,
-        name="tegner",
-        fabric=EDR_INFINIBAND,
-        grpc_over_ethernet=True,  # paper: "gRPC connection is resolved to
-        # communicate through Ethernet" on Tegner
-        lustre_rate=20.0e9,
-        lustre_client_rate=1.1e9,
-    )
+    # EDR carries no IP: "gRPC connection is resolved to communicate
+    # through Ethernet" on Tegner (paper).
+    machine = Machine(env, name="tegner", fabric=EDR_INFINIBAND)
     index = 1
     for _ in range(k420_nodes):
         machine.add_node(
@@ -162,7 +150,6 @@ def tegner(env: Environment, k420_nodes: int = 0, k80_nodes: int = 0) -> Machine
             cpu_model=HASWELL_E5_2690V3,
             gpu_models=[K420],
             gpu_numa=[0],
-            nic_numa=0,
             node_type="tegner-k420",
         )
         index += 1
@@ -173,7 +160,6 @@ def tegner(env: Environment, k420_nodes: int = 0, k80_nodes: int = 0) -> Machine
             cpu_model=HASWELL_E5_2690V3,
             gpu_models=[K80_GK210, K80_GK210],
             gpu_numa=[0, 0],
-            nic_numa=0,
             node_type="tegner-k80",
         )
         index += 1
@@ -182,14 +168,8 @@ def tegner(env: Environment, k420_nodes: int = 0, k80_nodes: int = 0) -> Machine
 
 def kebnekaise(env: Environment, k80_nodes: int = 0, v100_nodes: int = 0) -> Machine:
     """HPC2N's Kebnekaise: Broadwell nodes, FDR InfiniBand, NUMA-split GPUs."""
-    machine = Machine(
-        env,
-        name="kebnekaise",
-        fabric=FDR_INFINIBAND,
-        grpc_over_ethernet=False,  # gRPC ~ MPI bandwidth => IPoIB
-        lustre_rate=16.0e9,
-        lustre_client_rate=1.0e9,
-    )
+    # gRPC ~ MPI bandwidth => IPoIB over FDR.
+    machine = Machine(env, name="kebnekaise", fabric=FDR_INFINIBAND)
     index = 1
     for _ in range(k80_nodes):
         # Fig. 9: two K80 boards on two NUMA islands; NIC + I/O on island 0.
@@ -198,7 +178,6 @@ def kebnekaise(env: Environment, k80_nodes: int = 0, v100_nodes: int = 0) -> Mac
             cpu_model=BROADWELL_E5_2690V4,
             gpu_models=[K80_GK210] * 4,
             gpu_numa=[0, 0, 1, 1],
-            nic_numa=0,
             node_type="kebnekaise-k80",
         )
         index += 1
@@ -208,7 +187,6 @@ def kebnekaise(env: Environment, k80_nodes: int = 0, v100_nodes: int = 0) -> Mac
             cpu_model=BROADWELL_E5_2690V4,
             gpu_models=[V100, V100],
             gpu_numa=[0, 1],
-            nic_numa=0,
             node_type="kebnekaise-v100",
         )
         index += 1
@@ -216,22 +194,15 @@ def kebnekaise(env: Environment, k80_nodes: int = 0, v100_nodes: int = 0) -> Mac
 
 
 def localhost(env: Environment, num_gpus: int = 1,
-              gpu_model: GPUModel = GENERIC_GPU,
-              cpu_model: CPUModel = GENERIC_CPU) -> Machine:
-    """A single-node machine backing plain local sessions."""
-    machine = Machine(
-        env,
-        name="localhost",
-        fabric=GIGABIT_ETHERNET,
-        lustre_rate=2.0e9,
-        lustre_client_rate=2.0e9,
-    )
+              gpu_model: Optional[GPUModel] = None) -> Machine:
+    """A single-node machine backing plain local sessions: ``num_gpus``
+    of ``gpu_model`` (the generic GPU by default)."""
+    machine = Machine(env, name="localhost", fabric=GIGABIT_ETHERNET)
     machine.add_node(
         "localhost",
-        cpu_model=cpu_model,
-        gpu_models=[gpu_model] * num_gpus,
+        cpu_model=GENERIC_CPU,
+        gpu_models=[gpu_model or GENERIC_GPU] * num_gpus,
         gpu_numa=[0] * num_gpus,
-        nic_numa=0,
         node_type="localhost",
     )
     return machine

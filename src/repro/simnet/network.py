@@ -8,6 +8,7 @@ fraction achievable by a well-tuned zero-copy protocol (the paper reports
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 __all__ = ["Interconnect", "EDR_INFINIBAND", "FDR_INFINIBAND", "GIGABIT_ETHERNET"]
 
@@ -20,15 +21,13 @@ class Interconnect:
     port_rate: float  # theoretical per-port rate, B/s
     latency: float  # one-way wire+switch latency, s
     efficiency: float  # sustained fraction of port_rate for native verbs
-    ip_efficiency: float  # sustained fraction for IP traffic (IPoIB / TCP)
+    # Sustained fraction for IP traffic (IPoIB); None where no IP rides
+    # the fabric, so gRPC resolves over the management Ethernet.
+    ip_efficiency: Optional[float] = None
 
     @property
     def effective_rate(self) -> float:
         return self.port_rate * self.efficiency
-
-    @property
-    def ip_rate(self) -> float:
-        return self.port_rate * self.ip_efficiency
 
 
 # Tegner: EDR InfiniBand (100 Gb/s ~ 12 GB/s, "theoretical bandwidth on
@@ -38,7 +37,6 @@ EDR_INFINIBAND = Interconnect(
     port_rate=12.0e9,
     latency=1.5e-6,
     efficiency=0.70,
-    ip_efficiency=0.18,
 )
 
 # Kebnekaise: FDR InfiniBand (56 Gb/s ~ 6.8 GB/s). The low sustained
@@ -59,5 +57,4 @@ GIGABIT_ETHERNET = Interconnect(
     port_rate=0.125e9,
     latency=40e-6,
     efficiency=0.95,
-    ip_efficiency=0.95,
 )

@@ -10,12 +10,11 @@ NIC. Both effects are modelled as fair-share :class:`BandwidthLink`\\ s.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.simnet.cpu import CPUDevice, CPUModel
 from repro.simnet.events import Environment
 from repro.simnet.gpu import GPUDevice, GPUModel
-from repro.simnet.network import Interconnect
 from repro.simnet.resources import BandwidthLink
 
 __all__ = ["Node"]
@@ -34,29 +33,23 @@ class Node:
         machine,
         cpu_model: CPUModel,
         gpu_models: Sequence[GPUModel] = (),
-        gpu_numa: Optional[Sequence[int]] = None,
-        nic_numa: int = 0,
-        numa_islands: int = 2,
-        fabric: Optional[Interconnect] = None,
+        gpu_numa: Sequence[int] = (),
     ):
         self.env = env
         self.name = name
         self.machine = machine
-        self.numa_islands = numa_islands
-        self.nic_numa = nic_numa
+        # NIC and other I/O hang off island 0 (paper Fig. 9).
+        self.nic_numa = 0
         self.cpu = CPUDevice(env, cpu_model, node=self, numa_island=0)
-        if gpu_numa is None:
-            # Spread GPUs round-robin across islands (Kebnekaise layout).
-            gpu_numa = [i % numa_islands for i in range(len(gpu_models))]
         self.gpus = [
             GPUDevice(env, model, node=self, index=i, numa_island=island)
             for i, (model, island) in enumerate(zip(gpu_models, gpu_numa))
         ]
-        fabric = fabric if fabric is not None else machine.fabric
         # The node's HCA: all instances on the node share it (ingress and
         # egress are folded into one fair-share pipe — conservative, and the
         # paper's STREAM traffic is unidirectional anyway).
-        self.nic_link = BandwidthLink(env, fabric.effective_rate, name=f"{name}/nic")
+        self.nic_link = BandwidthLink(env, machine.fabric.effective_rate,
+                                      name=f"{name}/nic")
         # Ethernet management port.
         self.eth_link = BandwidthLink(
             env, machine.ethernet.effective_rate, name=f"{name}/eth"

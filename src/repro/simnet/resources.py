@@ -136,10 +136,6 @@ class Store:
     def put_queue_length(self) -> int:
         return len(self._putters)
 
-    @property
-    def get_queue_length(self) -> int:
-        return len(self._getters)
-
     def put(self, item: Any) -> Event:
         event = Event(self.env)
         self._putters.append((event, item))
@@ -258,9 +254,6 @@ class BandwidthLink:
     @property
     def active_transfers(self) -> int:
         return len(self._flows)
-
-    def current_rate_per_flow(self) -> float:
-        return self.rate / len(self._flows) if self._flows else self.rate
 
     def set_rate(self, rate: float) -> None:
         """Change the link rate mid-simulation (fault injection).

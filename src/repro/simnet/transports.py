@@ -120,17 +120,10 @@ def _all_hops(env: Environment, events: list):
 
 
 def _local_transfer(env: Environment, src, dst, nbytes: int) -> Iterator:
-    """Same-node movement: PCIe staging and/or host memcpy."""
-    events = []
-    if _is_gpu(src):
-        events.append(src.pcie_link.transfer(nbytes))
-    if _is_gpu(dst):
-        events.append(dst.pcie_link.transfer(nbytes))
-    if not events:
-        # Host-to-host copy within the node.
-        yield env.timeout(nbytes / src.node.cpu.model.memcpy_rate)
-        return
-    yield _all_hops(env, events)
+    """Same-node movement: PCIe staging at each GPU end. A node has one
+    CPU device, so one end at least is a GPU."""
+    yield _all_hops(env, [device.pcie_link.transfer(nbytes)
+                          for device in (src, dst) if _is_gpu(device)])
 
 
 def _socket_hop(node, device, nbytes: int):
@@ -181,8 +174,9 @@ def _staged_transfer(env: Environment, src, dst, nbytes: int,
     # Phase 2: serialize into the wire format on the host CPU.
     serialize_rate = src_node.cpu.model.serialize_rate * serialize_derate
     yield env.timeout(nbytes / serialize_rate)
-    # Phase 3: the wire. gRPC rides whatever the hostname resolves to.
-    if use_ip and machine.grpc_over_ethernet:
+    # Phase 3: the wire. gRPC rides whatever the hostname resolves to:
+    # the fabric where IP rides it (IPoIB), else the management Ethernet.
+    if use_ip and machine.fabric.ip_efficiency is None:
         yield AllOf(env, [
             src_node.eth_link.transfer(nbytes),
             dst_node.eth_link.transfer(nbytes),
@@ -191,8 +185,10 @@ def _staged_transfer(env: Environment, src, dst, nbytes: int,
         rate_scale = 1.0
         if use_ip:
             # IPoIB: same NIC, lower sustained rate. Occupancy is scaled so
-            # the fair-share link yields ip_rate for this flow.
-            rate_scale = machine.fabric.effective_rate / machine.fabric.ip_rate
+            # the fair-share link yields the IP rate for this flow.
+            fabric = machine.fabric
+            rate_scale = fabric.effective_rate / (fabric.port_rate
+                                                  * fabric.ip_efficiency)
         scaled = nbytes * rate_scale
         yield AllOf(env, [
             src_node.nic_link.transfer(scaled),

@@ -5,59 +5,57 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import InvalidArgumentError, NotFoundError
+from repro.apps.cg import CGResult
+from repro.apps.fft import FFTResult
+from repro.apps.matmul import MatmulResult
+from repro.apps.stream import StreamResult
+from repro.errors import NotFoundError
 from repro.perf.calibration import PAPER_TARGETS, paper_target
-from repro.perf.metrics import (
-    bandwidth_mbs,
-    cg_flops,
-    fft_flops,
-    gflops,
-    matmul_flops,
-    scaling_factor,
-)
 from repro.perf.reporting import comparison_row, format_table
 
 
+def _matmul(n, elapsed=1.0):
+    return MatmulResult("tegner-k420", n, tile=n, num_gpus=1, num_reducers=1,
+                        protocol="grpc", elapsed=elapsed, products=1,
+                        validated=True)
+
+
+def _fft(n):
+    return FFTResult("tegner-k80", n, num_tiles=1, num_gpus=1,
+                     collect_seconds=1.0, merge_seconds=0.0, validated=True)
+
+
 class TestFlopConventions:
+    """The paper's conventions, on the results every figure reads."""
+
     def test_matmul_formula(self):
         # Paper VI-B: "We estimate the flop count as 2N^3 - N^2".
-        assert matmul_flops(1024) == 2 * 1024**3 - 1024**2
+        assert _matmul(1024).flops == 2 * 1024**3 - 1024**2
 
     def test_cg_formula(self):
         # Paper VI-C: 500 * 2 * N^2.
-        assert cg_flops(16384, iterations=500) == 500 * 2 * 16384**2
+        result = CGResult("kebnekaise-v100", 16384, num_gpus=2, iterations=500,
+                          elapsed=1.0, residual=0.0, validated=True)
+        assert result.flops == 500 * 2 * 16384**2
 
     def test_fft_formula(self):
         # Paper VI-D: 5 N log2 N.
         n = 1 << 20
-        assert fft_flops(n) == 5 * n * 20
-
-    @pytest.mark.parametrize("fn,bad", [
-        (matmul_flops, 0),
-        (fft_flops, 1),
-        (lambda n: cg_flops(n, 0), 128),
-    ])
-    def test_invalid_inputs(self, fn, bad):
-        with pytest.raises(InvalidArgumentError):
-            fn(bad)
+        assert _fft(n).flops == 5 * n * 20
 
     def test_gflops_and_bandwidth(self):
-        assert gflops(2e9, 2.0) == pytest.approx(1.0)
-        assert bandwidth_mbs(1024 * 1024, 1.0) == pytest.approx(1.0)
-        with pytest.raises(InvalidArgumentError):
-            gflops(1.0, 0.0)
-        with pytest.raises(InvalidArgumentError):
-            bandwidth_mbs(1.0, -1.0)
-
-    def test_scaling_factor(self):
-        assert scaling_factor(100.0, 180.0) == pytest.approx(1.8)
-        with pytest.raises(InvalidArgumentError):
-            scaling_factor(0.0, 1.0)
+        # The paper's units: Gflop/s, and MB/s with MB = 2**20 B (Fig. 7).
+        # 2 * 1000**3 - 1000**2 = 1.999e9 flops in 1.999 s.
+        assert _matmul(1000, elapsed=1.999).gflops == pytest.approx(1.0)
+        stream = StreamResult("tegner-k420", "gpu", "grpc", 1024 * 1024,
+                              iterations=1, seconds_per_transfer=1.0,
+                              validated=True)
+        assert stream.bandwidth_mbs == pytest.approx(1.0)
 
     @given(st.integers(min_value=2, max_value=1 << 24))
     @settings(max_examples=40, deadline=None)
     def test_property_fft_flops_monotone(self, n):
-        assert fft_flops(n + 1) > fft_flops(n)
+        assert _fft(n + 1).flops > _fft(n).flops
 
 
 class TestCalibrationRegistry:

@@ -10,7 +10,6 @@ from repro.simnet.cpu import GENERIC_CPU
 from repro.simnet.events import Environment
 from repro.simnet.gpu import K80_GK210, K420, V100
 from repro.simnet.machines import (
-    NODE_TYPES,
     instances_per_node,
     kebnekaise,
     localhost,
@@ -103,16 +102,22 @@ class TestMachineCatalogs:
         assert instances_per_node("kebnekaise-v100") == 2
 
     def test_table1_gpu_memory(self):
-        assert NODE_TYPES["tegner-k420"]["gpu_model"].mem_capacity == 1 * 1024**3
-        assert NODE_TYPES["tegner-k80"]["gpu_model"].mem_capacity == 12 * 1024**3
-        assert NODE_TYPES["kebnekaise-v100"]["gpu_model"].mem_capacity == 16 * 1024**3
+        def gpu_memory(machine):
+            return {gpu.model.mem_capacity
+                    for node in machine.nodes.values() for gpu in node.gpus}
+
+        assert gpu_memory(tegner(Environment(), k420_nodes=1)) == {1 * 1024**3}
+        assert gpu_memory(tegner(Environment(), k80_nodes=1)) == {12 * 1024**3}
+        assert gpu_memory(kebnekaise(Environment(), v100_nodes=1)) == {
+            16 * 1024**3}
 
     def test_tegner_layout(self):
         env = Environment()
         machine = tegner(env, k420_nodes=2, k80_nodes=1)
         assert machine.node("t01n01").num_gpus == 1
         assert machine.node("t01n03").num_gpus == 2  # one K80 = 2 GK210s
-        assert machine.grpc_over_ethernet  # paper: Tegner gRPC on Ethernet
+        # paper: Tegner gRPC on Ethernet -- no IP rides EDR
+        assert machine.fabric.ip_efficiency is None
         assert machine.fabric.name == "EDR InfiniBand"
 
     def test_kebnekaise_numa_layout(self):
@@ -125,7 +130,7 @@ class TestMachineCatalogs:
         assert node.nic_numa == 0
         assert node.crosses_socket(node.gpus[3])
         assert not node.crosses_socket(node.gpus[0])
-        assert not machine.grpc_over_ethernet  # IPoIB => gRPC ~ MPI
+        assert machine.fabric.ip_efficiency  # IPoIB => gRPC ~ MPI
 
     def test_duplicate_node_rejected(self):
         env = Environment()
