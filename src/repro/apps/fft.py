@@ -23,6 +23,7 @@ import numpy as np
 import repro as tf
 from repro.apps.common import ClusterHandle, build_cluster, session_config
 from repro.errors import InvalidArgumentError, OutOfRangeError
+from repro.simnet.parameters import PARAMETERS
 
 __all__ = ["run_fft", "FFTResult", "merge_subtransforms"]
 
@@ -188,7 +189,8 @@ def run_fft(
         # a serial host-side copy; the paper found this extraction path
         # expensive enough that naive slicing insertion "prevented any
         # scaling" — even the improved version caps the merger's intake.
-        extract_rate = node.cpu.model.numpy_bytes_rate / 1.5
+        extract_rate = (node.cpu.model.numpy_bytes_rate
+                        / PARAMETERS["fft.extract_slowdown"].value)
         for _ in range(num_tiles):
             idx_val, data = yield from sess.run_gen(list(pop))
             yield env.timeout(tile_bytes / extract_rate)

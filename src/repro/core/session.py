@@ -43,7 +43,6 @@ from repro.runtime.clusterspec import ClusterSpec
 from repro.runtime.retry import RetryPolicy
 from repro.runtime.server import Server, ServerConfig
 from repro.simnet.events import Environment
-from repro.simnet.gpu import GPUModel
 from repro.simnet.machines import Machine, localhost
 from repro.simnet.transports import protocol_latency
 
@@ -75,10 +74,8 @@ class SessionConfig:
     # Shape-only execution: tensors carry metadata, kernels charge costs
     # but never materialize data. Used for paper-scale benchmark points.
     shape_only: bool = False
-    # Local-session hardware (ignored when a target is given); None is
-    # the generic GPU.
+    # Local-session GPUs (ignored when a target is given).
     num_gpus: int = 1
-    gpu_model: Optional[GPUModel] = None
     # Plan-time graph optimization (Grappler-style pass pipeline): the
     # one switch — the pass sequence itself is fixed
     # (:func:`repro.core.optimizer.run_pipeline`).
@@ -148,10 +145,7 @@ class Session:
             # Local session: build a private single-node machine unless the
             # caller supplies one.
             self.machine = machine or localhost(
-                env or Environment(),
-                num_gpus=self.config.num_gpus,
-                gpu_model=self.config.gpu_model,
-            )
+                env or Environment(), num_gpus=self.config.num_gpus)
             address = "localhost:0"
             if address in self.machine.address_table:
                 self._master = self.machine.resolve(address)

@@ -71,6 +71,7 @@ from repro.core.tensor import SymbolicValue, value_nbytes
 from repro.errors import InvalidArgumentError
 from repro.simnet import transports
 from repro.simnet.events import AllOf, Driver, Environment, Event, Initialize
+from repro.simnet.parameters import PARAMETERS
 
 __all__ = [
     "run_collective",
@@ -363,18 +364,13 @@ def run_collective(
     return results
 
 
-# Nominal per-step fixed cost of the simulated fabrics, expressed as the
-# bytes a link moves in one protocol round trip (latency · bandwidth:
-# ~6 us RDMA setup x ~8 GB/s effective EDR). Only the *crossover* of the
-# auto rule depends on it; explicit algorithm= requests never consult it.
-AUTO_LATENCY_BANDWIDTH_BYTES = 48 * 1024
-
-
 def select_algorithm(op_type: str, nbytes: Optional[int], world: int) -> str:
     """Resolve ``algorithm="auto"`` for one lowered collective.
 
     Prices every registered schedule off its round list: a round costs
-    the fixed per-step ``C`` (:data:`AUTO_LATENCY_BANDWIDTH_BYTES`) plus
+    the fixed per-step ``C`` (``collective.auto_crossover_bytes`` in
+    :data:`~repro.simnet.parameters.PARAMETERS`, the bytes a link moves
+    in one protocol round trip; only the crossover depends on it) plus
     its largest send, and the cheapest sum wins, a tie going to the
     schedule with fewer rounds. Small buffers are latency-bound, so the
     tree's ``~log2 W`` rounds beat the ring's ``2 (W - 1)``; large ones
@@ -385,11 +381,12 @@ def select_algorithm(op_type: str, nbytes: Optional[int], world: int) -> str:
     if nbytes is None:
         return "ring"
     nbytes_per_rank = [nbytes] * world
+    per_round = PARAMETERS["collective.auto_crossover_bytes"].value
 
-    def price(algorithm: str) -> tuple[int, int]:
+    def price(algorithm: str) -> tuple[float, int]:
         rounds = get_strategy(op_type, algorithm)(world, nbytes_per_rank)
         return sum(
-            AUTO_LATENCY_BANDWIDTH_BYTES + max(send[3] for send in r.sends)
+            per_round + max(send[3] for send in r.sends)
             for r in rounds
         ), len(rounds)
 

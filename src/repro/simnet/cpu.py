@@ -17,61 +17,27 @@ from repro.simnet.events import Environment
 from repro.simnet.memory import MemoryPool
 from repro.simnet.resources import Resource
 
-__all__ = ["CPUModel", "CPUDevice", "HASWELL_E5_2690V3", "BROADWELL_E5_2690V4", "GENERIC_CPU"]
+__all__ = ["CPUModel", "CPUDevice"]
 
 
 @dataclass(frozen=True)
 class CPUModel:
-    """Static description of a host processor configuration (per node)."""
+    """Static description of a host processor configuration (per node),
+    built from :data:`repro.simnet.parameters.PARAMETERS` (units follow
+    the field names). ``sustained_flops`` is the aggregate usable rate for
+    NumPy-backed math, ``serialize_rate`` protobuf-style serialization,
+    ``python_bytes_rate`` interpreter-bound slicing and merging, and
+    ``numpy_bytes_rate`` one vectorized NumPy op (e.g. ``+=``)."""
 
     name: str
     cores: int
-    sustained_flops: float  # aggregate usable flop/s for numpy-backed math
-    mem_bandwidth: float  # sustained host memory bandwidth, B/s
-    mem_capacity: int  # host RAM, bytes
-    serialize_rate: float  # protobuf-style serialization throughput, B/s
-    python_bytes_rate: float  # interpreter-bound slicing/merge throughput, B/s
-    numpy_bytes_rate: float  # single vectorized NumPy op (e.g. +=), B/s
-    dispatch_overhead: float  # per-op scheduling latency, s
-
-
-# Tegner: dual E5-2690v3 (2x12 cores), 512 GB.
-HASWELL_E5_2690V3 = CPUModel(
-    name="2xE5-2690v3",
-    cores=24,
-    sustained_flops=350.0e9,
-    mem_bandwidth=95.0e9,
-    mem_capacity=512 * 1024**3,
-    serialize_rate=1.4e9,
-    python_bytes_rate=0.9e9,
-    numpy_bytes_rate=4.0e9,
-    dispatch_overhead=25e-6,
-)
-
-# Kebnekaise: dual E5-2690v4 (2x14 cores), 128 GB.
-BROADWELL_E5_2690V4 = CPUModel(
-    name="2xE5-2690v4",
-    cores=28,
-    sustained_flops=420.0e9,
-    mem_bandwidth=110.0e9,
-    mem_capacity=128 * 1024**3,
-    serialize_rate=1.5e9,
-    python_bytes_rate=0.9e9,
-    numpy_bytes_rate=4.5e9,
-    dispatch_overhead=25e-6,
-)
-
-GENERIC_CPU = CPUModel(
-    name="generic-cpu",
-    cores=8,
-    sustained_flops=150.0e9,
-    mem_bandwidth=50.0e9,
-    mem_capacity=32 * 1024**3,
-    serialize_rate=1.5e9,
-    python_bytes_rate=1.0e9,
-    numpy_bytes_rate=4.0e9,
-    dispatch_overhead=10e-6,
-)
+    sustained_flops: float
+    mem_bandwidth: float
+    mem_capacity: int
+    serialize_rate: float
+    python_bytes_rate: float
+    numpy_bytes_rate: float
+    dispatch_overhead: float
 
 
 class CPUDevice:

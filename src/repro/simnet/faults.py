@@ -133,29 +133,6 @@ class FaultPlan:
         """The canonical scenario: one worker dies (and maybe returns)."""
         return cls(faults=(WorkerCrash(job, task, at, restart_after),))
 
-    @classmethod
-    def random_crashes(cls, jobs: dict[str, int], horizon: float,
-                       num_crashes: int = 1, seed: int = 0,
-                       restart_after: Optional[float] = None) -> "FaultPlan":
-        """``num_crashes`` crashes at seeded-random times in (0, horizon).
-
-        ``jobs`` maps job name -> task count (the pool crashes are drawn
-        from). Deterministic for a given seed, so tests and benchmarks
-        can sweep crash rate reproducibly.
-        """
-        if horizon <= 0:
-            raise InvalidArgumentError(f"horizon must be > 0, got {horizon}")
-        rng = np.random.default_rng(seed)
-        pool = [(job, t) for job, n in sorted(jobs.items()) for t in range(n)]
-        if not pool:
-            raise InvalidArgumentError("jobs must name at least one task")
-        faults = []
-        for _ in range(num_crashes):
-            job, task = pool[int(rng.integers(len(pool)))]
-            at = float(rng.uniform(0.05, 0.95)) * horizon
-            faults.append(WorkerCrash(job, task, at, restart_after))
-        return cls(faults=tuple(sorted(faults, key=lambda c: c.at)), seed=seed)
-
 
 class _DropState:
     __slots__ = ("spec", "remaining")

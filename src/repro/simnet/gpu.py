@@ -1,10 +1,9 @@
 """GPU device models.
 
 Each model carries vendor peak numbers plus *sustained-efficiency* factors
-calibrated against the paper's measurements (see
-``repro.perf.calibration`` for provenance). The executor converts a kernel
-:class:`~repro.core.kernels.registry.Cost` into simulated seconds with
-:meth:`GPUDevice.time_for_cost`.
+(values and their sources: ``repro.simnet.parameters``). The executor
+converts a kernel :class:`~repro.core.kernels.registry.Cost` into
+simulated seconds with :meth:`GPUDevice.time_for_cost`.
 
 Per the paper's convention, "one K80 GPU" means one GK210 engine (half a
 K80 board).
@@ -18,25 +17,27 @@ from repro.simnet.events import Environment
 from repro.simnet.memory import MemoryPool
 from repro.simnet.resources import BandwidthLink, Resource
 
-__all__ = ["GPUModel", "GPUDevice", "K420", "K80_GK210", "V100", "GENERIC_GPU"]
+__all__ = ["GPUModel", "GPUDevice"]
 
 
 @dataclass(frozen=True)
 class GPUModel:
-    """Static description of a GPU part."""
+    """Static description of a GPU part, built from
+    :data:`repro.simnet.parameters.PARAMETERS` (units follow the field
+    names). ``pcie_rate`` is the effective host<->device staging rate and
+    the efficiencies are sustained fractions of peak by op class."""
 
     name: str
-    peak_sp_flops: float  # single-precision peak, flop/s
-    peak_dp_flops: float  # double-precision peak, flop/s
-    mem_bandwidth: float  # device memory bandwidth, B/s
-    mem_capacity: int  # device memory, bytes
-    pcie_rate: float  # effective host<->device staging rate, B/s
-    launch_overhead: float  # per-kernel launch latency, s
-    # Sustained fractions of peak by op class.
-    matmul_efficiency: float = 0.70
-    fft_efficiency: float = 0.10
-    default_efficiency: float = 0.50
-    mem_efficiency: float = 0.75
+    peak_sp_flops: float
+    peak_dp_flops: float
+    mem_bandwidth: float
+    mem_capacity: int
+    pcie_rate: float
+    launch_overhead: float
+    matmul_efficiency: float
+    fft_efficiency: float
+    default_efficiency: float
+    mem_efficiency: float
 
     def sustained_flops(self, op_type: str, double_precision: bool) -> float:
         peak = self.peak_dp_flops if double_precision else self.peak_sp_flops
@@ -48,52 +49,6 @@ class GPUModel:
 
     def sustained_bandwidth(self) -> float:
         return self.mem_bandwidth * self.mem_efficiency
-
-
-# Vendor numbers: NVIDIA datasheets for Quadro K420, Tesla K80 (per GK210
-# engine at base clock), Tesla V100-PCIe. ``pcie_rate`` is the *effective*
-# staging throughput observed by the paper's STREAM runs (Fig. 7): the
-# K420 path saturates ≈1.3 GB/s and the Kebnekaise K80 path ≈2.3 GB/s.
-K420 = GPUModel(
-    name="K420",
-    peak_sp_flops=300.0e9,
-    peak_dp_flops=12.5e9,
-    mem_bandwidth=29.0e9,
-    mem_capacity=1 * 1024**3,
-    pcie_rate=1.5e9,
-    launch_overhead=18e-6,
-)
-
-K80_GK210 = GPUModel(
-    name="K80-GK210",
-    peak_sp_flops=2796.0e9,
-    peak_dp_flops=932.0e9,
-    mem_bandwidth=240.0e9,
-    mem_capacity=12 * 1024**3,
-    pcie_rate=2.4e9,
-    launch_overhead=12e-6,
-)
-
-V100 = GPUModel(
-    name="V100",
-    peak_sp_flops=14000.0e9,
-    peak_dp_flops=7000.0e9,
-    mem_bandwidth=900.0e9,
-    mem_capacity=16 * 1024**3,
-    pcie_rate=10.0e9,
-    launch_overhead=8e-6,
-)
-
-# A fast laptop-ish default for local sessions outside any machine catalog.
-GENERIC_GPU = GPUModel(
-    name="generic-gpu",
-    peak_sp_flops=5000.0e9,
-    peak_dp_flops=2500.0e9,
-    mem_bandwidth=400.0e9,
-    mem_capacity=8 * 1024**3,
-    pcie_rate=8.0e9,
-    launch_overhead=10e-6,
-)
 
 
 class GPUDevice:

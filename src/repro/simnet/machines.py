@@ -14,25 +14,16 @@ Kebnekaise V100         2 V100      2                    1 V100 (16 GB)
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.errors import InvalidArgumentError, NotFoundError
-from repro.simnet.cpu import (
-    BROADWELL_E5_2690V4,
-    GENERIC_CPU,
-    HASWELL_E5_2690V3,
-    CPUModel,
-)
+from repro.simnet.cpu import CPUModel
 from repro.simnet.events import Environment
 from repro.simnet.filesystem import SimFileSystem
-from repro.simnet.gpu import GENERIC_GPU, K420, K80_GK210, V100, GPUModel
-from repro.simnet.network import (
-    EDR_INFINIBAND,
-    FDR_INFINIBAND,
-    GIGABIT_ETHERNET,
-    Interconnect,
-)
+from repro.simnet.gpu import GPUModel
+from repro.simnet.network import Interconnect
 from repro.simnet.node import Node
+from repro.simnet.parameters import PARAMETERS, model
 
 __all__ = [
     "Machine",
@@ -46,11 +37,6 @@ __all__ = [
 # Table I: TF instances per node, per node type.
 NODE_TYPES = {"tegner-k420": 1, "tegner-k80": 2, "kebnekaise-k80": 4,
               "kebnekaise-v100": 2, "localhost": 1}
-
-# Lustre per machine, B/s: the aggregate OST rate, and what one client's
-# read path sustains (np.load over Lustre tops out well below the fabric).
-LUSTRE_RATE = {"tegner": 20.0e9, "kebnekaise": 16.0e9, "localhost": 2.0e9}
-LUSTRE_CLIENT_RATE = {"tegner": 1.1e9, "kebnekaise": 1.0e9, "localhost": 2.0e9}
 
 
 def instances_per_node(node_type: str) -> int:
@@ -73,11 +59,10 @@ class Machine:
         self.env = env
         self.name = name
         self.fabric = fabric
-        # Every machine's 1GbE, read when the machine is built, not when
-        # this module was imported: a model change to it reaches them all.
-        self.ethernet = GIGABIT_ETHERNET
+        self.ethernet = model(Interconnect, "1GbE")
         self.filesystem = SimFileSystem(
-            env, LUSTRE_RATE[name], LUSTRE_CLIENT_RATE[name],
+            env, PARAMETERS[f"{name}.lustre_rate"].value,
+            PARAMETERS[f"{name}.lustre_client_rate"].value,
             name=f"{name}/lustre",
         )
         self.nodes: dict[str, Node] = {}
@@ -142,13 +127,16 @@ def tegner(env: Environment, k420_nodes: int = 0, k80_nodes: int = 0) -> Machine
     """PDC's Tegner: Haswell nodes, EDR InfiniBand, Ethernet-resolved gRPC."""
     # EDR carries no IP: "gRPC connection is resolved to communicate
     # through Ethernet" on Tegner (paper).
-    machine = Machine(env, name="tegner", fabric=EDR_INFINIBAND)
+    machine = Machine(env, name="tegner",
+                      fabric=model(Interconnect, "EDR InfiniBand"))
+    cpu = model(CPUModel, "2xE5-2690v3")
+    k420, k80 = model(GPUModel, "K420"), model(GPUModel, "K80-GK210")
     index = 1
     for _ in range(k420_nodes):
         machine.add_node(
             f"t01n{index:02d}",
-            cpu_model=HASWELL_E5_2690V3,
-            gpu_models=[K420],
+            cpu_model=cpu,
+            gpu_models=[k420],
             gpu_numa=[0],
             node_type="tegner-k420",
         )
@@ -157,8 +145,8 @@ def tegner(env: Environment, k420_nodes: int = 0, k80_nodes: int = 0) -> Machine
         # One K80 board = two GK210 engines behind one PCIe slot on socket 0.
         machine.add_node(
             f"t01n{index:02d}",
-            cpu_model=HASWELL_E5_2690V3,
-            gpu_models=[K80_GK210, K80_GK210],
+            cpu_model=cpu,
+            gpu_models=[k80, k80],
             gpu_numa=[0, 0],
             node_type="tegner-k80",
         )
@@ -169,14 +157,17 @@ def tegner(env: Environment, k420_nodes: int = 0, k80_nodes: int = 0) -> Machine
 def kebnekaise(env: Environment, k80_nodes: int = 0, v100_nodes: int = 0) -> Machine:
     """HPC2N's Kebnekaise: Broadwell nodes, FDR InfiniBand, NUMA-split GPUs."""
     # gRPC ~ MPI bandwidth => IPoIB over FDR.
-    machine = Machine(env, name="kebnekaise", fabric=FDR_INFINIBAND)
+    machine = Machine(env, name="kebnekaise",
+                      fabric=model(Interconnect, "FDR InfiniBand"))
+    cpu = model(CPUModel, "2xE5-2690v4")
+    k80, v100 = model(GPUModel, "K80-GK210"), model(GPUModel, "V100")
     index = 1
     for _ in range(k80_nodes):
         # Fig. 9: two K80 boards on two NUMA islands; NIC + I/O on island 0.
         machine.add_node(
             f"b-cn{index:04d}",
-            cpu_model=BROADWELL_E5_2690V4,
-            gpu_models=[K80_GK210] * 4,
+            cpu_model=cpu,
+            gpu_models=[k80] * 4,
             gpu_numa=[0, 0, 1, 1],
             node_type="kebnekaise-k80",
         )
@@ -184,8 +175,8 @@ def kebnekaise(env: Environment, k80_nodes: int = 0, v100_nodes: int = 0) -> Mac
     for _ in range(v100_nodes):
         machine.add_node(
             f"b-cn{index:04d}",
-            cpu_model=BROADWELL_E5_2690V4,
-            gpu_models=[V100, V100],
+            cpu_model=cpu,
+            gpu_models=[v100, v100],
             gpu_numa=[0, 1],
             node_type="kebnekaise-v100",
         )
@@ -193,15 +184,15 @@ def kebnekaise(env: Environment, k80_nodes: int = 0, v100_nodes: int = 0) -> Mac
     return machine
 
 
-def localhost(env: Environment, num_gpus: int = 1,
-              gpu_model: Optional[GPUModel] = None) -> Machine:
+def localhost(env: Environment, num_gpus: int = 1) -> Machine:
     """A single-node machine backing plain local sessions: ``num_gpus``
-    of ``gpu_model`` (the generic GPU by default)."""
-    machine = Machine(env, name="localhost", fabric=GIGABIT_ETHERNET)
+    generic GPUs."""
+    machine = Machine(env, name="localhost",
+                      fabric=model(Interconnect, "1GbE"))
     machine.add_node(
         "localhost",
-        cpu_model=GENERIC_CPU,
-        gpu_models=[gpu_model or GENERIC_GPU] * num_gpus,
+        cpu_model=model(CPUModel, "generic-cpu"),
+        gpu_models=[model(GPUModel, "generic-gpu")] * num_gpus,
         gpu_numa=[0] * num_gpus,
         node_type="localhost",
     )

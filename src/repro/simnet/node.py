@@ -15,12 +15,10 @@ from typing import Sequence
 from repro.simnet.cpu import CPUDevice, CPUModel
 from repro.simnet.events import Environment
 from repro.simnet.gpu import GPUDevice, GPUModel
+from repro.simnet.parameters import PARAMETERS
 from repro.simnet.resources import BandwidthLink
 
 __all__ = ["Node"]
-
-# Intel QPI/UPI sustained inter-socket bandwidth (one direction).
-INTERSOCKET_RATE = 12.0e9
 
 
 class Node:
@@ -57,7 +55,7 @@ class Node:
         # QPI between the two sockets: GPU traffic from the far island to
         # the NIC/IO island crosses this.
         self.intersocket_link = BandwidthLink(
-            env, INTERSOCKET_RATE, name=f"{name}/qpi"
+            env, PARAMETERS["qpi.rate"].value, name=f"{name}/qpi"
         )
 
     # -- device lookup ----------------------------------------------------------

@@ -24,6 +24,7 @@ from typing import Any, Generator, Iterator
 
 from repro.errors import InvalidArgumentError
 from repro.simnet.events import AllOf, Environment, Event
+from repro.simnet.parameters import PARAMETERS
 
 __all__ = [
     "DATA_PROTOCOLS",
@@ -37,16 +38,6 @@ __all__ = [
 SERVER_PROTOCOLS = ("grpc", "grpc+mpi", "grpc+verbs")
 DATA_PROTOCOLS = ("grpc", "mpi", "rdma")
 
-# Per-message protocol overheads (handshakes, rendezvous, framing).
-_PROTOCOL_LATENCY = {
-    "rdma": 6e-6,
-    "mpi": 25e-6,
-    "grpc": 120e-6,
-}
-
-# gRPC spends extra CPU on protobuf framing relative to MPI's packing.
-_GRPC_SERIALIZE_DERATE = 0.75
-
 
 def data_protocol(server_protocol: str) -> str:
     """Map a TF server protocol to the bulk-data protocol it uses."""
@@ -58,11 +49,17 @@ def data_protocol(server_protocol: str) -> str:
     return {"grpc": "grpc", "grpc+mpi": "mpi", "grpc+verbs": "rdma"}[server_protocol]
 
 
+# Each data protocol's per-message overhead (handshakes, rendezvous,
+# framing): its table key.
+_LATENCY_KEYS = {protocol: f"{protocol}.latency" for protocol in DATA_PROTOCOLS}
+
+
 def protocol_latency(protocol: str) -> float:
     try:
-        return _PROTOCOL_LATENCY[protocol]
+        key = _LATENCY_KEYS[protocol]
     except KeyError:
         raise InvalidArgumentError(f"Unknown protocol {protocol!r}") from None
+    return PARAMETERS[key].value
 
 
 def _is_gpu(device) -> bool:
@@ -109,8 +106,9 @@ def transfer(src_device, dst_device, nbytes: int,
                                     serialize_derate=1.0, latency_key="mpi",
                                     use_ip=False)
     else:
+        derate = PARAMETERS["grpc.serialize_derate"].value
         yield from _staged_transfer(env, src_device, dst_device, nbytes,
-                                    serialize_derate=_GRPC_SERIALIZE_DERATE,
+                                    serialize_derate=derate,
                                     latency_key="grpc", use_ip=True)
 
 

@@ -13,7 +13,7 @@ from repro.core.kernels.registry import KernelContext, ResourceManager, override
 from repro.core.tensor import SymbolicValue, value_nbytes
 from repro.eager import EagerContext, evaluate
 from repro.errors import FailedPreconditionError, InvalidArgumentError
-from repro.simnet.gpu import GPUModel
+from repro.simnet.parameters import PARAMETERS
 
 
 def run_op(build, shape_only=False, seed=7):
@@ -492,23 +492,22 @@ class TestDispatcherContinuations:
 
     @pytest.mark.parametrize("fast", [True, False],
                              ids=["fast-path", "reference"])
-    def test_error_after_the_cost_timeout_fails_the_run_only(self, fast):
+    def test_error_after_the_cost_timeout_fails_the_run_only(self, fast,
+                                                             monkeypatch):
         """Output registration runs out of memory inside the timeout's
         continuation: the error is that run's (thrown where its caller
         waits), never raised out of ``Environment.step``; the slot and
         the memory come back and the session stays usable."""
-        tiny = GPUModel(
-            name="tiny", peak_sp_flops=1e12, peak_dp_flops=5e11,
-            mem_bandwidth=1e11, mem_capacity=1024, pcie_rate=1e9,
-            launch_overhead=1e-6,
-        )
+        monkeypatch.setitem(PARAMETERS, "generic-gpu.mem_capacity",
+                            PARAMETERS["generic-gpu.mem_capacity"]._replace(
+                                value=1024))
         g = tf.Graph()
         with g.as_default():
             with g.device("/gpu:0"):
                 big = tf.random_uniform([1024])  # 4 KB > 1 KB capacity
                 small = tf.random_uniform([8])
         sess = tf.Session(graph=g, config=tf.SessionConfig(
-            gpu_model=tiny, executor_fast_path=fast))
+            executor_fast_path=fast))
         env, caught = sess.env, []
 
         def caller():

@@ -14,6 +14,7 @@ from repro.core.partition import build_plan
 
 from repro.core.placement import Placer
 from repro.errors import InvalidArgumentError
+from repro.simnet.parameters import PARAMETERS
 
 
 def make_placer(gpus: int = 1):
@@ -442,20 +443,15 @@ class TestExecutorFastPath:
             with pytest.raises(InvalidArgumentError, match="feed"):
                 sess.run(y)
 
-    def test_oom_still_raised_with_fast_path(self):
-        from repro.simnet.gpu import GPUModel
-
-        tiny = GPUModel(
-            name="tiny", peak_sp_flops=1e12, peak_dp_flops=5e11,
-            mem_bandwidth=1e11, mem_capacity=1024, pcie_rate=1e9,
-            launch_overhead=1e-6,
-        )
+    def test_oom_still_raised_with_fast_path(self, monkeypatch):
+        monkeypatch.setitem(PARAMETERS, "generic-gpu.mem_capacity",
+                            PARAMETERS["generic-gpu.mem_capacity"]._replace(
+                                value=1024))
         g = tf.Graph()
         with g.as_default():
             with g.device("/gpu:0"):
                 big = tf.fill([1024], 3.0, name="big")  # 4 KB > 1 KB, folded
-        config = tf.SessionConfig(gpu_model=tiny)
-        with tf.Session(graph=g, config=config) as sess:
+        with tf.Session(graph=g) as sess:
             with pytest.raises(tf.errors.ResourceExhaustedError):
                 sess.run(big)
 

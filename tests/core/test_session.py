@@ -13,6 +13,7 @@ from repro.core.tensor import TensorShape
 from repro.errors import InvalidArgumentError, NotFoundError
 from repro.simnet.events import Environment
 from repro.simnet.machines import Machine, tegner
+from repro.simnet.parameters import PARAMETERS
 
 
 class TestFetches:
@@ -278,20 +279,15 @@ class TestRunMetadata:
 
 
 class TestMemoryAccounting:
-    def test_oom_on_tiny_gpu(self):
-        from repro.simnet.gpu import GPUModel
-
-        tiny = GPUModel(
-            name="tiny", peak_sp_flops=1e12, peak_dp_flops=5e11,
-            mem_bandwidth=1e11, mem_capacity=1024, pcie_rate=1e9,
-            launch_overhead=1e-6,
-        )
+    def test_oom_on_tiny_gpu(self, monkeypatch):
+        monkeypatch.setitem(PARAMETERS, "generic-gpu.mem_capacity",
+                            PARAMETERS["generic-gpu.mem_capacity"]._replace(
+                                value=1024))
         g = tf.Graph()
         with g.as_default():
             with g.device("/gpu:0"):
                 big = tf.random_uniform([1024])  # 4 KB > 1 KB capacity
-        config = tf.SessionConfig(gpu_model=tiny)
-        with tf.Session(graph=g, config=config) as sess:
+        with tf.Session(graph=g) as sess:
             with pytest.raises(tf.errors.ResourceExhaustedError):
                 sess.run(big)
 

@@ -22,9 +22,7 @@ planted claim's points.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from types import ModuleType
 from typing import Callable, Optional
 
 from repro.apps.cg import run_cg
@@ -33,7 +31,7 @@ from repro.apps.fft import run_fft
 from repro.apps.matmul import run_matmul
 from repro.figures import fig7_stream, fig8_matmul, fig10_cg, fig11_fft
 from repro.perf.calibration import PAPER_TARGETS, paper_target
-from repro.simnet import machines, transports
+from repro.simnet.parameters import PARAMETERS
 
 # CG's per-iteration time is constant: 4 iterations give every Fig. 10
 # point within 2 % of its 40-iteration Gflops/s, at a tenth of the cost.
@@ -81,33 +79,20 @@ def measure(points) -> dict:
 
 @dataclass(frozen=True)
 class Plant:
-    """One simnet model parameter set to a value that must break a claim:
-    the module scalar ``module.name``, or ``field`` of it -- a key of a
-    dict constant or a field of a frozen model record."""
+    """One model parameter (a key of
+    :data:`repro.simnet.parameters.PARAMETERS`) set to a value that must
+    break a claim."""
 
-    module: ModuleType
-    name: str
-    field: Optional[str]  # None plants the module scalar itself
-    value: object
+    key: str
+    value: float
 
-    def current(self):
-        constant = getattr(self.module, self.name)
-        if self.field is None:
-            return constant
-        if isinstance(constant, dict):
-            return constant[self.field]
-        return getattr(constant, self.field)
+    def current(self) -> float:
+        return PARAMETERS[self.key].value
 
     def apply(self, monkeypatch) -> None:
-        """Plant through ``monkeypatch`` (its ``setattr``/``setitem``)."""
-        constant = getattr(self.module, self.name)
-        if self.field is None:
-            monkeypatch.setattr(self.module, self.name, self.value)
-        elif isinstance(constant, dict):
-            monkeypatch.setitem(constant, self.field, self.value)
-        else:
-            monkeypatch.setattr(self.module, self.name, dataclasses.replace(
-                constant, **{self.field: self.value}))
+        """Plant through ``monkeypatch`` (its ``setitem``)."""
+        monkeypatch.setitem(PARAMETERS, self.key,
+                            PARAMETERS[self.key]._replace(value=self.value))
 
 
 @dataclass(frozen=True)
@@ -155,7 +140,7 @@ CLAIMS = [
         _fig7(TEGNER, ("RDMA", "MPI", "gRPC"), (2, 16, 128)),
         lambda *bw: all(bw[i] > bw[i + 1] > bw[i + 2]
                         for i in range(0, len(bw), 3)),
-        Plant(transports, "_PROTOCOL_LATENCY", "rdma", 10e-3),
+        Plant("rdma.latency", 10e-3),
     ),
     Claim(
         "fig7/host-rdma-over-half-of-theoretical", "Fig. 7",
@@ -163,7 +148,7 @@ CLAIMS = [
         "memory' against 'theoretical bandwidth on Tegner is 12 GB/s'",
         _fig7(("Tegner CPU",), ("RDMA",), (128,)),
         lambda bw: bw > 0.5 * paper_target("stream/tegner/theoretical").value,
-        Plant(machines, "EDR_INFINIBAND", "efficiency", 0.45),
+        Plant("EDR InfiniBand.efficiency", 0.45),
     ),
     Claim(
         "fig7/k420-rdma-saturates-near-1300", "Fig. 7",
@@ -171,7 +156,7 @@ CLAIMS = [
         "where tensors are hosted on K420 GPUs'",
         _fig7(("Tegner GPU",), ("RDMA",), (128,)),
         lambda bw: 1000 < bw < 1500,
-        Plant(machines, "K420", "pcie_rate", 3.0e9),
+        Plant("K420.pcie_rate", 3.0e9),
     ),
     Claim(
         "fig7/k80-rdma-saturates-below-2300", "Fig. 7",
@@ -179,7 +164,7 @@ CLAIMS = [
         "hosted on K80 GPUs'",
         _fig7(("Kebnekaise GPU",), ("RDMA",), (128,)),
         lambda bw: 1700 < bw < 2300,
-        Plant(machines, "FDR_INFINIBAND", "efficiency", 0.2),
+        Plant("FDR InfiniBand.efficiency", 0.2),
     ),
     Claim(
         "fig7/mpi-plateaus-in-the-hundreds", "Fig. 7",
@@ -188,7 +173,7 @@ CLAIMS = [
         _fig7(("Tegner GPU", "Kebnekaise GPU"), ("MPI",), (128,)),
         lambda tegner, kebnekaise: (250 < tegner < 420
                                     and 300 < kebnekaise < 600),
-        Plant(machines, "HASWELL_E5_2690V3", "serialize_rate", 14e9),
+        Plant("2xE5-2690v3.serialize_rate", 14e9),
     ),
     Claim(
         "fig7/kebnekaise-grpc-comparable-to-mpi", "Fig. 7",
@@ -196,7 +181,7 @@ CLAIMS = [
         "bandwidth similar to MPI's",
         _fig7(("Kebnekaise GPU",), ("gRPC", "MPI"), (128,)),
         lambda grpc, mpi: abs(grpc - mpi) <= 0.6 * mpi,
-        Plant(machines, "FDR_INFINIBAND", "ip_efficiency", 0.02),
+        Plant("FDR InfiniBand.ip_efficiency", 0.02),
     ),
     Claim(
         "fig7/small-transfers-pay-latency", "Fig. 7",
@@ -205,7 +190,7 @@ CLAIMS = [
         "bandwidth",
         _fig7(TEGNER + ("Kebnekaise GPU",), ("RDMA",), (2, 128)),
         lambda *bw: all(small < 0.9 * large for small, large in _pairs(bw)),
-        Plant(transports, "_PROTOCOL_LATENCY", "grpc", 0.0),
+        Plant("grpc.latency", 0.0),
     ),
     # ---- Fig. 8 / VI-B: tiled matmul -----------------------------------
     Claim(
@@ -215,7 +200,7 @@ CLAIMS = [
         "... from four to eight'",
         _fig8("tegner-k420", 32768, 2, 4, 8),
         lambda g2, g4, g8: 1.7 < g4 / g2 < 2.2 and 1.7 < g8 / g4 < 2.2,
-        Plant(machines, "HASWELL_E5_2690V3", "python_bytes_rate", 0.02e9),
+        Plant("2xE5-2690v3.python_bytes_rate", 0.02e9),
     ),
     Claim(
         "fig8/tegner-k80-1.8x", "Fig. 8",
@@ -223,7 +208,7 @@ CLAIMS = [
         "GPUs with problem size 65536'",
         _fig8("tegner-k80", 65536, 2, 4),
         lambda g2, g4: 1.5 < g4 / g2 < 2.1,
-        Plant(machines, "HASWELL_E5_2690V3", "python_bytes_rate", 0.02e9),
+        Plant("2xE5-2690v3.python_bytes_rate", 0.02e9),
     ),
     Claim(
         "fig8/kebnekaise-1.4x", "Fig. 8",
@@ -231,7 +216,7 @@ CLAIMS = [
         "scaling from two to four GPUs'",
         _fig8("kebnekaise-k80", 32768, 2, 4),
         lambda g2, g4: 1.0 < g4 / g2 < 1.6,
-        Plant(machines, "FDR_INFINIBAND", "efficiency", 1.0),
+        Plant("FDR InfiniBand.efficiency", 1.0),
     ),
     Claim(
         "fig8/kebnekaise-scales-worse-than-tegner", "Fig. 8",
@@ -239,7 +224,7 @@ CLAIMS = [
         "K420's 2x",
         _fig8("kebnekaise-k80", 32768, 2, 4) + _fig8("tegner-k420", 32768, 2, 4),
         lambda keb2, keb4, tegner2, tegner4: keb4 / keb2 < tegner4 / tegner2,
-        Plant(machines, "HASWELL_E5_2690V3", "python_bytes_rate", 0.02e9),
+        Plant("2xE5-2690v3.python_bytes_rate", 0.02e9),
     ),
     Claim(
         "fig8/kebnekaise-16gpu-peak", "Fig. 8",
@@ -247,14 +232,14 @@ CLAIMS = [
         "GPUs for problem size 32768' (same order)",
         _fig8("kebnekaise-k80", 32768, 16),
         lambda peak: 1500 < peak < 5000,
-        Plant(machines, "K80_GK210", "matmul_efficiency", 0.01),
+        Plant("K80-GK210.matmul_efficiency", 0.01),
     ),
     Claim(
         "fig8/kebnekaise-flattens-8to16", "Fig. 8",
         "VI-B / Fig. 9: Kebnekaise flattens; 8 to 16 GPUs gains under 1.5x",
         _fig8("kebnekaise-k80", 32768, 8, 16),
         lambda g8, g16: g16 / g8 < 1.5,
-        Plant(machines, "K80_GK210", "matmul_efficiency", 0.05),
+        Plant("K80-GK210.matmul_efficiency", 0.05),
     ),
     Claim(
         "fig8/k80-prefers-8192-tiles", "Fig. 8",
@@ -263,7 +248,7 @@ CLAIMS = [
         tuple(("matmul", "tegner-k80", 32768, tile, 4, 2)
               for tile in (4096, 8192)),
         lambda small, large: large > 1.2 * small,
-        Plant(machines, "K80_GK210", "matmul_efficiency", 0.02),
+        Plant("K80-GK210.matmul_efficiency", 0.02),
     ),
     Claim(
         "fig8/k420-8192-tiles-leave-no-headroom", "Fig. 8",
@@ -271,7 +256,7 @@ CLAIMS = [
         "and one output fill over 70 % of it, 4096 tiles under 40 %",
         (("K420 memory", 4096), ("K420 memory", 8192)),
         lambda small, large: large > 0.70 and small < 0.40,
-        Plant(machines, "K420", "mem_capacity", 4 * 1024**3),
+        Plant("K420.mem_capacity", 4 * 1024**3),
     ),
     Claim(
         "fig8/two-reducers-beat-one", "Fig. 8",
@@ -279,7 +264,7 @@ CLAIMS = [
         "gains more than a third and fourth",
         tuple(("matmul", "tegner-k80", 32768, 8192, 8, r) for r in (1, 2, 4)),
         lambda r1, r2, r4: r2 > r1 and r4 / r2 < r2 / r1,
-        Plant(machines, "EDR_INFINIBAND", "efficiency", 0.05),
+        Plant("EDR InfiniBand.efficiency", 0.05),
     ),
     # ---- Fig. 10 / VI-C: CG --------------------------------------------
     Claim(
@@ -288,7 +273,7 @@ CLAIMS = [
         "GPUs with problem size 32768'",
         _fig10("tegner-k80", 32768, 2, 4),
         lambda g2, g4: 1.5 < g4 / g2 < 2.0,
-        Plant(transports, "_PROTOCOL_LATENCY", "rdma", 10e-3),
+        Plant("rdma.latency", 10e-3),
     ),
     Claim(
         "fig10/kebnekaise-ladder-flattens", "Fig. 10",
@@ -297,7 +282,7 @@ CLAIMS = [
         _fig10("kebnekaise-k80", 32768, 2, 4, 8),
         lambda g2, g4, g8: (1.4 < g4 / g2 < 2.0 and 1.0 < g8 / g4 < 1.6
                             and g8 / g4 < g4 / g2),
-        Plant(transports, "_PROTOCOL_LATENCY", "rdma", 1e-3),
+        Plant("rdma.latency", 1e-3),
     ),
     Claim(
         "fig10/kebnekaise-65536-8to16", "Fig. 10",
@@ -305,7 +290,7 @@ CLAIMS = [
         "GPUs'",
         _fig10("kebnekaise-k80", 65536, 8, 16),
         lambda g8, g16: 1.1 < g16 / g8 < 1.6,
-        Plant(machines, "K80_GK210", "mem_bandwidth", 10e9),
+        Plant("K80-GK210.mem_bandwidth", 10e9),
     ),
     Claim(
         "fig10/v100-8gpu-over-300", "Fig. 10",
@@ -314,7 +299,7 @@ CLAIMS = [
         _fig10("kebnekaise-v100", 32768, 8),
         lambda gflops: gflops
         > paper_target("cg/kebnekaise-v100/8gpu-gflops").value,
-        Plant(machines, "V100", "mem_bandwidth", 300e9),
+        Plant("V100.mem_bandwidth", 300e9),
     ),
     Claim(
         "fig10/v100-modest-scaling", "Fig. 10",
@@ -322,14 +307,14 @@ CLAIMS = [
         "the problem underutilizes such a powerful GPU",
         _fig10("kebnekaise-v100", 32768, 2, 4),
         lambda g2, g4: 1.1 < g4 / g2 < 1.6,
-        Plant(machines, "V100", "mem_bandwidth", 30e9),
+        Plant("V100.mem_bandwidth", 30e9),
     ),
     Claim(
         "fig10/16384-barely-scales", "Fig. 10",
         "VI-C: problem size 16384 shows 'little scaling'",
         _fig10("kebnekaise-v100", 16384, 2, 8),
         lambda g2, g8: g8 / g2 < 1.6,
-        Plant(machines, "V100", "mem_bandwidth", 30e9),
+        Plant("V100.mem_bandwidth", 30e9),
     ),
     Claim(
         "fig10/65536-oom-under-8-gpus", "Fig. 10",
@@ -337,7 +322,7 @@ CLAIMS = [
         "to insufficient memory' below eight GPUs",
         sum((_fig10(system, 65536, 2, 4) for system in fig10_cg.SWEEP), ()),
         lambda *gflops: all(g is None for g in gflops),
-        Plant(machines, "K80_GK210", "mem_capacity", 64 * 1024**3),
+        Plant("K80-GK210.mem_capacity", 64 * 1024**3),
     ),
     Claim(
         "fig10/cg-is-latency-sensitive", "Fig. 10",
@@ -346,7 +331,7 @@ CLAIMS = [
         tuple(("CG", "tegner-k80", 16384, 4, protocol)
               for protocol in ("grpc+verbs", "grpc+mpi", "grpc")),
         lambda verbs, mpi, grpc: verbs >= mpi > grpc,
-        Plant(transports, "_PROTOCOL_LATENCY", "mpi", 1e-3),
+        Plant("mpi.latency", 1e-3),
     ),
     # ---- Fig. 11 / VI-D: FFT -------------------------------------------
     Claim(
@@ -355,7 +340,7 @@ CLAIMS = [
         "two to four GPUs on both configurations (up to ideal 2x here)",
         _fig11("tegner-k420", 2, 4) + _fig11("tegner-k80", 2, 4),
         lambda *gflops: all(1.5 < g4 / g2 < 2.1 for g2, g4 in _pairs(gflops)),
-        Plant(machines, "EDR_INFINIBAND", "efficiency", 0.02),
+        Plant("EDR InfiniBand.efficiency", 0.02),
     ),
     Claim(
         "fig11/k80-flattens-4to8", "Fig. 11",
@@ -363,14 +348,14 @@ CLAIMS = [
         "improvement clearly flattens out'",
         _fig11("tegner-k80", 4, 8),
         lambda g4, g8: g8 / g4 < 1.5,
-        Plant(machines, "K80_GK210", "fft_efficiency", 0.01),
+        Plant("K80-GK210.fft_efficiency", 0.01),
     ),
     Claim(
         "fig11/k80-peak-same-order", "Fig. 11",
         "Fig. 11: the K80 curve tops out at roughly 30-35 Gflops/s",
         _fig11("tegner-k80", 2, 4, 8),
         lambda *gflops: 15 < max(gflops) < 50,
-        Plant(machines, "K80_GK210", "fft_efficiency", 0.001),
+        Plant("K80-GK210.fft_efficiency", 0.001),
     ),
     Claim(
         "fig11/merge-dominates", "Fig. 11",
@@ -380,7 +365,7 @@ CLAIMS = [
         + (("FFT with merge", "tegner-k80", 1 << 31, 128, 8),),
         # merge > collect  <=>  flops/(collect + merge) < flops/collect / 2
         lambda collect, with_merge: with_merge < collect / 2,
-        Plant(machines, "HASWELL_E5_2690V3", "python_bytes_rate", 90e9),
+        Plant("2xE5-2690v3.python_bytes_rate", 90e9),
     ),
     Claim(
         "fig11/merge-inclusion-erases-scaling", "Fig. 11",
@@ -389,7 +374,7 @@ CLAIMS = [
         tuple((probe,) + FFT_2_26 + (g,)
               for probe in ("FFT", "FFT with merge") for g in (2, 8)),
         lambda c2, c8, m2, m8: m8 / m2 < min(1.6, c8 / c2),
-        Plant(machines, "HASWELL_E5_2690V3", "python_bytes_rate", 90e9),
+        Plant("2xE5-2690v3.python_bytes_rate", 90e9),
     ),
 ]
 

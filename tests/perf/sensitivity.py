@@ -1,10 +1,8 @@
-"""The bite matrix: which simnet model constants the paper checks.
+"""The bite matrix: which model constants the paper checks.
 
-The live set is every numeric field of every frozen model record a
-``repro.simnet`` module binds, every entry of the ``TABLES`` (protocol
-latencies, Lustre rates) and the module ``SCALARS``. Each constant is set
-alone to x0.9 and x1.1 over every point the paper rows
-(``repro.perf.calibration.PAPER_TARGETS``) and the claims
+The live set is every key of ``repro.simnet.parameters.PARAMETERS``.
+Each constant is set alone to x0.9 and x1.1 over every point the paper
+rows (``repro.perf.calibration.PAPER_TARGETS``) and the claims
 (``paper_claims.CLAIMS``) read, and gets one verdict:
 
 * ``bitten``: a step moves a paper row by more than 0.1 % or flips a claim;
@@ -18,11 +16,11 @@ claims' points included.
 
 Reads are observed, not assumed: one pass over the same points plus
 :func:`configurations` (a small run of every app on every system, and a
-local session in both precisions) with every record and table swapped
-for a copy that logs each field and key read. A module scalar counts as
-read when x0.1 or x10 moves any of those values. Each claim is listed
-with its plant magnitude (plant / current value); past 10x it is a
-structural ordering, not a calibration.
+local session in both precisions) with every built record a copy that
+logs each field read, and every table entry one that logs its reads
+outside the record factory. Each claim is listed with its plant
+magnitude (plant / current value); past 10x it is a structural
+ordering, not a calibration.
 
 Run from the repository root (numpy only; ~9 minutes on one core of a
 2-vCPU Xeon); CI compares the output with the committed
@@ -33,14 +31,10 @@ Run from the repository root (numpy only; ~9 minutes on one core of a
 
 from __future__ import annotations
 
-import dataclasses
-import importlib
 import json
-import pkgutil
 import sys
 
 import repro
-import repro.simnet
 from paper_claims import CLAIMS, FIGURES, PROBES, Plant, row_points
 from repro.apps.cg import run_cg
 from repro.apps.common import SYSTEMS
@@ -49,80 +43,36 @@ from repro.apps.matmul import run_matmul
 from repro.apps.stream import run_stream
 from repro.errors import ResourceExhaustedError
 from repro.perf.calibration import PAPER_TARGETS
-from repro.simnet import machines, node, transports
+from repro.simnet import machines, transports
+from repro.simnet.parameters import PARAMETERS, Parameter, model
 
 STEPS = (0.9, 1.1)
 THRESHOLD = 1e-3  # a row "moves" past 0.1 %
 STRUCTURAL = 10.0  # a plant this far from the current value is no calibration
-TABLES = ((transports, "_PROTOCOL_LATENCY"), (machines, "LUSTRE_RATE"),
-          (machines, "LUSTRE_CLIENT_RATE"))
-SCALARS = ((node, "INTERSOCKET_RATE"), (transports, "_GRPC_SERIALIZE_DERATE"))
 # Constants no configuration reads that stay, each for its reason: the
 # verdict "unvalidated" with the note.
 NOTES = {
-    "machines.GIGABIT_ETHERNET.latency":
+    "1GbE.latency":
         "misrouted: _staged_transfer charges machine.fabric.latency (EDR's "
         "on Tegner) on Tegner's Ethernet gRPC path",
-    "machines.GENERIC_CPU.serialize_rate":
+    "generic-cpu.serialize_rate":
         "localhost has one node, so nothing serializes; CPUModel needs a value",
 }
 
 
-def _short(module) -> str:
-    return module.__name__.rsplit(".", 1)[-1]
-
-
-def _numeric(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_record(value) -> bool:
-    return (dataclasses.is_dataclass(value) and not isinstance(value, type)
-            and type(value).__dataclass_params__.frozen)
-
-
-def live_constants() -> dict[str, tuple]:
-    """``{key: (module, name, field)}`` for every live constant, keyed
-    ``module.NAME.field`` (``module.NAME`` for a scalar). A record is keyed
-    where ``machines`` binds it, since machines are built from there."""
-    modules = [machines] + [
-        importlib.import_module(f"repro.simnet.{info.name}")
-        for info in pkgutil.iter_modules(repro.simnet.__path__)]
-    live, seen = {}, set()
-    for module in modules:
-        for name, value in vars(module).items():
-            if not _is_record(value) or id(value) in seen:
-                continue
-            seen.add(id(value))
-            for field in dataclasses.fields(value):
-                if _numeric(getattr(value, field.name)):
-                    live[f"{_short(module)}.{name}.{field.name}"] = (
-                        module, name, field.name)
-    for module, name in TABLES:
-        for key in getattr(module, name):
-            live[f"{_short(module)}.{name}.{key}"] = (module, name, key)
-    for module, name in SCALARS:
-        live[f"{_short(module)}.{name}"] = (module, name, None)
-    return dict(sorted(live.items()))
-
-
 class _Patches:
-    """``setattr``/``setitem`` that :meth:`undo` reverts (a Plant target)."""
+    """``setitem`` that :meth:`undo` reverts (a Plant target)."""
 
     def __init__(self):
         self._undo = []
 
-    def setattr(self, obj, name, value):
-        self._undo.append((setattr, obj, name, getattr(obj, name)))
-        setattr(obj, name, value)
-
     def setitem(self, mapping, key, value):
-        self._undo.append((mapping.__setitem__, key, mapping[key]))
+        self._undo.append((mapping, key, mapping[key]))
         mapping[key] = value
 
     def undo(self):
-        for undo in reversed(self._undo):
-            undo[0](*undo[1:])
+        for mapping, key, value in reversed(self._undo):
+            mapping[key] = value
         self._undo.clear()
 
 
@@ -236,58 +186,63 @@ def _planted(plant: Plant, run):
         patches.undo()
 
 
-def _logged_reads(live: dict, run) -> set:
-    """The live keys read while ``run()`` runs: each record and table is
-    swapped for a copy that logs its reads."""
+def _logged_reads(run) -> set:
+    """The keys read while ``run()`` runs. The record factory hands out
+    copies that log each field read; every table entry is swapped for one
+    that logs a read of its value, except the factory's own while it
+    builds a record."""
     log: set = set()
+    building = False
 
-    class LoggedDict(dict):
-        def __getitem__(self, key):
-            log.add(f"{self.key}.{key}")
-            return dict.__getitem__(self, key)
+    class Logged(Parameter):
+        @property
+        def value(self):
+            if not building:
+                log.add(self.key)
+            return self[0]
 
-    def logged_record(record, key):
-        class Logged(type(record)):
+    def logged_model(cls, part):
+        nonlocal building
+        building = True
+        try:
+            record = model(cls, part)
+        finally:
+            building = False
+
+        class LoggedRecord(cls):
             def __getattribute__(self, attr):
-                log.add(f"{key}.{attr}")
+                log.add(f"{part}.{attr}")
                 return object.__getattribute__(self, attr)
 
-        copy = object.__new__(Logged)
+        copy = object.__new__(LoggedRecord)
         copy.__dict__.update(vars(record))
         return copy
 
-    patches, swapped = _Patches(), set()
-    for module, name, field in live.values():
-        if field is None or (module, name) in swapped:
-            continue
-        swapped.add((module, name))
-        current = getattr(module, name)
-        if isinstance(current, dict):
-            copy = LoggedDict(current)
-            copy.key = f"{_short(module)}.{name}"
-        else:
-            copy = logged_record(current, f"{_short(module)}.{name}")
-        patches.setattr(module, name, copy)
+    patches = _Patches()
+    for key, parameter in PARAMETERS.items():
+        logged = Logged(*parameter)
+        logged.key = key
+        patches.setitem(PARAMETERS, key, logged)
+    machines.model = logged_model
     try:
         run()
     finally:
+        machines.model = model
         patches.undo()
     return log
 
 
 def matrix() -> dict:
-    live = live_constants()
     at = points()
     base = evaluate(at)
     base_rows, base_claims = rows(base), holding(base)
-    base_configs = configurations()
-    read = _logged_reads(live, lambda: (evaluate(at), configurations()))
+    read = _logged_reads(lambda: (evaluate(at), configurations()))
     constants = {}
-    for key, (module, name, field) in live.items():
-        current = Plant(module, name, field, None).current()
+    for key in sorted(PARAMETERS):
+        current = PARAMETERS[key].value
         moved, flipped, points_moved = {}, set(), set()
         for scale in STEPS:
-            plant = Plant(module, name, field, _scaled(current, scale))
+            plant = Plant(key, _scaled(current, scale))
             measured = _planted(plant, lambda: evaluate(at))
             for row, value in rows(measured).items():
                 change = _change(value, base_rows[row])
@@ -302,12 +257,6 @@ def matrix() -> dict:
             entry["verdict"] = "bitten"
         elif key in NOTES:
             entry.update(verdict="unvalidated", note=NOTES[key])
-        elif field is None:
-            entry["verdict"] = "unvalidated" if any(
-                _planted(Plant(module, name, None, current * scale),
-                         lambda: (evaluate(at), configurations()))
-                != (base, base_configs)
-                for scale in (0.1, 10.0)) else "deleted"
         else:
             entry["verdict"] = "unvalidated" if key in read else "deleted"
         constants[key] = entry
@@ -316,8 +265,7 @@ def matrix() -> dict:
         plant = claim.plant
         ratio = plant.value / plant.current()
         claims[claim.name] = {
-            "plant": ".".join(filter(None, (_short(plant.module), plant.name,
-                                            plant.field))),
+            "plant": plant.key,
             "ratio": float(f"{ratio:.4g}"),
             "structural": not 1 / STRUCTURAL <= ratio <= STRUCTURAL,
         }

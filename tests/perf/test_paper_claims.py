@@ -15,7 +15,7 @@ from paper_claims import (
 )
 from repro.perf.calibration import PAPER_TARGETS
 from repro.perf.reporting import comparison_table
-from repro.simnet import machines
+from repro.simnet.parameters import PARAMETERS
 
 
 @pytest.fixture(scope="session")
@@ -53,12 +53,12 @@ def test_claim_fails_under_its_plant(claim, monkeypatch):
 
 
 def test_a_plant_on_gigabit_ethernet_reaches_tegner_grpc(monkeypatch):
-    # Tegner resolves gRPC over 1GbE: its bandwidth follows the module's
-    # Ethernet model as the machine is built, not as it was imported.
+    # Tegner resolves gRPC over 1GbE: its bandwidth follows the table's
+    # Ethernet entry as the machine is built.
     point = ("Fig. 7", "Tegner GPU", "gRPC", 128)
     before = measure([point])[point]
-    Plant(machines, "GIGABIT_ETHERNET", "port_rate",
-          2 * machines.GIGABIT_ETHERNET.port_rate).apply(monkeypatch)
+    Plant("1GbE.port_rate",
+          2 * PARAMETERS["1GbE.port_rate"].value).apply(monkeypatch)
     assert measure([point])[point] > 1.5 * before
 
 
@@ -69,7 +69,7 @@ def test_every_claim_plants_one_simnet_parameter():
         assert claim.points and claim.sentence, claim.name
         plant = claim.plant
         assert isinstance(plant, Plant), claim.name
-        assert plant.module.__name__.startswith("repro.simnet."), claim.name
+        assert plant.key in PARAMETERS, claim.name
         assert plant.current() != plant.value, claim.name
 
 

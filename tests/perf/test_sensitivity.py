@@ -1,9 +1,11 @@
-"""The committed bite matrix (``sensitivity.json``) against the live model.
+"""The committed bite matrix (``sensitivity.json``) and the parameter
+table's provenance against the live model.
 
 The matrix itself takes minutes and runs in CI; these checks run none of
-it: its constant list is the live set, every constant has a verdict,
-every claim its plant magnitude, and a plant on each machine's Lustre
-rates reaches an FFT point.
+it: its constant list is the table's keys, every constant has a verdict,
+every claim its plant magnitude, every key a unit and a source the paper
+rows and the matrix bear out, and a plant on each machine's Lustre rates
+reaches an FFT point.
 """
 
 import json
@@ -13,8 +15,10 @@ import pytest
 
 import repro
 from paper_claims import CLAIMS, Plant, measure
-from repro.simnet import machines
-from sensitivity import _local_session, live_constants
+from repro.perf.calibration import PAPER_TARGETS
+from repro.simnet.parameters import PARAMETERS, unit
+from sensitivity import _local_session
+
 
 @pytest.fixture(scope="module")
 def matrix():
@@ -22,8 +26,8 @@ def matrix():
 
 
 def test_the_matrix_lists_exactly_the_live_constants(matrix):
-    assert sorted(matrix["constants"]) == sorted(live_constants()), (
-        "a simnet constant was added or removed: regenerate sensitivity.json")
+    assert sorted(matrix["constants"]) == sorted(PARAMETERS), (
+        "a model parameter was added or removed: regenerate sensitivity.json")
 
 
 def test_every_live_constant_is_bitten_or_unvalidated(matrix):
@@ -38,9 +42,33 @@ def test_every_claim_has_its_plant_magnitude(matrix):
     assert sorted(matrix["claims"]) == sorted(claim.name for claim in CLAIMS)
     for claim in CLAIMS:
         entry = matrix["claims"][claim.name]
+        assert entry["plant"] == claim.plant.key, claim.name
         ratio = claim.plant.value / claim.plant.current()
         assert entry["ratio"] == float(f"{ratio:.4g}"), claim.name
         assert entry["structural"] == (not 0.1 <= ratio <= 10.0), claim.name
+
+
+def test_every_parameter_has_a_unit():
+    for key in PARAMETERS:
+        assert unit(key), key
+
+
+def test_every_source_is_a_vendor_a_paper_row_or_unvalidated():
+    for key, parameter in PARAMETERS.items():
+        kind, _, row = parameter.source.partition(":")
+        if kind in ("paper", "fitted"):
+            assert row in PAPER_TARGETS, key
+        else:
+            assert parameter.source in ("vendor", "unvalidated"), key
+
+
+def test_every_fitted_parameter_is_bitten_on_its_row(matrix):
+    # A "fitted" label the matrix contradicts -- the row does not move
+    # when the constant does -- is no fit.
+    for key, parameter in PARAMETERS.items():
+        kind, _, row = parameter.source.partition(":")
+        if kind == "fitted":
+            assert row in matrix["constants"][key]["rows"], key
 
 
 # An FFT point that reads each machine's Lustre: Fig. 11 on Tegner, the FFT
@@ -55,10 +83,10 @@ FFT_POINTS = {
 
 
 @pytest.mark.parametrize("machine", sorted(FFT_POINTS))
-@pytest.mark.parametrize("table", ["LUSTRE_RATE", "LUSTRE_CLIENT_RATE"])
-def test_a_plant_on_a_lustre_rate_moves_an_fft_point(table, machine,
+@pytest.mark.parametrize("field", ["lustre_rate", "lustre_client_rate"])
+def test_a_plant_on_a_lustre_rate_moves_an_fft_point(field, machine,
                                                      monkeypatch):
     before = FFT_POINTS[machine]()
-    rate = getattr(machines, table)[machine]
-    Plant(machines, table, machine, rate / 100).apply(monkeypatch)
+    key = f"{machine}.{field}"
+    Plant(key, PARAMETERS[key].value / 100).apply(monkeypatch)
     assert FFT_POINTS[machine]() != before

@@ -50,25 +50,6 @@ class TestFaultPlan:
         plan = FaultPlan.single_crash("worker", 1, at=2.5, restart_after=1.0)
         assert plan.faults == (WorkerCrash("worker", 1, 2.5, 1.0),)
 
-    def test_random_crashes_deterministic_and_sorted(self):
-        p1 = FaultPlan.random_crashes({"worker": 4}, horizon=10.0,
-                                      num_crashes=3, seed=7)
-        p2 = FaultPlan.random_crashes({"worker": 4}, horizon=10.0,
-                                      num_crashes=3, seed=7)
-        assert p1 == p2
-        times = [c.at for c in p1.faults]
-        assert times == sorted(times)
-        assert all(0 < t < 10.0 for t in times)
-        p3 = FaultPlan.random_crashes({"worker": 4}, horizon=10.0,
-                                      num_crashes=3, seed=8)
-        assert p1 != p3
-
-    def test_random_crashes_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            FaultPlan.random_crashes({}, horizon=1.0)
-        with pytest.raises(InvalidArgumentError):
-            FaultPlan.random_crashes({"worker": 2}, horizon=0.0)
-
 
 class TestInstall:
     def test_install_sets_machine_hook(self, machine_pair):

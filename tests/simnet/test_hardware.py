@@ -6,9 +6,9 @@ import pytest
 from repro.core.kernels.registry import Cost
 from repro.core.tensor import SymbolicValue
 from repro.errors import InternalError, NotFoundError, ResourceExhaustedError
-from repro.simnet.cpu import GENERIC_CPU
+from repro.simnet.cpu import CPUModel
 from repro.simnet.events import Environment
-from repro.simnet.gpu import K80_GK210, K420, V100
+from repro.simnet.gpu import GPUModel
 from repro.simnet.machines import (
     instances_per_node,
     kebnekaise,
@@ -16,12 +16,15 @@ from repro.simnet.machines import (
     tegner,
 )
 from repro.simnet.memory import MemoryPool
+from repro.simnet.parameters import model
 
 
 class TestGPUModels:
     def test_vendor_peaks_ordered(self):
-        assert K420.peak_sp_flops < K80_GK210.peak_sp_flops < V100.peak_sp_flops
-        assert V100.peak_dp_flops / V100.peak_sp_flops == pytest.approx(0.5)
+        k420, k80, v100 = (model(GPUModel, part)
+                           for part in ("K420", "K80-GK210", "V100"))
+        assert k420.peak_sp_flops < k80.peak_sp_flops < v100.peak_sp_flops
+        assert v100.peak_dp_flops / v100.peak_sp_flops == pytest.approx(0.5)
 
     def test_matmul_time_scales_with_flops(self):
         env = Environment()
@@ -55,8 +58,9 @@ class TestGPUModels:
         assert t == pytest.approx(expected)
 
     def test_fft_efficiency_lower_than_matmul(self):
-        assert K80_GK210.sustained_flops("FFT", False) < \
-            K80_GK210.sustained_flops("MatMul", False)
+        k80 = model(GPUModel, "K80-GK210")
+        assert k80.sustained_flops("FFT", False) < \
+            k80.sustained_flops("MatMul", False)
 
 
 class TestMemoryPool:
@@ -136,7 +140,8 @@ class TestMachineCatalogs:
         env = Environment()
         machine = localhost(env)
         with pytest.raises(Exception):
-            machine.add_node("localhost", cpu_model=GENERIC_CPU)
+            machine.add_node("localhost",
+                             cpu_model=model(CPUModel, "generic-cpu"))
 
     def test_device_lookup_bounds(self):
         env = Environment()
