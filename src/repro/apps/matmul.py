@@ -22,6 +22,7 @@ import repro as tf
 from repro.apps.common import ClusterHandle, build_cluster, session_config
 from repro.core.tensor import SymbolicValue
 from repro.errors import InvalidArgumentError, OutOfRangeError
+from repro.simnet.parameters import PARAMETERS
 
 __all__ = ["run_matmul", "MatmulResult"]
 
@@ -189,8 +190,9 @@ def run_matmul(
             # Local accumulation on the reducer host: one `+=` on the
             # delivered ndarray — client-loop overhead applies, but it is
             # lighter than the slicing-insertion merge loops of the FFT app
-            # (hence 2x the interpreter-bound byte rate).
-            accumulate_rate = 2 * node.cpu.model.python_bytes_rate
+            # (hence a multiple of the interpreter-bound byte rate).
+            accumulate_rate = (PARAMETERS["matmul.accumulate_speedup"].value
+                               * node.cpu.model.python_bytes_rate)
             yield env.timeout(3 * tile_bytes / accumulate_rate)
             if not shape_only:
                 key = (int(i_val), int(j_val))

@@ -52,7 +52,6 @@ when its last reader consumed it, or at run end.
 
 from __future__ import annotations
 
-from collections import deque
 from types import GeneratorType
 from typing import Any, Optional
 
@@ -540,7 +539,7 @@ class _Dispatcher:
             self._arm_run_watchdog()
         plan = self.state.plan
         self._dispatch(
-            item for item, deps in zip(plan.items, plan.dep_counts) if not deps
+            [item for item, deps in zip(plan.items, plan.dep_counts) if not deps]
         )
         return self.done
 
@@ -592,12 +591,14 @@ class _Dispatcher:
             self._dispatch(ready)
 
     # -- dispatch ---------------------------------------------------------------
-    def _dispatch(self, ready) -> None:
-        queue = deque(ready)
-        while queue:
+    def _dispatch(self, queue: list[Item]) -> None:
+        """Start ``queue``'s items in FIFO order. What an item completes
+        synchronously joins the end of the same list, which the loop
+        reaches in turn (a list iterator sees what is appended while it
+        runs); most calls carry one item."""
+        for item in queue:
             if self.finished and self.remaining > 0:
                 return  # a failure was reported: stop feeding new work
-            item = queue.popleft()
             try:
                 if self.faults is not None and self.state.task_down(item):
                     # The item's task is crashed: park it (never completes).
@@ -690,7 +691,18 @@ class _Dispatcher:
         """
         state = self.state
         try:
-            inputs = [state.resolve_source(s) for s in item.sources]
+            # ExecutionState.resolve_source, inline: once per op input.
+            inputs = []
+            values, feeds = state.values, state.feeds
+            for head, idx in item.sources:
+                if head is FEED:
+                    inputs.append(feeds[idx])
+                    continue
+                produced = values[head.uid]
+                if produced is None:
+                    raise InternalError(
+                        f"Source {head!r} has not produced values")
+                inputs.append(produced[idx])
             result = dispatch(item.op, inputs, state.kernel_ctx(item),
                               item.price)
             if isinstance(result, GeneratorType):

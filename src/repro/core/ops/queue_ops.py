@@ -20,6 +20,7 @@ from repro.core.kernels.registry import Cost, no_cost, register_kernel, total_nb
 from repro.core.ops.common import no_outputs, to_tensor
 from repro.core.tensor import Tensor, TensorShape, as_shape
 from repro.errors import InvalidArgumentError
+from repro.simnet.parameters import PARAMETERS
 
 __all__ = ["FIFOQueue"]
 
@@ -205,7 +206,8 @@ def _queue_op_host_work(ctx):
     """
     if ctx.worker is None or ctx.env is None:
         return
-    overhead = 2 * ctx.worker.node.cpu.model.dispatch_overhead
+    overhead = (PARAMETERS["queue.host_work_scale"].value
+                * ctx.worker.node.cpu.model.dispatch_overhead)
     gil = ctx.worker.gil
     # Uncontended GIL: grab the slot synchronously (no calendar event).
     request = gil.try_acquire()

@@ -7,10 +7,10 @@ event calendar. Determinism is guaranteed by breaking ties on
 produce identical schedules — essential for reproducible benchmarks.
 
 Only the features the runtime needs are implemented: timeouts, generic
-events, process events, ``AllOf``/``AnyOf`` conditions, interrupts,
-generators driven by callback without a process (:class:`Driver`) and
-deadline timers that leave the calendar once their watched event fired
-(:func:`arm_deadline`).
+events, process events, ``AllOf``/``AnyOf`` conditions and the value-free
+``AllDone`` join, interrupts, generators driven by callback without a
+process (:class:`Driver`) and deadline timers that leave the calendar once
+their watched event fired (:func:`arm_deadline`).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ __all__ = [
     "Process",
     "Driver",
     "AllOf",
+    "AllDone",
     "AnyOf",
     "Interrupt",
     "arm_deadline",
@@ -357,6 +358,17 @@ class AllOf(Condition):
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env, events, need_all=True)
+
+
+class AllDone(AllOf):
+    """An :class:`AllOf` whose value is ``None``: a join whose value
+    nobody reads (a transfer's concurrent hops, a collective round) builds
+    no ``{event: value}`` dict. It fails, and defuses, as ``AllOf`` does."""
+
+    __slots__ = ()
+
+    def _collect(self) -> None:
+        return None
 
 
 class AnyOf(Condition):

@@ -3,7 +3,8 @@
 :data:`PARAMETERS` maps ``part.field`` to a :class:`Parameter`. A part is
 a hardware record's ``name`` (``K420``, ``2xE5-2690v3``, ``1GbE``, ...),
 a protocol (``rdma``, ``mpi``, ``grpc``), a machine's Lustre
-(``tegner``, ...) or a mechanism (``qpi``, ``collective``, ``fft``).
+(``tegner``, ...) or a mechanism (``qpi``, ``collective``, ``fft``,
+``matmul``, ``queue``).
 :func:`model` builds the hardware records from the table when a machine
 is built; every other entry is read where it is used. So a change to an
 entry (a plant, a fit, a scaling) reaches every machine built after it.
@@ -34,7 +35,8 @@ class Parameter(NamedTuple):
 # The unit of a field, by the last word of its name.
 UNITS = {"rate": "B/s", "bandwidth": "B/s", "flops": "flop/s",
          "latency": "s", "overhead": "s", "capacity": "B", "bytes": "B",
-         "efficiency": "1", "derate": "1", "slowdown": "1", "cores": "1"}
+         "efficiency": "1", "derate": "1", "slowdown": "1", "speedup": "1",
+         "scale": "1", "cores": "1"}
 
 _P = Parameter
 VENDOR, UNVALIDATED = "vendor", "unvalidated"
@@ -144,6 +146,13 @@ PARAMETERS: dict[str, Parameter] = {
     "collective.auto_crossover_bytes": _P(48 * 1024, UNVALIDATED),
     # The FFT tile extract runs at the host's NumPy rate over this.
     "fft.extract_slowdown": _P(1.5, UNVALIDATED),
+    # The matmul reducer's `+=` on a delivered tile runs at this multiple
+    # of the host's interpreter-bound byte rate: lighter than the FFT's
+    # slicing-insertion merge.
+    "matmul.accumulate_speedup": _P(2.0, UNVALIDATED),
+    # A queue op's host work on its task's GIL, in the host's per-op
+    # dispatch overheads.
+    "queue.host_work_scale": _P(2.0, UNVALIDATED),
 }
 
 

@@ -16,10 +16,12 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Optional
 
-from repro.simnet.events import Environment, Event
+from repro.simnet.events import _PENDING, Environment, Event
 
 
 __all__ = ["Resource", "Store", "BandwidthLink", "Request"]
+
+_INF = float("inf")
 
 
 class Request(Event):
@@ -33,7 +35,13 @@ class Request(Event):
     __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource"):
-        super().__init__(resource.env)
+        # Event.__init__, flattened as Timeout's is: one per device claim.
+        self.env = resource.env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._defused = False
+        self._processed = False
         self.resource = resource
 
 
@@ -78,11 +86,15 @@ class Resource:
         """
         if len(self._users) >= self.capacity:
             return None
-        req = Request(self)
-        req._ok = True
-        req._value = None
-        req._processed = True
+        # Built flat, already granted and processed.
+        req = Request.__new__(Request)
+        req.env = self.env
         req.callbacks = None  # processed: nothing can wait on it
+        req._value = None
+        req._ok = True
+        req._defused = False
+        req._processed = True
+        req.resource = self
         self._users.add(req)
         return req
 
@@ -218,13 +230,22 @@ class Store:
                 ev.fail(error_factory())
 
 
-class _Flow:
-    __slots__ = ("remaining", "event", "nbytes")
+class _Flow(Event):
+    """One transfer on a :class:`BandwidthLink`: its own completion
+    event, carrying its size and the bytes it has still to move."""
 
-    def __init__(self, nbytes: float, event: Event):
+    __slots__ = ("nbytes", "remaining")
+
+    def __init__(self, env: Environment, nbytes: float):
+        # Event.__init__, flattened as Timeout's is: one per link hop.
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._defused = False
+        self._processed = False
         self.nbytes = nbytes
         self.remaining = float(nbytes)
-        self.event = event
 
 
 class BandwidthLink:
@@ -233,8 +254,9 @@ class BandwidthLink:
     With ``k`` active transfers each progresses at ``rate / k`` bytes/s.
     Whenever the active set changes, all flows' progress is brought up to
     date and the next completion is (re)scheduled. There is no calendar
-    cancellation: a superseded wake-up still fires, and is recognised as
-    stale because it is not the timer the link armed last.
+    cancellation: a superseded wake-up keeps its calendar entry, but its
+    callbacks are emptied when a newer one is armed, so it pops and runs
+    nothing.
 
     Bytes are conserved exactly: the integral of per-flow rate over time
     equals the flow's size at completion.
@@ -264,70 +286,92 @@ class BandwidthLink:
         """
         if not rate > 0:
             raise ValueError(f"rate must be positive, got {rate}")
-        self._advance()
+        least = self._advance()
         self.rate = float(rate)
-        self._reschedule()
+        if self._wake is not None:
+            self._wake.callbacks.clear()  # superseded: pops, runs nothing
+        self._arm(least)
 
     def transfer(self, nbytes: float) -> Event:
-        """Start a transfer; the event succeeds when the last byte arrives."""
+        """Start a transfer; the event succeeds with ``nbytes`` when the
+        last byte arrives."""
         if not nbytes >= 0:  # also rejects NaN
             raise ValueError(f"transfer size must be >= 0, got {nbytes}")
-        event = Event(self.env)
         if nbytes == 0:
+            event = Event(self.env)
             event.succeed(0.0)
             return event
-        self._advance()
-        self._flows.append(_Flow(nbytes, event))
-        self._reschedule()
-        return event
+        least = self._advance()
+        flow = _Flow(self.env, nbytes)
+        if flow.remaining < least:
+            least = flow.remaining
+        self._flows.append(flow)
+        if self._wake is not None:
+            self._wake.callbacks.clear()  # superseded: pops, runs nothing
+        self._arm(least)
+        return flow
 
     # -- internals ------------------------------------------------------------
-    def _advance(self) -> None:
-        """Credit progress to all active flows up to ``env.now``."""
+    def _advance(self) -> float:
+        """Credit progress to all active flows up to ``env.now``; return
+        the least bytes any has left (``inf`` when idle), found in the
+        same pass."""
         now = self.env.now
         dt = now - self._last_update
         self._last_update = now
-        if dt <= 0 or not self._flows:
-            return
-        per_flow = self.rate / len(self._flows)
-        credit = per_flow * dt
-        for flow in self._flows:
-            flow.remaining -= credit
-        self.bytes_moved += credit * len(self._flows)
+        least = _INF
+        flows = self._flows
+        if dt <= 0 or not flows:
+            for flow in flows:
+                if flow.remaining < least:
+                    least = flow.remaining
+            return least
+        credit = self.rate / len(flows) * dt
+        for flow in flows:
+            flow.remaining = remaining = flow.remaining - credit
+            if remaining < least:
+                least = remaining
+        self.bytes_moved += credit * len(flows)
+        return least
 
-    def _reschedule(self) -> None:
-        """Schedule a wake-up at the earliest projected completion."""
+    def _arm(self, least: float) -> None:
+        """Schedule a wake-up at the projected completion of the flow
+        with ``least`` bytes left (none when idle)."""
         flows = self._flows
         if not flows:
             self._wake = None
             return
-        if len(flows) == 1:  # the common case: nothing to scan or share
-            per_flow, min_remaining = self.rate, flows[0].remaining
-        else:
-            per_flow = self.rate / len(flows)
-            min_remaining = min(f.remaining for f in flows)
-        self._wake = timer = self.env.timeout(max(min_remaining, 0.0) / per_flow)
+        # The one-flow case does not share: the rate itself, undivided.
+        per_flow = self.rate if len(flows) == 1 else self.rate / len(flows)
+        self._wake = timer = self.env.timeout(max(least, 0.0) / per_flow)
         timer.callbacks.append(self._on_wake)
 
-    def _on_wake(self, timer: Event) -> None:
-        if timer is not self._wake:
-            return  # superseded by a newer schedule
-        self._advance()
+    def _on_wake(self, _timer: Event) -> None:
+        least = self._advance()
         flows = self._flows
         if len(flows) == 1:
-            finished, self._flows = flows, []
+            finished, self._flows, least = flows, [], _INF
         else:
             # This wake targets the projected completion of the flow that
             # had the least remaining bytes; floating-point drift can leave
             # a sub-byte residue (and a naive epsilon test would then
             # re-schedule a zero-length timeout forever). Completing every
             # flow within a sub-byte band of the minimum guarantees
-            # progress each wake.
-            threshold = min(f.remaining for f in flows) + 1e-6
-            finished = [f for f in flows if f.remaining <= threshold]
-            self._flows = [f for f in flows if f.remaining > threshold]
+            # progress each wake. One pass splits the flows and finds the
+            # least left among those that stay.
+            threshold = least + 1e-6
+            finished, kept, least = [], [], _INF
+            for flow in flows:
+                remaining = flow.remaining
+                if remaining <= threshold:
+                    finished.append(flow)
+                else:
+                    kept.append(flow)
+                    if remaining < least:
+                        least = remaining
+            self._flows = kept
         for flow in finished:
             # Absorb accumulated floating error into the accounting.
             self.bytes_moved -= flow.remaining
-            flow.event.succeed(flow.nbytes)
-        self._reschedule()
+            flow.succeed(flow.nbytes)
+        self._arm(least)

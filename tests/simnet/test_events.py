@@ -3,6 +3,7 @@
 import pytest
 
 from repro.simnet.events import (
+    AllDone,
     AllOf,
     AnyOf,
     Environment,
@@ -233,6 +234,79 @@ class TestConditions:
 
         p = env.process(proc())
         assert env.run(until=p) == 1.0
+
+    def test_all_of_and_any_of_values_are_dicts_of_processed_children(
+            self, env):
+        t1 = env.timeout(1.0, value="a")
+        t2 = env.timeout(2.0, value="b")
+        slow = env.timeout(3.0, value="c")
+        both, first = AllOf(env, [t1, t2]), AnyOf(env, [t1, slow])
+        env.run()
+        assert both.value == {t1: "a", t2: "b"}
+        # `slow` had its value from creation but was not processed yet.
+        assert first.value == {t1: "a"}
+
+
+class TestAllDone:
+    """The value-free join: ``AllOf``'s timing and failure, no dict."""
+
+    def test_succeeds_with_none_at_the_slowest_child(self, env):
+        def proc():
+            got = yield AllDone(env, [env.timeout(1.0, "x"),
+                                      env.timeout(4.0, "y")])
+            return got, env.now
+
+        p = env.process(proc())
+        assert env.run(until=p) == (None, 4.0)
+
+    def test_empty_and_already_processed_children(self, env):
+        done = env.timeout(0.0, "z")
+        env.run()
+        assert AllDone(env, []).value is None
+        join = AllDone(env, [done])
+        assert join.triggered and join.value is None
+        env.run()
+        assert join.processed
+
+    def test_pops_as_all_of_does(self):
+        """Same children, same calendar: steps and the join's time."""
+        def play(cls):
+            env = Environment()
+            join = cls(env, [env.timeout(0.5), env.timeout(0.25),
+                             env.process(two_hops(env))])
+            steps = 0
+            while env._queue:
+                env.step()
+                steps += 1
+            return steps, env._seq, join.processed, env.now
+
+        def two_hops(env):
+            yield env.timeout(0.1)
+            yield env.timeout(0.1)
+
+        assert play(AllDone) == play(AllOf)
+
+    @pytest.mark.parametrize("cls", [AllOf, AllDone])
+    def test_fails_and_defuses_as_all_of_does(self, env, cls):
+        def failing(delay, message):
+            yield env.timeout(delay)
+            raise RuntimeError(message)
+
+        first = env.process(failing(1.0, "first"))
+        later = env.process(failing(2.0, "later"))
+        join = cls(env, [first, env.timeout(5.0), later])
+        caught = []
+
+        def waiter():
+            try:
+                yield join
+            except RuntimeError as exc:
+                caught.append((str(exc), env.now))
+
+        env.process(waiter())
+        env.run()  # `later` fails after the join did: defused, no crash
+        assert caught == [("first", 1.0)]
+        assert not join.ok and first._defused and later._defused
 
 
 class TestInterrupts:

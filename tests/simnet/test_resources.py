@@ -1,10 +1,12 @@
 """Unit and property tests for Resource, Store, and BandwidthLink."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simnet.events import Environment
+from repro.simnet.events import Environment, Event
 from repro.simnet.resources import BandwidthLink, Resource, Store
 
 
@@ -419,3 +421,150 @@ def test_bandwidth_link_golden_completion_times(case):
     assert link.bytes_moved == pytest.approx(sum(n for _, n in flows),
                                              rel=1e-12)
     assert link.active_transfers == 0
+
+
+class _ReferenceFlow:
+    __slots__ = ("remaining", "event", "nbytes")
+
+    def __init__(self, nbytes, event):
+        self.nbytes = nbytes
+        self.remaining = float(nbytes)
+        self.event = event
+
+
+class _ReferenceLink:
+    """A reference fair-share link that ``BandwidthLink`` must match bit
+    for bit: a flow record and an ``Event`` per transfer, ``min`` over a
+    generator, and a stale wake-up that pops into ``_on_wake`` and is
+    told apart there by timer identity."""
+
+    def __init__(self, env, rate):
+        self.env = env
+        self.rate = float(rate)
+        self._flows = []
+        self._last_update = env.now
+        self._wake = None
+        self.bytes_moved = 0.0
+
+    def set_rate(self, rate):
+        self._advance()
+        self.rate = float(rate)
+        self._reschedule()
+
+    def transfer(self, nbytes):
+        event = Event(self.env)
+        if nbytes == 0:
+            event.succeed(0.0)
+            return event
+        self._advance()
+        self._flows.append(_ReferenceFlow(nbytes, event))
+        self._reschedule()
+        return event
+
+    def _advance(self):
+        now = self.env.now
+        dt = now - self._last_update
+        self._last_update = now
+        if dt <= 0 or not self._flows:
+            return
+        per_flow = self.rate / len(self._flows)
+        credit = per_flow * dt
+        for flow in self._flows:
+            flow.remaining -= credit
+        self.bytes_moved += credit * len(self._flows)
+
+    def _reschedule(self):
+        flows = self._flows
+        if not flows:
+            self._wake = None
+            return
+        if len(flows) == 1:
+            per_flow, min_remaining = self.rate, flows[0].remaining
+        else:
+            per_flow = self.rate / len(flows)
+            min_remaining = min(f.remaining for f in flows)
+        self._wake = timer = self.env.timeout(max(min_remaining, 0.0) / per_flow)
+        timer.callbacks.append(self._on_wake)
+
+    def _on_wake(self, timer):
+        if timer is not self._wake:
+            return
+        self._advance()
+        flows = self._flows
+        if len(flows) == 1:
+            finished, self._flows = flows, []
+        else:
+            threshold = min(f.remaining for f in flows) + 1e-6
+            finished = [f for f in flows if f.remaining <= threshold]
+            self._flows = [f for f in flows if f.remaining > threshold]
+        for flow in finished:
+            self.bytes_moved -= flow.remaining
+            flow.event.succeed(flow.nbytes)
+        self._reschedule()
+
+
+def _random_link_scenario(seed):
+    """Seeded arrivals on one link: staggered flows, an incast of 8 to 16
+    flows at one instant (some within a sub-byte of each other, across
+    the completion band), zero-byte and sub-byte flows, and rate changes
+    while flows are in flight."""
+    rng = random.Random(seed)
+    rate = rng.uniform(1e8, 1e10)
+    sizes = lambda: rng.choice([rng.uniform(1.0, 1e7), rng.randrange(1, 1 << 24),
+                                1e3 / 3, 0, 1e6])
+    flows = [(rng.uniform(0.0, 2e-3), sizes()) for _ in range(rng.randint(1, 12))]
+    burst, twin = rng.uniform(0.0, 2e-3), rng.uniform(1e5, 1e6)
+    flows += [(burst, rng.choice([sizes(), twin + rng.choice([0.0, 4e-7, 3e-6])]))
+              for _ in range(rng.randint(8, 16))]
+    rng.shuffle(flows)
+    changes = [(rng.uniform(0.0, 3e-3), rate * rng.choice([0.1, 0.37, 2.0]))
+               for _ in range(rng.randint(1, 3))]
+    return rate, flows, changes
+
+
+def _play_link(link_class, rate, flows, changes):
+    env = Environment()
+    link = link_class(env, rate)
+    finish = {}
+
+    def flow(i, start, nbytes):
+        yield env.timeout(start)
+        got = yield link.transfer(nbytes)
+        finish[i] = (env.now.hex(), got)
+
+    def change(at, new_rate):
+        yield env.timeout(at)
+        link.set_rate(new_rate)
+
+    for i, (start, nbytes) in enumerate(flows):
+        env.process(flow(i, start, nbytes))
+    for at, new_rate in changes:
+        env.process(change(at, new_rate))
+    steps = 0
+    while env._queue:
+        env.step()
+        steps += 1
+    return ([finish[i] for i in range(len(flows))], link.bytes_moved.hex(),
+            env._seq, steps)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_bandwidth_link_matches_the_reference_algorithm(seed):
+    """Every completion time, value and byte count to the bit, and the
+    same calendar entries and pops, as the reference link."""
+    scenario = _random_link_scenario(seed)
+    assert (_play_link(BandwidthLink, *scenario)
+            == _play_link(_ReferenceLink, *scenario))
+
+
+def test_a_superseded_wake_up_pops_and_runs_nothing(env):
+    link = BandwidthLink(env, rate=100.0)
+    done = link.transfer(100.0)
+    stale = link._wake
+    env.run(until=0.25)
+    link.transfer(50.0)  # a second flow: the first projection is stale
+    assert link._wake is not stale and stale.callbacks == []
+    assert any(entry[3] is stale for entry in env._queue)  # still queued
+    env.run()
+    assert stale.processed  # it popped, with nothing to call
+    assert done.value == 100.0 and env.now == 1.5
