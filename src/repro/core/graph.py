@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
+import weakref
 from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
@@ -43,7 +44,9 @@ class Operation:
     """A node in the dataflow graph.
 
     Attributes:
-        graph: owning :class:`Graph`.
+        graph: owning :class:`Graph`, or ``None`` once it is freed: an op
+            refers to its graph weakly (the graph owns its ops), so a
+            dropped graph dies by reference count.
         name: unique name within the graph.
         type: op type string (e.g. ``"MatMul"``); selects the kernel.
         inputs: data-input tensors.
@@ -57,7 +60,7 @@ class Operation:
     """
 
     __slots__ = (
-        "graph",
+        "_graph_ref",
         "name",
         "type",
         "inputs",
@@ -82,7 +85,7 @@ class Operation:
         node_id: int,
         inferred_at: Optional[int] = None,
     ):
-        self.graph = graph
+        self._graph_ref = graph._ref
         self.name = name
         self.type = op_type
         self.inputs = tuple(inputs)
@@ -94,6 +97,10 @@ class Operation:
         self.outputs = tuple(
             Tensor(self, i, dt, shape) for i, (dt, shape) in enumerate(output_specs)
         )
+
+    @property
+    def graph(self):
+        return self._graph_ref()
 
     def get_attr(self, key: str, default: Any = None) -> Any:
         return self.attrs.get(key, default)
@@ -109,9 +116,17 @@ class Operation:
 
 
 class Graph:
-    """A dataflow graph plus its construction-time context stacks."""
+    """A dataflow graph plus its construction-time context stacks.
+
+    The graph owns its ops; an op and its tensors refer to it weakly
+    (``Operation.graph`` is ``None`` once it is freed). Whatever must
+    keep a graph alive holds it itself: a Session, an ExecutionPlan, or
+    a ``with graph.as_default():`` block.
+    """
 
     def __init__(self, seed: Optional[int] = None):
+        # The one weak reference every op of this graph holds.
+        self._ref = weakref.ref(self)
         self._nodes: dict[str, Operation] = {}
         self._node_order: list[Operation] = []
         self._names_in_use: dict[str, int] = {}
@@ -238,7 +253,7 @@ class Graph:
                     f"Graph inputs must be Tensors, got {tensor!r} "
                     f"(use ops.constant to wrap python values)"
                 )
-            if tensor.graph is not self:
+            if tensor.op._graph_ref is not self._ref:
                 raise InvalidArgumentError(
                     f"Input {tensor.name} belongs to a different graph"
                 )
@@ -333,6 +348,13 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"<Graph with {len(self._node_order)} operations>"
+
+    def __del__(self) -> None:
+        # An op's tensors name it back (``Tensor.op``): unlinking them
+        # frees every op/tensor pair by reference count. A tensor kept
+        # past its graph still names its op; the op has no outputs left.
+        for op in self._node_order:
+            op.outputs = ()
 
 
 class _DefaultGraphStack(threading.local):

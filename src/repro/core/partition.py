@@ -133,6 +133,9 @@ class Item:
 class ExecutionPlan:
     """Everything a run needs: items, per-device lists, fetch routing."""
 
+    # Held, not weak: an item's op refers to its graph weakly, so the
+    # plan keeps the graph (and every op it runs) alive.
+    graph: Graph
     items: list[Item]  # items[i].uid == i
     # Per item, the number of distinct producer items it waits on: a
     # run's dispatcher copies the list and counts it down.
@@ -422,16 +425,19 @@ def build_plan(
     def spec_of(source) -> Optional[SymbolicValue]:
         """The spec every run delivers through ``source``, if the plan
         fixes it: a feed's, a constant's or a priced op's, moved or not."""
-        producer, index = source
-        if producer is FEED:
-            return SymbolicValue.of(feeds[index])
-        if producer.price is not None:
-            return producer.price[0][index]
-        if producer.kind == "const":
-            return SymbolicValue.of(producer.const_values[index])
-        if producer.kind in ("send", "recv"):
-            return spec_of(producer.sources[0])
-        return None
+        # A loop, not a self-call: a closure naming itself is a
+        # function/cell cycle that would pin ``feeds`` past the build.
+        while True:
+            producer, index = source
+            if producer is FEED:
+                return SymbolicValue.of(feeds[index])
+            if producer.price is not None:
+                return producer.price[0][index]
+            if producer.kind == "const":
+                return SymbolicValue.of(producer.const_values[index])
+            if producer.kind not in ("send", "recv"):
+                return None
+            source = producer.sources[0]
 
     def static_payload_nbytes(op: Operation) -> Optional[int]:
         """Static per-rank buffer bytes of a collective, if known."""
@@ -624,6 +630,7 @@ def build_plan(
         devices_by_task.setdefault(_job_task_of(device), set()).add(device)
 
     plan = ExecutionPlan(
+        graph=graph,
         items=items,
         dep_counts=dep_counts,
         consumer_counts=consumer_counts,

@@ -42,7 +42,7 @@ from repro.errors import InvalidArgumentError
 from repro.runtime.clusterspec import ClusterSpec
 from repro.runtime.retry import RetryPolicy
 from repro.runtime.server import Server, ServerConfig
-from repro.simnet.events import Environment
+from repro.simnet.events import Environment, Event
 from repro.simnet.machines import Machine, localhost
 from repro.simnet.transports import protocol_latency
 
@@ -115,6 +115,19 @@ class _PreparedRun:
     cache_misses: int
 
 
+def _hand_over(event: Event) -> None:
+    """Let a failed ``event`` drop its exception: the raise has it now.
+
+    The exception's traceback keeps every frame it passed through, and
+    those frames reach the event that carried it (the dispatcher's
+    ``done``, the process ``run`` waits on). An event that kept it would
+    close a cycle that pins the run's plan, state and metadata until the
+    cyclic collector runs. The event stays failed; its value reads None.
+    """
+    if not event._ok:
+        event._value = None
+
+
 class Session:
     """Encapsulates one client's connection to a (simulated) runtime."""
 
@@ -129,6 +142,9 @@ class Session:
         self.graph = graph or get_default_graph()
         self.config = config or SessionConfig()
         self._closed = False
+        # A local session with no machine= and no env= builds its own
+        # machine, and releases it on close() (Machine.release).
+        self._owns_machine = not target and machine is None and env is None
         if isinstance(target, Server):
             self._master = target
             self.machine = target.machine
@@ -198,7 +214,20 @@ class Session:
         self.close()
 
     def close(self) -> None:
-        self._closed = True
+        """End the session; a second call does nothing.
+
+        Waits for a run in progress (``_run_lock``). A session that
+        built its own machine releases it, so the
+        machine, its environment and their leftovers die by reference
+        count. A machine or environment the caller passed in is left
+        exactly as it is.
+        """
+        with self._run_lock:
+            if self._closed:
+                return
+            self._closed = True
+            if self._owns_machine:
+                self.machine.release()
 
     # -- cluster resolution ------------------------------------------------------
     @property
@@ -322,7 +351,11 @@ class Session:
                 self._execute_gen(prepared, options, run_metadata),
                 name="session.run",
             )
-            return self.env.run(until=proc)
+            try:
+                return self.env.run(until=proc)
+            except BaseException:
+                _hand_over(proc)
+                raise
 
     def run_gen(self, fetches, feed_dict=None, options: Optional[RunOptions] = None,
                 run_metadata: Optional[RunMetadata] = None):
@@ -448,7 +481,11 @@ class Session:
         try:
             done = launch_plan(state)
             if done is not None:
-                yield done
+                try:
+                    yield done
+                except BaseException:
+                    _hand_over(done)
+                    raise
             values = []
             for source in plan.fetch_sources:
                 if source[0] is FEED:

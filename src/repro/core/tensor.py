@@ -206,7 +206,8 @@ class Tensor:
 
     @property
     def graph(self):
-        return self.op.graph
+        """The op's graph; ``None`` once it is freed (see ``Graph``)."""
+        return self.op._graph_ref()
 
     @property
     def device(self) -> str:

@@ -153,7 +153,9 @@ class Server:
 
     @property
     def env(self) -> Environment:
-        return self.machine.env
+        # Read off the runtime: a released machine (Machine.release)
+        # leaves ``machine`` None.
+        return self.runtime.env
 
     @property
     def target(self) -> str:

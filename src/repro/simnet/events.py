@@ -464,6 +464,16 @@ class Environment:
             heapify(queue)
             cancelled.clear()
 
+    def clear(self) -> None:
+        """Drop every calendar entry; the clock stays where it is.
+
+        An entry's event names this environment back (``Event.env``), so
+        a finished simulation's leftovers keep it alive until the cyclic
+        collector runs; cleared, both die by reference count.
+        """
+        self._queue.clear()
+        self._cancelled.clear()
+
     def peek(self) -> float:
         """Time of the next scheduled event (``inf`` when drained)."""
         return self._queue[0][0] if self._queue else float("inf")

@@ -119,6 +119,27 @@ class Machine:
                 f"{sorted(self.address_table)})"
             ) from None
 
+    # -- lifecycle -------------------------------------------------------------
+    def release(self) -> None:
+        """Let this machine die by reference count, with nothing left to run.
+
+        Unlinks the edges that point back up the ownership tree (a
+        node's machine, a device's node, a server's machine) and drops
+        the calendar's leftover entries (a cancelled join timer, a
+        superseded link wake-up), which name the environment back.
+        The clock, the nodes and the address table stay as they are.
+        Only for a machine and an environment nothing else will use:
+        a local Session releases the ones it built itself, on close().
+        """
+        for server in self.address_table.values():
+            server.machine = None
+        for node in self.nodes.values():
+            node.machine = None
+            node.cpu.node = None
+            for gpu in node.gpus:
+                gpu.node = None
+        self.env.clear()
+
     def __repr__(self) -> str:
         return f"<Machine {self.name}: {len(self.nodes)} nodes, {self.fabric.name}>"
 

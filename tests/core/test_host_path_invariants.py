@@ -14,8 +14,9 @@ The values were recorded before the host path was first optimised, the
 two eight-rank ones before collective sends stopped being processes;
 they change only with the simulated schedule.
 
-``TestNoCyclicGarbage`` pins the other host-path invariant: a warm run
-allocates nothing that only the cyclic collector can free.
+``TestNoCyclicGarbage`` pins the other host-path invariant: a warm run,
+and a finished program (a dropped graph, a closed local session),
+leave nothing that only the cyclic collector can free.
 ``TestPlanMissCounts`` pins what a plan-cache *miss* may not pay again:
 a device string parsed per item, a control walk on a control-free op.
 ``TestShapeOnlyKernelCalls`` pins what a shape-only run may not pay at
@@ -49,6 +50,7 @@ from repro.core.optimizer.pipeline import Subgraph
 from repro.core.placement import DeviceSpec
 from repro.core.tensor import SymbolicValue
 from repro.figures.fig7_stream import run_fig7
+from repro.fuzz import GeneratorOptions, generate
 from repro.simnet.cpu import CPUDevice
 from repro.simnet.events import Environment
 from repro.simnet.gpu import GPUDevice
@@ -233,6 +235,44 @@ def _dataset_program(fast):
     return sess, lambda: sess.run(total)
 
 
+def _plain_graph():
+    g = tf.Graph()
+    with g.as_default():
+        x = tf.placeholder(tf.float32, (8, 8), name="x")
+        tf.reduce_sum(tf.matmul(x, x) + tf.constant(1.0))
+
+
+def _trained_graph():
+    g = tf.Graph()
+    with g.as_default():
+        x = tf.placeholder(tf.float32, (8, 4), name="x")
+        w = tf.Variable(np.ones((4, 2), np.float32), name="w")
+        loss = tf.reduce_sum(tf.matmul(x, w.value()))
+        (grad,) = tf.gradients(loss, w)
+        tf.apply_gradients([(grad, w)], learning_rate=0.1)
+        tf.global_variables_initializer()
+
+
+def _collective_graph():
+    g = tf.Graph()
+    with g.as_default():
+        phs = []
+        for w in range(2):
+            with g.device(task_device("worker", w, "cpu", 0)):
+                phs.append(tf.placeholder(tf.float64, [64], name=f"x{w}"))
+        tf.all_reduce([ph * 2.0 for ph in phs])
+
+
+def _finite_dataset_program():
+    """Four rows, one ``get_next`` a run: the fifth run ends the sequence."""
+    g = tf.Graph()
+    with g.as_default():
+        rows = np.arange(64, dtype=np.float32).reshape(4, 16)
+        iterator = Dataset.from_tensor_slices(rows).make_one_shot_iterator()
+        total = tf.reduce_sum(iterator.get_next())
+    return tf.Session(graph=g), total
+
+
 class TestNoCyclicGarbage:
     """A warm run leaves nothing for the cyclic collector.
 
@@ -258,6 +298,30 @@ class TestNoCyclicGarbage:
     other (one per driven item) — which made CPython's collector 10 % of
     ``paper_figures``' host time. 0 is asserted, never "small": one new
     cycle per run is exactly the regression this pins.
+
+    A finished program dies by reference count too: a dropped graph, a
+    closed local session (its private machine and what its calendar
+    still held), a run that ends in a caught ``OutOfRangeError``, and
+    ``fuzz_cold``'s way of running a generated program. Before ops
+    referred to their graph weakly and ``close()`` released the
+    session's own machine, the same cases left:
+
+    ====================================  ===========
+    case                                  unreachable
+    ====================================  ===========
+    dropped graph: plain                  31
+    dropped graph: variables + gradients  93
+    dropped graph: collective             54
+    closed session, 0 GPUs (both modes)   59 / 62
+    closed session, 2 GPUs (both modes)   109 / 112
+    run ending in OutOfRangeError         61
+    50 ``fuzz_cold`` programs             14 434
+    ====================================  ===========
+
+    — ``Operation.graph`` and ``Tensor.op`` naming their owners back,
+    ``Machine``/``Node``/device/``Server`` back-edges, calendar entries
+    naming their ``Environment``, and a failed event holding the error
+    whose traceback holds the frames that reach the event.
     """
 
     PROGRAMS = {
@@ -284,6 +348,101 @@ class TestNoCyclicGarbage:
                 assert gc.collect() == 0
             finally:
                 gc.enable()
+
+    @staticmethod
+    def _assert_leaves_nothing(action):
+        """``action()`` twice: once to fill every lazy import and memo,
+        then with the collector off, asserting ``gc.collect() == 0``. A
+        failure names the ten most common types that survived."""
+        action()
+        gc.collect()
+        gc.disable()
+        try:
+            action()
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            found = gc.collect()
+            census = Counter(type(o).__qualname__ for o in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert found == 0, f"cyclic garbage: {census.most_common(10)}"
+
+    @pytest.mark.parametrize("build", [_plain_graph, _trained_graph,
+                                       _collective_graph],
+                             ids=["plain", "variables", "collective"])
+    def test_a_dropped_graph_leaves_nothing_unreachable(self, build):
+        self._assert_leaves_nothing(build)
+
+    @pytest.mark.parametrize("shape_only", [False, True],
+                             ids=["concrete", "shape-only"])
+    @pytest.mark.parametrize("gpus", [0, 2])
+    def test_a_closed_local_session_leaves_nothing_unreachable(
+            self, gpus, shape_only):
+        """The session's private machine, its environment and what the
+        run left in the calendar (with two GPUs, an allreduce's cancelled
+        join timer) all go at close."""
+
+        def program():
+            g = tf.Graph()
+            with g.as_default():
+                x = tf.placeholder(tf.float32, (32, 32), name="x")
+                outs = [tf.reduce_sum(tf.matmul(x, x))]
+                if gpus:
+                    parts = []
+                    for i in range(gpus):
+                        with g.device(f"/gpu:{i}"):
+                            parts.append(tf.matmul(x, x))
+                    outs += [tf.reduce_sum(t) for t in tf.all_reduce(parts)]
+            feed = {x: SymbolicValue((32, 32), tf.float32) if shape_only
+                    else np.ones((32, 32), np.float32)}
+            with tf.Session(graph=g, config=tf.SessionConfig(
+                    num_gpus=gpus, shape_only=shape_only)) as sess:
+                sess.run(outs, feed_dict=feed)
+                assert (sess.env.peek() < float("inf")) == bool(gpus)
+
+        self._assert_leaves_nothing(program)
+
+    def test_a_run_ending_in_out_of_range_leaves_nothing_unreachable(self):
+        """The error's traceback keeps the frames that reached the
+        events carrying it; those events let it go once it is raised.
+        (The reference executor is not covered: its items' processes
+        each fail with the same error, and the cascade outlives the
+        run.)"""
+        session, total = _finite_dataset_program()
+
+        def exhaust():
+            with pytest.raises(tf.errors.OutOfRangeError):
+                session.run(total)
+
+        for _ in range(4):
+            session.run(total)
+        self._assert_leaves_nothing(exhaust)
+
+    def test_fuzz_cold_programs_leave_nothing_unreachable(self):
+        """Fifty generated programs, each run as ``fuzz_cold`` runs one:
+        a fresh graph, a ``with Session``, one run, both dropped."""
+        programs = [generate(seed, GeneratorOptions(max_ops=24, max_world=4))
+                    for seed in range(50)]
+        errors = (tf.errors.ReproError, ValueError, TypeError,
+                  ZeroDivisionError, FloatingPointError, OverflowError,
+                  IndexError, KeyError)
+
+        def run_all():
+            with np.errstate(all="ignore"):
+                for program in programs:
+                    try:
+                        graph = tf.Graph()
+                        with graph.as_default():
+                            built = program.materialize()
+                        config = tf.SessionConfig(num_gpus=program.gpus)
+                        with tf.Session(graph=graph, config=config) as sess:
+                            sess.run(built.fetch_tensors,
+                                     feed_dict=dict(built.feeds))
+                    except errors:
+                        pass
+
+        self._assert_leaves_nothing(run_all)
 
     def test_a_dropped_plan_leaves_nothing_unreachable(self):
         """An item refers to its producers only (its dependents are uids),

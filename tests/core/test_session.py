@@ -1,18 +1,21 @@
 """Session behaviour: feeds, fetches, placement, errors, metadata."""
 
 import dataclasses
+import threading
+import weakref
 
 import numpy as np
 import pytest
 
 import repro as tf
 import repro.core.session as session_module
+from repro.apps.common import build_cluster, task_device
 from repro.core.metadata import RunMetadata, RunOptions
 from repro.core.placement import DeviceSpec
 from repro.core.tensor import TensorShape
 from repro.errors import InvalidArgumentError, NotFoundError
 from repro.simnet.events import Environment
-from repro.simnet.machines import Machine, tegner
+from repro.simnet.machines import Machine, localhost, tegner
 from repro.simnet.parameters import PARAMETERS
 
 
@@ -496,3 +499,126 @@ class TestWarmRuns:
             assert second.env.now == clock
             second.run(c)
             assert allocations(second) > before[1]
+
+
+def _add_graph():
+    g = tf.Graph()
+    with g.as_default():
+        c = tf.constant(1.0) + 2.0
+    return g, c
+
+
+class TestOwnership:
+    """Who keeps whom alive. A Graph owns its ops; a Tensor or Operation
+    does not keep its Graph alive, but a Session and an ExecutionPlan do.
+    ``close()`` releases the machine a local session built for itself,
+    and nothing a caller passed in."""
+
+    def test_a_tensor_does_not_keep_its_graph_alive(self):
+        g, c = _add_graph()
+        graph, fields = weakref.ref(g), (c.name, c.dtype, c.shape)
+        del g
+        assert graph() is None  # by reference count, no collection
+        assert c.graph is None and c.op.graph is None
+        # The handle keeps its own fields; its op has no outputs left.
+        assert (c.name, c.dtype, c.shape) == fields
+        assert c.op.outputs == ()
+
+    def test_a_session_and_a_plan_keep_their_graph_alive(self):
+        g, c = _add_graph()
+        graph = weakref.ref(g)
+        sess = tf.Session(graph=g)
+        del g
+        assert sess.run(c) == pytest.approx(3.0)
+        assert c.graph is graph() is not None
+        plan = next(iter(sess._plan_cache.values()))
+        sess.close()
+        del sess
+        assert plan.graph is graph() is not None
+        assert plan.items[0].op.graph is graph()
+        del plan
+        assert graph() is None
+
+    def test_close_releases_the_machine_the_session_built(self):
+        g, c = _add_graph()
+        sess = tf.Session(graph=g, config=tf.SessionConfig(num_gpus=2))
+        sess.run(c)
+        machine, now = sess.machine, sess.env.now
+        sess.env.timeout(1.0)  # a leftover calendar entry
+        sess.close()
+        node = machine.nodes["localhost"]
+        assert node.machine is None and node.cpu.node is None
+        assert all(gpu.node is None for gpu in node.gpus)
+        assert sess.master.machine is None
+        assert sess.env.peek() == float("inf") and sess.env.now == now
+        # What a finished session is still read for stays readable.
+        assert sess.master.env is sess.env
+        assert sess.master.runtime.memory_pools
+
+    @pytest.mark.parametrize("supplied", ["machine", "env"])
+    def test_close_leaves_a_supplied_machine_or_env_as_it_is(self, supplied):
+        env = Environment()
+        env.timeout(5.0)  # pending past the run
+        g, c = _add_graph()
+        if supplied == "machine":
+            sess = tf.Session(graph=g, machine=localhost(env))
+        else:
+            sess = tf.Session(graph=g, env=env)
+        sess.run(c)
+        machine = sess.machine
+
+        def snapshot():
+            return (env.now, len(env._queue), dict(machine.nodes),
+                    dict(machine.address_table), sess.master.machine,
+                    [(node.machine, node.cpu.node, [g.node for g in node.gpus])
+                     for node in machine.nodes.values()])
+
+        before = snapshot()
+        assert before[1] == 1 and before[4] is machine
+        sess.close()
+        assert snapshot() == before
+
+    def test_a_cluster_machine_serves_a_second_session_after_close(self):
+        handle = build_cluster("tegner-k420", {"worker": 2})
+        g = tf.Graph()
+        with g.as_default():
+            with g.device(task_device("worker", 1, "cpu", 0)):
+                remote = tf.constant(np.arange(4.0)) * 2.0
+            with g.device(task_device("worker", 0, "cpu", 0)):
+                total = tf.reduce_sum(remote)
+        results = []
+        for _ in range(2):
+            with tf.Session(handle.server("worker", 0), graph=g) as sess:
+                results.append((sess.run(total), sess.env.now))
+        assert results[0][0] == results[1][0] == pytest.approx(12.0)
+        assert results[1][1] > results[0][1]  # one clock, run on
+        for node in handle.machine.nodes.values():
+            assert node.machine is handle.machine
+
+    def test_a_second_close_is_a_no_op(self):
+        g, c = _add_graph()
+        sess = tf.Session(graph=g)
+        sess.run(c)
+        sess.close()
+        state = (sess.env.now, sess.machine.nodes, sess.master.machine)
+        sess.close()
+        assert (sess.env.now, sess.machine.nodes, sess.master.machine) == state
+        with pytest.raises(RuntimeError, match="closed Session"):
+            sess.run(c)
+
+    def test_close_waits_for_the_run_lock(self):
+        """A run on another thread drives the calendar under
+        ``_run_lock``: close() releases nothing under it."""
+        g, c = _add_graph()
+        sess = tf.Session(graph=g)
+        sess.run(c)
+        sess._run_lock.acquire()
+        closer = threading.Thread(target=sess.close)
+        try:
+            closer.start()
+            closer.join(0.05)
+            assert closer.is_alive() and sess.master.machine is not None
+        finally:
+            sess._run_lock.release()
+        closer.join()
+        assert sess.master.machine is None
