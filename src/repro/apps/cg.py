@@ -407,7 +407,7 @@ def run_cg(
         sess.plan_cache_info()["items"]
         for sess in (*worker_sessions, reducer_session)
     )
-    return CGResult(
+    result = CGResult(
         system=system,
         n=n,
         num_gpus=num_gpus,
@@ -422,6 +422,9 @@ def run_cg(
         completed_step=start_step + min(state["iters"]),
         fault_detail=fault_detail,
     )
+    if cluster is None:  # built here: nothing else runs on it
+        handle.close()
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +664,7 @@ def run_cg_single(
         plan_cache = sess.plan_cache_info()
 
     residual = float(np.linalg.norm(b_full - a_full @ x) / np.linalg.norm(b_full))
-    return CGSingleResult(
+    result = CGSingleResult(
         frontend=frontend,
         system=system,
         n=n,
@@ -672,3 +675,5 @@ def run_cg_single(
         trace_count=trace_count,
         plan_cache=plan_cache,
     )
+    handle.close()
+    return result

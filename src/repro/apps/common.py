@@ -78,6 +78,12 @@ class ClusterHandle:
     def server(self, job: str, index: int) -> Server:
         return self.servers[(job, index)]
 
+    def close(self) -> None:
+        """Release the machine (:meth:`Machine.release`), so the cluster
+        dies by reference count. Only for a cluster nothing runs on again:
+        a node's ``machine`` and a device's ``node`` read ``None`` after."""
+        self.machine.release()
+
     @property
     def filesystem(self):
         return self.machine.filesystem

@@ -220,7 +220,7 @@ def run_fft(
         max_error = float(np.max(np.abs(merged - reference)))
         scale = float(np.max(np.abs(reference))) or 1.0
         validated = bool(max_error / scale < 1e-9)
-    return FFTResult(
+    result = FFTResult(
         system=system,
         n=n,
         num_tiles=num_tiles,
@@ -231,3 +231,6 @@ def run_fft(
         max_error=max_error,
         spectrum=merged,
     )
+    if cluster is None:  # built here: nothing else runs on it
+        handle.close()
+    return result

@@ -239,7 +239,7 @@ def run_matmul(
         max_error = float(np.max(np.abs(c_full - expected)))
         scale = float(np.max(np.abs(expected))) or 1.0
         validated = bool(max_error / scale < 1e-4)
-    return MatmulResult(
+    result = MatmulResult(
         system=system,
         n=n,
         tile=tile,
@@ -251,3 +251,6 @@ def run_matmul(
         validated=validated,
         max_error=max_error,
     )
+    if cluster is None:  # built here: nothing else runs on it
+        handle.close()
+    return result

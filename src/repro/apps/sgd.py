@@ -441,7 +441,7 @@ def run_sgd(
             np.array_equal(weights, ref_traj[-1])
             and loss_history == ref_losses
         )
-    return SGDResult(
+    result = SGDResult(
         system=system,
         d=d,
         num_workers=num_workers,
@@ -462,6 +462,9 @@ def run_sgd(
         pass_stats=list(first_step_metadata.pass_stats),
         collective_algorithms=dict(first_step_metadata.collective_algorithms),
     )
+    if cluster is None:  # built here: nothing else runs on it
+        handle.close()
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +641,7 @@ def run_sgd_restartable(
         and all(np.array_equal(a, b) for a, b in zip(trajectory, ref_traj))
         and loss_history == ref_losses
     )
-    return SGDRestartResult(
+    result = SGDRestartResult(
         system=system,
         d=d,
         num_workers=num_workers,
@@ -657,3 +660,5 @@ def run_sgd_restartable(
         metadata_retries=metadata.retries,
         metadata_deadlines=metadata.deadline_exceeded,
     )
+    handle.close()
+    return result

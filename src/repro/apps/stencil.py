@@ -322,7 +322,7 @@ def run_stencil(
         solution = np.asarray(sess.run(field_fetch))
         reference, _ = jacobi_reference(n, ran)
         validated = bool(np.allclose(solution, reference, atol=1e-12))
-    return StencilResult(
+    result = StencilResult(
         system=system,
         n=n,
         num_workers=num_workers,
@@ -336,3 +336,6 @@ def run_stencil(
         validated=validated,
         plan_items=sess.plan_cache_info()["items"],
     )
+    if cluster is None:  # built here: nothing else runs on it
+        handle.close()
+    return result

@@ -104,7 +104,7 @@ def run_stream(
         final = sess.run(target)
         expected = float(iterations + 1)  # warm-up included
         validated = bool(np.allclose(final, expected))
-    return StreamResult(
+    result = StreamResult(
         system=system,
         device=device,
         protocol=protocol,
@@ -113,3 +113,6 @@ def run_stream(
         seconds_per_transfer=elapsed / iterations,
         validated=validated,
     )
+    if cluster is None:  # built here: nothing else runs on it
+        handle.close()
+    return result

@@ -50,14 +50,21 @@ class Saver:
 
     def __init__(self, var_list: Optional[Sequence] = None,
                  graph: Optional[Graph] = None):
-        self._graph = graph or get_default_graph()
+        graph = graph or get_default_graph()
+        # Weakly, as an Operation holds it: the graph's SAVERS collection
+        # holds the saver, and a dropped graph dies by reference count.
+        self._graph_ref = graph._ref
         if var_list is None:
-            var_list = self._graph.get_collection(GraphKeys.GLOBAL_VARIABLES)
+            var_list = graph.get_collection(GraphKeys.GLOBAL_VARIABLES)
         if not var_list:
             raise InvalidArgumentError("Saver needs at least one variable")
         self._vars = {v.name: v for v in var_list}
         self._restore_ops: dict[str, tuple] = {}
-        self._graph.add_to_collection(GraphKeys.SAVERS, self)
+        graph.add_to_collection(GraphKeys.SAVERS, self)
+
+    @property
+    def _graph(self):
+        return self._graph_ref()
 
     # -- save -----------------------------------------------------------------
     def save(self, sess, path: str, global_step: Optional[int] = None) -> str:

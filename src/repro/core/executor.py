@@ -16,8 +16,11 @@ Dispatch has three lanes:
   the dispatcher, with no simulator :class:`Process`, no calendar events,
   and only a synchronous claim/return on the device FIFO;
 * **light lane** — non-generator kernels that do advance the clock (or
-  must wait for a device slot) run through a hand-rolled callback chain:
-  device request, one timeout for the kernel's cost, release. Same
+  must wait for a device slot) run through one slotted continuation per
+  wait, never a closure: the kernel's cost timeout is the op's
+  completion record (:class:`_OpTimeout`), so an op on a free device is
+  one calendar entry and one object; a wait for the device slot is a
+  :class:`_Granted`, a wait for the task's GIL an :class:`_OnGil`. Same
   simulated timestamps as a process, but no generator machinery and
   roughly half the calendar events;
 * **driven-generator lane** — generator kernels (queues, datasets, tile
@@ -52,6 +55,7 @@ when its last reader consumed it, or at run end.
 
 from __future__ import annotations
 
+from heapq import heappush
 from types import GeneratorType
 from typing import Any, Optional
 
@@ -70,7 +74,7 @@ from repro.runtime.collective import run_collective
 from repro.runtime.retry import retry_gen
 from repro.simnet import transports
 from repro.simnet.events import (
-    AllOf, Driver, Environment, Event, arm_deadline,
+    NORMAL, AllOf, Driver, Environment, Event, Timeout, arm_deadline,
 )
 
 __all__ = [
@@ -493,27 +497,97 @@ class _Driven(Driver):
         self.dispatcher._fail(exc)
 
 
-class _OpElapsed:
-    """What a light-lane op's cost timeout calls: complete, cascade.
+class _OpTimeout(Timeout):
+    """A light-lane op's cost timeout, which is also its completion record.
 
-    Same rule as :class:`_Driven` — the timeout holds this object, which
-    holds the dispatcher and the op's results and nothing that refers
-    back; an error fails the run, not the simulator.
+    Built flat as :class:`~repro.simnet.events.Timeout` is (same check,
+    same calendar key), with one callback, :func:`_op_elapsed`. Same rule
+    as :class:`_Driven`: it holds the dispatcher and the op's results and
+    nothing that refers back to it; an error fails the run, not the
+    simulator.
     """
 
     __slots__ = ("dispatcher", "item", "request", "outputs", "start")
 
     def __init__(self, dispatcher: "_Dispatcher", item: Item, request,
-                 outputs, start: float):
+                 outputs, start: float, delay: float):
+        if not delay >= 0:  # also rejects NaN, which `delay < 0` lets through
+            raise ValueError(f"delay must be >= 0, got {delay}")
+        env = dispatcher.env
+        self.env = env
+        self.callbacks = [_op_elapsed]
+        self._value = None
+        self._ok = True
+        self._defused = False
+        self._processed = False
+        self.delay = delay
         self.dispatcher = dispatcher
         self.item = item
         self.request = request
         self.outputs = outputs
         self.start = start
+        env._seq = seq = env._seq + 1
+        heappush(env._queue, (env._now + delay, NORMAL, seq, self))
 
-    def __call__(self, _event: Event) -> None:
+
+def _op_elapsed(op: Any) -> None:
+    """``op``, an :class:`_OpTimeout`, has elapsed: complete the op, then
+    cascade."""
+    dispatcher = op.dispatcher
+    try:
+        _complete(dispatcher.state, op.item, op.request, op.outputs, op.start)
+        dispatcher._item_done(op.item)
+    except BaseException as exc:
+        dispatcher._fail(exc)
+
+
+class _Granted:
+    """What a queued op's device request calls once granted: the op's
+    body, with the slot held. ``start`` is when the op was dispatched."""
+
+    __slots__ = ("dispatcher", "item", "start")
+
+    def __init__(self, dispatcher: "_Dispatcher", item: Item, start: float):
+        self.dispatcher = dispatcher
+        self.item = item
+        self.start = start
+
+    def __call__(self, request) -> None:
         dispatcher = self.dispatcher
         try:
+            if dispatcher._run_op_body(self.item, request, self.start):
+                dispatcher._item_done(self.item)
+        except BaseException as exc:
+            dispatcher._fail(exc)
+
+
+class _OnGil:
+    """A GIL-lane op's continuation, called twice: once its task's GIL is
+    granted (it holds it for the op's seconds), and once those elapsed
+    (it lets the GIL go and completes the op)."""
+
+    __slots__ = ("dispatcher", "item", "request", "outputs", "start",
+                 "seconds", "gil_req")
+
+    def __init__(self, dispatcher: "_Dispatcher", item: Item, request,
+                 outputs, start: float, seconds: float):
+        self.dispatcher = dispatcher
+        self.item = item
+        self.request = request
+        self.outputs = outputs
+        self.start = start
+        self.seconds = seconds
+        self.gil_req: Optional[Event] = None
+
+    def __call__(self, event: Event) -> None:
+        dispatcher = self.dispatcher
+        try:
+            gil_req = self.gil_req
+            if gil_req is None:  # ``event`` is the granted GIL request
+                self.gil_req = event
+                dispatcher.env.timeout(self.seconds).callbacks.append(self)
+                return
+            self.item.entry[0].gil.release(gil_req)
             _complete(dispatcher.state, self.item, self.request, self.outputs,
                       self.start)
             dispatcher._item_done(self.item)
@@ -527,8 +601,9 @@ class _Dispatcher:
     def __init__(self, state: ExecutionState):
         self.state = state
         self.env = state.env
+        self.items = state.plan.items
         self.counts = state.plan.dep_counts.copy()
-        self.remaining = len(state.plan.items)
+        self.remaining = len(self.items)
         self.done = self.env.event()
         self.finished = False
         self.faults = state.fault_injector
@@ -564,31 +639,31 @@ class _Dispatcher:
         arm_deadline(self.env, timeout_s, self.done, expire)
 
     # -- completion bookkeeping ------------------------------------------------
-    def _completed(self, item: Item) -> list[Item]:
+    def _item_done(self, item: Item, queue: Optional[list] = None) -> None:
+        """Count ``item`` complete and count down its dependents. Those
+        now ready join ``queue``, the list a running :meth:`_dispatch`
+        loop reaches in turn; without one, they start here."""
         self.remaining -= 1
         if self.metadata is not None:
             self.metadata.fast_path_items += 1
-        ready = []
-        counts, items = self.counts, self.state.plan.items
+        ready = queue
+        counts = self.counts
         for uid in item.dependents:
-            counts[uid] -= 1
-            if not counts[uid]:
-                ready.append(items[uid])
+            counts[uid] = left = counts[uid] - 1
+            if not left:
+                if ready is None:
+                    ready = []
+                ready.append(self.items[uid])
         if self.remaining == 0 and not self.finished:
             self.finished = True
             self.done.succeed()
-        return ready
+        if queue is None and ready is not None:
+            self._dispatch(ready)
 
     def _fail(self, exc: BaseException) -> None:
         if not self.finished:
             self.finished = True
             self.done.fail(exc)
-
-    def _item_done(self, item: Item) -> None:
-        """Light-lane completion: bookkeeping plus cascading dispatch."""
-        ready = self._completed(item)
-        if ready:
-            self._dispatch(ready)
 
     # -- dispatch ---------------------------------------------------------------
     def _dispatch(self, queue: list[Item]) -> None:
@@ -608,11 +683,11 @@ class _Dispatcher:
                 kind = item.kind
                 if kind == "op":
                     if self._start_op(item):
-                        queue.extend(self._completed(item))
+                        self._item_done(item, queue)
                 elif kind == "const":
                     _complete(self.state, item, None, list(item.const_values),
                               self.env.now)
-                    queue.extend(self._completed(item))
+                    self._item_done(item, queue)
                 elif kind == "recv":
                     _run_recv(self.state, item)
                     self._item_done(item)
@@ -625,13 +700,6 @@ class _Dispatcher:
             except BaseException as exc:  # kernel/validation errors
                 self._fail(exc)
                 return
-
-    def _guard(self, fn) -> None:
-        """Run a continuation; route exceptions to the run's done event."""
-        try:
-            fn()
-        except BaseException as exc:
-            self._fail(exc)
 
     # -- light lane: driven generators -------------------------------------------
     def _start_driven(self, item: Item, gen) -> None:
@@ -650,35 +718,21 @@ class _Dispatcher:
             # _run_op_body; other no-hold ops complete inline.
             return self._run_op_body(item, None, self.env.now)
         resource = item.entry[1].resource
-        request = resource.try_acquire()
-        if request is not None:
-            if lane == "inline":
-                # Inline-eligible (``register_kernel(..., inline=True)``):
-                # a plain-function kernel that never yields and always
-                # costs zero simulated seconds. The hold would last zero
-                # seconds, so claim and return the slot now — FIFO grant
-                # order is unchanged, no events are scheduled; on a busy
-                # device it queues like any other op.
-                resource.release(request)
+        if lane == "inline":
+            # Inline-eligible (``register_kernel(..., inline=True)``): a
+            # plain-function kernel that never yields and always costs
+            # zero simulated seconds. Its hold would last zero seconds, so
+            # on a free device it claims nothing — with a slot free no
+            # claim waits, so FIFO grant order is unchanged and no event
+            # is scheduled; on a busy device it queues like any other op.
+            if resource.count < resource.capacity:
                 return self._run_op_body(item, None, self.env.now)
-            return self._run_op_body(item, request, self.env.now)
-        self._queue_op(item, resource)
+        else:
+            request = resource.try_acquire()
+            if request is not None:
+                return self._run_op_body(item, request, self.env.now)
+        resource.request().callbacks.append(_Granted(self, item, self.env.now))
         return False
-
-    def _queue_op(self, item: Item, resource) -> None:
-        """Wait in the device FIFO; run the body once the slot is granted."""
-        start = self.env.now
-        request = resource.request()
-        request.callbacks.append(
-            lambda _ev: self._guard(
-                lambda: self._run_op_granted(item, request, start)
-            )
-        )
-
-    def _run_op_granted(self, item: Item, request, start: float) -> None:
-        """Continuation once a queued device request is finally granted."""
-        if self._run_op_body(item, request, start):
-            self._item_done(item)
 
     def _run_op_body(self, item: Item, request, start: float) -> bool:
         """The op's dispatch once the device slot (if any) is held.
@@ -703,8 +757,10 @@ class _Dispatcher:
                     raise InternalError(
                         f"Source {head!r} has not produced values")
                 inputs.append(produced[idx])
-            result = dispatch(item.op, inputs, state.kernel_ctx(item),
-                              item.price)
+            ctx = state._ctx_cache.get(item.device)
+            if ctx is None:
+                ctx = state.kernel_ctx(item)
+            result = dispatch(item.op, inputs, ctx, item.price)
             if isinstance(result, GeneratorType):
                 # Blocking kernel: drive it as a callback chain that
                 # inherits (and eventually releases) the held request.
@@ -723,40 +779,18 @@ class _Dispatcher:
         if seconds <= 0:
             _complete(state, item, request, outputs, start)
             return True
-
         if cost.host_bytes > 0:
-            self._run_op_on_gil(item, request, outputs, start, seconds)
+            # Host-side Python work serializes on the task's GIL.
+            gil = item.entry[0].gil
+            on_gil = _OnGil(self, item, request, outputs, start, seconds)
+            gil_req = gil.try_acquire()
+            if gil_req is not None:
+                on_gil(gil_req)
+            else:
+                gil.request().callbacks.append(on_gil)
         else:
-            state.env.timeout(seconds).callbacks.append(
-                _OpElapsed(self, item, request, outputs, start)
-            )
+            _OpTimeout(self, item, request, outputs, start, seconds)
         return False
-
-    def _run_op_on_gil(self, item: Item, request, outputs, start: float,
-                       seconds: float) -> None:
-        """Host-side Python work serializes on the task's GIL."""
-        gil = item.entry[0].gil
-        gil_req = gil.try_acquire()
-
-        def with_gil(_ev=None):
-            def work():
-                timeout = self.env.timeout(seconds)
-                timeout.callbacks.append(
-                    lambda _t: self._guard(release_and_finish)
-                )
-
-            self._guard(work)
-
-        def release_and_finish():
-            gil.release(gil_req)
-            _complete(self.state, item, request, outputs, start)
-            self._item_done(item)
-
-        if gil_req is not None:
-            with_gil()
-        else:
-            gil_req = gil.request()
-            gil_req.callbacks.append(with_gil)
 
 
 def _complete(state: ExecutionState, item: Item, request, outputs,

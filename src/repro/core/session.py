@@ -379,7 +379,6 @@ class Session:
         """
         structure, fetch_ops, fetch_tensors, slots = self._parse_fetches(fetches)
         feeds = self._validate_feeds(_normalize_feeds(feed_dict))
-        task_runtimes = self._task_runtimes()
         config = self.config
         # A plan is priced for its fed shapes (build_plan), so they are part
         # of its key, and so is every config field the build reads.
@@ -404,7 +403,9 @@ class Session:
         if plan is None:
             # A hit's fed shapes were checked when its plan was built.
             self._check_feed_shapes(feeds)
-            # Placement inputs are a miss's business: a hit builds neither.
+            # Placement inputs and the task table are a miss's business:
+            # a hit's plan was built once every task had resolved.
+            task_runtimes = self._task_runtimes()  # also fills _devices
             plan = build_plan(
                 self.graph,
                 fetch_ops,

@@ -57,6 +57,7 @@ def run_table1() -> list[dict]:
             "instances": instances,
             "gpus_per_instance": gpus_per_instance,
         })
+        machine.release()  # read off: let it die by reference count
     return rows
 
 

@@ -267,7 +267,10 @@ class Driver:
         while True:
             try:
                 if throw_exc is not None:
-                    target = gen.throw(throw_exc)
+                    try:
+                        target = gen.throw(throw_exc)
+                    finally:
+                        throw_exc = None  # its traceback holds this frame
                 else:
                     target = gen.send(send_value)
             except StopIteration as stop:
@@ -290,8 +293,15 @@ class Driver:
         if event._ok:
             self.advance(event._value, None)
         else:
+            # The error's traceback will hold this frame: keep neither the
+            # failed event nor, once thrown, the error.
             event._defused = True
-            self.advance(None, event._value)
+            exc = event._value
+            del event
+            try:
+                self.advance(None, exc)
+            finally:
+                exc = None
 
     def returned(self, value: Any) -> None:
         raise NotImplementedError
@@ -488,9 +498,20 @@ class Environment:
         for callback in callbacks:
             callback(event)
         event._processed = True
-        if not event._ok and not event._defused:
-            # Nobody handled the failure: surface it to the caller of run().
-            raise event._value
+        if not event._ok:
+            # The error's traceback may hold this frame (a callback caught
+            # it, or it is raised here): let go of the failed event and of
+            # what it ran, so that the frame closes no cycle through them.
+            exc = None if event._defused else event._value
+            if callbacks:
+                del callback
+            del event, callbacks
+            if exc is not None:
+                # Nobody handled the failure: surface it to the caller of run().
+                try:
+                    raise exc
+                finally:
+                    exc = None
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.

@@ -39,9 +39,10 @@ class MemoryPool:
                 f"OOM on {self.name}: requested {nbytes} B with "
                 f"{self.available} B free of {self.capacity} B"
             )
-        self.in_use += nbytes
+        self.in_use = in_use = self.in_use + nbytes
         self.alloc_count += 1
-        self.peak = max(self.peak, self.in_use)
+        if in_use > self.peak:
+            self.peak = in_use
         return nbytes
 
     def free(self, nbytes: int) -> None:

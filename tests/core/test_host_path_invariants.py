@@ -36,9 +36,13 @@ import repro.core.executor as executor_module
 import repro.core.partition as partition_module
 import repro.core.session as session_module
 from repro import dtypes
-from repro.apps.cg import run_cg
+from repro.apps.cg import run_cg, run_cg_single
 from repro.apps.common import build_cluster, task_device
-from repro.apps.sgd import run_sgd
+from repro.apps.fft import run_fft
+from repro.apps.matmul import run_matmul
+from repro.apps.sgd import run_sgd, run_sgd_restartable
+from repro.apps.stencil import run_stencil
+from repro.apps.stream import run_stream
 from repro.core.kernels.registry import (
     get_kernel,
     op_def,
@@ -54,6 +58,7 @@ from repro.fuzz import GeneratorOptions, generate
 from repro.simnet.cpu import CPUDevice
 from repro.simnet.events import Environment
 from repro.simnet.gpu import GPUDevice
+from repro.simnet.parameters import PARAMETERS
 
 # name -> (program, steps, float.hex(env.now) per environment in first-step
 # order, fast_path_items summed over runs, runs launched)
@@ -148,6 +153,36 @@ def test_host_path_keeps_steps_clock_and_items(name, monkeypatch):
     assert [env.now.hex() for env in envs] == clocks
     assert sum(m.fast_path_items for m in metadata) == fast_path_items
     assert len(metadata) == runs
+
+
+def test_a_light_lane_op_is_one_calendar_entry_and_one_object(monkeypatch):
+    """A light-lane op with a cost, on a free device, advances the
+    calendar's ``_seq`` by exactly one entry: its cost timeout, which is
+    also its completion record — one callback, the one completion."""
+    g = tf.Graph()
+    with g.as_default():
+        x = tf.placeholder(tf.float32, (64, 64), name="x")
+        with g.device("/gpu:0"):
+            product = tf.matmul(x, x)
+    session = tf.Session(graph=g)
+    start_op, started = executor_module._Dispatcher._start_op, []
+
+    def recording_start_op(dispatcher, item):
+        env = dispatcher.env
+        seq = env._seq
+        completed = start_op(dispatcher, item)
+        started.append((item.op.type, completed, env._seq - seq,
+                        [(type(event), list(event.callbacks))
+                         for _, _, key, event in env._queue if key > seq]))
+        return completed
+
+    monkeypatch.setattr(executor_module._Dispatcher, "_start_op",
+                        recording_start_op)
+    session.run(product, feed_dict={x: np.ones((64, 64), np.float32)})
+    ((op_type, completed, entries, pushed),) = started
+    assert (op_type, completed, entries) == ("MatMul", False, 1)
+    assert pushed == [(executor_module._OpTimeout,
+                       [executor_module._op_elapsed])]
 
 
 def _two_gpu_program(fast):
@@ -273,6 +308,26 @@ def _finite_dataset_program():
     return tf.Session(graph=g), total
 
 
+def _small_memory(monkeypatch, processor, nbytes):
+    key = f"generic-{processor}.mem_capacity"
+    monkeypatch.setitem(PARAMETERS, key,
+                        PARAMETERS[key]._replace(value=nbytes))
+
+
+def _failed_the_run_in(exc, continuation):
+    """True when ``exc`` was raised in ``continuation`` and failed the run
+    there: it was thrown where the run's caller waits
+    (``Session._execute_gen``), not raised out of the simulator. Reads
+    each frame's code only: a frame's locals snapshot would close a
+    cycle of its own."""
+    codes, tb = set(), exc.__traceback__
+    while tb is not None:
+        codes.add(tb.tb_frame.f_code)
+        tb = tb.tb_next
+    return {continuation.__code__,
+            session_module.Session._execute_gen.__code__} <= codes
+
+
 class TestNoCyclicGarbage:
     """A warm run leaves nothing for the cyclic collector.
 
@@ -301,10 +356,13 @@ class TestNoCyclicGarbage:
 
     A finished program dies by reference count too: a dropped graph, a
     closed local session (its private machine and what its calendar
-    still held), a run that ends in a caught ``OutOfRangeError``, and
-    ``fuzz_cold``'s way of running a generated program. Before ops
-    referred to their graph weakly and ``close()`` released the
-    session's own machine, the same cases left:
+    still held), a run that ends in a caught ``OutOfRangeError`` — in
+    ``Session.run``, or in ``run_gen`` past a closed queue's end — an
+    app that built its own cluster, and ``fuzz_cold``'s way of running a
+    generated program. Before ops referred to their graph weakly,
+    ``close()`` released the session's own machine, an app closed its
+    cluster and the simulator's frames let a thrown error go, the same
+    cases left:
 
     ====================================  ===========
     case                                  unreachable
@@ -315,13 +373,22 @@ class TestNoCyclicGarbage:
     closed session, 0 GPUs (both modes)   59 / 62
     closed session, 2 GPUs (both modes)   109 / 112
     run ending in OutOfRangeError         61
+    ``run_gen`` past a closed queue       200
+    app, own cluster: stream / fft        85 / 112
+    app: sgd / sgd restartable            112 / 347
+    app: cg / cg single (graph)           145 / 42
+    app: matmul / stencil                 118 / 114
     50 ``fuzz_cold`` programs             14 434
     ====================================  ===========
 
     — ``Operation.graph`` and ``Tensor.op`` naming their owners back,
     ``Machine``/``Node``/device/``Server`` back-edges, calendar entries
-    naming their ``Environment``, and a failed event holding the error
-    whose traceback holds the frames that reach the event.
+    naming their ``Environment``, a ``Saver`` and its graph's
+    ``SAVERS`` collection, and a failed event holding the error whose
+    traceback holds the frames that reach the event. A run that fails
+    in a dispatch lane — its cost timeout's callback, a device slot
+    granted after a wait, the GIL lane — leaves 0 as well; the error
+    is the run's, and its traceback passes through that lane.
     """
 
     PROGRAMS = {
@@ -459,6 +526,130 @@ class TestNoCyclicGarbage:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_a_run_gen_past_a_closed_queue_s_end_leaves_nothing_unreachable(
+            self):
+        """Enqueue, close, then dequeue past the end inside ``run_gen``,
+        as the FFT and matmul workers end. The error's traceback keeps
+        the frames that drove the failed dequeue (``Driver.advance`` and
+        ``resume``, ``Environment.step``); each lets go of the error and
+        its event once it is thrown."""
+        g = tf.Graph()
+        with g.as_default():
+            x = tf.placeholder(tf.float32, (16,), name="x")
+            queue = tf.FIFOQueue(4, [tf.float32], shapes=[(16,)])
+            enqueue, close = queue.enqueue(x), queue.close()
+            dequeue = queue.dequeue()
+        feed = {x: np.ones(16, np.float32)}
+
+        def worker(sess):
+            yield from sess.run_gen(enqueue, feed_dict=feed)
+            yield from sess.run_gen(close)
+            yield from sess.run_gen(dequeue)
+            try:
+                yield from sess.run_gen(dequeue)
+            except tf.errors.OutOfRangeError:
+                return "end of sequence"
+
+        def drain():
+            with tf.Session(graph=g) as sess:
+                env = sess.env
+                assert env.run(until=env.process(worker(sess))) == \
+                    "end of sequence"
+
+        self._assert_leaves_nothing(drain)
+
+    def test_an_op_failing_in_its_cost_timeout_leaves_nothing_unreachable(
+            self, monkeypatch):
+        """Light lane: output registration runs out of memory inside the
+        cost timeout's callback. The run fails with that error."""
+        _small_memory(monkeypatch, "gpu", 1024)
+        g = tf.Graph()
+        with g.as_default():
+            with g.device("/gpu:0"):
+                big = tf.random_uniform([1024])  # 4 KB > 1 KB
+        session = tf.Session(graph=g)
+
+        def fail():
+            try:
+                session.run(big)
+            except tf.errors.ResourceExhaustedError as exc:
+                assert _failed_the_run_in(exc, executor_module._op_elapsed)
+            else:
+                pytest.fail("the run did not fail")
+
+        self._assert_leaves_nothing(fail)
+
+    def test_a_queued_op_failing_once_granted_leaves_nothing_unreachable(
+            self):
+        """Device FIFO: ``exp`` waits for the slot a matmul holds, and its
+        kernel raises once the slot is granted. The run fails with the
+        kernel's error."""
+
+        def raising_exp(op, inputs, ctx):
+            raise tf.errors.InvalidArgumentError("planted in Exp")
+
+        with override_kernel("Exp", raising_exp):
+            g = tf.Graph()
+            with g.as_default():
+                x = tf.placeholder(tf.float32, (64, 64), name="x")
+                with g.device("/gpu:0"):
+                    fetches = [tf.matmul(x, x), tf.exp(x)]
+            session = tf.Session(graph=g)
+            feed = {x: np.ones((64, 64), np.float32)}
+
+            def fail():
+                try:
+                    session.run(fetches, feed_dict=feed)
+                except tf.errors.InvalidArgumentError as exc:
+                    assert str(exc) == "planted in Exp"
+                    assert _failed_the_run_in(
+                        exc, executor_module._Granted.__call__)
+                else:
+                    pytest.fail("the run did not fail")
+
+            self._assert_leaves_nothing(fail)
+
+    def test_a_gil_lane_op_failing_leaves_nothing_unreachable(
+            self, monkeypatch):
+        """GIL lane: two ``get_next`` ops ready at once, one holding the
+        task's GIL and one waiting for it; the first runs out of host
+        memory as it completes. The run fails with that error."""
+        _small_memory(monkeypatch, "cpu", 128)  # a row is 256 B
+        session, run = _dataset_program(True)
+
+        def fail():
+            try:
+                run()
+            except tf.errors.ResourceExhaustedError as exc:
+                assert _failed_the_run_in(
+                    exc, executor_module._OnGil.__call__)
+            else:
+                pytest.fail("the run did not fail")
+
+        self._assert_leaves_nothing(fail)
+
+    APPS = {
+        "stream": lambda _dir: run_stream(size_mb=1, iterations=2),
+        "fft": lambda _dir: run_fft(n=256, num_tiles=4, shape_only=False),
+        "sgd": lambda _dir: run_sgd(steps=2),
+        "sgd_restartable": lambda directory: run_sgd_restartable(
+            steps=2, checkpoint_every=1, checkpoint_dir=directory),
+        "cg": lambda _dir: run_cg(n=64, iterations=3, shape_only=False),
+        "cg_single": lambda _dir: run_cg_single(n=16, iterations=2,
+                                                frontend="graph"),
+        "matmul": lambda _dir: run_matmul(n=64, tile=32, num_reducers=1,
+                                          shape_only=False),
+        "stencil": lambda _dir: run_stencil(n=16, iterations=4,
+                                            check_every=2),
+    }
+
+    @pytest.mark.parametrize("app", sorted(APPS))
+    def test_an_app_s_own_cluster_leaves_nothing_unreachable(self, app,
+                                                              tmp_path):
+        """Smoke size: an app closes the cluster it built once its result
+        is assembled."""
+        self._assert_leaves_nothing(lambda: self.APPS[app](str(tmp_path)))
 
 
 class TestValueLaneCounts:

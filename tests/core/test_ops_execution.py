@@ -419,7 +419,7 @@ class TestLaneParity:
 
 class TestDispatcherContinuations:
     """The dispatcher's continuation objects (``_Driven`` for generators,
-    ``_OpElapsed`` for a cost timeout) keep the contracts of the closures
+    ``_OpTimeout`` for a cost timeout) keep the contracts of the closures
     they replaced; the reference executor is the parity oracle."""
 
     GPU = "/job:localhost/task:0/device:gpu:0"
