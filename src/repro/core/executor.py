@@ -406,7 +406,7 @@ def _legacy_launch(state: ExecutionState) -> Event:
         ))
     if state.metadata is not None:
         state.metadata.process_items += len(processes)
-    inner = AllOf(env, processes)
+    inner = _RunJoin(env, processes)
     if state.deadline_seconds is None:
         return inner
     # Run watchdog, legacy lane: mirror the fast path's per-run deadline
@@ -438,6 +438,44 @@ def _legacy_launch(state: ExecutionState) -> Event:
     inner.callbacks.append(forward)
     arm_deadline(env, timeout_s, done, expire)
     return done
+
+
+class _RunJoin(AllOf):
+    """The reference executor's run: an ``AllOf`` of every item's process
+    whose failure waits for its fallout.
+
+    Each process waiting on a failed item fails in turn, one URGENT
+    calendar entry each, at the instant of the failure. The join fails
+    after them, from a zero-delay timeout (it pops after every URGENT
+    entry of its instant), so the cascade is played by this run and not
+    by the next run on the session, and the clock does not move. Then
+    every failed process lets go of the error: the raise has it, and its
+    traceback holds their frames.
+    """
+
+    __slots__ = ("_processes", "_failing")
+
+    def __init__(self, env: Environment, processes: list):
+        self._processes = processes
+        self._failing = False
+        super().__init__(env, processes)
+
+    def _check(self, event: Event) -> None:
+        if event._ok or self.triggered:
+            AllOf._check(self, event)
+            return
+        event._defused = True
+        if not self._failing:
+            self._failing = True
+            self.env.timeout(0.0, event._value).callbacks.append(
+                self._fail_after_fallout)
+
+    def _fail_after_fallout(self, timeout: Event) -> None:
+        for process in self._processes:
+            if not process._ok:
+                process._value = None
+        self._processes = []
+        self.fail(timeout._value)
 
 
 def _legacy_dependencies(item: Item, processes: list) -> list:

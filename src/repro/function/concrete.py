@@ -71,11 +71,57 @@ def _contains_symbolic(value: Any) -> bool:
     return False
 
 
+class _Shared:
+    """What every trace of one ``@repro.function`` shares: the Python
+    function and its signature, one graph, one lazily created Session and
+    the trace-cache counters.
+
+    The TracedFunction and each of its ConcreteFunctions hold this, and
+    it holds neither of them. So no cycle runs through a traced function:
+    one that is dropped frees its graph, plans, session and any machine
+    the session built by reference count, and a ConcreteFunction still
+    runs after its TracedFunction is gone.
+    """
+
+    def __init__(self, python_function: Callable, seed: Optional[int],
+                 session_kwargs: dict):
+        self.python_function = python_function
+        # inspect.signature is costly; computed once, reused on the
+        # per-call dispatch hot path.
+        self.signature = inspect.signature(python_function)
+        self.seed = seed
+        self.session_kwargs = session_kwargs
+        self.graph: Optional[Graph] = None
+        self.session: Optional[Session] = None
+        self.cache_hits = 0
+        self.cache_misses = 0
+
+    def ensure_graph(self) -> Graph:
+        if self.graph is None:
+            self.graph = Graph(seed=self.seed)
+        return self.graph
+
+    def ensure_session(self) -> Session:
+        if self.session is None:
+            self.session = Session(graph=self.ensure_graph(),
+                                   **self.session_kwargs)
+        return self.session
+
+    def bind(self, args, kwargs):
+        return tracing.bind_arguments(
+            self.python_function, args, kwargs, signature=self.signature
+        )
+
+    def record_trace_stats(self, metadata: RunMetadata) -> None:
+        metadata.trace_cache_hits = self.cache_hits
+        metadata.trace_cache_misses = self.cache_misses
+
+
 class ConcreteFunction:
     """One trace of a Python function, executable through a Session."""
 
-    def __init__(self, parent: "TracedFunction", key, result: TraceResult):
-        self._parent = parent
+    def __init__(self, shared: _Shared, key, result: TraceResult):
+        self._shared = shared
         self._key = key
         self._result = result
         self._initialized = not result.variables
@@ -83,7 +129,7 @@ class ConcreteFunction:
     # -- introspection ------------------------------------------------------
     @property
     def graph(self) -> Graph:
-        return self._parent.graph
+        return self._shared.ensure_graph()
 
     @property
     def inputs(self) -> list[Tensor]:
@@ -109,7 +155,7 @@ class ConcreteFunction:
     # -- execution -----------------------------------------------------------
     def __call__(self, *args, options: Optional[RunOptions] = None,
                  run_metadata: Optional[RunMetadata] = None, **kwargs):
-        entries = self._parent._bind(args, kwargs)
+        entries = self._shared.bind(args, kwargs)
         leaves = [v for _, v in entries if tracing.is_tensor_like(v)]
         return self.call_flat(leaves, options=options, run_metadata=run_metadata)
 
@@ -122,7 +168,7 @@ class ConcreteFunction:
                 f"{self!r} expects {len(result.placeholders)} tensor "
                 f"arguments, got {len(leaf_values)}"
             )
-        sess = self._parent._ensure_session()
+        sess = self._shared.ensure_session()
         if not self._initialized:
             init_ops = [v.initializer for v in result.variables]
             sess.run(init_ops if len(init_ops) > 1 else init_ops[0])
@@ -140,7 +186,7 @@ class ConcreteFunction:
         if len(fetches) == 1:
             values = [values]
         if run_metadata is not None:
-            self._parent._record_trace_stats(run_metadata)
+            self._shared.record_trace_stats(run_metadata)
         return tracing.pack_outputs(
             result.structure, values[: len(result.output_tensors)]
         )
@@ -165,7 +211,6 @@ class TracedFunction:
         env=None,
         config: Optional[SessionConfig] = None,
     ):
-        self._python_function = python_function
         raw = name or getattr(python_function, "__name__", "") or "traced_fn"
         self._name = "".join(
             c if c.isalnum() or c == "_" else "_" for c in raw
@@ -179,38 +224,26 @@ class TracedFunction:
                         f"{type(spec).__name__}"
                     )
         self._input_signature = input_signature
-        self._seed = seed
-        self._target = target
-        self._machine = machine
-        self._env = env
-        self._config = config
-        self._graph: Optional[Graph] = None
-        self._session: Optional[Session] = None
+        self._shared = _Shared(python_function, seed, dict(
+            target=target, config=config, machine=machine, env=env))
         self._eager_context = None
-        # inspect.signature is costly; computed once, reused on the
-        # per-call dispatch hot path.
-        self._py_signature = inspect.signature(python_function)
         self._concrete: dict = {}
         self._trace_count = 0
-        self._cache_hits = 0
-        self._cache_misses = 0
         functools.update_wrapper(self, python_function)
 
     # -- introspection ---------------------------------------------------------
     @property
     def python_function(self) -> Callable:
-        return self._python_function
+        return self._shared.python_function
 
     @property
     def graph(self) -> Graph:
-        if self._graph is None:
-            self._graph = Graph(seed=self._seed)
-        return self._graph
+        return self._shared.ensure_graph()
 
     @property
     def session(self) -> Optional[Session]:
         """The dispatch Session, once the first traced call created it."""
-        return self._session
+        return self._shared.session
 
     @property
     def trace_count(self) -> int:
@@ -225,8 +258,8 @@ class TracedFunction:
         """Trace-cache statistics for introspection and benchmarks."""
         return {
             "traces": self._trace_count,
-            "hits": self._cache_hits,
-            "misses": self._cache_misses,
+            "hits": self._shared.cache_hits,
+            "misses": self._shared.cache_misses,
             "size": len(self._concrete),
         }
 
@@ -236,26 +269,6 @@ class TracedFunction:
         )
 
     # -- internals ------------------------------------------------------------
-    def _ensure_session(self) -> Session:
-        if self._session is None:
-            self._session = Session(
-                target=self._target,
-                graph=self.graph,
-                config=self._config,
-                machine=self._machine,
-                env=self._env,
-            )
-        return self._session
-
-    def _bind(self, args, kwargs):
-        return tracing.bind_arguments(
-            self._python_function, args, kwargs, signature=self._py_signature
-        )
-
-    def _record_trace_stats(self, metadata: RunMetadata) -> None:
-        metadata.trace_cache_hits = self._cache_hits
-        metadata.trace_cache_misses = self._cache_misses
-
     def _signature_key(self, entries) -> tuple:
         if self._input_signature is not None:
             leaves = [(n, v) for n, v in entries if tracing.is_tensor_like(v)]
@@ -280,28 +293,29 @@ class TracedFunction:
         return tuple(tracing.leaf_key(n, v) for n, v in entries)
 
     def _lookup_or_trace(self, args, kwargs, count_stats: bool):
-        entries = self._bind(args, kwargs)
+        shared = self._shared
+        entries = shared.bind(args, kwargs)
         key = self._signature_key(entries)
         concrete = self._concrete.get(key)
         if concrete is not None:
             if count_stats:
-                self._cache_hits += 1
+                shared.cache_hits += 1
             return concrete, entries
         if count_stats:
-            self._cache_misses += 1
+            shared.cache_misses += 1
         result = tracing.trace(
-            self._python_function,
-            self.graph,
+            shared.python_function,
+            shared.ensure_graph(),
             self._name,
             args,
             kwargs,
             entries=entries,
             specs=self._input_signature,
             owner=self,
-            signature=self._py_signature,
+            signature=shared.signature,
         )
         self._trace_count += 1
-        concrete = ConcreteFunction(self, key, result)
+        concrete = ConcreteFunction(shared, key, result)
         self._concrete[key] = concrete
         return concrete, entries
 
@@ -309,15 +323,16 @@ class TracedFunction:
         """Trace into a throwaway graph and interpret it immediately."""
         from repro import eager
 
+        shared = self._shared
         if self._eager_context is None:
-            self._eager_context = eager.EagerContext(seed=self._seed)
+            self._eager_context = eager.EagerContext(seed=shared.seed)
         ctx = self._eager_context
-        graph = Graph(seed=self._seed)
-        entries = self._bind(args, kwargs)
+        graph = Graph(seed=shared.seed)
+        entries = shared.bind(args, kwargs)
         result = tracing.trace(
-            self._python_function, graph, self._name, args, kwargs,
+            shared.python_function, graph, self._name, args, kwargs,
             entries=entries, specs=self._input_signature, owner=self,
-            signature=self._py_signature,
+            signature=shared.signature,
         )
         leaves = [v for _, v in entries if tracing.is_tensor_like(v)]
         feeds = {
@@ -339,7 +354,7 @@ class TracedFunction:
         fetches = list(result.output_tensors) + list(result.side_effect_ops)
         values = eager.evaluate(fetches, feeds, kernel_ctx)
         if run_metadata is not None:
-            self._record_trace_stats(run_metadata)
+            shared.record_trace_stats(run_metadata)
         return tracing.pack_outputs(
             result.structure, values[: len(result.output_tensors)]
         )
@@ -358,12 +373,12 @@ class TracedFunction:
         run_metadata = kwargs.pop("run_metadata", None)
         if tracing.is_tracing() or _contains_symbolic(args) or _contains_symbolic(kwargs):
             # Inline: ops land in the graph currently under construction.
-            return self._python_function(*args, **kwargs)
+            return self._shared.python_function(*args, **kwargs)
         if _RUN_EAGERLY:
             return self._call_eagerly(args, kwargs, run_metadata=run_metadata)
         concrete, entries = self._lookup_or_trace(args, kwargs, count_stats=True)
         if run_metadata is not None:
-            self._record_trace_stats(run_metadata)
+            self._shared.record_trace_stats(run_metadata)
         leaves = [v for _, v in entries if tracing.is_tensor_like(v)]
         return concrete.call_flat(
             leaves, options=options, run_metadata=run_metadata

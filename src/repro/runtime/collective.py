@@ -22,7 +22,7 @@ halves that never meet:
 
 :func:`run_collective` joins the two and is the one driver of a round
 list: each round starts its transfers, waits for all of them on one
-value-free ``AllDone`` join, then spends the slowest rank's local math.
+value-free ``AllOf`` join, then spends the slowest rank's local math.
 A transfer is driven by callback, not spawned as a process, yet pushes
 the two calendar entries a process would (start and exit), so the
 calendar's steps and same-instant order are a process's. The lowered
@@ -70,7 +70,7 @@ from repro import dtypes
 from repro.core.tensor import SymbolicValue, value_nbytes
 from repro.errors import InvalidArgumentError
 from repro.simnet import transports
-from repro.simnet.events import AllDone, Driver, Environment, Event, Initialize
+from repro.simnet.events import AllOf, Driver, Environment, Event, Initialize
 from repro.simnet.parameters import PARAMETERS
 
 __all__ = [
@@ -300,7 +300,7 @@ class _Transfer(Driver, Event):
     Built, it pushes an URGENT start entry (the ``Initialize`` a process
     pushed) that runs the generator to its first yield; finished, it
     triggers itself with the generator's outcome — the URGENT exit entry
-    a process pushed — so the round's ``AllDone`` joins it as it joined a
+    a process pushed — so the round's ``AllOf`` joins it as it joined a
     process.
     """
 
@@ -332,7 +332,7 @@ def run_collective(
     Computes the per-rank results with :func:`collective_values`, then
     plays the ``(op_type, algorithm)`` schedule's rounds on the simulated
     clock: all of a round's transfers concurrently, joined by one
-    ``AllDone``, then its local math at the slowest rank's NumPy rate
+    ``AllOf``, then its local math at the slowest rank's NumPy rate
     (every rank adds at once, so the last to finish gates the step).
 
     Args:
@@ -354,7 +354,7 @@ def run_collective(
     env = devices[0].env
     rate = min(d.node.cpu.model.numpy_bytes_rate for d in devices)
     for sends, local_bytes in rounds:
-        yield AllDone(env, [
+        yield AllOf(env, [
             _Transfer(env, transports.transfer(devices[src], devices[dst],
                                                nbytes, protocol))
             for src, dst, _chunk, nbytes in sends

@@ -8,7 +8,6 @@ sizes are in **bytes** unless a name says otherwise.
 
 from repro.simnet.events import (
     AllOf,
-    AnyOf,
     Environment,
     Event,
     Interrupt,
@@ -30,7 +29,6 @@ __all__ = [
     "Timeout",
     "Process",
     "AllOf",
-    "AnyOf",
     "Interrupt",
     "Resource",
     "Store",

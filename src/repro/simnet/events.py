@@ -7,10 +7,10 @@ event calendar. Determinism is guaranteed by breaking ties on
 produce identical schedules — essential for reproducible benchmarks.
 
 Only the features the runtime needs are implemented: timeouts, generic
-events, process events, ``AllOf``/``AnyOf`` conditions and the value-free
-``AllDone`` join, interrupts, generators driven by callback without a
-process (:class:`Driver`) and deadline timers that leave the calendar once
-their watched event fired (:func:`arm_deadline`).
+events, process events, the value-free ``AllOf`` join, interrupts,
+generators driven by callback without a process (:class:`Driver`) and
+deadline timers that leave the calendar once their watched event fired
+(:func:`arm_deadline`).
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ __all__ = [
     "Process",
     "Driver",
     "AllOf",
-    "AllDone",
-    "AnyOf",
     "Interrupt",
     "arm_deadline",
     "URGENT",
@@ -206,9 +204,16 @@ class Process(Event):
                     next_target = self._generator.send(event._value)
                 else:
                     # The event failed: throw into the generator so it can
-                    # handle (or propagate) the failure.
+                    # handle (or propagate) the failure. The error's
+                    # traceback will hold this frame: keep neither the
+                    # failed event nor, once thrown, the error.
                     event._defused = True
-                    next_target = self._generator.throw(event._value)
+                    exc = event._value
+                    del event
+                    try:
+                        next_target = self._generator.throw(exc)
+                    finally:
+                        exc = None
             except StopIteration as stop:
                 self._ok = True
                 self._value = stop.value
@@ -310,21 +315,24 @@ class Driver:
         raise NotImplementedError
 
 
-class Condition(Event):
-    """Waits for a quorum of child events (basis of AllOf / AnyOf)."""
+class AllOf(Event):
+    """A join: triggers, with the value ``None``, once every child event
+    has been processed successfully, and fails with the first child that
+    fails. Nobody reads which child carried what (a transfer's concurrent
+    hops, a collective round, a reference-executor item's producers), so
+    it keeps no children and builds no value."""
 
-    __slots__ = ("_events", "_count_needed", "_count_done")
+    __slots__ = ("_left",)
 
-    def __init__(self, env: "Environment", events: Iterable[Event], need_all: bool):
+    def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
-        self._events = children = list(events)
+        children = list(events)
         for ev in children:
             if ev.env is not env:
-                raise RuntimeError("Conditions span a single environment")
-        self._count_needed = len(children) if need_all else min(1, len(children))
-        self._count_done = 0
-        if self._count_needed == 0:
-            self.succeed(self._collect())
+                raise RuntimeError("An AllOf spans a single environment")
+        self._left = len(children)
+        if not children:
+            self.succeed()
             return
         check = self._check
         for ev in children:
@@ -335,19 +343,9 @@ class Condition(Event):
             else:
                 ev.callbacks.append(check)
 
-    def _collect(self) -> dict[Event, Any]:
-        # Only *processed* events count: Timeouts carry their value from
-        # creation, so `triggered` alone would leak future outcomes. (The
-        # slot tests stand in for the properties: this runs per join.)
-        return {
-            ev: ev._value
-            for ev in self._events
-            if ev._value is not _PENDING and ev._ok and ev.callbacks is None
-        }
-
     def _check(self, event: Event) -> None:
         if not event._ok:
-            # Always defuse: a child failing after the condition has already
+            # Always defuse: a child failing after the join has already
             # triggered (e.g. a cascade of dependent process failures) must
             # not crash the simulation loop.
             event._defused = True
@@ -356,38 +354,9 @@ class Condition(Event):
         if not event._ok:
             self.fail(event._value)
             return
-        self._count_done += 1
-        if self._count_done >= self._count_needed:
-            self.succeed(self._collect())
-
-
-class AllOf(Condition):
-    """Triggers once every child event has triggered successfully."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, events, need_all=True)
-
-
-class AllDone(AllOf):
-    """An :class:`AllOf` whose value is ``None``: a join whose value
-    nobody reads (a transfer's concurrent hops, a collective round) builds
-    no ``{event: value}`` dict. It fails, and defuses, as ``AllOf`` does."""
-
-    __slots__ = ()
-
-    def _collect(self) -> None:
-        return None
-
-
-class AnyOf(Condition):
-    """Triggers as soon as any child event triggers."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, events, need_all=False)
+        self._left -= 1
+        if not self._left:
+            self.succeed()
 
 
 def arm_deadline(env: "Environment", delay: float, watched: Event,

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.core.tensor import SymbolicValue
 from repro.errors import AlreadyExistsError, NotFoundError
-from repro.simnet.events import AllDone, Environment
+from repro.simnet.events import AllOf, Environment
 from repro.simnet.resources import BandwidthLink
 
 __all__ = ["SimFileSystem"]
@@ -118,4 +118,4 @@ class SimFileSystem:
         ]
         if node is not None:
             events.append(node.nic_link.transfer(nbytes))
-        yield AllDone(self.env, events)
+        yield AllOf(self.env, events)

@@ -1,4 +1,5 @@
-"""Machine catalogs: the paper's two evaluation systems plus a localhost.
+"""Machine catalogs: the paper's two evaluation systems, and a localhost
+built from one of their nodes.
 
 The catalogs encode Section V and Table I of the paper:
 
@@ -10,6 +11,10 @@ Tegner     K80          1 K80 board 2                    1 GK210 (12 GB)
 Kebnekaise K80          2 K80 board 4                    1 GK210 (12 GB)
 Kebnekaise V100         2 V100      2                    1 V100 (16 GB)
 ========== ============ =========== ==================== =================
+
+:func:`localhost` backs every Session built without a cluster. It is a
+Kebnekaise V100 node's parts with a free GPU count, so no part of it is
+outside the paper's machines.
 """
 
 from __future__ import annotations
@@ -206,14 +211,21 @@ def kebnekaise(env: Environment, k80_nodes: int = 0, v100_nodes: int = 0) -> Mac
 
 
 def localhost(env: Environment, num_gpus: int = 1) -> Machine:
-    """A single-node machine backing plain local sessions: ``num_gpus``
-    generic GPUs."""
-    machine = Machine(env, name="localhost",
-                      fabric=model(Interconnect, "1GbE"))
+    """The single-node machine behind a plain local session: one
+    Kebnekaise V100 node's parts (two E5-2690v4 sockets, FDR InfiniBand,
+    Kebnekaise's Lustre) with ``num_gpus`` 16 GB V100s.
+
+    Every part is one a paper row runs on, so a local clock reads only
+    entries the paper's machines read too. The machine carries
+    Kebnekaise's name, which selects its Lustre entries; the node is
+    ``localhost``, one TensorFlow instance (Table I's ``localhost`` row).
+    """
+    machine = Machine(env, name="kebnekaise",
+                      fabric=model(Interconnect, "FDR InfiniBand"))
     machine.add_node(
         "localhost",
-        cpu_model=model(CPUModel, "generic-cpu"),
-        gpu_models=[model(GPUModel, "generic-gpu")] * num_gpus,
+        cpu_model=model(CPUModel, "2xE5-2690v4"),
+        gpu_models=[model(GPUModel, "V100")] * num_gpus,
         gpu_numa=[0] * num_gpus,
         node_type="localhost",
     )

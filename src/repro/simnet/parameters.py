@@ -24,6 +24,8 @@ import dataclasses
 import functools
 from typing import Any, Callable, NamedTuple, TypeVar
 
+from repro.errors import NotFoundError
+
 __all__ = ["Parameter", "PARAMETERS", "UNITS", "model", "unit"]
 
 
@@ -73,17 +75,6 @@ PARAMETERS: dict[str, Parameter] = {
     "V100.fft_efficiency": _P(0.10, UNVALIDATED),
     "V100.default_efficiency": _P(0.50, UNVALIDATED),
     "V100.mem_efficiency": _P(0.75, UNVALIDATED),
-    # A fast laptop-ish GPU for local sessions outside any machine catalog.
-    "generic-gpu.peak_sp_flops": _P(5000.0e9, UNVALIDATED),
-    "generic-gpu.peak_dp_flops": _P(2500.0e9, UNVALIDATED),
-    "generic-gpu.mem_bandwidth": _P(400.0e9, UNVALIDATED),
-    "generic-gpu.mem_capacity": _P(8 * 1024**3, UNVALIDATED),
-    "generic-gpu.pcie_rate": _P(8.0e9, UNVALIDATED),
-    "generic-gpu.launch_overhead": _P(10e-6, UNVALIDATED),
-    "generic-gpu.matmul_efficiency": _P(0.70, UNVALIDATED),
-    "generic-gpu.fft_efficiency": _P(0.10, UNVALIDATED),
-    "generic-gpu.default_efficiency": _P(0.50, UNVALIDATED),
-    "generic-gpu.mem_efficiency": _P(0.75, UNVALIDATED),
     # ---- Host CPUs, per node: Tegner's dual E5-2690v3 (2x12 cores,
     # 512 GB), Kebnekaise's dual E5-2690v4 (2x14 cores, 128 GB) ----------
     "2xE5-2690v3.cores": _P(24, VENDOR),
@@ -103,14 +94,6 @@ PARAMETERS: dict[str, Parameter] = {
     "2xE5-2690v4.python_bytes_rate": _P(0.9e9, UNVALIDATED),
     "2xE5-2690v4.numpy_bytes_rate": _P(4.5e9, UNVALIDATED),
     "2xE5-2690v4.dispatch_overhead": _P(25e-6, UNVALIDATED),
-    "generic-cpu.cores": _P(8, UNVALIDATED),
-    "generic-cpu.sustained_flops": _P(150.0e9, UNVALIDATED),
-    "generic-cpu.mem_bandwidth": _P(50.0e9, UNVALIDATED),
-    "generic-cpu.mem_capacity": _P(32 * 1024**3, UNVALIDATED),
-    "generic-cpu.serialize_rate": _P(1.5e9, UNVALIDATED),
-    "generic-cpu.python_bytes_rate": _P(1.0e9, UNVALIDATED),
-    "generic-cpu.numpy_bytes_rate": _P(4.0e9, UNVALIDATED),
-    "generic-cpu.dispatch_overhead": _P(10e-6, UNVALIDATED),
     # ---- Fabrics: theoretical port rates; efficiency is the sustained
     # fraction for native verbs, ip_efficiency for IPoIB ------------------
     "EDR InfiniBand.port_rate": _P(12.0e9, "paper:stream/tegner/theoretical"),
@@ -138,8 +121,6 @@ PARAMETERS: dict[str, Parameter] = {
     "tegner.lustre_client_rate": _P(1.1e9, UNVALIDATED),
     "kebnekaise.lustre_rate": _P(16.0e9, UNVALIDATED),
     "kebnekaise.lustre_client_rate": _P(1.0e9, UNVALIDATED),
-    "localhost.lustre_rate": _P(2.0e9, UNVALIDATED),
-    "localhost.lustre_client_rate": _P(2.0e9, UNVALIDATED),
     # ---- Outside simnet ----------------------------------------------------
     # ``algorithm="auto"``'s fixed per-round cost, in bytes a link moves
     # in one round trip (~6 us verbs setup x ~8 GB/s effective EDR).
@@ -167,7 +148,11 @@ def _keys(cls: Any, part: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
     entry, and their keys (a plant changes values, never keys)."""
     pairs = [(field.name, f"{part}.{field.name}")
              for field in dataclasses.fields(cls)[1:]]
-    fields, keys = zip(*[pair for pair in pairs if pair[1] in PARAMETERS])
+    found = [pair for pair in pairs if pair[1] in PARAMETERS]
+    if not found:
+        raise NotFoundError(
+            f"No {cls.__name__} part named {part!r} in the parameter table")
+    fields, keys = zip(*found)
     return fields, keys
 
 

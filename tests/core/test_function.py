@@ -1,5 +1,7 @@
 """The ``@repro.function`` trace-to-graph frontend."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,24 @@ class TestConcreteFunction:
         mul(a, a)
         assert mul.trace_count == 1
         assert mul.concrete_functions == [cf]
+
+    def test_a_concrete_function_outlives_its_traced_function(self):
+        """A ConcreteFunction holds what its traces share, not the
+        TracedFunction that caches it: no cycle joins the two, so the
+        TracedFunction goes by reference count and the trace still runs
+        in the shared graph and session."""
+        def mul(a, b):
+            return tf.matmul(a, b)
+
+        traced = tf.function(mul)
+        a = np.eye(2, dtype=np.float64)
+        cf = traced.get_concrete_function(a, a)
+        graph = traced.graph
+        gone = weakref.ref(traced)
+        del traced
+        assert gone() is None
+        np.testing.assert_array_equal(cf(a, 2 * a), 2 * a)
+        assert cf.graph is graph
 
     def test_structured_outputs_are_symbolic(self):
         @tf.function

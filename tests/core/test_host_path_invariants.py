@@ -58,7 +58,6 @@ from repro.fuzz import GeneratorOptions, generate
 from repro.simnet.cpu import CPUDevice
 from repro.simnet.events import Environment
 from repro.simnet.gpu import GPUDevice
-from repro.simnet.parameters import PARAMETERS
 
 # name -> (program, steps, float.hex(env.now) per environment in first-step
 # order, fast_path_items summed over runs, runs launched)
@@ -298,20 +297,24 @@ def _collective_graph():
         tf.all_reduce([ph * 2.0 for ph in phs])
 
 
-def _finite_dataset_program():
+def _finite_dataset_program(fast=True):
     """Four rows, one ``get_next`` a run: the fifth run ends the sequence."""
     g = tf.Graph()
     with g.as_default():
         rows = np.arange(64, dtype=np.float32).reshape(4, 16)
         iterator = Dataset.from_tensor_slices(rows).make_one_shot_iterator()
         total = tf.reduce_sum(iterator.get_next())
-    return tf.Session(graph=g), total
+    config = tf.SessionConfig(executor_fast_path=fast)
+    return tf.Session(graph=g, config=config), total
 
 
-def _small_memory(monkeypatch, processor, nbytes):
-    key = f"generic-{processor}.mem_capacity"
-    monkeypatch.setitem(PARAMETERS, key,
-                        PARAMETERS[key]._replace(value=nbytes))
+def _frames(exc):
+    """The frames ``exc`` passed through, below the one that caught it."""
+    frames, tb = [], exc.__traceback__.tb_next
+    while tb is not None:
+        frames.append(tb.tb_frame)
+        tb = tb.tb_next
+    return frames
 
 
 def _failed_the_run_in(exc, continuation):
@@ -361,7 +364,8 @@ class TestNoCyclicGarbage:
     app that built its own cluster, and ``fuzz_cold``'s way of running a
     generated program. Before ops referred to their graph weakly,
     ``close()`` released the session's own machine, an app closed its
-    cluster and the simulator's frames let a thrown error go, the same
+    cluster, the simulator's frames let a thrown error go and a
+    ``ConcreteFunction`` stopped naming its ``TracedFunction``, the same
     cases left:
 
     ====================================  ===========
@@ -377,6 +381,7 @@ class TestNoCyclicGarbage:
     app, own cluster: stream / fft        85 / 112
     app: sgd / sgd restartable            112 / 347
     app: cg / cg single (graph)           145 / 42
+    app, ``@repro.function``: sgd / cg    786 / 365
     app: matmul / stencil                 118 / 114
     50 ``fuzz_cold`` programs             14 434
     ====================================  ===========
@@ -384,11 +389,14 @@ class TestNoCyclicGarbage:
     — ``Operation.graph`` and ``Tensor.op`` naming their owners back,
     ``Machine``/``Node``/device/``Server`` back-edges, calendar entries
     naming their ``Environment``, a ``Saver`` and its graph's
-    ``SAVERS`` collection, and a failed event holding the error whose
-    traceback holds the frames that reach the event. A run that fails
-    in a dispatch lane — its cost timeout's callback, a device slot
-    granted after a wait, the GIL lane — leaves 0 as well; the error
-    is the run's, and its traceback passes through that lane.
+    ``SAVERS`` collection, a failed event holding the error whose
+    traceback holds the frames that reach the event, and a
+    ``ConcreteFunction`` naming the ``TracedFunction`` that caches it.
+    A run that fails in a dispatch lane — its cost timeout's callback,
+    a device slot granted after a wait, the GIL lane — leaves 0 as
+    well; the error is the run's, and its traceback passes through that
+    lane. So does a failed run on the reference executor, which ends
+    after its processes' failure cascade.
     """
 
     PROGRAMS = {
@@ -472,10 +480,7 @@ class TestNoCyclicGarbage:
 
     def test_a_run_ending_in_out_of_range_leaves_nothing_unreachable(self):
         """The error's traceback keeps the frames that reached the
-        events carrying it; those events let it go once it is raised.
-        (The reference executor is not covered: its items' processes
-        each fail with the same error, and the cascade outlives the
-        run.)"""
+        events carrying it; those events let it go once it is raised."""
         session, total = _finite_dataset_program()
 
         def exhaust():
@@ -484,6 +489,41 @@ class TestNoCyclicGarbage:
 
         for _ in range(4):
             session.run(total)
+        self._assert_leaves_nothing(exhaust)
+
+    def test_a_reference_run_plays_its_own_failure_fallout(self):
+        """Reference executor: the processes waiting on the failed item
+        fail in turn, at the instant of the failure, and the run ends
+        after that cascade, not before it. So the next run plays none of
+        it: the first error's traceback stays as it was raised (it used
+        to gain the cascade's frames there), the second error holds no
+        frame of the first run, and each run ends at the dispatcher's
+        instant."""
+        clocks = {}
+        for fast in (True, False):
+            session, total = _finite_dataset_program(fast)
+            for _ in range(4):
+                session.run(total)
+            errors = []
+            for _ in range(2):
+                with pytest.raises(tf.errors.OutOfRangeError) as caught:
+                    session.run(total)
+                errors.append((caught.value, len(_frames(caught.value))))
+            clocks[fast] = session.env.now
+        (first, raised_with), (second, _) = errors
+        assert len(_frames(first)) == raised_with
+        assert not {id(f) for f in _frames(first)} & {
+            id(f) for f in _frames(second)}
+        assert clocks[False] == clocks[True]
+
+        session, total = _finite_dataset_program(False)
+        for _ in range(4):
+            session.run(total)
+
+        def exhaust():
+            with pytest.raises(tf.errors.OutOfRangeError):
+                session.run(total)
+
         self._assert_leaves_nothing(exhaust)
 
     def test_fuzz_cold_programs_leave_nothing_unreachable(self):
@@ -560,10 +600,10 @@ class TestNoCyclicGarbage:
         self._assert_leaves_nothing(drain)
 
     def test_an_op_failing_in_its_cost_timeout_leaves_nothing_unreachable(
-            self, monkeypatch):
+            self, small_memory):
         """Light lane: output registration runs out of memory inside the
         cost timeout's callback. The run fails with that error."""
-        _small_memory(monkeypatch, "gpu", 1024)
+        small_memory("gpu", 1024)
         g = tf.Graph()
         with g.as_default():
             with g.device("/gpu:0"):
@@ -611,11 +651,11 @@ class TestNoCyclicGarbage:
             self._assert_leaves_nothing(fail)
 
     def test_a_gil_lane_op_failing_leaves_nothing_unreachable(
-            self, monkeypatch):
+            self, small_memory):
         """GIL lane: two ``get_next`` ops ready at once, one holding the
         task's GIL and one waiting for it; the first runs out of host
         memory as it completes. The run fails with that error."""
-        _small_memory(monkeypatch, "cpu", 128)  # a row is 256 B
+        small_memory("cpu", 128)  # a row is 256 B
         session, run = _dataset_program(True)
 
         def fail():
@@ -633,11 +673,14 @@ class TestNoCyclicGarbage:
         "stream": lambda _dir: run_stream(size_mb=1, iterations=2),
         "fft": lambda _dir: run_fft(n=256, num_tiles=4, shape_only=False),
         "sgd": lambda _dir: run_sgd(steps=2),
+        "sgd_function": lambda _dir: run_sgd(steps=2, frontend="function"),
         "sgd_restartable": lambda directory: run_sgd_restartable(
             steps=2, checkpoint_every=1, checkpoint_dir=directory),
         "cg": lambda _dir: run_cg(n=64, iterations=3, shape_only=False),
         "cg_single": lambda _dir: run_cg_single(n=16, iterations=2,
                                                 frontend="graph"),
+        "cg_single_function": lambda _dir: run_cg_single(
+            n=16, iterations=2, frontend="function"),
         "matmul": lambda _dir: run_matmul(n=64, tile=32, num_reducers=1,
                                           shape_only=False),
         "stencil": lambda _dir: run_stencil(n=16, iterations=4,

@@ -13,7 +13,6 @@ from repro.core.kernels.registry import KernelContext, ResourceManager, override
 from repro.core.tensor import SymbolicValue, value_nbytes
 from repro.eager import EagerContext, evaluate
 from repro.errors import FailedPreconditionError, InvalidArgumentError
-from repro.simnet.parameters import PARAMETERS
 
 
 def run_op(build, shape_only=False, seed=7):
@@ -493,14 +492,12 @@ class TestDispatcherContinuations:
     @pytest.mark.parametrize("fast", [True, False],
                              ids=["fast-path", "reference"])
     def test_error_after_the_cost_timeout_fails_the_run_only(self, fast,
-                                                             monkeypatch):
+                                                             small_memory):
         """Output registration runs out of memory inside the timeout's
         continuation: the error is that run's (thrown where its caller
         waits), never raised out of ``Environment.step``; the slot and
         the memory come back and the session stays usable."""
-        monkeypatch.setitem(PARAMETERS, "generic-gpu.mem_capacity",
-                            PARAMETERS["generic-gpu.mem_capacity"]._replace(
-                                value=1024))
+        small_memory("gpu", 1024)
         g = tf.Graph()
         with g.as_default():
             with g.device("/gpu:0"):

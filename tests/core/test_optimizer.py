@@ -14,7 +14,6 @@ from repro.core.partition import build_plan
 
 from repro.core.placement import Placer
 from repro.errors import InvalidArgumentError
-from repro.simnet.parameters import PARAMETERS
 
 
 def make_placer(gpus: int = 1):
@@ -443,10 +442,8 @@ class TestExecutorFastPath:
             with pytest.raises(InvalidArgumentError, match="feed"):
                 sess.run(y)
 
-    def test_oom_still_raised_with_fast_path(self, monkeypatch):
-        monkeypatch.setitem(PARAMETERS, "generic-gpu.mem_capacity",
-                            PARAMETERS["generic-gpu.mem_capacity"]._replace(
-                                value=1024))
+    def test_oom_still_raised_with_fast_path(self, small_memory):
+        small_memory("gpu", 1024)
         g = tf.Graph()
         with g.as_default():
             with g.device("/gpu:0"):

@@ -16,7 +16,6 @@ from repro.core.tensor import TensorShape
 from repro.errors import InvalidArgumentError, NotFoundError
 from repro.simnet.events import Environment
 from repro.simnet.machines import Machine, localhost, tegner
-from repro.simnet.parameters import PARAMETERS
 
 
 class TestFetches:
@@ -282,10 +281,8 @@ class TestRunMetadata:
 
 
 class TestMemoryAccounting:
-    def test_oom_on_tiny_gpu(self, monkeypatch):
-        monkeypatch.setitem(PARAMETERS, "generic-gpu.mem_capacity",
-                            PARAMETERS["generic-gpu.mem_capacity"]._replace(
-                                value=1024))
+    def test_oom_on_tiny_gpu(self, small_memory):
+        small_memory("gpu", 1024)
         g = tf.Graph()
         with g.as_default():
             with g.device("/gpu:0"):
@@ -432,7 +429,7 @@ class TestWarmRuns:
         # The plan for these fed shapes prices `sq` but cannot price `ab`:
         # its shape function rejects them. So `ab` and everything after it
         # keep the run-time path, and the run fails from `ab`, after `sq`
-        # ran, with the message and at the instant it always had.
+        # ran, with its message, at the same instant on every lane.
         g = tf.Graph()
         with g.as_default():
             a = tf.placeholder(tf.float32, [None, None], name="a")
@@ -443,7 +440,7 @@ class TestWarmRuns:
             executor_fast_path=fast, graph_optimization=optimize))
         sess.run(out, feed_dict={a: np.ones((2, 3), np.float32),
                                  b: np.ones((3, 4), np.float32)})
-        assert sess.env.now.hex() == "0x1.1b1ed7131c467p-12"
+        assert sess.env.now.hex() == "0x1.14d3e7c0387fdp-12"
         bad = {a: np.ones((64, 48), np.float32),
                b: np.ones((64, 48), np.float32)}
         with pytest.raises(InvalidArgumentError) as caught:
@@ -451,7 +448,7 @@ class TestWarmRuns:
         assert str(caught.value) == (
             "MatMul operand shapes [(64, 48), (64, 48)]: matmul inner "
             "dimensions disagree: 48 vs 64 [op: ab]")
-        assert sess.env.now.hex() == "0x1.10acd8e10c2fdp-11"
+        assert sess.env.now.hex() == "0x1.0c74d5fd97686p-11"
         plan = sess._prepare_run(out, bad).plan
         assert {item.op.name: item.price is not None for item in plan.items
                 if item.kind == "op"} == {"sq": True, "ab": False,

@@ -55,8 +55,6 @@ NOTES = {
     "1GbE.latency":
         "misrouted: _staged_transfer charges machine.fabric.latency (EDR's "
         "on Tegner) on Tegner's Ethernet gRPC path",
-    "generic-cpu.serialize_rate":
-        "localhost has one node, so nothing serializes; CPUModel needs a value",
 }
 
 

@@ -3,9 +3,7 @@
 import pytest
 
 from repro.simnet.events import (
-    AllDone,
     AllOf,
-    AnyOf,
     Environment,
     Interrupt,
     Timeout,
@@ -191,38 +189,28 @@ class TestEvents:
             env.run()
 
 
-class TestConditions:
-    def test_all_of_waits_for_slowest(self, env):
+class TestAllOf:
+    """The one join: the value ``None``, at the slowest child."""
+
+    def test_succeeds_with_none_at_the_slowest_child(self, env):
         def proc():
-            t1 = env.timeout(1.0, value="fast")
-            t2 = env.timeout(5.0, value="slow")
-            results = yield AllOf(env, [t1, t2])
-            return sorted(results.values())
+            got = yield AllOf(env, [env.timeout(1.0, "x"),
+                                    env.timeout(4.0, "y")])
+            return got, env.now
 
         p = env.process(proc())
-        assert env.run(until=p) == ["fast", "slow"]
-        assert env.now == 5.0
+        assert env.run(until=p) == (None, 4.0)
 
-    def test_any_of_returns_at_fastest(self, env):
-        def proc():
-            t1 = env.timeout(1.0, value="fast")
-            t2 = env.timeout(5.0, value="slow")
-            results = yield AnyOf(env, [t1, t2])
-            return list(results.values())
+    def test_empty_and_already_processed_children(self, env):
+        done = env.timeout(0.0, "z")
+        env.run()
+        assert AllOf(env, []).value is None
+        join = AllOf(env, [done])
+        assert join.triggered and join.value is None
+        env.run()
+        assert join.processed
 
-        p = env.process(proc())
-        assert env.run(until=p) == ["fast"]
-        assert env.now == 1.0
-
-    def test_empty_all_of_triggers_immediately(self, env):
-        def proc():
-            result = yield AllOf(env, [])
-            return result
-
-        p = env.process(proc())
-        assert env.run(until=p) == {}
-
-    def test_all_of_fails_if_child_fails(self, env):
+    def test_fails_if_a_child_fails(self, env):
         def failing():
             yield env.timeout(1.0)
             raise RuntimeError("child died")
@@ -235,66 +223,14 @@ class TestConditions:
         p = env.process(proc())
         assert env.run(until=p) == 1.0
 
-    def test_all_of_and_any_of_values_are_dicts_of_processed_children(
-            self, env):
-        t1 = env.timeout(1.0, value="a")
-        t2 = env.timeout(2.0, value="b")
-        slow = env.timeout(3.0, value="c")
-        both, first = AllOf(env, [t1, t2]), AnyOf(env, [t1, slow])
-        env.run()
-        assert both.value == {t1: "a", t2: "b"}
-        # `slow` had its value from creation but was not processed yet.
-        assert first.value == {t1: "a"}
-
-
-class TestAllDone:
-    """The value-free join: ``AllOf``'s timing and failure, no dict."""
-
-    def test_succeeds_with_none_at_the_slowest_child(self, env):
-        def proc():
-            got = yield AllDone(env, [env.timeout(1.0, "x"),
-                                      env.timeout(4.0, "y")])
-            return got, env.now
-
-        p = env.process(proc())
-        assert env.run(until=p) == (None, 4.0)
-
-    def test_empty_and_already_processed_children(self, env):
-        done = env.timeout(0.0, "z")
-        env.run()
-        assert AllDone(env, []).value is None
-        join = AllDone(env, [done])
-        assert join.triggered and join.value is None
-        env.run()
-        assert join.processed
-
-    def test_pops_as_all_of_does(self):
-        """Same children, same calendar: steps and the join's time."""
-        def play(cls):
-            env = Environment()
-            join = cls(env, [env.timeout(0.5), env.timeout(0.25),
-                             env.process(two_hops(env))])
-            steps = 0
-            while env._queue:
-                env.step()
-                steps += 1
-            return steps, env._seq, join.processed, env.now
-
-        def two_hops(env):
-            yield env.timeout(0.1)
-            yield env.timeout(0.1)
-
-        assert play(AllDone) == play(AllOf)
-
-    @pytest.mark.parametrize("cls", [AllOf, AllDone])
-    def test_fails_and_defuses_as_all_of_does(self, env, cls):
+    def test_fails_and_defuses_every_failing_child(self, env):
         def failing(delay, message):
             yield env.timeout(delay)
             raise RuntimeError(message)
 
         first = env.process(failing(1.0, "first"))
         later = env.process(failing(2.0, "later"))
-        join = cls(env, [first, env.timeout(5.0), later])
+        join = AllOf(env, [first, env.timeout(5.0), later])
         caught = []
 
         def waiter():
@@ -368,7 +304,7 @@ class TestCalendarOrder:
         ("0x1.999999999999ap-3", 1, 7, "Timeout"),
         ("0x1.0000000000000p-2", 1, 8, "Timeout"),
         ("0x1.3333333333333p-2", 1, 1, "Timeout"),
-        ("0x1.3333333333333p-2", 0, 13, "AnyOf"),
+        ("0x1.3333333333333p-2", 0, 13, "Event"),
         ("0x1.ccccccccccccdp-2", 1, 9, "Timeout"),
         ("0x1.ccccccccccccdp-2", 0, 15, "Event"),
         ("0x1.ccccccccccccdp-2", 0, 16, "Process"),
@@ -409,10 +345,17 @@ class TestCalendarOrder:
                 lambda ev: log.append((ev.value, env.now.hex())))
 
         def waiter():
-            got = yield AllOf(env, [tie_a, tie_b, chained])
-            log.append(("all", env.now.hex(), sorted(got.values())))
-            got = yield AnyOf(env, [late, env.timeout(0.7, "slow")])
-            log.append(("any", env.now.hex(), list(got.values())))
+            joined = [tie_a, tie_b, chained]
+            yield AllOf(env, joined)
+            log.append(("all", env.now.hex(),
+                        sorted(ev.value for ev in joined)))
+            # The first of two timers: `late` succeeds an event; `slow`
+            # pops later with nothing waiting on it.
+            first = env.event()
+            env.timeout(0.7, "slow")
+            late.callbacks.append(lambda ev: first.succeed([ev.value]))
+            got = yield first
+            log.append(("any", env.now.hex(), got))
             try:
                 yield env.timeout(100.0)
             except Interrupt as intr:

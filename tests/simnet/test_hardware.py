@@ -5,7 +5,12 @@ import pytest
 
 from repro.core.kernels.registry import Cost
 from repro.core.tensor import SymbolicValue
-from repro.errors import InternalError, NotFoundError, ResourceExhaustedError
+from repro.errors import (
+    InternalError,
+    InvalidArgumentError,
+    NotFoundError,
+    ResourceExhaustedError,
+)
 from repro.simnet.cpu import CPUModel
 from repro.simnet.events import Environment
 from repro.simnet.gpu import GPUModel
@@ -139,9 +144,34 @@ class TestMachineCatalogs:
     def test_duplicate_node_rejected(self):
         env = Environment()
         machine = localhost(env)
-        with pytest.raises(Exception):
-            machine.add_node("localhost",
-                             cpu_model=model(CPUModel, "generic-cpu"))
+        cpu = model(CPUModel, "2xE5-2690v4")
+        with pytest.raises(InvalidArgumentError, match="Duplicate node"):
+            machine.add_node("localhost", cpu_model=cpu)
+
+    def test_an_unknown_part_is_named(self):
+        with pytest.raises(NotFoundError, match="'no-such-cpu'"):
+            model(CPUModel, "no-such-cpu")
+
+    def test_every_local_part_is_one_a_paper_machine_runs_on(self):
+        paper = set()
+        for machine in (tegner(Environment(), k420_nodes=1, k80_nodes=1),
+                        kebnekaise(Environment(), k80_nodes=1, v100_nodes=1)):
+            paper.add(machine.fabric)
+            for node in machine.nodes.values():
+                paper |= {node.cpu.model, *(gpu.model for gpu in node.gpus)}
+        local = localhost(Environment(), num_gpus=2)
+        [node] = local.nodes.values()
+        assert {local.fabric, node.cpu.model,
+                *(gpu.model for gpu in node.gpus)} <= paper
+
+    def test_localhost_is_built_from_a_kebnekaise_v100_node(self):
+        machine = localhost(Environment(), num_gpus=3)
+        [node] = machine.nodes.values()
+        assert node.node_type == "localhost"
+        assert node.cpu.model is model(CPUModel, "2xE5-2690v4")
+        assert [gpu.model.name for gpu in node.gpus] == ["V100"] * 3
+        assert machine.fabric.name == "FDR InfiniBand"
+        assert machine.name == "kebnekaise"
 
     def test_device_lookup_bounds(self):
         env = Environment()
