@@ -74,7 +74,7 @@ from repro.runtime.collective import run_collective
 from repro.runtime.retry import retry_gen
 from repro.simnet import transports
 from repro.simnet.events import (
-    NORMAL, AllOf, Driver, Environment, Event, Timeout, arm_deadline,
+    AllOf, Driver, Environment, Event, Timeout, arm_deadline,
 )
 
 __all__ = [
@@ -565,7 +565,7 @@ class _OpTimeout(Timeout):
         self.outputs = outputs
         self.start = start
         env._seq = seq = env._seq + 1
-        heappush(env._queue, (env._now + delay, NORMAL, seq, self))
+        heappush(env._queue, (env._now + delay, seq, self))
 
 
 def _op_elapsed(op: Any) -> None:

@@ -2,9 +2,19 @@
 
 The kernel follows the SimPy model: *processes* are Python generators that
 ``yield`` *events*; the :class:`Environment` owns a virtual clock and an
-event calendar. Determinism is guaranteed by breaking ties on
-``(time, priority, sequence_number)`` so repeated runs of the same program
-produce identical schedules — essential for reproducible benchmarks.
+event calendar. Determinism is guaranteed by one total pop order, so
+repeated runs of the same program produce identical schedules — essential
+for reproducible benchmarks.
+
+The calendar has two lanes. An event triggered now (``succeed``,
+``fail``, a process's start and exit, an interrupt) joins the URGENT
+lane, a FIFO of the current instant; a timed entry (a timeout) joins a
+heap keyed ``(time, seq)``. ``step`` pops the FIFO first. Every entry
+draws the next ``seq`` of one per-environment counter, so the order is
+that of a single heap keyed ``(time, priority, seq)`` with triggered
+events ahead of timeouts at the same instant: a triggered event always
+sits at ``now`` (the clock moves only once the FIFO is empty), and the
+FIFO holds them in ``seq`` order.
 
 Only the features the runtime needs are implemented: timeouts, generic
 events, process events, the value-free ``AllOf`` join, interrupts,
@@ -15,6 +25,7 @@ deadline timers that leave the calendar once their watched event fired
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -27,14 +38,7 @@ __all__ = [
     "AllOf",
     "Interrupt",
     "arm_deadline",
-    "URGENT",
-    "NORMAL",
 ]
-
-# Scheduling priorities: URGENT is used for propagating already-triggered
-# events (zero logical delay), NORMAL for timeouts and fresh work.
-URGENT = 0
-NORMAL = 1
 
 _PENDING = object()  # sentinel: event value not yet decided
 
@@ -92,10 +96,10 @@ class Event:
             raise RuntimeError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        # env._schedule(self, URGENT), pushed in place (see _schedule).
+        # env._schedule(self), inlined (see _schedule).
         env = self.env
-        env._seq = seq = env._seq + 1
-        heappush(env._queue, (env._now, URGENT, seq, self))
+        env._seq += 1
+        env._urgent.append(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -106,7 +110,7 @@ class Event:
             raise TypeError(f"{exception!r} is not an exception")
         self._ok = False
         self._value = exception
-        self.env._schedule(self, URGENT)
+        self.env._schedule(self)
         return self
 
     def defused(self) -> "Event":
@@ -129,8 +133,10 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if not delay >= 0:  # also rejects NaN, which `delay < 0` lets through
             raise ValueError(f"delay must be >= 0, got {delay}")
-        # Event.__init__ and env._schedule(self, NORMAL, delay), flattened:
-        # a timeout is born triggered, so it is built and pushed in one step.
+        # Event.__init__ and the timed heap's push, flattened: a timeout is
+        # born triggered, so it is built and pushed in one step. Timeouts
+        # (and the executor's ``_OpTimeout``, built the same way) are the
+        # heap's only entries.
         self.env = env
         self.callbacks = []
         self._value = value
@@ -139,13 +145,13 @@ class Timeout(Event):
         self._processed = False
         self.delay = delay
         env._seq = seq = env._seq + 1
-        heappush(env._queue, (env._now + delay, NORMAL, seq, self))
+        heappush(env._queue, (env._now + delay, seq, self))
 
 
 class Initialize(Event):
     """Internal event that starts a freshly created process (or a driven
-    generator that keeps a process's start hop): an URGENT entry now,
-    whose one callback is ``start``."""
+    generator that keeps a process's start hop): an entry in the current
+    instant's lane, whose one callback is ``start``."""
 
     __slots__ = ()
 
@@ -154,7 +160,7 @@ class Initialize(Event):
         self.callbacks = [start]
         self._ok = True
         self._value = None
-        env._schedule(self, URGENT)
+        env._schedule(self)
 
 
 class Process(Event):
@@ -187,7 +193,7 @@ class Process(Event):
         event._value = Interrupt(cause)
         event._defused = True
         event.callbacks = [self._resume]
-        self.env._schedule(event, URGENT)
+        self.env._schedule(event)
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""
@@ -217,12 +223,12 @@ class Process(Event):
             except StopIteration as stop:
                 self._ok = True
                 self._value = stop.value
-                self.env._schedule(self, URGENT)
+                self.env._schedule(self)
                 break
             except BaseException as exc:
                 self._ok = False
                 self._value = exc
-                self.env._schedule(self, URGENT)
+                self.env._schedule(self)
                 break
 
             if not isinstance(next_target, Event):
@@ -390,7 +396,10 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
-        self._queue: list[tuple[float, int, int, Event]] = []
+        # Timed entries, keyed (time, seq, event).
+        self._queue: list[tuple[float, int, Event]] = []
+        # Events triggered at _now, in seq order; their seq is not kept.
+        self._urgent: deque[Event] = deque()
         self._seq = 0
         # Events whose entries _cancel may drop; some may have popped.
         self._cancelled: set[Event] = set()
@@ -411,58 +420,67 @@ class Environment:
         return Process(self, generator, name=name)
 
     # -- scheduling -----------------------------------------------------------
-    def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:
-        """Enter ``event`` into the calendar: the one general entry point.
+    def _schedule(self, event: Event) -> None:
+        """Enter ``event``, triggered now, into the current instant's lane.
 
-        The two hottest callers, ``Timeout.__init__`` and ``Event.succeed``,
-        push their entry themselves to save this call per event. They build the identical key — the next ``_seq``,
-        and ``now + 0.0 == now`` for an undelayed event — so the pop
-        order cannot tell them from a call to this method.
+        ``Event.succeed``, the hottest caller, inlines these two lines.
+        The entry draws a ``seq`` like any other, which only its place in
+        the lane records.
         """
         self._seq += 1
-        heappush(self._queue, (self._now + delay, priority, self._seq, event))
+        self._urgent.append(event)
 
     def _cancel(self, event: Event) -> None:
         """Let ``event``'s calendar entry go; its callbacks are gone.
 
         Lazy, by asyncio's rule for cancelled timer handles: entries stay
-        until the cancelled ones outnumber half the calendar, then one
-        pass filters them all out and re-heapifies in place (``run``
-        holds the list). Keys are unique, so the rebuilt heap pops what
-        is left in the same order. An entry that reaches the top before
-        that pops as an empty event, one step; its event stays counted
-        until the next compaction, which can only bring that compaction
-        forward. ``step`` and ``run`` never look at the set, so a
-        calendar with nothing cancelled pays nothing per pop.
+        until the cancelled ones outnumber half the calendar (both lanes),
+        then one pass filters them all out of the heap and re-heapifies in
+        place (``run`` holds the list). Keys are unique, so the rebuilt
+        heap pops what is left in the same order. An entry that reaches
+        the top before that pops as an empty event, one step; its event
+        stays counted until the next compaction, which can only bring that
+        compaction forward. ``step`` and ``run`` never look at the set, so
+        a calendar with nothing cancelled pays nothing per pop.
         """
         cancelled = self._cancelled
         cancelled.add(event)
         queue = self._queue
-        if 2 * len(cancelled) > len(queue):
-            queue[:] = [entry for entry in queue if entry[3] not in cancelled]
+        if 2 * len(cancelled) > len(queue) + len(self._urgent):
+            queue[:] = [entry for entry in queue if entry[2] not in cancelled]
             heapify(queue)
             cancelled.clear()
 
     def clear(self) -> None:
-        """Drop every calendar entry; the clock stays where it is.
+        """Drop every calendar entry, in both lanes; the clock stays where
+        it is.
 
         An entry's event names this environment back (``Event.env``), so
         a finished simulation's leftovers keep it alive until the cyclic
         collector runs; cleared, both die by reference count.
         """
         self._queue.clear()
+        self._urgent.clear()
         self._cancelled.clear()
 
     def peek(self) -> float:
         """Time of the next scheduled event (``inf`` when drained)."""
+        if self._urgent:
+            return self._now
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
-        """Process the single next event (the calendar's only pop site)."""
-        try:
-            self._now, _, _, event = heappop(self._queue)
-        except IndexError:
-            raise RuntimeError("No scheduled events") from None
+        """Process the single next event (the calendar's only pop site):
+        the current instant's oldest triggered event, else the earliest
+        timed one."""
+        urgent = self._urgent
+        if urgent:
+            event = urgent.popleft()
+        else:
+            try:
+                self._now, _, event = heappop(self._queue)
+            except IndexError:
+                raise RuntimeError("No scheduled events") from None
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
             callback(event)
@@ -492,14 +510,14 @@ class Environment:
         """
         # Every event goes through self.step (looked up once per call, so
         # a subclass or a counting wrapper on the class still sees each).
-        step, queue = self.step, self._queue
+        step, queue, urgent = self.step, self._queue, self._urgent
         if until is None:
-            while queue:
+            while urgent or queue:
                 step()
             return None
         if isinstance(until, Event):
             while not until._processed:
-                if not queue:
+                if not (urgent or queue):
                     raise RuntimeError(
                         f"Simulation drained before {until!r} triggered (deadlock?)"
                     )
@@ -510,7 +528,8 @@ class Environment:
         horizon = float(until)
         if not horizon >= self._now:  # NaN compares false: reject it too
             raise ValueError(f"until={horizon} lies in the past (now={self._now})")
-        while queue and queue[0][0] <= horizon:
+        # The current instant's lane sits at now <= horizon: it always plays.
+        while urgent or (queue and queue[0][0] <= horizon):
             step()
         self._now = horizon
         return None

@@ -232,7 +232,8 @@ class Store:
 
 class _Flow(Event):
     """One transfer on a :class:`BandwidthLink`: its own completion
-    event, carrying its size and the bytes it has still to move."""
+    event, carrying its size and the bytes it has still to move. The
+    link's wake-up completes it in place, without a calendar entry."""
 
     __slots__ = ("nbytes", "remaining")
 
@@ -256,7 +257,8 @@ class BandwidthLink:
     date and the next completion is (re)scheduled. There is no calendar
     cancellation: a superseded wake-up keeps its calendar entry, but its
     callbacks are emptied when a newer one is armed, so it pops and runs
-    nothing.
+    nothing. A wake-up completes the flows that finished itself, in the
+    order their own calendar entries would have popped.
 
     Bytes are conserved exactly: the integral of per-flow rate over time
     equals the flow's size at completion.
@@ -370,8 +372,29 @@ class BandwidthLink:
                     if remaining < least:
                         least = remaining
             self._flows = kept
+        # The finished flows complete here, as ``succeed`` and ``step``
+        # would have completed them: each would enter the URGENT lane and,
+        # since a timed wake pops only once that lane is empty, pop right
+        # after this wake, one after the other. So each takes its value
+        # and its calendar number, the next wake is armed, and then each
+        # runs its callbacks, in list order — with no calendar entry.
         for flow in finished:
             # Absorb accumulated floating error into the accounting.
             self.bytes_moved -= flow.remaining
-            flow.succeed(flow.nbytes)
+            flow._value = flow.nbytes
+        env = self.env
+        env._seq += len(finished)
         self._arm(least)
+        try:
+            for flow in finished:
+                callbacks, flow.callbacks = flow.callbacks, None
+                for callback in callbacks:
+                    callback(flow)
+                flow._processed = True
+        except BaseException:
+            # A callback raised out of the simulation, as out of ``step``:
+            # the flows not yet run wait at the front of the URGENT lane,
+            # where their own entries would have waited.
+            env._urgent.extendleft(
+                reversed([f for f in finished if f.callbacks is not None]))
+            raise

@@ -12,7 +12,11 @@ reads 0 here before it zeroes the harness counter.
 
 The values were recorded before the host path was first optimised, the
 two eight-rank ones before collective sends stopped being processes;
-they change only with the simulated schedule.
+they change only with the simulated schedule. Since a link's wake-up
+completes its finished flows itself, each ``steps`` pin is the recorded
+one less the program's non-zero link transfers (fig7 90, cg 145,
+sgd_collective 24, sgd_collective_8 1000, ring_allreduce_8 476), the
+pops those flows' own entries took; clocks and items are unedited.
 
 ``TestNoCyclicGarbage`` pins the other host-path invariant: a warm run,
 and a finished program (a dropped graph, a closed local session),
@@ -65,7 +69,7 @@ PROGRAMS = {
     # send/recv + light-lane ops over three transports on two machines.
     "fig7": (
         lambda: run_fig7(iterations=2, sizes=(2,)),
-        477,
+        387,
         ["0x1.3aeb4f518a5cfp-4", "0x1.5e2863f4cc309p-6",
          "0x1.e3e880c858473p-8", "0x1.150c6f22c69dfp-4",
          "0x1.8d59c6737a68cp-7", "0x1.93e22a7df16e6p-9",
@@ -77,7 +81,7 @@ PROGRAMS = {
     # driven-generator lane: queues, tile reads, concurrent run_gen.
     "cg": (
         lambda: run_cg(n=512, num_gpus=2, iterations=3, shape_only=True),
-        749,
+        604,
         ["0x1.cc3d9941c7df3p-8"],
         437,
         20,
@@ -85,7 +89,7 @@ PROGRAMS = {
     # collective lane + pure-op chains on concrete tensors.
     "sgd_collective": (
         lambda: run_sgd(num_workers=2, steps=2, mode="collective"),
-        154,
+        130,
         ["0x1.341ac5513c2e3p-9"],
         90,
         4,
@@ -95,7 +99,7 @@ PROGRAMS = {
     # contention shows.
     "sgd_collective_8": (
         lambda: run_sgd(num_workers=8, steps=2, mode="collective", blocks=8),
-        5236,
+        4236,
         ["0x1.385dc05b71999p-5"],
         1754,
         74,
@@ -103,7 +107,7 @@ PROGRAMS = {
     # One 1 MB ring allreduce over eight nodes, run cold and warm.
     "ring_allreduce_8": (
         lambda: _ring_allreduce_program(),
-        1928,
+        1452,
         ["0x1.17860c26b27a3p-8"],
         44,
         2,
@@ -172,7 +176,7 @@ def test_a_light_lane_op_is_one_calendar_entry_and_one_object(monkeypatch):
         completed = start_op(dispatcher, item)
         started.append((item.op.type, completed, env._seq - seq,
                         [(type(event), list(event.callbacks))
-                         for _, _, key, event in env._queue if key > seq]))
+                         for _, key, event in env._queue if key > seq]))
         return completed
 
     monkeypatch.setattr(executor_module._Dispatcher, "_start_op",

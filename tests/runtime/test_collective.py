@@ -9,7 +9,7 @@ that they compute their op.
 
 import dataclasses
 import inspect
-from collections import Counter
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -267,16 +267,37 @@ class TestTiming:
         assert skewed - uniform == pytest.approx(expected_gap, rel=1e-9)
 
 
+class _SeqLane(deque):
+    """A recording environment's URGENT lane: it also notes the ``seq``
+    each entry drew, which the calendar itself does not keep."""
+
+    def __init__(self, env):
+        super().__init__()
+        self.env = env
+        self.seq = {}
+
+    def append(self, event):
+        self.seq[event] = self.env._seq  # drawn just before the append
+        super().append(event)
+
+
 class _RecordingEnvironment(Environment):
-    """Logs the key of every calendar entry ``step`` pops."""
+    """Logs the key of every calendar entry ``step`` pops, as a one-heap
+    calendar keyed it: ``(time, priority, seq)``, an event triggered now
+    (priority 0) ahead of a timeout (1) at the same instant."""
 
     def __init__(self):
         super().__init__()
+        self._urgent = _SeqLane(self)
         self.pops = []
 
     def step(self):
-        when, priority, seq, _event = self._queue[0]
-        self.pops.append((when.hex(), priority, seq))
+        if self._urgent:
+            seq = self._urgent.seq[self._urgent[0]]
+            self.pops.append((self._now.hex(), 0, seq))
+        else:
+            when, seq, _event = self._queue[0]
+            self.pops.append((when.hex(), 1, seq))
         super().step()
 
 

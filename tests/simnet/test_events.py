@@ -1,5 +1,8 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import random
+from collections import deque
+
 import pytest
 
 from repro.simnet.events import (
@@ -9,6 +12,7 @@ from repro.simnet.events import (
     Timeout,
     arm_deadline,
 )
+from repro.simnet.resources import BandwidthLink
 
 
 @pytest.fixture()
@@ -271,15 +275,46 @@ class TestInterrupts:
             p.interrupt()
 
 
+# The priority a one-heap calendar keyed its entries by: an event
+# triggered now ahead of a timeout at the same instant.
+URGENT, NORMAL = 0, 1
+
+
+class _SeqLane(deque):
+    """A recording environment's URGENT lane: it also notes the ``seq``
+    each entry drew, which the calendar itself does not keep."""
+
+    def __init__(self, env):
+        super().__init__()
+        self.env = env
+        self.seq = {}
+
+    def append(self, event):
+        self.seq[event] = self.env._seq  # drawn just before the append
+        super().append(event)
+
+
 class _RecordingEnvironment(Environment):
-    """Logs every calendar entry ``step`` pops, as the heap keyed it."""
+    """Logs every calendar entry ``step`` pops, keyed as a one-heap
+    calendar keyed it: ``(time, priority, seq)``."""
+
+    lane = _SeqLane
 
     def __init__(self):
         super().__init__()
+        self._urgent = self.lane(self)
         self.pops = []
 
+    def next_entry(self):
+        """The entry ``step`` pops next, from whichever lane holds it."""
+        if self._urgent:
+            event = self._urgent[0]
+            return self._now, URGENT, self._urgent.seq[event], event
+        when, seq, event = self._queue[0]
+        return when, NORMAL, seq, event
+
     def step(self):
-        when, priority, seq, event = self._queue[0]
+        when, priority, seq, event = self.next_entry()
         self.pops.append((when.hex(), priority, seq, type(event).__name__))
         super().step()
 
@@ -410,7 +445,7 @@ class TestCalendarOrder:
             ("0x1.7333333333333p+0", 1, 20, "Timeout"),
         ]
         assert log == self.LOG[:-1] + [("drained", "0x1.9133333333333p+6", 19)]
-        assert env._queue == [] and env._seq == 21
+        assert env._queue == [] and not env._urgent and env._seq == 21
 
     def test_run_reaches_every_event_through_step(self):
         """``run`` may not pop the heap itself: the e2e harness counts
@@ -431,3 +466,248 @@ class TestCalendarOrder:
         env.run()             # ... until drained
         # Every scheduled entry was popped exactly once, all via step().
         assert len(env.pops) == env._seq == 19
+
+
+class TestLanes:
+    """The URGENT lane (events triggered now) beside the timed heap."""
+
+    def test_run_until_a_time_plays_the_lane_with_an_empty_heap(self, env):
+        fired = env.event()
+        fired.succeed("now")
+        assert not env._queue
+        env.run(until=0.0)
+        assert fired.processed and env.now == 0.0
+        later = env.event()
+        later.succeed()
+        env.run(until=5.0)
+        assert later.processed and env.now == 5.0
+
+    def test_peek_is_now_while_the_lane_holds_an_entry(self, env):
+        env.run(until=2.0)
+        env.timeout(1.0)
+        env.event().succeed()
+        assert env.peek() == 2.0
+        env.step()
+        assert env.peek() == 3.0
+
+    def test_clear_empties_both_lanes(self, env):
+        fired = env.event()
+        fired.succeed()
+        env.timeout(1.0)
+        env.clear()
+        assert not env._urgent and not env._queue
+        assert env.peek() == float("inf")
+        env.run()
+        assert not fired.processed and env.now == 0.0
+
+    def test_run_until_an_event_drains_only_when_both_lanes_are_empty(self, env):
+        # The heap is empty throughout: the target is triggered by a
+        # callback of an entry in the lane.
+        first, target = env.event(), env.event()
+        first.callbacks.append(lambda ev: target.succeed("reached"))
+        first.succeed()
+        assert env.run(until=target) == "reached"
+        # Nothing ever triggers `never`: reported once the lane is played.
+        played = env.event()
+        played.succeed()
+        with pytest.raises(RuntimeError, match="drained"):
+            env.run(until=env.event())
+        assert played.processed
+
+    def test_an_unhandled_failure_raises_at_its_instant(self, env):
+        env.run(until=1.5)
+        env.timeout(1.0)
+        env.event().fail(ValueError("boom"))
+        with pytest.raises(ValueError, match="boom"):
+            env.run()
+        assert env.now == 1.5 and env.peek() == 2.5
+
+
+class _OrderCheckingEnvironment(_RecordingEnvironment):
+    """Asserts that every pop is the least key of all pending entries,
+    each keyed ``(time, priority, seq)`` as a one-heap calendar held it."""
+
+    def step(self):
+        lane = self._urgent
+        pending = [(when, NORMAL, seq, event) for when, seq, event in self._queue]
+        pending += [(self._now, URGENT, lane.seq[event], event) for event in lane]
+        least = min(pending, key=lambda entry: entry[:3])
+        super().step()
+        # Exactly one pending entry was processed: the one popped. (A
+        # compaction drops cancelled timers, which are never processed.)
+        popped = [entry for entry in pending if entry[3]._processed]
+        assert popped == [least], f"popped {popped} ahead of {least}"
+
+
+class _SwappingLane(_SeqLane):
+    """A planted defect: the first time two entries wait in the lane,
+    the second one pops first."""
+
+    swapped = False
+
+    def popleft(self):
+        if self.swapped or len(self) < 2:
+            return super().popleft()
+        self.swapped = True
+        first = super().popleft()
+        second = super().popleft()
+        self.appendleft(first)
+        return second
+
+
+class _OneEntryPerFlowLink(BandwidthLink):
+    """The link as it finished flows through the calendar: each finished
+    flow ``succeed``s, in list order, into the URGENT lane, and pops
+    from there after the wake-up has armed the next one."""
+
+    def _on_wake(self, _timer):
+        least = self._advance()
+        flows = self._flows
+        if len(flows) == 1:
+            finished, self._flows, least = flows, [], float("inf")
+        else:
+            threshold = least + 1e-6
+            finished = [f for f in flows if f.remaining <= threshold]
+            self._flows = [f for f in flows if f.remaining > threshold]
+            least = min((f.remaining for f in self._flows),
+                        default=float("inf"))
+        for flow in finished:
+            self.bytes_moved -= flow.remaining
+            flow.succeed(flow.nbytes)
+        self._arm(least)
+
+
+def _mixed_scenario(env, seed, link_class):
+    """A seeded mix of everything that enters the calendar: processes,
+    zero-delay and equal-time timeouts, ``succeed``/``fail`` chains fired
+    from callbacks, interrupts, ``AllOf`` joins, deadline timers that are
+    cancelled (or fire), and an incast of 8 to 16 flows on one link with
+    rate changes in flight. Returns the callback log and the number of
+    non-zero transfers."""
+    rng = random.Random(seed)
+    log = []
+    note = lambda *what: log.append((env.now.hex(),) + what)
+    link = link_class(env, rate=rng.uniform(1e8, 1e9))
+    instants = [0.0, 1e-4, 1e-4, 2e-4]
+    when = lambda: rng.choice(instants + [rng.uniform(0.0, 3e-4)])
+
+    # Timeouts, several due at one instant, created out of order.
+    for i in range(rng.randint(3, 8)):
+        env.timeout(when(), i).callbacks.append(
+            lambda ev: note("timeout", ev.value))
+
+    # succeed/fail chains, each link fired from the previous one's callback.
+    for c in range(rng.randint(1, 4)):
+        prev = env.timeout(when())
+        for j in range(rng.randint(1, 3)):
+            nxt, fails = env.event(), rng.random() < 0.3
+
+            def fire(ev, nxt=nxt, fails=fails, tag=(c, j)):
+                if fails:
+                    nxt.fail(ValueError(tag))
+                else:
+                    nxt.succeed(tag)
+
+            def heard(ev, tag=(c, j)):
+                note("chain", tag, ev.ok)
+                ev.defused()
+
+            prev.callbacks.append(fire)
+            nxt.callbacks.append(heard)
+            prev = nxt
+
+    # The incast: 8 to 16 flows start together, some within a sub-byte
+    # of each other; one process joins a few more on an AllOf.
+    sizes = lambda: rng.choice([rng.uniform(1e3, 1e5), 3e4, 3e4 + 4e-7])
+    burst = rng.uniform(0.0, 2e-4)
+    transfers = []
+
+    def transfer(nbytes):
+        transfers.append(nbytes)
+        return link.transfer(nbytes)
+
+    def flow(k, nbytes):
+        yield env.timeout(burst)
+        got = yield transfer(nbytes)
+        note("flow", k, got)
+        return k
+
+    flows = [env.process(flow(k, sizes())) for k in range(rng.randint(8, 16))]
+    flows += [env.process(flow(-k, 0)) for k in range(rng.randint(0, 2))]
+
+    joined_sizes = [rng.choice([sizes(), 0]) for _ in range(rng.randint(2, 4))]
+    join_at, fail_at = when(), when()
+
+    def joiner():
+        try:
+            yield env.timeout(join_at)
+            yield AllOf(env, [transfer(nbytes) for nbytes in joined_sizes])
+            note("joined")
+            yield env.timeout(1.0)
+        except Interrupt as intr:
+            note("interrupted", intr.cause)
+
+    def fails_later():
+        yield env.timeout(fail_at)
+        raise ValueError("process failed")
+
+    def catcher(failing):
+        try:
+            yield failing
+        except ValueError as exc:
+            note("caught", str(exc))
+
+    env.process(catcher(env.process(fails_later())))
+    join = env.process(joiner())
+
+    def attacker(delay):
+        yield env.timeout(delay)
+        if join.is_alive:
+            join.interrupt("stop")
+
+    env.process(attacker(rng.uniform(1e-4, 2e-3)))
+
+    def change(at, rate):
+        yield env.timeout(at)
+        link.set_rate(rate)
+        note("rate", rate)
+
+    for _ in range(rng.randint(1, 3)):
+        env.process(change(rng.uniform(0.0, 5e-4),
+                           link.rate * rng.choice([0.37, 2.0])))
+
+    # Deadlines: most are cancelled when their watched event fires, which
+    # tips compaction; a short one on a join that never comes fires.
+    everyone = AllOf(env, flows)
+    everyone.callbacks.append(lambda ev: note("all flows"))
+    for _ in range(rng.randint(2, 6)):
+        arm_deadline(env, rng.choice([1e-3, 5.0]), everyone,
+                     lambda: note("deadline"))
+    arm_deadline(env, rng.uniform(0.0, 3e-4), env.event(),
+                 lambda: note("expired"))
+    env.run()
+    return log, sum(1 for nbytes in transfers if nbytes > 0)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_every_pop_is_the_least_key_of_a_one_heap_calendar(seed):
+    """Each pop is the least pending ``(time, priority, seq)``, and a
+    link that completes its flows inside its wake-up runs every callback
+    in the order, at the time and with the calendar numbers of one whose
+    flows each pop — one pop fewer per non-zero flow."""
+    env = _OrderCheckingEnvironment()
+    log, nonzero = _mixed_scenario(env, seed, BandwidthLink)
+    reference = _OrderCheckingEnvironment()
+    reference_log, _ = _mixed_scenario(reference, seed, _OneEntryPerFlowLink)
+    assert log == reference_log
+    assert env._seq == reference._seq
+    assert len(env.pops) == len(reference.pops) - nonzero
+    assert nonzero >= 8
+
+
+def test_a_swap_of_two_same_instant_entries_fails_the_order_check():
+    class Swapping(_OrderCheckingEnvironment):
+        lane = _SwappingLane
+
+    with pytest.raises(AssertionError, match="ahead of"):
+        _mixed_scenario(Swapping(), 0, BandwidthLink)

@@ -541,7 +541,7 @@ def _play_link(link_class, rate, flows, changes):
     for at, new_rate in changes:
         env.process(change(at, new_rate))
     steps = 0
-    while env._queue:
+    while env._queue or env._urgent:
         env.step()
         steps += 1
     return ([finish[i] for i in range(len(flows))], link.bytes_moved.hex(),
@@ -551,10 +551,15 @@ def _play_link(link_class, rate, flows, changes):
 @pytest.mark.parametrize("seed", range(40))
 def test_bandwidth_link_matches_the_reference_algorithm(seed):
     """Every completion time, value and byte count to the bit, and the
-    same calendar entries and pops, as the reference link."""
+    same calendar numbers, as the reference link; each non-zero flow
+    completes inside its wake-up, one pop fewer than the reference's
+    ``succeed``."""
     scenario = _random_link_scenario(seed)
-    assert (_play_link(BandwidthLink, *scenario)
-            == _play_link(_ReferenceLink, *scenario))
+    *outcome, steps = _play_link(BandwidthLink, *scenario)
+    *reference, reference_steps = _play_link(_ReferenceLink, *scenario)
+    assert outcome == reference
+    nonzero = sum(1 for _, nbytes in scenario[1] if nbytes > 0)
+    assert steps == reference_steps - nonzero
 
 
 def test_a_superseded_wake_up_pops_and_runs_nothing(env):
@@ -564,7 +569,30 @@ def test_a_superseded_wake_up_pops_and_runs_nothing(env):
     env.run(until=0.25)
     link.transfer(50.0)  # a second flow: the first projection is stale
     assert link._wake is not stale and stale.callbacks == []
-    assert any(entry[3] is stale for entry in env._queue)  # still queued
+    assert any(entry[2] is stale for entry in env._queue)  # still queued
     env.run()
     assert stale.processed  # it popped, with nothing to call
     assert done.value == 100.0 and env.now == 1.5
+
+
+def test_a_raising_flow_callback_leaves_the_other_finished_flows_queued(env):
+    """A flow callback that raises stops ``run`` at once, as a popped
+    entry's callback does; the flows that finished with it complete
+    first on the next ``run``, as their own entries would have."""
+    link = BandwidthLink(env, rate=100.0)
+    first, second = link.transfer(100.0), link.transfer(100.0)
+    heard = []
+
+    def boom(_ev):
+        raise RuntimeError("boom")
+
+    first.callbacks.append(boom)
+    second.callbacks.append(lambda ev: heard.append((env.now, ev.value)))
+    later = env.event()
+    with pytest.raises(RuntimeError, match="boom"):
+        env.run()
+    later.succeed()  # triggered after the flows, so it pops after them
+    later.callbacks.append(lambda ev: heard.append("later"))
+    assert heard == [] and env.peek() == env.now == 2.0
+    env.run()
+    assert heard == [(2.0, 100.0), "later"] and second.processed
